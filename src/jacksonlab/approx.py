@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, lp_norm, luxemburg_norm
-from .ops import (_apply_multiplier, _as_norm, _mode_radius2, laplacian_power,
-                  semigroup_difference, spherical_mean)
+from .ops import (_apply_multiplier, _as_norm, _axis_freqs, _check_order, _inverse,
+                  _memoized, _mode_radius, laplacian_power, semigroup_difference,
+                  spherical_mean)
 from .search import golden_min
 
 
@@ -35,7 +36,7 @@ def projection(f, n, kind="partial_sum"):
     """
     if n < 0 or n != int(n):
         raise ValueError(f"degree must be a nonnegative integer, got {n}")
-    rad = np.sqrt(_mode_radius2(f.size, f.dim))
+    rad = _mode_radius(f.size, f.dim)
     if kind == "partial_sum":
         mult = (rad <= n + 1e-9).astype(float)
     elif kind == "vallee_poussin":
@@ -134,8 +135,7 @@ def _norm_subgradient(u, spec):
 
 
 def _refine(f, n, start, start_val, spec, iters, step):
-    rad = np.sqrt(_mode_radius2(f.size, f.dim))
-    mask = rad <= n + 1e-9
+    mask = _mode_radius(f.size, f.dim) <= n + 1e-9
     nfun = _as_norm(spec)
     g = start.samples.copy()
     best = start_val
@@ -143,7 +143,7 @@ def _refine(f, n, start, start_val, spec, iters, step):
     for k in range(iters):
         u = f.samples - g
         grad = _norm_subgradient(u, spec)
-        direction = np.fft.ifftn(np.fft.fftn(grad) * mask).real
+        direction = _inverse(np.fft.rfftn(grad) * mask, grad.shape)
         scale = math.sqrt(float(np.mean(direction ** 2)))
         if scale < 1e-300:
             break
@@ -156,28 +156,31 @@ def directional_deriv(f, xi=None, r=1):
     """r-th derivative along direction xi (unit vector for d=2, sign for d=1).
 
     Odd orders zero out the unpaired Nyquist slots; band-limited inputs
-    are differentiated exactly.
+    are differentiated exactly.  For even orders on a 2-d grid the Nyquist
+    row pairs nu = (N/2, k) with its mirror (N/2, -k) and keeps the even
+    part of the two multipliers, as the real part of the complex transform
+    does.
     """
     if r < 1 or r != int(r):
         raise ValueError(f"derivative order must be a positive integer, got {r}")
     r = int(r)
-    n = np.fft.fftfreq(f.size) * f.size
+    full, half = _axis_freqs(f.size)
+    nyq = f.size // 2
     if f.dim == 1:
-        dot = n * (1.0 if xi is None else float(xi))
-        nyq = np.zeros(f.size, dtype=bool)
-        nyq[f.size // 2] = True
-    else:
-        if xi is None:
-            raise ValueError("2-d directional derivative needs a direction")
-        x0, x1 = (float(v) for v in xi)
-        fx, fy = np.meshgrid(n, n, indexing="ij")
-        dot = fx * x0 + fy * x1
-        nyq = np.zeros((f.size, f.size), dtype=bool)
-        nyq[f.size // 2, :] = True
-        nyq[:, f.size // 2] = True
-    mult = (1j * dot) ** r
+        mult = (1j * half * (1.0 if xi is None else float(xi))) ** r
+        if r % 2 == 1:
+            mult[nyq] = 0.0
+        return _apply_multiplier(f, mult)
+    if xi is None:
+        raise ValueError("2-d directional derivative needs a direction")
+    x0, x1 = (float(v) for v in xi)
+    mult = (1j * (full[:, None] * x0 + half[None, :] * x1)) ** r
     if r % 2 == 1:
-        mult = np.where(nyq, 0.0, mult)
+        mult[nyq, :] = 0.0
+        mult[:, nyq] = 0.0
+    else:
+        row = (1j * (full[nyq] * x0 + full * x1)) ** r
+        mult[nyq] = 0.5 * (row + np.conj(row[-np.arange(f.size) % f.size]))[:nyq + 1]
     return _apply_multiplier(f, mult)
 
 
@@ -207,6 +210,11 @@ def k_functional(f, ell, t, norm=None, route="realization"):
     if ell < 1 or ell != int(ell):
         raise ValueError(f"order must be a positive integer, got {ell}")
     ell = int(ell)
+    return _memoized(f, ("k_functional", ell, float(t), route), norm,
+                     lambda: _k_functional(f, ell, t, norm, route))
+
+
+def _k_functional(f, ell, t, norm, route):
     nfun = _as_norm(norm)
     if route == "realization":
         n0 = max(1, math.ceil(1.0 / t - 1e-9))
@@ -235,5 +243,6 @@ def k_functional(f, ell, t, norm=None, route="realization"):
 
 def k_delta(f, m, heat_time, norm=None):
     """Norm of (H(heat_time) - I)^m f, the heat-difference K-functional proxy."""
-    nfun = _as_norm(norm)
-    return float(nfun(semigroup_difference(f, heat_time, "heat", m)))
+    m = _check_order(m)
+    return _memoized(f, ("k_delta", m, float(heat_time)), norm,
+                     lambda: float(_as_norm(norm)(semigroup_difference(f, heat_time, "heat", m))))

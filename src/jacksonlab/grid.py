@@ -6,6 +6,7 @@ measure of the whole torus is 1; every norm below is an average, not a sum.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,10 +18,13 @@ class GridFunction:
     """Real samples on an equispaced periodic grid, d in {1, 2}.
 
     The sample array is copied and frozen at construction; arithmetic
-    returns new instances.  2-d grids are square (N x N).
+    returns new instances.  2-d grids are square (N x N).  The real
+    spectrum is computed on first use and kept; `ops` and `approx` memoize
+    moduli and K-functionals in a per-instance dict, so both live exactly
+    as long as the function.
     """
 
-    __slots__ = ("samples",)
+    __slots__ = ("samples", "_spectrum", "_memo")
 
     def __init__(self, samples):
         arr = np.array(samples, dtype=float, copy=True)
@@ -35,6 +39,8 @@ class GridFunction:
             raise ValueError("samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "_spectrum", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
@@ -46,6 +52,15 @@ class GridFunction:
     @property
     def size(self):
         return self.samples.shape[0]
+
+    def spectrum(self):
+        """`numpy.fft.rfftn` of the samples: computed once, then returned read-only."""
+        spec = self._spectrum
+        if spec is None:
+            spec = np.fft.rfftn(self.samples)
+            spec.setflags(write=False)
+            object.__setattr__(self, "_spectrum", spec)
+        return spec
 
     def __add__(self, other):
         return GridFunction(self.samples + _raw(other))
@@ -127,6 +142,14 @@ def lp_norm(f, p, weight=None):
     w = _weight_array(f, weight)
     m = np.mean(a ** p) if w is None else np.mean(w * a ** p)
     return float(m ** (1.0 / p))
+
+
+def _lp_rows(rows, p):
+    """Unweighted `lp_norm` of every row of a stack of 1-d samples, in one reduction."""
+    a = np.abs(rows)
+    if np.isinf(p):
+        return np.max(a, axis=-1)
+    return np.mean(a ** p, axis=-1) ** (1.0 / p)
 
 
 def orlicz_functional(f, phi, weight=None):
@@ -293,6 +316,30 @@ class NormSpec:
             return f"L{self.p:g}"
         return f"{self.variant}:{self.phi.kind}"
 
+    def _weight_record(self):
+        """JSON record of the weight (shape and sha256 of its float64 samples), or None."""
+        if self.weight is None:
+            return None
+        import hashlib  # loads OpenSSL; only weighted specs pay for it
+
+        w = np.ascontiguousarray(_raw(self.weight), dtype=float)
+        return {"shape": list(w.shape), "sha256": hashlib.sha256(w.tobytes()).hexdigest()}
+
+    def key(self):
+        """Hashable identity of the computed norm: variant, p, phi record, weight digest.
+
+        Computed once per spec (a weight is read as it is at the first call).
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            phi = None if self.phi is None else json.dumps(self.phi.to_json(), sort_keys=True)
+            weight = self._weight_record()
+            if weight is not None:
+                weight = (tuple(weight["shape"]), weight["sha256"])
+            key = (self.variant, float(self.p), phi, weight)
+            object.__setattr__(self, "_key", key)
+        return key
+
     def norm(self, f):
         if self.variant == "lp":
             return lp_norm(f, self.p, self.weight)
@@ -314,12 +361,17 @@ class NormSpec:
             data["m"] = self.m
         if self.M is not None:
             data["M"] = self.M
+        if self.weight is not None:
+            data["weight"] = self._weight_record()
         return data
 
     @staticmethod
     def from_json(data):
         from .young import YoungFunction
 
+        if "weight" in data:
+            raise ValueError("a norm record's weight holds only a digest; "
+                             "build the NormSpec with the weight samples instead")
         phi = YoungFunction.from_json(data["phi"]) if "phi" in data else None
         variant = data.get("norm", data.get("variant", "lp"))
         return NormSpec(variant=variant, p=data.get("p", 2.0),

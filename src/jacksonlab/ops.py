@@ -2,9 +2,28 @@
 
 All operators act through Fourier multipliers on the sample grid, so for
 band-limited inputs (modes strictly inside the alias-free range) they agree
-with the continuum operators to rounding error.  The translate multiplier
-treats the unpaired Nyquist slot separately: the sampled translate of a
-cos(N*x/2) component is cos(N*h/2) * cos(N*x/2), which keeps outputs real.
+with the continuum operators to rounding error.
+
+Spectral path: every operator is `irfftn(f.spectrum() * mult)`, where
+`GridFunction.spectrum` is the real FFT of the samples, computed once per
+function and kept read-only.  Multipliers live on the matching half grid:
+full frequency axes, except the last, which holds 0..N/2.  The frequency
+grids are built once per (N, d).  The unpaired Nyquist slot N/2 is its own
+mirror, so a multiplier there must be real: the translate multiplier puts
+cos(N*h/2) in it (the sampled translate of a cos(N*x/2) component is
+cos(N*h/2) * cos(N*x/2)), and the results equal the real part of the
+complex full-grid transform to rounding error.
+
+In 1-d, `modulus`, `semigroup_modulus` and `averaged_modulus` stack the
+multipliers of many steps and run one inverse transform over the stack; an
+unweighted L_p norm is then taken over all rows in one reduction.  A stack
+holds at most `_STACK_SAMPLES` samples, a constant, so outputs never depend
+on the machine or the thread count.  2-d grids run one step per transform.
+
+`modulus` and `semigroup_modulus` (and `approx.k_functional`/`k_delta`)
+are memoized on the GridFunction instance, keyed by the quantity, its
+orders and parameters, and `NormSpec.key()`; the memo dies with the
+function.
 """
 
 from __future__ import annotations
@@ -15,7 +34,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, NormSpec, _lp_rows
+
+# Sample budget of one batched inverse transform (rows = budget // N).
+_STACK_SAMPLES = 1 << 15
 
 
 def coeffs(f):
@@ -29,31 +51,59 @@ def synthesize(spectrum):
     return GridFunction(np.fft.ifftn(spectrum * spectrum.size).real)
 
 
+def _inverse(spec, shape):
+    """Real samples of `shape` from their half-grid spectrum (inverse of rfftn)."""
+    if len(shape) == 1:
+        return np.fft.irfft(spec, n=shape[0])
+    return np.fft.irfftn(spec, s=shape, axes=(0, 1))
+
+
 def _apply_multiplier(f, mult):
-    return GridFunction(np.fft.ifftn(np.fft.fftn(f.samples) * mult).real)
+    """The operator with half-grid multiplier `mult` applied to f."""
+    return GridFunction(_inverse(f.spectrum() * mult, f.samples.shape))
 
 
-def _axis_phase(size, h):
-    n = np.fft.fftfreq(size) * size
-    phase = np.exp(1j * n * h)
+@lru_cache(maxsize=64)
+def _axis_freqs(size):
+    """Integer frequencies of a full FFT axis and of the halved rfft axis."""
+    full = np.fft.fftfreq(size) * size
+    half = np.arange(size // 2 + 1, dtype=float)
+    full.setflags(write=False)
+    half.setflags(write=False)
+    return full, half
+
+
+def _axis_phase(freqs, size, h):
+    """exp(i*nu*h) along one axis, with cos(N*h/2) in the Nyquist slot."""
+    phase = np.exp(1j * freqs * h)
     phase[size // 2] = np.cos(0.5 * size * h)
     return phase
 
 
 def _translate_multiplier(size, dim, h):
+    full, half = _axis_freqs(size)
     if dim == 1:
         (h0,) = h
-        return _axis_phase(size, h0)
+        return _axis_phase(half, size, h0)
     h0, h1 = h
-    return _axis_phase(size, h0)[:, None] * _axis_phase(size, h1)[None, :]
+    return _axis_phase(full, size, h0)[:, None] * _axis_phase(half, size, h1)[None, :]
 
 
+@lru_cache(maxsize=64)
 def _mode_radius2(size, dim):
-    n = np.fft.fftfreq(size) * size
-    if dim == 1:
-        return n ** 2
-    fx, fy = np.meshgrid(n, n, indexing="ij")
-    return fx ** 2 + fy ** 2
+    """|nu|^2 on the half grid (read-only)."""
+    full, half = _axis_freqs(size)
+    r2 = half ** 2 if dim == 1 else full[:, None] ** 2 + half[None, :] ** 2
+    r2.setflags(write=False)
+    return r2
+
+
+@lru_cache(maxsize=64)
+def _mode_radius(size, dim):
+    """|nu| on the half grid (read-only)."""
+    rad = np.sqrt(_mode_radius2(size, dim))
+    rad.setflags(write=False)
+    return rad
 
 
 def _as_step(f, h):
@@ -68,6 +118,12 @@ def _as_step(f, h):
     return h
 
 
+def _check_order(r):
+    if r < 1 or r != int(r):
+        raise ValueError(f"difference order must be a positive integer, got {r}")
+    return int(r)
+
+
 def translate(f, h):
     """f(. + h); h is a scalar (d=1) or a pair (d=2)."""
     return _apply_multiplier(f, _translate_multiplier(f.size, f.dim, _as_step(f, h)))
@@ -75,20 +131,83 @@ def translate(f, h):
 
 def difference(f, h, r=1):
     """r-th forward difference sum_k (-1)^(r-k) C(r,k) f(. + k*h)."""
-    if r < 1 or r != int(r):
-        raise ValueError(f"difference order must be a positive integer, got {r}")
+    r = _check_order(r)
     mult = _translate_multiplier(f.size, f.dim, _as_step(f, h))
-    return _apply_multiplier(f, (mult - 1.0) ** int(r))
+    return _apply_multiplier(f, (mult - 1.0) ** r)
+
+
+_L2 = NormSpec()
 
 
 def _as_norm(norm):
     if norm is None:
-        from .grid import lp_norm
-
-        return lambda g: lp_norm(g, 2.0)
+        return _L2.norm
     if callable(norm) and not hasattr(norm, "norm"):
         return norm
     return norm.norm
+
+
+def _norm_spec(norm):
+    """The NormSpec that `norm` evaluates (None is L2), or None for any other callable."""
+    if norm is None:
+        return _L2
+    if isinstance(norm, NormSpec):
+        return norm
+    if getattr(norm, "__func__", None) is NormSpec.norm:
+        return norm.__self__
+    return None
+
+
+def _memoized(f, key, norm, compute):
+    """compute(), remembered on f under key + the norm's identity.
+
+    A NormSpec (or its bound `norm`) is keyed by `NormSpec.key()`; any other
+    callable by the object itself, which the key keeps alive.  Unhashable
+    callables are not memoized.
+    """
+    spec = _norm_spec(norm)
+    if spec is not None:
+        key += (spec.key(),)
+    else:
+        try:
+            hash(norm)
+        except TypeError:
+            return compute()
+        key += (("callable", norm),)
+    memo = f._memo
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
+
+
+def _stacked_norms(f, kind, r, steps, norm):
+    """Norm of (T(u) - I)^r f for every step u (d=1), one inverse FFT per stack of steps."""
+    chunk = max(1, _STACK_SAMPLES // f.size)
+    spec = _norm_spec(norm)
+    plain_p = spec.p if spec is not None and spec.variant == "lp" and spec.weight is None else None
+    nfun = _as_norm(norm)
+    out = []
+    for k in range(0, len(steps), chunk):
+        mults = _step_multipliers(f.size, kind, steps[k:k + chunk], r)
+        rows = np.fft.irfft(f.spectrum() * mults, n=f.size, axis=-1)
+        if plain_p is not None:
+            out.extend(float(v) for v in _lp_rows(rows, plain_p))
+        else:
+            out.extend(float(nfun(GridFunction(row))) for row in rows)
+    return out
+
+
+def _step_multipliers(size, kind, steps, r):
+    """Rows (T(u) - I)^r on the 1-d half grid, one per step u (signed for the shift)."""
+    if kind == "shift":
+        _, half = _axis_freqs(size)
+        rows = np.exp(1j * np.outer(steps, half))
+        rows[:, -1] = np.cos(0.5 * size * steps)
+    else:
+        rows = _semigroup_multiplier(size, 1, steps[:, None], kind)
+    rows -= 1.0
+    return np.power(rows, r, out=rows)
 
 
 def modulus(f, r, t, norm=None, directions=64, radii=64):
@@ -101,14 +220,18 @@ def modulus(f, r, t, norm=None, directions=64, radii=64):
     """
     if t <= 0.0:
         return 0.0
-    nfun = _as_norm(norm)
+    r = _check_order(r)
+    key = ("modulus", r, float(t), int(directions), int(radii))
+    return _memoized(f, key, norm, lambda: _modulus(f, r, t, norm, directions, radii))
+
+
+def _modulus(f, r, t, norm, directions, radii):
     rad = t * (np.arange(1, radii + 1) / radii)
-    best = 0.0
     if f.dim == 1:
-        for rho in rad:
-            for h in (rho, -rho):
-                best = max(best, nfun(difference(f, h, r)))
-        return best
+        steps = np.stack([rad, -rad], axis=1).ravel()
+        return max([0.0, *_stacked_norms(f, "shift", r, steps, norm)])
+    best = 0.0
+    nfun = _as_norm(norm)
     angles = 2.0 * np.pi * np.arange(directions) / directions
     for rho in rad:
         for th in angles:
@@ -119,6 +242,15 @@ def modulus(f, r, t, norm=None, directions=64, radii=64):
 # -- semigroups ----------------------------------------------------------
 
 
+def _semigroup_multiplier(size, dim, t, kind):
+    """Half-grid multiplier of the heat (exp(-t|nu|^2)) or abel (exp(-t|nu|)) semigroup."""
+    if kind == "heat":
+        return np.exp(-t * _mode_radius2(size, dim))
+    if kind == "abel":
+        return np.exp(-t * _mode_radius(size, dim))
+    raise ValueError(f"unknown semigroup kind {kind!r}")
+
+
 def spectral_semigroup(f, t, kind):
     """Smoothing semigroup at time t >= 0: kind "heat" or "abel".
 
@@ -126,28 +258,13 @@ def spectral_semigroup(f, t, kind):
     """
     if t < 0.0:
         raise ValueError(f"semigroup time must be >= 0, got {t}")
-    r2 = _mode_radius2(f.size, f.dim)
-    if kind == "heat":
-        mult = np.exp(-t * r2)
-    elif kind == "abel":
-        mult = np.exp(-t * np.sqrt(r2))
-    else:
-        raise ValueError(f"unknown semigroup kind {kind!r}")
-    return _apply_multiplier(f, mult)
+    return _apply_multiplier(f, _semigroup_multiplier(f.size, f.dim, t, kind))
 
 
 def semigroup_difference(f, t, kind, r=1):
     """(T(t) - I)^r f for the heat or abel semigroup."""
-    if r < 1 or r != int(r):
-        raise ValueError(f"difference order must be a positive integer, got {r}")
-    r2 = _mode_radius2(f.size, f.dim)
-    if kind == "heat":
-        mult = np.exp(-t * r2)
-    elif kind == "abel":
-        mult = np.exp(-t * np.sqrt(r2))
-    else:
-        raise ValueError(f"unknown semigroup kind {kind!r}")
-    return _apply_multiplier(f, (mult - 1.0) ** int(r))
+    r = _check_order(r)
+    return _apply_multiplier(f, (_semigroup_multiplier(f.size, f.dim, t, kind) - 1.0) ** r)
 
 
 _SEMIGROUP_KINDS = ("shift", "heat", "abel")
@@ -180,6 +297,14 @@ def _one_parameter_difference(f, u, kind, r, direction):
     return semigroup_difference(f, u, kind, r)
 
 
+def _one_parameter_norms(f, us, kind, r, direction, norm):
+    """Norm of (T(u) - I)^r f for every u in `us`: stacked in 1-d, one by one in 2-d."""
+    if f.dim == 1:
+        return _stacked_norms(f, kind, r, us, norm)
+    nfun = _as_norm(norm)
+    return [nfun(_one_parameter_difference(f, float(u), kind, r, direction)) for u in us]
+
+
 def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, direction=None):
     """One-sided modulus: sup over u in [0, t] of the norm of (T(u) - I)^r f.
 
@@ -190,11 +315,12 @@ def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, directio
     if t <= 0.0:
         return 0.0
     kind, direction = _semigroup_kind_direction(semigroup, direction)
-    nfun = _as_norm(norm)
-    best = 0.0
-    for u in t * (np.arange(1, points + 1) / points):
-        best = max(best, nfun(_one_parameter_difference(f, float(u), kind, r, direction)))
-    return best
+    r = _check_order(r)
+    key = ("semigroup_modulus", r, float(t), kind, int(points),
+           None if direction is None else tuple(float(v) for v in direction))
+    us = t * (np.arange(1, points + 1) / points)
+    return _memoized(f, key, norm,
+                     lambda: max([0.0, *_one_parameter_norms(f, us, kind, r, direction, norm)]))
 
 
 def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, direction=None):
@@ -207,10 +333,9 @@ def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, dir
     if t <= 0.0:
         return 0.0
     kind, direction = _semigroup_kind_direction(semigroup, direction)
-    nfun = _as_norm(norm)
+    r = _check_order(r)
     mids = t * (np.arange(quad_points) + 0.5) / quad_points
-    vals = [nfun(_one_parameter_difference(f, float(u), kind, r, direction)) for u in mids]
-    return float(np.mean(vals))
+    return float(np.mean(_one_parameter_norms(f, mids, kind, r, direction, norm)))
 
 
 def cesaro_weights(n, ell):
@@ -228,7 +353,7 @@ def cesaro(f, n, ell=1):
     if n >= f.size // 2:
         raise ValueError(f"degree {n} too large for grid size {f.size}")
     w = cesaro_weights(n, ell)
-    freqs = np.abs(np.fft.fftfreq(f.size) * f.size).astype(int)
+    freqs = np.arange(f.size // 2 + 1)
     mult = np.where(freqs <= n, w[np.minimum(freqs, n)], 0.0)
     return _apply_multiplier(f, mult)
 
@@ -240,14 +365,13 @@ def laplacian_power(f, ell=1):
     """
     if ell < 1 or ell != int(ell):
         raise ValueError(f"power must be a positive integer, got {ell}")
-    r2 = _mode_radius2(f.size, f.dim)
-    return _apply_multiplier(f, (-r2) ** int(ell))
+    return _apply_multiplier(f, (-_mode_radius2(f.size, f.dim)) ** int(ell))
 
 
 @lru_cache(maxsize=512)
 def _sphere_multiplier(size, t, quad_points):
-    """Average of translate multipliers over the circle of radius t (d=2)."""
-    acc = np.zeros((size, size), dtype=complex)
+    """Average of translate multipliers over the circle of radius t (d=2, half grid)."""
+    acc = np.zeros((size, size // 2 + 1), dtype=complex)
     for k in range(quad_points):
         th = 2.0 * math.pi * k / quad_points
         acc += _translate_multiplier(size, 2, (t * math.cos(th), t * math.sin(th)))
@@ -273,7 +397,7 @@ def spherical_mean(f, t, ell=1, quad_points=256):
     ell = int(ell)
     if ell == 1:
         return _apply_multiplier(f, _sphere_multiplier(f.size, float(t), quad_points))
-    total = np.zeros((f.size, f.size), dtype=complex)
+    total = np.zeros((f.size, f.size // 2 + 1), dtype=complex)
     for j in range(1, ell + 1):
         term = _sphere_multiplier(f.size, float(j * t), quad_points)
         total = total + (-1.0) ** j * math.comb(2 * ell, ell - j) * term

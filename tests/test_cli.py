@@ -82,6 +82,23 @@ def test_threaded_run_matches_serial(tmp_path):
             (tmp_path / "par" / name).read_bytes()
 
 
+def test_full_batch_is_byte_identical_across_jobs(tmp_path):
+    # the c9 acceptance batch; its checks share the frequency caches across threads
+    ids = ("basic-2.1", "jackson-1.4", "jackson-4.8", "jackson-4.9", "jackson-5.9",
+           "jackson-5.10", "entire-4.12", "cesaro-5.1", "averaged-7.3", "semigroup-7.4",
+           "shift-7.5", "kfunc-8.9", "jackson-8.10", "lower-8.12", "orlicz-sandwich")
+    config = {"checks": [{"id": cid} for cid in ids], "N": 128, "seed": 2024}
+    cfg = write_config(tmp_path, config)
+    assert main(["run", cfg, "--out", str(tmp_path / "one"), "--jobs", "1"]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "two"), "--jobs", "2"]) == 0
+    names = sorted(p.name for p in (tmp_path / "one").iterdir()
+                   if p.suffix == ".csv" and p.name != "summary.csv")
+    assert len(names) == 15
+    for name in names:
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "two" / name).read_bytes(), name
+
+
 def test_seed_override_changes_results(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["run", cfg, "--out", str(tmp_path / "s7")]) == 0

@@ -1,5 +1,7 @@
 """Grid functions, Lebesgue and Orlicz-type norms, and norm descriptors."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -155,6 +157,27 @@ def test_norm_spec_json_round_trip_and_dispatch():
     # legacy key for the variant field still loads
     legacy = NormSpec.from_json({"variant": "lp", "p": 4.0})
     assert legacy.variant == "lp" and legacy.p == 4.0
+
+
+def test_norm_spec_records_weight_and_key():
+    w = 1.0 + 0.5 * np.cos(grid_points(64, 1)[0])
+    plain = NormSpec(variant="lp", p=2.0)
+    weighted = NormSpec(variant="lp", p=2.0, weight=w)
+    # unweighted records are unchanged
+    assert json.dumps(plain.to_json()) == '{"norm": "lp", "p": 2.0, "s": 2.0, "q": 2.0}'
+    record = weighted.to_json()["weight"]
+    assert record == {"shape": [64],
+                      "sha256": hashlib.sha256(np.asarray(w, dtype=float).tobytes()).hexdigest()}
+    with pytest.raises(ValueError):
+        NormSpec.from_json(weighted.to_json())
+    keys = {plain.key(), weighted.key(), NormSpec(variant="lp", p=4.0).key(),
+            NormSpec(variant="lp", p=2.0, weight=w[::-1]).key(),
+            NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5)).key(),
+            NormSpec(variant="luxemburg", phi=zygmund(2.0, 1.0)).key()}
+    assert len(keys) == 6
+    hash(weighted.key())
+    # the key names the norm, not the attached exponents or the label
+    assert NormSpec(variant="lp", p=2.0, s=3.0, label="x").key() == plain.key()
 
 
 def test_random_smooth_deterministic_and_normalized():

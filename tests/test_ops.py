@@ -7,9 +7,10 @@ import pytest
 from scipy.special import j0
 
 from jacksonlab import (GridFunction, NormSpec, OperatorSpec, averaged_modulus,
-                        cesaro, cesaro_weights, coeffs, difference, discretize,
-                        grid_points, laplacian_power, lp_norm, luxemburg_norm,
-                        modulus, power, random_smooth, semigroup_difference,
+                        cesaro, cesaro_weights, coeffs, difference, directional_deriv,
+                        discretize, grid_points, k_delta, k_functional,
+                        laplacian_power, lp_norm, luxemburg_norm, modulus, power,
+                        projection, random_smooth, semigroup_difference,
                         semigroup_modulus, spectral_semigroup, spherical_mean,
                         synthesize, translate, zygmund)
 
@@ -259,3 +260,196 @@ def test_modulus_rejects_bad_order():
         difference(f, 0.3, 0)
     with pytest.raises(ValueError):
         spectral_semigroup(f, 0.3, "unknown")
+
+
+# -- oracle: the complex full-grid multiplier path ------------------------
+#
+# The operators run on real FFTs with half-grid multipliers.  The oracle
+# below is the earlier complex path, ifftn(fftn(f) * m).real with m on the
+# full grid, kept here only to pin the real path to it.
+
+
+def _full_freqs(size):
+    return np.fft.fftfreq(size) * size
+
+
+def _oracle_phase(size, h):
+    phase = np.exp(1j * _full_freqs(size) * h)
+    phase[size // 2] = math.cos(0.5 * size * h)
+    return phase
+
+
+def _oracle_translate(size, dim, h):
+    if dim == 1:
+        return _oracle_phase(size, h[0])
+    return _oracle_phase(size, h[0])[:, None] * _oracle_phase(size, h[1])[None, :]
+
+
+def _oracle_radius2(size, dim):
+    n = _full_freqs(size)
+    if dim == 1:
+        return n ** 2
+    fx, fy = np.meshgrid(n, n, indexing="ij")
+    return fx ** 2 + fy ** 2
+
+
+def _oracle_deriv(size, dim, xi, r):
+    n = _full_freqs(size)
+    if dim == 1:
+        dot = n * xi
+        nyq = np.zeros(size, dtype=bool)
+        nyq[size // 2] = True
+    else:
+        fx, fy = np.meshgrid(n, n, indexing="ij")
+        dot = fx * xi[0] + fy * xi[1]
+        nyq = np.zeros((size, size), dtype=bool)
+        nyq[size // 2, :] = True
+        nyq[:, size // 2] = True
+    mult = (1j * dot) ** r
+    return np.where(nyq, 0.0, mult) if r % 2 == 1 else mult
+
+
+def _oracle_sphere(size, t, quad_points=256):
+    acc = np.zeros((size, size), dtype=complex)
+    for k in range(quad_points):
+        th = 2.0 * math.pi * k / quad_points
+        acc += _oracle_translate(size, 2, (t * math.cos(th), t * math.sin(th)))
+    return acc / quad_points
+
+
+def _oracle_apply(f, mult):
+    return np.fft.ifftn(np.fft.fftn(f.samples) * mult).real
+
+
+def _with_nyquist(size, dim, seed):
+    """White noise plus explicit cos(N*x/2) components on every axis."""
+    rng = np.random.default_rng(seed)
+    pts = grid_points(size, dim)
+    samples = rng.standard_normal((size,) * dim)
+    for x in pts:
+        samples = samples + 2.0 * np.cos(0.5 * size * x)
+    return GridFunction(samples)
+
+
+def _assert_close(got, want, rtol=1e-13):
+    want = np.asarray(want)
+    err = np.max(np.abs(got.samples - want))
+    assert err <= rtol * np.max(np.abs(want)), err
+
+
+@pytest.mark.parametrize("dim,size", [(1, 32), (2, 16)])
+def test_real_spectral_path_matches_complex_oracle(dim, size):
+    f = _with_nyquist(size, dim, seed=40 + dim)
+    r2 = _oracle_radius2(size, dim)
+    rad = np.sqrt(r2)
+    h = (0.37,) if dim == 1 else (0.37, -0.61)
+    step = h[0] if dim == 1 else h
+    t_mult = _oracle_translate(size, dim, h)
+    _assert_close(translate(f, step), _oracle_apply(f, t_mult))
+    for r in (1, 2, 3):
+        _assert_close(difference(f, step, r), _oracle_apply(f, (t_mult - 1.0) ** r))
+    for t in (0.05, 0.4):
+        heat, abel = np.exp(-t * r2), np.exp(-t * rad)
+        _assert_close(spectral_semigroup(f, t, "heat"), _oracle_apply(f, heat))
+        _assert_close(spectral_semigroup(f, t, "abel"), _oracle_apply(f, abel))
+        for r in (1, 2):
+            _assert_close(semigroup_difference(f, t, "heat", r),
+                          _oracle_apply(f, (heat - 1.0) ** r))
+            _assert_close(semigroup_difference(f, t, "abel", r),
+                          _oracle_apply(f, (abel - 1.0) ** r))
+    for n in (0, 3, 5):
+        _assert_close(projection(f, n, "partial_sum"),
+                      _oracle_apply(f, (rad <= n + 1e-9).astype(float)))
+        ramp = (rad <= 1e-9).astype(float) if n == 0 else np.clip((2.0 * n - rad) / n, 0.0, 1.0)
+        _assert_close(projection(f, n, "vallee_poussin"), _oracle_apply(f, ramp))
+    for ell in (1, 2):
+        _assert_close(laplacian_power(f, ell), _oracle_apply(f, (-r2) ** ell))
+    xi = 1.0 if dim == 1 else (0.6, 0.8)
+    for r in (1, 2, 3, 4):
+        _assert_close(directional_deriv(f, xi, r),
+                      _oracle_apply(f, _oracle_deriv(size, dim, xi, r)))
+    if dim == 1:
+        for n, ell in ((4, 1), (7, 2)):
+            w = cesaro_weights(n, ell)
+            k = np.abs(_full_freqs(size)).astype(int)
+            mult = np.where(k <= n, w[np.minimum(k, n)], 0.0)
+            _assert_close(cesaro(f, n, ell), _oracle_apply(f, mult))
+    else:
+        t = 0.45
+        _assert_close(spherical_mean(f, t, 1), _oracle_apply(f, _oracle_sphere(size, t)))
+        two = (-2.0 / 6.0) * (-4.0 * _oracle_sphere(size, t) + _oracle_sphere(size, 2 * t))
+        _assert_close(spherical_mean(f, t, 2), _oracle_apply(f, two))
+
+
+def _fresh(f):
+    """Same samples, empty memo and spectrum cache."""
+    return GridFunction(f.samples)
+
+
+@pytest.mark.parametrize("norm", [None, NormSpec(variant="lp", p=4.0),
+                                  NormSpec(variant="lp", p=math.inf),
+                                  NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5))])
+def test_stacked_moduli_match_per_step_loop(norm):
+    f = _with_nyquist(256, 1, seed=3)
+    nfun = (lambda g: lp_norm(g, 2.0)) if norm is None else norm.norm
+    t, radii = 0.8, 40
+    for r in (1, 2):
+        rad = t * np.arange(1, radii + 1) / radii
+        want = max(nfun(difference(f, s * rho, r)) for rho in rad for s in (1.0, -1.0))
+        got = modulus(_fresh(f), r, t, norm, radii=radii)
+        assert got == pytest.approx(want, rel=1e-13)
+        us = t * np.arange(1, radii + 1) / radii
+        for kind in ("shift", "heat", "abel"):
+            one = difference if kind == "shift" else (
+                lambda g, u, rr, kind=kind: semigroup_difference(g, u, kind, rr))
+            want = max(nfun(one(f, u, r)) for u in us)
+            got = semigroup_modulus(_fresh(f), r, t, kind, norm, points=radii)
+            assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_stacked_scan_spans_several_stacks():
+    # 2**15 samples per stack at N = 4096 is 8 rows; 64 radii x 2 signs is 16 stacks
+    f = random_smooth(4096, 1, np.random.default_rng(8))
+    rad = 0.3 * np.arange(1, 65) / 64
+    want = max(lp_norm(difference(f, s * rho, 2), 2.0) for rho in rad for s in (1.0, -1.0))
+    assert modulus(f, 2, 0.3) == pytest.approx(want, rel=1e-13)
+
+
+def test_memo_keys_keep_quantities_apart():
+    f = random_smooth(128, 1, np.random.default_rng(11))
+    w = 1.0 + 0.5 * np.cos(grid_points(128, 1)[0])
+    l2, l4 = NormSpec(variant="lp", p=2.0), NormSpec(variant="lp", p=4.0)
+    l2w = NormSpec(variant="lp", p=2.0, weight=w)
+    calls = [
+        lambda g, nrm, r, t: modulus(g, r, t, nrm),
+        lambda g, nrm, r, t: semigroup_modulus(g, r, t, "heat", nrm),
+        lambda g, nrm, r, t: k_functional(g, r, t, nrm).value,
+        lambda g, nrm, r, t: k_delta(g, r, t, nrm),
+    ]
+    variants = [(l2, 1, 0.3), (l4, 1, 0.3), (l2w, 1, 0.3), (l2, 2, 0.3), (l2, 1, 0.6)]
+    for call in calls:
+        # every variant on the shared f (memo filling up) equals a fresh evaluation
+        shared = [call(f, nrm, r, t) for nrm, r, t in variants]
+        fresh = [call(_fresh(f), nrm, r, t) for nrm, r, t in variants]
+        assert shared == fresh
+        assert len(set(shared)) == len(variants)
+        # a repeat is served from the memo, also through the bound norm method
+        assert [call(f, nrm.norm, r, t) for nrm, r, t in variants] == shared
+    assert len(f._memo) == len(calls) * len(variants)
+
+
+def test_memo_keys_bare_callables_by_object():
+    f = random_smooth(64, 1, np.random.default_rng(12))
+    a = modulus(f, 1, 0.5, lambda g: lp_norm(g, 2.0))
+    b = modulus(f, 1, 0.5, lambda g: lp_norm(g, 1.0))
+    assert a != b
+    assert a == pytest.approx(modulus(f, 1, 0.5), rel=1e-13)
+
+
+def test_spectrum_is_cached_and_read_only():
+    f = random_smooth(64, 2, np.random.default_rng(13))
+    spec = f.spectrum()
+    assert spec is f.spectrum()
+    assert spec.shape == (64, 33)
+    assert not spec.flags.writeable
+    assert np.allclose(spec, np.fft.fftn(f.samples)[:, :33], atol=1e-12)
