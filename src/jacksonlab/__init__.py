@@ -15,7 +15,8 @@ from .ops import (OperatorSpec, averaged_modulus, cesaro, cesaro_weights,
                   coeffs, difference, laplacian_power, modulus,
                   semigroup_difference, semigroup_modulus, spectral_semigroup,
                   spherical_mean, synthesize, translate)
-from .search import bisect_level, bisect_level_log, golden_max, golden_min
+from .search import (bisect_level, bisect_level_log, brent_level_log, golden_max,
+                     golden_min)
 from .young import (ConcavityRegions, Delta2Result, Nabla2Result, PatchResult,
                     YoungFunction, builtin, check_delta2, check_nabla2,
                     complementary, exp_growth, log_power,
@@ -29,9 +30,9 @@ __all__ = [
     "Delta2Result", "GridFunction", "KFuncResult", "Nabla2Result", "NormSpec",
     "OperatorSpec", "PatchResult", "SpaceGeometry", "YoungFunction",
     "averaged_modulus", "best_approx", "bisect_level", "bisect_level_log",
-    "builtin", "cesaro", "cesaro_weights", "check_delta2", "check_nabla2",
-    "coeffs", "complementary", "degree_below", "describe_check", "difference",
-    "directional_deriv", "discretize", "dyadic_tail_sum",
+    "brent_level_log", "builtin", "cesaro", "cesaro_weights", "check_delta2",
+    "check_nabla2", "coeffs", "complementary", "degree_below", "describe_check",
+    "difference", "directional_deriv", "discretize", "dyadic_tail_sum",
     "estimate_convexity_constant", "exp_growth", "golden_max", "golden_min",
     "grid_points", "k_delta", "k_functional", "laplacian_power", "log_power",
     "log_power_tail_threshold", "lp_norm", "luxemburg_norm", "modulus",

@@ -4,7 +4,8 @@
 prints one check's formula and parameters, and `jacksonlab run config.json`
 runs a batch and writes per-check JSON/CSV reports plus a summary table.
 Exit status: 0 when every check passes, 1 when any check fails, 2 for
-configuration errors.
+configuration errors.  A check whose parameters are rejected is named by its
+index and id, and the other checks still write their reports.
 """
 
 from __future__ import annotations
@@ -91,20 +92,26 @@ def _run_batch(args):
 
     def work(item):
         cid, params = item
-        return lab.run_check(cid, params)
+        try:
+            return lab.run_check(cid, params)
+        except ValueError as exc:
+            return exc
 
-    try:
-        if args.jobs > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(work, jobs))
-        else:
-            reports = [work(item) for item in jobs]
-    except ValueError as exc:
-        raise ConfigError(f"config field 'checks': {exc}") from exc
+    if args.jobs > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(work, jobs))
+    else:
+        results = [work(item) for item in jobs]
 
+    # a check rejected by its parameters is named, and the others still report
+    reports, errors = [], []
     out.mkdir(parents=True, exist_ok=True)
     summary = ["id,verdict,constant,runtime_ms"]
-    for k, ((cid, _), report) in enumerate(zip(jobs, reports)):
+    for k, ((cid, _), report) in enumerate(zip(jobs, results)):
+        if isinstance(report, ValueError):
+            errors.append(f"config field 'checks': checks[{k}] ({cid}): {report}")
+            continue
+        reports.append(report)
         stem = f"{k:02d}-{cid}"
         if "json" in formats:
             (out / f"{stem}.json").write_text(
@@ -118,6 +125,8 @@ def _run_batch(args):
     (out / "summary.csv").write_text("\n".join(summary) + "\n")
     failed = sum(1 for rep in reports if not rep.passed)
     print(f"{len(reports) - failed}/{len(reports)} checks passed; reports in {out}")
+    if errors:
+        raise ConfigError("\n".join(errors))
     return 1 if failed else 0
 
 

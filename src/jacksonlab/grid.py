@@ -7,11 +7,12 @@ measure of the whole torus is 1; every norm below is an average, not a sum.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .search import bisect_level_log, golden_min
+from .search import brent_level_log, golden_min
 
 
 class GridFunction:
@@ -159,8 +160,17 @@ def orlicz_functional(f, phi, weight=None):
     return float(np.mean(vals) if w is None else np.mean(w * vals))
 
 
+def _log(value):
+    """log of a modular value (-inf at 0).
+
+    The level solvers work on log modulars: these are linear in log a for
+    power functions and close to it for the other Young functions.
+    """
+    return math.log(value) if value > 0.0 else -math.inf
+
+
 def luxemburg_norm(f, phi, weight=None, rtol=1e-13):
-    """Smallest a > 0 with mean phi(|f|/a) <= 1, by bisection in log a.
+    """Smallest a > 0 with mean phi(|f|/a) <= 1, by Brent's method in log a.
 
     Returns 0 for the zero function.  The modular is nonincreasing in a,
     so the level-1 crossing is found to relative tolerance `rtol`.
@@ -175,20 +185,21 @@ def luxemburg_norm(f, phi, weight=None, rtol=1e-13):
         vals = np.asarray(phi(absf / a), dtype=float)
         return float(np.mean(vals) if w is None else np.mean(w * vals))
 
-    # bracket: at a = peak the modular is <= phi(1) ... finite; grow/shrink
-    # by decades until the level-1 crossing is enclosed
-    lo = hi = peak
+    # bracket the level-1 crossing by decades from the peak, keeping the
+    # modular values at both ends for the solver
+    a, mod_a = peak, modular(peak)
+    step = 10.0 if mod_a > 1.0 else 0.1
     for _ in range(64):
-        if modular(hi) <= 1.0:
+        b, mod_b = a * step, modular(a * step)
+        if (mod_b > 1.0) != (mod_a > 1.0):
             break
-        hi *= 10.0
-    for _ in range(64):
-        if modular(lo / 10.0) <= 1.0:
-            lo /= 10.0
-        else:
-            lo /= 10.0
-            break
-    return bisect_level_log(modular, lo, hi, level=1.0, increasing=False, rtol=rtol)
+        a, mod_a = b, mod_b
+    if step > 1.0:
+        lo, hi, mod_lo, mod_hi = a, b, mod_a, mod_b
+    else:
+        lo, hi, mod_lo, mod_hi = b, a, mod_b, mod_a
+    return brent_level_log(lambda x: _log(modular(x)), lo, hi, rtol=rtol,
+                           f_lo=_log(mod_lo), f_hi=_log(mod_hi))
 
 
 def orlicz_norm(f, phi, weight=None):
@@ -244,12 +255,14 @@ def orlicz_norm_dual_bound(f, phi, psi, weight=None, trials=64, rng=None):
         mod = float(np.mean(wa * np.asarray(psi(g), dtype=float)))
         if mod <= 0.0:
             return 0.0
-        # scale g down to modular exactly 1 (psi convex: psi(g/c) <= psi(g)/c)
+        # scale g down to modular exactly 1; psi convex with psi(0) = 0 gives
+        # psi(g/c) <= psi(g)/c, so the crossing lies in [1, mod] (when rounding
+        # leaves the modular at c = mod a hair above 1, the solver returns mod)
         if mod > 1.0:
-            scale = bisect_level_log(
-                lambda c: float(np.mean(wa * np.asarray(psi(g / c), dtype=float))),
-                1e-6, max(mod, 1.0) * 1e3, level=1.0, increasing=False)
-            g = g / scale
+            def modular(c):
+                return float(np.mean(wa * np.asarray(psi(g / c), dtype=float)))
+
+            g = g / brent_level_log(lambda c: _log(modular(c)), 1.0, mod, f_lo=_log(mod))
         return float(np.mean(wa * absf * g))
 
     best = pair(np.asarray(phi.deriv_plus(absf / lux), dtype=float))
@@ -339,6 +352,19 @@ class NormSpec:
             key = (self.variant, float(self.p), phi, weight)
             object.__setattr__(self, "_key", key)
         return key
+
+    def _identity(self):
+        return (self.key(), self.s, self.q, self.m, self.M)
+
+    # the weight is an array, so the generated field-wise comparison would
+    # ask numpy for the truth value of an array; compare the digest instead
+    def __eq__(self, other):
+        if not isinstance(other, NormSpec):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self):
+        return hash(self._identity())
 
     def norm(self, f):
         if self.variant == "lp":

@@ -59,6 +59,9 @@ class YoungFunction:
             y_max, resolution = self.params[-2], int(self.params[-1])
             self._xgrid = np.geomspace(1e-6, 1e6, resolution)
             self._base_grid = np.asarray(base(self._xgrid), dtype=float)
+            # chord slopes of the base between grid points; nondecreasing for a
+            # convex base, so x_j*y - phi(x_j) rises exactly while chord[j] < y
+            self._chord = np.diff(self._base_grid) / np.diff(self._xgrid)
         elif self.kind not in _BUILTIN_ARITY:
             raise ValueError(f"unknown Young function kind {self.kind!r}")
 
@@ -171,9 +174,10 @@ class YoungFunction:
         if np.any(pos):
             yy = y[pos]
             xg = self._xgrid
-            mass = yy[:, None] * xg[None, :] - self._base_grid[None, :]
-            idx = np.argmax(mass, axis=1)
-            grid_best = mass[np.arange(len(yy)), idx]
+            # grid argmax of x*y - phi(x): the first grid point whose chord
+            # slope to the right reaches y
+            idx = np.searchsorted(self._chord, yy, side="left")
+            grid_best = yy * xg[idx] - self._base_grid[idx]
             lo = xg[np.maximum(idx - 1, 0)]
             hi = xg[np.minimum(idx + 1, len(xg) - 1)]
             base = self.base

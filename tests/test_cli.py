@@ -150,6 +150,24 @@ def test_bad_param_value_is_a_config_error(tmp_path, capsys):
     assert "ell" in capsys.readouterr().err
 
 
+def test_bad_param_names_the_check_and_keeps_other_reports(tmp_path, capsys):
+    config = {"checks": [{"id": "basic-2.1", "params": {"m": 1.0}},
+                         {"id": "kfunc-8.9", "params": {"r": 5, "ell": 1, "d": 1}},
+                         {"id": "orlicz-sandwich"}],
+              "N": 32, "out": str(tmp_path / "rep")}
+    cfg = write_config(tmp_path, config)
+    for jobs in ("1", "2"):
+        assert main(["run", cfg, "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config field 'checks': checks[1] (kfunc-8.9): ")
+        assert "ell" in err
+        names = sorted(p.name for p in (tmp_path / "rep").iterdir())
+        assert names == ["00-basic-2.1.csv", "00-basic-2.1.json",
+                         "02-orlicz-sandwich.csv", "02-orlicz-sandwich.json", "summary.csv"]
+        summary = (tmp_path / "rep" / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary[1:]] == ["basic-2.1", "orlicz-sandwich"]
+
+
 def test_no_arguments_prints_help(capsys):
     assert main([]) == 0
     assert "jacksonlab" in capsys.readouterr().out

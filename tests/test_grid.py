@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from jacksonlab import (GridFunction, NormSpec, complementary, discretize,
-                        grid_points, lp_norm, luxemburg_norm, orlicz_functional,
-                        orlicz_norm, orlicz_norm_dual_bound, power,
-                        random_smooth, two_power, zygmund)
+from jacksonlab import (GridFunction, NormSpec, bisect_level_log, complementary,
+                        discretize, grid_points, log_power, lp_norm,
+                        luxemburg_norm, orlicz_functional, orlicz_norm,
+                        orlicz_norm_dual_bound, patch, power, random_smooth,
+                        two_power, zygmund)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,6 +69,67 @@ def test_luxemburg_matches_lp_for_power_young():
             lux = luxemburg_norm(f, phi)
             ref = lp_norm(f, p)
             assert lux == pytest.approx(ref, rel=1e-10)
+
+
+def luxemburg_by_bisection(f, phi, weight=None, rtol=1e-13):
+    # decade bracket from the peak, then bisection in log a down to rtol
+    absf = np.abs(f.samples)
+    w = None if weight is None else weight / np.mean(weight)
+
+    def modular(a):
+        vals = np.asarray(phi(absf / a), dtype=float)
+        return float(np.mean(vals) if w is None else np.mean(w * vals))
+
+    lo = hi = float(np.max(absf))
+    while modular(hi) > 1.0:
+        hi *= 10.0
+    while modular(lo) <= 1.0:
+        lo /= 10.0
+    return bisect_level_log(modular, lo, hi, level=1.0, increasing=False, rtol=rtol)
+
+
+class CountedYoung:
+    def __init__(self, phi):
+        self.phi = phi
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.phi(x)
+
+
+def test_luxemburg_brent_matches_bisection_oracle():
+    rng = np.random.default_rng(23)
+    phis = [power(1.5), power(3.0), two_power(1.5, 3.0), log_power(3.0),
+            zygmund(2.0, 0.5), patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi]
+    for phi in phis:
+        for k in range(6):
+            f = random_smooth(256, 1, rng) * float(10.0 ** rng.uniform(-2.0, 2.0))
+            weight = None if k % 2 == 0 else 1.0 + 0.5 * rng.uniform(size=256)
+            ref = luxemburg_by_bisection(f, phi, weight)
+            assert luxemburg_norm(f, phi, weight) == pytest.approx(ref, rel=1e-13)
+
+
+def test_luxemburg_evaluation_budget():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        f = random_smooth(1024, 1, rng)
+        phi = CountedYoung(zygmund(2.0, 0.5))
+        lux = luxemburg_norm(f, phi)
+        # bracketing included; bisection to rtol=1e-13 needs about 47
+        assert phi.calls <= 16
+        assert orlicz_functional((1.0 / lux) * f, phi.phi) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_dual_bound_rescaling_budget():
+    rng = np.random.default_rng(2024)
+    f = random_smooth(128, 1, rng)
+    phi = power(3.0)
+    psi = CountedYoung(complementary(phi))
+    dual = orlicz_norm_dual_bound(f, phi, psi, trials=8, rng=rng)
+    assert dual <= orlicz_norm(f, phi) * (1.0 + 1e-9)
+    # 9 candidates, each one modular plus a short solve; bisection took about 55
+    assert psi.calls <= 9 * 6
 
 
 def test_luxemburg_and_orlicz_cos_oracle():
@@ -178,6 +240,25 @@ def test_norm_spec_records_weight_and_key():
     hash(weighted.key())
     # the key names the norm, not the attached exponents or the label
     assert NormSpec(variant="lp", p=2.0, s=3.0, label="x").key() == plain.key()
+
+
+def test_norm_spec_equality_and_hash():
+    w = 1.0 + 0.5 * np.cos(grid_points(64, 1)[0])
+    a = NormSpec(variant="lp", p=2.0, weight=w)
+    same = NormSpec(variant="lp", p=2.0, weight=w.copy(), label="other label")
+    other = NormSpec(variant="lp", p=2.0, weight=w[::-1])
+    assert a == same and hash(a) == hash(same)
+    assert a != other and a != NormSpec(variant="lp", p=2.0)
+    assert len({a, same, other}) == 2
+    phi = zygmund(2.0, 0.5)
+    assert NormSpec(variant="luxemburg", phi=phi) == NormSpec(variant="luxemburg",
+                                                              phi=zygmund(2.0, 0.5))
+    assert NormSpec(variant="luxemburg", phi=phi) != NormSpec(variant="orlicz", phi=phi)
+    # the attached exponents and constants take part, unlike in key()
+    assert NormSpec(variant="lp", p=2.0, s=3.0) != NormSpec(variant="lp", p=2.0)
+    assert NormSpec(variant="lp", M=2.0) != NormSpec(variant="lp", M=3.0)
+    assert hash(NormSpec()) == hash(NormSpec())
+    assert NormSpec() != "lp"
 
 
 def test_random_smooth_deterministic_and_normalized():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jacksonlab import (YoungFunction, builtin, check_delta2, check_nabla2,
-                        complementary, exp_growth, log_power,
+                        complementary, exp_growth, golden_max, log_power,
                         log_power_tail_threshold, patch, power,
                         power_concavity_regions, two_power, zygmund)
 
@@ -43,6 +43,38 @@ def test_builtin_convexity_and_derivatives():
         dp = np.asarray(phi.deriv_plus(grid))
         dm = np.asarray(phi.deriv_minus(grid))
         assert np.all(dp >= dm - 1e-12 * np.abs(dp))
+
+
+def conjugate_by_argmax_matrix(psi, y):
+    # the N x M grid argmax of x*y - phi(x), then the same golden refinement
+    xg, base_grid, base = psi._xgrid, psi._base_grid, psi.base
+    mass = y[:, None] * xg[None, :] - base_grid[None, :]
+    idx = np.argmax(mass, axis=1)
+    grid_best = mass[np.arange(len(y)), idx]
+    lo = xg[np.maximum(idx - 1, 0)]
+    hi = xg[np.minimum(idx + 1, len(xg) - 1)]
+
+    def height(logx):
+        x = np.exp(logx)
+        return y * x - np.asarray(base(x), dtype=float)
+
+    logx, refined = golden_max(height, np.log(lo), np.log(hi), iters=90)
+    better = refined >= grid_best
+    return (np.maximum(np.where(better, refined, grid_best), 0.0),
+            np.where(better, np.exp(logx), xg[idx]))
+
+
+def test_conjugate_chord_index_matches_argmax_oracle():
+    rng = np.random.default_rng(6)
+    y = np.concatenate([np.geomspace(1e-6, 1e6, 300), rng.uniform(0.0, 50.0, 300)])
+    for phi in (power(1.5), power(3.0), two_power(1.5, 3.0), log_power(3.0),
+                zygmund(2.0, 0.5), patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi):
+        psi = complementary(phi)
+        vals, args = conjugate_by_argmax_matrix(psi, y)
+        got = np.asarray(psi(y))
+        assert np.all(np.abs(got - vals) <= 1e-14 * np.abs(vals))
+        got_args = np.asarray(psi.argmax_support(y))
+        assert np.all(np.abs(got_args - args) <= 1e-14 * np.abs(args))
 
 
 def test_conjugate_of_square():
