@@ -25,6 +25,10 @@ class ConfigError(Exception):
     """Invalid run configuration; the message names the offending field."""
 
 
+# sample counts of the moduli, checked before any check runs
+_COUNT_PARAMS = ("radii", "directions", "points", "quad_points")
+
+
 def _load_config(path):
     try:
         text = Path(path).read_text()
@@ -56,6 +60,11 @@ def _validate(config, seed_override=None, out_override=None):
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"config field 'checks[{k}].params': must be an object")
+        for name in _COUNT_PARAMS:
+            value = params.get(name, 1)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"config field 'checks[{k}].params.{name}': "
+                                  f"must be an integer >= 1, got {value!r}")
         entries.append((cid, dict(params)))
 
     size = config.get("N", 256)

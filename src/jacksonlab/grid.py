@@ -20,12 +20,12 @@ class GridFunction:
 
     The sample array is copied and frozen at construction; arithmetic
     returns new instances.  2-d grids are square (N x N).  The real
-    spectrum is computed on first use and kept; `ops` and `approx` memoize
-    moduli and K-functionals in a per-instance dict, so both live exactly
-    as long as the function.
+    spectrum and its Parseval weights are computed on first use and kept;
+    `ops` and `approx` memoize moduli and K-functionals in a per-instance
+    dict, so all of them live exactly as long as the function.
     """
 
-    __slots__ = ("samples", "_spectrum", "_memo")
+    __slots__ = ("samples", "_spectrum", "_parseval", "_memo")
 
     def __init__(self, samples):
         arr = np.array(samples, dtype=float, copy=True)
@@ -41,6 +41,7 @@ class GridFunction:
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "_spectrum", None)
+        object.__setattr__(self, "_parseval", None)
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -62,6 +63,25 @@ class GridFunction:
             spec.setflags(write=False)
             object.__setattr__(self, "_spectrum", spec)
         return spec
+
+    def parseval_weights(self):
+        """Weights w on the half grid with sum(w * |M|^2) = mean of (M f)^2.
+
+        w = |spectrum|^2 * multiplicity / N^(2d), for any half-grid
+        multiplier M whose inverse transform is real.  Columns 0 and N/2 of
+        the last axis are their own mirrors and count once; every other
+        column also stands for its conjugate and counts twice.  Computed
+        once, then returned read-only.
+        """
+        weights = self._parseval
+        if weights is None:
+            spec = self.spectrum()
+            weights = spec.real ** 2 + spec.imag ** 2
+            weights[..., 1:-1] *= 2.0
+            weights /= float(self.samples.size) ** 2
+            weights.setflags(write=False)
+            object.__setattr__(self, "_parseval", weights)
+        return weights
 
     def __add__(self, other):
         return GridFunction(self.samples + _raw(other))

@@ -14,11 +14,20 @@ cos(N*h/2) in it (the sampled translate of a cos(N*x/2) component is
 cos(N*h/2) * cos(N*x/2)), and the results equal the real part of the
 complex full-grid transform to rounding error.
 
-In 1-d, `modulus`, `semigroup_modulus` and `averaged_modulus` stack the
-multipliers of many steps and run one inverse transform over the stack; an
-unweighted L_p norm is then taken over all rows in one reduction.  A stack
-holds at most `_STACK_SAMPLES` samples, a constant, so outputs never depend
-on the machine or the thread count.  2-d grids run one step per transform.
+`modulus`, `semigroup_modulus` and `averaged_modulus` measure
+(T(u) - I)^r f over many steps u.  Under the unweighted L2 norm they take
+no inverse transform at all: by Parseval, the norm is
+sqrt(sum(|M|^2 * w)) with `GridFunction.parseval_weights` w, and |M|^2 is
+built from real sines (the shift: (4 sin^2(nu.h/2))^r, cos(N*h/2) - 1 on
+the Nyquist lines) or from the square of the real heat/abel multiplier.
+|M|^2 is even in the step, so the L2 modulus evaluates only positive steps
+in 1-d and, for an even count, only the directions in [0, pi) in 2-d.
+Every other norm runs the inverse transform: in 1-d the multipliers of
+many steps are stacked and one inverse transform runs over the stack (an
+unweighted L_p norm is then taken over all rows in one reduction); 2-d
+grids run one step per transform.  A stack holds at most `_STACK_SAMPLES`
+samples, a constant, so outputs never depend on the machine or the thread
+count.
 
 `modulus` and `semigroup_modulus` (and `approx.k_functional`/`k_delta`)
 are memoized on the GridFunction instance, keyed by the quantity, its
@@ -181,15 +190,46 @@ def _memoized(f, key, norm, compute):
     return value
 
 
+def _plain_l2(norm):
+    """True when `norm` is the unweighted L2 norm, which the Parseval path evaluates."""
+    spec = _norm_spec(norm)
+    return spec is not None and spec.variant == "lp" and spec.p == 2.0 and spec.weight is None
+
+
+def _int_power(a, r):
+    """a**r for an integer r >= 1 by repeated multiplication, overwriting a."""
+    if r == 1:
+        return a
+    # a fresh copy costs more than the product, so r = 2 squares in place
+    base = a.copy() if r > 2 else None
+    a *= a
+    for _ in range(r - 2):
+        a *= base
+    return a
+
+
+def _abs2(z):
+    return z.real ** 2 + z.imag ** 2
+
+
 def _stacked_norms(f, kind, r, steps, norm):
-    """Norm of (T(u) - I)^r f for every step u (d=1), one inverse FFT per stack of steps."""
+    """Norm of (T(u) - I)^r f for every step u (d=1), one inverse FFT per stack of steps.
+
+    The unweighted L2 norm takes no inverse FFT (Parseval path).
+    """
     chunk = max(1, _STACK_SAMPLES // f.size)
     spec = _norm_spec(norm)
     plain_p = spec.p if spec is not None and spec.variant == "lp" and spec.weight is None else None
     nfun = _as_norm(norm)
     out = []
     for k in range(0, len(steps), chunk):
-        mults = _step_multipliers(f.size, kind, steps[k:k + chunk], r)
+        block = steps[k:k + chunk]
+        if plain_p == 2.0:
+            m2 = _squared_multipliers(f.size, 1, kind, block, r)
+            m2 *= f.parseval_weights()
+            out.extend(float(v) for v in np.sqrt(m2.sum(axis=-1)))
+            continue
+        mults = _step_multipliers(f.size, kind, block, r)
         rows = np.fft.irfft(f.spectrum() * mults, n=f.size, axis=-1)
         if plain_p is not None:
             out.extend(float(v) for v in _lp_rows(rows, plain_p))
@@ -202,12 +242,73 @@ def _step_multipliers(size, kind, steps, r):
     """Rows (T(u) - I)^r on the 1-d half grid, one per step u (signed for the shift)."""
     if kind == "shift":
         _, half = _axis_freqs(size)
-        rows = np.exp(1j * np.outer(steps, half))
+        angles = np.outer(steps, half)
+        rows = np.empty(angles.shape, dtype=complex)
+        np.cos(angles, out=rows.real)
+        np.sin(angles, out=rows.imag)
         rows[:, -1] = np.cos(0.5 * size * steps)
     else:
         rows = _semigroup_multiplier(size, 1, steps[:, None], kind)
     rows -= 1.0
-    return np.power(rows, r, out=rows)
+    return _int_power(rows, r)
+
+
+def _squared_multipliers(size, dim, kind, u, r):
+    """|(T(u) - I)^r|^2 on the half grid.
+
+    In 1-d, u is an array of steps and there is one row per step; in 2-d,
+    u is one step pair for the shift and one time for heat and abel.
+    """
+    if kind != "shift":
+        m2 = _semigroup_multiplier(size, dim, u if dim == 2 else u[:, None], kind) - 1.0
+        m2 *= m2
+        return _int_power(m2, r)
+    full, half = _axis_freqs(size)
+    if dim == 1:
+        # |exp(i*nu*u) - 1|^2 = 4 sin^2(nu*u/2), exact to rounding even for small nu*u
+        m2 = np.sin(np.outer(0.5 * u, half))
+    else:
+        h0, h1 = u
+        a0, a1 = (0.5 * h0) * full, (0.5 * h1) * half
+        # the sine of (nu0*h0 + nu1*h1)/2 from per-axis sines and cosines
+        m2 = np.outer(np.sin(a0), np.cos(a1))
+        m2 += np.outer(np.cos(a0), np.sin(a1))
+    m2 *= m2
+    m2 *= 4.0
+    # the Nyquist slots carry the real factor cos(N*h/2) instead of a phase
+    if dim == 1:
+        m2[:, -1] = np.square(np.cos(0.5 * size * u) - 1.0)
+    else:
+        p0, p1 = _axis_phase(full, size, h0), _axis_phase(half, size, h1)
+        m2[size // 2, :] = _abs2(p0[size // 2] * p1 - 1.0)
+        m2[:, -1] = _abs2(p0 * p1[-1] - 1.0)
+    return _int_power(m2, r)
+
+
+def _planar_norms(f, kind, r, steps, norm):
+    """Norm of (T(u) - I)^r f for every u in `steps` on a 2-d grid, one step at a time.
+
+    u is a step pair for the shift and a time for heat and abel.  The
+    unweighted L2 norm takes no inverse FFT (Parseval path).
+    """
+    if _plain_l2(norm):
+        weights = f.parseval_weights()
+        out = []
+        for u in steps:
+            m2 = _squared_multipliers(f.size, 2, kind, u, r)
+            m2 *= weights
+            out.append(math.sqrt(float(m2.sum())))
+        return out
+    nfun = _as_norm(norm)
+    if kind == "shift":
+        return [nfun(difference(f, u, r)) for u in steps]
+    return [nfun(semigroup_difference(f, u, kind, r)) for u in steps]
+
+
+def _check_count(name, value):
+    if value < 1 or value != int(value):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def modulus(f, r, t, norm=None, directions=64, radii=64):
@@ -218,25 +319,27 @@ def modulus(f, r, t, norm=None, directions=64, radii=64):
     for d=1 both signs are tried.  The value is a lower bound of the true
     sup, nondecreasing under grid refinement.
     """
+    directions = _check_count("directions", directions)
+    radii = _check_count("radii", radii)
     if t <= 0.0:
         return 0.0
     r = _check_order(r)
-    key = ("modulus", r, float(t), int(directions), int(radii))
+    key = ("modulus", r, float(t), directions, radii)
     return _memoized(f, key, norm, lambda: _modulus(f, r, t, norm, directions, radii))
 
 
 def _modulus(f, r, t, norm, directions, radii):
     rad = t * (np.arange(1, radii + 1) / radii)
+    # the L2 norm of (T(h) - I)^r f is even in h, so one sign of each step is enough
+    even = _plain_l2(norm)
     if f.dim == 1:
-        steps = np.stack([rad, -rad], axis=1).ravel()
+        steps = rad if even else np.stack([rad, -rad], axis=1).ravel()
         return max([0.0, *_stacked_norms(f, "shift", r, steps, norm)])
-    best = 0.0
-    nfun = _as_norm(norm)
-    angles = 2.0 * np.pi * np.arange(directions) / directions
-    for rho in rad:
-        for th in angles:
-            best = max(best, nfun(difference(f, (rho * math.cos(th), rho * math.sin(th)), r)))
-    return best
+    # an even count pairs every direction in [0, pi) with its opposite
+    count = directions // 2 if even and directions % 2 == 0 else directions
+    angles = 2.0 * np.pi * np.arange(count) / directions
+    steps = [(rho * math.cos(th), rho * math.sin(th)) for rho in rad for th in angles]
+    return max([0.0, *_planar_norms(f, "shift", r, steps, norm)])
 
 
 # -- semigroups ----------------------------------------------------------
@@ -284,16 +387,21 @@ def _semigroup_kind_direction(semigroup, direction):
     return kind, direction
 
 
+def _shift_step(u, direction):
+    """The 2-d step of length u along `direction` (default (1, 0))."""
+    dx, dy = (1.0, 0.0) if direction is None else direction
+    scale = math.hypot(dx, dy)
+    if scale <= 0.0:
+        raise ValueError("shift direction must be a nonzero vector")
+    return (u * dx / scale, u * dy / scale)
+
+
 def _one_parameter_difference(f, u, kind, r, direction):
     """(T(u) - I)^r f for shift/heat/abel with scalar parameter u >= 0."""
     if kind == "shift":
         if f.dim == 1:
             return difference(f, u, r)
-        dx, dy = (1.0, 0.0) if direction is None else direction
-        scale = math.hypot(dx, dy)
-        if scale <= 0.0:
-            raise ValueError("shift direction must be a nonzero vector")
-        return difference(f, (u * dx / scale, u * dy / scale), r)
+        return difference(f, _shift_step(u, direction), r)
     return semigroup_difference(f, u, kind, r)
 
 
@@ -301,8 +409,9 @@ def _one_parameter_norms(f, us, kind, r, direction, norm):
     """Norm of (T(u) - I)^r f for every u in `us`: stacked in 1-d, one by one in 2-d."""
     if f.dim == 1:
         return _stacked_norms(f, kind, r, us, norm)
-    nfun = _as_norm(norm)
-    return [nfun(_one_parameter_difference(f, float(u), kind, r, direction)) for u in us]
+    if kind == "shift":
+        return _planar_norms(f, kind, r, [_shift_step(float(u), direction) for u in us], norm)
+    return _planar_norms(f, kind, r, [float(u) for u in us], norm)
 
 
 def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, direction=None):
@@ -312,11 +421,12 @@ def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, directio
     shift on a 2-d grid the step moves along `direction` (default (1,0)).
     `semigroup` is a kind name or an OperatorSpec of a semigroup variant.
     """
+    points = _check_count("points", points)
     if t <= 0.0:
         return 0.0
     kind, direction = _semigroup_kind_direction(semigroup, direction)
     r = _check_order(r)
-    key = ("semigroup_modulus", r, float(t), kind, int(points),
+    key = ("semigroup_modulus", r, float(t), kind, points,
            None if direction is None else tuple(float(v) for v in direction))
     us = t * (np.arange(1, points + 1) / points)
     return _memoized(f, key, norm,
@@ -330,6 +440,7 @@ def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, dir
     conventions as `semigroup_modulus`.  Always below the one-sided
     modulus at the same t.
     """
+    quad_points = _check_count("quad_points", quad_points)
     if t <= 0.0:
         return 0.0
     kind, direction = _semigroup_kind_direction(semigroup, direction)

@@ -126,6 +126,15 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         ({"checks": [{"id": "basic-2.1"}], "seed": "x"}, "'seed'"),
         ({"checks": [{"id": "basic-2.1"}], "formats": ["xml"]}, "'formats'"),
         ([1, 2], "top level"),
+        # sample counts are checked before any check runs
+        ({"checks": [{"id": "basic-2.1"}, {"id": "lower-8.12", "params": {"radii": 0}}]},
+         "'checks[1].params.radii': must be an integer >= 1, got 0"),
+        ({"checks": [{"id": "jackson-1.4", "params": {"directions": 2.5}}]},
+         "'checks[0].params.directions'"),
+        ({"checks": [{"id": "averaged-7.3", "params": {"points": "8"}}]},
+         "'checks[0].params.points'"),
+        ({"checks": [{"id": "averaged-7.3", "params": {"quad_points": True}}]},
+         "'checks[0].params.quad_points'"),
     ]
     for config, needle in cases:
         cfg = write_config(tmp_path, config)

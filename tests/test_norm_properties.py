@@ -1,11 +1,17 @@
-"""Property tests of the three norm variants: homogeneity, triangle inequality, sandwich."""
+"""Property tests of the three norm variants and of the smoothing operators.
+
+Norms: homogeneity, triangle inequality, the Luxemburg/Orlicz sandwich.
+Operators: heat, Abel and Cesaro smoothing contract in L_p and Luxemburg
+norms, and the heat semigroup law H(s)H(t) = H(s+t).
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacksonlab import GridFunction, NormSpec, power, two_power, zygmund
+from jacksonlab import (GridFunction, NormSpec, cesaro, power, spectral_semigroup,
+                        two_power, zygmund)
 
 N = 16
 
@@ -53,3 +59,40 @@ def test_luxemburg_orlicz_sandwich(kind, a):
     lux = NormSpec(variant="luxemburg", phi=phi).norm(f)
     orl = NormSpec(variant="orlicz", phi=phi).norm(f)
     assert lux * (1.0 - 1e-9) <= orl <= 2.0 * lux * (1.0 + 1e-9)
+
+
+# Smoothing by a nonnegative kernel of mass 1 is a mean of grid translates, so
+# it contracts every rearrangement-invariant norm.  The Abel and Cesaro
+# kernels on the grid are nonnegative at every parameter.  The heat
+# multiplier is a Gaussian cut off at the Nyquist frequency: on a 16-point
+# grid its kernel dips below 0 for t below about 0.18, where contraction
+# outside L2 is not guaranteed, so the heat times start at 0.25.
+CONTRACTION_SPECS = [spec for spec in SPECS if spec.variant != "orlicz"]
+CONTRACTION_SLACK = 1e-10
+
+
+@pytest.mark.parametrize("spec", CONTRACTION_SPECS,
+                         ids=[spec.label for spec in CONTRACTION_SPECS])
+@PROPERTY
+@given(a=samples, heat_t=st.floats(0.25, 4.0), abel_t=st.floats(0.0, 4.0),
+       n=st.integers(0, N // 2 - 1), ell=st.integers(1, 3))
+def test_smoothing_contracts(spec, a, heat_t, abel_t, n, ell):
+    f = GridFunction(a)
+    bound = spec.norm(f) * (1.0 + CONTRACTION_SLACK)
+    for g in (spectral_semigroup(f, heat_t, "heat"), spectral_semigroup(f, abel_t, "abel"),
+              cesaro(f, n, ell)):
+        assert spec.norm(g) <= bound
+
+
+planar_samples = st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+                          min_size=64, max_size=64).map(lambda v: np.array(v).reshape(8, 8))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@PROPERTY
+@given(data=st.data(), s=st.floats(0.0, 4.0), t=st.floats(0.0, 4.0))
+def test_heat_semigroup_law(dim, data, s, t):
+    f = GridFunction(data.draw(samples if dim == 1 else planar_samples))
+    twice = spectral_semigroup(spectral_semigroup(f, t, "heat"), s, "heat")
+    once = spectral_semigroup(f, s + t, "heat")
+    assert np.max(np.abs(twice.samples - once.samples)) <= 1e-12 * np.max(np.abs(f.samples))

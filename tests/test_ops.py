@@ -453,3 +453,98 @@ def test_spectrum_is_cached_and_read_only():
     assert spec.shape == (64, 33)
     assert not spec.flags.writeable
     assert np.allclose(spec, np.fft.fftn(f.samples)[:, :33], atol=1e-12)
+
+
+# -- the Parseval path of the unweighted L2 moduli --------------------------
+
+
+def _l2_of(kind, f, u, r):
+    if kind == "shift":
+        return lp_norm(difference(f, u, r), 2.0)
+    return lp_norm(semigroup_difference(f, u, kind, r), 2.0)
+
+
+@pytest.mark.parametrize("dim,size", [(1, 32), (2, 16)])
+def test_parseval_moduli_match_inverse_fft_oracle(dim, size):
+    f = _with_nyquist(size, dim, seed=50 + dim)
+    t, radii = 1.3, 12
+    rad = t * np.arange(1, radii + 1) / radii
+    mids = t * (np.arange(radii) + 0.5) / radii
+    direction = (0.6, 0.8)
+    for r in (1, 2, 3):
+        for directions in (5, 6):
+            if dim == 1:
+                steps = [s * rho for rho in rad for s in (1.0, -1.0)]
+            else:
+                angles = 2.0 * np.pi * np.arange(directions) / directions
+                steps = [(rho * math.cos(th), rho * math.sin(th)) for rho in rad for th in angles]
+            want = max(_l2_of("shift", f, h, r) for h in steps)
+            got = modulus(_fresh(f), r, t, directions=directions, radii=radii)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        for kind in ("shift", "heat", "abel"):
+            def at(u, kind=kind):
+                if kind == "shift" and dim == 2:
+                    return _l2_of(kind, f, (u * direction[0], u * direction[1]), r)
+                return _l2_of(kind, f, float(u), r)
+
+            got = semigroup_modulus(_fresh(f), r, t, kind, points=radii, direction=direction)
+            assert got == pytest.approx(max(at(u) for u in rad), rel=1e-13, abs=0.0)
+            got = averaged_modulus(_fresh(f), r, t, kind, quad_points=radii, direction=direction)
+            assert got == pytest.approx(np.mean([at(u) for u in mids]), rel=1e-13, abs=0.0)
+
+
+def _count_inverse_ffts(monkeypatch):
+    calls = []
+    for name in ("irfft", "irfftn"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, real=real, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim,size", [(1, 64), (2, 16)])
+def test_only_the_unweighted_l2_norm_skips_the_inverse_fft(dim, size, monkeypatch):
+    calls = _count_inverse_ffts(monkeypatch)
+    f = _with_nyquist(size, dim, seed=60 + dim)
+    weight = 1.0 + 0.5 * np.cos(grid_points(size, dim)[0])
+    quantities = [
+        lambda g, nrm: modulus(g, 2, 0.5, nrm, directions=4, radii=4),
+        lambda g, nrm: semigroup_modulus(g, 2, 0.5, "heat", nrm, points=4),
+        lambda g, nrm: averaged_modulus(g, 2, 0.5, "abel", nrm, quad_points=4),
+    ]
+    for quantity in quantities:
+        for nrm in (None, NormSpec(), NormSpec().norm):
+            g = _fresh(f)
+            quantity(g, nrm)
+            assert calls == [] and g._parseval is not None
+        for nrm in (NormSpec(weight=weight), NormSpec(variant="lp", p=4.0),
+                    NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5))):
+            g = _fresh(f)
+            quantity(g, nrm)
+            assert calls and g._parseval is None
+            calls.clear()
+
+
+def test_parseval_weights_sum_to_the_mean_square():
+    for dim, size in ((1, 32), (2, 16)):
+        f = _with_nyquist(size, dim, seed=70 + dim)
+        weights = f.parseval_weights()
+        assert weights is f.parseval_weights()
+        assert not weights.flags.writeable
+        assert weights.shape == f.spectrum().shape
+        assert np.sum(weights) == pytest.approx(np.mean(f.samples ** 2), rel=1e-14)
+
+
+def test_moduli_reject_empty_sample_counts():
+    f = discretize(np.cos, 32, 1)
+    for call in (lambda: modulus(f, 1, 0.5, radii=0),
+                 lambda: modulus(f, 1, 0.5, directions=0),
+                 lambda: modulus(f, 1, 0.5, radii=2.5),
+                 lambda: semigroup_modulus(f, 1, 0.5, "heat", points=0),
+                 lambda: averaged_modulus(f, 1, 0.5, "heat", quad_points=-3)):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            call()
