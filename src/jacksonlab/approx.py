@@ -11,7 +11,7 @@ difference, and a circular-mean difference on the 2-torus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,19 +71,26 @@ def best_approx(f, n, norm=None, refine=False, iters=500, step=0.5):
     candidate is built at degree n//2 so its output degree stays < n).
     With refine=True a projected-subgradient descent polishes the
     candidate; this needs a declarative norm (NormSpec or None for L2).
+    Without refine the result is memoized on f, as the moduli are.
     """
+    if not refine:
+        return _memoized(f, ("best_approx", n), norm, lambda: _best_candidate(f, n, norm)[0])
+    if norm is not None and not hasattr(norm, "norm"):
+        raise ValueError("refine needs a declarative norm, not a bare callable")
+    plain, start = _best_candidate(f, n, norm)
+    optimized = _refine(f, int(n), start, plain.upper, norm, iters, step)
+    return replace(plain, optimized=float(min(optimized, plain.upper)))
+
+
+def _best_candidate(f, n, norm):
+    """The better explicit candidate: its ApproxResult and the polynomial."""
     nfun = _as_norm(norm)
     candidates = [("partial_sum", projection(f, n, "partial_sum"))]
     if n >= 2:
         candidates.append(("vallee_poussin", projection(f, n // 2, "vallee_poussin")))
     scored = [(nfun(f - g), name, g) for name, g in candidates]
     upper, method, start = min(scored, key=lambda item: item[0])
-    if not refine:
-        return ApproxResult(int(n), float(upper), method)
-    if norm is not None and not hasattr(norm, "norm"):
-        raise ValueError("refine needs a declarative norm, not a bare callable")
-    optimized = _refine(f, int(n), start, float(upper), norm, iters, step)
-    return ApproxResult(int(n), float(upper), method, optimized=float(min(optimized, upper)))
+    return ApproxResult(int(n), float(upper), method), start
 
 
 def _normalized_weight(spec, shape):
@@ -230,8 +237,7 @@ def _k_functional(f, ell, t, norm, route):
                 best_val, best_deg = val, n
         return KFuncResult(float(t), ell, route, float(best_val), degree=best_deg)
     if route == "heat":
-        val = nfun(semigroup_difference(f, t * t, "heat", ell))
-        return KFuncResult(float(t), ell, route, float(val))
+        return KFuncResult(float(t), ell, route, k_delta(f, ell, t * t, norm))
     if route == "sphere":
         if f.dim != 2:
             raise ValueError("sphere route needs a 2-d grid")

@@ -4,8 +4,10 @@
 prints one check's formula and parameters, and `jacksonlab run config.json`
 runs a batch and writes per-check JSON/CSV reports plus a summary table.
 Exit status: 0 when every check passes, 1 when any check fails, 2 for
-configuration errors.  A check whose parameters are rejected is named by its
-index and id, and the other checks still write their reports.
+configuration errors.  A param the check does not read, or a bad sample
+count, is rejected before any check runs; a check whose parameter values
+are rejected while it runs is named by its index and id, and the other
+checks still write their reports.
 """
 
 from __future__ import annotations
@@ -60,9 +62,13 @@ def _validate(config, seed_override=None, out_override=None):
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"config field 'checks[{k}].params': must be an object")
-        for name in _COUNT_PARAMS:
-            value = params.get(name, 1)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        names = lab.check_params(cid)
+        for name, value in params.items():
+            if name not in names:
+                raise ConfigError(f"config field 'checks[{k}].params.{name}': {cid} "
+                                  f"reads no such param; it reads {', '.join(names)}")
+            if name in _COUNT_PARAMS and value is not None and (
+                    isinstance(value, bool) or not isinstance(value, int) or value < 1):
                 raise ConfigError(f"config field 'checks[{k}].params.{name}': "
                                   f"must be an integer >= 1, got {value!r}")
         entries.append((cid, dict(params)))

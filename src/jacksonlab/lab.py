@@ -1,20 +1,21 @@
 """Inequality registry and space-geometry estimators.
 
-Every registered check evaluates one norm inequality over a dyadic range of
+Every registered check is a record (`_Check`) that one interpreter,
+`run_check`, runs: it evaluates one norm inequality over a dyadic range of
 scales and a family of test functions, reports the per-point table of both
 sides, the extremal ratio as the empirical constant, and a pass/fail verdict.
 Lower-bound checks require the smallest LHS/RHS ratio to stay positive;
-upper-bound checks require the largest ratio to stay finite; all checks also
-require the ratio spread (max over median) to stay under a configured bound,
-so a constant that drifts across the range fails even when each point is
-individually fine.
+upper-bound checks the largest to stay finite; all checks also require the
+ratio spread (max over median) to stay under a bound, so a constant that
+drifts across the range fails even when each point is individually fine.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,8 +34,9 @@ class CheckReport:
     """Outcome of one inequality check.
 
     `table` rows are (index, lhs, rhs); `ratios` aligns with the table and
-    holds lhs/rhs, or NaN where the RHS vanished and the row was excluded
-    from the constant and the spread.
+    holds lhs/rhs, inf where an upper check's ratio is unbounded, or NaN
+    where the row was excluded from the constant and the spread (RHS below
+    the noise floor, or a non-finite side).
     """
 
     check_id: str
@@ -78,27 +80,39 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
-def _ratio_stats(rows):
-    """Ratios, excluded-row count, and the max/median spread for (lhs, rhs) rows."""
-    scale = max((max(l, r) for l, r in rows), default=0.0)
+_NOISE = "excluded (rhs below noise floor)"
+_NONFINITE = "excluded (non-finite value)"
+_UNBOUNDED = "unbounded (rhs at or below the noise floor, lhs above it)"
+
+
+def _ratio_stats(rows, direction="lower"):
+    """Ratios, kept ratios, their max/median spread, and row counts by reason.
+
+    The noise floor scales with the largest finite side.  A row with a
+    non-finite side is excluded; a row whose RHS is at or below the floor is
+    excluded too, except in an upper check whose LHS is above the floor:
+    that ratio is unbounded (inf) and kept.  A zero LHS gives a kept 0.
+    """
+    scale = max((v for row in rows for v in row if np.isfinite(v)), default=0.0)
     floor = _RHS_FLOOR * max(scale, 1e-300)
     ratios = []
-    kept = []
+    counts = dict.fromkeys((_NOISE, _NONFINITE, _UNBOUNDED), 0)
     for l, r in rows:
-        if r > floor:
-            q = l / r
-            ratios.append(q)
-            if np.isfinite(q) and q > 0.0:
-                kept.append(q)
+        if not (np.isfinite(l) and np.isfinite(r)):
+            reason, q = _NONFINITE, float("nan")
+        elif r > floor:
+            reason, q = None, l / r
+        elif direction == "upper" and l > floor:
+            reason, q = _UNBOUNDED, float("inf")
         else:
-            ratios.append(float("nan"))
-    if kept:
-        med = float(np.median(kept))
-        spread = float(np.max(kept) / med) if med > 0.0 else float("inf")
-    else:
-        spread = float("inf")
-    dropped = sum(1 for q in ratios if not np.isfinite(q))
-    return ratios, kept, spread, dropped
+            reason, q = _NOISE, float("nan")
+        if reason is not None:
+            counts[reason] += 1
+        ratios.append(q)
+    kept = [q for q in ratios if not np.isnan(q)]
+    med = float(np.median(kept)) if kept else 0.0
+    spread = float(np.max(kept) / med) if 0.0 < med < float("inf") else float("inf")
+    return ratios, kept, spread, counts
 
 
 def _finish(check_id, params_used, rows, direction, spread_bound, seed,
@@ -110,17 +124,15 @@ def _finish(check_id, params_used, rows, direction, spread_bound, seed,
     `lower_threshold`.  direction "upper": constant is the maximum kept
     ratio and must stay finite (and below `upper_cap` when given); with
     `require_all_at_least` every kept ratio must also clear that floor.
+    A non-finite side fails; notes count excluded and unbounded rows by reason.
     """
-    ratios, kept, spread, dropped = _ratio_stats(rows)
-    notes = tuple(notes)
-    if dropped:
-        notes = notes + (f"{dropped} rows excluded (rhs below noise floor)",)
+    ratios, kept, spread, counts = _ratio_stats(rows, direction)
+    notes = tuple(notes) + tuple(f"{k} rows {why}" for why, k in counts.items() if k)
     if not kept:
-        constant = float("nan")
-        verdict = "fail"
+        constant, ok = float("nan"), False
     elif direction == "lower":
         constant = float(np.min(kept))
-        verdict = "pass" if (constant > lower_threshold and spread <= spread_bound) else "fail"
+        ok = constant > lower_threshold and spread <= spread_bound
     else:
         constant = float(np.max(kept))
         ok = np.isfinite(constant) and spread <= spread_bound
@@ -128,7 +140,7 @@ def _finish(check_id, params_used, rows, direction, spread_bound, seed,
             ok = ok and constant <= upper_cap
         if require_all_at_least is not None:
             ok = ok and float(np.min(kept)) >= require_all_at_least
-        verdict = "pass" if ok else "fail"
+    verdict = "pass" if ok and not counts[_NONFINITE] else "fail"
     table = tuple((i, float(l), float(r)) for i, (l, r) in enumerate(rows))
     return CheckReport(check_id, params_used, table, tuple(ratios), constant,
                        spread, verdict, seed=seed, resolutions=resolutions,
@@ -440,9 +452,10 @@ def verify_duality(q, dim, rng=None, trials=400, tol=0.01):
         top = max(norm_of(u + v, s), norm_of(u - v, s))
         rows.append((top ** s - norm_of(u, s) ** s, nv ** s))
 
-    ratios, kept, spread, dropped = _ratio_stats(rows)
+    ratios, kept, spread, counts = _ratio_stats(rows)
     constant = float(np.min(kept)) if kept else float("nan")
-    verdict = "pass" if (kept and constant >= m_pred - 3.0 * tol) else "fail"
+    ok = kept and not counts[_NONFINITE] and constant >= m_pred - 3.0 * tol
+    verdict = "pass" if ok else "fail"
     table = tuple((i, float(l), float(r)) for i, (l, r) in enumerate(rows))
     report = CheckReport(
         "duality", {"q": q, "dim": dim, "trials": trials, "tol": tol},
@@ -454,464 +467,251 @@ def verify_duality(q, dim, rng=None, trials=400, tol=0.01):
     return report
 
 
-# -- registry helpers ----------------------------------------------------
+# -- check registry ------------------------------------------------------
 
 
-def _parse_norm(params):
-    norm = params.get("norm")
-    if norm is None:
-        return NormSpec()
-    if isinstance(norm, NormSpec):
-        return norm
-    if isinstance(norm, dict):
-        return NormSpec.from_json(norm)
-    raise ValueError(f"norm must be a NormSpec or a JSON record, got {type(norm).__name__}")
+def _record(cls):
+    """Param converter: a JSON record is rebuilt as a `cls`; anything but a `cls` is refused."""
+    def convert(value):
+        value = cls.from_json(value) if isinstance(value, dict) else value
+        if not isinstance(value, cls):
+            raise ValueError(f"needs a {cls.__name__} record, got {type(value).__name__}")
+        return value
+    return convert
 
 
-def _parse_phi(params, default_fn):
-    phi = params.get("phi")
-    if phi is None:
-        return default_fn()
-    if isinstance(phi, dict):
-        return YoungFunction.from_json(phi)
-    return phi
+# name: (default, converter, description).  A missing or null param takes the
+# default; a callable default is computed from the params parsed before it, in
+# the order of `check_params`.
+_PARAMS = {
+    "N": (256, int, "grid size"),
+    "d": (1, int, "grid dimension"),
+    "seed": (0, int, "seed of the random family member"),
+    "family": (None, list, "members of the standard family to use (all)"),
+    "f": (None, _record(GridFunction), "GridFunction record to use as the family"),
+    "spread_bound": (10.0, float, "largest max/median ratio that passes"),
+    "norm": (lambda p: NormSpec(), _record(NormSpec), "NormSpec record (L2)"),
+    "r": (1, int, "order of the left-hand side"),
+    "s": (lambda p: p["norm"].s or 2.0, float, "exponent of the dyadic sum (the norm's s, or 2)"),
+    "n_range": (None, lambda v: [int(v[0]), int(v[1])], "scales t = 2^-n for n from lo to hi"),
+    "radii": (lambda p: 64 if p["d"] == 1 else 16, int, "step radii (64 in 1-d, else 16)"),
+    "directions": (lambda p: 64 if p["d"] == 1 else 8, int, "step directions (64 in 1-d, else 8)"),
+    "semigroup": ("shift", str, "shift, heat or abel"),
+    "points": (64, int, "parameter points of the one-sided modulus"),
+    "quad_points": (128, int, "quadrature points of the averaged modulus"),
+    "t_grid": ((0.25, 0.5, 1.0, 2.0, 3.0), lambda v: [float(t) for t in v], "scales t"),
+    "h": (0.3, float, "base step"),
+    "L": (10, int, "last j of the sum"),
+    "m": (None, float, "sharp constant; sets the pass threshold m^{1/s}/2 - tol"),
+    "tol": (0.02, float, "margin of the threshold"),
+    "ell": (1, int, "order of the K-functional or of the Cesaro mean"),
+    "route": ("realization", str, "K-functional route: realization, heat or sphere"),
+    "lambda_power_max": (6, int, "lambda = 2^k for k from 0 to this"),
+    "phi": (lambda p: zygmund(2.0, 0.5), _record(YoungFunction), "Young function record (zygmund)"),
+    "n": (16, int, "degree of the Cesaro mean"),
+    "slack": (1e-10, float, "rounding slack of the ratio bounds"),
+}
+
+# every check reads these; the sample counts among the others are resolutions
+_BASE = ("N", "d", "seed", "family", "f", "spread_bound")
+_COUNTS = ("L", "radii", "directions", "points", "quad_points")
+_NORMED = ("norm", "r", "s")
+_DYADIC = _NORMED + ("n_range",)
+_MODULUS = _DYADIC + ("radii", "directions")
 
 
-def _parse_family(params, size, dim, rng):
-    if "f" in params:
-        f = params["f"]
-        if isinstance(f, dict):
-            f = GridFunction.from_json(f)
-        return [("custom", f)]
-    return standard_family(size, dim, rng, names=params.get("family"))
+def _dyadic_scales(p):
+    lo, hi = p["n_range"]
+    return [(n, 2.0 ** (-n)) for n in range(lo, hi + 1)]
 
 
-def _common(params, default_d=1, default_size=256):
-    size = int(params.get("N", params.get("size", default_size)))
-    d = int(params.get("d", default_d))
-    spec = _parse_norm(params)
-    nfun = _as_norm(spec)
-    s = float(params.get("s", spec.s if spec.s is not None else 2.0))
-    r = int(params.get("r", 1))
-    seed = int(params.get("seed", 0))
-    rng = np.random.default_rng(seed)
-    spread_bound = float(params.get("spread_bound", 10.0))
-    return size, d, spec, nfun, s, r, seed, rng, spread_bound
+@dataclass(frozen=True)
+class _Check:
+    """One registered check, run by `run_check`.
+
+    A lower check sets quantity `lhs` of order r at each scale (n, t) against
+    {sum_j 2^(-jrs) term(2^j t)^s}^(1/s) of order r + 1, over `js(params, n)`
+    or, when `js` is None, the dyadic tail.  Other checks give `rows`.
+    `bounds(params)` gives the `_finish` thresholds.
+    """
+
+    formula: str
+    direction: str
+    notes: tuple
+    params: tuple
+    order: str = "rows ordered by (function, n); functions: "
+    lhs: object = None
+    term: object = None
+    js: object = None
+    scales: object = _dyadic_scales
+    rows: object = None
+    defaults: dict = field(default_factory=dict)
+    require: tuple = ()
+    bounds: object = None
+    threshold_note: str = None
 
 
-def _n_range(params, default_hi, default_lo=1):
-    rng_param = params.get("n_range")
-    if rng_param is None:
-        return range(default_lo, default_hi + 1)
-    lo, hi = int(rng_param[0]), int(rng_param[1])
-    return range(lo, hi + 1)
+# named quantities, each q(f, params, norm, scale, order)
+def _difference(f, p, nfun, u, order):
+    return nfun(_one_parameter_difference(f, u, p["semigroup"], order, None))
 
 
-# -- check runners -------------------------------------------------------
+def _abel_difference(f, p, nfun, u, order):
+    return nfun(semigroup_difference(f, u, "abel", order))
 
 
-def _run_basic_21(params):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params)
-    semigroup = params.get("semigroup", "shift")
-    h = float(params.get("h", params.get("t", 0.3)))
-    L = int(params.get("L", 10))
-    m = params.get("m")
-    tol = float(params.get("tol", 0.02))
-    fam = _parse_family(params, size, d, rng)
+def _heat_k(f, p, nfun, u, order):
+    return k_delta(f, order, u, nfun)
+
+
+def _modulus(f, p, nfun, u, order):
+    return modulus(f, order, u, nfun, p["directions"], p["radii"])
+
+
+def _semigroup_modulus(f, p, nfun, u, order):
+    return semigroup_modulus(f, order, u, p["semigroup"], nfun, points=p["points"])
+
+
+def _k_ell(f, p, nfun, u, order):
+    return k_functional(f, p["ell"], u, nfun, route=p["route"]).value
+
+
+def _approx_error(degree):
+    """Best-approximation error at the degree `degree(scale)`."""
+    return lambda f, p, nfun, u, order: best_approx(f, degree(u), nfun).value
+
+
+# rows of the upper checks
+def _jackson_14_rows(f, p, nfun):
+    r, s = p["r"], p["s"]
     rows = []
-    for _, f in fam:
-        lhs = nfun(_one_parameter_difference(f, h, semigroup, r, None))
-        acc = 0.0
-        for j in range(0, L + 1):
-            term = nfun(_one_parameter_difference(f, (2.0 ** j) * h, semigroup, r + 1, None))
-            acc += 2.0 ** (-j * r * s) * term ** s
-        rows.append((lhs, acc ** (1.0 / s)))
-    threshold = (float(m) ** (1.0 / s) / 2.0 - tol) if m is not None else 0.0
-    used = {"norm": spec.to_json(), "semigroup": semigroup, "h": h, "r": r,
-            "s": s, "L": L, "m": m, "tol": tol, "N": size, "d": d}
-    notes = ("rows indexed by test function: " + ", ".join(n for n, _ in fam),
-             "constant = min |(T-I)^r f| / {sum_{j=0}^L 2^(-jrs)|(T^(2^j)-I)^(r+1)f|^s}^(1/s)")
-    if m is not None:
-        notes = notes + (f"threshold m^{{1/s}}/2 - tol = {threshold:.6g}",)
-    return _finish("basic-2.1", used, rows, "lower", bound, seed,
-                   {"N": size, "L": L}, notes, lower_threshold=threshold)
+    for n, t in _dyadic_scales(p):
+        agg = sum(2.0 ** (j * r * s) * _modulus(f, p, nfun, 2.0 ** (-j), r + 1) ** s
+                  for j in range(1, n + 1))
+        rows.append((2.0 ** (-n * r) * agg ** (1.0 / s), _modulus(f, p, nfun, t, r)))
+    return rows
 
 
-def _run_jackson_14(params):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params)
-    n_rng = _n_range(params, 8)
-    radii = int(params.get("radii", 64 if d == 1 else 16))
-    directions = int(params.get("directions", 64 if d == 1 else 8))
-    fam = _parse_family(params, size, d, rng)
-    rows = []
-    for _, f in fam:
-        hi = max(n_rng)
-        om_hi = {j: modulus(f, r + 1, 2.0 ** (-j), nfun, directions, radii)
-                 for j in range(1, hi + 1)}
-        for n in n_rng:
-            agg = sum(2.0 ** (j * r * s) * om_hi[j] ** s for j in range(1, n + 1))
-            lhs = 2.0 ** (-n * r) * agg ** (1.0 / s)
-            rhs = modulus(f, r, 2.0 ** (-n), nfun, directions, radii)
-            rows.append((lhs, rhs))
-    used = {"norm": spec.to_json(), "r": r, "s": s, "n_range": [min(n_rng), max(n_rng)],
-            "N": size, "d": d}
-    notes = ("rows ordered by (function, n); functions: " + ", ".join(n for n, _ in fam),
-             "constant = max 2^(-nr){sum_{j<=n} 2^(jrs) omega^{r+1}(f,2^-j)^s}^(1/s) / omega^r(f,2^-n)")
-    return _finish("jackson-1.4", used, rows, "upper", bound, seed,
-                   {"N": size, "radii": radii, "directions": directions}, notes)
+def _entire_412_rows(f, p, nfun):
+    lams = [2.0 ** k for k in range(p["lambda_power_max"] + 1)]
+    return [(best_approx(f, degree_below(lam), nfun).value, k_delta(f, p["r"], lam ** -2.0, nfun))
+            for lam in lams]
 
 
-def _run_jackson_48(params):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params)
-    n_rng = _n_range(params, 6)
-    fam = _parse_family(params, size, d, rng)
-    rows = []
-    jmax = 0
-    for _, f in fam:
-        for n in n_rng:
-            t = 2.0 ** (-n)
-            lhs = k_delta(f, r, t, nfun)
-            rhs, stop = dyadic_tail_sum(
-                lambda j: k_delta(f, r + 1, (2.0 ** j) * t, nfun), r, s)
-            jmax = max(jmax, stop)
-            rows.append((lhs, rhs))
-    used = {"norm": spec.to_json(), "r": r, "s": s,
-            "n_range": [min(n_rng), max(n_rng)], "N": size, "d": d}
-    notes = ("rows ordered by (function, n); functions: " + ", ".join(n for n, _ in fam),
-             f"series truncated at j <= {jmax}",
-             "heat K-functional route: K_rho(f, u^rho) computed as |(W(u)-I)^rho f|")
-    return _finish("jackson-4.8", used, rows, "lower", bound, seed,
-                   {"N": size, "max_j": jmax}, notes)
+def _cesaro_51_rows(f, p, nfun):
+    smooth, phi = cesaro(f, p["n"], p["ell"]), p["phi"]
+    return [(luxemburg_norm(smooth, phi), luxemburg_norm(f, phi)),
+            (orlicz_norm(smooth, phi), orlicz_norm(f, phi))]
 
 
-def _run_jackson_49(params):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params)
-    n_rng = _n_range(params, 6)
-    fam = _parse_family(params, size, d, rng)
-    rows = []
-    jmax = 0
-    for _, f in fam:
-        for n in n_rng:
-            t = 2.0 ** (-n)
-            lhs = k_delta(f, r, t, nfun)
-
-            def term(j):
-                lam = ((2.0 ** j) * t) ** -0.5
-                return best_approx(f, degree_below(lam), nfun).value
-
-            rhs, stop = dyadic_tail_sum(term, r, s)
-            jmax = max(jmax, stop)
-            rows.append((lhs, rhs))
-    used = {"norm": spec.to_json(), "r": r, "s": s,
-            "n_range": [min(n_rng), max(n_rng)], "N": size, "d": d}
-    notes = ("rows ordered by (function, n); functions: " + ", ".join(n for n, _ in fam),
-             f"series truncated at j <= {jmax}",
-             "lower bound of the heat K-functional by best-approximation errors "
-             "at lambda_j = (2^j t)^(-1/2)")
-    return _finish("jackson-4.9", used, rows, "lower", bound, seed,
-                   {"N": size, "max_j": jmax}, notes)
+def _averaged_73_rows(f, p, nfun):
+    return [(_semigroup_modulus(f, p, nfun, t, p["r"]),
+             averaged_modulus(f, p["r"], t, p["semigroup"], nfun, quad_points=p["quad_points"]))
+            for t in p["t_grid"]]
 
 
-def _run_jackson_59(params):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params)
-    if d != 1:
-        raise ValueError("the abel-semigroup checks run on 1-d grids")
-    n_rng = _n_range(params, 6)
-    fam = _parse_family(params, size, d, rng)
-    rows = []
-    jmax = 0
-    for _, f in fam:
-        for n in n_rng:
-            t = 2.0 ** (-n)
-            lhs = nfun(semigroup_difference(f, t, "abel", r))
-            rhs, stop = dyadic_tail_sum(
-                lambda j: nfun(semigroup_difference(f, (2.0 ** j) * t, "abel", r + 1)),
-                r, s)
-            jmax = max(jmax, stop)
-            rows.append((lhs, rhs))
-    used = {"norm": spec.to_json(), "r": r, "s": s,
-            "n_range": [min(n_rng), max(n_rng)], "N": size, "d": d}
-    notes = ("rows ordered by (function, n); functions: " + ", ".join(n for n, _ in fam),
-             f"series truncated at j <= {jmax}",
-             "abel K-functional route: K_rho(f, u^rho) computed as |(T(u)-I)^rho f|")
-    return _finish("jackson-5.9", used, rows, "lower", bound, seed,
-                   {"N": size, "max_j": jmax}, notes)
+def _sandwich_rows(f, p, nfun):
+    return [(orlicz_norm(f, p["phi"]), luxemburg_norm(f, p["phi"]))]
 
 
-def _run_jackson_510(params):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params)
-    if d != 1:
-        raise ValueError("the abel-semigroup checks run on 1-d grids")
-    n_rng = _n_range(params, 8)
-    fam = _parse_family(params, size, d, rng)
-    rows = []
-    for _, f in fam:
-        approx_cache = {}
-        for n in n_rng:
-            t = 2.0 ** (-n)
-            lhs = nfun(semigroup_difference(f, t, "abel", r))
-            acc = 0.0
-            for j in range(1, n + 1):
-                deg = 2 ** (n - j)
-                if deg not in approx_cache:
-                    approx_cache[deg] = best_approx(f, deg, nfun).value
-                acc += 2.0 ** (-j * r * s) * approx_cache[deg] ** s
-            rows.append((lhs, acc ** (1.0 / s)))
-    used = {"norm": spec.to_json(), "r": r, "s": s,
-            "n_range": [min(n_rng), max(n_rng)], "N": size, "d": d}
-    notes = ("rows ordered by (function, n); functions: " + ", ".join(n for n, _ in fam),
-             "constant = min |(T(2^-n)-I)^r f| / {sum_{j<=n} 2^(-jrs) E_{2^(n-j)}(f)^s}^(1/s)")
-    return _finish("jackson-5.10", used, rows, "lower", bound, seed,
-                   {"N": size}, notes)
-
-
-def _run_entire_412(params):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params)
-    k_hi = int(params.get("lambda_power_max", 6))
-    fam = _parse_family(params, size, d, rng)
-    rows = []
-    for _, f in fam:
-        for k in range(0, k_hi + 1):
-            lam = 2.0 ** k
-            lhs = best_approx(f, degree_below(lam), nfun).value
-            rhs = k_delta(f, r, lam ** -2.0, nfun)
-            rows.append((lhs, rhs))
-    used = {"norm": spec.to_json(), "r": r, "lambda_power_max": k_hi,
-            "N": size, "d": d}
-    notes = ("rows ordered by (function, k) with lambda = 2^k; functions: "
-             + ", ".join(n for n, _ in fam),
-             "constant = max E_lambda(f) / K_r(f, lambda^(-2r)) (heat route)")
-    return _finish("entire-4.12", used, rows, "upper", bound, seed,
-                   {"N": size}, notes)
-
-
-def _run_cesaro_51(params):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params)
-    if d != 1:
-        raise ValueError("cesaro means run on 1-d grids")
-    phi = _parse_phi(params, lambda: zygmund(2.0, 0.5))
-    ell = int(params.get("ell", 1))
-    degree = int(params.get("n", 16))
-    slack = float(params.get("slack", 1e-10))
-    fam = _parse_family(params, size, d, rng)
-    rows = []
-    for _, f in fam:
-        smooth = cesaro(f, degree, ell)
-        rows.append((luxemburg_norm(smooth, phi), luxemburg_norm(f, phi)))
-        rows.append((orlicz_norm(smooth, phi), orlicz_norm(f, phi)))
-    used = {"phi": phi.to_json(), "ell": ell, "n": degree, "N": size, "d": d,
-            "slack": slack}
-    notes = ("row pairs per function (luxemburg then orlicz); functions: "
-             + ", ".join(n for n, _ in fam),
-             "contraction check: constant = max |C_n^ell f| / |f| must stay <= 1 + slack")
-    return _finish("cesaro-5.1", used, rows, "upper", bound, seed,
-                   {"N": size}, notes, upper_cap=1.0 + slack)
-
-
-def _run_averaged_73(params):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params)
-    semigroup = params.get("semigroup", "shift")
-    points = int(params.get("points", 64))
-    quad_points = int(params.get("quad_points", 128))
-    t_grid = [float(t) for t in params.get("t_grid", (0.25, 0.5, 1.0, 2.0, 3.0))]
-    slack = float(params.get("slack", 1e-10))
-    fam = _parse_family(params, size, d, rng)
-    rows = []
-    for _, f in fam:
-        for t in t_grid:
-            om = semigroup_modulus(f, r, t, semigroup, nfun, points=points)
-            w = averaged_modulus(f, r, t, semigroup, nfun, quad_points=quad_points)
-            rows.append((om, w))
-    used = {"norm": spec.to_json(), "semigroup": semigroup, "r": r,
-            "t_grid": t_grid, "N": size, "d": d}
-    notes = ("rows ordered by (function, t); functions: " + ", ".join(n for n, _ in fam),
-             "bracket check: every ratio omega/w must be >= 1 - slack; "
-             "constant = max ratio is the empirical C(r)")
-    return _finish("averaged-7.3", used, rows, "upper", bound, seed,
-                   {"N": size, "points": points, "quad_points": quad_points},
-                   notes, require_all_at_least=1.0 - slack)
-
-
-def _run_semigroup_74(params, check_id="semigroup-7.4", default_semigroup="abel"):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params)
-    semigroup = params.get("semigroup", default_semigroup)
-    points = int(params.get("points", 32))
-    n_rng = _n_range(params, 5)
-    fam = _parse_family(params, size, d, rng)
-    rows = []
-    jmax = 0
-    for _, f in fam:
-        for n in n_rng:
-            t = 2.0 ** (-n)
-            lhs = semigroup_modulus(f, r, t, semigroup, nfun, points=points)
-            rhs, stop = dyadic_tail_sum(
-                lambda j: semigroup_modulus(f, r + 1, (2.0 ** j) * t, semigroup,
-                                            nfun, points=points),
-                r, s)
-            jmax = max(jmax, stop)
-            rows.append((lhs, rhs))
-    used = {"norm": spec.to_json(), "semigroup": semigroup, "r": r, "s": s,
-            "n_range": [min(n_rng), max(n_rng)], "N": size, "d": d}
-    notes = ("rows ordered by (function, n); functions: " + ", ".join(n for n, _ in fam),
-             f"series truncated at j <= {jmax}",
-             "constant = min omega_T^r(f,t) / {sum_j 2^(-jrs) omega_T^{r+1}(f,2^j t)^s}^(1/s)")
-    return _finish(check_id, used, rows, "lower", bound, seed,
-                   {"N": size, "points": points, "max_j": jmax}, notes)
-
-
-def _run_shift_75(params):
-    return _run_semigroup_74(params, check_id="shift-7.5", default_semigroup="shift")
-
-
-def _run_kfunc_89(params):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params, default_d=2)
-    ell = int(params.get("ell", 1))
-    if 2 * ell <= r:
-        raise ValueError(f"need 2*ell > r, got ell={ell}, r={r}")
-    route = params.get("route", "realization")
-    n_rng = _n_range(params, 4)
-    radii = int(params.get("radii", 64 if d == 1 else 16))
-    directions = int(params.get("directions", 64 if d == 1 else 8))
-    fam = _parse_family(params, size, d, rng)
-    rows = []
-    jmax = 0
-    for _, f in fam:
-        for n in n_rng:
-            t = 2.0 ** (-n)
-            lhs = modulus(f, r, t, nfun, directions, radii)
-            rhs, stop = dyadic_tail_sum(
-                lambda j: k_functional(f, ell, (2.0 ** j) * t, nfun, route=route).value,
-                r, s)
-            jmax = max(jmax, stop)
-            rows.append((lhs, rhs))
-    used = {"norm": spec.to_json(), "r": r, "s": s, "ell": ell, "route": route,
-            "n_range": [min(n_rng), max(n_rng)], "N": size, "d": d}
-    notes = ("rows ordered by (function, n); functions: " + ", ".join(n for n, _ in fam),
-             f"series truncated at j <= {jmax}",
-             "constant = min omega^r(f,t) / {sum_j 2^(-jrs) K_ell(f,(2^j t)^(2 ell))^s}^(1/s)")
-    return _finish("kfunc-8.9", used, rows, "lower", bound, seed,
-                   {"N": size, "radii": radii, "directions": directions,
-                    "max_j": jmax}, notes)
-
-
-def _run_jackson_810(params):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params)
-    n_rng = _n_range(params, 6)
-    radii = int(params.get("radii", 64 if d == 1 else 16))
-    directions = int(params.get("directions", 64 if d == 1 else 8))
-    fam = _parse_family(params, size, d, rng)
-    rows = []
-    jmax = 0
-    for _, f in fam:
-        cache = {}
-        for n in n_rng:
-            t = 2.0 ** (-n)
-            lhs = modulus(f, r, t, nfun, directions, radii)
-
-            def term(j):
-                deg = degree_below(1.0 / (t * 2.0 ** j))
-                if deg not in cache:
-                    cache[deg] = best_approx(f, deg, nfun).value
-                return cache[deg]
-
-            rhs, stop = dyadic_tail_sum(term, r, s)
-            jmax = max(jmax, stop)
-            rows.append((lhs, rhs))
-    used = {"norm": spec.to_json(), "r": r, "s": s,
-            "n_range": [min(n_rng), max(n_rng)], "N": size, "d": d}
-    notes = ("rows ordered by (function, n); functions: " + ", ".join(n for n, _ in fam),
-             f"series truncated at j <= {jmax}",
-             "constant = min omega^r(f,t) / {sum_j 2^(-jrs) E_{1/(t 2^j)}(f)^s}^(1/s)")
-    return _finish("jackson-8.10", used, rows, "lower", bound, seed,
-                   {"N": size, "radii": radii, "directions": directions,
-                    "max_j": jmax}, notes)
-
-
-def _run_lower_812(params):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params)
-    n_rng = _n_range(params, 5)
-    radii = int(params.get("radii", 64 if d == 1 else 16))
-    directions = int(params.get("directions", 64 if d == 1 else 8))
-    fam = _parse_family(params, size, d, rng)
-    rows = []
-    for _, f in fam:
-        for n in n_rng:
-            t = 2.0 ** (-n)
-            L = max(1, math.ceil(math.log2(1.0 / t) - 1e-9))
-            lhs = modulus(f, r, t, nfun, directions, radii)
-            acc = 0.0
-            for j in range(1, L + 1):
-                om = modulus(f, r + 1, t * 2.0 ** j, nfun, directions, radii)
-                acc += 2.0 ** (-j * r * s) * om ** s
-            rows.append((lhs, acc ** (1.0 / s)))
-    used = {"norm": spec.to_json(), "r": r, "s": s,
-            "n_range": [min(n_rng), max(n_rng)], "N": size, "d": d}
-    notes = ("rows ordered by (function, n); functions: " + ", ".join(n for n, _ in fam),
-             "constant = min omega^r(f,t) / {sum_{j<=L} 2^(-jrs) omega^{r+1}(f,t 2^j)^s}^(1/s), "
-             "L = min(l: 2^-l <= t)")
-    return _finish("lower-8.12", used, rows, "lower", bound, seed,
-                   {"N": size, "radii": radii, "directions": directions}, notes)
-
-
-def _run_orlicz_sandwich(params):
-    size, d, spec, nfun, s, r, seed, rng, bound = _common(params)
-    phi = _parse_phi(params, lambda: zygmund(2.0, 0.5))
-    slack = float(params.get("slack", 1e-8))
-    fam = _parse_family(params, size, d, rng)
-    rows = []
-    for _, f in fam:
-        rows.append((orlicz_norm(f, phi), luxemburg_norm(f, phi)))
-    used = {"phi": phi.to_json(), "N": size, "d": d, "slack": slack}
-    notes = ("rows indexed by test function: " + ", ".join(n for n, _ in fam),
-             "sandwich check: every ratio orlicz/luxemburg must lie in [1 - slack, 2 + slack]")
-    return _finish("orlicz-sandwich", used, rows, "upper", bound, seed,
-                   {"N": size}, notes, upper_cap=2.0 + slack,
-                   require_all_at_least=1.0 - slack)
-
+_ABEL_1D = (lambda p: p["d"] == 1, "the abel-semigroup checks run on 1-d grids")
+_SEMIGROUP_LAW = "omega_T^r(f,t) >= C {sum_j 2^(-jrs) omega_T^{r+1}(f,2^j t)^s}^(1/s) "
+_SEMIGROUP_74 = _Check(
+    _SEMIGROUP_LAW + "for a contraction semigroup", "lower",
+    ("constant = min omega_T^r(f,t) / {sum_j 2^(-jrs) omega_T^{r+1}(f,2^j t)^s}^(1/s)",),
+    _DYADIC + ("semigroup", "points"), lhs=_semigroup_modulus, term=_semigroup_modulus,
+    defaults={"n_range": (1, 5), "semigroup": "abel", "points": 32})
 
 _CHECKS = {
-    "basic-2.1": (_run_basic_21,
-                  "|(T-I)^r f| >= m1 {sum_{j>=0} 2^(-jrs) |(T^(2^j)-I)^(r+1) f|^s}^(1/s) "
-                  "with proof constant m1 = m^{1/s}/2"),
-    "jackson-1.4": (_run_jackson_14,
-                    "2^(-nr) {sum_{j<=n} 2^(jrs) omega^{r+1}(f,2^-j)^s}^(1/s) "
-                    "<= C omega^r(f,2^-n)"),
-    "jackson-4.8": (_run_jackson_48,
-                    "K_r(f,t^r) >= C {sum_j 2^(-jrs) K_{r+1}(f,(2^j t)^{r+1})^s}^(1/s) "
-                    "for the heat K-functional"),
-    "jackson-4.9": (_run_jackson_49,
-                    "K_r(f,t^r) >= C {sum_j 2^(-jrs) E_{(2^j t)^(-1/2)}(f)^s}^(1/s) "
-                    "for the heat K-functional"),
-    "jackson-5.9": (_run_jackson_59,
-                    "K_r(f,t^r) >= C {sum_j 2^(-jrs) K_{r+1}(f,(2^j t)^{r+1})^s}^(1/s) "
-                    "for the abel K-functional on the circle"),
-    "jackson-5.10": (_run_jackson_510,
-                     "K_r(f,2^(-nr)) >= C {sum_{j<=n} 2^(-jrs) E_{2^(n-j)}(f)^s}^(1/s) "
-                     "for the abel K-functional on the circle"),
-    "entire-4.12": (_run_entire_412,
-                    "E_lambda(f) <= C K_r(f, lambda^(-2r)) for the heat K-functional"),
-    "cesaro-5.1": (_run_cesaro_51,
-                   "Cesaro means C_n^ell are a contraction in the Luxemburg and "
-                   "Orlicz norms"),
-    "averaged-7.3": (_run_averaged_73,
-                     "w_T^r(f,t) <= omega_T^r(f,t) <= C(r) w_T^r(f,t) for the "
-                     "averaged and one-sided semigroup moduli"),
-    "semigroup-7.4": (_run_semigroup_74,
-                      "omega_T^r(f,t) >= C {sum_j 2^(-jrs) omega_T^{r+1}(f,2^j t)^s}^(1/s) "
-                      "for a contraction semigroup"),
-    "shift-7.5": (_run_shift_75,
-                  "omega_T^r(f,t) >= C {sum_j 2^(-jrs) omega_T^{r+1}(f,2^j t)^s}^(1/s) "
-                  "for the shift semigroup on the circle"),
-    "kfunc-8.9": (_run_kfunc_89,
-                  "omega^r(f,t) >= C {sum_j 2^(-jrs) K_ell(f,(2^j t)^(2 ell))^s}^(1/s), "
-                  "2 ell > r"),
-    "jackson-8.10": (_run_jackson_810,
-                     "omega^r(f,t) >= C {sum_j 2^(-jrs) E_{1/(t 2^j)}(f)^s}^(1/s)"),
-    "lower-8.12": (_run_lower_812,
-                   "omega^r(f,t)^s >= C sum_{j<=L} 2^(-jrs) omega^{r+1}(f,t 2^j)^s, "
-                   "L = min(l: 2^-l <= t)"),
-    "orlicz-sandwich": (_run_orlicz_sandwich,
-                        "luxemburg <= orlicz <= 2 luxemburg on the test family"),
+    "basic-2.1": _Check(
+        "|(T-I)^r f| >= m1 {sum_{j>=0} 2^(-jrs) |(T^(2^j)-I)^(r+1) f|^s}^(1/s) "
+        "with proof constant m1 = m^{1/s}/2", "lower",
+        ("constant = min |(T-I)^r f| / {sum_{j=0}^L 2^(-jrs)|(T^(2^j)-I)^(r+1)f|^s}^(1/s)",),
+        _NORMED + ("semigroup", "h", "L", "m", "tol"), order="rows indexed by test function: ",
+        lhs=_difference, term=_difference, scales=lambda p: [(0, p["h"])],
+        js=lambda p, n: range(p["L"] + 1),
+        bounds=lambda p: ({} if p["m"] is None else
+                          {"lower_threshold": p["m"] ** (1.0 / p["s"]) / 2.0 - p["tol"]}),
+        threshold_note="threshold m^{1/s}/2 - tol = %.6g"),
+    "jackson-1.4": _Check(
+        "2^(-nr) {sum_{j<=n} 2^(jrs) omega^{r+1}(f,2^-j)^s}^(1/s) <= C omega^r(f,2^-n)",
+        "upper",
+        ("constant = max 2^(-nr){sum_{j<=n} 2^(jrs) omega^{r+1}(f,2^-j)^s}^(1/s) "
+         "/ omega^r(f,2^-n)",),
+        _MODULUS, rows=_jackson_14_rows, defaults={"n_range": (1, 8)}),
+    "jackson-4.8": _Check(
+        "K_r(f,t^r) >= C {sum_j 2^(-jrs) K_{r+1}(f,(2^j t)^{r+1})^s}^(1/s) "
+        "for the heat K-functional", "lower",
+        ("heat K-functional route: K_rho(f, u^rho) computed as |(W(u)-I)^rho f|",),
+        _DYADIC, lhs=_heat_k, term=_heat_k, defaults={"n_range": (1, 6)}),
+    "jackson-4.9": _Check(
+        "K_r(f,t^r) >= C {sum_j 2^(-jrs) E_{(2^j t)^(-1/2)}(f)^s}^(1/s) "
+        "for the heat K-functional", "lower",
+        ("lower bound of the heat K-functional by best-approximation errors "
+         "at lambda_j = (2^j t)^(-1/2)",),
+        _DYADIC, lhs=_heat_k, term=_approx_error(lambda u: degree_below(u ** -0.5)),
+        defaults={"n_range": (1, 6)}),
+    "jackson-5.9": _Check(
+        "K_r(f,t^r) >= C {sum_j 2^(-jrs) K_{r+1}(f,(2^j t)^{r+1})^s}^(1/s) "
+        "for the abel K-functional on the circle", "lower",
+        ("abel K-functional route: K_rho(f, u^rho) computed as |(T(u)-I)^rho f|",),
+        _DYADIC, lhs=_abel_difference, term=_abel_difference, require=_ABEL_1D,
+        defaults={"n_range": (1, 6)}),
+    "jackson-5.10": _Check(
+        "K_r(f,2^(-nr)) >= C {sum_{j<=n} 2^(-jrs) E_{2^(n-j)}(f)^s}^(1/s) "
+        "for the abel K-functional on the circle", "lower",
+        ("constant = min |(T(2^-n)-I)^r f| / {sum_{j<=n} 2^(-jrs) E_{2^(n-j)}(f)^s}^(1/s)",),
+        _DYADIC, lhs=_abel_difference, term=_approx_error(lambda u: int(1.0 / u)),
+        js=lambda p, n: range(1, n + 1), require=_ABEL_1D, defaults={"n_range": (1, 8)}),
+    "entire-4.12": _Check(
+        "E_lambda(f) <= C K_r(f, lambda^(-2r)) for the heat K-functional", "upper",
+        ("constant = max E_lambda(f) / K_r(f, lambda^(-2r)) (heat route)",),
+        ("norm", "r", "lambda_power_max"), rows=_entire_412_rows,
+        order="rows ordered by (function, k) with lambda = 2^k; functions: "),
+    "cesaro-5.1": _Check(
+        "Cesaro means C_n^ell are a contraction in the Luxemburg and Orlicz norms", "upper",
+        ("contraction check: constant = max |C_n^ell f| / |f| must stay <= 1 + slack",),
+        ("phi", "ell", "n", "slack"), rows=_cesaro_51_rows,
+        order="row pairs per function (luxemburg then orlicz); functions: ",
+        require=(lambda p: p["d"] == 1, "cesaro means run on 1-d grids"),
+        bounds=lambda p: {"upper_cap": 1.0 + p["slack"]}),
+    "averaged-7.3": _Check(
+        "w_T^r(f,t) <= omega_T^r(f,t) <= C(r) w_T^r(f,t) for the "
+        "averaged and one-sided semigroup moduli", "upper",
+        ("bracket check: every ratio omega/w must be >= 1 - slack; "
+         "constant = max ratio is the empirical C(r)",),
+        ("norm", "r", "semigroup", "points", "quad_points", "t_grid", "slack"),
+        rows=_averaged_73_rows, order="rows ordered by (function, t); functions: ",
+        bounds=lambda p: {"require_all_at_least": 1.0 - p["slack"]}),
+    "semigroup-7.4": _SEMIGROUP_74,
+    "shift-7.5": replace(
+        _SEMIGROUP_74, formula=_SEMIGROUP_LAW + "for the shift semigroup on the circle",
+        defaults={"n_range": (1, 5), "points": 32}),
+    "kfunc-8.9": _Check(
+        "omega^r(f,t) >= C {sum_j 2^(-jrs) K_ell(f,(2^j t)^(2 ell))^s}^(1/s), 2 ell > r",
+        "lower",
+        ("constant = min omega^r(f,t) / {sum_j 2^(-jrs) K_ell(f,(2^j t)^(2 ell))^s}^(1/s)",),
+        _MODULUS + ("ell", "route"), lhs=_modulus, term=_k_ell,
+        require=(lambda p: 2 * p["ell"] > p["r"], "need 2*ell > r, got ell={ell}, r={r}"),
+        defaults={"n_range": (1, 4), "d": 2}),
+    "jackson-8.10": _Check(
+        "omega^r(f,t) >= C {sum_j 2^(-jrs) E_{1/(t 2^j)}(f)^s}^(1/s)", "lower",
+        ("constant = min omega^r(f,t) / {sum_j 2^(-jrs) E_{1/(t 2^j)}(f)^s}^(1/s)",),
+        _MODULUS, lhs=_modulus, term=_approx_error(lambda u: degree_below(1.0 / u)),
+        defaults={"n_range": (1, 6)}),
+    "lower-8.12": _Check(
+        "omega^r(f,t)^s >= C sum_{j<=L} 2^(-jrs) omega^{r+1}(f,t 2^j)^s, "
+        "L = min(l: 2^-l <= t)", "lower",
+        ("constant = min omega^r(f,t) / {sum_{j<=L} 2^(-jrs) omega^{r+1}(f,t 2^j)^s}^(1/s), "
+         "L = min(l: 2^-l <= t)",),
+        _MODULUS, lhs=_modulus, term=_modulus, js=lambda p, n: range(1, max(1, n) + 1),
+        defaults={"n_range": (1, 5)}),
+    "orlicz-sandwich": _Check(
+        "luxemburg <= orlicz <= 2 luxemburg on the test family", "upper",
+        ("sandwich check: every ratio orlicz/luxemburg must lie in [1 - slack, 2 + slack]",),
+        ("phi", "slack"), rows=_sandwich_rows, order="rows indexed by test function: ",
+        defaults={"slack": 1e-8}, bounds=lambda p: {"upper_cap": 2.0 + p["slack"],
+                                                    "require_all_at_least": 1.0 - p["slack"]}),
 }
 
 
@@ -920,46 +720,100 @@ def registry_ids():
     return tuple(_CHECKS.keys())
 
 
-def describe_check(check_id):
-    """Formula, parameters, and defaults for one registered check."""
+def _lookup(check_id):
     if check_id not in _CHECKS:
-        raise ValueError(f"unknown check id {check_id!r}; known ids: "
-                         + ", ".join(_CHECKS))
-    _, summary = _CHECKS[check_id]
-    lines = [f"{check_id}: {summary}"]
-    common = ("common params: N (grid size), d (dimension), norm (JSON record), "
-              "r, s, seed, family (names), n_range [lo, hi], spread_bound")
-    extra = {
-        "basic-2.1": "extra params: semigroup (shift|heat|abel), h (base step, 0.3), "
-                     "L (tail length, 10), m (sharp constant; sets the pass "
-                     "threshold m^{1/s}/2 - tol), tol (0.02)",
-        "cesaro-5.1": "extra params: phi (Young record), ell (1), n (degree, 16), "
-                      "slack (1e-10); verdict requires the contraction ratio <= 1 + slack",
-        "averaged-7.3": "extra params: semigroup (shift), t_grid, points (64), "
-                        "quad_points (128), slack (1e-10)",
-        "semigroup-7.4": "extra params: semigroup (abel), points (32)",
-        "shift-7.5": "extra params: points (32)",
-        "kfunc-8.9": "extra params: ell (1), route (realization|heat|sphere), "
-                     "radii, directions",
-        "jackson-8.10": "extra params: radii, directions",
-        "lower-8.12": "extra params: radii, directions",
-        "entire-4.12": "extra params: lambda_power_max (6)",
-        "orlicz-sandwich": "extra params: phi (Young record), slack (1e-8)",
-    }
-    lines.append(common)
-    if check_id in extra:
-        lines.append(extra[check_id])
+        raise ValueError(f"unknown check id {check_id!r}; known ids: " + ", ".join(_CHECKS))
+    return _CHECKS[check_id]
+
+
+def check_params(check_id):
+    """Names of the params one registered check reads, in parse order."""
+    return _BASE + _lookup(check_id).params
+
+
+def describe_check(check_id):
+    """Formula, verdict rule, and every param the check reads with its default."""
+    check = _lookup(check_id)
+    lines = [f"{check_id}: {check.formula}", f"{check.direction}-bound check; "
+             + "; ".join(check.notes), "params:"]
+    for name in check_params(check_id):
+        default = check.defaults.get(name, _PARAMS[name][0])
+        shown = "" if default is None or callable(default) else f" = {json.dumps(default)}"
+        lines.append(f"  {name}{shown}: {_PARAMS[name][2]}")
     return "\n".join(lines)
 
 
+def _parse(check_id, check, params):
+    """Resolved value of every param the check reads; any other name is an error."""
+    names = check_params(check_id)
+    for name in params:
+        if name not in names:
+            raise ValueError(f"unknown param {name!r} for {check_id}; it reads: "
+                             + ", ".join(names))
+    p = {}
+    for name in names:
+        value = params.get(name)
+        if value is None:
+            value = check.defaults.get(name, _PARAMS[name][0])
+            value = value(p) if callable(value) else value
+        try:
+            p[name] = None if value is None else _PARAMS[name][1](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"param {name!r} of {check_id}: {exc}") from exc
+    return p
+
+
+def _lower_rows(check, f, p, nfun, stops):
+    r, s = p["r"], p["s"]
+    rows = []
+    for n, t in check.scales(p):
+        lhs = check.lhs(f, p, nfun, t, r)
+        if check.js is None:
+            rhs, stop = dyadic_tail_sum(
+                lambda j: check.term(f, p, nfun, (2.0 ** j) * t, r + 1), r, s)
+            stops.append(stop)
+        else:
+            acc = 0.0
+            for j in check.js(p, n):
+                acc += 2.0 ** (-j * r * s) * check.term(f, p, nfun, (2.0 ** j) * t, r + 1) ** s
+            rhs = acc ** (1.0 / s)
+        rows.append((lhs, rhs))
+    return rows
+
+
 def run_check(check_id, params=None):
-    """Run one registered check and return its CheckReport."""
-    if check_id not in _CHECKS:
-        raise ValueError(f"unknown check id {check_id!r}; known ids: "
-                         + ", ".join(_CHECKS))
-    runner, _ = _CHECKS[check_id]
-    params = dict(params or {})
+    """Run one registered check and return its CheckReport.
+
+    The params are parsed once against the check's record (a name it does
+    not read is a ValueError); the report's `params` hold every one of
+    them, defaults resolved, and its `resolutions` the grid size, the
+    sample counts read and, for a dyadic tail, the last j summed.
+    """
+    check = _lookup(check_id)
     start = time.perf_counter()
-    report = runner(params)
+    p = _parse(check_id, check, params or {})
+    if check.require and not check.require[0](p):
+        raise ValueError(check.require[1].format(**p))
+    nfun = _as_norm(p.get("norm"))
+    if p["f"] is not None:
+        fam = [("custom", p["f"])]
+    else:
+        fam = standard_family(p["N"], p["d"], np.random.default_rng(p["seed"]),
+                              names=p["family"])
+    rows, stops = [], []
+    for _, f in fam:
+        rows += check.rows(f, p, nfun) if check.rows else _lower_rows(check, f, p, nfun, stops)
+    notes = (check.order + ", ".join(name for name, _ in fam),)
+    resolutions = {"N": p["N"], **{k: p[k] for k in _COUNTS if k in p}}
+    if check.lhs and check.js is None:
+        resolutions["max_j"] = max(stops, default=0)
+        notes += (f"series truncated at j <= {resolutions['max_j']}",)
+    notes += check.notes
+    bounds = check.bounds(p) if check.bounds else {}
+    if "lower_threshold" in bounds:
+        notes += (check.threshold_note % bounds["lower_threshold"],)
+    used = {k: v.to_json() if hasattr(v, "to_json") else v for k, v in p.items()}
+    report = _finish(check_id, used, rows, check.direction, p["spread_bound"], p["seed"],
+                     resolutions, notes, **bounds)
     report.runtime_ms = 1000.0 * (time.perf_counter() - start)
     return report

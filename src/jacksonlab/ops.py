@@ -29,10 +29,10 @@ grids run one step per transform.  A stack holds at most `_STACK_SAMPLES`
 samples, a constant, so outputs never depend on the machine or the thread
 count.
 
-`modulus` and `semigroup_modulus` (and `approx.k_functional`/`k_delta`)
-are memoized on the GridFunction instance, keyed by the quantity, its
-orders and parameters, and `NormSpec.key()`; the memo dies with the
-function.
+`modulus` and `semigroup_modulus` (and `approx.k_functional`, `k_delta`
+and `best_approx`) are memoized on the GridFunction instance, keyed by the
+quantity, its orders and parameters, and `NormSpec.key()`; the memo dies
+with the function.
 """
 
 from __future__ import annotations
@@ -134,7 +134,12 @@ def _check_order(r):
 
 
 def translate(f, h):
-    """f(. + h); h is a scalar (d=1) or a pair (d=2)."""
+    """f(. + h); h is a scalar (d=1) or a pair (d=2).
+
+    The group law T(a)T(b) = T(a+b) holds only on inputs without Nyquist
+    content: the Nyquist slot of the multiplier is cos(N*h/2), and
+    cos(N*a/2) cos(N*b/2) is not cos(N*(a+b)/2).
+    """
     return _apply_multiplier(f, _translate_multiplier(f.size, f.dim, _as_step(f, h)))
 
 
@@ -358,6 +363,12 @@ def spectral_semigroup(f, t, kind):
     """Smoothing semigroup at time t >= 0: kind "heat" or "abel".
 
     heat: multiplier exp(-t*|nu|^2).  abel: multiplier exp(-t*|nu|).
+    The abel kernel on the grid is nonnegative, so abel smoothing contracts
+    every L_p and Orlicz norm.  The heat multiplier is a Gaussian cut at the
+    Nyquist frequency, and its grid kernel dips below 0 for t below about
+    0.18 at N=16, 0.09 at N=32 and 0.06 at N=64 (at N=64 by less than 1e-15
+    above t = 0.03): there heat smoothing is a contraction in L2 only, and
+    L_p/Orlicz norms may grow.
     """
     if t < 0.0:
         raise ValueError(f"semigroup time must be >= 0, got {t}")

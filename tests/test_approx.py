@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from jacksonlab import (NormSpec, best_approx, degree_below, directional_deriv,
-                        discretize, k_delta, k_functional, lp_norm, projection,
-                        random_smooth)
+from jacksonlab import (GridFunction, NormSpec, best_approx, degree_below,
+                        directional_deriv, discretize, k_delta, k_functional, lp_norm,
+                        projection, random_smooth, semigroup_difference)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -55,6 +55,19 @@ def test_best_approx_refine_never_hurts():
         refined = best_approx(f, 4, spec, refine=True)
         assert refined.value <= plain.value + 1e-12
         assert refined.optimized is not None
+
+
+def test_best_approx_is_memoized_without_refine():
+    spec = NormSpec(variant="lp", p=4.0)
+    f = random_smooth(128, 1, np.random.default_rng(8))
+    plain = best_approx(f, 6, spec)
+    assert best_approx(f, 6, spec.norm) is plain
+    assert best_approx(f, 6) is not plain  # another norm is another entry
+    fresh = best_approx(GridFunction(f.samples.copy()), 6, spec)
+    assert fresh == plain
+    refined = best_approx(f, 6, spec, refine=True, iters=5)
+    assert refined is not best_approx(f, 6, spec, refine=True, iters=5)
+    assert refined.upper == plain.upper and refined.method == plain.method
 
 
 def test_directional_derivative_oracle():
@@ -114,6 +127,16 @@ def test_k_delta_matches_heat_difference():
     got = k_delta(f, 2, 0.3)
     want = (1.0 - math.exp(-0.3)) ** 2 / SQRT2
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_k_functional_heat_route_is_k_delta():
+    spec = NormSpec(variant="lp", p=4.0)
+    rng = np.random.default_rng(9)
+    for dim in (1, 2):
+        f = random_smooth(32, dim, rng)
+        direct = spec.norm(semigroup_difference(f, 0.6 * 0.6, "heat", 2))
+        assert k_functional(f, 2, 0.6, spec, route="heat").value == direct
+        assert k_delta(GridFunction(f.samples.copy()), 2, 0.6 * 0.6, spec) == direct
 
 
 def test_k_functional_vanishes_iff_constant():

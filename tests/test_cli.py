@@ -135,6 +135,13 @@ def test_config_validation_exit_codes(tmp_path, capsys):
          "'checks[0].params.points'"),
         ({"checks": [{"id": "averaged-7.3", "params": {"quad_points": True}}]},
          "'checks[0].params.quad_points'"),
+        # a param the check does not read is rejected by name before any check runs
+        ({"checks": [{"id": "jackson-1.4", "params": {"n_ragne": [1, 4]}}]},
+         "'checks[0].params.n_ragne': jackson-1.4 reads no such param"),
+        ({"checks": [{"id": "lower-8.12"}, {"id": "basic-2.1", "params": {"n_range": [1, 4]}}]},
+         "'checks[1].params.n_range'"),
+        ({"checks": [{"id": "basic-2.1", "params": {"t": 0.3}}]}, "'checks[0].params.t'"),
+        ({"checks": [{"id": "cesaro-5.1", "params": {"size": 64}}]}, "'checks[0].params.size'"),
     ]
     for config, needle in cases:
         cfg = write_config(tmp_path, config)
@@ -153,7 +160,7 @@ def test_missing_and_malformed_config(tmp_path, capsys):
 
 def test_bad_param_value_is_a_config_error(tmp_path, capsys):
     config = {"checks": [{"id": "kfunc-8.9", "params": {"r": 5, "ell": 1, "d": 1}}],
-              "N": 32}
+              "N": 32, "out": str(tmp_path / "rep")}
     cfg = write_config(tmp_path, config)
     assert main(["run", cfg]) == 2
     assert "ell" in capsys.readouterr().err

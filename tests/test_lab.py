@@ -9,6 +9,7 @@ import pytest
 from jacksonlab import (NormSpec, describe_check, discretize, dyadic_tail_sum,
                         estimate_convexity_constant, registry_ids, run_check,
                         space_moduli, standard_family, verify_duality)
+from jacksonlab.lab import _finish, check_params
 
 ALL_IDS = (
     "basic-2.1", "jackson-1.4", "jackson-4.8", "jackson-4.9", "jackson-5.9",
@@ -49,6 +50,24 @@ def test_every_check_passes_at_small_size(cid):
     blob = json.dumps(rep.to_json())
     parsed = json.loads(blob)
     assert parsed["id"] == cid and parsed["verdict"] == "pass"
+    # the report lists every param the check reads, and they reproduce it
+    assert tuple(parsed["params"]) == check_params(cid)
+    again = run_check(cid, parsed["params"])
+    assert again.csv_text() == rep.csv_text() and again.params == parsed["params"]
+
+
+def described_params(cid):
+    lines = describe_check(cid).split("\nparams:\n", 1)[1].splitlines()
+    return tuple(line.split(":")[0].split(" = ")[0].strip() for line in lines)
+
+
+@pytest.mark.parametrize("cid", ALL_IDS)
+def test_params_are_exactly_the_described_ones(cid):
+    assert described_params(cid) == check_params(cid)
+    unread = () if "n_range" in check_params(cid) else ("n_range",)
+    for name in ("n_ragne", "size", "t") + unread:
+        with pytest.raises(ValueError, match=f"unknown param '{name}' for {cid}"):
+            run_check(cid, {"N": 16, name: 1})
 
 
 def test_report_csv_shape():
@@ -181,3 +200,34 @@ def test_spread_bound_is_enforced():
     # the family mixes smooth and rough functions, the ratios cannot all tie
     assert rep.verdict == "fail"
     assert rep.spread > 1.0001
+
+
+def test_finish_lower_zero_lhs_is_a_zero_constant():
+    rep = _finish("x", {}, [(1.0, 1.0), (0.0, 2.0), (1.5, 1.0)], "lower", 10.0, 0, {})
+    assert rep.constant == 0.0 and rep.ratios[1] == 0.0
+    assert rep.verdict == "fail" and rep.notes == ()
+
+
+def test_finish_non_finite_side_fails_and_floor_ignores_it():
+    for direction in ("lower", "upper"):
+        rows = [(1.0, 1.0), (float("inf"), 1.0), (1.2, float("nan")), (1e-3, 1e-3)]
+        rep = _finish("x", {}, rows, direction, 10.0, 0, {})
+        assert rep.verdict == "fail"
+        # the floor comes from the finite sides, so the small row is kept
+        assert rep.ratios[3] == 1.0 and rep.constant == 1.0
+        assert rep.notes == ("2 rows excluded (non-finite value)",)
+    clean = _finish("x", {}, [(1.0, 1.0), (1e-3, 1e-3)], "upper", 10.0, 0, {})
+    assert clean.verdict == "pass"
+
+
+def test_finish_upper_unbounded_ratio_fails():
+    rows = [(1.0, 1.0), (1.0, 0.0), (1e-20, 0.0)]
+    rep = _finish("x", {}, rows, "upper", 10.0, 0, {})
+    assert rep.verdict == "fail" and rep.constant == float("inf")
+    assert rep.ratios[1] == float("inf") and math.isnan(rep.ratios[2])
+    assert rep.notes == ("1 rows excluded (rhs below noise floor)",
+                         "1 rows unbounded (rhs at or below the noise floor, lhs above it)")
+    # the same rows bound a lower check from below: only noise is excluded
+    low = _finish("x", {}, rows, "lower", 10.0, 0, {})
+    assert low.verdict == "pass" and low.constant == 1.0
+    assert low.notes == ("2 rows excluded (rhs below noise floor)",)
