@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridFunction, lp_norm, luxemburg_norm
-from .ops import (_apply_multiplier, _as_norm, _axis_freqs, _check_order, _inverse,
-                  _memoized, _mode_radius, laplacian_power, semigroup_difference,
+from .grid import GridFunction, _weight_array, lp_norm, luxemburg_norm
+from .ops import (_apply_multiplier, _as_norm, _axis_freqs, _inverse, _memoized,
+                  _mode_radius, _positive_int, laplacian_power, semigroup_difference,
                   spherical_mean)
 from .search import golden_min
 
@@ -93,17 +93,11 @@ def _best_candidate(f, n, norm):
     return ApproxResult(int(n), float(upper), method), start
 
 
-def _normalized_weight(spec, shape):
-    if spec is None or spec.weight is None:
-        return np.ones(shape)
-    w = np.asarray(spec.weight, dtype=float)
-    return w / np.mean(w)
-
-
 def _norm_subgradient(u, spec):
     """Subgradient of the norm at sample vector u (zero vector at u = 0)."""
-    size = u.size
-    w = _normalized_weight(spec, u.shape)
+    size, g = u.size, GridFunction(u)
+    weight = None if spec is None else spec.weight
+    w = 1.0 if weight is None else _weight_array(g, weight)
     if spec is None or spec.variant == "lp":
         p = 2.0 if spec is None else spec.p
         if np.isinf(p):
@@ -111,14 +105,14 @@ def _norm_subgradient(u, spec):
             j = np.unravel_index(np.argmax(np.abs(u)), u.shape)
             grad[j] = np.sign(u[j])
             return grad
-        nval = lp_norm(GridFunction(u), p, None if spec is None else spec.weight)
+        nval = lp_norm(g, p, weight)
         if nval == 0.0:
             return np.zeros_like(u)
         return (w / size) * np.abs(u) ** (p - 1.0) * np.sign(u) / nval ** (p - 1.0)
     phi = spec.phi
     absu = np.abs(u)
     if spec.variant == "luxemburg":
-        a = luxemburg_norm(GridFunction(u), phi, spec.weight)
+        a = luxemburg_norm(g, phi, weight)
         if a == 0.0:
             return np.zeros_like(u)
         dphi = np.asarray(phi.deriv_plus(absu / a), dtype=float)
@@ -127,7 +121,7 @@ def _norm_subgradient(u, spec):
             return np.zeros_like(u)
         return a * w * dphi * np.sign(u) / denom
     # orlicz: envelope derivative at the optimal scaling k*
-    a = luxemburg_norm(GridFunction(u), phi, spec.weight)
+    a = luxemburg_norm(g, phi, weight)
     if a == 0.0:
         return np.zeros_like(u)
 
@@ -249,6 +243,6 @@ def _k_functional(f, ell, t, norm, route):
 
 def k_delta(f, m, heat_time, norm=None):
     """Norm of (H(heat_time) - I)^m f, the heat-difference K-functional proxy."""
-    m = _check_order(m)
+    m = _positive_int("difference order", m)
     return _memoized(f, ("k_delta", m, float(heat_time)), norm,
                      lambda: float(_as_norm(norm)(semigroup_difference(f, heat_time, "heat", m))))

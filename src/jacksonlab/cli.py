@@ -4,10 +4,11 @@
 prints one check's formula and parameters, and `jacksonlab run config.json`
 runs a batch and writes per-check JSON/CSV reports plus a summary table.
 Exit status: 0 when every check passes, 1 when any check fails, 2 for
-configuration errors.  A param the check does not read, or a bad sample
-count, is rejected before any check runs; a check whose parameter values
-are rejected while it runs is named by its index and id, and the other
-checks still write their reports.
+configuration errors.  A param the check does not read, or a value its
+converter in `lab` refuses (an integer param given 1.5, true or "8", a
+sample count below 1), is rejected before any check runs; a check whose
+parameter values are rejected while it runs is named by its index and id,
+and the other checks still write their reports.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -25,10 +27,6 @@ from . import lab
 
 class ConfigError(Exception):
     """Invalid run configuration; the message names the offending field."""
-
-
-# sample counts of the moduli, checked before any check runs
-_COUNT_PARAMS = ("radii", "directions", "points", "quad_points")
 
 
 def _load_config(path):
@@ -67,10 +65,11 @@ def _validate(config, seed_override=None, out_override=None):
             if name not in names:
                 raise ConfigError(f"config field 'checks[{k}].params.{name}': {cid} "
                                   f"reads no such param; it reads {', '.join(names)}")
-            if name in _COUNT_PARAMS and value is not None and (
-                    isinstance(value, bool) or not isinstance(value, int) or value < 1):
-                raise ConfigError(f"config field 'checks[{k}].params.{name}': "
-                                  f"must be an integer >= 1, got {value!r}")
+            if value is not None:
+                try:
+                    lab.convert_param(name, value)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"config field 'checks[{k}].params.{name}': {exc}") from exc
         entries.append((cid, dict(params)))
 
     size = config.get("N", 256)
@@ -165,19 +164,32 @@ def _build_parser():
     return parser
 
 
+def _print_listing(text):
+    """Print `text`; a reader that stops early (`jacksonlab --list | head`) ends it quietly."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send what is left to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.list:
-        for cid in lab.registry_ids():
-            print(f"{cid}: {lab.describe_check(cid).splitlines()[0].split(': ', 1)[1]}")
+        _print_listing("\n".join(
+            f"{cid}: {lab.describe_check(cid).splitlines()[0].split(': ', 1)[1]}"
+            for cid in lab.registry_ids()))
         return 0
     if args.command == "describe":
         try:
-            print(lab.describe_check(args.check_id))
+            text = lab.describe_check(args.check_id)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
+        _print_listing(text)
         return 0
     if args.command == "run":
         try:

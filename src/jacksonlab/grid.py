@@ -166,7 +166,7 @@ def lp_norm(f, p, weight=None):
 
 
 def _lp_rows(rows, p):
-    """Unweighted `lp_norm` of every row of a stack of 1-d samples, in one reduction."""
+    """Unweighted `lp_norm` of every row of a stack of flattened samples, in one reduction."""
     a = np.abs(rows)
     if np.isinf(p):
         return np.max(a, axis=-1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +23,7 @@ import numpy as np
 from .approx import best_approx, degree_below, k_delta, k_functional
 from .grid import (GridFunction, NormSpec, discretize, luxemburg_norm,
                    orlicz_norm, random_smooth)
-from .ops import (_as_norm, _one_parameter_difference, averaged_modulus, cesaro,
+from .ops import (_as_norm, _one_parameter_norms, averaged_modulus, cesaro,
                   modulus, semigroup_difference, semigroup_modulus)
 from .young import YoungFunction, zygmund
 
@@ -480,35 +481,49 @@ def _record(cls):
     return convert
 
 
+def _integer(low=-math.inf):
+    """Param converter: an integer >= low; bools, non-integral numbers and strings are refused."""
+    rule = "" if low == -math.inf else f" >= {low}"
+
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"must be an integer{rule}, got {value!r}")
+        return int(value)
+    return convert
+
+
+_INT, _COUNT = _integer(), _integer(1)
+
 # name: (default, converter, description).  A missing or null param takes the
 # default; a callable default is computed from the params parsed before it, in
 # the order of `check_params`.
 _PARAMS = {
-    "N": (256, int, "grid size"),
-    "d": (1, int, "grid dimension"),
-    "seed": (0, int, "seed of the random family member"),
+    "N": (256, _INT, "grid size"),
+    "d": (1, _INT, "grid dimension"),
+    "seed": (0, _INT, "seed of the random family member"),
     "family": (None, list, "members of the standard family to use (all)"),
     "f": (None, _record(GridFunction), "GridFunction record to use as the family"),
     "spread_bound": (10.0, float, "largest max/median ratio that passes"),
     "norm": (lambda p: NormSpec(), _record(NormSpec), "NormSpec record (L2)"),
-    "r": (1, int, "order of the left-hand side"),
+    "r": (1, _INT, "order of the left-hand side"),
     "s": (lambda p: p["norm"].s or 2.0, float, "exponent of the dyadic sum (the norm's s, or 2)"),
-    "n_range": (None, lambda v: [int(v[0]), int(v[1])], "scales t = 2^-n for n from lo to hi"),
-    "radii": (lambda p: 64 if p["d"] == 1 else 16, int, "step radii (64 in 1-d, else 16)"),
-    "directions": (lambda p: 64 if p["d"] == 1 else 8, int, "step directions (64 in 1-d, else 8)"),
+    "n_range": (None, lambda v: [_INT(v[0]), _INT(v[1])], "scales t = 2^-n for n from lo to hi"),
+    "radii": (lambda p: 64 if p["d"] == 1 else 16, _COUNT, "step radii (64 in 1-d, else 16)"),
+    "directions": (lambda p: 64 if p["d"] == 1 else 8, _COUNT,
+                   "step directions (64 in 1-d, else 8)"),
     "semigroup": ("shift", str, "shift, heat or abel"),
-    "points": (64, int, "parameter points of the one-sided modulus"),
-    "quad_points": (128, int, "quadrature points of the averaged modulus"),
+    "points": (64, _COUNT, "parameter points of the one-sided modulus"),
+    "quad_points": (128, _COUNT, "quadrature points of the averaged modulus"),
     "t_grid": ((0.25, 0.5, 1.0, 2.0, 3.0), lambda v: [float(t) for t in v], "scales t"),
     "h": (0.3, float, "base step"),
-    "L": (10, int, "last j of the sum"),
+    "L": (10, _integer(0), "last j of the sum"),
     "m": (None, float, "sharp constant; sets the pass threshold m^{1/s}/2 - tol"),
     "tol": (0.02, float, "margin of the threshold"),
-    "ell": (1, int, "order of the K-functional or of the Cesaro mean"),
+    "ell": (1, _INT, "order of the K-functional or of the Cesaro mean"),
     "route": ("realization", str, "K-functional route: realization, heat or sphere"),
-    "lambda_power_max": (6, int, "lambda = 2^k for k from 0 to this"),
+    "lambda_power_max": (6, _INT, "lambda = 2^k for k from 0 to this"),
     "phi": (lambda p: zygmund(2.0, 0.5), _record(YoungFunction), "Young function record (zygmund)"),
-    "n": (16, int, "degree of the Cesaro mean"),
+    "n": (16, _INT, "degree of the Cesaro mean"),
     "slack": (1e-10, float, "rounding slack of the ratio bounds"),
 }
 
@@ -553,7 +568,7 @@ class _Check:
 
 # named quantities, each q(f, params, norm, scale, order)
 def _difference(f, p, nfun, u, order):
-    return nfun(_one_parameter_difference(f, u, p["semigroup"], order, None))
+    return _one_parameter_norms(f, [u], p["semigroup"], order, None, nfun)[0]
 
 
 def _abel_difference(f, p, nfun, u, order):
@@ -743,6 +758,11 @@ def describe_check(check_id):
     return "\n".join(lines)
 
 
+def convert_param(name, value):
+    """`value` as param `name` is read; a TypeError or ValueError says what is wrong with it."""
+    return _PARAMS[name][1](value)
+
+
 def _parse(check_id, check, params):
     """Resolved value of every param the check reads; any other name is an error."""
     names = check_params(check_id)
@@ -757,7 +777,7 @@ def _parse(check_id, check, params):
             value = check.defaults.get(name, _PARAMS[name][0])
             value = value(p) if callable(value) else value
         try:
-            p[name] = None if value is None else _PARAMS[name][1](value)
+            p[name] = None if value is None else convert_param(name, value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"param {name!r} of {check_id}: {exc}") from exc
     return p

@@ -22,12 +22,12 @@ built from real sines (the shift: (4 sin^2(nu.h/2))^r, cos(N*h/2) - 1 on
 the Nyquist lines) or from the square of the real heat/abel multiplier.
 |M|^2 is even in the step, so the L2 modulus evaluates only positive steps
 in 1-d and, for an even count, only the directions in [0, pi) in 2-d.
-Every other norm runs the inverse transform: in 1-d the multipliers of
-many steps are stacked and one inverse transform runs over the stack (an
-unweighted L_p norm is then taken over all rows in one reduction); 2-d
-grids run one step per transform.  A stack holds at most `_STACK_SAMPLES`
-samples, a constant, so outputs never depend on the machine or the thread
-count.
+Every other norm runs the inverse transform: on 1-d and 2-d grids alike
+the multipliers of many steps are stacked and one inverse transform runs
+over the stack (an unweighted L_p norm is then taken over all rows in one
+reduction).  A stack holds max(1, `_STACK_SAMPLES` // N^d) steps, a
+constant per grid, so outputs never depend on the machine or the thread
+count.  `_stacked_norms` is the one evaluator of these stepped norms.
 
 `modulus` and `semigroup_modulus` (and `approx.k_functional`, `k_delta`
 and `best_approx`) are memoized on the GridFunction instance, keyed by the
@@ -45,7 +45,7 @@ import numpy as np
 
 from .grid import GridFunction, NormSpec, _lp_rows
 
-# Sample budget of one batched inverse transform (rows = budget // N).
+# Sample budget of one batched inverse transform (rows = budget // N^d, at least 1).
 _STACK_SAMPLES = 1 << 15
 
 
@@ -61,10 +61,10 @@ def synthesize(spectrum):
 
 
 def _inverse(spec, shape):
-    """Real samples of `shape` from their half-grid spectrum (inverse of rfftn)."""
+    """Real samples of `shape` from their half-grid spectrum (inverse of rfftn), per stack row."""
     if len(shape) == 1:
         return np.fft.irfft(spec, n=shape[0])
-    return np.fft.irfftn(spec, s=shape, axes=(0, 1))
+    return np.fft.irfftn(spec, s=shape, axes=(-2, -1))
 
 
 def _apply_multiplier(f, mult):
@@ -82,20 +82,30 @@ def _axis_freqs(size):
     return full, half
 
 
-def _axis_phase(freqs, size, h):
-    """exp(i*nu*h) along one axis, with cos(N*h/2) in the Nyquist slot."""
-    phase = np.exp(1j * freqs * h)
-    phase[size // 2] = np.cos(0.5 * size * h)
-    return phase
+def _axis_phases(size, steps):
+    """exp(i*nu*h) along each axis for a k x d stack of steps h.
 
-
-def _translate_multiplier(size, dim, h):
+    One k x len(axis) array per axis (the last axis is the half axis), with
+    the real cos(N*h/2) in the Nyquist slot.
+    """
     full, half = _axis_freqs(size)
-    if dim == 1:
-        (h0,) = h
-        return _axis_phase(half, size, h0)
-    h0, h1 = h
-    return _axis_phase(full, size, h0)[:, None] * _axis_phase(half, size, h1)[None, :]
+    dim = steps.shape[1]
+    phases = []
+    for axis in range(dim):
+        h = steps[:, axis]
+        angles = np.outer(h, half if axis == dim - 1 else full)
+        phase = np.empty(angles.shape, dtype=complex)
+        np.cos(angles, out=phase.real)
+        np.sin(angles, out=phase.imag)
+        phase[:, size // 2] = np.cos(0.5 * size * h)
+        phases.append(phase)
+    return phases
+
+
+def _translate_multipliers(size, steps):
+    """Half-grid translate multipliers of a k x d stack of steps, one per step."""
+    p = _axis_phases(size, steps)
+    return p[0] if len(p) == 1 else p[0][:, :, None] * p[1][:, None, :]
 
 
 @lru_cache(maxsize=64)
@@ -116,21 +126,21 @@ def _mode_radius(size, dim):
 
 
 def _as_step(f, h):
-    """Normalize a step argument to a d-tuple of floats."""
+    """A step argument (scalar for d=1, d-sequence) as a 1 x d stack."""
     if np.isscalar(h):
         if f.dim != 1:
             raise ValueError("scalar step only valid on 1-d grids")
-        return (float(h),)
-    h = tuple(float(v) for v in h)
-    if len(h) != f.dim:
-        raise ValueError(f"step has {len(h)} components for a {f.dim}-d grid")
+        h = (h,)
+    h = np.array([[float(v) for v in h]])
+    if h.shape[1] != f.dim:
+        raise ValueError(f"step has {h.shape[1]} components for a {f.dim}-d grid")
     return h
 
 
-def _check_order(r):
-    if r < 1 or r != int(r):
-        raise ValueError(f"difference order must be a positive integer, got {r}")
-    return int(r)
+def _positive_int(name, value):
+    if value < 1 or value != int(value):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def translate(f, h):
@@ -140,14 +150,13 @@ def translate(f, h):
     content: the Nyquist slot of the multiplier is cos(N*h/2), and
     cos(N*a/2) cos(N*b/2) is not cos(N*(a+b)/2).
     """
-    return _apply_multiplier(f, _translate_multiplier(f.size, f.dim, _as_step(f, h)))
+    return _apply_multiplier(f, _translate_multipliers(f.size, _as_step(f, h))[0])
 
 
 def difference(f, h, r=1):
     """r-th forward difference sum_k (-1)^(r-k) C(r,k) f(. + k*h)."""
-    r = _check_order(r)
-    mult = _translate_multiplier(f.size, f.dim, _as_step(f, h))
-    return _apply_multiplier(f, (mult - 1.0) ** r)
+    r = _positive_int("difference order", r)
+    return _apply_multiplier(f, _step_multipliers(f.size, f.dim, "shift", _as_step(f, h), r)[0])
 
 
 _L2 = NormSpec()
@@ -195,10 +204,10 @@ def _memoized(f, key, norm, compute):
     return value
 
 
-def _plain_l2(norm):
-    """True when `norm` is the unweighted L2 norm, which the Parseval path evaluates."""
+def _plain_p(norm):
+    """p when `norm` is an unweighted L_p norm, else None; p = 2 takes the Parseval path."""
     spec = _norm_spec(norm)
-    return spec is not None and spec.variant == "lp" and spec.p == 2.0 and spec.weight is None
+    return spec.p if spec is not None and spec.variant == "lp" and spec.weight is None else None
 
 
 def _int_power(a, r):
@@ -217,103 +226,73 @@ def _abs2(z):
     return z.real ** 2 + z.imag ** 2
 
 
-def _stacked_norms(f, kind, r, steps, norm):
-    """Norm of (T(u) - I)^r f for every step u (d=1), one inverse FFT per stack of steps.
+def _stacks(steps, size, dim):
+    """`steps` cut into stacks of at most `_STACK_SAMPLES` grid samples (one step at least)."""
+    chunk = max(1, _STACK_SAMPLES // size ** dim)
+    return (steps[k:k + chunk] for k in range(0, len(steps), chunk))
 
-    The unweighted L2 norm takes no inverse FFT (Parseval path).
+
+def _stacked_norms(f, kind, r, steps, norm):
+    """Norm of (T(u) - I)^r f for every step u, one inverse FFT per stack of steps.
+
+    Shift steps are a k x d array, heat and abel times a k-vector.  The
+    unweighted L2 norm takes no inverse FFT (Parseval path); another
+    unweighted L_p norm is one reduction per stack, any other norm one
+    evaluation per row.
     """
-    chunk = max(1, _STACK_SAMPLES // f.size)
-    spec = _norm_spec(norm)
-    plain_p = spec.p if spec is not None and spec.variant == "lp" and spec.weight is None else None
-    nfun = _as_norm(norm)
+    plain_p, nfun = _plain_p(norm), _as_norm(norm)
     out = []
-    for k in range(0, len(steps), chunk):
-        block = steps[k:k + chunk]
+    for block in _stacks(steps, f.size, f.dim):
         if plain_p == 2.0:
-            m2 = _squared_multipliers(f.size, 1, kind, block, r)
+            m2 = _squared_multipliers(f.size, f.dim, kind, block, r)
             m2 *= f.parseval_weights()
-            out.extend(float(v) for v in np.sqrt(m2.sum(axis=-1)))
+            out.extend(np.sqrt(m2.reshape(len(block), -1).sum(axis=-1)).tolist())
             continue
-        mults = _step_multipliers(f.size, kind, block, r)
-        rows = np.fft.irfft(f.spectrum() * mults, n=f.size, axis=-1)
+        mults = _step_multipliers(f.size, f.dim, kind, block, r)
+        rows = _inverse(f.spectrum() * mults, f.samples.shape)
         if plain_p is not None:
-            out.extend(float(v) for v in _lp_rows(rows, plain_p))
+            out.extend(_lp_rows(rows.reshape(len(block), -1), plain_p).tolist())
         else:
             out.extend(float(nfun(GridFunction(row))) for row in rows)
     return out
 
 
-def _step_multipliers(size, kind, steps, r):
-    """Rows (T(u) - I)^r on the 1-d half grid, one per step u (signed for the shift)."""
-    if kind == "shift":
-        _, half = _axis_freqs(size)
-        angles = np.outer(steps, half)
-        rows = np.empty(angles.shape, dtype=complex)
-        np.cos(angles, out=rows.real)
-        np.sin(angles, out=rows.imag)
-        rows[:, -1] = np.cos(0.5 * size * steps)
-    else:
-        rows = _semigroup_multiplier(size, 1, steps[:, None], kind)
-    rows -= 1.0
-    return _int_power(rows, r)
+def _step_multipliers(size, dim, kind, steps, r):
+    """(T(u) - I)^r on the half grid, one per step u of the stack (see `_stacked_norms`)."""
+    mults = (_translate_multipliers(size, steps) if kind == "shift"
+             else _semigroup_multiplier(size, dim, steps, kind))
+    mults -= 1.0
+    return _int_power(mults, r)
 
 
-def _squared_multipliers(size, dim, kind, u, r):
-    """|(T(u) - I)^r|^2 on the half grid.
-
-    In 1-d, u is an array of steps and there is one row per step; in 2-d,
-    u is one step pair for the shift and one time for heat and abel.
-    """
+def _squared_multipliers(size, dim, kind, steps, r):
+    """|(T(u) - I)^r|^2 on the half grid, one per step u of the stack (see `_stacked_norms`)."""
     if kind != "shift":
-        m2 = _semigroup_multiplier(size, dim, u if dim == 2 else u[:, None], kind) - 1.0
+        m2 = _semigroup_multiplier(size, dim, steps, kind) - 1.0
         m2 *= m2
         return _int_power(m2, r)
     full, half = _axis_freqs(size)
+    # |exp(i*nu.h) - 1| = 2 |sin(nu.h/2)|, exact to rounding even for small nu.h
     if dim == 1:
-        # |exp(i*nu*u) - 1|^2 = 4 sin^2(nu*u/2), exact to rounding even for small nu*u
-        m2 = np.sin(np.outer(0.5 * u, half))
+        m2 = np.sin((0.5 * steps) * half)
+        m2 *= 2.0
     else:
-        h0, h1 = u
-        a0, a1 = (0.5 * h0) * full, (0.5 * h1) * half
-        # the sine of (nu0*h0 + nu1*h1)/2 from per-axis sines and cosines
-        m2 = np.outer(np.sin(a0), np.cos(a1))
-        m2 += np.outer(np.cos(a0), np.sin(a1))
+        # the sine from per-axis sines and cosines; the 2 scales the axis-0 rows exactly
+        a0, a1 = (0.5 * steps[:, :1]) * full, (0.5 * steps[:, 1:]) * half
+        s0, c0 = np.sin(a0), np.cos(a0)
+        s0 *= 2.0
+        c0 *= 2.0
+        m2 = s0[:, :, None] * np.cos(a1)[:, None, :]
+        m2 += c0[:, :, None] * np.sin(a1)[:, None, :]
     m2 *= m2
-    m2 *= 4.0
     # the Nyquist slots carry the real factor cos(N*h/2) instead of a phase
     if dim == 1:
-        m2[:, -1] = np.square(np.cos(0.5 * size * u) - 1.0)
+        m2[:, -1] = np.square(np.cos(0.5 * size * steps[:, 0]) - 1.0)
     else:
-        p0, p1 = _axis_phase(full, size, h0), _axis_phase(half, size, h1)
-        m2[size // 2, :] = _abs2(p0[size // 2] * p1 - 1.0)
-        m2[:, -1] = _abs2(p0 * p1[-1] - 1.0)
+        p0, p1 = _axis_phases(size, steps)
+        m2[:, size // 2, :] = _abs2(p0[:, size // 2, None] * p1 - 1.0)
+        m2[:, :, -1] = _abs2(p0 * p1[:, -1:] - 1.0)
     return _int_power(m2, r)
-
-
-def _planar_norms(f, kind, r, steps, norm):
-    """Norm of (T(u) - I)^r f for every u in `steps` on a 2-d grid, one step at a time.
-
-    u is a step pair for the shift and a time for heat and abel.  The
-    unweighted L2 norm takes no inverse FFT (Parseval path).
-    """
-    if _plain_l2(norm):
-        weights = f.parseval_weights()
-        out = []
-        for u in steps:
-            m2 = _squared_multipliers(f.size, 2, kind, u, r)
-            m2 *= weights
-            out.append(math.sqrt(float(m2.sum())))
-        return out
-    nfun = _as_norm(norm)
-    if kind == "shift":
-        return [nfun(difference(f, u, r)) for u in steps]
-    return [nfun(semigroup_difference(f, u, kind, r)) for u in steps]
-
-
-def _check_count(name, value):
-    if value < 1 or value != int(value):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 def modulus(f, r, t, norm=None, directions=64, radii=64):
@@ -324,11 +303,11 @@ def modulus(f, r, t, norm=None, directions=64, radii=64):
     for d=1 both signs are tried.  The value is a lower bound of the true
     sup, nondecreasing under grid refinement.
     """
-    directions = _check_count("directions", directions)
-    radii = _check_count("radii", radii)
+    directions = _positive_int("directions", directions)
+    radii = _positive_int("radii", radii)
     if t <= 0.0:
         return 0.0
-    r = _check_order(r)
+    r = _positive_int("difference order", r)
     key = ("modulus", r, float(t), directions, radii)
     return _memoized(f, key, norm, lambda: _modulus(f, r, t, norm, directions, radii))
 
@@ -336,22 +315,26 @@ def modulus(f, r, t, norm=None, directions=64, radii=64):
 def _modulus(f, r, t, norm, directions, radii):
     rad = t * (np.arange(1, radii + 1) / radii)
     # the L2 norm of (T(h) - I)^r f is even in h, so one sign of each step is enough
-    even = _plain_l2(norm)
+    even = _plain_p(norm) == 2.0
     if f.dim == 1:
         steps = rad if even else np.stack([rad, -rad], axis=1).ravel()
-        return max([0.0, *_stacked_norms(f, "shift", r, steps, norm)])
+        return max([0.0, *_stacked_norms(f, "shift", r, steps[:, None], norm)])
     # an even count pairs every direction in [0, pi) with its opposite
     count = directions // 2 if even and directions % 2 == 0 else directions
     angles = 2.0 * np.pi * np.arange(count) / directions
-    steps = [(rho * math.cos(th), rho * math.sin(th)) for rho in rad for th in angles]
-    return max([0.0, *_planar_norms(f, "shift", r, steps, norm)])
+    steps = np.array([(rho * math.cos(th), rho * math.sin(th)) for rho in rad for th in angles])
+    return max([0.0, *_stacked_norms(f, "shift", r, steps, norm)])
 
 
 # -- semigroups ----------------------------------------------------------
 
 
 def _semigroup_multiplier(size, dim, t, kind):
-    """Half-grid multiplier of the heat (exp(-t|nu|^2)) or abel (exp(-t|nu|)) semigroup."""
+    """Half-grid multiplier of the heat (exp(-t|nu|^2)) or abel (exp(-t|nu|)) semigroup.
+
+    A vector of times gives one multiplier per time, stacked along a leading axis.
+    """
+    t = np.reshape(t, np.shape(t) + (1,) * dim)
     if kind == "heat":
         return np.exp(-t * _mode_radius2(size, dim))
     if kind == "abel":
@@ -377,8 +360,8 @@ def spectral_semigroup(f, t, kind):
 
 def semigroup_difference(f, t, kind, r=1):
     """(T(t) - I)^r f for the heat or abel semigroup."""
-    r = _check_order(r)
-    return _apply_multiplier(f, (_semigroup_multiplier(f.size, f.dim, t, kind) - 1.0) ** r)
+    r = _positive_int("difference order", r)
+    return _apply_multiplier(f, _step_multipliers(f.size, f.dim, kind, np.array([float(t)]), r)[0])
 
 
 _SEMIGROUP_KINDS = ("shift", "heat", "abel")
@@ -398,31 +381,21 @@ def _semigroup_kind_direction(semigroup, direction):
     return kind, direction
 
 
-def _shift_step(u, direction):
-    """The 2-d step of length u along `direction` (default (1, 0))."""
-    dx, dy = (1.0, 0.0) if direction is None else direction
-    scale = math.hypot(dx, dy)
-    if scale <= 0.0:
-        raise ValueError("shift direction must be a nonzero vector")
-    return (u * dx / scale, u * dy / scale)
-
-
-def _one_parameter_difference(f, u, kind, r, direction):
-    """(T(u) - I)^r f for shift/heat/abel with scalar parameter u >= 0."""
-    if kind == "shift":
-        if f.dim == 1:
-            return difference(f, u, r)
-        return difference(f, _shift_step(u, direction), r)
-    return semigroup_difference(f, u, kind, r)
-
-
 def _one_parameter_norms(f, us, kind, r, direction, norm):
-    """Norm of (T(u) - I)^r f for every u in `us`: stacked in 1-d, one by one in 2-d."""
-    if f.dim == 1:
-        return _stacked_norms(f, kind, r, us, norm)
-    if kind == "shift":
-        return _planar_norms(f, kind, r, [_shift_step(float(u), direction) for u in us], norm)
-    return _planar_norms(f, kind, r, [float(u) for u in us], norm)
+    """Norm of (T(u) - I)^r f for every u in `us`.
+
+    The 2-d shift steps by length u along `direction` (default (1, 0)).
+    """
+    us = np.asarray(us, dtype=float)
+    if kind == "shift" and f.dim == 1:
+        us = us[:, None]
+    elif kind == "shift":
+        dx, dy = (1.0, 0.0) if direction is None else direction
+        scale = math.hypot(dx, dy)
+        if scale <= 0.0:
+            raise ValueError("shift direction must be a nonzero vector")
+        us = np.outer(us, (dx, dy)) / scale
+    return _stacked_norms(f, kind, r, us, norm)
 
 
 def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, direction=None):
@@ -432,11 +405,11 @@ def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, directio
     shift on a 2-d grid the step moves along `direction` (default (1,0)).
     `semigroup` is a kind name or an OperatorSpec of a semigroup variant.
     """
-    points = _check_count("points", points)
+    points = _positive_int("points", points)
     if t <= 0.0:
         return 0.0
     kind, direction = _semigroup_kind_direction(semigroup, direction)
-    r = _check_order(r)
+    r = _positive_int("difference order", r)
     key = ("semigroup_modulus", r, float(t), kind, points,
            None if direction is None else tuple(float(v) for v in direction))
     us = t * (np.arange(1, points + 1) / points)
@@ -451,11 +424,11 @@ def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, dir
     conventions as `semigroup_modulus`.  Always below the one-sided
     modulus at the same t.
     """
-    quad_points = _check_count("quad_points", quad_points)
+    quad_points = _positive_int("quad_points", quad_points)
     if t <= 0.0:
         return 0.0
     kind, direction = _semigroup_kind_direction(semigroup, direction)
-    r = _check_order(r)
+    r = _positive_int("difference order", r)
     mids = t * (np.arange(quad_points) + 0.5) / quad_points
     return float(np.mean(_one_parameter_norms(f, mids, kind, r, direction, norm)))
 
@@ -485,18 +458,19 @@ def laplacian_power(f, ell=1):
 
     ell=1 gives the plain Laplacian of f.
     """
-    if ell < 1 or ell != int(ell):
-        raise ValueError(f"power must be a positive integer, got {ell}")
-    return _apply_multiplier(f, (-_mode_radius2(f.size, f.dim)) ** int(ell))
+    ell = _positive_int("power", ell)
+    return _apply_multiplier(f, (-_mode_radius2(f.size, f.dim)) ** ell)
 
 
 @lru_cache(maxsize=512)
 def _sphere_multiplier(size, t, quad_points):
     """Average of translate multipliers over the circle of radius t (d=2, half grid)."""
+    ths = [2.0 * math.pi * k / quad_points for k in range(quad_points)]
+    steps = np.array([(t * math.cos(th), t * math.sin(th)) for th in ths])
     acc = np.zeros((size, size // 2 + 1), dtype=complex)
-    for k in range(quad_points):
-        th = 2.0 * math.pi * k / quad_points
-        acc += _translate_multiplier(size, 2, (t * math.cos(th), t * math.sin(th)))
+    for block in _stacks(steps, size, 2):
+        for mult in _translate_multipliers(size, block):
+            acc += mult
     acc /= quad_points
     acc.setflags(write=False)
     return acc
@@ -514,9 +488,7 @@ def spherical_mean(f, t, ell=1, quad_points=256):
         raise ValueError("spherical means are only defined on 2-d grids")
     if t < 0.0:
         raise ValueError(f"radius must be >= 0, got {t}")
-    if ell < 1 or ell != int(ell):
-        raise ValueError(f"order must be a positive integer, got {ell}")
-    ell = int(ell)
+    ell = _positive_int("order", ell)
     if ell == 1:
         return _apply_multiplier(f, _sphere_multiplier(f.size, float(t), quad_points))
     total = np.zeros((f.size, f.size // 2 + 1), dtype=complex)

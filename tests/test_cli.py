@@ -1,6 +1,8 @@
 """Command-line interface: listing, describing, batch runs, and exit codes."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -22,6 +24,17 @@ def write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
     return str(path)
+
+
+@pytest.mark.parametrize("argv", [["--list"], ["describe", "basic-2.1"]])
+def test_listing_into_a_closed_pipe_ends_quietly(argv, monkeypatch, capsys):
+    # a pipe whose reader has gone away: every write raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_list_prints_every_check(capsys):
@@ -142,6 +155,16 @@ def test_config_validation_exit_codes(tmp_path, capsys):
          "'checks[1].params.n_range'"),
         ({"checks": [{"id": "basic-2.1", "params": {"t": 0.3}}]}, "'checks[0].params.t'"),
         ({"checks": [{"id": "cesaro-5.1", "params": {"size": 64}}]}, "'checks[0].params.size'"),
+        # integer params are never truncated, and the last index L of basic-2.1 is >= 0
+        ({"checks": [{"id": "basic-2.1", "params": {"r": 1.5}}]},
+         "'checks[0].params.r': must be an integer, got 1.5"),
+        ({"checks": [{"id": "basic-2.1", "params": {"N": 32.9}}]}, "'checks[0].params.N'"),
+        ({"checks": [{"id": "basic-2.1", "params": {"L": 2.5}}]}, "'checks[0].params.L'"),
+        ({"checks": [{"id": "basic-2.1", "params": {"L": True}}]}, "'checks[0].params.L'"),
+        ({"checks": [{"id": "orlicz-sandwich"}, {"id": "basic-2.1", "params": {"L": -1}}]},
+         "'checks[1].params.L': must be an integer >= 0, got -1"),
+        ({"checks": [{"id": "jackson-1.4", "params": {"n_range": [1, "4"]}}]},
+         "'checks[0].params.n_range'"),
     ]
     for config, needle in cases:
         cfg = write_config(tmp_path, config)

@@ -13,6 +13,7 @@ from jacksonlab import (GridFunction, NormSpec, OperatorSpec, averaged_modulus,
                         projection, random_smooth, semigroup_difference,
                         semigroup_modulus, spectral_semigroup, spherical_mean,
                         synthesize, translate, zygmund)
+from jacksonlab.ops import _stacked_norms
 
 SQRT2 = math.sqrt(2.0)
 
@@ -386,25 +387,60 @@ def _fresh(f):
     return GridFunction(f.samples)
 
 
+def _grid_norm(norm, f):
+    """`norm`, or for "weighted-l2" a weighted L2 norm on f's grid."""
+    if norm != "weighted-l2":
+        return norm
+    return NormSpec(weight=1.0 + 0.5 * np.cos(grid_points(f.size, f.dim)[0]))
+
+
 @pytest.mark.parametrize("norm", [None, NormSpec(variant="lp", p=4.0),
                                   NormSpec(variant="lp", p=math.inf),
-                                  NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5))])
+                                  NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5)),
+                                  "weighted-l2"])
 def test_stacked_moduli_match_per_step_loop(norm):
-    f = _with_nyquist(256, 1, seed=3)
-    nfun = (lambda g: lp_norm(g, 2.0)) if norm is None else norm.norm
-    t, radii = 0.8, 40
-    for r in (1, 2):
-        rad = t * np.arange(1, radii + 1) / radii
-        want = max(nfun(difference(f, s * rho, r)) for rho in rad for s in (1.0, -1.0))
-        got = modulus(_fresh(f), r, t, norm, radii=radii)
-        assert got == pytest.approx(want, rel=1e-13)
-        us = t * np.arange(1, radii + 1) / radii
-        for kind in ("shift", "heat", "abel"):
-            one = difference if kind == "shift" else (
-                lambda g, u, rr, kind=kind: semigroup_difference(g, u, kind, rr))
-            want = max(nfun(one(f, u, r)) for u in us)
-            got = semigroup_modulus(_fresh(f), r, t, kind, norm, points=radii)
+    # a 2-d stack at N = 128 holds 2 rows: 6 radii x 5 directions is 15 stacks,
+    # 7 one-sided points 4 stacks, the last one short
+    for f, radii, directions in ((_with_nyquist(256, 1, seed=3), 40, 1),
+                                 (_with_nyquist(128, 2, seed=4), 6, 5)):
+        spec = _grid_norm(norm, f)
+        nfun = (lambda g: lp_norm(g, 2.0)) if spec is None else spec.norm
+        t, points = 0.8, 40 if f.dim == 1 else 7
+        for r in (1, 2):
+            rad = t * np.arange(1, radii + 1) / radii
+            if f.dim == 1:
+                steps = [s * rho for rho in rad for s in (1.0, -1.0)]
+            else:
+                angles = 2.0 * np.pi * np.arange(directions) / directions
+                steps = [(rho * math.cos(th), rho * math.sin(th)) for rho in rad for th in angles]
+            want = max(nfun(difference(f, h, r)) for h in steps)
+            got = modulus(_fresh(f), r, t, spec, directions=directions, radii=radii)
             assert got == pytest.approx(want, rel=1e-13)
+            us = t * np.arange(1, points + 1) / points
+            for kind in ("shift", "heat", "abel"):
+                def one(u, kind=kind):
+                    if kind != "shift":
+                        return semigroup_difference(f, u, kind, r)
+                    return difference(f, u if f.dim == 1 else (u, 0.0), r)
+
+                want = max(nfun(one(u)) for u in us)
+                got = semigroup_modulus(_fresh(f), r, t, kind, spec, points=points)
+                assert got == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim,size", [(1, 4096), (2, 64)])
+def test_a_step_norm_does_not_depend_on_its_stack(dim, size):
+    # 8 rows per stack at both sizes; 20 steps fill three stacks, the last one short
+    f = _with_nyquist(size, dim, seed=80 + dim)
+    us = np.linspace(-0.9, 1.1, 20)
+    shifts = us[:, None] if dim == 1 else np.stack([us, 0.7 * us[::-1]], axis=1)
+    for norm in (None, NormSpec(variant="lp", p=4.0),
+                 NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5))):
+        for kind, steps in (("shift", shifts), ("heat", np.abs(us)), ("abel", np.abs(us))):
+            stacked = _stacked_norms(f, kind, 2, steps, norm)
+            alone = [_stacked_norms(f, kind, 2, steps[i:i + 1], norm)[0] for i in range(len(us))]
+            assert stacked == alone
+            assert _stacked_norms(f, kind, 2, steps[::-1], norm) == stacked[::-1]
 
 
 def test_stacked_scan_spans_several_stacks():
