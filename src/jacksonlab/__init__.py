@@ -15,8 +15,7 @@ from .ops import (OperatorSpec, averaged_modulus, cesaro, cesaro_weights,
                   coeffs, difference, laplacian_power, modulus,
                   semigroup_difference, semigroup_modulus, spectral_semigroup,
                   spherical_mean, synthesize, translate)
-from .search import (bisect_level, bisect_level_log, brent_level_log, golden_max,
-                     golden_min)
+from .search import bisect_level, bisect_level_log, brent_level_log, golden_max
 from .young import (ConcavityRegions, Delta2Result, Nabla2Result, PatchResult,
                     YoungFunction, builtin, check_delta2, check_nabla2,
                     complementary, exp_growth, log_power,
@@ -33,7 +32,7 @@ __all__ = [
     "brent_level_log", "builtin", "cesaro", "cesaro_weights", "check_delta2",
     "check_nabla2", "coeffs", "complementary", "degree_below", "describe_check",
     "difference", "directional_deriv", "discretize", "dyadic_tail_sum",
-    "estimate_convexity_constant", "exp_growth", "golden_max", "golden_min",
+    "estimate_convexity_constant", "exp_growth", "golden_max",
     "grid_points", "k_delta", "k_functional", "laplacian_power", "log_power",
     "log_power_tail_threshold", "lp_norm", "luxemburg_norm", "modulus",
     "orlicz_functional", "orlicz_norm", "orlicz_norm_dual_bound", "patch",

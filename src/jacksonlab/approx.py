@@ -15,11 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridFunction, _weight_array, lp_norm, luxemburg_norm
+from .grid import GridFunction, _amemiya, _weight_array, lp_norm, luxemburg_norm
 from .ops import (_apply_multiplier, _as_norm, _axis_freqs, _inverse, _memoized,
-                  _mode_radius, _positive_int, laplacian_power, semigroup_difference,
+                  _mode_radius, _one_parameter_norms, _positive_int, laplacian_power,
                   spherical_mean)
-from .search import golden_min
 
 
 def degree_below(lam):
@@ -121,17 +120,9 @@ def _norm_subgradient(u, spec):
             return np.zeros_like(u)
         return a * w * dphi * np.sign(u) / denom
     # orlicz: envelope derivative at the optimal scaling k*
-    a = luxemburg_norm(g, phi, weight)
-    if a == 0.0:
+    kstar, value = _amemiya(g, phi, weight)
+    if value == 0.0:
         return np.zeros_like(u)
-
-    def objective(logk):
-        k = math.exp(logk)
-        return (1.0 + float(np.mean(w * np.asarray(phi(k * absu), dtype=float)))) / k
-
-    center = math.log(1.0 / a)
-    logk, _ = golden_min(objective, center - 2.0, center + 2.0, iters=60)
-    kstar = math.exp(float(logk))
     return (w / size) * np.asarray(phi.deriv_plus(kstar * absu), dtype=float) * np.sign(u)
 
 
@@ -245,4 +236,4 @@ def k_delta(f, m, heat_time, norm=None):
     """Norm of (H(heat_time) - I)^m f, the heat-difference K-functional proxy."""
     m = _positive_int("difference order", m)
     return _memoized(f, ("k_delta", m, float(heat_time)), norm,
-                     lambda: float(_as_norm(norm)(semigroup_difference(f, heat_time, "heat", m))))
+                     lambda: _one_parameter_norms(f, [heat_time], "heat", m, None, norm)[0])

@@ -6,9 +6,10 @@ runs a batch and writes per-check JSON/CSV reports plus a summary table.
 Exit status: 0 when every check passes, 1 when any check fails, 2 for
 configuration errors.  A param the check does not read, or a value its
 converter in `lab` refuses (an integer param given 1.5, true or "8", a
-sample count below 1), is rejected before any check runs; a check whose
-parameter values are rejected while it runs is named by its index and id,
-and the other checks still write their reports.
+sample count below 1), is rejected before any check runs, as is a
+top-level `N` or `seed` that the same integer rule refuses (`N` must also
+be >= 8); a check whose parameter values are rejected while it runs is
+named by its index and id, and the other checks still write their reports.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ def _load_config(path):
     return config
 
 
+def _convert(name, convert, value):
+    """convert(value); a TypeError or ValueError becomes a ConfigError naming `name`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field '{name}': {exc}") from exc
+
+
 def _validate(config, seed_override=None, out_override=None):
     checks = config.get("checks")
     if not isinstance(checks, list) or not checks:
@@ -66,18 +75,11 @@ def _validate(config, seed_override=None, out_override=None):
                 raise ConfigError(f"config field 'checks[{k}].params.{name}': {cid} "
                                   f"reads no such param; it reads {', '.join(names)}")
             if value is not None:
-                try:
-                    lab.convert_param(name, value)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"config field 'checks[{k}].params.{name}': {exc}") from exc
+                _convert(f"checks[{k}].params.{name}", lambda v: lab.convert_param(name, v), value)
         entries.append((cid, dict(params)))
 
-    size = config.get("N", 256)
-    if not isinstance(size, int) or size < 8:
-        raise ConfigError(f"config field 'N': must be an integer >= 8, got {size!r}")
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"config field 'seed': must be an integer, got {seed!r}")
+    size = _convert("N", lab._integer(8), config.get("N", 256))
+    seed = _convert("seed", lab._integer(), config.get("seed", 0))
     if seed_override is not None:
         seed = seed_override
     out = out_override or config.get("out", "reports")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .search import brent_level_log, golden_min
+from .search import brent_level_log
 
 
 class GridFunction:
@@ -189,6 +189,34 @@ def _log(value):
     return math.log(value) if value > 0.0 else -math.inf
 
 
+def _scale_level(absf, w, g, start, rtol):
+    """Scale a > 0 at which the mean of w*g(|f|/a) crosses 1, g nondecreasing.
+
+    The mean is nonincreasing in a.  The crossing is bracketed by decades
+    from `start` (at most 64), keeping both end values for Brent's method
+    in log a.  Without a crossing the last bracket end is returned.  A mean
+    that overflows to inf - inf counts as above 1.
+    """
+    def log_mean(a):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(g(absf / a), dtype=float)
+            mean = float(np.mean(vals) if w is None else np.mean(w * vals))
+        return math.inf if math.isnan(mean) else _log(mean)
+
+    a, val_a = start, log_mean(start)
+    step = 10.0 if val_a > 0.0 else 0.1
+    for _ in range(64):
+        b, val_b = a * step, log_mean(a * step)
+        if (val_b > 0.0) != (val_a > 0.0):
+            break
+        a, val_a = b, val_b
+    if step > 1.0:
+        lo, hi, val_lo, val_hi = a, b, val_a, val_b
+    else:
+        lo, hi, val_lo, val_hi = b, a, val_b, val_a
+    return brent_level_log(log_mean, lo, hi, rtol=rtol, f_lo=val_lo, f_hi=val_hi)
+
+
 def luxemburg_norm(f, phi, weight=None, rtol=1e-13):
     """Smallest a > 0 with mean phi(|f|/a) <= 1, by Brent's method in log a.
 
@@ -198,60 +226,35 @@ def luxemburg_norm(f, phi, weight=None, rtol=1e-13):
     peak = float(np.max(np.abs(f.samples)))
     if peak == 0.0:
         return 0.0
-    w = _weight_array(f, weight)
-    absf = np.abs(f.samples)
-
-    def modular(a):
-        vals = np.asarray(phi(absf / a), dtype=float)
-        return float(np.mean(vals) if w is None else np.mean(w * vals))
-
-    # bracket the level-1 crossing by decades from the peak, keeping the
-    # modular values at both ends for the solver
-    a, mod_a = peak, modular(peak)
-    step = 10.0 if mod_a > 1.0 else 0.1
-    for _ in range(64):
-        b, mod_b = a * step, modular(a * step)
-        if (mod_b > 1.0) != (mod_a > 1.0):
-            break
-        a, mod_a = b, mod_b
-    if step > 1.0:
-        lo, hi, mod_lo, mod_hi = a, b, mod_a, mod_b
-    else:
-        lo, hi, mod_lo, mod_hi = b, a, mod_b, mod_a
-    return brent_level_log(lambda x: _log(modular(x)), lo, hi, rtol=rtol,
-                           f_lo=_log(mod_lo), f_hi=_log(mod_hi))
+    return _scale_level(np.abs(f.samples), _weight_array(f, weight), phi, peak, rtol)
 
 
-def orlicz_norm(f, phi, weight=None):
-    """inf over k > 0 of (1 + mean phi(k*|f|)) / k.
+def _amemiya(f, phi, weight):
+    """Minimizer k* of (1 + mean w*phi(k|f|))/k over k > 0, and that minimum.
 
-    Equivalent to the dual-pairing norm for the complementary function;
-    always between the Luxemburg norm and twice the Luxemburg norm.
+    k* solves mean w*(x phi'(x) - phi(x)) = 1 at x = k|f|: the gap equals
+    psi(phi'(x)) (Young's equality), nondecreasing in k.  It is solved in
+    a = 1/k from the Luxemburg norm.  With no crossing in 64 decades (phi =
+    power(1), gap 0) the infimum is the limit k -> oo, taken at the last
+    decade.  The zero function gives (inf, 0.0).
     """
     lux = luxemburg_norm(f, phi, weight)
     if lux == 0.0:
-        return 0.0
-    w = _weight_array(f, weight)
-    absf = np.abs(f.samples)
+        return math.inf, 0.0
+    k = 1.0 / _scale_level(np.abs(f.samples), _weight_array(f, weight),
+                           lambda x: x * phi.deriv_plus(x) - phi(x), lux, 0.0)
+    return k, (1.0 + orlicz_functional(k * f, phi, weight)) / k
 
-    def objective(logk):
-        k = np.exp(logk)
-        vals = np.asarray(phi(np.outer(k, absf.ravel())), dtype=float)
-        if w is None:
-            mod = np.mean(vals, axis=1)
-        else:
-            mod = np.mean(vals * w.ravel()[None, :], axis=1)
-        return (1.0 + mod) / k
 
-    # the objective is unimodal in k; scan around 1/lux then refine
-    center = np.log(1.0 / lux)
-    scan = center + np.linspace(-3.0, 3.0, 61)
-    heights = objective(scan)
-    i = int(np.argmin(heights))
-    lo = scan[max(i - 1, 0)]
-    hi = scan[min(i + 1, len(scan) - 1)]
-    _, val = golden_min(lambda t: objective(np.atleast_1d(t))[0], float(lo), float(hi), iters=80)
-    return float(min(val, float(heights[i])))
+def orlicz_norm(f, phi, weight=None):
+    """Orlicz (Amemiya) norm: inf over k > 0 of (1 + mean w*phi(k*|f|)) / k.
+
+    The infimum is taken where mean w*(x phi'(x) - phi(x)) = 1 at x = k|f|,
+    a level solved by Brent's method as the Luxemburg one is (`_amemiya`).
+    Equivalent to the dual-pairing norm for the complementary function;
+    always between the Luxemburg norm and twice the Luxemburg norm.
+    """
+    return _amemiya(f, phi, weight)[1]
 
 
 def orlicz_norm_dual_bound(f, phi, psi, weight=None, trials=64, rng=None):

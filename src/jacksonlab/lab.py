@@ -24,7 +24,7 @@ from .approx import best_approx, degree_below, k_delta, k_functional
 from .grid import (GridFunction, NormSpec, discretize, luxemburg_norm,
                    orlicz_norm, random_smooth)
 from .ops import (_as_norm, _one_parameter_norms, averaged_modulus, cesaro,
-                  modulus, semigroup_difference, semigroup_modulus)
+                  modulus, semigroup_modulus)
 from .young import YoungFunction, zygmund
 
 _RHS_FLOOR = 1e-13
@@ -572,7 +572,7 @@ def _difference(f, p, nfun, u, order):
 
 
 def _abel_difference(f, p, nfun, u, order):
-    return nfun(semigroup_difference(f, u, "abel", order))
+    return _one_parameter_norms(f, [u], "abel", order, None, nfun)[0]
 
 
 def _heat_k(f, p, nfun, u, order):

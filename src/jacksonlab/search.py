@@ -57,12 +57,6 @@ def golden_max(f, lo, hi, iters=80):
     return xm, fm
 
 
-def golden_min(f, lo, hi, iters=80):
-    """Minimize a unimodal function over [lo, hi]; see `golden_max`."""
-    x, fneg = golden_max(lambda t: -np.asarray(f(t), dtype=float), lo, hi, iters)
-    return x, -fneg
-
-
 def bisect_level(f, lo, hi, level=0.0, increasing=True, iters=100, tol=0.0):
     """Solve f(x) = level for monotone scalar f on a bracketing interval.
 

@@ -7,7 +7,7 @@ import pytest
 
 from jacksonlab import (GridFunction, NormSpec, best_approx, degree_below,
                         directional_deriv, discretize, k_delta, k_functional, lp_norm,
-                        projection, random_smooth, semigroup_difference)
+                        projection, random_smooth, semigroup_difference, zygmund)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -55,6 +55,16 @@ def test_best_approx_refine_never_hurts():
         refined = best_approx(f, 4, spec, refine=True)
         assert refined.value <= plain.value + 1e-12
         assert refined.optimized is not None
+    # the Orlicz subgradient takes the Amemiya minimizer k* from the level solve
+    for size, dim in ((64, 1), (16, 2)):
+        for weighted in (False, True):
+            f = random_smooth(size, dim, rng)
+            w = 1.0 + 0.5 * rng.uniform(size=f.samples.shape) if weighted else None
+            spec = NormSpec(variant="orlicz", phi=zygmund(2.0, 0.5), weight=w)
+            plain = best_approx(f, 3, spec)
+            refined = best_approx(f, 3, spec, refine=True)
+            assert refined.value <= plain.value + 1e-12
+            assert refined.optimized is not None
 
 
 def test_best_approx_is_memoized_without_refine():
@@ -137,6 +147,9 @@ def test_k_functional_heat_route_is_k_delta():
         direct = spec.norm(semigroup_difference(f, 0.6 * 0.6, "heat", 2))
         assert k_functional(f, 2, 0.6, spec, route="heat").value == direct
         assert k_delta(GridFunction(f.samples.copy()), 2, 0.6 * 0.6, spec) == direct
+        # under plain L2 the value is a Parseval sum, equal to rounding
+        direct = lp_norm(semigroup_difference(f, 0.6 * 0.6, "heat", 2), 2.0)
+        assert k_delta(f, 2, 0.6 * 0.6) == pytest.approx(direct, rel=1e-14)
 
 
 def test_k_functional_vanishes_iff_constant():

@@ -165,6 +165,8 @@ def test_config_validation_exit_codes(tmp_path, capsys):
          "'checks[1].params.L': must be an integer >= 0, got -1"),
         ({"checks": [{"id": "jackson-1.4", "params": {"n_range": [1, "4"]}}]},
          "'checks[0].params.n_range'"),
+        ({"checks": [{"id": "basic-2.1"}], "seed": True}, "'seed'"),
+        ({"checks": [{"id": "basic-2.1"}], "seed": 1.0}, "'seed'"),
     ]
     for config, needle in cases:
         cfg = write_config(tmp_path, config)

@@ -3,12 +3,13 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from jacksonlab import (GridFunction, NormSpec, bisect_level_log, complementary,
-                        discretize, grid_points, log_power, lp_norm,
+                        discretize, exp_growth, golden_max, grid_points, log_power, lp_norm,
                         luxemburg_norm, orlicz_functional, orlicz_norm,
                         orlicz_norm_dual_bound, patch, power, random_smooth,
                         two_power, zygmund)
@@ -92,10 +93,15 @@ class CountedYoung:
     def __init__(self, phi):
         self.phi = phi
         self.calls = 0
+        self.derivs = 0
 
     def __call__(self, x):
         self.calls += 1
         return self.phi(x)
+
+    def deriv_plus(self, x):
+        self.derivs += 1
+        return self.phi.deriv_plus(x)
 
 
 def test_luxemburg_brent_matches_bisection_oracle():
@@ -119,6 +125,92 @@ def test_luxemburg_evaluation_budget():
         # bracketing included; bisection to rtol=1e-13 needs about 47
         assert phi.calls <= 16
         assert orlicz_functional((1.0 / lux) * f, phi.phi) == pytest.approx(1.0, rel=1e-12)
+
+
+def amemiya_by_scan_and_golden(f, phi, weight=None):
+    # the earlier evaluator: a 61-point scan of (1 + rho(k f))/k over
+    # k in exp(+-3)/lux, then 80 golden-section steps around the best point
+    lux = luxemburg_norm(f, phi, weight)
+    absf = np.abs(f.samples).ravel()
+    w = None if weight is None else (weight / np.mean(weight)).ravel()
+
+    def objective(logk):
+        k = np.exp(logk)
+        vals = np.asarray(phi(np.outer(k, absf)), dtype=float)
+        return (1.0 + np.mean(vals if w is None else vals * w, axis=1)) / k
+
+    scan = np.log(1.0 / lux) + np.linspace(-3.0, 3.0, 61)
+    heights = objective(scan)
+    i = int(np.argmin(heights))
+    lo, hi = scan[max(i - 1, 0)], scan[min(i + 1, len(scan) - 1)]
+    _, neg = golden_max(lambda t: -objective(np.atleast_1d(t))[0], float(lo), float(hi), iters=80)
+    return min(-neg, float(heights[i]))
+
+
+def test_orlicz_level_solve_matches_scan_and_golden_oracle():
+    rng = np.random.default_rng(5)
+    phis = [zygmund(2.0, 0.5), power(3.0), two_power(1.5, 3.0), log_power(3.0),
+            exp_growth(), complementary(zygmund(2.0, 0.5))]
+    for phi in phis:
+        for size, dim in ((64, 1), (16, 2)):
+            for weighted in (False, True):
+                f = random_smooth(size, dim, rng) * float(10.0 ** rng.uniform(-2.0, 1.5))
+                w = 1.0 + 0.5 * rng.uniform(size=f.samples.shape) if weighted else None
+                ref = amemiya_by_scan_and_golden(f, phi, w)
+                assert orlicz_norm(f, phi, w) == pytest.approx(ref, rel=1e-13)
+
+
+def test_orlicz_kinked_young_level_jump():
+    # at x = 1 the level x phi'(x) - phi(x) jumps from 1/2 to 2 (two_power)
+    # or from 1 to 3 (log_power); for a constant c every sample jumps at once,
+    # the jump straddles 1, and the infimum is taken at k = 1/c: 2c
+    for phi, below, above in ((two_power(1.5, 3.0), 0.5, 2.0), (log_power(3.0), 1.0, 3.0)):
+        gap = lambda x: x * phi.deriv_plus(x) - phi(x)  # noqa: E731
+        assert gap(1.0 - 1e-12) == pytest.approx(below, rel=1e-9)
+        assert gap(1.0) == pytest.approx(above, rel=1e-12)
+        for c in (0.3, 1.0, 7.0):
+            f = GridFunction(np.full(64, c))
+            assert orlicz_norm(f, phi) == pytest.approx(2.0 * c, rel=1e-14)
+            weight = 1.0 + np.arange(64.0)
+            assert orlicz_norm(f, phi, weight) == pytest.approx(2.0 * c, rel=1e-14)
+
+
+def test_orlicz_power_one_is_l1():
+    # x phi'(x) - phi(x) = 0: no crossing, the infimum is the limit k -> oo
+    rng = np.random.default_rng(12)
+    for size, dim in ((256, 1), (32, 2)):
+        f = random_smooth(size, dim, rng)
+        assert orlicz_norm(f, power(1.0)) == pytest.approx(lp_norm(f, 1.0), rel=1e-14)
+        w = 1.0 + rng.uniform(size=f.samples.shape)
+        assert orlicz_norm(f, power(1.0), w) == pytest.approx(lp_norm(f, 1.0, w), rel=1e-14)
+
+
+def test_orlicz_exp_overflow_stays_quiet():
+    # a spike carrying weight 1e-300 needs phi(x) ~ 1e302, so the Luxemburg
+    # bracket evaluates exp past its overflow; no RuntimeWarning escapes
+    f = GridFunction(np.r_[1.0, np.zeros(63)])
+    w = np.r_[1e-300, np.ones(63)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lux = luxemburg_norm(f, exp_growth(), w)
+        orl = orlicz_norm(f, exp_growth(), w)
+    assert lux <= orl <= 2.0 * lux
+    ks = np.geomspace(0.5, 2.0, 2001) / orl
+    with np.errstate(over="ignore"):
+        brute = [(1.0 + np.mean(w / np.mean(w) * exp_growth()(k * f.samples))) / k for k in ks]
+    assert orl <= min(brute) * (1.0 + 1e-12)
+
+
+def test_orlicz_evaluation_budget():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        f = random_smooth(1024, 1, rng)
+        phi = CountedYoung(zygmund(2.0, 0.5))
+        orl = orlicz_norm(f, phi)
+        # Luxemburg start (at most 16), the level solve, one final modular;
+        # the scan and golden search took 155-159 calls of phi
+        assert phi.calls <= 26 and phi.derivs <= 9
+        assert orl == pytest.approx(amemiya_by_scan_and_golden(f, phi.phi), rel=1e-13)
 
 
 def test_dual_bound_rescaling_budget():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from jacksonlab import bisect_level_log, brent_level_log, golden_max, golden_min
+from jacksonlab import bisect_level_log, brent_level_log, golden_max
 from jacksonlab.search import _INV_PHI
 
 
@@ -119,10 +119,8 @@ def test_golden_exit_is_bit_identical():
     assert f_exit.calls < f_full.calls // 2
 
 
-def test_golden_scalar_and_min_wrappers():
+def test_golden_scalar_wrapper():
     x, fx = golden_max(lambda t: -(t - 0.3) ** 2, -1.0, 2.0, iters=200)
     assert isinstance(x, float) and x == pytest.approx(0.3, abs=1e-7)
     x_ref, _ = golden_max_full(lambda t: -(t - 0.3) ** 2, -1.0, 2.0, 200)
     assert x == float(x_ref[0])
-    x, fx = golden_min(lambda t: (t - 1.5) ** 2 + 2.0, 0.0, 4.0, iters=80)
-    assert x == pytest.approx(1.5, abs=1e-7) and fx == pytest.approx(2.0)
