@@ -5,7 +5,9 @@ candidates inside the admissible degree band (partial sum, and a ramped
 projection at half degree); an optional projected-subgradient pass tightens
 them for non-Hilbert norms.  K-functionals are evaluated through three
 routes: a realization over smoothed candidates, a heat-semigroup
-difference, and a circular-mean difference on the 2-torus.
+difference, and a circular-mean difference on the 2-torus.  The candidate
+errors, the realization and the circular-mean route are rows of
+`ops._multiplier_norms` (1 - P_n, P_n (-|nu|^2)^ell, V_ell(t) - 1).
 """
 
 from __future__ import annotations
@@ -16,14 +18,26 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridFunction, _amemiya, _weight_array, lp_norm, luxemburg_norm
-from .ops import (_apply_multiplier, _as_norm, _axis_freqs, _inverse, _memoized,
-                  _mode_radius, _one_parameter_norms, _positive_int, laplacian_power,
-                  spherical_mean)
+from .ops import (_apply_multiplier, _as_norm, _axis_freqs, _given, _memoized, _mode_radius,
+                  _mode_radius2, _multiplier_norms, _one_parameter_norms, _positive_int,
+                  _spherical_mean_multiplier)
 
 
 def degree_below(lam):
     """Largest admissible degree strictly below lam (at least 0)."""
     return max(0, math.ceil(lam - 1e-9) - 1)
+
+
+def _band(f, n, kind):
+    """Half-grid multiplier of the degree-n band projection (see `projection`)."""
+    if n < 0 or n != int(n):
+        raise ValueError(f"degree must be a nonnegative integer, got {n}")
+    if kind not in ("partial_sum", "vallee_poussin"):
+        raise ValueError(f"unknown projection kind {kind!r}")
+    rad = _mode_radius(f.size, f.dim)
+    if kind == "partial_sum" or n == 0:
+        return (rad <= n + 1e-9).astype(float)
+    return np.clip((2.0 * n - rad) / n, 0.0, 1.0)
 
 
 def projection(f, n, kind="partial_sum"):
@@ -33,19 +47,7 @@ def projection(f, n, kind="partial_sum"):
     ramps linearly from 1 at |nu| <= n to 0 at |nu| >= 2n, so its output
     has degree at most 2n - 1 but much better norm behaviour.
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"degree must be a nonnegative integer, got {n}")
-    rad = _mode_radius(f.size, f.dim)
-    if kind == "partial_sum":
-        mult = (rad <= n + 1e-9).astype(float)
-    elif kind == "vallee_poussin":
-        if n == 0:
-            mult = (rad <= 1e-9).astype(float)
-        else:
-            mult = np.clip((2.0 * n - rad) / n, 0.0, 1.0)
-    else:
-        raise ValueError(f"unknown projection kind {kind!r}")
-    return _apply_multiplier(f, mult)
+    return _apply_multiplier(f, _band(f, n, kind))
 
 
 @dataclass(frozen=True)
@@ -72,24 +74,24 @@ def best_approx(f, n, norm=None, refine=False, iters=500, step=0.5):
     candidate; this needs a declarative norm (NormSpec or None for L2).
     Without refine the result is memoized on f, as the moduli are.
     """
-    if not refine:
-        return _memoized(f, ("best_approx", n), norm, lambda: _best_candidate(f, n, norm)[0])
-    if norm is not None and not hasattr(norm, "norm"):
+    if refine and norm is not None and not hasattr(norm, "norm"):
         raise ValueError("refine needs a declarative norm, not a bare callable")
-    plain, start = _best_candidate(f, n, norm)
+    plain = _memoized(f, ("best_approx", n), norm, lambda: _best_candidate(f, n, norm))
+    if not refine:
+        return plain
+    start = projection(f, n if plain.method == "partial_sum" else n // 2, plain.method)
     optimized = _refine(f, int(n), start, plain.upper, norm, iters, step)
     return replace(plain, optimized=float(min(optimized, plain.upper)))
 
 
 def _best_candidate(f, n, norm):
-    """The better explicit candidate: its ApproxResult and the polynomial."""
-    nfun = _as_norm(norm)
-    candidates = [("partial_sum", projection(f, n, "partial_sum"))]
+    """The better explicit candidate: |f - P f| for the partial sum and the ramped projection."""
+    rows = [1.0 - _band(f, n, "partial_sum")]
     if n >= 2:
-        candidates.append(("vallee_poussin", projection(f, n // 2, "vallee_poussin")))
-    scored = [(nfun(f - g), name, g) for name, g in candidates]
-    upper, method, start = min(scored, key=lambda item: item[0])
-    return ApproxResult(int(n), float(upper), method), start
+        rows.append(1.0 - _band(f, n // 2, "vallee_poussin"))
+    errors = _multiplier_norms(f, np.stack(rows), _given, norm)
+    k = int(np.argmin(errors))
+    return ApproxResult(int(n), float(errors[k]), ("partial_sum", "vallee_poussin")[k])
 
 
 def _norm_subgradient(u, spec):
@@ -127,7 +129,6 @@ def _norm_subgradient(u, spec):
 
 
 def _refine(f, n, start, start_val, spec, iters, step):
-    mask = _mode_radius(f.size, f.dim) <= n + 1e-9
     nfun = _as_norm(spec)
     g = start.samples.copy()
     best = start_val
@@ -135,7 +136,7 @@ def _refine(f, n, start, start_val, spec, iters, step):
     for k in range(iters):
         u = f.samples - g
         grad = _norm_subgradient(u, spec)
-        direction = _inverse(np.fft.rfftn(grad) * mask, grad.shape)
+        direction = projection(GridFunction(grad), n).samples
         scale = math.sqrt(float(np.mean(direction ** 2)))
         if scale < 1e-300:
             break
@@ -153,9 +154,7 @@ def directional_deriv(f, xi=None, r=1):
     part of the two multipliers, as the real part of the complex transform
     does.
     """
-    if r < 1 or r != int(r):
-        raise ValueError(f"derivative order must be a positive integer, got {r}")
-    r = int(r)
+    r = _positive_int("derivative order", r)
     full, half = _axis_freqs(f.size)
     nyq = f.size // 2
     if f.dim == 1:
@@ -199,35 +198,30 @@ def k_functional(f, ell, t, norm=None, route="realization"):
     """
     if t <= 0.0:
         raise ValueError(f"scale t must be positive, got {t}")
-    if ell < 1 or ell != int(ell):
-        raise ValueError(f"order must be a positive integer, got {ell}")
-    ell = int(ell)
+    ell = _positive_int("order", ell)
     return _memoized(f, ("k_functional", ell, float(t), route), norm,
                      lambda: _k_functional(f, ell, t, norm, route))
 
 
 def _k_functional(f, ell, t, norm, route):
-    nfun = _as_norm(norm)
     if route == "realization":
         n0 = max(1, math.ceil(1.0 / t - 1e-9))
-        best_val, best_deg = None, None
-        for n in (0, n0, 2 * n0):
-            if n == 0:
-                p = GridFunction(np.full_like(f.samples, float(np.mean(f.samples))))
-                val = nfun(f - p)
-            else:
-                p = projection(f, n, "vallee_poussin")
-                val = nfun(f - p) + t ** (2 * ell) * nfun(laplacian_power(p, ell))
-            if best_val is None or val < best_val:
-                best_val, best_deg = val, n
-        return KFuncResult(float(t), ell, route, float(best_val), degree=best_deg)
+        degrees = (0, n0, 2 * n0)
+        bands = np.stack([_band(f, n, "vallee_poussin") for n in degrees])
+        # rows f - P_n f, then Laplacian^ell P_n f (the zero multiplier for the mean, n = 0)
+        rows = np.concatenate([1.0 - bands, bands * (-_mode_radius2(f.size, f.dim)) ** ell])
+        errors, smooth = np.split(np.array(_multiplier_norms(f, rows, _given, norm)), 2)
+        vals = errors + t ** (2 * ell) * smooth
+        k = int(np.argmin(vals))
+        return KFuncResult(float(t), ell, route, float(vals[k]), degree=degrees[k])
     if route == "heat":
         return KFuncResult(float(t), ell, route, k_delta(f, ell, t * t, norm))
     if route == "sphere":
         if f.dim != 2:
             raise ValueError("sphere route needs a 2-d grid")
         notes = ("radius beyond pi/2, values are extrapolated",) if t > math.pi / 2.0 else ()
-        val = nfun(spherical_mean(f, t, ell) - f)
+        row = _spherical_mean_multiplier(f.size, t, ell)[None] - 1.0
+        (val,) = _multiplier_norms(f, row, _given, norm)
         return KFuncResult(float(t), ell, route, float(val), notes=notes)
     raise ValueError(f"unknown route {route!r}")
 

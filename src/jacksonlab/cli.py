@@ -6,10 +6,11 @@ runs a batch and writes per-check JSON/CSV reports plus a summary table.
 Exit status: 0 when every check passes, 1 when any check fails, 2 for
 configuration errors.  A param the check does not read, or a value its
 converter in `lab` refuses (an integer param given 1.5, true or "8", a
-sample count below 1), is rejected before any check runs, as is a
-top-level `N` or `seed` that the same integer rule refuses (`N` must also
-be >= 8); a check whose parameter values are rejected while it runs is
-named by its index and id, and the other checks still write their reports.
+sample count or order below 1, a negative seed, an odd `N` or one below 8,
+a `d` other than 1 or 2), is rejected before any check runs, as is a
+top-level `N`, `seed` or `--seed` that the param of the same name refuses;
+a check whose parameter values are rejected while it runs is named by its
+index and id, and the other checks still write their reports.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ def _load_config(path):
     return config
 
 
-def _convert(name, convert, value):
-    """convert(value); a TypeError or ValueError becomes a ConfigError naming `name`."""
+def _convert(field, name, value):
+    """`value` read as param `name`; a rejected value is a ConfigError naming `field`."""
     try:
-        return convert(value)
+        return lab.convert_param(name, value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field '{name}': {exc}") from exc
+        raise ConfigError(f"config field '{field}': {exc}") from exc
 
 
 def _validate(config, seed_override=None, out_override=None):
@@ -75,13 +76,13 @@ def _validate(config, seed_override=None, out_override=None):
                 raise ConfigError(f"config field 'checks[{k}].params.{name}': {cid} "
                                   f"reads no such param; it reads {', '.join(names)}")
             if value is not None:
-                _convert(f"checks[{k}].params.{name}", lambda v: lab.convert_param(name, v), value)
+                _convert(f"checks[{k}].params.{name}", name, value)
         entries.append((cid, dict(params)))
 
-    size = _convert("N", lab._integer(8), config.get("N", 256))
-    seed = _convert("seed", lab._integer(), config.get("seed", 0))
+    size = _convert("N", "N", config.get("N", 256))
+    seed = _convert("seed", "seed", config.get("seed", 0))
     if seed_override is not None:
-        seed = seed_override
+        seed = _convert("seed", "seed", seed_override)
     out = out_override or config.get("out", "reports")
     if not isinstance(out, str) or not out:
         raise ConfigError(f"config field 'out': must be a non-empty path, got {out!r}")

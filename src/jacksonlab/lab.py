@@ -481,31 +481,33 @@ def _record(cls):
     return convert
 
 
-def _integer(low=-math.inf):
-    """Param converter: an integer >= low; bools, non-integral numbers and strings are refused."""
-    rule = "" if low == -math.inf else f" >= {low}"
+def _integer(low=-math.inf, high=math.inf, even=False):
+    """Param converter: an integer in [low, high], even if asked; no bools, floats or strings."""
+    rule = ("an even integer" if even else "an integer") + (
+        f" from {low} to {high}" if high < math.inf else f" >= {low}" if low > -math.inf else "")
 
     def convert(value):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ValueError(f"must be an integer{rule}, got {value!r}")
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or not low <= value <= high or value % (2 if even else 1)):
+            raise ValueError(f"must be {rule}, got {value!r}")
         return int(value)
     return convert
 
 
-_INT, _COUNT = _integer(), _integer(1)
+_INT, _COUNT, _NATURAL = _integer(), _integer(1), _integer(0)
 
 # name: (default, converter, description).  A missing or null param takes the
 # default; a callable default is computed from the params parsed before it, in
 # the order of `check_params`.
 _PARAMS = {
-    "N": (256, _INT, "grid size"),
-    "d": (1, _INT, "grid dimension"),
-    "seed": (0, _INT, "seed of the random family member"),
+    "N": (256, _integer(8, even=True), "grid size"),
+    "d": (1, _integer(1, 2), "grid dimension"),
+    "seed": (0, _NATURAL, "seed of the random family member"),
     "family": (None, list, "members of the standard family to use (all)"),
     "f": (None, _record(GridFunction), "GridFunction record to use as the family"),
     "spread_bound": (10.0, float, "largest max/median ratio that passes"),
     "norm": (lambda p: NormSpec(), _record(NormSpec), "NormSpec record (L2)"),
-    "r": (1, _INT, "order of the left-hand side"),
+    "r": (1, _COUNT, "order of the left-hand side"),
     "s": (lambda p: p["norm"].s or 2.0, float, "exponent of the dyadic sum (the norm's s, or 2)"),
     "n_range": (None, lambda v: [_INT(v[0]), _INT(v[1])], "scales t = 2^-n for n from lo to hi"),
     "radii": (lambda p: 64 if p["d"] == 1 else 16, _COUNT, "step radii (64 in 1-d, else 16)"),
@@ -516,14 +518,14 @@ _PARAMS = {
     "quad_points": (128, _COUNT, "quadrature points of the averaged modulus"),
     "t_grid": ((0.25, 0.5, 1.0, 2.0, 3.0), lambda v: [float(t) for t in v], "scales t"),
     "h": (0.3, float, "base step"),
-    "L": (10, _integer(0), "last j of the sum"),
+    "L": (10, _NATURAL, "last j of the sum"),
     "m": (None, float, "sharp constant; sets the pass threshold m^{1/s}/2 - tol"),
     "tol": (0.02, float, "margin of the threshold"),
-    "ell": (1, _INT, "order of the K-functional or of the Cesaro mean"),
+    "ell": (1, _COUNT, "order of the K-functional or of the Cesaro mean"),
     "route": ("realization", str, "K-functional route: realization, heat or sphere"),
-    "lambda_power_max": (6, _INT, "lambda = 2^k for k from 0 to this"),
+    "lambda_power_max": (6, _NATURAL, "lambda = 2^k for k from 0 to this"),
     "phi": (lambda p: zygmund(2.0, 0.5), _record(YoungFunction), "Young function record (zygmund)"),
-    "n": (16, _INT, "degree of the Cesaro mean"),
+    "n": (16, _NATURAL, "degree of the Cesaro mean"),
     "slack": (1e-10, float, "rounding slack of the ratio bounds"),
 }
 

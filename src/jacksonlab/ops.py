@@ -14,20 +14,20 @@ cos(N*h/2) in it (the sampled translate of a cos(N*x/2) component is
 cos(N*h/2) * cos(N*x/2)), and the results equal the real part of the
 complex full-grid transform to rounding error.
 
-`modulus`, `semigroup_modulus` and `averaged_modulus` measure
-(T(u) - I)^r f over many steps u.  Under the unweighted L2 norm they take
-no inverse transform at all: by Parseval, the norm is
-sqrt(sum(|M|^2 * w)) with `GridFunction.parseval_weights` w, and |M|^2 is
-built from real sines (the shift: (4 sin^2(nu.h/2))^r, cos(N*h/2) - 1 on
-the Nyquist lines) or from the square of the real heat/abel multiplier.
-|M|^2 is even in the step, so the L2 modulus evaluates only positive steps
-in 1-d and, for an even count, only the directions in [0, pi) in 2-d.
-Every other norm runs the inverse transform: on 1-d and 2-d grids alike
-the multipliers of many steps are stacked and one inverse transform runs
-over the stack (an unweighted L_p norm is then taken over all rows in one
-reduction).  A stack holds max(1, `_STACK_SAMPLES` // N^d) steps, a
-constant per grid, so outputs never depend on the machine or the thread
-count.  `_stacked_norms` is the one evaluator of these stepped norms.
+`_multiplier_norms` is the one evaluator of norms of multiplier images
+M f: for the moduli (`modulus`, `semigroup_modulus`, `averaged_modulus`),
+M = (T(u) - I)^r over many steps u; for `approx`, the rows 1 - P_n,
+P_n (-|nu|^2)^ell and V_ell(t) - 1.  Under the unweighted L2 norm it takes
+no inverse transform at all: by Parseval, the norm is sqrt(sum(|M|^2 * w))
+with `GridFunction.parseval_weights` w.  The shift builds |M|^2 from real
+sines ((4 sin^2(nu.h/2))^r, cos(N*h/2) - 1 on the Nyquist lines), every
+other multiplier squares itself.  |M|^2 of a step is even in the step, so
+the L2 modulus evaluates only positive steps in 1-d and, for an even count,
+only the directions in [0, pi) in 2-d.  Every other norm runs one inverse
+transform per stack of multipliers (an unweighted L_p norm is then taken
+over all rows in one reduction).  A stack holds max(1, `_STACK_SAMPLES` //
+N^d) rows, a constant per grid, so outputs never depend on the machine or
+the thread count.
 
 `modulus` and `semigroup_modulus` (and `approx.k_functional`, `k_delta`
 and `best_approx`) are memoized on the GridFunction instance, keyed by the
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -156,7 +156,7 @@ def translate(f, h):
 def difference(f, h, r=1):
     """r-th forward difference sum_k (-1)^(r-k) C(r,k) f(. + k*h)."""
     r = _positive_int("difference order", r)
-    return _apply_multiplier(f, _step_multipliers(f.size, f.dim, "shift", _as_step(f, h), r)[0])
+    return _apply_multiplier(f, _step_multipliers(f.size, f.dim, "shift", r, _as_step(f, h))[0])
 
 
 _L2 = NormSpec()
@@ -223,7 +223,7 @@ def _int_power(a, r):
 
 
 def _abs2(z):
-    return z.real ** 2 + z.imag ** 2
+    return z * z if z.dtype.kind == "f" else z.real ** 2 + z.imag ** 2
 
 
 def _stacks(steps, size, dim):
@@ -232,45 +232,47 @@ def _stacks(steps, size, dim):
     return (steps[k:k + chunk] for k in range(0, len(steps), chunk))
 
 
-def _stacked_norms(f, kind, r, steps, norm):
-    """Norm of (T(u) - I)^r f for every step u, one inverse FFT per stack of steps.
+def _multiplier_norms(f, items, build, norm):
+    """Norm of M f for every half-grid multiplier M, one inverse FFT per stack of `items`.
 
-    Shift steps are a k x d array, heat and abel times a k-vector.  The
-    unweighted L2 norm takes no inverse FFT (Parseval path); another
-    unweighted L_p norm is one reduction per stack, any other norm one
-    evaluation per row.
+    build(stack) gives the multipliers of a stack of items, build(stack, True)
+    a new array of their |M|^2.  The unweighted L2 norm takes no inverse FFT
+    (Parseval path); another unweighted L_p norm is one reduction per stack,
+    any other norm one evaluation per row.
     """
     plain_p, nfun = _plain_p(norm), _as_norm(norm)
     out = []
-    for block in _stacks(steps, f.size, f.dim):
+    for block in _stacks(items, f.size, f.dim):
         if plain_p == 2.0:
-            m2 = _squared_multipliers(f.size, f.dim, kind, block, r)
+            m2 = build(block, True)
             m2 *= f.parseval_weights()
-            out.extend(np.sqrt(m2.reshape(len(block), -1).sum(axis=-1)).tolist())
+            out.extend(np.sqrt(m2.reshape(len(m2), -1).sum(axis=-1)).tolist())
             continue
-        mults = _step_multipliers(f.size, f.dim, kind, block, r)
-        rows = _inverse(f.spectrum() * mults, f.samples.shape)
+        rows = _inverse(f.spectrum() * build(block), f.samples.shape)
         if plain_p is not None:
-            out.extend(_lp_rows(rows.reshape(len(block), -1), plain_p).tolist())
+            out.extend(_lp_rows(rows.reshape(len(rows), -1), plain_p).tolist())
         else:
             out.extend(float(nfun(GridFunction(row))) for row in rows)
     return out
 
 
-def _step_multipliers(size, dim, kind, steps, r):
-    """(T(u) - I)^r on the half grid, one per step u of the stack (see `_stacked_norms`)."""
-    mults = (_translate_multipliers(size, steps) if kind == "shift"
-             else _semigroup_multiplier(size, dim, steps, kind))
-    mults -= 1.0
-    return _int_power(mults, r)
+def _given(mults, squared=False):
+    """A `_multiplier_norms` build whose items are the multipliers themselves."""
+    return _abs2(mults) if squared else mults
 
 
-def _squared_multipliers(size, dim, kind, steps, r):
-    """|(T(u) - I)^r|^2 on the half grid, one per step u of the stack (see `_stacked_norms`)."""
-    if kind != "shift":
-        m2 = _semigroup_multiplier(size, dim, steps, kind) - 1.0
-        m2 *= m2
-        return _int_power(m2, r)
+def _stacked_norms(f, kind, r, steps, norm):
+    """Norm of (T(u) - I)^r f for every step u (shift: k x d steps; heat, abel: k times)."""
+    return _multiplier_norms(f, steps, partial(_step_multipliers, f.size, f.dim, kind, r), norm)
+
+
+def _step_multipliers(size, dim, kind, r, steps, squared=False):
+    """(T(u) - I)^r on the half grid, or its |.|^2, one per step u of the stack."""
+    if kind != "shift" or not squared:
+        mults = (_translate_multipliers(size, steps) if kind == "shift"
+                 else _semigroup_multiplier(size, dim, steps, kind))
+        mults -= 1.0
+        return _abs2(_int_power(mults, r)) if squared else _int_power(mults, r)
     full, half = _axis_freqs(size)
     # |exp(i*nu.h) - 1| = 2 |sin(nu.h/2)|, exact to rounding even for small nu.h
     if dim == 1:
@@ -361,7 +363,7 @@ def spectral_semigroup(f, t, kind):
 def semigroup_difference(f, t, kind, r=1):
     """(T(t) - I)^r f for the heat or abel semigroup."""
     r = _positive_int("difference order", r)
-    return _apply_multiplier(f, _step_multipliers(f.size, f.dim, kind, np.array([float(t)]), r)[0])
+    return _apply_multiplier(f, _step_multipliers(f.size, f.dim, kind, r, np.array([float(t)]))[0])
 
 
 _SEMIGROUP_KINDS = ("shift", "heat", "abel")
@@ -476,6 +478,13 @@ def _sphere_multiplier(size, t, quad_points):
     return acc
 
 
+def _spherical_mean_multiplier(size, t, ell, quad_points=256):
+    """Half-grid multiplier V_ell(t) of `spherical_mean` (d=2)."""
+    total = sum((-1.0) ** j * math.comb(2 * ell, ell - j)
+                * _sphere_multiplier(size, float(j * t), quad_points) for j in range(1, ell + 1))
+    return total * (-2.0 / math.comb(2 * ell, ell))
+
+
 def spherical_mean(f, t, ell=1, quad_points=256):
     """Circular-mean smoother on the 2-torus.
 
@@ -489,14 +498,7 @@ def spherical_mean(f, t, ell=1, quad_points=256):
     if t < 0.0:
         raise ValueError(f"radius must be >= 0, got {t}")
     ell = _positive_int("order", ell)
-    if ell == 1:
-        return _apply_multiplier(f, _sphere_multiplier(f.size, float(t), quad_points))
-    total = np.zeros((f.size, f.size // 2 + 1), dtype=complex)
-    for j in range(1, ell + 1):
-        term = _sphere_multiplier(f.size, float(j * t), quad_points)
-        total = total + (-1.0) ** j * math.comb(2 * ell, ell - j) * term
-    total *= -2.0 / math.comb(2 * ell, ell)
-    return _apply_multiplier(f, total)
+    return _apply_multiplier(f, _spherical_mean_multiplier(f.size, t, ell, quad_points))
 
 
 # -- declarative operator record -----------------------------------------

@@ -102,11 +102,17 @@ def test_k_functional_heat_route_oracle():
 
 
 def test_k_functional_realization_oracle_on_cos():
-    # projections of degree >= 1 reproduce cos exactly, leaving t^2 |lap cos|
+    # bands of degree >= 1 keep cos's mode exactly (1 - M is 0 there), leaving
+    # t^(2 ell) |lap^ell cos| = t^(2 ell) |cos|.  Once the bands cover the grid
+    # (t <= 2/N) the rounding tail of the samples drops out too, and the value is
+    # exact to rounding even far below the rounding of |cos| itself.
     f = discretize(np.cos, 128, 1)
-    for t in (0.2, 0.5, 1.0):
-        res = k_functional(f, 1, t, route="realization")
-        assert res.value == pytest.approx(t * t / SQRT2, rel=1e-10)
+    for spec, size in ((None, 1.0 / SQRT2), (NormSpec(variant="lp", p=4.0), 0.375 ** 0.25)):
+        for ell in (1, 2):
+            for t in (1.0, 0.5, 0.2, 2.0 ** -4, 2.0 ** -6, 2.0 ** -7, 2.0 ** -8):
+                res = k_functional(f, ell, t, spec, route="realization")
+                rel = 1e-13 if t <= 2.0 / f.size else 1e-10
+                assert res.value == pytest.approx(t ** (2 * ell) * size, rel=rel, abs=0.0)
     assert k_functional(f, 1, 0.5).degree >= 1
 
 
@@ -142,14 +148,16 @@ def test_k_delta_matches_heat_difference():
 def test_k_functional_heat_route_is_k_delta():
     spec = NormSpec(variant="lp", p=4.0)
     rng = np.random.default_rng(9)
-    for dim in (1, 2):
-        f = random_smooth(32, dim, rng)
-        direct = spec.norm(semigroup_difference(f, 0.6 * 0.6, "heat", 2))
-        assert k_functional(f, 2, 0.6, spec, route="heat").value == direct
-        assert k_delta(GridFunction(f.samples.copy()), 2, 0.6 * 0.6, spec) == direct
-        # under plain L2 the value is a Parseval sum, equal to rounding
-        direct = lp_norm(semigroup_difference(f, 0.6 * 0.6, "heat", 2), 2.0)
-        assert k_delta(f, 2, 0.6 * 0.6) == pytest.approx(direct, rel=1e-14)
+    for k in range(60):
+        f = random_smooth(32, 1 + k % 2, rng)
+        # the heat route is k_delta at time t^2 by construction
+        want = k_delta(GridFunction(f.samples.copy()), 2, 0.6 * 0.6, spec)
+        assert k_functional(f, 2, 0.6, spec, route="heat").value == want
+        # the stacked row reduction (L4) and the Parseval sum (L2) agree with the
+        # sample-space norm of the difference to rounding
+        for norm, p in ((spec, 4.0), (None, 2.0)):
+            direct = lp_norm(semigroup_difference(f, 0.6 * 0.6, "heat", 2), p)
+            assert k_delta(f, 2, 0.6 * 0.6, norm) == pytest.approx(direct, rel=1e-14, abs=0.0)
 
 
 def test_k_functional_vanishes_iff_constant():

@@ -157,7 +157,7 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         ({"checks": [{"id": "cesaro-5.1", "params": {"size": 64}}]}, "'checks[0].params.size'"),
         # integer params are never truncated, and the last index L of basic-2.1 is >= 0
         ({"checks": [{"id": "basic-2.1", "params": {"r": 1.5}}]},
-         "'checks[0].params.r': must be an integer, got 1.5"),
+         "'checks[0].params.r': must be an integer >= 1, got 1.5"),
         ({"checks": [{"id": "basic-2.1", "params": {"N": 32.9}}]}, "'checks[0].params.N'"),
         ({"checks": [{"id": "basic-2.1", "params": {"L": 2.5}}]}, "'checks[0].params.L'"),
         ({"checks": [{"id": "basic-2.1", "params": {"L": True}}]}, "'checks[0].params.L'"),
@@ -167,11 +167,34 @@ def test_config_validation_exit_codes(tmp_path, capsys):
          "'checks[0].params.n_range'"),
         ({"checks": [{"id": "basic-2.1"}], "seed": True}, "'seed'"),
         ({"checks": [{"id": "basic-2.1"}], "seed": 1.0}, "'seed'"),
+        # out-of-range integers are rejected before any work, under the same rule at both levels
+        ({"checks": [{"id": "basic-2.1"}], "seed": -1}, "'seed': must be an integer >= 0, got -1"),
+        ({"checks": [{"id": "basic-2.1"}], "N": 34.0}, "'N': must be an even integer >= 8"),
+        ({"checks": [{"id": "basic-2.1"}], "N": 33}, "'N': must be an even integer >= 8, got 33"),
+        ({"checks": [{"id": "basic-2.1", "params": {"seed": -5}}]},
+         "'checks[0].params.seed': must be an integer >= 0, got -5"),
+        ({"checks": [{"id": "basic-2.1", "params": {"r": 0}}]},
+         "'checks[0].params.r': must be an integer >= 1, got 0"),
+        ({"checks": [{"id": "basic-2.1", "params": {"N": 4}}]},
+         "'checks[0].params.N': must be an even integer >= 8, got 4"),
+        ({"checks": [{"id": "basic-2.1", "params": {"N": 31}}]}, "'checks[0].params.N'"),
+        ({"checks": [{"id": "basic-2.1", "params": {"d": 3}}]},
+         "'checks[0].params.d': must be an integer from 1 to 2, got 3"),
+        ({"checks": [{"id": "kfunc-8.9", "params": {"ell": 0}}]},
+         "'checks[0].params.ell': must be an integer >= 1, got 0"),
+        ({"checks": [{"id": "cesaro-5.1", "params": {"n": -1}}]},
+         "'checks[0].params.n': must be an integer >= 0, got -1"),
+        ({"checks": [{"id": "entire-4.12", "params": {"lambda_power_max": -1}}]},
+         "'checks[0].params.lambda_power_max': must be an integer >= 0, got -1"),
     ]
     for config, needle in cases:
         cfg = write_config(tmp_path, config)
         assert main(["run", cfg]) == 2
         assert needle in capsys.readouterr().err
+    # the --seed override takes the rule of the config's seed
+    cfg = write_config(tmp_path, {"checks": [{"id": "basic-2.1"}], "N": 32})
+    assert main(["run", cfg, "--seed", "-1"]) == 2
+    assert "config field 'seed': must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 def test_missing_and_malformed_config(tmp_path, capsys):

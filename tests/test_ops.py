@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from jacksonlab import (GridFunction, NormSpec, OperatorSpec, averaged_modulus,
+from jacksonlab import (GridFunction, NormSpec, OperatorSpec, averaged_modulus, best_approx,
                         cesaro, cesaro_weights, coeffs, difference, directional_deriv,
                         discretize, grid_points, k_delta, k_functional,
                         laplacian_power, lp_norm, luxemburg_norm, modulus, power,
@@ -529,12 +529,12 @@ def test_parseval_moduli_match_inverse_fft_oracle(dim, size):
             assert got == pytest.approx(np.mean([at(u) for u in mids]), rel=1e-13, abs=0.0)
 
 
-def _count_inverse_ffts(monkeypatch):
+def _count_ffts(monkeypatch, names=("irfft", "irfftn")):
     calls = []
-    for name in ("irfft", "irfftn"):
+    for name in names:
         real = getattr(np.fft, name)
 
-        def counted(*args, real=real, **kwargs):
+        def counted(*args, real=real, name=name, **kwargs):
             calls.append(name)
             return real(*args, **kwargs)
 
@@ -544,7 +544,7 @@ def _count_inverse_ffts(monkeypatch):
 
 @pytest.mark.parametrize("dim,size", [(1, 64), (2, 16)])
 def test_only_the_unweighted_l2_norm_skips_the_inverse_fft(dim, size, monkeypatch):
-    calls = _count_inverse_ffts(monkeypatch)
+    calls = _count_ffts(monkeypatch)
     f = _with_nyquist(size, dim, seed=60 + dim)
     weight = 1.0 + 0.5 * np.cos(grid_points(size, dim)[0])
     quantities = [
@@ -573,6 +573,83 @@ def test_parseval_weights_sum_to_the_mean_square():
         assert not weights.flags.writeable
         assert weights.shape == f.spectrum().shape
         assert np.sum(weights) == pytest.approx(np.mean(f.samples ** 2), rel=1e-14)
+
+
+# -- best-approximation errors and K-functionals as multiplier rows ---------
+#
+# The oracle is the chain these quantities once ran: build the projection,
+# subtract it in sample space, transform it again for the Laplacian, then take
+# the norms.
+
+
+def _chain_best_approx(f, n, nfun):
+    candidates = [projection(f, n, "partial_sum")]
+    if n >= 2:
+        candidates.append(projection(f, n // 2, "vallee_poussin"))
+    return min(nfun(f - g) for g in candidates)
+
+
+def _chain_realization(f, ell, t, nfun):
+    n0 = max(1, math.ceil(1.0 / t - 1e-9))
+    vals = [nfun(f - GridFunction(np.full_like(f.samples, np.mean(f.samples))))]
+    for n in (n0, 2 * n0):
+        p = projection(f, n, "vallee_poussin")
+        vals.append(nfun(f - p) + t ** (2 * ell) * nfun(laplacian_power(p, ell)))
+    return min(vals)
+
+
+def _chain_sphere(f, ell, t, nfun):
+    return nfun(spherical_mean(f, t, ell) - f)
+
+
+@pytest.mark.parametrize("dim,size", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("norm", [None, NormSpec(variant="lp", p=4.0), "weighted-l2",
+                                  NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5)),
+                                  NormSpec(variant="orlicz", phi=zygmund(2.0, 0.5)),
+                                  lambda g: lp_norm(g, 3.0)],
+                         ids=["l2", "l4", "weighted-l2", "luxemburg", "orlicz", "callable"])
+def test_approx_rows_match_the_projection_chain(dim, size, norm):
+    f = _with_nyquist(size, dim, seed=90 + dim)
+    spec = _grid_norm(norm, f)
+    nfun = (lambda g: lp_norm(g, 2.0)) if spec is None else getattr(spec, "norm", spec)
+    pairs = [(best_approx(_fresh(f), n, spec).value, _chain_best_approx(f, n, nfun))
+             for n in (0, 1, 3, 6, size // 2)]
+    # at small t the chain's own subtraction noise is above 1e-12 of the value;
+    # the closed form on cos covers that range
+    for ell in (1, 2):
+        for t in (1.3, 0.4, 0.1):
+            pairs.append((k_functional(_fresh(f), ell, t, spec).value,
+                          _chain_realization(f, ell, t, nfun)))
+            if dim == 2:
+                pairs.append((k_functional(_fresh(f), ell, t, spec, route="sphere").value,
+                              _chain_sphere(f, ell, t, nfun)))
+    checked = [(got, want) for got, want in pairs if want > 1e-12]
+    assert len(checked) >= len(pairs) - 1  # only the error of degree N/2 vanishes
+    for got, want in checked:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dim,size", [(1, 64), (2, 16)])
+def test_approx_rows_take_no_fft_beyond_the_spectrum(dim, size, monkeypatch):
+    calls = _count_ffts(monkeypatch, ("rfft", "rfftn", "irfft", "irfftn"))
+    f = _with_nyquist(size, dim, seed=100 + dim)
+    quantities = [lambda g, nrm: best_approx(g, 5, nrm),
+                  lambda g, nrm: k_functional(g, 2, 0.3, nrm)]
+    if dim == 2:
+        quantities.append(lambda g, nrm: k_functional(g, 2, 0.3, nrm, route="sphere"))
+    for quantity in quantities:
+        for nrm in (None, NormSpec(), NormSpec().norm):
+            g = _fresh(f)
+            quantity(g, nrm)
+            # the spectrum of f is the one transform
+            assert calls == ["rfftn"] and g._parseval is not None
+            calls.clear()
+    # under L4 the realization runs at most two inverse FFTs per degree, no forward one
+    g = _fresh(f)
+    k_functional(g, 2, 0.3, NormSpec(variant="lp", p=4.0))
+    inverse = [c for c in calls if c.startswith("irfft")]
+    assert calls.count("rfftn") == 1 and "rfft" not in calls
+    assert 1 <= len(inverse) <= 2 * 3
 
 
 def test_moduli_reject_empty_sample_counts():
