@@ -20,7 +20,7 @@ import numpy as np
 from .grid import GridFunction, _amemiya, _weight_array, lp_norm, luxemburg_norm
 from .ops import (_apply_multiplier, _as_norm, _axis_freqs, _given, _memoized, _mode_radius,
                   _mode_radius2, _multiplier_norms, _one_parameter_norms, _positive_int,
-                  _spherical_mean_multiplier)
+                  _spherical_mean_offset)
 
 
 def degree_below(lam):
@@ -220,7 +220,7 @@ def _k_functional(f, ell, t, norm, route):
         if f.dim != 2:
             raise ValueError("sphere route needs a 2-d grid")
         notes = ("radius beyond pi/2, values are extrapolated",) if t > math.pi / 2.0 else ()
-        row = _spherical_mean_multiplier(f.size, t, ell)[None] - 1.0
+        row = _spherical_mean_offset(f.size, t, ell)[None]
         (val,) = _multiplier_norms(f, row, _given, norm)
         return KFuncResult(float(t), ell, route, float(val), notes=notes)
     raise ValueError(f"unknown route {route!r}")

@@ -29,6 +29,11 @@ over all rows in one reduction).  A stack holds max(1, `_STACK_SAMPLES` //
 N^d) rows, a constant per grid, so outputs never depend on the machine or
 the thread count.
 
+`modulus` and `semigroup_modulus` keep only the max of their rows.  Under
+a Luxemburg or Orlicz norm they go through `_multiplier_sup`, which rules
+rows out by one vectorized modular per stack and solves only the rows that
+may beat the running max; the result is the per-row max bit for bit.
+
 `modulus` and `semigroup_modulus` (and `approx.k_functional`, `k_delta`
 and `best_approx`) are memoized on the GridFunction instance, keyed by the
 quantity, its orders and parameters, and `NormSpec.key()`; the memo dies
@@ -43,7 +48,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .grid import GridFunction, NormSpec, _lp_rows
+from .grid import GridFunction, NormSpec, _amemiya, _lp_rows, _weight_array, luxemburg_norm
 
 # Sample budget of one batched inverse transform (rows = budget // N^d, at least 1).
 _STACK_SAMPLES = 1 << 15
@@ -82,18 +87,22 @@ def _axis_freqs(size):
     return full, half
 
 
+def _axis_angles(size, steps):
+    """(h, nu*h) along each axis for a k x d stack of steps h (the last axis is the half axis)."""
+    full, half = _axis_freqs(size)
+    dim = steps.shape[1]
+    return [(steps[:, axis], np.outer(steps[:, axis], half if axis == dim - 1 else full))
+            for axis in range(dim)]
+
+
 def _axis_phases(size, steps):
     """exp(i*nu*h) along each axis for a k x d stack of steps h.
 
     One k x len(axis) array per axis (the last axis is the half axis), with
     the real cos(N*h/2) in the Nyquist slot.
     """
-    full, half = _axis_freqs(size)
-    dim = steps.shape[1]
     phases = []
-    for axis in range(dim):
-        h = steps[:, axis]
-        angles = np.outer(h, half if axis == dim - 1 else full)
+    for h, angles in _axis_angles(size, steps):
         phase = np.empty(angles.shape, dtype=complex)
         np.cos(angles, out=phase.real)
         np.sin(angles, out=phase.imag)
@@ -238,7 +247,8 @@ def _multiplier_norms(f, items, build, norm):
     build(stack) gives the multipliers of a stack of items, build(stack, True)
     a new array of their |M|^2.  The unweighted L2 norm takes no inverse FFT
     (Parseval path); another unweighted L_p norm is one reduction per stack,
-    any other norm one evaluation per row.
+    any other norm one evaluation per row.  A caller that keeps only the max
+    takes `_multiplier_sup`, which solves few rows under a Young norm.
     """
     plain_p, nfun = _plain_p(norm), _as_norm(norm)
     out = []
@@ -261,9 +271,81 @@ def _given(mults, squared=False):
     return _abs2(mults) if squared else mults
 
 
-def _stacked_norms(f, kind, r, steps, norm):
-    """Norm of (T(u) - I)^r f for every step u (shift: k x d steps; heat, abel: k times)."""
-    return _multiplier_norms(f, steps, partial(_step_multipliers, f.size, f.dim, kind, r), norm)
+def _multiplier_sup(f, items, build, norm):
+    """max(0, *`_multiplier_norms`(f, items, build, norm)), bit for bit.
+
+    Under a Luxemburg or Orlicz norm, weighted or not, each stack's rows go
+    through `_young_stack_sup`, which solves only the rows that may beat the
+    running max; every other norm takes the max of `_multiplier_norms`.
+    """
+    spec = _norm_spec(norm)
+    if spec is None or spec.variant == "lp":
+        return max([0.0, *_multiplier_norms(f, items, build, norm)])
+    w = _weight_array(f, spec.weight)
+    w = None if w is None else w.ravel()
+    best = (0.0, None)
+    # the moduli list their steps outward, so the last stack mostly holds the max
+    for block in reversed(list(_stacks(items, f.size, f.dim))):
+        rows = _inverse(f.spectrum() * build(block), f.samples.shape)
+        best = _young_stack_sup(f, rows, spec, w, best)
+    return best[0]
+
+
+def _young_stack_sup(f, rows, spec, w, best):
+    """The running (max norm, its Amemiya k*) `best`, raised by the rows of one stack.
+
+    One vectorized modular mean w*phi(k|row|) over the live rows rules rows
+    out.  Luxemburg: the modular is nonincreasing in a = 1/k, so at a a hair
+    below the max a row with modular <= 1 has a smaller norm.  Orlicz:
+    (1 + modular)/k bounds the Amemiya norm from above for every k, so at
+    the max's own k* a row whose bound is a hair below the max has a smaller
+    norm.  The hair (a relative 1e-9) is far above the level solvers'
+    tolerance, so a row left out never carries the max and the result is
+    the per-row max bit for bit.  The rows kept are solved largest modular
+    first, and each new max filters again; before a nonzero max they are
+    ranked by peak.  `rows` is overwritten by its absolute values: a Young
+    norm reads |row| only; `w` is the flattened normalized weight or None.
+    """
+    live = np.abs(rows, out=rows).reshape(len(rows), -1)
+    phi, lux = spec.phi, spec.variant == "luxemburg"
+    while len(live):
+        top, kstar = best
+        if top == 0.0:
+            # zero rows have norm 0 and are left out
+            mod, level = live.max(axis=-1), 0.0
+        else:
+            floor = top * (1.0 - 1e-9)
+            k, level = (1.0 / floor, 1.0) if lux else (kstar, kstar * floor - 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.asarray(phi(k * live), dtype=float)
+                if w is not None:
+                    vals *= w
+                mod = vals.mean(axis=-1)
+        keep = ~(mod <= level)  # a NaN modular stays in
+        live, mod = live[keep], mod[keep]
+        order = np.argsort(-mod, kind="stable")
+        for n, j in enumerate(order):
+            row = GridFunction(live[j].reshape(f.samples.shape))
+            if lux:
+                value, kj = luxemburg_norm(row, phi, spec.weight), None
+            else:
+                kj, value = _amemiya(row, phi, spec.weight)
+            if value > best[0]:
+                best = (value, kj)
+                live = np.delete(live, order[:n + 1], axis=0)
+                break
+        else:
+            break
+    return best
+
+
+def _stacked_norms(f, kind, r, steps, norm, sup=False):
+    """Norm of (T(u) - I)^r f for every step u (shift: k x d steps; heat, abel: k times).
+
+    With `sup`, the max of those norms and 0 (`_multiplier_sup`).
+    """
+    build = partial(_step_multipliers, f.size, f.dim, kind, r)
+    return (_multiplier_sup if sup else _multiplier_norms)(f, steps, build, norm)
 
 
 def _step_multipliers(size, dim, kind, r, steps, squared=False):
@@ -320,12 +402,12 @@ def _modulus(f, r, t, norm, directions, radii):
     even = _plain_p(norm) == 2.0
     if f.dim == 1:
         steps = rad if even else np.stack([rad, -rad], axis=1).ravel()
-        return max([0.0, *_stacked_norms(f, "shift", r, steps[:, None], norm)])
+        return _stacked_norms(f, "shift", r, steps[:, None], norm, sup=True)
     # an even count pairs every direction in [0, pi) with its opposite
     count = directions // 2 if even and directions % 2 == 0 else directions
     angles = 2.0 * np.pi * np.arange(count) / directions
     steps = np.array([(rho * math.cos(th), rho * math.sin(th)) for rho in rad for th in angles])
-    return max([0.0, *_stacked_norms(f, "shift", r, steps, norm)])
+    return _stacked_norms(f, "shift", r, steps, norm, sup=True)
 
 
 # -- semigroups ----------------------------------------------------------
@@ -383,8 +465,8 @@ def _semigroup_kind_direction(semigroup, direction):
     return kind, direction
 
 
-def _one_parameter_norms(f, us, kind, r, direction, norm):
-    """Norm of (T(u) - I)^r f for every u in `us`.
+def _one_parameter_norms(f, us, kind, r, direction, norm, sup=False):
+    """Norm of (T(u) - I)^r f for every u in `us` (with `sup`, their max and 0).
 
     The 2-d shift steps by length u along `direction` (default (1, 0)).
     """
@@ -397,7 +479,7 @@ def _one_parameter_norms(f, us, kind, r, direction, norm):
         if scale <= 0.0:
             raise ValueError("shift direction must be a nonzero vector")
         us = np.outer(us, (dx, dy)) / scale
-    return _stacked_norms(f, kind, r, us, norm)
+    return _stacked_norms(f, kind, r, us, norm, sup)
 
 
 def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, direction=None):
@@ -416,7 +498,7 @@ def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, directio
            None if direction is None else tuple(float(v) for v in direction))
     us = t * (np.arange(1, points + 1) / points)
     return _memoized(f, key, norm,
-                     lambda: max([0.0, *_one_parameter_norms(f, us, kind, r, direction, norm)]))
+                     lambda: _one_parameter_norms(f, us, kind, r, direction, norm, sup=True))
 
 
 def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, direction=None):
@@ -464,24 +546,51 @@ def laplacian_power(f, ell=1):
     return _apply_multiplier(f, (-_mode_radius2(f.size, f.dim)) ** ell)
 
 
+def _axis_phase_offsets(size, steps):
+    """exp(i*nu*h) - 1 along each axis for a k x d stack of steps h, free of cancellation.
+
+    2i sin(nu*h/2) exp(i*nu*h/2) = i sin(nu*h) - 2 sin^2(nu*h/2), and the real
+    cos(N*h/2) - 1 = -2 sin^2(N*h/4) in the Nyquist slot (see `_axis_phases`).
+    """
+    offsets = []
+    for h, angles in _axis_angles(size, steps):
+        off = np.empty(angles.shape, dtype=complex)
+        np.sin(angles, out=off.imag)
+        half_sin = np.sin(0.5 * angles)
+        off.real = -2.0 * half_sin * half_sin
+        off[:, size // 2] = -2.0 * np.sin(0.25 * size * h) ** 2
+        offsets.append(off)
+    return offsets
+
+
 @lru_cache(maxsize=512)
-def _sphere_multiplier(size, t, quad_points):
-    """Average of translate multipliers over the circle of radius t (d=2, half grid)."""
+def _sphere_offset(size, t, quad_points):
+    """Mean of exp(i*nu.h) - 1 over the circle |h| = t (d=2, half grid, read-only).
+
+    Each term is (1 + a)(1 + b) - 1 = a + b + ab from the axis offsets a, b,
+    so no 1 is subtracted from a sum near 1 and the mean keeps its relative
+    accuracy as t shrinks.
+    """
     ths = [2.0 * math.pi * k / quad_points for k in range(quad_points)]
     steps = np.array([(t * math.cos(th), t * math.sin(th)) for th in ths])
     acc = np.zeros((size, size // 2 + 1), dtype=complex)
     for block in _stacks(steps, size, 2):
-        for mult in _translate_multipliers(size, block):
-            acc += mult
+        a, b = _axis_phase_offsets(size, block)
+        a, b = a[:, :, None], b[:, None, :]
+        acc += (a * b + a + b).sum(axis=0)
     acc /= quad_points
     acc.setflags(write=False)
     return acc
 
 
-def _spherical_mean_multiplier(size, t, ell, quad_points=256):
-    """Half-grid multiplier V_ell(t) of `spherical_mean` (d=2)."""
+def _spherical_mean_offset(size, t, ell, quad_points=256):
+    """Half-grid multiplier V_ell(t) - 1 of `spherical_mean` minus the identity (d=2).
+
+    The weights of V_ell sum to 1, so V_ell - 1 is the same sum over the
+    circle means of exp(i*nu.h) - 1.
+    """
     total = sum((-1.0) ** j * math.comb(2 * ell, ell - j)
-                * _sphere_multiplier(size, float(j * t), quad_points) for j in range(1, ell + 1))
+                * _sphere_offset(size, float(j * t), quad_points) for j in range(1, ell + 1))
     return total * (-2.0 / math.comb(2 * ell, ell))
 
 
@@ -498,7 +607,7 @@ def spherical_mean(f, t, ell=1, quad_points=256):
     if t < 0.0:
         raise ValueError(f"radius must be >= 0, got {t}")
     ell = _positive_int("order", ell)
-    return _apply_multiplier(f, _spherical_mean_multiplier(f.size, t, ell, quad_points))
+    return _apply_multiplier(f, 1.0 + _spherical_mean_offset(f.size, t, ell, quad_points))
 
 
 # -- declarative operator record -----------------------------------------

@@ -38,11 +38,13 @@ def test_best_approx_l2_oracle():
     f = discretize(lambda x: np.cos(x) + 0.5 * np.cos(5.0 * x), 256, 1)
     # in L2 the partial sum is optimal, so the error is the removed energy
     res = best_approx(f, 3)
-    assert res.value == pytest.approx(0.5 / SQRT2, rel=1e-12)
+    assert res.value == pytest.approx(0.5 / SQRT2, rel=1e-12, abs=0.0)
     assert res.degree == 3
+    # f lies in the degree-5 space: the error is 0 up to rounding of an O(1) signal
     assert best_approx(f, 5).value == pytest.approx(0.0, abs=1e-12)
     cos = discretize(np.cos, 256, 1)
-    assert best_approx(cos, 0).value == pytest.approx(1.0 / SQRT2, rel=1e-12)
+    assert best_approx(cos, 0).value == pytest.approx(1.0 / SQRT2, rel=1e-12, abs=0.0)
+    # cos has degree 1: only rounding of the unit-size samples is left
     assert best_approx(cos, 1).value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -97,7 +99,7 @@ def test_k_functional_heat_route_oracle():
     for t in (0.25, 0.7):
         res = k_functional(f, 1, t, route="heat")
         want = (1.0 - math.exp(-t * t)) / SQRT2
-        assert res.value == pytest.approx(want, rel=1e-12)
+        assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
         assert res.route == "heat"
 
 
@@ -138,11 +140,31 @@ def test_k_functional_sphere_route():
         k_functional(discretize(np.cos, 32, 1), 1, 0.5, route="sphere")
 
 
+def _j0_minus_one(x):
+    """J0(x) - 1 by its power series, summed from the first term (no 1 to cancel)."""
+    term, total, k = 1.0, 0.0, 0
+    while True:
+        k += 1
+        term *= -(x * x / 4.0) / (k * k)
+        if total + term == total:
+            return total
+        total += term
+
+
+def test_k_functional_sphere_route_keeps_digits_at_small_radii():
+    # the circle mean of cos(x)cos(y) is J0(sqrt(2) t) times it, and |cos(x)cos(y)|_2 = 1/2
+    f = discretize(lambda x, y: np.cos(x) * np.cos(y), 16, 2)
+    for t in (2.0 ** -6, 2.0 ** -8, 2.0 ** -10):
+        want = -0.5 * _j0_minus_one(SQRT2 * t)
+        got = k_functional(f, 1, t, route="sphere").value
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_k_delta_matches_heat_difference():
     f = discretize(np.cos, 64, 1)
     got = k_delta(f, 2, 0.3)
     want = (1.0 - math.exp(-0.3)) ** 2 / SQRT2
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_k_functional_heat_route_is_k_delta():
@@ -162,6 +184,7 @@ def test_k_functional_heat_route_is_k_delta():
 
 def test_k_functional_vanishes_iff_constant():
     const = discretize(lambda x: 0.0 * x + 2.5, 64, 1)
+    # a constant is its own smoothing: only rounding of the samples (2.5) is left
     assert k_functional(const, 1, 0.5).value == pytest.approx(0.0, abs=1e-13)
     f = discretize(np.cos, 64, 1)
     assert k_functional(f, 1, 0.5).value > 1e-3

@@ -112,6 +112,25 @@ def test_full_batch_is_byte_identical_across_jobs(tmp_path):
             (tmp_path / "two" / name).read_bytes(), name
 
 
+def test_young_norm_batch_is_byte_identical_across_jobs_and_runs(tmp_path):
+    # the Luxemburg moduli take the pruned sup; rows left out must never change a byte
+    norm = {"norm": "luxemburg", "phi": {"kind": "zygmund", "params": [2.0, 0.5]}}
+    ids = ("jackson-1.4", "semigroup-7.4", "shift-7.5")
+    config = {"checks": [{"id": cid, "params": {"norm": norm}} for cid in ids],
+              "N": 256, "seed": 2024}
+    cfg = write_config(tmp_path, config)
+    runs = (("one", "1"), ("two", "2"), ("again", "2"))
+    for out, jobs in runs:
+        assert main(["run", cfg, "--out", str(tmp_path / out), "--jobs", jobs]) == 0
+    names = sorted(p.name for p in (tmp_path / "one").iterdir()
+                   if p.suffix == ".csv" and p.name != "summary.csv")
+    assert len(names) == 3
+    for name in names:
+        first = (tmp_path / "one" / name).read_bytes()
+        for out, _ in runs[1:]:
+            assert (tmp_path / out / name).read_bytes() == first, (out, name)
+
+
 def test_seed_override_changes_results(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["run", cfg, "--out", str(tmp_path / "s7")]) == 0

@@ -20,9 +20,9 @@ SQRT2 = math.sqrt(2.0)
 def test_grid_points_and_discretize():
     (x,) = grid_points(8, 1)
     assert x.shape == (8,)
-    assert x[0] == 0.0 and x[1] == pytest.approx(math.pi / 4.0)
+    assert x[0] == 0.0 and x[1] == pytest.approx(math.pi / 4.0, rel=1e-6, abs=0.0)
     xx, yy = grid_points(4, 2)
-    assert xx.shape == (4, 4) and yy[0, 1] == pytest.approx(math.pi / 2.0)
+    assert xx.shape == (4, 4) and yy[0, 1] == pytest.approx(math.pi / 2.0, rel=1e-6, abs=0.0)
     f = discretize(np.cos, 16, 1)
     assert f.dim == 1 and f.size == 16
     g = discretize(lambda a, b: np.cos(a) * np.sin(b), 16, 2)
@@ -51,7 +51,7 @@ def test_lp_norm_trig_oracles():
     assert lp_norm(f, np.inf) == pytest.approx(1.0, abs=1e-14)
     # |cos| converges at the aliasing rate for the remaining exponents
     big = discretize(np.cos, 4096, 1)
-    assert lp_norm(big, 1.0) == pytest.approx(2.0 / math.pi, rel=1e-6)
+    assert lp_norm(big, 1.0) == pytest.approx(2.0 / math.pi, rel=1e-6, abs=0.0)
 
 
 def test_lp_norm_weighted():
@@ -69,7 +69,7 @@ def test_luxemburg_matches_lp_for_power_young():
             f = random_smooth(256, 1, rng)
             lux = luxemburg_norm(f, phi)
             ref = lp_norm(f, p)
-            assert lux == pytest.approx(ref, rel=1e-10)
+            assert lux == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def luxemburg_by_bisection(f, phi, weight=None, rtol=1e-13):
@@ -113,7 +113,7 @@ def test_luxemburg_brent_matches_bisection_oracle():
             f = random_smooth(256, 1, rng) * float(10.0 ** rng.uniform(-2.0, 2.0))
             weight = None if k % 2 == 0 else 1.0 + 0.5 * rng.uniform(size=256)
             ref = luxemburg_by_bisection(f, phi, weight)
-            assert luxemburg_norm(f, phi, weight) == pytest.approx(ref, rel=1e-13)
+            assert luxemburg_norm(f, phi, weight) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_luxemburg_evaluation_budget():
@@ -124,7 +124,8 @@ def test_luxemburg_evaluation_budget():
         lux = luxemburg_norm(f, phi)
         # bracketing included; bisection to rtol=1e-13 needs about 47
         assert phi.calls <= 16
-        assert orlicz_functional((1.0 / lux) * f, phi.phi) == pytest.approx(1.0, rel=1e-12)
+        assert orlicz_functional((1.0 / lux) * f, phi.phi) == pytest.approx(1.0, rel=1e-12,
+                                                                            abs=0.0)
 
 
 def amemiya_by_scan_and_golden(f, phi, weight=None):
@@ -157,7 +158,7 @@ def test_orlicz_level_solve_matches_scan_and_golden_oracle():
                 f = random_smooth(size, dim, rng) * float(10.0 ** rng.uniform(-2.0, 1.5))
                 w = 1.0 + 0.5 * rng.uniform(size=f.samples.shape) if weighted else None
                 ref = amemiya_by_scan_and_golden(f, phi, w)
-                assert orlicz_norm(f, phi, w) == pytest.approx(ref, rel=1e-13)
+                assert orlicz_norm(f, phi, w) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_orlicz_kinked_young_level_jump():
@@ -166,13 +167,13 @@ def test_orlicz_kinked_young_level_jump():
     # the jump straddles 1, and the infimum is taken at k = 1/c: 2c
     for phi, below, above in ((two_power(1.5, 3.0), 0.5, 2.0), (log_power(3.0), 1.0, 3.0)):
         gap = lambda x: x * phi.deriv_plus(x) - phi(x)  # noqa: E731
-        assert gap(1.0 - 1e-12) == pytest.approx(below, rel=1e-9)
-        assert gap(1.0) == pytest.approx(above, rel=1e-12)
+        assert gap(1.0 - 1e-12) == pytest.approx(below, rel=1e-9, abs=0.0)
+        assert gap(1.0) == pytest.approx(above, rel=1e-12, abs=0.0)
         for c in (0.3, 1.0, 7.0):
             f = GridFunction(np.full(64, c))
-            assert orlicz_norm(f, phi) == pytest.approx(2.0 * c, rel=1e-14)
+            assert orlicz_norm(f, phi) == pytest.approx(2.0 * c, rel=1e-14, abs=0.0)
             weight = 1.0 + np.arange(64.0)
-            assert orlicz_norm(f, phi, weight) == pytest.approx(2.0 * c, rel=1e-14)
+            assert orlicz_norm(f, phi, weight) == pytest.approx(2.0 * c, rel=1e-14, abs=0.0)
 
 
 def test_orlicz_power_one_is_l1():
@@ -180,9 +181,10 @@ def test_orlicz_power_one_is_l1():
     rng = np.random.default_rng(12)
     for size, dim in ((256, 1), (32, 2)):
         f = random_smooth(size, dim, rng)
-        assert orlicz_norm(f, power(1.0)) == pytest.approx(lp_norm(f, 1.0), rel=1e-14)
+        assert orlicz_norm(f, power(1.0)) == pytest.approx(lp_norm(f, 1.0), rel=1e-14, abs=0.0)
         w = 1.0 + rng.uniform(size=f.samples.shape)
-        assert orlicz_norm(f, power(1.0), w) == pytest.approx(lp_norm(f, 1.0, w), rel=1e-14)
+        assert orlicz_norm(f, power(1.0), w) == pytest.approx(lp_norm(f, 1.0, w), rel=1e-14,
+                                                              abs=0.0)
 
 
 def test_orlicz_exp_overflow_stays_quiet():
@@ -210,7 +212,7 @@ def test_orlicz_evaluation_budget():
         # Luxemburg start (at most 16), the level solve, one final modular;
         # the scan and golden search took 155-159 calls of phi
         assert phi.calls <= 26 and phi.derivs <= 9
-        assert orl == pytest.approx(amemiya_by_scan_and_golden(f, phi.phi), rel=1e-13)
+        assert orl == pytest.approx(amemiya_by_scan_and_golden(f, phi.phi), rel=1e-13, abs=0.0)
 
 
 def test_dual_bound_rescaling_budget():
@@ -237,7 +239,7 @@ def test_orlicz_functional_scaling():
     phi = power(2.0)
     lux = luxemburg_norm(f, phi)
     # modular of f / lux sits at level 1 by definition
-    assert orlicz_functional((1.0 / lux) * f, phi) == pytest.approx(1.0, rel=1e-10)
+    assert orlicz_functional((1.0 / lux) * f, phi) == pytest.approx(1.0, rel=1e-10, abs=0.0)
 
 
 def test_sandwich_for_non_power_young():
@@ -259,7 +261,7 @@ def test_orlicz_dual_bound_certifies_from_below():
     dual = orlicz_norm_dual_bound(f, phi, psi)
     assert dual <= orl * (1.0 + 1e-9)
     # the derivative candidate is optimal here, so the bound is tight
-    assert dual == pytest.approx(orl, rel=1e-6)
+    assert dual == pytest.approx(orl, rel=1e-6, abs=0.0)
 
 
 def test_zero_function_norms():
@@ -274,11 +276,11 @@ def test_norm_spec_defaults_and_conjugacy():
     assert spec.variant == "lp" and spec.p == 2.0 and spec.s == 2.0
     assert spec.q == 2.0
     spec4 = NormSpec(variant="lp", p=4.0)
-    assert spec4.s == 4.0 and spec4.q == pytest.approx(4.0 / 3.0)
+    assert spec4.s == 4.0 and spec4.q == pytest.approx(4.0 / 3.0, rel=1e-6, abs=0.0)
     spec_s = NormSpec(variant="lp", p=2.0, s=3.0)
-    assert spec_s.q == pytest.approx(1.5)
+    assert spec_s.q == pytest.approx(1.5, rel=1e-6, abs=0.0)
     spec_q = NormSpec(variant="lp", p=2.0, q=1.5)
-    assert spec_q.s == pytest.approx(3.0)
+    assert spec_q.s == pytest.approx(3.0, rel=1e-6, abs=0.0)
     inf_spec = NormSpec(variant="lp", p=np.inf)
     assert inf_spec.s is None
 
@@ -306,8 +308,8 @@ def test_norm_spec_json_round_trip_and_dispatch():
                  NormSpec(variant="orlicz", phi=phi, s=3.0)):
         back = NormSpec.from_json(spec.to_json())
         assert back.variant == spec.variant
-        assert back.norm(f) == pytest.approx(spec.norm(f), rel=1e-12)
-    assert NormSpec(variant="lp", p=2.0).norm(f) == pytest.approx(1.0 / SQRT2)
+        assert back.norm(f) == pytest.approx(spec.norm(f), rel=1e-12, abs=0.0)
+    assert NormSpec(variant="lp", p=2.0).norm(f) == pytest.approx(1.0 / SQRT2, rel=1e-6, abs=0.0)
     # legacy key for the variant field still loads
     legacy = NormSpec.from_json({"variant": "lp", "p": 4.0})
     assert legacy.variant == "lp" and legacy.p == 4.0

@@ -78,7 +78,7 @@ def test_report_csv_shape():
     assert len(lines) == len(rep.table) + 1
     first = lines[1].split(",")
     assert int(first[0]) == 0
-    assert float(first[3]) == pytest.approx(rep.ratios[0])
+    assert float(first[3]) == pytest.approx(rep.ratios[0], rel=1e-6, abs=0.0)
 
 
 def test_reports_are_deterministic():
@@ -137,7 +137,7 @@ def test_dyadic_tail_sum_geometric_oracle():
     r, s, c = 1, 2.0, 0.7
     val, stop = dyadic_tail_sum(lambda j: c, r, s)
     want = c * (2.0 ** (r * s) - 1.0) ** (-1.0 / s)
-    assert val == pytest.approx(want, rel=1e-6)
+    assert val == pytest.approx(want, rel=1e-6, abs=0.0)
     assert stop <= 64
     # decaying values truncate early
     _, stop_fast = dyadic_tail_sum(lambda j: 2.0 ** (-3 * j), r, s)

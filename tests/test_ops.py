@@ -13,6 +13,8 @@ from jacksonlab import (GridFunction, NormSpec, OperatorSpec, averaged_modulus, 
                         projection, random_smooth, semigroup_difference,
                         semigroup_modulus, spectral_semigroup, spherical_mean,
                         synthesize, translate, zygmund)
+from jacksonlab import grid as grid_module
+from jacksonlab import ops as ops_module
 from jacksonlab.ops import _stacked_norms
 
 SQRT2 = math.sqrt(2.0)
@@ -51,7 +53,7 @@ def test_difference_oracle_on_cos():
         for r in (1, 2, 3):
             got = lp_norm(difference(f, h, r), 2.0)
             assert got == pytest.approx((2.0 * math.sin(h / 2.0)) ** r / SQRT2,
-                                        rel=1e-12)
+                                        rel=1e-12, abs=0.0)
 
 
 def test_semigroup_law():
@@ -191,7 +193,7 @@ def test_modulus_oracle_first_and_second_order():
 def test_modulus_2d_picks_best_direction():
     f = discretize(lambda x, y: np.cos(x), 64, 2)
     got = modulus(f, 1, 0.8, directions=64, radii=32)
-    assert got == pytest.approx(SQRT2 * math.sin(0.4), rel=1e-6)
+    assert got == pytest.approx(SQRT2 * math.sin(0.4), rel=1e-6, abs=0.0)
 
 
 def test_modulus_monotone_in_t_and_r_bound():
@@ -231,7 +233,7 @@ def test_heat_semigroup_modulus_oracle():
     f = discretize(np.cos, 64, 1)
     t = 0.8
     got = semigroup_modulus(f, 1, t, "heat")
-    assert got == pytest.approx((1.0 - math.exp(-t)) / SQRT2, rel=1e-12)
+    assert got == pytest.approx((1.0 - math.exp(-t)) / SQRT2, rel=1e-12, abs=0.0)
 
 
 def test_operator_spec_round_trip_and_apply():
@@ -397,6 +399,7 @@ def _grid_norm(norm, f):
 @pytest.mark.parametrize("norm", [None, NormSpec(variant="lp", p=4.0),
                                   NormSpec(variant="lp", p=math.inf),
                                   NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5)),
+                                  NormSpec(variant="orlicz", phi=zygmund(2.0, 0.5)),
                                   "weighted-l2"])
 def test_stacked_moduli_match_per_step_loop(norm):
     # a 2-d stack at N = 128 holds 2 rows: 6 radii x 5 directions is 15 stacks,
@@ -415,7 +418,7 @@ def test_stacked_moduli_match_per_step_loop(norm):
                 steps = [(rho * math.cos(th), rho * math.sin(th)) for rho in rad for th in angles]
             want = max(nfun(difference(f, h, r)) for h in steps)
             got = modulus(_fresh(f), r, t, spec, directions=directions, radii=radii)
-            assert got == pytest.approx(want, rel=1e-13)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
             us = t * np.arange(1, points + 1) / points
             for kind in ("shift", "heat", "abel"):
                 def one(u, kind=kind):
@@ -425,7 +428,78 @@ def test_stacked_moduli_match_per_step_loop(norm):
 
                 want = max(nfun(one(u)) for u in us)
                 got = semigroup_modulus(_fresh(f), r, t, kind, spec, points=points)
-                assert got == pytest.approx(want, rel=1e-13)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _young_specs(size, dim):
+    """Luxemburg and Orlicz norms of the Zygmund function, unweighted and weighted."""
+    weight = 1.0 + 0.5 * np.cos(grid_points(size, dim)[0])
+    phi = zygmund(2.0, 0.5)
+    return [NormSpec(variant=v, phi=phi, weight=w)
+            for v in ("luxemburg", "orlicz") for w in (None, weight)]
+
+
+def _even(size, dim):
+    """An even function: the steps h and -h give mirrored rows with equal norms."""
+    pts = grid_points(size, dim)
+    x = pts[0] if dim == 1 else pts[0] + 2.0 * pts[1]
+    return GridFunction(np.cos(x) + 0.4 * np.cos(3.0 * x) + 0.3 * np.abs(np.sin(x)))
+
+
+# 1-d at N = 1024: 32 rows per stack, 96 two-sided steps (3 stacks), 80 times
+# (3 stacks, the last short); 2-d at N = 64: 8 rows per stack, 48 steps, 20 times
+@pytest.mark.parametrize("dim,size,radii,directions,points",
+                         [(1, 1024, 48, 1, 80), (2, 64, 6, 8, 20)])
+def test_pruned_young_moduli_equal_the_per_row_max(dim, size, radii, directions, points):
+    # the radii and times exactly as the moduli build them
+    t = 0.7
+    rad = t * (np.arange(1, radii + 1) / radii)
+    if dim == 1:
+        steps = [s * rho for rho in rad for s in (1.0, -1.0)]
+    else:
+        angles = 2.0 * np.pi * np.arange(directions) / directions
+        steps = [(rho * math.cos(th), rho * math.sin(th)) for rho in rad for th in angles]
+    us = t * (np.arange(1, points + 1) / points)
+    for f in (_even(size, dim), random_smooth(size, dim, np.random.default_rng(90 + dim))):
+        for spec in _young_specs(size, dim):
+            for r in (1, 2):
+                want = max([0.0, *(spec.norm(difference(f, h, r)) for h in steps)])
+                got = modulus(_fresh(f), r, t, spec, directions=directions, radii=radii)
+                assert got == want
+                for kind in ("shift", "heat", "abel"):
+                    def one(u, kind=kind):
+                        if kind != "shift":
+                            return semigroup_difference(f, u, kind, r)
+                        return difference(f, u if dim == 1 else (u, 0.0), r)
+
+                    want = max([0.0, *(spec.norm(one(u)) for u in us)])
+                    assert semigroup_modulus(_fresh(f), r, t, kind, spec, points=points) == want
+
+
+def test_pruned_luxemburg_moduli_solve_few_rows(monkeypatch):
+    # 16 moduli of 128 two-sided steps each: a solve per row would be 2,048
+    calls = []
+    solve = grid_module.luxemburg_norm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "luxemburg_norm", counted)
+    monkeypatch.setattr(ops_module, "luxemburg_norm", counted, raising=False)
+    f = random_smooth(1024, 1, np.random.default_rng(2024))
+    spec = NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5))
+    for r in (1, 2):
+        for j in range(1, 9):
+            modulus(f, r, 2.0 ** -j, spec)
+    assert 0 < len(calls) <= 128
+
+
+def test_pruned_sup_of_a_constant_is_zero():
+    f = GridFunction(np.full(64, 0.25))
+    for spec in _young_specs(64, 1):
+        assert modulus(f, 1, 0.5, spec) == 0.0
+        assert semigroup_modulus(f, 2, 0.5, "heat", spec) == 0.0
 
 
 @pytest.mark.parametrize("dim,size", [(1, 4096), (2, 64)])
@@ -448,7 +522,7 @@ def test_stacked_scan_spans_several_stacks():
     f = random_smooth(4096, 1, np.random.default_rng(8))
     rad = 0.3 * np.arange(1, 65) / 64
     want = max(lp_norm(difference(f, s * rho, 2), 2.0) for rho in rad for s in (1.0, -1.0))
-    assert modulus(f, 2, 0.3) == pytest.approx(want, rel=1e-13)
+    assert modulus(f, 2, 0.3) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_memo_keys_keep_quantities_apart():
@@ -479,7 +553,7 @@ def test_memo_keys_bare_callables_by_object():
     a = modulus(f, 1, 0.5, lambda g: lp_norm(g, 2.0))
     b = modulus(f, 1, 0.5, lambda g: lp_norm(g, 1.0))
     assert a != b
-    assert a == pytest.approx(modulus(f, 1, 0.5), rel=1e-13)
+    assert a == pytest.approx(modulus(f, 1, 0.5), rel=1e-13, abs=0.0)
 
 
 def test_spectrum_is_cached_and_read_only():
@@ -572,7 +646,7 @@ def test_parseval_weights_sum_to_the_mean_square():
         assert weights is f.parseval_weights()
         assert not weights.flags.writeable
         assert weights.shape == f.spectrum().shape
-        assert np.sum(weights) == pytest.approx(np.mean(f.samples ** 2), rel=1e-14)
+        assert np.sum(weights) == pytest.approx(np.mean(f.samples ** 2), rel=1e-14, abs=0.0)
 
 
 # -- best-approximation errors and K-functionals as multiplier rows ---------

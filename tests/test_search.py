@@ -68,7 +68,7 @@ def test_brent_uses_given_end_values():
         return x ** 3
 
     got = brent_level_log(f, 0.5, 4.0, level=2.0, f_lo=0.125, f_hi=64.0)
-    assert got == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-14)
+    assert got == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-14, abs=0.0)
     # the ends are not evaluated again, and the interior steps are few
     assert 0.5 not in seen and 4.0 not in seen
     assert len(seen) <= 12
@@ -81,14 +81,14 @@ def test_brent_secant_step_solves_log_linear_levels():
         f = Counted(lambda x: slope * math.log(x) - 0.3)
         lo, hi = 0.1, 100.0
         got = brent_level_log(f, lo, hi, f_lo=f.f(lo), f_hi=f.f(hi))
-        assert got == pytest.approx(math.exp(0.3 / slope), rel=1e-14)
+        assert got == pytest.approx(math.exp(0.3 / slope), rel=1e-14, abs=0.0)
         assert f.calls <= 4
 
 
 def test_brent_without_sign_change_returns_nearer_end():
     f = lambda x: 1.0 / x  # decreasing, above 0.01 on [1, 10]
-    assert brent_level_log(f, 1.0, 10.0, level=0.01) == pytest.approx(10.0)
-    assert brent_level_log(f, 1.0, 10.0, level=5.0) == pytest.approx(1.0)
+    assert brent_level_log(f, 1.0, 10.0, level=0.01) == pytest.approx(10.0, rel=1e-6, abs=0.0)
+    assert brent_level_log(f, 1.0, 10.0, level=5.0) == pytest.approx(1.0, rel=1e-6, abs=0.0)
     # a value exactly at the level is returned as is
     assert brent_level_log(f, 1.0, 10.0, level=1.0) == 1.0
 
@@ -98,7 +98,7 @@ def test_brent_bisects_through_infinite_values():
     f = lambda x: math.inf if x < 1e-3 else 1.0 / x ** 4
     with np.errstate(all="ignore"):
         got = brent_level_log(f, 1e-6, 10.0, level=1.0)
-    assert got == pytest.approx(1.0, rel=1e-13)
+    assert got == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
 
 def test_golden_exit_is_bit_identical():

@@ -19,13 +19,13 @@ def power_conjugate(p, y):
 
 
 def test_builtin_values():
-    assert power(2.0)(3.0) == pytest.approx(9.0)
+    assert power(2.0)(3.0) == pytest.approx(9.0, rel=1e-6, abs=0.0)
     phi = two_power(1.5, 3.0)
-    assert phi(0.25) == pytest.approx(0.25 ** 1.5)
-    assert phi(2.0) == pytest.approx(8.0)
-    assert zygmund(2.0, 0.5)(1.0) == pytest.approx(math.log(3.0))
-    assert log_power(3.0)(math.e) == pytest.approx(math.e ** 3 * 2.0)
-    assert exp_growth()(1.0) == pytest.approx(math.e - 2.0)
+    assert phi(0.25) == pytest.approx(0.25 ** 1.5, rel=1e-6, abs=0.0)
+    assert phi(2.0) == pytest.approx(8.0, rel=1e-6, abs=0.0)
+    assert zygmund(2.0, 0.5)(1.0) == pytest.approx(math.log(3.0), rel=1e-6, abs=0.0)
+    assert log_power(3.0)(math.e) == pytest.approx(math.e ** 3 * 2.0, rel=1e-6, abs=0.0)
+    assert exp_growth()(1.0) == pytest.approx(math.e - 2.0, rel=1e-6, abs=0.0)
     assert power(2.0)(0.0) == 0.0
 
 
@@ -90,7 +90,7 @@ def test_conjugate_of_general_powers():
     for p in (1.5, 3.0, 4.0):
         psi = complementary(power(p))
         for y in (0.1, 0.7, 1.0, 3.0, 10.0):
-            assert psi(y) == pytest.approx(power_conjugate(p, y), rel=1e-6)
+            assert psi(y) == pytest.approx(power_conjugate(p, y), rel=1e-6, abs=0.0)
 
 
 def test_double_conjugation_recovers_builtins():
@@ -112,7 +112,7 @@ def test_conjugate_rejects_linear_growth():
 
 def test_delta2_and_nabla2():
     res = check_delta2(power(2.0))
-    assert res.holds and res.K == pytest.approx(4.0, rel=1e-3)
+    assert res.holds and res.K == pytest.approx(4.0, rel=1e-3, abs=0.0)
     # the doubling ratio of a pure power is flat, so its drift is ~0
     assert abs(res.slope) < 1e-2
     assert not check_delta2(exp_growth()).holds
@@ -131,10 +131,10 @@ def test_log_power_gate():
 
 def test_log_power_tail_threshold():
     u0 = log_power_tail_threshold(3.0, 4.0)
-    assert u0 == pytest.approx(math.exp(16.0 / 3.0), rel=0.01)
+    assert u0 == pytest.approx(math.exp(16.0 / 3.0), rel=0.01, abs=0.0)
     # the defining relation holds at the returned point
     r, s = 3.0, 4.0
-    assert (r / s) * (r / s - 1.0) * math.log(u0) == pytest.approx(-1.0, rel=1e-6)
+    assert (r / s) * (r / s - 1.0) * math.log(u0) == pytest.approx(-1.0, rel=1e-6, abs=0.0)
 
 
 def test_concavity_regions_gate_and_coverage():
@@ -196,6 +196,6 @@ def test_young_json_round_trip():
 
 
 def test_builtin_factory_dispatch():
-    assert builtin("power", 2.0)(3.0) == pytest.approx(9.0)
+    assert builtin("power", 2.0)(3.0) == pytest.approx(9.0, rel=1e-6, abs=0.0)
     with pytest.raises(ValueError):
         builtin("unknown-kind")
