@@ -7,7 +7,9 @@ them for non-Hilbert norms.  K-functionals are evaluated through three
 routes: a realization over smoothed candidates, a heat-semigroup
 difference, and a circular-mean difference on the 2-torus.  The candidate
 errors, the realization and the circular-mean route are rows of
-`ops._multiplier_norms` (1 - P_n, P_n (-|nu|^2)^ell, V_ell(t) - 1).
+`ops._multiplier_norms` (1 - P_n, P_n (-|nu|^2)^ell, V_ell(t) - 1).  The
+last is minus the circle mean of the shift's symbol (4 sin^2(nu.h/2))^ell
+over C(2*ell, ell): real, and exact to rounding however small t is.
 """
 
 from __future__ import annotations
@@ -193,8 +195,9 @@ def k_functional(f, ell, t, norm=None, route="realization"):
     realization: min over candidate degrees n in {0, ceil(1/t), 2*ceil(1/t)}
     of |f - P_n f| + t^(2*ell) * |Laplacian^ell P_n f| with ramped
     projections (n = 0 uses the mean).  heat: |(H(t^2) - I)^ell f| for the
-    heat semigroup H.  sphere (d=2): |V(t) f - f| with the order-ell
-    circular mean; radii beyond pi/2 are flagged in `notes`.
+    heat semigroup H.  sphere (d=2): |V_ell(t) f - f| with the order-ell
+    circular mean (see `ops.spherical_mean`); radii beyond pi/2 are
+    flagged in `notes`.
     """
     if t <= 0.0:
         raise ValueError(f"scale t must be positive, got {t}")

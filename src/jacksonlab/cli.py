@@ -4,13 +4,19 @@
 prints one check's formula and parameters, and `jacksonlab run config.json`
 runs a batch and writes per-check JSON/CSV reports plus a summary table.
 Exit status: 0 when every check passes, 1 when any check fails, 2 for
-configuration errors.  A param the check does not read, or a value its
-converter in `lab` refuses (an integer param given 1.5, true or "8", a
-sample count or order below 1, a negative seed, an odd `N` or one below 8,
-a `d` other than 1 or 2), is rejected before any check runs, as is a
-top-level `N`, `seed` or `--seed` that the param of the same name refuses;
-a check whose parameter values are rejected while it runs is named by its
-index and id, and the other checks still write their reports.
+configuration errors.  Before any check runs, each check's params go
+through `lab.parse_params`, the parse `lab.run_check` uses, with the
+top-level `N` and a spawned seed filled in.  A param the check does not
+read, a value its converter refuses (an integer param given 1.5, true or
+"8", a sample count or order below 1, a negative seed, an odd `N` or one
+below 8, a `d` other than 1 or 2, an unknown `route` or `semigroup`) or a
+broken `require` rule (kfunc-8.9 needs 2*ell > r, and d=2 for the sphere
+route; the abel and Cesaro checks run on 1-d grids) exits 2 with a message
+naming `checks[k].params.<field>`, and no report is written; so does a
+top-level `N`, `seed` or `--seed` that the param of the same name refuses.
+A check that fails only while it runs (cesaro-5.1 with a degree n >= N/2)
+is named by its index and id, and the other checks still write their
+reports.
 """
 
 from __future__ import annotations
@@ -54,12 +60,22 @@ def _convert(field, name, value):
 
 
 def _validate(config, seed_override=None, out_override=None):
+    """The (id, params) jobs of a config, each parsed as its check will parse it, and the outputs.
+
+    A check's params are the config's with the top-level `N` and a seed
+    spawned from the base seed filled in; a param that `lab.parse_params`
+    refuses is a ConfigError naming `checks[k].params.<field>`.
+    """
     checks = config.get("checks")
     if not isinstance(checks, list) or not checks:
         raise ConfigError("config field 'checks': must be a non-empty list")
+    size = _convert("N", "N", config.get("N", 256))
+    seed = _convert("seed", "seed", config.get("seed", 0))
+    if seed_override is not None:
+        seed = _convert("seed", "seed", seed_override)
     known = set(lab.registry_ids())
-    entries = []
-    for k, entry in enumerate(checks):
+    jobs, children = [], np.random.SeedSequence(seed).spawn(len(checks))
+    for k, (entry, child) in enumerate(zip(checks, children)):
         if isinstance(entry, str):
             entry = {"id": entry}
         if not isinstance(entry, dict) or "id" not in entry:
@@ -70,19 +86,14 @@ def _validate(config, seed_override=None, out_override=None):
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"config field 'checks[{k}].params': must be an object")
-        names = lab.check_params(cid)
-        for name, value in params.items():
-            if name not in names:
-                raise ConfigError(f"config field 'checks[{k}].params.{name}': {cid} "
-                                  f"reads no such param; it reads {', '.join(names)}")
-            if value is not None:
-                _convert(f"checks[{k}].params.{name}", name, value)
-        entries.append((cid, dict(params)))
+        merged = {"N": size, "seed": int(child.generate_state(1)[0]), **params}
+        try:
+            lab.parse_params(cid, merged)
+        except lab.ParamError as exc:
+            field = f"checks[{k}].params.{exc.name}"
+            raise ConfigError(f"config field '{field}': {exc.reason}") from exc
+        jobs.append((cid, merged))
 
-    size = _convert("N", "N", config.get("N", 256))
-    seed = _convert("seed", "seed", config.get("seed", 0))
-    if seed_override is not None:
-        seed = _convert("seed", "seed", seed_override)
     out = out_override or config.get("out", "reports")
     if not isinstance(out, str) or not out:
         raise ConfigError(f"config field 'out': must be a non-empty path, got {out!r}")
@@ -91,21 +102,12 @@ def _validate(config, seed_override=None, out_override=None):
             or any(f not in ("json", "csv") for f in formats)):
         raise ConfigError(f"config field 'formats': must be a subset of "
                           f"['json', 'csv'], got {formats!r}")
-    return entries, size, seed, Path(out), tuple(formats)
+    return jobs, Path(out), tuple(formats)
 
 
 def _run_batch(args):
     config = _load_config(args.config)
-    entries, size, seed, out, formats = _validate(
-        config, seed_override=args.seed, out_override=args.out)
-
-    children = np.random.SeedSequence(seed).spawn(len(entries))
-    jobs = []
-    for (cid, params), child in zip(entries, children):
-        merged = dict(params)
-        merged.setdefault("N", size)
-        merged.setdefault("seed", int(child.generate_state(1)[0]))
-        jobs.append((cid, merged))
+    jobs, out, formats = _validate(config, seed_override=args.seed, out_override=args.out)
 
     def work(item):
         cid, params = item
@@ -120,7 +122,7 @@ def _run_batch(args):
     else:
         results = [work(item) for item in jobs]
 
-    # a check rejected by its parameters is named, and the others still report
+    # a check that fails while it runs is named, and the others still report
     reports, errors = [], []
     out.mkdir(parents=True, exist_ok=True)
     summary = ["id,verdict,constant,runtime_ms"]

@@ -23,8 +23,9 @@ import numpy as np
 from .approx import best_approx, degree_below, k_delta, k_functional
 from .grid import (GridFunction, NormSpec, discretize, luxemburg_norm,
                    orlicz_norm, random_smooth)
-from .ops import (_as_norm, _one_parameter_norms, averaged_modulus, cesaro,
+from .ops import (_SEMIGROUP_KINDS, _as_norm, _one_parameter_norms, averaged_modulus, cesaro,
                   modulus, semigroup_modulus)
+from .search import bisect_level
 from .young import YoungFunction, zygmund
 
 _RHS_FLOOR = 1e-13
@@ -214,6 +215,14 @@ def dyadic_tail_sum(values_fn, r, s, rel_tol=1e-14, max_terms=64):
 # -- space geometry ------------------------------------------------------
 
 
+def _generator(rng):
+    """(generator, seed) of an rng argument: None (seed 0), an integer seed, or a Generator (-1)."""
+    if rng is None or isinstance(rng, (int, np.integer)):
+        seed = 0 if rng is None else int(rng)
+        return np.random.default_rng(seed), seed
+    return rng, -1
+
+
 @dataclass(frozen=True)
 class ConvexityEstimate:
     """Empirical sharp constant of the s-convexity inequality."""
@@ -237,8 +246,7 @@ def estimate_convexity_constant(norm=None, s=2.0, rng=None, trials=200,
         raise ValueError(f"convexity exponent s must be >= 2, got {s}")
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(0 if rng is None else int(rng))
+    rng, _ = _generator(rng)
     nfun = _as_norm(norm)
     x = 2.0 * np.pi * np.arange(size) / size
     shape = (size,) * dim
@@ -310,8 +318,7 @@ def space_moduli(norm=None, size=64, dim=1, rng=None, trials=24):
     pinned to 0 at the origin, and made nondecreasing; exponents come from
     a log-log fit over the positive part of each grid.
     """
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(0 if rng is None else int(rng))
+    rng, _ = _generator(rng)
     nfun = _as_norm(norm)
     sigma = np.concatenate([[0.0], np.geomspace(0.02, 0.5, 15)])
     eps = np.concatenate([[0.0], np.geomspace(0.05, 1.0, 15)])
@@ -367,13 +374,7 @@ def space_moduli(norm=None, size=64, dim=1, rng=None, trials=24):
                 hi = math.pi
                 if nfun(phi - mix(hi)) < ev - 1e-9:
                     continue
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if nfun(phi - mix(mid)) < ev:
-                    lo = mid
-                else:
-                    hi = mid
-            psi = mix(0.5 * (lo + hi))
+            psi = mix(bisect_level(lambda th: nfun(phi - mix(th)), lo, hi, level=ev, iters=60))
             val = max(1.0 - 0.5 * nfun(phi + psi), 0.0)
             if best is None or val < best:
                 best = val
@@ -405,11 +406,7 @@ def verify_duality(q, dim, rng=None, trials=400, tol=0.01):
             "norm satisfies the power-type smoothness inequality beyond q = 2")
     if dim < 2:
         raise ValueError(f"need dimension >= 2, got {dim}")
-    if rng is None or isinstance(rng, (int, np.integer)):
-        seed = 0 if rng is None else int(rng)
-        rng = np.random.default_rng(seed)
-    else:
-        seed = -1
+    rng, seed = _generator(rng)
     start = time.perf_counter()
     s = q / (q - 1.0)
 
@@ -453,18 +450,13 @@ def verify_duality(q, dim, rng=None, trials=400, tol=0.01):
         top = max(norm_of(u + v, s), norm_of(u - v, s))
         rows.append((top ** s - norm_of(u, s) ** s, nv ** s))
 
-    ratios, kept, spread, counts = _ratio_stats(rows)
-    constant = float(np.min(kept)) if kept else float("nan")
-    ok = kept and not counts[_NONFINITE] and constant >= m_pred - 3.0 * tol
-    verdict = "pass" if ok else "fail"
-    table = tuple((i, float(l), float(r)) for i, (l, r) in enumerate(rows))
-    report = CheckReport(
-        "duality", {"q": q, "dim": dim, "trials": trials, "tol": tol},
-        table, tuple(ratios), constant, spread, verdict,
-        runtime_ms=1000.0 * (time.perf_counter() - start), seed=seed,
-        resolutions={"trials": trials},
+    report = _finish(
+        "duality", {"q": q, "dim": dim, "trials": trials, "tol": tol}, rows, "lower",
+        float("inf"), seed, {"trials": trials},
         notes=(f"M_hat={M_hat:.12g}", f"s={s:.12g}", f"m_pred={m_pred:.12g}",
-               "constant = min (max(|u+v|,|u-v|)^s - |u|^s)/|v|^s on l_s"))
+               "constant = min (max(|u+v|,|u-v|)^s - |u|^s)/|v|^s on l_s"),
+        lower_threshold=m_pred - 3.0 * tol)
+    report.runtime_ms = 1000.0 * (time.perf_counter() - start)
     return report
 
 
@@ -494,6 +486,15 @@ def _integer(low=-math.inf, high=math.inf, even=False):
     return convert
 
 
+def _choice(*options):
+    """Param converter: one of the strings `options`."""
+    def convert(value):
+        if value not in options:
+            raise ValueError(f"must be one of {', '.join(options)}, got {value!r}")
+        return value
+    return convert
+
+
 _INT, _COUNT, _NATURAL = _integer(), _integer(1), _integer(0)
 
 # name: (default, converter, description).  A missing or null param takes the
@@ -513,7 +514,7 @@ _PARAMS = {
     "radii": (lambda p: 64 if p["d"] == 1 else 16, _COUNT, "step radii (64 in 1-d, else 16)"),
     "directions": (lambda p: 64 if p["d"] == 1 else 8, _COUNT,
                    "step directions (64 in 1-d, else 8)"),
-    "semigroup": ("shift", str, "shift, heat or abel"),
+    "semigroup": ("shift", _choice(*_SEMIGROUP_KINDS), "shift, heat or abel"),
     "points": (64, _COUNT, "parameter points of the one-sided modulus"),
     "quad_points": (128, _COUNT, "quadrature points of the averaged modulus"),
     "t_grid": ((0.25, 0.5, 1.0, 2.0, 3.0), lambda v: [float(t) for t in v], "scales t"),
@@ -522,7 +523,8 @@ _PARAMS = {
     "m": (None, float, "sharp constant; sets the pass threshold m^{1/s}/2 - tol"),
     "tol": (0.02, float, "margin of the threshold"),
     "ell": (1, _COUNT, "order of the K-functional or of the Cesaro mean"),
-    "route": ("realization", str, "K-functional route: realization, heat or sphere"),
+    "route": ("realization", _choice("realization", "heat", "sphere"),
+              "K-functional route: realization, heat or sphere"),
     "lambda_power_max": (6, _NATURAL, "lambda = 2^k for k from 0 to this"),
     "phi": (lambda p: zygmund(2.0, 0.5), _record(YoungFunction), "Young function record (zygmund)"),
     "n": (16, _NATURAL, "degree of the Cesaro mean"),
@@ -549,6 +551,7 @@ class _Check:
     A lower check sets quantity `lhs` of order r at each scale (n, t) against
     {sum_j 2^(-jrs) term(2^j t)^s}^(1/s) of order r + 1, over `js(params, n)`
     or, when `js` is None, the dyadic tail.  Other checks give `rows`.
+    `require` holds (param, predicate, message) rules on the parsed params;
     `bounds(params)` gives the `_finish` thresholds.
     """
 
@@ -631,7 +634,7 @@ def _sandwich_rows(f, p, nfun):
     return [(orlicz_norm(f, p["phi"]), luxemburg_norm(f, p["phi"]))]
 
 
-_ABEL_1D = (lambda p: p["d"] == 1, "the abel-semigroup checks run on 1-d grids")
+_ABEL_1D = (("d", lambda p: p["d"] == 1, "the abel-semigroup checks run on 1-d grids, got d={d}"),)
 _SEMIGROUP_LAW = "omega_T^r(f,t) >= C {sum_j 2^(-jrs) omega_T^{r+1}(f,2^j t)^s}^(1/s) "
 _SEMIGROUP_74 = _Check(
     _SEMIGROUP_LAW + "for a contraction semigroup", "lower",
@@ -690,7 +693,7 @@ _CHECKS = {
         ("contraction check: constant = max |C_n^ell f| / |f| must stay <= 1 + slack",),
         ("phi", "ell", "n", "slack"), rows=_cesaro_51_rows,
         order="row pairs per function (luxemburg then orlicz); functions: ",
-        require=(lambda p: p["d"] == 1, "cesaro means run on 1-d grids"),
+        require=(("d", lambda p: p["d"] == 1, "cesaro means run on 1-d grids, got d={d}"),),
         bounds=lambda p: {"upper_cap": 1.0 + p["slack"]}),
     "averaged-7.3": _Check(
         "w_T^r(f,t) <= omega_T^r(f,t) <= C(r) w_T^r(f,t) for the "
@@ -709,7 +712,9 @@ _CHECKS = {
         "lower",
         ("constant = min omega^r(f,t) / {sum_j 2^(-jrs) K_ell(f,(2^j t)^(2 ell))^s}^(1/s)",),
         _MODULUS + ("ell", "route"), lhs=_modulus, term=_k_ell,
-        require=(lambda p: 2 * p["ell"] > p["r"], "need 2*ell > r, got ell={ell}, r={r}"),
+        require=(("r", lambda p: 2 * p["ell"] > p["r"], "need 2*ell > r, got ell={ell}, r={r}"),
+                 ("route", lambda p: p["route"] != "sphere" or p["d"] == 2,
+                  "the sphere route runs on 2-d grids, got d={d}")),
         defaults={"n_range": (1, 4), "d": 2}),
     "jackson-8.10": _Check(
         "omega^r(f,t) >= C {sum_j 2^(-jrs) E_{1/(t 2^j)}(f)^s}^(1/s)", "lower",
@@ -765,13 +770,26 @@ def convert_param(name, value):
     return _PARAMS[name][1](value)
 
 
-def _parse(check_id, check, params):
-    """Resolved value of every param the check reads; any other name is an error."""
-    names = check_params(check_id)
+class ParamError(ValueError):
+    """A refused check param: `name` is the param, `reason` what is wrong with it."""
+
+    def __init__(self, check_id, name, reason, message=None):
+        super().__init__(message or f"param {name!r} of {check_id}: {reason}")
+        self.name, self.reason = name, reason
+
+
+def parse_params(check_id, params):
+    """Resolved value of every param the check reads, its `require` rules checked.
+
+    A name the check does not read, a value its converter refuses or a
+    broken rule raises a ParamError naming the param.
+    """
+    check, names = _lookup(check_id), check_params(check_id)
     for name in params:
         if name not in names:
-            raise ValueError(f"unknown param {name!r} for {check_id}; it reads: "
-                             + ", ".join(names))
+            listing = ", ".join(names)
+            raise ParamError(check_id, name, f"{check_id} reads no such param; it reads {listing}",
+                             f"unknown param {name!r} for {check_id}; it reads: {listing}")
     p = {}
     for name in names:
         value = params.get(name)
@@ -781,7 +799,10 @@ def _parse(check_id, check, params):
         try:
             p[name] = None if value is None else convert_param(name, value)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"param {name!r} of {check_id}: {exc}") from exc
+            raise ParamError(check_id, name, str(exc)) from exc
+    for name, holds, rule in check.require:
+        if not holds(p):
+            raise ParamError(check_id, name, rule.format(**p))
     return p
 
 
@@ -806,16 +827,14 @@ def _lower_rows(check, f, p, nfun, stops):
 def run_check(check_id, params=None):
     """Run one registered check and return its CheckReport.
 
-    The params are parsed once against the check's record (a name it does
-    not read is a ValueError); the report's `params` hold every one of
+    The params go through `parse_params` (a refused one is a ParamError,
+    a ValueError); the report's `params` hold every one of
     them, defaults resolved, and its `resolutions` the grid size, the
     sample counts read and, for a dyadic tail, the last j summed.
     """
     check = _lookup(check_id)
     start = time.perf_counter()
-    p = _parse(check_id, check, params or {})
-    if check.require and not check.require[0](p):
-        raise ValueError(check.require[1].format(**p))
+    p = parse_params(check_id, params or {})
     nfun = _as_norm(p.get("norm"))
     if p["f"] is not None:
         fam = [("custom", p["f"])]

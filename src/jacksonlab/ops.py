@@ -19,15 +19,16 @@ M f: for the moduli (`modulus`, `semigroup_modulus`, `averaged_modulus`),
 M = (T(u) - I)^r over many steps u; for `approx`, the rows 1 - P_n,
 P_n (-|nu|^2)^ell and V_ell(t) - 1.  Under the unweighted L2 norm it takes
 no inverse transform at all: by Parseval, the norm is sqrt(sum(|M|^2 * w))
-with `GridFunction.parseval_weights` w.  The shift builds |M|^2 from real
-sines ((4 sin^2(nu.h/2))^r, cos(N*h/2) - 1 on the Nyquist lines), every
-other multiplier squares itself.  |M|^2 of a step is even in the step, so
-the L2 modulus evaluates only positive steps in 1-d and, for an even count,
-only the directions in [0, pi) in 2-d.  Every other norm runs one inverse
-transform per stack of multipliers (an unweighted L_p norm is then taken
-over all rows in one reduction).  A stack holds max(1, `_STACK_SAMPLES` //
-N^d) rows, a constant per grid, so outputs never depend on the machine or
-the thread count.
+with `GridFunction.parseval_weights` w.  The shift builds |M|^2 from its
+real symbol (4 sin^2(nu.h/2))^r (cos(N*h/2) - 1 on the Nyquist lines);
+V_ell(t) - 1 is minus the circle mean of that symbol at r = ell over
+C(2*ell, ell); every other multiplier squares itself.  |M|^2 of a step is
+even in the step, so the L2 modulus evaluates only positive steps in 1-d
+and, for an even count, only the directions in [0, pi) in 2-d.  Every
+other norm runs one inverse transform per stack of multipliers (an
+unweighted L_p norm is then taken over all rows in one reduction).  A
+stack holds max(1, `_STACK_SAMPLES` // N^d) rows, a constant per grid, so
+outputs never depend on the machine or the thread count.
 
 `modulus` and `semigroup_modulus` keep only the max of their rows.  Under
 a Luxemburg or Orlicz norm they go through `_multiplier_sup`, which rules
@@ -87,22 +88,17 @@ def _axis_freqs(size):
     return full, half
 
 
-def _axis_angles(size, steps):
-    """(h, nu*h) along each axis for a k x d stack of steps h (the last axis is the half axis)."""
-    full, half = _axis_freqs(size)
-    dim = steps.shape[1]
-    return [(steps[:, axis], np.outer(steps[:, axis], half if axis == dim - 1 else full))
-            for axis in range(dim)]
-
-
 def _axis_phases(size, steps):
     """exp(i*nu*h) along each axis for a k x d stack of steps h.
 
-    One k x len(axis) array per axis (the last axis is the half axis), with
-    the real cos(N*h/2) in the Nyquist slot.
+    One k x len(axis) array per axis (the last is the half axis), real cos(N*h/2) at Nyquist.
     """
+    full, half = _axis_freqs(size)
+    dim = steps.shape[1]
     phases = []
-    for h, angles in _axis_angles(size, steps):
+    for axis in range(dim):
+        h = steps[:, axis]
+        angles = np.outer(h, half if axis == dim - 1 else full)
         phase = np.empty(angles.shape, dtype=complex)
         np.cos(angles, out=phase.real)
         np.sin(angles, out=phase.imag)
@@ -340,24 +336,19 @@ def _young_stack_sup(f, rows, spec, w, best):
 
 
 def _stacked_norms(f, kind, r, steps, norm, sup=False):
-    """Norm of (T(u) - I)^r f for every step u (shift: k x d steps; heat, abel: k times).
-
-    With `sup`, the max of those norms and 0 (`_multiplier_sup`).
-    """
+    """Norm of (T(u) - I)^r f per step u (k x d shift steps, or times); with `sup`, their max."""
     build = partial(_step_multipliers, f.size, f.dim, kind, r)
     return (_multiplier_sup if sup else _multiplier_norms)(f, steps, build, norm)
 
 
-def _step_multipliers(size, dim, kind, r, steps, squared=False):
-    """(T(u) - I)^r on the half grid, or its |.|^2, one per step u of the stack."""
-    if kind != "shift" or not squared:
-        mults = (_translate_multipliers(size, steps) if kind == "shift"
-                 else _semigroup_multiplier(size, dim, steps, kind))
-        mults -= 1.0
-        return _abs2(_int_power(mults, r)) if squared else _int_power(mults, r)
+def _shift_symbol(size, steps):
+    """|exp(i*nu.h) - 1|^2 = 4 sin^2(nu.h/2) on the half grid per step h of a k x d stack.
+
+    Exact to rounding for small nu.h; the Nyquist slots hold it at nu = -N/2
+    (full axis) and +N/2 (half axis), without the real cos(N*h/2) factor.
+    """
     full, half = _axis_freqs(size)
-    # |exp(i*nu.h) - 1| = 2 |sin(nu.h/2)|, exact to rounding even for small nu.h
-    if dim == 1:
+    if steps.shape[1] == 1:
         m2 = np.sin((0.5 * steps) * half)
         m2 *= 2.0
     else:
@@ -369,6 +360,17 @@ def _step_multipliers(size, dim, kind, r, steps, squared=False):
         m2 = s0[:, :, None] * np.cos(a1)[:, None, :]
         m2 += c0[:, :, None] * np.sin(a1)[:, None, :]
     m2 *= m2
+    return m2
+
+
+def _step_multipliers(size, dim, kind, r, steps, squared=False):
+    """(T(u) - I)^r on the half grid, or its |.|^2, one per step u of the stack."""
+    if kind != "shift" or not squared:
+        mults = (_translate_multipliers(size, steps) if kind == "shift"
+                 else _semigroup_multiplier(size, dim, steps, kind))
+        mults -= 1.0
+        return _abs2(_int_power(mults, r)) if squared else _int_power(mults, r)
+    m2 = _shift_symbol(size, steps)
     # the Nyquist slots carry the real factor cos(N*h/2) instead of a phase
     if dim == 1:
         m2[:, -1] = np.square(np.cos(0.5 * size * steps[:, 0]) - 1.0)
@@ -451,8 +453,8 @@ def semigroup_difference(f, t, kind, r=1):
 _SEMIGROUP_KINDS = ("shift", "heat", "abel")
 
 
-def _semigroup_kind_direction(semigroup, direction):
-    """Normalize a semigroup argument (name or OperatorSpec) to (kind, direction)."""
+def _semigroup_args(semigroup, direction, r):
+    """(kind, direction, r) of a semigroup argument (name or OperatorSpec), checked."""
     kind = semigroup
     if isinstance(semigroup, OperatorSpec):
         kind = semigroup.kind
@@ -462,7 +464,7 @@ def _semigroup_kind_direction(semigroup, direction):
                 direction = tuple(float(v) for v in h)
     if kind not in _SEMIGROUP_KINDS:
         raise ValueError(f"semigroup kind must be one of {_SEMIGROUP_KINDS}, got {kind!r}")
-    return kind, direction
+    return kind, direction, _positive_int("difference order", r)
 
 
 def _one_parameter_norms(f, us, kind, r, direction, norm, sup=False):
@@ -492,8 +494,7 @@ def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, directio
     points = _positive_int("points", points)
     if t <= 0.0:
         return 0.0
-    kind, direction = _semigroup_kind_direction(semigroup, direction)
-    r = _positive_int("difference order", r)
+    kind, direction, r = _semigroup_args(semigroup, direction, r)
     key = ("semigroup_modulus", r, float(t), kind, points,
            None if direction is None else tuple(float(v) for v in direction))
     us = t * (np.arange(1, points + 1) / points)
@@ -511,8 +512,7 @@ def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, dir
     quad_points = _positive_int("quad_points", quad_points)
     if t <= 0.0:
         return 0.0
-    kind, direction = _semigroup_kind_direction(semigroup, direction)
-    r = _positive_int("difference order", r)
+    kind, direction, r = _semigroup_args(semigroup, direction, r)
     mids = t * (np.arange(quad_points) + 0.5) / quad_points
     return float(np.mean(_one_parameter_norms(f, mids, kind, r, direction, norm)))
 
@@ -546,67 +546,38 @@ def laplacian_power(f, ell=1):
     return _apply_multiplier(f, (-_mode_radius2(f.size, f.dim)) ** ell)
 
 
-def _axis_phase_offsets(size, steps):
-    """exp(i*nu*h) - 1 along each axis for a k x d stack of steps h, free of cancellation.
-
-    2i sin(nu*h/2) exp(i*nu*h/2) = i sin(nu*h) - 2 sin^2(nu*h/2), and the real
-    cos(N*h/2) - 1 = -2 sin^2(N*h/4) in the Nyquist slot (see `_axis_phases`).
-    """
-    offsets = []
-    for h, angles in _axis_angles(size, steps):
-        off = np.empty(angles.shape, dtype=complex)
-        np.sin(angles, out=off.imag)
-        half_sin = np.sin(0.5 * angles)
-        off.real = -2.0 * half_sin * half_sin
-        off[:, size // 2] = -2.0 * np.sin(0.25 * size * h) ** 2
-        offsets.append(off)
-    return offsets
-
-
 @lru_cache(maxsize=512)
-def _sphere_offset(size, t, quad_points):
-    """Mean of exp(i*nu.h) - 1 over the circle |h| = t (d=2, half grid, read-only).
+def _spherical_mean_offset(size, t, ell, quad_points=256):
+    """V_ell(t) - 1 of `spherical_mean` on the half grid (d=2, real, read-only).
 
-    Each term is (1 + a)(1 + b) - 1 = a + b + ab from the axis offsets a, b,
-    so no 1 is subtracted from a sum near 1 and the mean keeps its relative
-    accuracy as t shrinks.
+    sum_{j=-ell..ell} (-1)^j C(2*ell, ell-j) exp(i*j*theta) = (4 sin^2(theta/2))^ell,
+    so the row is a mean of the shift's nonnegative symbol: no 1 cancels at small t.
     """
-    ths = [2.0 * math.pi * k / quad_points for k in range(quad_points)]
+    ths = (2.0 * math.pi * k / quad_points for k in range(quad_points))
     steps = np.array([(t * math.cos(th), t * math.sin(th)) for th in ths])
-    acc = np.zeros((size, size // 2 + 1), dtype=complex)
-    for block in _stacks(steps, size, 2):
-        a, b = _axis_phase_offsets(size, block)
-        a, b = a[:, :, None], b[:, None, :]
-        acc += (a * b + a + b).sum(axis=0)
-    acc /= quad_points
+    acc = sum(_int_power(_shift_symbol(size, block), ell).sum(axis=0)
+              for block in _stacks(steps, size, 2))
+    acc *= -1.0 / (quad_points * math.comb(2 * ell, ell))
     acc.setflags(write=False)
     return acc
-
-
-def _spherical_mean_offset(size, t, ell, quad_points=256):
-    """Half-grid multiplier V_ell(t) - 1 of `spherical_mean` minus the identity (d=2).
-
-    The weights of V_ell sum to 1, so V_ell - 1 is the same sum over the
-    circle means of exp(i*nu.h) - 1.
-    """
-    total = sum((-1.0) ** j * math.comb(2 * ell, ell - j)
-                * _sphere_offset(size, float(j * t), quad_points) for j in range(1, ell + 1))
-    return total * (-2.0 / math.comb(2 * ell, ell))
 
 
 def spherical_mean(f, t, ell=1, quad_points=256):
     """Circular-mean smoother on the 2-torus.
 
     ell=1 is the plain mean of f over the circle of radius t centred at
-    each point.  Higher ell combines means at radii j*t, j = 1..ell, with
-    binomial weights so that low-order error terms cancel:
-    V_ell = (-2/C(2*ell, ell)) * sum_j (-1)^j C(2*ell, ell-j) V(j*t).
+    each point.  Higher ell combines means at radii j*t with binomial
+    weights that cancel low-order error terms: V_ell = (-2/C(2*ell, ell))
+    * sum_{j=1..ell} (-1)^j C(2*ell, ell-j) V(j*t) = 1 - mean over |h| = t
+    of (4 sin^2(nu.h/2))^ell / C(2*ell, ell), on `quad_points` equispaced
+    nodes.  An odd count gives the rule symmetrized under h -> -h: the real
+    part of the binomial sum of complex circle means.
     """
     if f.dim != 2:
         raise ValueError("spherical means are only defined on 2-d grids")
     if t < 0.0:
         raise ValueError(f"radius must be >= 0, got {t}")
-    ell = _positive_int("order", ell)
+    ell, quad_points = _positive_int("order", ell), _positive_int("quad_points", quad_points)
     return _apply_multiplier(f, 1.0 + _spherical_mean_offset(f.size, t, ell, quad_points))
 
 

@@ -88,10 +88,8 @@ class YoungFunction:
         """Maximizer x(y) of x*y - phi(x); only defined for conjugate kinds."""
         if not self.kind.startswith("conjugate:"):
             raise ValueError("argmax_support is only available on conjugate functions")
-        y, scalar = _as_array(y)
-        _, xs = self._conj_values(np.ravel(y), want_argmax=True)
-        xs = xs.reshape(y.shape)
-        return float(xs[()]) if scalar else xs
+        # the right derivative of a conjugate is its maximizer
+        return self.deriv_plus(y)
 
     def _value(self, x):
         kind = self.kind

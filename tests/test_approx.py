@@ -140,24 +140,33 @@ def test_k_functional_sphere_route():
         k_functional(discretize(np.cos, 32, 1), 1, 0.5, route="sphere")
 
 
-def _j0_minus_one(x):
-    """J0(x) - 1 by its power series, summed from the first term (no 1 to cancel)."""
+def _sphere_row_series(ell, x):
+    """V_ell - 1 at a mode of length 1 and radius x by its power series, free of cancellation.
+
+    J0(j x) - 1 = sum_k c_k (j x)^(2k), so V_ell - 1 = (-2/C(2 ell, ell)) sum_k c_k x^(2k) S_k
+    with the exact integer moments S_k = sum_{j=1..ell} (-1)^j C(2 ell, ell - j) j^(2k),
+    which vanish for k < ell.
+    """
     term, total, k = 1.0, 0.0, 0
     while True:
         k += 1
         term *= -(x * x / 4.0) / (k * k)
-        if total + term == total:
-            return total
-        total += term
+        moment = sum((-1) ** j * math.comb(2 * ell, ell - j) * j ** (2 * k)
+                     for j in range(1, ell + 1))
+        step = term * moment
+        if k > ell and total + step == total:
+            return -2.0 / math.comb(2 * ell, ell) * total
+        total += step
 
 
 def test_k_functional_sphere_route_keeps_digits_at_small_radii():
-    # the circle mean of cos(x)cos(y) is J0(sqrt(2) t) times it, and |cos(x)cos(y)|_2 = 1/2
+    # cos(x)cos(y) lives on modes of length sqrt(2), and |cos(x)cos(y)|_2 = 1/2
     f = discretize(lambda x, y: np.cos(x) * np.cos(y), 16, 2)
-    for t in (2.0 ** -6, 2.0 ** -8, 2.0 ** -10):
-        want = -0.5 * _j0_minus_one(SQRT2 * t)
-        got = k_functional(f, 1, t, route="sphere").value
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    for ell in (1, 2, 3):
+        for t in (2.0 ** -6, 2.0 ** -8, 2.0 ** -10):
+            want = -0.5 * _sphere_row_series(ell, SQRT2 * t)
+            got = k_functional(f, ell, t, route="sphere").value
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_k_delta_matches_heat_difference():

@@ -206,10 +206,30 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         ({"checks": [{"id": "entire-4.12", "params": {"lambda_power_max": -1}}]},
          "'checks[0].params.lambda_power_max': must be an integer >= 0, got -1"),
     ]
+    # a broken `require` rule or choice param of the second check stops the batch
+    # before the first check writes its report
+    second_checks = (
+        ({"id": "kfunc-8.9", "params": {"r": 3}},
+         "'checks[1].params.r': need 2*ell > r, got ell=1, r=3"),
+        ({"id": "jackson-5.9", "params": {"d": 2}}, "'checks[1].params.d': the abel"),
+        ({"id": "jackson-5.10", "params": {"d": 2}}, "'checks[1].params.d': the abel"),
+        ({"id": "cesaro-5.1", "params": {"d": 2}},
+         "'checks[1].params.d': cesaro means run on 1-d grids, got d=2"),
+        ({"id": "kfunc-8.9", "params": {"route": "spehre"}},
+         "'checks[1].params.route': must be one of realization, heat, sphere, got 'spehre'"),
+        ({"id": "semigroup-7.4", "params": {"semigroup": "poisson"}},
+         "'checks[1].params.semigroup': must be one of shift, heat, abel, got 'poisson'"),
+        ({"id": "kfunc-8.9", "params": {"route": "sphere", "d": 1}},
+         "'checks[1].params.route': the sphere route runs on 2-d grids, got d=1"),
+    )
+    out = str(tmp_path / "rep")
+    cases += [({"checks": [{"id": "basic-2.1"}, second], "out": out}, needle)
+              for second, needle in second_checks]
     for config, needle in cases:
         cfg = write_config(tmp_path, config)
         assert main(["run", cfg]) == 2
         assert needle in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
     # the --seed override takes the rule of the config's seed
     cfg = write_config(tmp_path, {"checks": [{"id": "basic-2.1"}], "N": 32})
     assert main(["run", cfg, "--seed", "-1"]) == 2
@@ -234,16 +254,17 @@ def test_bad_param_value_is_a_config_error(tmp_path, capsys):
 
 
 def test_bad_param_names_the_check_and_keeps_other_reports(tmp_path, capsys):
+    # only the run sees that cesaro-5.1's default degree n=16 is too large for N=32
     config = {"checks": [{"id": "basic-2.1", "params": {"m": 1.0}},
-                         {"id": "kfunc-8.9", "params": {"r": 5, "ell": 1, "d": 1}},
+                         {"id": "cesaro-5.1"},
                          {"id": "orlicz-sandwich"}],
               "N": 32, "out": str(tmp_path / "rep")}
     cfg = write_config(tmp_path, config)
     for jobs in ("1", "2"):
         assert main(["run", cfg, "--jobs", jobs]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config field 'checks': checks[1] (kfunc-8.9): ")
-        assert "ell" in err
+        assert err.startswith("config field 'checks': checks[1] (cesaro-5.1): ")
+        assert "degree 16 too large for grid size 32" in err
         names = sorted(p.name for p in (tmp_path / "rep").iterdir())
         assert names == ["00-basic-2.1.csv", "00-basic-2.1.json",
                          "02-orlicz-sandwich.csv", "02-orlicz-sandwich.json", "summary.csv"]

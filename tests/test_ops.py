@@ -384,6 +384,21 @@ def test_real_spectral_path_matches_complex_oracle(dim, size):
         _assert_close(spherical_mean(f, t, 2), _oracle_apply(f, two))
 
 
+def test_spherical_mean_with_odd_node_count_is_the_real_part_of_the_binomial_rule():
+    # 255 nodes are not closed under h -> -h: the complex binomial sum of circle means
+    # picks up an imaginary part, and the sine-symbol row is its real part
+    size, t, nodes = 64, 2.0, 255
+    f = _with_nyquist(size, 2, seed=47)
+    for ell in (1, 2, 3):
+        means = [_oracle_sphere(size, j * t, nodes) for j in range(1, ell + 1)]
+        want = (-2.0 / math.comb(2 * ell, ell)) * sum(
+            (-1.0) ** j * math.comb(2 * ell, ell - j) * m for j, m in enumerate(means, 1))
+        if ell == 3:
+            assert np.max(np.abs(want.imag)) > 1e-3 * np.max(np.abs(want))
+        _assert_close(spherical_mean(f, t, ell, quad_points=nodes),
+                      _oracle_apply(f, want.real))
+
+
 def _fresh(f):
     """Same samples, empty memo and spectrum cache."""
     return GridFunction(f.samples)
@@ -410,7 +425,8 @@ def test_stacked_moduli_match_per_step_loop(norm):
         nfun = (lambda g: lp_norm(g, 2.0)) if spec is None else spec.norm
         t, points = 0.8, 40 if f.dim == 1 else 7
         for r in (1, 2):
-            rad = t * np.arange(1, radii + 1) / radii
+            # the step grids of `modulus` and `semigroup_modulus`, rounded as they round them
+            rad = t * (np.arange(1, radii + 1) / radii)
             if f.dim == 1:
                 steps = [s * rho for rho in rad for s in (1.0, -1.0)]
             else:
@@ -419,7 +435,7 @@ def test_stacked_moduli_match_per_step_loop(norm):
             want = max(nfun(difference(f, h, r)) for h in steps)
             got = modulus(_fresh(f), r, t, spec, directions=directions, radii=radii)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
-            us = t * np.arange(1, points + 1) / points
+            us = t * (np.arange(1, points + 1) / points)
             for kind in ("shift", "heat", "abel"):
                 def one(u, kind=kind):
                     if kind != "shift":
