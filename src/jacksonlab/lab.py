@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .approx import best_approx, degree_below, k_delta, k_functional
-from .grid import (GridFunction, NormSpec, discretize, luxemburg_norm,
+from .grid import (GridFunction, NormSpec, discretize, grid_points, luxemburg_norm,
                    orlicz_norm, random_smooth)
 from .ops import (_SEMIGROUP_KINDS, _as_norm, _one_parameter_norms, averaged_modulus, cesaro,
                   modulus, semigroup_modulus)
@@ -164,49 +164,47 @@ def standard_family(size, dim=1, rng=None, names=None):
 
     d=1: cos x; |sin x| (Lipschitz, not C^1); an 8-term sawtooth partial
     sum; a seeded random band-limited function with quadratic mode decay.
-    d=2 uses tensor analogues of the same four.  `names` filters the list.
+    d=2 uses tensor analogues of the same four, the first three built from
+    their 1-d factors.  `names` picks members; only those are built, in
+    this order.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if dim == 1:
-        fam = [
-            ("cos", discretize(np.cos, size, 1)),
-            ("abs-sin", discretize(lambda x: np.abs(np.sin(x)), size, 1)),
-            ("sawtooth8", discretize(_sawtooth8, size, 1)),
-            ("random", random_smooth(size, 1, rng)),
-        ]
-    elif dim == 2:
-        fam = [
-            ("cos", discretize(lambda x, y: np.cos(x) * np.cos(y), size, 2)),
-            ("abs-sin", discretize(lambda x, y: np.abs(np.sin(x) * np.sin(y)), size, 2)),
-            ("sawtooth8", discretize(lambda x, y: _sawtooth8(x) + _sawtooth8(y), size, 2)),
-            ("random", random_smooth(size, 2, rng)),
-        ]
-    else:
+    if dim not in (1, 2):
         raise ValueError(f"grid dimension must be 1 or 2, got {dim}")
-    if names is not None:
-        wanted = list(names)
-        known = {n for n, _ in fam}
-        for n in wanted:
-            if n not in known:
-                raise ValueError(f"unknown family member {n!r}; known: {sorted(known)}")
-        fam = [(n, f) for n, f in fam if n in set(wanted)]
-    return fam
+    # name: (axis samples, how two of them combine in 2-d); random is drawn whole
+    axes = {"cos": (np.cos, np.multiply), "abs-sin": (lambda x: np.abs(np.sin(x)), np.multiply),
+            "sawtooth8": (_sawtooth8, np.add), "random": None}
+    wanted = list(axes) if names is None else list(names)
+    for n in wanted:
+        if n not in axes:
+            raise ValueError(f"unknown family member {n!r}; known: {sorted(axes)}")
+    x = grid_points(size, 1)[0]
+
+    def member(n):
+        if axes[n] is None:
+            return random_smooth(size, dim, np.random.default_rng(0) if rng is None else rng)
+        a = axes[n][0](x)
+        return GridFunction(a if dim == 1 else axes[n][1].outer(a, a))
+
+    return [(n, member(n)) for n in axes if n in wanted]
 
 
-def dyadic_tail_sum(values_fn, r, s, rel_tol=1e-14, max_terms=64):
+_TAIL_REL_TOL, _TAIL_MAX_TERMS = 1e-14, 64
+
+
+def dyadic_tail_sum(values_fn, r, s):
     """{sum_{j>=1} 2^(-j*r*s) values_fn(j)^s}^(1/s) with relative truncation.
 
-    Stops at the first term below `rel_tol` times the running sum (terms
-    decay geometrically for bounded values) and returns (value, j_stop).
+    Stops at the first term below 1e-14 times the running sum (terms decay
+    geometrically for bounded values), and after 64 terms at the latest;
+    returns (value, j_stop).
     """
     acc = 0.0
-    stop = max_terms
-    for j in range(1, max_terms + 1):
+    stop = _TAIL_MAX_TERMS
+    for j in range(1, _TAIL_MAX_TERMS + 1):
         v = max(float(values_fn(j)), 0.0)
         term = 2.0 ** (-j * r * s) * v ** s
         acc += term
-        if acc > 0.0 and term < rel_tol * acc:
+        if acc > 0.0 and term < _TAIL_REL_TOL * acc:
             stop = j
             break
     return acc ** (1.0 / s), stop
@@ -512,8 +510,7 @@ _PARAMS = {
     "s": (lambda p: p["norm"].s or 2.0, float, "exponent of the dyadic sum (the norm's s, or 2)"),
     "n_range": (None, lambda v: [_INT(v[0]), _INT(v[1])], "scales t = 2^-n for n from lo to hi"),
     "radii": (lambda p: 64 if p["d"] == 1 else 16, _COUNT, "step radii (64 in 1-d, else 16)"),
-    "directions": (lambda p: 64 if p["d"] == 1 else 8, _COUNT,
-                   "step directions (64 in 1-d, else 8)"),
+    "directions": (8, _COUNT, "step directions of 2-d moduli (1-d tries both signs)"),
     "semigroup": ("shift", _choice(*_SEMIGROUP_KINDS), "shift, heat or abel"),
     "points": (64, _COUNT, "parameter points of the one-sided modulus"),
     "quad_points": (128, _COUNT, "quadrature points of the averaged modulus"),
@@ -548,9 +545,10 @@ def _dyadic_scales(p):
 class _Check:
     """One registered check, run by `run_check`.
 
-    A lower check sets quantity `lhs` of order r at each scale (n, t) against
-    {sum_j 2^(-jrs) term(2^j t)^s}^(1/s) of order r + 1, over `js(params, n)`
-    or, when `js` is None, the dyadic tail.  Other checks give `rows`.
+    A dyadic check sets quantity `lhs` of order r at each scale (n, t)
+    against {sum_j 2^(-jrs) term(2^j t)^s}^(1/s) of order r + 1, over
+    `js(params, n)` or, when `js` is None, the dyadic tail; a lower check puts
+    the quantity on the left, an upper check the sum.  Other checks give `rows`.
     `require` holds (param, predicate, message) rules on the parsed params;
     `bounds(params)` gives the `_finish` thresholds.
     """
@@ -601,17 +599,7 @@ def _approx_error(degree):
     return lambda f, p, nfun, u, order: best_approx(f, degree(u), nfun).value
 
 
-# rows of the upper checks
-def _jackson_14_rows(f, p, nfun):
-    r, s = p["r"], p["s"]
-    rows = []
-    for n, t in _dyadic_scales(p):
-        agg = sum(2.0 ** (j * r * s) * _modulus(f, p, nfun, 2.0 ** (-j), r + 1) ** s
-                  for j in range(1, n + 1))
-        rows.append((2.0 ** (-n * r) * agg ** (1.0 / s), _modulus(f, p, nfun, t, r)))
-    return rows
-
-
+# rows of the other checks
 def _entire_412_rows(f, p, nfun):
     lams = [2.0 ** k for k in range(p["lambda_power_max"] + 1)]
     return [(best_approx(f, degree_below(lam), nfun).value, k_delta(f, p["r"], lam ** -2.0, nfun))
@@ -658,7 +646,9 @@ _CHECKS = {
         "upper",
         ("constant = max 2^(-nr){sum_{j<=n} 2^(jrs) omega^{r+1}(f,2^-j)^s}^(1/s) "
          "/ omega^r(f,2^-n)",),
-        _MODULUS, rows=_jackson_14_rows, defaults={"n_range": (1, 8)}),
+        # at t = 2^-n and i = n - j: {sum_{i<n} 2^(-irs) omega^{r+1}(f,2^i t)^s}^(1/s)
+        _MODULUS, lhs=_modulus, term=_modulus, js=lambda p, n: range(n - 1, -1, -1),
+        defaults={"n_range": (1, 8)}),
     "jackson-4.8": _Check(
         "K_r(f,t^r) >= C {sum_j 2^(-jrs) K_{r+1}(f,(2^j t)^{r+1})^s}^(1/s) "
         "for the heat K-functional", "lower",
@@ -806,21 +796,21 @@ def parse_params(check_id, params):
     return p
 
 
-def _lower_rows(check, f, p, nfun, stops):
+def _dyadic_rows(check, f, p, nfun, stops):
     r, s = p["r"], p["s"]
     rows = []
     for n, t in check.scales(p):
-        lhs = check.lhs(f, p, nfun, t, r)
+        q = check.lhs(f, p, nfun, t, r)
         if check.js is None:
-            rhs, stop = dyadic_tail_sum(
+            total, stop = dyadic_tail_sum(
                 lambda j: check.term(f, p, nfun, (2.0 ** j) * t, r + 1), r, s)
             stops.append(stop)
         else:
             acc = 0.0
             for j in check.js(p, n):
                 acc += 2.0 ** (-j * r * s) * check.term(f, p, nfun, (2.0 ** j) * t, r + 1) ** s
-            rhs = acc ** (1.0 / s)
-        rows.append((lhs, rhs))
+            total = acc ** (1.0 / s)
+        rows.append((total, q) if check.direction == "upper" else (q, total))
     return rows
 
 
@@ -843,9 +833,11 @@ def run_check(check_id, params=None):
                               names=p["family"])
     rows, stops = [], []
     for _, f in fam:
-        rows += check.rows(f, p, nfun) if check.rows else _lower_rows(check, f, p, nfun, stops)
+        rows += check.rows(f, p, nfun) if check.rows else _dyadic_rows(check, f, p, nfun, stops)
     notes = (check.order + ", ".join(name for name, _ in fam),)
-    resolutions = {"N": p["N"], **{k: p[k] for k in _COUNTS if k in p}}
+    # a 1-d modulus tries both signs of each radius and reads no directions
+    resolutions = {"N": p["N"], **{k: p[k] for k in _COUNTS
+                                   if k in p and (k != "directions" or p["d"] == 2)}}
     if check.lhs and check.js is None:
         resolutions["max_j"] = max(stops, default=0)
         notes += (f"series truncated at j <= {resolutions['max_j']}",)

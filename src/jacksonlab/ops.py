@@ -394,7 +394,8 @@ def modulus(f, r, t, norm=None, directions=64, radii=64):
     if t <= 0.0:
         return 0.0
     r = _positive_int("difference order", r)
-    key = ("modulus", r, float(t), directions, radii)
+    # a 1-d modulus reads no directions, so equal 1-d moduli share one entry
+    key = ("modulus", r, float(t), directions if f.dim == 2 else None, radii)
     return _memoized(f, key, norm, lambda: _modulus(f, r, t, norm, directions, radii))
 
 
@@ -419,7 +420,10 @@ def _semigroup_multiplier(size, dim, t, kind):
     """Half-grid multiplier of the heat (exp(-t|nu|^2)) or abel (exp(-t|nu|)) semigroup.
 
     A vector of times gives one multiplier per time, stacked along a leading axis.
+    A negative time or another kind is refused before any multiplier is built.
     """
+    if np.any(np.less(t, 0.0)):
+        raise ValueError(f"semigroup time must be >= 0, got {t}")
     t = np.reshape(t, np.shape(t) + (1,) * dim)
     if kind == "heat":
         return np.exp(-t * _mode_radius2(size, dim))
@@ -439,15 +443,13 @@ def spectral_semigroup(f, t, kind):
     above t = 0.03): there heat smoothing is a contraction in L2 only, and
     L_p/Orlicz norms may grow.
     """
-    if t < 0.0:
-        raise ValueError(f"semigroup time must be >= 0, got {t}")
     return _apply_multiplier(f, _semigroup_multiplier(f.size, f.dim, t, kind))
 
 
 def semigroup_difference(f, t, kind, r=1):
-    """(T(t) - I)^r f for the heat or abel semigroup."""
+    """(T(t) - I)^r f for the heat or abel semigroup at time t >= 0 (else a ValueError)."""
     r = _positive_int("difference order", r)
-    return _apply_multiplier(f, _step_multipliers(f.size, f.dim, kind, r, np.array([float(t)]))[0])
+    return _apply_multiplier(f, _int_power(_semigroup_multiplier(f.size, f.dim, t, kind) - 1.0, r))
 
 
 _SEMIGROUP_KINDS = ("shift", "heat", "abel")

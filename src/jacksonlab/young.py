@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .search import bisect_level_log, golden_max
+from .search import golden_max
 
 _LOG_POWER_GATE = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -409,19 +409,19 @@ def power_concavity_regions(phi, s, u_lo=1e-6, u_hi=1e6, resolution=4096, tol=1e
 def log_power_tail_threshold(r, s):
     """Tail threshold u0 for log_power(r) with power parameter s > r.
 
-    Solves (r/s)*(r/s - 1)*log(u0) = -1 by bisection; beyond u0 the
-    logarithmic term alone forces concavity of u -> phi(u**(1/s)).
+    The root of (r/s)*(r/s - 1)*log(u0) = -1 in closed form,
+    u0 = exp(-1/((r/s)*(r/s - 1))), or inf past the float range (s close to
+    r); beyond u0 the logarithmic term alone forces concavity of
+    u -> phi(u**(1/s)).
     """
     if s <= r:
         raise ValueError(f"tail threshold needs s > r, got r={r}, s={s}")
     if r < _LOG_POWER_GATE:
         raise ValueError(f"log_power exponent must be >= {_LOG_POWER_GATE:.6f}, got {r}")
-    coeff = (r / s) * (r / s - 1.0)
-
-    def defect(u):
-        return coeff * np.log(u) + 1.0
-
-    return bisect_level_log(defect, 1.0 + 1e-12, 1e12, level=0.0, increasing=False)
+    try:
+        return math.exp(-1.0 / ((r / s) * (r / s - 1.0)))
+    except OverflowError:
+        return math.inf
 
 
 # -- patching -----------------------------------------------------------

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from jacksonlab import (NormSpec, describe_check, discretize, dyadic_tail_sum,
-                        estimate_convexity_constant, registry_ids, run_check,
-                        space_moduli, standard_family, verify_duality)
+                        estimate_convexity_constant, modulus, registry_ids, run_check,
+                        space_moduli, standard_family, verify_duality, zygmund)
+from jacksonlab import lab
 from jacksonlab.lab import _finish, check_params
 
 ALL_IDS = (
@@ -130,6 +131,78 @@ def test_family_filter_and_errors():
         standard_family(64, 1, names=["nope"])
     with pytest.raises(ValueError):
         standard_family(64, 3)
+
+
+def test_family_builds_only_the_named_members(monkeypatch):
+    full = {dim: standard_family(64, dim, np.random.default_rng(3)) for dim in (1, 2)}
+
+    def refuse(x):
+        raise AssertionError("sawtooth8 was built")
+
+    monkeypatch.setattr(lab, "_sawtooth8", refuse)
+    for dim in (1, 2):
+        want = full[dim][3][1]
+        (name, g), = standard_family(64, dim, np.random.default_rng(3), names=["random"])
+        assert name == "random" and np.array_equal(g.samples, want.samples)
+    with pytest.raises(AssertionError, match="sawtooth8"):
+        standard_family(64, 1, names=["sawtooth8"])
+
+
+@pytest.mark.parametrize("size", [16, 256])
+def test_family_matches_the_sampled_formulas(size):
+    x = 2.0 * np.pi * np.arange(size) / size
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    saw = lambda v: sum(np.sin(k * v) / k for k in range(1, 9))
+    want = {1: [np.cos(x), np.abs(np.sin(x)), saw(x)],
+            2: [np.cos(X) * np.cos(Y), np.abs(np.sin(X) * np.sin(Y)), saw(X) + saw(Y)]}
+    for dim in (1, 2):
+        fam = standard_family(size, dim, np.random.default_rng(0))
+        assert [n for n, _ in fam] == ["cos", "abs-sin", "sawtooth8", "random"]
+        for (_, g), w in zip(fam, want[dim]):
+            assert np.array_equal(g.samples, w)
+
+
+def jackson_14_paper_rows(g, p):
+    """2^(-nr) {sum_{j<=n} 2^(jrs) omega^{r+1}(f,2^-j)^s}^(1/s) against omega^r(f,2^-n)."""
+    r, s, norm = p["r"], p["s"], NormSpec.from_json(p["norm"])
+    mod = lambda order, t: modulus(g, order, t, norm, p["directions"], p["radii"])
+    rows = []
+    for n in range(p["n_range"][0], p["n_range"][1] + 1):
+        acc = 0.0
+        for j in range(1, n + 1):
+            acc += 2.0 ** (j * r * s) * mod(r + 1, 2.0 ** -j) ** s
+        rows.append((2.0 ** (-n * r) * acc ** (1.0 / s), mod(r, 2.0 ** -n)))
+    return rows
+
+
+@pytest.mark.parametrize("params,rel", [
+    ({"N": 64}, None),
+    ({"N": 64, "r": 2}, None),
+    ({"N": 16, "d": 2, "n_range": [1, 3], "radii": 4}, None),
+    ({"N": 64, "norm": {"norm": "lp", "p": 3.0}}, 1e-15),
+    ({"N": 64, "r": 2, "norm": {"norm": "lp", "p": 4.0}}, 1e-15),
+    ({"N": 64, "n_range": [1, 5], "s": 3.0,
+      "norm": NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5)).to_json()}, 1e-15),
+])
+def test_jackson_14_rows_are_the_papers_sum(params, rel):
+    rep = run_check("jackson-1.4", dict(params, family=["abs-sin", "random"]))
+    fam = standard_family(params["N"], rep.params["d"], np.random.default_rng(0),
+                          names=["abs-sin", "random"])
+    want = [row for _, g in fam for row in jackson_14_paper_rows(g, rep.params)]
+    got = [(lhs, rhs) for _, lhs, rhs in rep.table]
+    if rel is None:  # s = 2: every term is rescaled by an exact power of 2
+        assert got == want
+    else:
+        assert [rhs for _, rhs in got] == [rhs for _, rhs in want]
+        assert [lhs for lhs, _ in got] == pytest.approx([lhs for lhs, _ in want], rel=rel, abs=0.0)
+
+
+def test_directions_is_a_resolution_of_2d_moduli_only():
+    one = run_check("jackson-1.4", {"N": 32, "n_range": [1, 2], "family": ["cos"]})
+    assert "directions" not in one.resolutions and one.params["directions"] == 8
+    assert one.resolutions == {"N": 32, "radii": 64}
+    two = run_check("kfunc-8.9", {"N": 16, "n_range": [1, 1], "family": ["cos"]})
+    assert two.resolutions["directions"] == 8
 
 
 def test_dyadic_tail_sum_geometric_oracle():

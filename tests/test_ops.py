@@ -263,6 +263,11 @@ def test_modulus_rejects_bad_order():
         difference(f, 0.3, 0)
     with pytest.raises(ValueError):
         spectral_semigroup(f, 0.3, "unknown")
+    # a negative time or the shift is refused like spectral_semigroup refuses it
+    with pytest.raises(ValueError, match="time must be >= 0"):
+        semigroup_difference(f, -0.3, "heat")
+    with pytest.raises(ValueError, match="unknown semigroup kind 'shift'"):
+        semigroup_difference(f, 0.3, "shift")
 
 
 # -- oracle: the complex full-grid multiplier path ------------------------
@@ -562,6 +567,16 @@ def test_memo_keys_keep_quantities_apart():
         # a repeat is served from the memo, also through the bound norm method
         assert [call(f, nrm.norm, r, t) for nrm, r, t in variants] == shared
     assert len(f._memo) == len(calls) * len(variants)
+
+
+def test_one_dimensional_moduli_share_an_entry_across_directions():
+    f = random_smooth(64, 1, np.random.default_rng(11))
+    assert modulus(f, 1, 0.5, directions=3) == modulus(f, 1, 0.5, directions=64)
+    assert len(f._memo) == 1
+    g = random_smooth(16, 2, np.random.default_rng(11))
+    modulus(g, 1, 0.5, directions=3, radii=4)
+    modulus(g, 1, 0.5, directions=4, radii=4)
+    assert len(g._memo) == 2
 
 
 def test_memo_keys_bare_callables_by_object():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from jacksonlab import (YoungFunction, builtin, check_delta2, check_nabla2,
+from jacksonlab import (YoungFunction, bisect_level_log, builtin, check_delta2, check_nabla2,
                         complementary, exp_growth, golden_max, log_power,
                         log_power_tail_threshold, patch, power,
                         power_concavity_regions, two_power, zygmund)
@@ -135,6 +135,16 @@ def test_log_power_tail_threshold():
     # the defining relation holds at the returned point
     r, s = 3.0, 4.0
     assert (r / s) * (r / s - 1.0) * math.log(u0) == pytest.approx(-1.0, rel=1e-6, abs=0.0)
+    # the bisection in log u agrees where its bracket [1, 1e12] holds the root
+    oracle = bisect_level_log(lambda u: (r / s) * (r / s - 1.0) * np.log(u) + 1.0,
+                              1.0 + 1e-12, 1e12, level=0.0, increasing=False)
+    assert u0 == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    # s close to r puts the root far past 1e12 (8.2e13 and 1.3e118)
+    for r, s in ((3.0, 3.1), (2.7, 2.71)):
+        u0 = log_power_tail_threshold(r, s)
+        assert (r / s) * (r / s - 1.0) * math.log(u0) == pytest.approx(-1.0, rel=1e-12, abs=0.0)
+    # past the float range the threshold is infinite
+    assert log_power_tail_threshold(3.0, 3.001) == math.inf
 
 
 def test_concavity_regions_gate_and_coverage():
