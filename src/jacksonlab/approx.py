@@ -5,11 +5,12 @@ candidates inside the admissible degree band (partial sum, and a ramped
 projection at half degree); an optional projected-subgradient pass tightens
 them for non-Hilbert norms.  K-functionals are evaluated through three
 routes: a realization over smoothed candidates, a heat-semigroup
-difference, and a circular-mean difference on the 2-torus.  The candidate
-errors, the realization and the circular-mean route are rows of
-`ops._multiplier_norms` (1 - P_n, P_n (-|nu|^2)^ell, V_ell(t) - 1).  The
-last is minus the circle mean of the shift's symbol (4 sin^2(nu.h/2))^ell
-over C(2*ell, ell): real, and exact to rounding however small t is.
+difference, and a circular-mean difference on the 2-torus.  Every norm is
+a row norm |M f| memoized on f (`_row_norm`) and keyed by what M depends
+on: a degree (1 - P_n, P_n (-|nu|^2)^ell), a radius (V_ell(t) - 1) or a
+semigroup time ((T(u) - I)^r), so realization scales t with the same degrees
+share their rows.  V_ell(t) - 1 is minus the circle mean of the shift's
+symbol (4 sin^2(nu.h/2))^ell over C(2*ell, ell): exact to rounding at any t.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridFunction, _amemiya, _weight_array, lp_norm, luxemburg_norm
-from .ops import (_apply_multiplier, _as_norm, _axis_freqs, _given, _memoized, _mode_radius,
-                  _mode_radius2, _multiplier_norms, _one_parameter_norms, _positive_int,
-                  _spherical_mean_offset)
+from .ops import (_apply_multiplier, _axis_freqs, _given, _memoized, _mode_radius,
+                  _mode_radius2, _multiplier_norms, _norm_spec, _one_parameter_norms,
+                  _positive_int, _spherical_mean_offset)
 
 
 def degree_below(lam):
@@ -71,38 +72,32 @@ def best_approx(f, n, norm=None, refine=False, iters=500, step=0.5):
 
     Returns an ApproxResult whose `upper` is the smaller of the two
     explicit candidates (both lie inside the degree band: the ramped
-    candidate is built at degree n//2 so its output degree stays < n).
-    With refine=True a projected-subgradient descent polishes the
-    candidate; this needs a declarative norm (NormSpec or None for L2).
-    Without refine the result is memoized on f, as the moduli are.
+    candidate is built at degree n//2 so its output degree stays < n);
+    their errors are row norms memoized on f.  With refine=True a
+    projected-subgradient descent polishes the candidate; this needs a
+    declarative norm (a NormSpec, its bound `norm`, or None for L2).
     """
-    if refine and norm is not None and not hasattr(norm, "norm"):
+    spec = _norm_spec(norm)
+    if refine and spec is None:
         raise ValueError("refine needs a declarative norm, not a bare callable")
-    plain = _memoized(f, ("best_approx", n), norm, lambda: _best_candidate(f, n, norm))
+    errors = [_row_norm(f, ("rest", "partial_sum", n), norm)]
+    if n >= 2:
+        errors.append(_row_norm(f, ("rest", "vallee_poussin", n // 2), norm))
+    k = errors.index(min(errors))  # the first minimum, as np.argmin picks it
+    plain = ApproxResult(int(n), errors[k], ("partial_sum", "vallee_poussin")[k])
     if not refine:
         return plain
-    start = projection(f, n if plain.method == "partial_sum" else n // 2, plain.method)
-    optimized = _refine(f, int(n), start, plain.upper, norm, iters, step)
+    start = projection(f, n if k == 0 else n // 2, plain.method)
+    optimized = _refine(f, int(n), start, plain.upper, spec, iters, step)
     return replace(plain, optimized=float(min(optimized, plain.upper)))
 
 
-def _best_candidate(f, n, norm):
-    """The better explicit candidate: |f - P f| for the partial sum and the ramped projection."""
-    rows = [1.0 - _band(f, n, "partial_sum")]
-    if n >= 2:
-        rows.append(1.0 - _band(f, n // 2, "vallee_poussin"))
-    errors = _multiplier_norms(f, np.stack(rows), _given, norm)
-    k = int(np.argmin(errors))
-    return ApproxResult(int(n), float(errors[k]), ("partial_sum", "vallee_poussin")[k])
-
-
 def _norm_subgradient(u, spec):
-    """Subgradient of the norm at sample vector u (zero vector at u = 0)."""
-    size, g = u.size, GridFunction(u)
-    weight = None if spec is None else spec.weight
+    """Subgradient of the NormSpec `spec` at sample vector u (zero vector at u = 0)."""
+    size, g, weight = u.size, GridFunction(u), spec.weight
     w = 1.0 if weight is None else _weight_array(g, weight)
-    if spec is None or spec.variant == "lp":
-        p = 2.0 if spec is None else spec.p
+    if spec.variant == "lp":
+        p = spec.p
         if np.isinf(p):
             grad = np.zeros_like(u)
             j = np.unravel_index(np.argmax(np.abs(u)), u.shape)
@@ -131,7 +126,7 @@ def _norm_subgradient(u, spec):
 
 
 def _refine(f, n, start, start_val, spec, iters, step):
-    nfun = _as_norm(spec)
+    nfun = spec.norm
     g = start.samples.copy()
     best = start_val
     gamma0 = step * max(start_val, 1e-15)
@@ -195,42 +190,55 @@ def k_functional(f, ell, t, norm=None, route="realization"):
     realization: min over candidate degrees n in {0, ceil(1/t), 2*ceil(1/t)}
     of |f - P_n f| + t^(2*ell) * |Laplacian^ell P_n f| with ramped
     projections (n = 0 uses the mean).  heat: |(H(t^2) - I)^ell f| for the
-    heat semigroup H.  sphere (d=2): |V_ell(t) f - f| with the order-ell
-    circular mean (see `ops.spherical_mean`); radii beyond pi/2 are
-    flagged in `notes`.
+    heat semigroup H (`k_delta` at t^2).  sphere (d=2): |V_ell(t) f - f| with
+    the order-ell circular mean (see `ops.spherical_mean`); radii beyond pi/2
+    are flagged in `notes`.  Its norms are memoized rows, never keyed by t.
     """
     if t <= 0.0:
         raise ValueError(f"scale t must be positive, got {t}")
     ell = _positive_int("order", ell)
-    return _memoized(f, ("k_functional", ell, float(t), route), norm,
-                     lambda: _k_functional(f, ell, t, norm, route))
-
-
-def _k_functional(f, ell, t, norm, route):
     if route == "realization":
         n0 = max(1, math.ceil(1.0 / t - 1e-9))
         degrees = (0, n0, 2 * n0)
-        bands = np.stack([_band(f, n, "vallee_poussin") for n in degrees])
-        # rows f - P_n f, then Laplacian^ell P_n f (the zero multiplier for the mean, n = 0)
-        rows = np.concatenate([1.0 - bands, bands * (-_mode_radius2(f.size, f.dim)) ** ell])
-        errors, smooth = np.split(np.array(_multiplier_norms(f, rows, _given, norm)), 2)
-        vals = errors + t ** (2 * ell) * smooth
-        k = int(np.argmin(vals))
-        return KFuncResult(float(t), ell, route, float(vals[k]), degree=degrees[k])
+        # rows f - P_n f and Laplacian^ell P_n f (the zero multiplier for the mean, n = 0)
+        vals = [_row_norm(f, ("rest", "vallee_poussin", n), norm)
+                + t ** (2 * ell) * _row_norm(f, ("smooth", n, ell), norm) for n in degrees]
+        k = vals.index(min(vals))
+        return KFuncResult(float(t), ell, route, vals[k], degree=degrees[k])
     if route == "heat":
         return KFuncResult(float(t), ell, route, k_delta(f, ell, t * t, norm))
     if route == "sphere":
         if f.dim != 2:
             raise ValueError("sphere route needs a 2-d grid")
         notes = ("radius beyond pi/2, values are extrapolated",) if t > math.pi / 2.0 else ()
-        row = _spherical_mean_offset(f.size, t, ell)[None]
-        (val,) = _multiplier_norms(f, row, _given, norm)
-        return KFuncResult(float(t), ell, route, float(val), notes=notes)
+        return KFuncResult(float(t), ell, route, _row_norm(f, ("sphere", float(t), ell), norm),
+                           notes=notes)
     raise ValueError(f"unknown route {route!r}")
 
 
 def k_delta(f, m, heat_time, norm=None):
     """Norm of (H(heat_time) - I)^m f, the heat-difference K-functional proxy."""
     m = _positive_int("difference order", m)
-    return _memoized(f, ("k_delta", m, float(heat_time)), norm,
-                     lambda: _one_parameter_norms(f, [heat_time], "heat", m, None, norm)[0])
+    return _row_norm(f, ("difference", "heat", m, float(heat_time)), norm)
+
+
+def _row_norm(f, key, norm):
+    """|M f| for the half-grid multiplier M that `key` names, memoized on f (`ops._memoized`).
+
+    M is 1 - a degree-n band ("rest"), the ramped band times (-|nu|^2)^ell
+    ("smooth"), V_ell(t) - 1 ("sphere") or (T(u) - I)^r with the 2-d shift
+    along (1, 0) ("difference").  A row's norm does not depend on its stack.
+    """
+    def compute():
+        match key:
+            case ("difference", kind, r, u):
+                return _one_parameter_norms(f, [u], kind, r, None, norm)[0]
+            case ("rest", kind, n):
+                row = 1.0 - _band(f, n, kind)
+            case ("smooth", n, ell):
+                row = _band(f, n, "vallee_poussin") * (-_mode_radius2(f.size, f.dim)) ** ell
+            case ("sphere", t, ell):
+                row = _spherical_mean_offset(f.size, t, ell)
+        return _multiplier_norms(f, row[None], _given, norm)[0]
+
+    return _memoized(f, key, norm, compute)

@@ -106,6 +106,8 @@ def _validate(config, seed_override=None, out_override=None):
 
 
 def _run_batch(args):
+    if args.jobs < 1:
+        raise ConfigError(f"option '--jobs': must be an integer >= 1, got {args.jobs}")
     config = _load_config(args.config)
     jobs, out, formats = _validate(config, seed_override=args.seed, out_override=args.out)
 

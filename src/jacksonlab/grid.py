@@ -21,8 +21,8 @@ class GridFunction:
     The sample array is copied and frozen at construction; arithmetic
     returns new instances.  2-d grids are square (N x N).  The real
     spectrum and its Parseval weights are computed on first use and kept;
-    `ops` and `approx` memoize moduli and K-functionals in a per-instance
-    dict, so all of them live exactly as long as the function.
+    moduli (`ops`) and the row norms of `approx` are memoized in a
+    per-instance dict, so all of them live exactly as long as the function.
     """
 
     __slots__ = ("samples", "_spectrum", "_parseval", "_memo")

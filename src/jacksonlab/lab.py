@@ -20,11 +20,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .approx import best_approx, degree_below, k_delta, k_functional
+from .approx import _row_norm, best_approx, degree_below, k_delta, k_functional
 from .grid import (GridFunction, NormSpec, discretize, grid_points, luxemburg_norm,
                    orlicz_norm, random_smooth)
-from .ops import (_SEMIGROUP_KINDS, _as_norm, _one_parameter_norms, averaged_modulus, cesaro,
-                  modulus, semigroup_modulus)
+from .ops import (_SEMIGROUP_KINDS, _as_norm, averaged_modulus, cesaro, modulus,
+                  semigroup_modulus)
 from .search import bisect_level
 from .young import YoungFunction, zygmund
 
@@ -570,16 +570,10 @@ class _Check:
 
 
 # named quantities, each q(f, params, norm, scale, order)
-def _difference(f, p, nfun, u, order):
-    return _one_parameter_norms(f, [u], p["semigroup"], order, None, nfun)[0]
-
-
-def _abel_difference(f, p, nfun, u, order):
-    return _one_parameter_norms(f, [u], "abel", order, None, nfun)[0]
-
-
-def _heat_k(f, p, nfun, u, order):
-    return k_delta(f, order, u, nfun)
+def _difference(kind=None):
+    """|(T(u) - I)^order f| for the semigroup `kind` (None: the check's `semigroup` param)."""
+    return lambda f, p, nfun, u, order: _row_norm(
+        f, ("difference", kind or p["semigroup"], order, float(u)), nfun)
 
 
 def _modulus(f, p, nfun, u, order):
@@ -636,7 +630,7 @@ _CHECKS = {
         "with proof constant m1 = m^{1/s}/2", "lower",
         ("constant = min |(T-I)^r f| / {sum_{j=0}^L 2^(-jrs)|(T^(2^j)-I)^(r+1)f|^s}^(1/s)",),
         _NORMED + ("semigroup", "h", "L", "m", "tol"), order="rows indexed by test function: ",
-        lhs=_difference, term=_difference, scales=lambda p: [(0, p["h"])],
+        lhs=_difference(), term=_difference(), scales=lambda p: [(0, p["h"])],
         js=lambda p, n: range(p["L"] + 1),
         bounds=lambda p: ({} if p["m"] is None else
                           {"lower_threshold": p["m"] ** (1.0 / p["s"]) / 2.0 - p["tol"]}),
@@ -653,25 +647,25 @@ _CHECKS = {
         "K_r(f,t^r) >= C {sum_j 2^(-jrs) K_{r+1}(f,(2^j t)^{r+1})^s}^(1/s) "
         "for the heat K-functional", "lower",
         ("heat K-functional route: K_rho(f, u^rho) computed as |(W(u)-I)^rho f|",),
-        _DYADIC, lhs=_heat_k, term=_heat_k, defaults={"n_range": (1, 6)}),
+        _DYADIC, lhs=_difference("heat"), term=_difference("heat"), defaults={"n_range": (1, 6)}),
     "jackson-4.9": _Check(
         "K_r(f,t^r) >= C {sum_j 2^(-jrs) E_{(2^j t)^(-1/2)}(f)^s}^(1/s) "
         "for the heat K-functional", "lower",
         ("lower bound of the heat K-functional by best-approximation errors "
          "at lambda_j = (2^j t)^(-1/2)",),
-        _DYADIC, lhs=_heat_k, term=_approx_error(lambda u: degree_below(u ** -0.5)),
+        _DYADIC, lhs=_difference("heat"), term=_approx_error(lambda u: degree_below(u ** -0.5)),
         defaults={"n_range": (1, 6)}),
     "jackson-5.9": _Check(
         "K_r(f,t^r) >= C {sum_j 2^(-jrs) K_{r+1}(f,(2^j t)^{r+1})^s}^(1/s) "
         "for the abel K-functional on the circle", "lower",
         ("abel K-functional route: K_rho(f, u^rho) computed as |(T(u)-I)^rho f|",),
-        _DYADIC, lhs=_abel_difference, term=_abel_difference, require=_ABEL_1D,
+        _DYADIC, lhs=_difference("abel"), term=_difference("abel"), require=_ABEL_1D,
         defaults={"n_range": (1, 6)}),
     "jackson-5.10": _Check(
         "K_r(f,2^(-nr)) >= C {sum_{j<=n} 2^(-jrs) E_{2^(n-j)}(f)^s}^(1/s) "
         "for the abel K-functional on the circle", "lower",
         ("constant = min |(T(2^-n)-I)^r f| / {sum_{j<=n} 2^(-jrs) E_{2^(n-j)}(f)^s}^(1/s)",),
-        _DYADIC, lhs=_abel_difference, term=_approx_error(lambda u: int(1.0 / u)),
+        _DYADIC, lhs=_difference("abel"), term=_approx_error(lambda u: int(1.0 / u)),
         js=lambda p, n: range(1, n + 1), require=_ABEL_1D, defaults={"n_range": (1, 8)}),
     "entire-4.12": _Check(
         "E_lambda(f) <= C K_r(f, lambda^(-2r)) for the heat K-functional", "upper",

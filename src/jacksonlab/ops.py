@@ -35,10 +35,11 @@ a Luxemburg or Orlicz norm they go through `_multiplier_sup`, which rules
 rows out by one vectorized modular per stack and solves only the rows that
 may beat the running max; the result is the per-row max bit for bit.
 
-`modulus` and `semigroup_modulus` (and `approx.k_functional`, `k_delta`
-and `best_approx`) are memoized on the GridFunction instance, keyed by the
-quantity, its orders and parameters, and `NormSpec.key()`; the memo dies
-with the function.
+`modulus` and `semigroup_modulus` are memoized on the GridFunction
+instance, keyed by the quantity, its orders and parameters, and
+`NormSpec.key()`; so are the row norms of `approx` (`approx._row_norm`),
+keyed by what each row depends on: a degree, a radius or a semigroup time.
+The memo dies with the function.
 """
 
 from __future__ import annotations
@@ -455,18 +456,11 @@ def semigroup_difference(f, t, kind, r=1):
 _SEMIGROUP_KINDS = ("shift", "heat", "abel")
 
 
-def _semigroup_args(semigroup, direction, r):
-    """(kind, direction, r) of a semigroup argument (name or OperatorSpec), checked."""
-    kind = semigroup
-    if isinstance(semigroup, OperatorSpec):
-        kind = semigroup.kind
-        if kind == "shift" and direction is None and semigroup.h is not None:
-            h = semigroup.h
-            if not np.isscalar(h):
-                direction = tuple(float(v) for v in h)
+def _semigroup_args(kind, r):
+    """(kind, r) of a semigroup modulus, checked."""
     if kind not in _SEMIGROUP_KINDS:
         raise ValueError(f"semigroup kind must be one of {_SEMIGROUP_KINDS}, got {kind!r}")
-    return kind, direction, _positive_int("difference order", r)
+    return kind, _positive_int("difference order", r)
 
 
 def _one_parameter_norms(f, us, kind, r, direction, norm, sup=False):
@@ -491,12 +485,12 @@ def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, directio
 
     The sup runs over u = t*(i+1)/points (endpoint included).  For the
     shift on a 2-d grid the step moves along `direction` (default (1,0)).
-    `semigroup` is a kind name or an OperatorSpec of a semigroup variant.
+    `semigroup` is a kind name: "shift", "heat" or "abel".
     """
     points = _positive_int("points", points)
     if t <= 0.0:
         return 0.0
-    kind, direction, r = _semigroup_args(semigroup, direction, r)
+    kind, r = _semigroup_args(semigroup, r)
     key = ("semigroup_modulus", r, float(t), kind, points,
            None if direction is None else tuple(float(v) for v in direction))
     us = t * (np.arange(1, points + 1) / points)
@@ -514,7 +508,7 @@ def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, dir
     quad_points = _positive_int("quad_points", quad_points)
     if t <= 0.0:
         return 0.0
-    kind, direction, r = _semigroup_args(semigroup, direction, r)
+    kind, r = _semigroup_args(semigroup, r)
     mids = t * (np.arange(quad_points) + 0.5) / quad_points
     return float(np.mean(_one_parameter_norms(f, mids, kind, r, direction, norm)))
 

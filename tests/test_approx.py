@@ -8,6 +8,10 @@ import pytest
 from jacksonlab import (GridFunction, NormSpec, best_approx, degree_below,
                         directional_deriv, discretize, k_delta, k_functional, lp_norm,
                         projection, random_smooth, semigroup_difference, zygmund)
+from jacksonlab import approx as approx_module
+from jacksonlab import ops as ops_module
+from jacksonlab.approx import _row_norm
+from jacksonlab.ops import _given, _mode_radius2
 
 SQRT2 = math.sqrt(2.0)
 
@@ -67,14 +71,42 @@ def test_best_approx_refine_never_hurts():
             refined = best_approx(f, 3, spec, refine=True)
             assert refined.value <= plain.value + 1e-12
             assert refined.optimized is not None
+    # the bound norm method is the spec's declarative norm, refined the same way
+    for size, dim in ((64, 1), (16, 2)):
+        f = random_smooth(size, dim, rng)
+        for spec in (NormSpec(variant="lp", p=4.0),
+                     NormSpec(variant="orlicz", phi=zygmund(2.0, 0.5))):
+            want = best_approx(GridFunction(f.samples), 3, spec, refine=True)
+            assert best_approx(f, 3, spec.norm, refine=True) == want
+    with pytest.raises(ValueError, match="not a bare callable"):
+        best_approx(f, 3, lambda g: lp_norm(g, 4.0), refine=True)
 
 
-def test_best_approx_is_memoized_without_refine():
+def _count_multiplier_norms(monkeypatch):
+    """Calls of `ops._multiplier_norms`, through approx's name for it and through ops."""
+    calls = []
+    real = ops_module._multiplier_norms
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(approx_module, "_multiplier_norms", counted)
+    monkeypatch.setattr(ops_module, "_multiplier_norms", counted)
+    return calls
+
+
+def test_best_approx_is_memoized_without_refine(monkeypatch):
+    calls = _count_multiplier_norms(monkeypatch)
     spec = NormSpec(variant="lp", p=4.0)
     f = random_smooth(128, 1, np.random.default_rng(8))
     plain = best_approx(f, 6, spec)
-    assert best_approx(f, 6, spec.norm) is plain
-    assert best_approx(f, 6) is not plain  # another norm is another entry
+    assert len(calls) == 2  # the partial-sum and the ramped candidate
+    # a repeat, also through the bound norm method, reads the memo
+    assert best_approx(f, 6, spec) == plain
+    assert best_approx(f, 6, spec.norm) == plain
+    assert len(calls) == 2
+    assert best_approx(f, 6) != plain  # another norm is another entry
     fresh = best_approx(GridFunction(f.samples.copy()), 6, spec)
     assert fresh == plain
     refined = best_approx(f, 6, spec, refine=True, iters=5)
@@ -197,3 +229,49 @@ def test_k_functional_vanishes_iff_constant():
     assert k_functional(const, 1, 0.5).value == pytest.approx(0.0, abs=1e-13)
     f = discretize(np.cos, 64, 1)
     assert k_functional(f, 1, 0.5).value > 1e-3
+
+
+@pytest.mark.parametrize("dim,size", [(1, 64), (2, 16)])
+def test_k_functional_rows_are_keyed_by_degree_radius_and_time(dim, size, monkeypatch):
+    calls = _count_multiplier_norms(monkeypatch)
+    g = random_smooth(size, dim, np.random.default_rng(20 + dim))
+    first = k_functional(g, 1, 0.3)
+    assert len(g._memo) == 6 and len(calls) == 6  # rest and smooth rows of degrees 0, 4, 8
+    # t = 0.27 has the same degrees (n0 = 4): no new row
+    k_functional(g, 1, 0.27)
+    assert len(g._memo) == 6 and len(calls) == 6
+    assert k_functional(g, 1, 0.3) == first
+    # best_approx(g, 8) reads the ramped row of degree 4 and adds its partial sum
+    best_approx(g, 8)
+    assert len(g._memo) == 7 and len(calls) == 7
+    # the heat route at t is k_delta at t^2: one entry
+    heat = k_functional(g, 2, 0.3, route="heat")
+    assert k_delta(g, 2, 0.3 * 0.3) == heat.value
+    assert len(g._memo) == 8
+    if dim == 2:
+        sphere = k_functional(g, 1, 0.3, route="sphere")
+        assert len(g._memo) == 9
+        assert k_functional(g, 1, 0.3, route="sphere") == sphere
+        assert len(g._memo) == 9
+
+
+@pytest.mark.parametrize("dim,size", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("norm", [None, NormSpec(variant="lp", p=4.0),
+                                  NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5))],
+                         ids=["l2", "l4", "luxemburg"])
+def test_realization_rows_equal_their_stacked_evaluation(dim, size, norm):
+    # the six rows alone equal one stacked evaluation, and the K-functional is
+    # min over degrees of rest + t^(2 ell) smooth as one vectorized expression
+    f = random_smooth(size, dim, np.random.default_rng(30 + dim))
+    ell, t, degrees = 2, 0.3, (0, 4, 8)
+    bands = np.stack([approx_module._band(f, n, "vallee_poussin") for n in degrees])
+    rows = np.concatenate([1.0 - bands, bands * (-_mode_radius2(size, dim)) ** ell])
+    stacked = ops_module._multiplier_norms(f, rows, _given, norm)
+    g = GridFunction(f.samples)
+    alone = ([_row_norm(g, ("rest", "vallee_poussin", n), norm) for n in degrees]
+             + [_row_norm(g, ("smooth", n, ell), norm) for n in degrees])
+    assert alone == stacked
+    vals = np.array(stacked[:3]) + t ** (2 * ell) * np.array(stacked[3:])
+    res = k_functional(g, ell, t, norm)
+    assert res.value == float(vals.min())
+    assert res.degree == degrees[int(np.argmin(vals))]

@@ -236,6 +236,14 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     assert "config field 'seed': must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
+def test_jobs_below_one_is_refused_before_any_report(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(BASE_CONFIG, out=str(tmp_path / "rep")))
+    for jobs in ("0", "-2"):
+        assert main(["run", cfg, "--jobs", jobs]) == 2
+        assert f"'--jobs': must be an integer >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_missing_and_malformed_config(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()

@@ -268,6 +268,10 @@ def test_modulus_rejects_bad_order():
         semigroup_difference(f, -0.3, "heat")
     with pytest.raises(ValueError, match="unknown semigroup kind 'shift'"):
         semigroup_difference(f, 0.3, "shift")
+    # a semigroup is named by its kind; an OperatorSpec (and its time) is refused
+    for modulus_of in (semigroup_modulus, averaged_modulus):
+        with pytest.raises(ValueError, match="semigroup kind must be one of"):
+            modulus_of(f, 1, 0.5, OperatorSpec(kind="heat", t=123.0))
 
 
 # -- oracle: the complex full-grid multiplier path ------------------------
@@ -558,7 +562,13 @@ def test_memo_keys_keep_quantities_apart():
         lambda g, nrm, r, t: k_delta(g, r, t, nrm),
     ]
     variants = [(l2, 1, 0.3), (l4, 1, 0.3), (l2w, 1, 0.3), (l2, 2, 0.3), (l2, 1, 0.6)]
-    for call in calls:
+    # one entry per modulus and per k_delta; k_functional's realization adds its
+    # rest and smooth rows per degree: (l2, ell 1) degrees 0, 4, 8 fill 6 rows, so
+    # do l4 and weighted l2; ell 2 shares the 3 rest rows and t = 0.6 (degrees
+    # 0, 2, 4) adds the rest and smooth rows of degree 2
+    entries = [5, 5, 6 + 6 + 6 + 3 + 2, 5]
+    for call, added in zip(calls, entries):
+        before = len(f._memo)
         # every variant on the shared f (memo filling up) equals a fresh evaluation
         shared = [call(f, nrm, r, t) for nrm, r, t in variants]
         fresh = [call(_fresh(f), nrm, r, t) for nrm, r, t in variants]
@@ -566,7 +576,7 @@ def test_memo_keys_keep_quantities_apart():
         assert len(set(shared)) == len(variants)
         # a repeat is served from the memo, also through the bound norm method
         assert [call(f, nrm.norm, r, t) for nrm, r, t in variants] == shared
-    assert len(f._memo) == len(calls) * len(variants)
+        assert len(f._memo) - before == added
 
 
 def test_one_dimensional_moduli_share_an_entry_across_directions():
