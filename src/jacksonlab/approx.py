@@ -5,12 +5,12 @@ candidates inside the admissible degree band (partial sum, and a ramped
 projection at half degree); an optional projected-subgradient pass tightens
 them for non-Hilbert norms.  K-functionals are evaluated through three
 routes: a realization over smoothed candidates, a heat-semigroup
-difference, and a circular-mean difference on the 2-torus.  Every norm is
-a row norm |M f| memoized on f (`_row_norm`) and keyed by what M depends
-on: a degree (1 - P_n, P_n (-|nu|^2)^ell), a radius (V_ell(t) - 1) or a
-semigroup time ((T(u) - I)^r), so realization scales t with the same degrees
-share their rows.  V_ell(t) - 1 is minus the circle mean of the shift's
-symbol (4 sin^2(nu.h/2))^ell over C(2*ell, ell): exact to rounding at any t.
+difference, and a circular-mean difference on the 2-torus.  The band and
+sphere norms are row norms |M f| memoized on f (`_row_norm`), keyed by a
+degree (1 - P_n, P_n (-|nu|^2)^ell) or a radius (V_ell(t) - 1), so scales t
+with the same degrees share their rows; `k_delta` keeps no memo.
+V_ell(t) - 1 is minus the circle mean of the shift's symbol
+(4 sin^2(nu.h/2))^ell over C(2*ell, ell): exact to rounding at any t.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridFunction, _amemiya, _weight_array, lp_norm, luxemburg_norm
-from .ops import (_apply_multiplier, _axis_freqs, _given, _memoized, _mode_radius,
-                  _mode_radius2, _multiplier_norms, _norm_spec, _one_parameter_norms,
-                  _positive_int, _spherical_mean_offset)
+from .ops import (_apply_multiplier, _axis_freqs, _given, _mode_radius, _mode_radius2,
+                  _multiplier_norms, _norm_spec, _one_parameter_norms, _positive_int,
+                  _spherical_mean_offset)
 
 
 def degree_below(lam):
@@ -192,7 +192,8 @@ def k_functional(f, ell, t, norm=None, route="realization"):
     projections (n = 0 uses the mean).  heat: |(H(t^2) - I)^ell f| for the
     heat semigroup H (`k_delta` at t^2).  sphere (d=2): |V_ell(t) f - f| with
     the order-ell circular mean (see `ops.spherical_mean`); radii beyond pi/2
-    are flagged in `notes`.  Its norms are memoized rows, never keyed by t.
+    are flagged in `notes`.  The realization and sphere norms are memoized
+    rows (`_row_norm`), never keyed by t.
     """
     if t <= 0.0:
         raise ValueError(f"scale t must be positive, got {t}")
@@ -219,26 +220,32 @@ def k_functional(f, ell, t, norm=None, route="realization"):
 def k_delta(f, m, heat_time, norm=None):
     """Norm of (H(heat_time) - I)^m f, the heat-difference K-functional proxy."""
     m = _positive_int("difference order", m)
-    return _row_norm(f, ("difference", "heat", m, float(heat_time)), norm)
+    return _one_parameter_norms(f, [float(heat_time)], "heat", m, None, norm)[0]
 
 
 def _row_norm(f, key, norm):
-    """|M f| for the half-grid multiplier M that `key` names, memoized on f (`ops._memoized`).
+    """|M f| for the half-grid multiplier M that `key` names, memoized on f.
 
     M is 1 - a degree-n band ("rest"), the ramped band times (-|nu|^2)^ell
-    ("smooth"), V_ell(t) - 1 ("sphere") or (T(u) - I)^r with the 2-d shift
-    along (1, 0) ("difference").  A row's norm does not depend on its stack.
+    ("smooth") or V_ell(t) - 1 ("sphere").  The norm is keyed by
+    `NormSpec.key()`, or a bare callable by itself (an unhashable one is not
+    memoized).  A row's norm does not depend on its stack.
     """
-    def compute():
+    spec = _norm_spec(norm)
+    memo_key = key + ((spec.key(),) if spec is not None else (("callable", norm),))
+    try:
+        value = f._memo.get(memo_key)
+    except TypeError:
+        memo_key = value = None
+    if value is None:
         match key:
-            case ("difference", kind, r, u):
-                return _one_parameter_norms(f, [u], kind, r, None, norm)[0]
             case ("rest", kind, n):
                 row = 1.0 - _band(f, n, kind)
             case ("smooth", n, ell):
                 row = _band(f, n, "vallee_poussin") * (-_mode_radius2(f.size, f.dim)) ** ell
             case ("sphere", t, ell):
                 row = _spherical_mean_offset(f.size, t, ell)
-        return _multiplier_norms(f, row[None], _given, norm)[0]
-
-    return _memoized(f, key, norm, compute)
+        value = _multiplier_norms(f, row[None], _given, norm)[0]
+        if memo_key is not None:
+            f._memo[memo_key] = value
+    return value

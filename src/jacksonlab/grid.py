@@ -21,7 +21,7 @@ class GridFunction:
     The sample array is copied and frozen at construction; arithmetic
     returns new instances.  2-d grids are square (N x N).  The real
     spectrum and its Parseval weights are computed on first use and kept;
-    moduli (`ops`) and the row norms of `approx` are memoized in a
+    the band and sphere row norms of `approx` are memoized in a
     per-instance dict, so all of them live exactly as long as the function.
     """
 

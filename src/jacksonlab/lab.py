@@ -12,6 +12,7 @@ drifts across the range fails even when each point is individually fine.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -20,11 +21,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .approx import _row_norm, best_approx, degree_below, k_delta, k_functional
+from .approx import best_approx, degree_below, k_delta, k_functional
 from .grid import (GridFunction, NormSpec, discretize, grid_points, luxemburg_norm,
                    orlicz_norm, random_smooth)
-from .ops import (_SEMIGROUP_KINDS, _as_norm, averaged_modulus, cesaro, modulus,
-                  semigroup_modulus)
+from .ops import (_SEMIGROUP_KINDS, _as_norm, _one_parameter_norms, averaged_modulus, cesaro,
+                  modulus, semigroup_modulus)
 from .search import bisect_level
 from .young import YoungFunction, zygmund
 
@@ -159,6 +160,16 @@ def _sawtooth8(x):
     return acc
 
 
+_MEMBERS = ("cos", "abs-sin", "sawtooth8", "random")
+
+
+def _members(names):
+    """`names` as a nonempty list of standard family members; anything else is a ValueError."""
+    if not isinstance(names, (list, tuple)) or not names:
+        raise ValueError(f"must be a nonempty list of member names, got {names!r}")
+    return [_choice(*_MEMBERS)(n) for n in names]
+
+
 def standard_family(size, dim=1, rng=None, names=None):
     """Named test functions spanning smooth, Lipschitz, and rough regimes.
 
@@ -170,13 +181,10 @@ def standard_family(size, dim=1, rng=None, names=None):
     """
     if dim not in (1, 2):
         raise ValueError(f"grid dimension must be 1 or 2, got {dim}")
+    wanted = _MEMBERS if names is None else _members(names)
     # name: (axis samples, how two of them combine in 2-d); random is drawn whole
     axes = {"cos": (np.cos, np.multiply), "abs-sin": (lambda x: np.abs(np.sin(x)), np.multiply),
             "sawtooth8": (_sawtooth8, np.add), "random": None}
-    wanted = list(axes) if names is None else list(names)
-    for n in wanted:
-        if n not in axes:
-            raise ValueError(f"unknown family member {n!r}; known: {sorted(axes)}")
     x = grid_points(size, 1)[0]
 
     def member(n):
@@ -185,7 +193,7 @@ def standard_family(size, dim=1, rng=None, names=None):
         a = axes[n][0](x)
         return GridFunction(a if dim == 1 else axes[n][1].outer(a, a))
 
-    return [(n, member(n)) for n in axes if n in wanted]
+    return [(n, member(n)) for n in _MEMBERS if n in wanted]
 
 
 _TAIL_REL_TOL, _TAIL_MAX_TERMS = 1e-14, 64
@@ -495,6 +503,21 @@ def _choice(*options):
 
 _INT, _COUNT, _NATURAL = _integer(), _integer(1), _integer(0)
 
+
+def _index_range(value):
+    """Param converter: two integers [lo, hi] with lo <= hi."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or _INT(value[0]) > _INT(value[1]):
+        raise ValueError(f"must be two integers [lo, hi] with lo <= hi, got {value!r}")
+    return [int(value[0]), int(value[1])]
+
+
+def _exponent(value):
+    """Param converter: a finite s >= 2, the bound NormSpec puts on its own s."""
+    if not 2.0 <= float(value) < math.inf:
+        raise ValueError(f"convexity exponent s must be finite and >= 2, got {value!r}")
+    return float(value)
+
+
 # name: (default, converter, description).  A missing or null param takes the
 # default; a callable default is computed from the params parsed before it, in
 # the order of `check_params`.
@@ -502,13 +525,13 @@ _PARAMS = {
     "N": (256, _integer(8, even=True), "grid size"),
     "d": (1, _integer(1, 2), "grid dimension"),
     "seed": (0, _NATURAL, "seed of the random family member"),
-    "family": (None, list, "members of the standard family to use (all)"),
+    "family": (None, _members, "members of the standard family to use (all)"),
     "f": (None, _record(GridFunction), "GridFunction record to use as the family"),
     "spread_bound": (10.0, float, "largest max/median ratio that passes"),
     "norm": (lambda p: NormSpec(), _record(NormSpec), "NormSpec record (L2)"),
     "r": (1, _COUNT, "order of the left-hand side"),
-    "s": (lambda p: p["norm"].s or 2.0, float, "exponent of the dyadic sum (the norm's s, or 2)"),
-    "n_range": (None, lambda v: [_INT(v[0]), _INT(v[1])], "scales t = 2^-n for n from lo to hi"),
+    "s": (lambda p: p["norm"].s or 2.0, _exponent, "dyadic-sum exponent >= 2 (the norm's s, or 2)"),
+    "n_range": (None, _index_range, "scales t = 2^-n for n from lo to hi"),
     "radii": (lambda p: 64 if p["d"] == 1 else 16, _COUNT, "step radii (64 in 1-d, else 16)"),
     "directions": (8, _COUNT, "step directions of 2-d moduli (1-d tries both signs)"),
     "semigroup": ("shift", _choice(*_SEMIGROUP_KINDS), "shift, heat or abel"),
@@ -572,8 +595,8 @@ class _Check:
 # named quantities, each q(f, params, norm, scale, order)
 def _difference(kind=None):
     """|(T(u) - I)^order f| for the semigroup `kind` (None: the check's `semigroup` param)."""
-    return lambda f, p, nfun, u, order: _row_norm(
-        f, ("difference", kind or p["semigroup"], order, float(u)), nfun)
+    return lambda f, p, nfun, u, order: _one_parameter_norms(
+        f, [float(u)], kind or p["semigroup"], order, None, nfun)[0]
 
 
 def _modulus(f, p, nfun, u, order):
@@ -750,7 +773,7 @@ def describe_check(check_id):
 
 
 def convert_param(name, value):
-    """`value` as param `name` is read; a TypeError or ValueError says what is wrong with it."""
+    """`value` as param `name` is read; a TypeError, ValueError or LookupError says why not."""
     return _PARAMS[name][1](value)
 
 
@@ -782,8 +805,10 @@ def parse_params(check_id, params):
             value = value(p) if callable(value) else value
         try:
             p[name] = None if value is None else convert_param(name, value)
-        except (TypeError, ValueError) as exc:
-            raise ParamError(check_id, name, str(exc)) from exc
+        except (TypeError, ValueError, LookupError) as exc:
+            # a record's missing field is a KeyError, whose str is the bare key
+            reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ParamError(check_id, name, reason) from exc
     for name, holds, rule in check.require:
         if not holds(p):
             raise ParamError(check_id, name, rule.format(**p))
@@ -792,17 +817,18 @@ def parse_params(check_id, params):
 
 def _dyadic_rows(check, f, p, nfun, stops):
     r, s = p["r"], p["s"]
+    # the sums at different scales t read terms at the same points 2^j t: evaluate each once
+    term = functools.cache(lambda u: check.term(f, p, nfun, u, r + 1))
     rows = []
     for n, t in check.scales(p):
         q = check.lhs(f, p, nfun, t, r)
         if check.js is None:
-            total, stop = dyadic_tail_sum(
-                lambda j: check.term(f, p, nfun, (2.0 ** j) * t, r + 1), r, s)
+            total, stop = dyadic_tail_sum(lambda j: term((2.0 ** j) * t), r, s)
             stops.append(stop)
         else:
             acc = 0.0
             for j in check.js(p, n):
-                acc += 2.0 ** (-j * r * s) * check.term(f, p, nfun, (2.0 ** j) * t, r + 1) ** s
+                acc += 2.0 ** (-j * r * s) * term((2.0 ** j) * t) ** s
             total = acc ** (1.0 / s)
         rows.append((total, q) if check.direction == "upper" else (q, total))
     return rows

@@ -35,11 +35,9 @@ a Luxemburg or Orlicz norm they go through `_multiplier_sup`, which rules
 rows out by one vectorized modular per stack and solves only the rows that
 may beat the running max; the result is the per-row max bit for bit.
 
-`modulus` and `semigroup_modulus` are memoized on the GridFunction
-instance, keyed by the quantity, its orders and parameters, and
-`NormSpec.key()`; so are the row norms of `approx` (`approx._row_norm`),
-keyed by what each row depends on: a degree, a radius or a semigroup time.
-The memo dies with the function.
+Nothing here is memoized: every call evaluates its rows.  The dyadic sums
+of `lab` evaluate each of their terms once per function, and the only memo
+left, `approx._row_norm`, holds rows that several scales share.
 """
 
 from __future__ import annotations
@@ -185,29 +183,6 @@ def _norm_spec(norm):
     if getattr(norm, "__func__", None) is NormSpec.norm:
         return norm.__self__
     return None
-
-
-def _memoized(f, key, norm, compute):
-    """compute(), remembered on f under key + the norm's identity.
-
-    A NormSpec (or its bound `norm`) is keyed by `NormSpec.key()`; any other
-    callable by the object itself, which the key keeps alive.  Unhashable
-    callables are not memoized.
-    """
-    spec = _norm_spec(norm)
-    if spec is not None:
-        key += (spec.key(),)
-    else:
-        try:
-            hash(norm)
-        except TypeError:
-            return compute()
-        key += (("callable", norm),)
-    memo = f._memo
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = compute()
-    return value
 
 
 def _plain_p(norm):
@@ -395,12 +370,6 @@ def modulus(f, r, t, norm=None, directions=64, radii=64):
     if t <= 0.0:
         return 0.0
     r = _positive_int("difference order", r)
-    # a 1-d modulus reads no directions, so equal 1-d moduli share one entry
-    key = ("modulus", r, float(t), directions if f.dim == 2 else None, radii)
-    return _memoized(f, key, norm, lambda: _modulus(f, r, t, norm, directions, radii))
-
-
-def _modulus(f, r, t, norm, directions, radii):
     rad = t * (np.arange(1, radii + 1) / radii)
     # the L2 norm of (T(h) - I)^r f is even in h, so one sign of each step is enough
     even = _plain_p(norm) == 2.0
@@ -491,11 +460,8 @@ def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, directio
     if t <= 0.0:
         return 0.0
     kind, r = _semigroup_args(semigroup, r)
-    key = ("semigroup_modulus", r, float(t), kind, points,
-           None if direction is None else tuple(float(v) for v in direction))
     us = t * (np.arange(1, points + 1) / points)
-    return _memoized(f, key, norm,
-                     lambda: _one_parameter_norms(f, us, kind, r, direction, norm, sup=True))
+    return _one_parameter_norms(f, us, kind, r, direction, norm, sup=True)
 
 
 def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, direction=None):

@@ -221,6 +221,25 @@ def test_config_validation_exit_codes(tmp_path, capsys):
          "'checks[1].params.semigroup': must be one of shift, heat, abel, got 'poisson'"),
         ({"id": "kfunc-8.9", "params": {"route": "sphere", "d": 1}},
          "'checks[1].params.route': the sphere route runs on 2-d grids, got d=1"),
+        # a record or range the converter cannot look into is refused by name
+        ({"id": "jackson-1.4", "params": {"n_range": [1]}},
+         "'checks[1].params.n_range': must be two integers [lo, hi] with lo <= hi, got [1]"),
+        ({"id": "jackson-1.4", "params": {"n_range": {"a": 1}}}, "'checks[1].params.n_range'"),
+        ({"id": "jackson-1.4", "params": {"norm": {"norm": "luxemburg", "phi": {}}}},
+         "'checks[1].params.norm': missing field 'kind'"),
+        ({"id": "cesaro-5.1", "params": {"phi": {"params": [2, 0.5]}}},
+         "'checks[1].params.phi': missing field 'kind'"),
+        ({"id": "jackson-1.4", "params": {"f": {"N": 8}}},
+         "'checks[1].params.f': missing field 'samples'"),
+        # values a run cannot use
+        ({"id": "jackson-1.4", "params": {"s": 0}},
+         "'checks[1].params.s': convexity exponent s must be finite and >= 2, got 0"),
+        ({"id": "jackson-1.4", "params": {"n_range": [5, 1]}},
+         "'checks[1].params.n_range': must be two integers [lo, hi] with lo <= hi, got [5, 1]"),
+        ({"id": "jackson-1.4", "params": {"family": "random"}},
+         "'checks[1].params.family': must be a nonempty list of member names, got 'random'"),
+        ({"id": "jackson-1.4", "params": {"family": ["cos", "sine"]}},
+         "'checks[1].params.family': must be one of cos, abs-sin, sawtooth8, random, got 'sine'"),
     )
     out = str(tmp_path / "rep")
     cases += [({"checks": [{"id": "basic-2.1"}, second], "out": out}, needle)

@@ -205,6 +205,31 @@ def test_directions_is_a_resolution_of_2d_moduli_only():
     assert two.resolutions["directions"] == 8
 
 
+def _recording(monkeypatch, name):
+    """Arguments (order, scale) of every call lab makes to the quantity `name`."""
+    seen, real = [], getattr(lab, name)
+
+    def record(f, r, t, *args, **kwargs):
+        seen.append((r, t))
+        return real(f, r, t, *args, **kwargs)
+
+    monkeypatch.setattr(lab, name, record)
+    return seen
+
+
+def test_dyadic_sums_evaluate_each_term_once(monkeypatch):
+    seen = _recording(monkeypatch, "modulus")
+    rep = run_check("jackson-1.4", {"N": 32, "family": ["cos"], "n_range": [1, 8]})
+    # 8 left sides of order 1 and 8 distinct terms of order 2 at 2^-1 .. 2^-8; the
+    # sums over n = 1..8 read 36 terms
+    assert len(seen) == 16 and len(set(seen)) == 16
+    assert {t for r, t in seen if r == 2} == {2.0 ** -n for n in range(1, 9)}
+    assert len(rep.table) == 8
+    seen = _recording(monkeypatch, "semigroup_modulus")
+    rep = run_check("semigroup-7.4", {"N": 32, "family": ["cos"]})
+    assert len(seen) == len(set(seen)) > len(rep.table)
+
+
 def test_dyadic_tail_sum_geometric_oracle():
     # constant values give c * (2^(rs) - 1)^(-1/s) in closed form
     r, s, c = 1, 2.0, 0.7

@@ -562,11 +562,11 @@ def test_memo_keys_keep_quantities_apart():
         lambda g, nrm, r, t: k_delta(g, r, t, nrm),
     ]
     variants = [(l2, 1, 0.3), (l4, 1, 0.3), (l2w, 1, 0.3), (l2, 2, 0.3), (l2, 1, 0.6)]
-    # one entry per modulus and per k_delta; k_functional's realization adds its
+    # the moduli and k_delta keep no memo; k_functional's realization adds its
     # rest and smooth rows per degree: (l2, ell 1) degrees 0, 4, 8 fill 6 rows, so
     # do l4 and weighted l2; ell 2 shares the 3 rest rows and t = 0.6 (degrees
     # 0, 2, 4) adds the rest and smooth rows of degree 2
-    entries = [5, 5, 6 + 6 + 6 + 3 + 2, 5]
+    entries = [0, 0, 6 + 6 + 6 + 3 + 2, 0]
     for call, added in zip(calls, entries):
         before = len(f._memo)
         # every variant on the shared f (memo filling up) equals a fresh evaluation
@@ -574,7 +574,7 @@ def test_memo_keys_keep_quantities_apart():
         fresh = [call(_fresh(f), nrm, r, t) for nrm, r, t in variants]
         assert shared == fresh
         assert len(set(shared)) == len(variants)
-        # a repeat is served from the memo, also through the bound norm method
+        # a repeat gives the same value, also through the bound norm method
         assert [call(f, nrm.norm, r, t) for nrm, r, t in variants] == shared
         assert len(f._memo) - before == added
 
@@ -582,11 +582,6 @@ def test_memo_keys_keep_quantities_apart():
 def test_one_dimensional_moduli_share_an_entry_across_directions():
     f = random_smooth(64, 1, np.random.default_rng(11))
     assert modulus(f, 1, 0.5, directions=3) == modulus(f, 1, 0.5, directions=64)
-    assert len(f._memo) == 1
-    g = random_smooth(16, 2, np.random.default_rng(11))
-    modulus(g, 1, 0.5, directions=3, radii=4)
-    modulus(g, 1, 0.5, directions=4, radii=4)
-    assert len(g._memo) == 2
 
 
 def test_memo_keys_bare_callables_by_object():
@@ -595,6 +590,12 @@ def test_memo_keys_bare_callables_by_object():
     b = modulus(f, 1, 0.5, lambda g: lp_norm(g, 1.0))
     assert a != b
     assert a == pytest.approx(modulus(f, 1, 0.5), rel=1e-13, abs=0.0)
+    # the memoized rows of `approx` key a bare callable by the object itself
+    l1 = lambda g: lp_norm(g, 1.0)  # noqa: E731
+    c = k_functional(f, 1, 0.5, l1).value
+    assert k_functional(f, 1, 0.5, lambda g: lp_norm(g, 2.0)).value != c
+    assert k_functional(f, 1, 0.5, l1).value == c
+    assert len(f._memo) == 12
 
 
 def test_spectrum_is_cached_and_read_only():
