@@ -5,12 +5,13 @@ candidates inside the admissible degree band (partial sum, and a ramped
 projection at half degree); an optional projected-subgradient pass tightens
 them for non-Hilbert norms.  K-functionals are evaluated through three
 routes: a realization over smoothed candidates, a heat-semigroup
-difference, and a circular-mean difference on the 2-torus.  The band and
-sphere norms are row norms |M f| memoized on f (`_row_norm`), keyed by a
-degree (1 - P_n, P_n (-|nu|^2)^ell) or a radius (V_ell(t) - 1), so scales t
-with the same degrees share their rows; `k_delta` keeps no memo.
-V_ell(t) - 1 is minus the circle mean of the shift's symbol
-(4 sin^2(nu.h/2))^ell over C(2*ell, ell): exact to rounding at any t.
+difference, and a circular-mean difference on the 2-torus.  The band norms
+are row norms |M f| memoized on f (`_row_norm`), keyed by a degree (1 - P_n,
+P_n (-|nu|^2)^ell), so scales t with the same degrees share their rows.
+`k_delta` (a heat difference of `ops._difference_norms`) and the sphere
+route keep no memo.  The sphere row V_ell(t) - 1 is minus the circle mean
+of the shift's symbol (4 sin^2(nu.h/2))^ell over C(2*ell, ell): exact to
+rounding at any t.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridFunction, _amemiya, _weight_array, lp_norm, luxemburg_norm
-from .ops import (_apply_multiplier, _axis_freqs, _given, _mode_radius, _mode_radius2,
-                  _multiplier_norms, _norm_spec, _one_parameter_norms, _positive_int,
+from .ops import (_apply_multiplier, _axis_freqs, _difference_norms, _given, _mode_radius,
+                  _mode_radius2, _multiplier_norms, _norm_spec, _positive_int,
                   _spherical_mean_offset)
 
 
@@ -192,11 +193,11 @@ def k_functional(f, ell, t, norm=None, route="realization"):
     projections (n = 0 uses the mean).  heat: |(H(t^2) - I)^ell f| for the
     heat semigroup H (`k_delta` at t^2).  sphere (d=2): |V_ell(t) f - f| with
     the order-ell circular mean (see `ops.spherical_mean`); radii beyond pi/2
-    are flagged in `notes`.  The realization and sphere norms are memoized
-    rows (`_row_norm`), never keyed by t.
+    are flagged in `notes`.  The realization norms are memoized rows
+    (`_row_norm`), never keyed by t; the sphere norm is evaluated per call.
     """
-    if t <= 0.0:
-        raise ValueError(f"scale t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"scale t must be positive and finite, got {t}")
     ell = _positive_int("order", ell)
     if route == "realization":
         n0 = max(1, math.ceil(1.0 / t - 1e-9))
@@ -212,22 +213,22 @@ def k_functional(f, ell, t, norm=None, route="realization"):
         if f.dim != 2:
             raise ValueError("sphere route needs a 2-d grid")
         notes = ("radius beyond pi/2, values are extrapolated",) if t > math.pi / 2.0 else ()
-        return KFuncResult(float(t), ell, route, _row_norm(f, ("sphere", float(t), ell), norm),
+        row = _spherical_mean_offset(f.size, float(t), ell)
+        return KFuncResult(float(t), ell, route, _multiplier_norms(f, row[None], _given, norm)[0],
                            notes=notes)
     raise ValueError(f"unknown route {route!r}")
 
 
 def k_delta(f, m, heat_time, norm=None):
     """Norm of (H(heat_time) - I)^m f, the heat-difference K-functional proxy."""
-    m = _positive_int("difference order", m)
-    return _one_parameter_norms(f, [float(heat_time)], "heat", m, None, norm)[0]
+    return _difference_norms(f, "heat", m, [float(heat_time)], norm)[0]
 
 
 def _row_norm(f, key, norm):
     """|M f| for the half-grid multiplier M that `key` names, memoized on f.
 
-    M is 1 - a degree-n band ("rest"), the ramped band times (-|nu|^2)^ell
-    ("smooth") or V_ell(t) - 1 ("sphere").  The norm is keyed by
+    M is 1 - a degree-n band ("rest") or the ramped band times (-|nu|^2)^ell
+    ("smooth").  The norm is keyed by
     `NormSpec.key()`, or a bare callable by itself (an unhashable one is not
     memoized).  A row's norm does not depend on its stack.
     """
@@ -243,8 +244,6 @@ def _row_norm(f, key, norm):
                 row = 1.0 - _band(f, n, kind)
             case ("smooth", n, ell):
                 row = _band(f, n, "vallee_poussin") * (-_mode_radius2(f.size, f.dim)) ** ell
-            case ("sphere", t, ell):
-                row = _spherical_mean_offset(f.size, t, ell)
         value = _multiplier_norms(f, row[None], _given, norm)[0]
         if memo_key is not None:
             f._memo[memo_key] = value

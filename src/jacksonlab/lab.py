@@ -24,7 +24,7 @@ import numpy as np
 from .approx import best_approx, degree_below, k_delta, k_functional
 from .grid import (GridFunction, NormSpec, discretize, grid_points, luxemburg_norm,
                    orlicz_norm, random_smooth)
-from .ops import (_SEMIGROUP_KINDS, _as_norm, _one_parameter_norms, averaged_modulus, cesaro,
+from .ops import (_SEMIGROUP_KINDS, _as_norm, _difference_norms, averaged_modulus, cesaro,
                   modulus, semigroup_modulus)
 from .search import bisect_level
 from .young import YoungFunction, zygmund
@@ -595,8 +595,8 @@ class _Check:
 # named quantities, each q(f, params, norm, scale, order)
 def _difference(kind=None):
     """|(T(u) - I)^order f| for the semigroup `kind` (None: the check's `semigroup` param)."""
-    return lambda f, p, nfun, u, order: _one_parameter_norms(
-        f, [float(u)], kind or p["semigroup"], order, None, nfun)[0]
+    return lambda f, p, nfun, u, order: _difference_norms(
+        f, kind or p["semigroup"], order, [float(u)], nfun)[0]
 
 
 def _modulus(f, p, nfun, u, order):

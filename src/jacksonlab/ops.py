@@ -14,9 +14,13 @@ cos(N*h/2) in it (the sampled translate of a cos(N*x/2) component is
 cos(N*h/2) * cos(N*x/2)), and the results equal the real part of the
 complex full-grid transform to rounding error.
 
+One builder, `_semigroup_multipliers`, makes T(u) of every semigroup: the
+shift (u a step), heat or Abel (u a time); `_step_multipliers` makes
+(T(u) - I)^r from it, and `_difference_norms` is the one entry for the
+norms of (T(u) - I)^r f, which every modulus and difference norm calls.
+
 `_multiplier_norms` is the one evaluator of norms of multiplier images
-M f: for the moduli (`modulus`, `semigroup_modulus`, `averaged_modulus`),
-M = (T(u) - I)^r over many steps u; for `approx`, the rows 1 - P_n,
+M f: (T(u) - I)^r over many scales u, and for `approx` the rows 1 - P_n,
 P_n (-|nu|^2)^ell and V_ell(t) - 1.  Under the unweighted L2 norm it takes
 no inverse transform at all: by Parseval, the norm is sqrt(sum(|M|^2 * w))
 with `GridFunction.parseval_weights` w.  The shift builds |M|^2 from its
@@ -106,12 +110,6 @@ def _axis_phases(size, steps):
     return phases
 
 
-def _translate_multipliers(size, steps):
-    """Half-grid translate multipliers of a k x d stack of steps, one per step."""
-    p = _axis_phases(size, steps)
-    return p[0] if len(p) == 1 else p[0][:, :, None] * p[1][:, None, :]
-
-
 @lru_cache(maxsize=64)
 def _mode_radius2(size, dim):
     """|nu|^2 on the half grid (read-only)."""
@@ -154,7 +152,7 @@ def translate(f, h):
     content: the Nyquist slot of the multiplier is cos(N*h/2), and
     cos(N*a/2) cos(N*b/2) is not cos(N*(a+b)/2).
     """
-    return _apply_multiplier(f, _translate_multipliers(f.size, _as_step(f, h))[0])
+    return _apply_multiplier(f, _semigroup_multipliers(f.size, f.dim, "shift", _as_step(f, h))[0])
 
 
 def difference(f, h, r=1):
@@ -311,12 +309,6 @@ def _young_stack_sup(f, rows, spec, w, best):
     return best
 
 
-def _stacked_norms(f, kind, r, steps, norm, sup=False):
-    """Norm of (T(u) - I)^r f per step u (k x d shift steps, or times); with `sup`, their max."""
-    build = partial(_step_multipliers, f.size, f.dim, kind, r)
-    return (_multiplier_sup if sup else _multiplier_norms)(f, steps, build, norm)
-
-
 def _shift_symbol(size, steps):
     """|exp(i*nu.h) - 1|^2 = 4 sin^2(nu.h/2) on the half grid per step h of a k x d stack.
 
@@ -339,11 +331,34 @@ def _shift_symbol(size, steps):
     return m2
 
 
+_SEMIGROUP_KINDS = ("shift", "heat", "abel")
+
+
+def _semigroup_multipliers(size, dim, kind, us):
+    """T(u) on the half grid, one per u: a k x d stack of shift steps, or a vector of times.
+
+    shift: exp(i*nu.h), real cos(N*h/2) in the Nyquist slots; heat:
+    exp(-u*|nu|^2); abel: exp(-u*|nu|).  The one place that refuses an
+    unknown kind, a shift given times, or a negative time.
+    """
+    if kind not in _SEMIGROUP_KINDS:
+        raise ValueError(f"semigroup kind must be one of {_SEMIGROUP_KINDS}, got {kind!r}")
+    us = np.asarray(us, dtype=float)
+    if kind == "shift":
+        if us.ndim != 2:
+            raise ValueError("unknown semigroup kind 'shift' for a time: the shift takes steps")
+        p = _axis_phases(size, us)
+        return p[0] if dim == 1 else p[0][:, :, None] * p[1][:, None, :]
+    if not np.all(us >= 0.0):
+        raise ValueError(f"semigroup time must be >= 0, got {us.min()}")
+    us = us.reshape(us.shape + (1,) * dim)
+    return np.exp(-us * (_mode_radius2 if kind == "heat" else _mode_radius)(size, dim))
+
+
 def _step_multipliers(size, dim, kind, r, steps, squared=False):
-    """(T(u) - I)^r on the half grid, or its |.|^2, one per step u of the stack."""
+    """(T(u) - I)^r on the half grid, or its |.|^2, one per u of `steps` (shift steps or times)."""
     if kind != "shift" or not squared:
-        mults = (_translate_multipliers(size, steps) if kind == "shift"
-                 else _semigroup_multiplier(size, dim, steps, kind))
+        mults = _semigroup_multipliers(size, dim, kind, steps)
         mults -= 1.0
         return _abs2(_int_power(mults, r)) if squared else _int_power(mults, r)
     m2 = _shift_symbol(size, steps)
@@ -357,6 +372,37 @@ def _step_multipliers(size, dim, kind, r, steps, squared=False):
     return _int_power(m2, r)
 
 
+def _difference_norms(f, kind, r, us, norm, sup=False, direction=None):
+    """Norm of (T(u) - I)^r f for every scale u; with `sup`, the max of them and 0.
+
+    u is a k x d stack of shift steps, a vector of shift lengths along
+    `direction` (default (1, 0); signed steps in 1-d), or heat/abel times.
+    Bad arguments and non-finite scales are refused before any row is evaluated.
+    """
+    r = _positive_int("difference order", r)
+    us = np.asarray(us, dtype=float)
+    if not np.isfinite(us).all():
+        raise ValueError(f"scale must be finite, got {us[~np.isfinite(us)][0]}")
+    if kind == "shift" and us.ndim == 1:
+        if f.dim == 1:
+            us = us[:, None]
+        else:
+            dx, dy = (1.0, 0.0) if direction is None else direction
+            scale = math.hypot(dx, dy)
+            if scale <= 0.0:
+                raise ValueError("shift direction must be a nonzero vector")
+            us = np.outer(us, (dx, dy)) / scale
+    build = partial(_step_multipliers, f.size, f.dim, kind, r)
+    if not len(us):
+        build(us)  # no row to build, so the builder checks the kind here
+    return (_multiplier_sup if sup else _multiplier_norms)(f, us, build, norm)
+
+
+def _scales(t, us):
+    """The scales `us` of a modulus at t, none at a finite t <= 0 (a non-finite t is refused)."""
+    return us[:0] if -math.inf < t <= 0.0 else us
+
+
 def modulus(f, r, t, norm=None, directions=64, radii=64):
     """Modulus of smoothness: sup over |h| <= t of the norm of the r-th difference.
 
@@ -367,39 +413,20 @@ def modulus(f, r, t, norm=None, directions=64, radii=64):
     """
     directions = _positive_int("directions", directions)
     radii = _positive_int("radii", radii)
-    if t <= 0.0:
-        return 0.0
-    r = _positive_int("difference order", r)
-    rad = t * (np.arange(1, radii + 1) / radii)
+    rad = _scales(t, t * (np.arange(1, radii + 1) / radii))
     # the L2 norm of (T(h) - I)^r f is even in h, so one sign of each step is enough
     even = _plain_p(norm) == 2.0
     if f.dim == 1:
         steps = rad if even else np.stack([rad, -rad], axis=1).ravel()
-        return _stacked_norms(f, "shift", r, steps[:, None], norm, sup=True)
+        return _difference_norms(f, "shift", r, steps[:, None], norm, sup=True)
     # an even count pairs every direction in [0, pi) with its opposite
     count = directions // 2 if even and directions % 2 == 0 else directions
     angles = 2.0 * np.pi * np.arange(count) / directions
     steps = np.array([(rho * math.cos(th), rho * math.sin(th)) for rho in rad for th in angles])
-    return _stacked_norms(f, "shift", r, steps, norm, sup=True)
+    return _difference_norms(f, "shift", r, steps, norm, sup=True)
 
 
 # -- semigroups ----------------------------------------------------------
-
-
-def _semigroup_multiplier(size, dim, t, kind):
-    """Half-grid multiplier of the heat (exp(-t|nu|^2)) or abel (exp(-t|nu|)) semigroup.
-
-    A vector of times gives one multiplier per time, stacked along a leading axis.
-    A negative time or another kind is refused before any multiplier is built.
-    """
-    if np.any(np.less(t, 0.0)):
-        raise ValueError(f"semigroup time must be >= 0, got {t}")
-    t = np.reshape(t, np.shape(t) + (1,) * dim)
-    if kind == "heat":
-        return np.exp(-t * _mode_radius2(size, dim))
-    if kind == "abel":
-        return np.exp(-t * _mode_radius(size, dim))
-    raise ValueError(f"unknown semigroup kind {kind!r}")
 
 
 def spectral_semigroup(f, t, kind):
@@ -413,40 +440,13 @@ def spectral_semigroup(f, t, kind):
     above t = 0.03): there heat smoothing is a contraction in L2 only, and
     L_p/Orlicz norms may grow.
     """
-    return _apply_multiplier(f, _semigroup_multiplier(f.size, f.dim, t, kind))
+    return _apply_multiplier(f, _semigroup_multipliers(f.size, f.dim, kind, [t])[0])
 
 
 def semigroup_difference(f, t, kind, r=1):
     """(T(t) - I)^r f for the heat or abel semigroup at time t >= 0 (else a ValueError)."""
     r = _positive_int("difference order", r)
-    return _apply_multiplier(f, _int_power(_semigroup_multiplier(f.size, f.dim, t, kind) - 1.0, r))
-
-
-_SEMIGROUP_KINDS = ("shift", "heat", "abel")
-
-
-def _semigroup_args(kind, r):
-    """(kind, r) of a semigroup modulus, checked."""
-    if kind not in _SEMIGROUP_KINDS:
-        raise ValueError(f"semigroup kind must be one of {_SEMIGROUP_KINDS}, got {kind!r}")
-    return kind, _positive_int("difference order", r)
-
-
-def _one_parameter_norms(f, us, kind, r, direction, norm, sup=False):
-    """Norm of (T(u) - I)^r f for every u in `us` (with `sup`, their max and 0).
-
-    The 2-d shift steps by length u along `direction` (default (1, 0)).
-    """
-    us = np.asarray(us, dtype=float)
-    if kind == "shift" and f.dim == 1:
-        us = us[:, None]
-    elif kind == "shift":
-        dx, dy = (1.0, 0.0) if direction is None else direction
-        scale = math.hypot(dx, dy)
-        if scale <= 0.0:
-            raise ValueError("shift direction must be a nonzero vector")
-        us = np.outer(us, (dx, dy)) / scale
-    return _stacked_norms(f, kind, r, us, norm, sup)
+    return _apply_multiplier(f, _step_multipliers(f.size, f.dim, kind, r, [t])[0])
 
 
 def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, direction=None):
@@ -457,11 +457,8 @@ def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, directio
     `semigroup` is a kind name: "shift", "heat" or "abel".
     """
     points = _positive_int("points", points)
-    if t <= 0.0:
-        return 0.0
-    kind, r = _semigroup_args(semigroup, r)
-    us = t * (np.arange(1, points + 1) / points)
-    return _one_parameter_norms(f, us, kind, r, direction, norm, sup=True)
+    us = _scales(t, t * (np.arange(1, points + 1) / points))
+    return _difference_norms(f, semigroup, r, us, norm, sup=True, direction=direction)
 
 
 def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, direction=None):
@@ -472,11 +469,9 @@ def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, dir
     modulus at the same t.
     """
     quad_points = _positive_int("quad_points", quad_points)
-    if t <= 0.0:
-        return 0.0
-    kind, r = _semigroup_args(semigroup, r)
-    mids = t * (np.arange(quad_points) + 0.5) / quad_points
-    return float(np.mean(_one_parameter_norms(f, mids, kind, r, direction, norm)))
+    mids = _scales(t, t * (np.arange(quad_points) + 0.5) / quad_points)
+    norms = _difference_norms(f, semigroup, r, mids, norm, direction=direction)
+    return float(np.mean(norms)) if norms else 0.0
 
 
 def cesaro_weights(n, ell):

@@ -15,7 +15,7 @@ from jacksonlab import (GridFunction, NormSpec, OperatorSpec, averaged_modulus, 
                         synthesize, translate, zygmund)
 from jacksonlab import grid as grid_module
 from jacksonlab import ops as ops_module
-from jacksonlab.ops import _stacked_norms
+from jacksonlab.ops import _difference_norms
 
 SQRT2 = math.sqrt(2.0)
 
@@ -257,8 +257,9 @@ def test_operator_spec_round_trip_and_apply():
         OperatorSpec(kind="mystery")
 
 
-def test_modulus_rejects_bad_order():
+def test_modulus_rejects_bad_order(monkeypatch):
     f = discretize(np.cos, 32, 1)
+    g = discretize(lambda x, y: np.cos(x + y), 16, 2)
     with pytest.raises(ValueError):
         difference(f, 0.3, 0)
     with pytest.raises(ValueError):
@@ -272,6 +273,46 @@ def test_modulus_rejects_bad_order():
     for modulus_of in (semigroup_modulus, averaged_modulus):
         with pytest.raises(ValueError, match="semigroup kind must be one of"):
             modulus_of(f, 1, 0.5, OperatorSpec(kind="heat", t=123.0))
+    # every semigroup entry shares the builder's refusals
+    for apply in (spectral_semigroup, semigroup_difference):
+        with pytest.raises(ValueError, match="semigroup kind must be one of"):
+            apply(f, 0.3, "bogus")
+        with pytest.raises(ValueError, match="unknown semigroup kind 'shift'"):
+            apply(f, 0.3, "shift")
+        with pytest.raises(ValueError, match="time must be >= 0"):
+            apply(f, -0.3, "abel")
+    for modulus_of in (semigroup_modulus, averaged_modulus):
+        for t in (0.5, 0.0, -1.0):
+            with pytest.raises(ValueError, match="semigroup kind must be one of"):
+                modulus_of(f, 1, t, "bogus")
+        # a finite t <= 0 has no scale, and the modulus there is 0
+        assert modulus_of(f, 1, -1.0, "heat") == 0.0
+    with pytest.raises(ValueError, match="time must be >= 0"):
+        k_delta(f, 1, -0.1)
+    # bad arguments fail before any row is evaluated, also at t <= 0 and t not finite
+    def no_rows(*args):
+        raise AssertionError("a row was evaluated")
+    monkeypatch.setattr(ops_module, "_multiplier_norms", no_rows)
+    monkeypatch.setattr(ops_module, "_multiplier_sup", no_rows)
+    l4 = NormSpec(variant="lp", p=4.0)
+    for bad in (lambda: modulus(f, 0, 0.0),
+                lambda: semigroup_modulus(f, 1, 0.0, "bogus"),
+                lambda: averaged_modulus(f, 1, 0.0, "bogus"),
+                lambda: semigroup_modulus(f, 0, -1.0, "heat"),
+                lambda: semigroup_modulus(g, 1, 0.0, "shift", direction=(0, 0)),
+                lambda: modulus(f, 1, math.inf),
+                lambda: modulus(f, 1, -math.inf),
+                lambda: modulus(f, 1, math.nan, l4),
+                lambda: modulus(g, 1, math.nan),
+                lambda: semigroup_modulus(f, 1, math.nan, "heat"),
+                lambda: averaged_modulus(f, 1, math.nan, "heat"),
+                lambda: k_delta(f, 1, math.nan),
+                lambda: k_functional(g, 1, math.nan, route="heat"),
+                lambda: k_functional(g, 1, math.nan, route="sphere"),
+                lambda: k_functional(f, 1, math.nan),
+                lambda: k_functional(f, 1, math.inf)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 # -- oracle: the complex full-grid multiplier path ------------------------
@@ -536,10 +577,16 @@ def test_a_step_norm_does_not_depend_on_its_stack(dim, size):
     for norm in (None, NormSpec(variant="lp", p=4.0),
                  NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5))):
         for kind, steps in (("shift", shifts), ("heat", np.abs(us)), ("abel", np.abs(us))):
-            stacked = _stacked_norms(f, kind, 2, steps, norm)
-            alone = [_stacked_norms(f, kind, 2, steps[i:i + 1], norm)[0] for i in range(len(us))]
+            stacked = _difference_norms(f, kind, 2, steps, norm)
+            alone = [_difference_norms(f, kind, 2, steps[i:i + 1], norm)[0]
+                     for i in range(len(us))]
             assert stacked == alone
-            assert _stacked_norms(f, kind, 2, steps[::-1], norm) == stacked[::-1]
+            assert _difference_norms(f, kind, 2, steps[::-1], norm) == stacked[::-1]
+        if dim == 2:
+            # shift lengths along a direction are the steps of that unit vector
+            along = _difference_norms(f, "shift", 2, us, norm, direction=(1, 2))
+            steps = np.outer(us, (1, 2)) / math.hypot(1, 2)
+            assert along == _difference_norms(f, "shift", 2, steps, norm)
 
 
 def test_stacked_scan_spans_several_stacks():
