@@ -22,9 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridFunction, _amemiya, _weight_array, lp_norm, luxemburg_norm
-from .ops import (_apply_multiplier, _axis_freqs, _difference_norms, _given, _mode_radius,
-                  _mode_radius2, _multiplier_norms, _norm_spec, _positive_int,
-                  _spherical_mean_offset)
+from .ops import (_apply_multiplier, _axis_freqs, _difference_norms, _mode_radius, _mode_radius2,
+                  _multiplier_norms, _norm_spec, _positive_int, _spherical_mean_offset)
 
 
 def degree_below(lam):
@@ -214,7 +213,7 @@ def k_functional(f, ell, t, norm=None, route="realization"):
             raise ValueError("sphere route needs a 2-d grid")
         notes = ("radius beyond pi/2, values are extrapolated",) if t > math.pi / 2.0 else ()
         row = _spherical_mean_offset(f.size, float(t), ell)
-        return KFuncResult(float(t), ell, route, _multiplier_norms(f, row[None], _given, norm)[0],
+        return KFuncResult(float(t), ell, route, _multiplier_norms(f, row[None], norm)[0],
                            notes=notes)
     raise ValueError(f"unknown route {route!r}")
 
@@ -244,7 +243,7 @@ def _row_norm(f, key, norm):
                 row = 1.0 - _band(f, n, kind)
             case ("smooth", n, ell):
                 row = _band(f, n, "vallee_poussin") * (-_mode_radius2(f.size, f.dim)) ** ell
-        value = _multiplier_norms(f, row[None], _given, norm)[0]
+        value = _multiplier_norms(f, row[None], norm)[0]
         if memo_key is not None:
             f._memo[memo_key] = value
     return value

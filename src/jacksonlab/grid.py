@@ -155,11 +155,11 @@ def _weight_array(f, weight):
 
 def lp_norm(f, p, weight=None):
     """(mean of w*|f|**p)**(1/p); max|f| for p = inf."""
+    if not p >= 1.0:
+        raise ValueError(f"exponent must be >= 1, got {p}")
     a = np.abs(f.samples)
     if np.isinf(p):
         return float(np.max(a))
-    if p < 1.0:
-        raise ValueError(f"exponent must be >= 1, got {p}")
     w = _weight_array(f, weight)
     m = np.mean(a ** p) if w is None else np.mean(w * a ** p)
     return float(m ** (1.0 / p))
@@ -326,15 +326,15 @@ class NormSpec:
         if self.variant not in _VARIANTS:
             raise ValueError(f"norm variant must be one of {_VARIANTS}, got {self.variant!r}")
         if self.variant == "lp":
-            if self.p < 1.0:
+            if not self.p >= 1.0:
                 raise ValueError(f"exponent must be >= 1, got {self.p}")
             # an explicit q overrides the Lebesgue default for s
             if self.s is None and self.q is None and not np.isinf(self.p):
                 object.__setattr__(self, "s", max(float(self.p), 2.0))
         elif self.phi is None:
             raise ValueError(f"variant {self.variant!r} needs a Young function")
-        if self.s is not None and self.s < 2.0:
-            raise ValueError(f"convexity exponent s must be >= 2, got {self.s}")
+        if self.s is not None and not 2.0 <= self.s < math.inf:
+            raise ValueError(f"convexity exponent s must be finite and >= 2, got {self.s}")
         if self.q is not None and not (1.0 < self.q <= 2.0):
             raise ValueError(f"smoothness exponent q must lie in (1, 2], got {self.q}")
         if self.q is not None and self.s is not None:

@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -479,16 +480,21 @@ def _record(cls):
     return convert
 
 
-def _integer(low=-math.inf, high=math.inf, even=False):
-    """Param converter: an integer in [low, high], even if asked; no bools, floats or strings."""
-    rule = ("an even integer" if even else "an integer") + (
+def _number(low=-math.inf, high=math.inf, even=False, real=False):
+    """Param converter: a finite float (`real`) or an integer (even if asked) in [low, high].
+
+    Bools, strings, floats where an integer is asked for, and numbers beyond
+    the float range are refused.
+    """
+    kind, step = (numbers.Real, None) if real else (numbers.Integral, 2 if even else 1)
+    rule = ("a finite number" if real else "an even integer" if even else "an integer") + (
         f" from {low} to {high}" if high < math.inf else f" >= {low}" if low > -math.inf else "")
 
     def convert(value):
-        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or not low <= value <= high or value % (2 if even else 1)):
+        if (isinstance(value, bool) or not isinstance(value, kind) or (step and value % step)
+                or not (low <= value <= high and abs(value) <= sys.float_info.max)):
             raise ValueError(f"must be {rule}, got {value!r}")
-        return int(value)
+        return float(value) if real else int(value)
     return convert
 
 
@@ -501,7 +507,14 @@ def _choice(*options):
     return convert
 
 
-_INT, _COUNT, _NATURAL = _integer(), _integer(1), _integer(0)
+_INT, _COUNT, _NATURAL, _REAL = _number(), _number(1), _number(0), _number(real=True)
+
+
+def _reals(value):
+    """Param converter: a nonempty list of finite real numbers."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"must be a nonempty list of finite numbers, got {value!r}")
+    return [_REAL(v) for v in value]
 
 
 def _index_range(value):
@@ -513,7 +526,7 @@ def _index_range(value):
 
 def _exponent(value):
     """Param converter: a finite s >= 2, the bound NormSpec puts on its own s."""
-    if not 2.0 <= float(value) < math.inf:
+    if isinstance(value, (bool, str)) or not 2.0 <= value <= sys.float_info.max:
         raise ValueError(f"convexity exponent s must be finite and >= 2, got {value!r}")
     return float(value)
 
@@ -522,12 +535,12 @@ def _exponent(value):
 # default; a callable default is computed from the params parsed before it, in
 # the order of `check_params`.
 _PARAMS = {
-    "N": (256, _integer(8, even=True), "grid size"),
-    "d": (1, _integer(1, 2), "grid dimension"),
+    "N": (256, _number(8, even=True), "grid size"),
+    "d": (1, _number(1, 2), "grid dimension"),
     "seed": (0, _NATURAL, "seed of the random family member"),
     "family": (None, _members, "members of the standard family to use (all)"),
     "f": (None, _record(GridFunction), "GridFunction record to use as the family"),
-    "spread_bound": (10.0, float, "largest max/median ratio that passes"),
+    "spread_bound": (10.0, _REAL, "largest max/median ratio that passes"),
     "norm": (lambda p: NormSpec(), _record(NormSpec), "NormSpec record (L2)"),
     "r": (1, _COUNT, "order of the left-hand side"),
     "s": (lambda p: p["norm"].s or 2.0, _exponent, "dyadic-sum exponent >= 2 (the norm's s, or 2)"),
@@ -537,18 +550,18 @@ _PARAMS = {
     "semigroup": ("shift", _choice(*_SEMIGROUP_KINDS), "shift, heat or abel"),
     "points": (64, _COUNT, "parameter points of the one-sided modulus"),
     "quad_points": (128, _COUNT, "quadrature points of the averaged modulus"),
-    "t_grid": ((0.25, 0.5, 1.0, 2.0, 3.0), lambda v: [float(t) for t in v], "scales t"),
-    "h": (0.3, float, "base step"),
+    "t_grid": ((0.25, 0.5, 1.0, 2.0, 3.0), _reals, "scales t"),
+    "h": (0.3, _REAL, "base step"),
     "L": (10, _NATURAL, "last j of the sum"),
-    "m": (None, float, "sharp constant; sets the pass threshold m^{1/s}/2 - tol"),
-    "tol": (0.02, float, "margin of the threshold"),
+    "m": (None, _number(0, real=True), "sharp constant; sets the pass threshold m^{1/s}/2 - tol"),
+    "tol": (0.02, _REAL, "margin of the threshold"),
     "ell": (1, _COUNT, "order of the K-functional or of the Cesaro mean"),
     "route": ("realization", _choice("realization", "heat", "sphere"),
               "K-functional route: realization, heat or sphere"),
     "lambda_power_max": (6, _NATURAL, "lambda = 2^k for k from 0 to this"),
     "phi": (lambda p: zygmund(2.0, 0.5), _record(YoungFunction), "Young function record (zygmund)"),
     "n": (16, _NATURAL, "degree of the Cesaro mean"),
-    "slack": (1e-10, float, "rounding slack of the ratio bounds"),
+    "slack": (1e-10, _REAL, "rounding slack of the ratio bounds"),
 }
 
 # every check reads these; the sample counts among the others are resolutions

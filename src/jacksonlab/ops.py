@@ -15,29 +15,30 @@ cos(N*h/2) * cos(N*x/2)), and the results equal the real part of the
 complex full-grid transform to rounding error.
 
 One builder, `_semigroup_multipliers`, makes T(u) of every semigroup: the
-shift (u a step), heat or Abel (u a time); `_step_multipliers` makes
-(T(u) - I)^r from it, and `_difference_norms` is the one entry for the
-norms of (T(u) - I)^r f, which every modulus and difference norm calls.
+shift (u a step), heat or Abel (u a time), and refuses a non-finite u;
+`_step_multipliers` makes (T(u) - I)^r from it, and `_difference_norms` is
+the one entry for the norms of (T(u) - I)^r f, which every modulus and
+difference norm calls.
 
 `_multiplier_norms` is the one evaluator of norms of multiplier images
-M f: (T(u) - I)^r over many scales u, and for `approx` the rows 1 - P_n,
-P_n (-|nu|^2)^ell and V_ell(t) - 1.  Under the unweighted L2 norm it takes
-no inverse transform at all: by Parseval, the norm is sqrt(sum(|M|^2 * w))
-with `GridFunction.parseval_weights` w.  The shift builds |M|^2 from its
-real symbol (4 sin^2(nu.h/2))^r (cos(N*h/2) - 1 on the Nyquist lines);
-V_ell(t) - 1 is minus the circle mean of that symbol at r = ell over
-C(2*ell, ell); every other multiplier squares itself.  |M|^2 of a step is
-even in the step, so the L2 modulus evaluates only positive steps in 1-d
-and, for an even count, only the directions in [0, pi) in 2-d.  Every
-other norm runs one inverse transform per stack of multipliers (an
-unweighted L_p norm is then taken over all rows in one reduction).  A
-stack holds max(1, `_STACK_SAMPLES` // N^d) rows, a constant per grid, so
-outputs never depend on the machine or the thread count.
+M f: (T(u) - I)^r over many scales u, and the rows 1 - P_n,
+P_n (-|nu|^2)^ell and V_ell(t) - 1 that `approx` gives.  Under the
+unweighted L2 norm it takes no inverse transform at all: by Parseval, the
+norm is sqrt(sum(|M|^2 * w)) with `GridFunction.parseval_weights` w.  The
+shift builds |M|^2 from its real symbol (4 sin^2(nu.h/2))^r (cos(N*h/2) - 1
+on the Nyquist lines); V_ell(t) - 1 is minus the circle mean of that symbol
+at r = ell over C(2*ell, ell); every other multiplier squares itself.
+|M|^2 of a step is even in the step, so the L2 modulus evaluates only
+positive steps in 1-d and, for an even count, only the directions in
+[0, pi) in 2-d.  Every other norm runs one inverse transform per stack of
+multipliers (an unweighted L_p norm is then taken over all rows in one
+reduction).  A stack holds max(1, `_STACK_SAMPLES` // N^d) rows, a constant
+per grid, so outputs never depend on the machine or the thread count.
 
-`modulus` and `semigroup_modulus` keep only the max of their rows.  Under
-a Luxemburg or Orlicz norm they go through `_multiplier_sup`, which rules
-rows out by one vectorized modular per stack and solves only the rows that
-may beat the running max; the result is the per-row max bit for bit.
+`modulus` and `semigroup_modulus` keep only the max of their rows (`sup`).
+Under a Luxemburg or Orlicz norm the evaluator then rules rows out by one
+vectorized modular per stack and solves only the rows that may beat the
+running max; the result is the per-row max bit for bit.
 
 Nothing here is memoized: every call evaluates its rows.  The dyadic sums
 of `lab` evaluate each of their terms once per function, and the only memo
@@ -183,9 +184,8 @@ def _norm_spec(norm):
     return None
 
 
-def _plain_p(norm):
-    """p when `norm` is an unweighted L_p norm, else None; p = 2 takes the Parseval path."""
-    spec = _norm_spec(norm)
+def _plain_p(spec):
+    """p when `spec` (from `_norm_spec`) is an unweighted L_p norm, else None; 2 is Parseval's."""
     return spec.p if spec is not None and spec.variant == "lp" and spec.weight is None else None
 
 
@@ -211,54 +211,38 @@ def _stacks(steps, size, dim):
     return (steps[k:k + chunk] for k in range(0, len(steps), chunk))
 
 
-def _multiplier_norms(f, items, build, norm):
+def _multiplier_norms(f, items, norm, build=None, sup=False):
     """Norm of M f for every half-grid multiplier M, one inverse FFT per stack of `items`.
 
-    build(stack) gives the multipliers of a stack of items, build(stack, True)
-    a new array of their |M|^2.  The unweighted L2 norm takes no inverse FFT
-    (Parseval path); another unweighted L_p norm is one reduction per stack,
-    any other norm one evaluation per row.  A caller that keeps only the max
-    takes `_multiplier_sup`, which solves few rows under a Young norm.
+    `items` are the multipliers, or what build(stack) turns into a stack of
+    them (build(stack, True): a new array of their |M|^2).  Unweighted L2
+    takes no inverse FFT (Parseval), another unweighted L_p one reduction
+    per stack, any other norm one evaluation per row.  With `sup`, the value
+    is max(0, *norms) bit for bit: the stacks run from last to first (the
+    moduli list their steps outward, so the last mostly holds the max), and
+    a Luxemburg or Orlicz norm solves only the rows `_young_stack_sup` keeps.
     """
-    plain_p, nfun = _plain_p(norm), _as_norm(norm)
-    out = []
-    for block in _stacks(items, f.size, f.dim):
+    spec = _norm_spec(norm)
+    plain_p, nfun = _plain_p(spec), _as_norm(norm)
+    young = sup and spec is not None and spec.variant != "lp"
+    w = _weight_array(f, spec.weight).ravel() if young and spec.weight is not None else None
+    stacks, out, best = list(_stacks(items, f.size, f.dim)), [], (0.0, None)
+    for block in reversed(stacks) if sup else stacks:
         if plain_p == 2.0:
-            m2 = build(block, True)
+            m2 = build(block, True) if build else _abs2(block)
             m2 *= f.parseval_weights()
             out.extend(np.sqrt(m2.reshape(len(m2), -1).sum(axis=-1)).tolist())
             continue
-        rows = _inverse(f.spectrum() * build(block), f.samples.shape)
-        if plain_p is not None:
+        rows = _inverse(f.spectrum() * (build(block) if build else block), f.samples.shape)
+        if young:
+            best = _young_stack_sup(f, rows, spec, w, best)
+        elif plain_p is not None:
             out.extend(_lp_rows(rows.reshape(len(rows), -1), plain_p).tolist())
         else:
             out.extend(float(nfun(GridFunction(row))) for row in rows)
-    return out
-
-
-def _given(mults, squared=False):
-    """A `_multiplier_norms` build whose items are the multipliers themselves."""
-    return _abs2(mults) if squared else mults
-
-
-def _multiplier_sup(f, items, build, norm):
-    """max(0, *`_multiplier_norms`(f, items, build, norm)), bit for bit.
-
-    Under a Luxemburg or Orlicz norm, weighted or not, each stack's rows go
-    through `_young_stack_sup`, which solves only the rows that may beat the
-    running max; every other norm takes the max of `_multiplier_norms`.
-    """
-    spec = _norm_spec(norm)
-    if spec is None or spec.variant == "lp":
-        return max([0.0, *_multiplier_norms(f, items, build, norm)])
-    w = _weight_array(f, spec.weight)
-    w = None if w is None else w.ravel()
-    best = (0.0, None)
-    # the moduli list their steps outward, so the last stack mostly holds the max
-    for block in reversed(list(_stacks(items, f.size, f.dim))):
-        rows = _inverse(f.spectrum() * build(block), f.samples.shape)
-        best = _young_stack_sup(f, rows, spec, w, best)
-    return best[0]
+    if not sup:
+        return out
+    return best[0] if young else max([0.0, *out])
 
 
 def _young_stack_sup(f, rows, spec, w, best):
@@ -339,11 +323,13 @@ def _semigroup_multipliers(size, dim, kind, us):
 
     shift: exp(i*nu.h), real cos(N*h/2) in the Nyquist slots; heat:
     exp(-u*|nu|^2); abel: exp(-u*|nu|).  The one place that refuses an
-    unknown kind, a shift given times, or a negative time.
+    unknown kind, a shift given times, a non-finite scale or a negative time.
     """
     if kind not in _SEMIGROUP_KINDS:
         raise ValueError(f"semigroup kind must be one of {_SEMIGROUP_KINDS}, got {kind!r}")
     us = np.asarray(us, dtype=float)
+    if not np.isfinite(us).all():
+        raise ValueError(f"semigroup scale must be finite, got {us[~np.isfinite(us)][0]}")
     if kind == "shift":
         if us.ndim != 2:
             raise ValueError("unknown semigroup kind 'shift' for a time: the shift takes steps")
@@ -395,7 +381,7 @@ def _difference_norms(f, kind, r, us, norm, sup=False, direction=None):
     build = partial(_step_multipliers, f.size, f.dim, kind, r)
     if not len(us):
         build(us)  # no row to build, so the builder checks the kind here
-    return (_multiplier_sup if sup else _multiplier_norms)(f, us, build, norm)
+    return _multiplier_norms(f, us, norm, build, sup)
 
 
 def _scales(t, us):
@@ -415,7 +401,7 @@ def modulus(f, r, t, norm=None, directions=64, radii=64):
     radii = _positive_int("radii", radii)
     rad = _scales(t, t * (np.arange(1, radii + 1) / radii))
     # the L2 norm of (T(h) - I)^r f is even in h, so one sign of each step is enough
-    even = _plain_p(norm) == 2.0
+    even = _plain_p(_norm_spec(norm)) == 2.0
     if f.dim == 1:
         steps = rad if even else np.stack([rad, -rad], axis=1).ravel()
         return _difference_norms(f, "shift", r, steps[:, None], norm, sup=True)
@@ -532,8 +518,8 @@ def spherical_mean(f, t, ell=1, quad_points=256):
     """
     if f.dim != 2:
         raise ValueError("spherical means are only defined on 2-d grids")
-    if t < 0.0:
-        raise ValueError(f"radius must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"radius must be >= 0 and finite, got {t}")
     ell, quad_points = _positive_int("order", ell), _positive_int("quad_points", quad_points)
     return _apply_multiplier(f, 1.0 + _spherical_mean_offset(f.size, t, ell, quad_points))
 

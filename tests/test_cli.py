@@ -1,6 +1,7 @@
 """Command-line interface: listing, describing, batch runs, and exit codes."""
 
 import json
+import math
 import os
 import sys
 
@@ -234,12 +235,32 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         # values a run cannot use
         ({"id": "jackson-1.4", "params": {"s": 0}},
          "'checks[1].params.s': convexity exponent s must be finite and >= 2, got 0"),
+        ({"id": "jackson-1.4", "params": {"s": "3"}},
+         "'checks[1].params.s': convexity exponent s must be finite and >= 2, got '3'"),
         ({"id": "jackson-1.4", "params": {"n_range": [5, 1]}},
          "'checks[1].params.n_range': must be two integers [lo, hi] with lo <= hi, got [5, 1]"),
         ({"id": "jackson-1.4", "params": {"family": "random"}},
          "'checks[1].params.family': must be a nonempty list of member names, got 'random'"),
         ({"id": "jackson-1.4", "params": {"family": ["cos", "sine"]}},
          "'checks[1].params.family': must be one of cos, abs-sin, sawtooth8, random, got 'sine'"),
+        ({"id": "jackson-1.4", "params": {"norm": {"norm": "lp", "p": math.nan, "s": 2}}},
+         "'checks[1].params.norm': exponent must be >= 1, got nan"),
+        # float params are finite real numbers, never bools or strings
+        ({"id": "basic-2.1", "params": {"m": -1}},
+         "'checks[1].params.m': must be a finite number >= 0, got -1"),
+        ({"id": "basic-2.1", "params": {"h": math.nan}},
+         "'checks[1].params.h': must be a finite number, got nan"),
+        ({"id": "basic-2.1", "params": {"tol": "0.02"}}, "'checks[1].params.tol'"),
+        ({"id": "basic-2.1", "params": {"spread_bound": True}},
+         "'checks[1].params.spread_bound': must be a finite number, got True"),
+        ({"id": "jackson-1.4", "params": {"spread_bound": math.nan}},
+         "'checks[1].params.spread_bound'"),
+        ({"id": "orlicz-sandwich", "params": {"slack": "0.3"}}, "'checks[1].params.slack'"),
+        ({"id": "averaged-7.3", "params": {"t_grid": "12"}},
+         "'checks[1].params.t_grid': must be a nonempty list of finite numbers, got '12'"),
+        ({"id": "averaged-7.3", "params": {"t_grid": []}}, "'checks[1].params.t_grid'"),
+        ({"id": "averaged-7.3", "params": {"t_grid": [0.5, math.inf]}},
+         "'checks[1].params.t_grid': must be a finite number, got inf"),
     )
     out = str(tmp_path / "rep")
     cases += [({"checks": [{"id": "basic-2.1"}, second], "out": out}, needle)

@@ -298,6 +298,16 @@ def test_norm_spec_validation():
         NormSpec(variant="lp", p=2.0, s=3.0, q=1.9)
     with pytest.raises(ValueError):
         NormSpec(variant="luxemburg")
+    # a NaN exponent, or an s that is not finite, has no conjugate
+    for bad in (dict(p=math.nan), dict(p=math.nan, s=2.0), dict(p=-math.inf), dict(s=math.nan),
+                dict(s=math.inf), dict(q=math.nan)):
+        with pytest.raises(ValueError):
+            NormSpec(variant="lp", **bad)
+    f = discretize(np.cos, 16, 1)
+    for p in (math.nan, -math.inf, 0.5):
+        with pytest.raises(ValueError, match="exponent must be >= 1"):
+            lp_norm(f, p)
+    assert lp_norm(f, math.inf) == 1.0
 
 
 def test_norm_spec_json_round_trip_and_dispatch():

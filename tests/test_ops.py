@@ -281,6 +281,16 @@ def test_modulus_rejects_bad_order(monkeypatch):
             apply(f, 0.3, "shift")
         with pytest.raises(ValueError, match="time must be >= 0"):
             apply(f, -0.3, "abel")
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be finite"):
+                apply(f, t, "heat")
+    # a non-finite step or radius is refused before a multiplier is built
+    for apply in (translate, difference):
+        with pytest.raises(ValueError, match="must be finite"):
+            apply(f, math.inf)
+    for t in (math.inf, math.nan, -0.5):
+        with pytest.raises(ValueError, match="radius must be >= 0 and finite"):
+            spherical_mean(g, t)
     for modulus_of in (semigroup_modulus, averaged_modulus):
         for t in (0.5, 0.0, -1.0):
             with pytest.raises(ValueError, match="semigroup kind must be one of"):
@@ -293,7 +303,6 @@ def test_modulus_rejects_bad_order(monkeypatch):
     def no_rows(*args):
         raise AssertionError("a row was evaluated")
     monkeypatch.setattr(ops_module, "_multiplier_norms", no_rows)
-    monkeypatch.setattr(ops_module, "_multiplier_sup", no_rows)
     l4 = NormSpec(variant="lp", p=4.0)
     for bad in (lambda: modulus(f, 0, 0.0),
                 lambda: semigroup_modulus(f, 1, 0.0, "bogus"),
@@ -582,6 +591,9 @@ def test_a_step_norm_does_not_depend_on_its_stack(dim, size):
                      for i in range(len(us))]
             assert stacked == alone
             assert _difference_norms(f, kind, 2, steps[::-1], norm) == stacked[::-1]
+            # the sup walks the stacks from last to first and equals the max of the rows
+            for order in (steps, steps[::-1]):
+                assert _difference_norms(f, kind, 2, order, norm, sup=True) == max([0.0, *stacked])
         if dim == 2:
             # shift lengths along a direction are the steps of that unit vector
             along = _difference_norms(f, "shift", 2, us, norm, direction=(1, 2))
