@@ -12,9 +12,9 @@ from .lab import (CheckReport, ConvexityEstimate, SpaceGeometry, describe_check,
                   dyadic_tail_sum, estimate_convexity_constant, registry_ids,
                   run_check, space_moduli, standard_family, verify_duality)
 from .ops import (OperatorSpec, averaged_modulus, cesaro, cesaro_weights,
-                  coeffs, difference, laplacian_power, modulus,
-                  semigroup_difference, semigroup_modulus, spectral_semigroup,
-                  spherical_mean, synthesize, translate)
+                  coeffs, difference, laplacian_power, moduli_table, modulus,
+                  semigroup_difference, semigroup_moduli_table, semigroup_modulus,
+                  spectral_semigroup, spherical_mean, synthesize, translate)
 from .search import bisect_level, bisect_level_log, brent_level_log, golden_max
 from .young import (ConcavityRegions, Delta2Result, Nabla2Result, PatchResult,
                     YoungFunction, builtin, check_delta2, check_nabla2,
@@ -34,11 +34,11 @@ __all__ = [
     "difference", "directional_deriv", "discretize", "dyadic_tail_sum",
     "estimate_convexity_constant", "exp_growth", "golden_max",
     "grid_points", "k_delta", "k_functional", "laplacian_power", "log_power",
-    "log_power_tail_threshold", "lp_norm", "luxemburg_norm", "modulus",
+    "log_power_tail_threshold", "lp_norm", "luxemburg_norm", "moduli_table", "modulus",
     "orlicz_functional", "orlicz_norm", "orlicz_norm_dual_bound", "patch",
     "power", "power_concavity_regions", "projection", "random_smooth",
-    "registry_ids", "run_check", "semigroup_difference", "semigroup_modulus",
-    "space_moduli", "spectral_semigroup", "spherical_mean", "standard_family",
+    "registry_ids", "run_check", "semigroup_difference", "semigroup_moduli_table",
+    "semigroup_modulus", "space_moduli", "spectral_semigroup", "spherical_mean", "standard_family",
     "synthesize", "translate", "two_power", "verify_duality", "zygmund",
     "__version__",
 ]

@@ -213,14 +213,14 @@ def k_functional(f, ell, t, norm=None, route="realization"):
             raise ValueError("sphere route needs a 2-d grid")
         notes = ("radius beyond pi/2, values are extrapolated",) if t > math.pi / 2.0 else ()
         row = _spherical_mean_offset(f.size, float(t), ell)
-        return KFuncResult(float(t), ell, route, _multiplier_norms(f, row[None], norm)[0],
+        return KFuncResult(float(t), ell, route, _multiplier_norms(f, row[None], norm)[0][0],
                            notes=notes)
     raise ValueError(f"unknown route {route!r}")
 
 
 def k_delta(f, m, heat_time, norm=None):
     """Norm of (H(heat_time) - I)^m f, the heat-difference K-functional proxy."""
-    return _difference_norms(f, "heat", m, [float(heat_time)], norm)[0]
+    return _difference_norms(f, "heat", [m], [float(heat_time)], norm)[m][0]
 
 
 def _row_norm(f, key, norm):
@@ -243,7 +243,7 @@ def _row_norm(f, key, norm):
                 row = 1.0 - _band(f, n, kind)
             case ("smooth", n, ell):
                 row = _band(f, n, "vallee_poussin") * (-_mode_radius2(f.size, f.dim)) ** ell
-        value = _multiplier_norms(f, row[None], norm)[0]
+        value = _multiplier_norms(f, row[None], norm)[0][0]
         if memo_key is not None:
             f._memo[memo_key] = value
     return value

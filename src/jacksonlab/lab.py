@@ -26,7 +26,7 @@ from .approx import best_approx, degree_below, k_delta, k_functional
 from .grid import (GridFunction, NormSpec, discretize, grid_points, luxemburg_norm,
                    orlicz_norm, random_smooth)
 from .ops import (_SEMIGROUP_KINDS, _as_norm, _difference_norms, averaged_modulus, cesaro,
-                  modulus, semigroup_modulus)
+                  moduli_table, semigroup_moduli_table)
 from .search import bisect_level
 from .young import YoungFunction, zygmund
 
@@ -605,28 +605,42 @@ class _Check:
     threshold_note: str = None
 
 
-# named quantities, each q(f, params, norm, scale, order)
+# named quantities, each q(f, params, norm, orders, scales): {(order, scale): value}
 def _difference(kind=None):
     """|(T(u) - I)^order f| for the semigroup `kind` (None: the check's `semigroup` param)."""
-    return lambda f, p, nfun, u, order: _difference_norms(
-        f, kind or p["semigroup"], order, [float(u)], nfun)[0]
+    def table(f, p, nfun, orders, us):
+        us = list(dict.fromkeys(us))
+        norms = _difference_norms(f, kind or p["semigroup"], orders, us, nfun)
+        return {(r, u): v for r, col in norms.items() for u, v in zip(us, col)}
+    return table
 
 
-def _modulus(f, p, nfun, u, order):
-    return modulus(f, order, u, nfun, p["directions"], p["radii"])
+# basic-2.1 reads it on both sides, so `_dyadic_rows` asks for both orders in one call
+_STEP_DIFFERENCE = _difference()
 
 
-def _semigroup_modulus(f, p, nfun, u, order):
-    return semigroup_modulus(f, order, u, p["semigroup"], nfun, points=p["points"])
+def _modulus(f, p, nfun, orders, us):
+    return moduli_table(f, orders, us, nfun, p["directions"], p["radii"])
 
 
-def _k_ell(f, p, nfun, u, order):
-    return k_functional(f, p["ell"], u, nfun, route=p["route"]).value
+def _semigroup_modulus(f, p, nfun, orders, us):
+    return semigroup_moduli_table(f, orders, us, p["semigroup"], nfun, points=p["points"])
+
+
+def _per_scale(value):
+    """A quantity that reads no order: value(f, params, norm, scale) once per distinct scale."""
+    def table(f, p, nfun, orders, us):
+        values = {u: value(f, p, nfun, u) for u in dict.fromkeys(us)}
+        return {(r, u): v for r in orders for u, v in values.items()}
+    return table
+
+
+_k_ell = _per_scale(lambda f, p, nfun, u: k_functional(f, p["ell"], u, nfun, p["route"]).value)
 
 
 def _approx_error(degree):
     """Best-approximation error at the degree `degree(scale)`."""
-    return lambda f, p, nfun, u, order: best_approx(f, degree(u), nfun).value
+    return _per_scale(lambda f, p, nfun, u: best_approx(f, degree(u), nfun).value)
 
 
 # rows of the other checks
@@ -643,9 +657,10 @@ def _cesaro_51_rows(f, p, nfun):
 
 
 def _averaged_73_rows(f, p, nfun):
-    return [(_semigroup_modulus(f, p, nfun, t, p["r"]),
-             averaged_modulus(f, p["r"], t, p["semigroup"], nfun, quad_points=p["quad_points"]))
-            for t in p["t_grid"]]
+    r, ts = p["r"], p["t_grid"]
+    sups = _semigroup_modulus(f, p, nfun, [r], ts)
+    return [(sups[(r, t)], averaged_modulus(f, r, t, p["semigroup"], nfun, p["quad_points"]))
+            for t in ts]
 
 
 def _sandwich_rows(f, p, nfun):
@@ -666,8 +681,11 @@ _CHECKS = {
         "with proof constant m1 = m^{1/s}/2", "lower",
         ("constant = min |(T-I)^r f| / {sum_{j=0}^L 2^(-jrs)|(T^(2^j)-I)^(r+1)f|^s}^(1/s)",),
         _NORMED + ("semigroup", "h", "L", "m", "tol"), order="rows indexed by test function: ",
-        lhs=_difference(), term=_difference(), scales=lambda p: [(0, p["h"])],
+        lhs=_STEP_DIFFERENCE, term=_STEP_DIFFERENCE, scales=lambda p: [(0, p["h"])],
         js=lambda p, n: range(p["L"] + 1),
+        require=(("h", lambda p: p["h"] != 0.0, "the base step must be nonzero, got h={h}"),
+                 ("h", lambda p: p["semigroup"] == "shift" or p["h"] > 0.0,
+                  "the {semigroup} semigroup takes a time h > 0, got h={h}")),
         bounds=lambda p: ({} if p["m"] is None else
                           {"lower_threshold": p["m"] ** (1.0 / p["s"]) / 2.0 - p["tol"]}),
         threshold_note="threshold m^{1/s}/2 - tol = %.6g"),
@@ -722,6 +740,8 @@ _CHECKS = {
          "constant = max ratio is the empirical C(r)",),
         ("norm", "r", "semigroup", "points", "quad_points", "t_grid", "slack"),
         rows=_averaged_73_rows, order="rows ordered by (function, t); functions: ",
+        require=(("t_grid", lambda p: min(p["t_grid"]) > 0.0,
+                  "every scale t must be > 0, got {t_grid}"),),
         bounds=lambda p: {"require_all_at_least": 1.0 - p["slack"]}),
     "semigroup-7.4": _SEMIGROUP_74,
     "shift-7.5": replace(
@@ -830,11 +850,26 @@ def parse_params(check_id, params):
 
 def _dyadic_rows(check, f, p, nfun, stops):
     r, s = p["r"], p["s"]
-    # the sums at different scales t read terms at the same points 2^j t: evaluate each once
-    term = functools.cache(lambda u: check.term(f, p, nfun, u, r + 1))
+    scales = check.scales(p)
+    ts = [t for _, t in scales]
+    if check.js is None:
+        # a tail stops adaptively, so its terms are asked for one at a time; the
+        # tails at different t read terms at the same points 2^j t: evaluate each once
+        table = check.lhs(f, p, nfun, [r], ts)
+        term = functools.cache(lambda u: check.term(f, p, nfun, [r + 1], [u])[(r + 1, u)])
+    else:
+        # every scale of the check in one call, both sides in one when they are one quantity
+        us = [(2.0 ** j) * t for n, t in scales for j in check.js(p, n)]
+        if check.term is check.lhs:
+            table = check.lhs(f, p, nfun, [r, r + 1], ts + us)
+        else:
+            table = {**check.lhs(f, p, nfun, [r], ts), **check.term(f, p, nfun, [r + 1], us)}
+
+        def term(u):
+            return table[(r + 1, u)]
     rows = []
-    for n, t in check.scales(p):
-        q = check.lhs(f, p, nfun, t, r)
+    for n, t in scales:
+        q = table[(r, t)]
         if check.js is None:
             total, stop = dyadic_tail_sum(lambda j: term((2.0 ** j) * t), r, s)
             stops.append(stop)

@@ -16,9 +16,10 @@ complex full-grid transform to rounding error.
 
 One builder, `_semigroup_multipliers`, makes T(u) of every semigroup: the
 shift (u a step), heat or Abel (u a time), and refuses a non-finite u;
-`_step_multipliers` makes (T(u) - I)^r from it, and `_difference_norms` is
-the one entry for the norms of (T(u) - I)^r f, which every modulus and
-difference norm calls.
+`_step_multipliers` makes (T(u) - I)^r from it for a list of orders, each
+next order the last one times T(u) - I, and `_difference_norms` is the one
+entry for the norms of (T(u) - I)^r f, which every modulus and difference
+norm calls.
 
 `_multiplier_norms` is the one evaluator of norms of multiplier images
 M f: (T(u) - I)^r over many scales u, and the rows 1 - P_n,
@@ -35,14 +36,22 @@ multipliers (an unweighted L_p norm is then taken over all rows in one
 reduction).  A stack holds max(1, `_STACK_SAMPLES` // N^d) rows, a constant
 per grid, so outputs never depend on the machine or the thread count.
 
-`modulus` and `semigroup_modulus` keep only the max of their rows (`sup`).
-Under a Luxemburg or Orlicz norm the evaluator then rules rows out by one
-vectorized modular per stack and solves only the rows that may beat the
-running max; the result is the per-row max bit for bit.
+The moduli keep only the max of their rows (`sup`).  Under a Luxemburg or
+Orlicz norm the evaluator then rules rows out by one vectorized modular per
+stack and solves only the rows that may beat the running max; the result is
+the per-row max bit for bit.
 
-Nothing here is memoized: every call evaluates its rows.  The dyadic sums
-of `lab` evaluate each of their terms once per function, and the only memo
-left, `approx._row_norm`, holds rows that several scales share.
+`moduli_table` and `semigroup_moduli_table` give a modulus for every
+(order, t) of a list of orders and scales in one call.  The steps
+t*(i+1)/count of dyadic t nest exactly, so a table evaluates each distinct
+step once, takes every order from one build of T(u) - I per stack by
+successive products, and reads each cell as the max of its t's rows; the
+cells equal the one-cell `modulus` and `semigroup_modulus` bit for bit.
+Under a Luxemburg or Orlicz norm each t keeps its own pruned sup.
+
+Nothing here is memoized: every call evaluates its rows and keeps nothing.
+`lab` asks for the moduli of one check and function in one table call, and
+the only memo left, `approx._row_norm`, holds rows that several scales share.
 """
 
 from __future__ import annotations
@@ -159,7 +168,8 @@ def translate(f, h):
 def difference(f, h, r=1):
     """r-th forward difference sum_k (-1)^(r-k) C(r,k) f(. + k*h)."""
     r = _positive_int("difference order", r)
-    return _apply_multiplier(f, _step_multipliers(f.size, f.dim, "shift", r, _as_step(f, h))[0])
+    mult = _step_multipliers(f.size, f.dim, "shift", [r], _as_step(f, h))[0][0]
+    return _apply_multiplier(f, mult)
 
 
 _L2 = NormSpec()
@@ -189,16 +199,23 @@ def _plain_p(spec):
     return spec.p if spec is not None and spec.variant == "lp" and spec.weight is None else None
 
 
-def _int_power(a, r):
-    """a**r for an integer r >= 1 by repeated multiplication, overwriting a."""
-    if r == 1:
-        return a
-    # a fresh copy costs more than the product, so r = 2 squares in place
-    base = a.copy() if r > 2 else None
-    a *= a
-    for _ in range(r - 2):
-        a *= base
-    return a
+def _powers(a, orders):
+    """[a**r for r in `orders`] (ascending integers >= 1) by successive products, overwriting a.
+
+    Each power is the one before times a, left to right, so it is the same
+    bits whichever orders are asked with it.  A power is overwritten by the
+    next only when it is not asked for and, if it is a, a is not needed again.
+    """
+    top = orders[-1] if orders else 0
+    out, cur = [], a
+    for r in range(1, top + 1):
+        if r - 1 in orders or r == 2 < top:
+            cur = cur * a
+        elif r > 1:
+            cur *= a
+        if r in orders:
+            out.append(cur)
+    return out
 
 
 def _abs2(z):
@@ -212,37 +229,44 @@ def _stacks(steps, size, dim):
 
 
 def _multiplier_norms(f, items, norm, build=None, sup=False):
-    """Norm of M f for every half-grid multiplier M, one inverse FFT per stack of `items`.
+    """Columns of norms of M f for half-grid multipliers M, one inverse FFT per stack and column.
 
-    `items` are the multipliers, or what build(stack) turns into a stack of
-    them (build(stack, True): a new array of their |M|^2).  Unweighted L2
-    takes no inverse FFT (Parseval), another unweighted L_p one reduction
-    per stack, any other norm one evaluation per row.  With `sup`, the value
-    is max(0, *norms) bit for bit: the stacks run from last to first (the
-    moduli list their steps outward, so the last mostly holds the max), and
-    a Luxemburg or Orlicz norm solves only the rows `_young_stack_sup` keeps.
+    `items` are the multipliers, one column.  Or build(stack) turns a stack
+    of `items` into a list of stacks of multipliers, one per column
+    (build(stack, True): new arrays of their |M|^2).  A column is the list
+    of its norms.  Unweighted L2 takes no inverse FFT (Parseval), another
+    unweighted L_p one reduction per stack, any other norm one evaluation
+    per row.  With `sup`, a column is max(0, *norms) bit for bit: the
+    stacks run from last to first (the moduli list their steps outward, so
+    the last mostly holds the max), and a Luxemburg or Orlicz norm solves
+    only the rows `_young_stack_sup` keeps.  An empty `items` is one empty
+    column.
     """
     spec = _norm_spec(norm)
     plain_p, nfun = _plain_p(spec), _as_norm(norm)
     young = sup and spec is not None and spec.variant != "lp"
     w = _weight_array(f, spec.weight).ravel() if young and spec.weight is not None else None
-    stacks, out, best = list(_stacks(items, f.size, f.dim)), [], (0.0, None)
+    stacks, cols = list(_stacks(items, f.size, f.dim)), None
     for block in reversed(stacks) if sup else stacks:
-        if plain_p == 2.0:
-            m2 = build(block, True) if build else _abs2(block)
-            m2 *= f.parseval_weights()
-            out.extend(np.sqrt(m2.reshape(len(m2), -1).sum(axis=-1)).tolist())
-            continue
-        rows = _inverse(f.spectrum() * (build(block) if build else block), f.samples.shape)
-        if young:
-            best = _young_stack_sup(f, rows, spec, w, best)
-        elif plain_p is not None:
-            out.extend(_lp_rows(rows.reshape(len(rows), -1), plain_p).tolist())
+        if build:
+            mults = build(block, True) if plain_p == 2.0 else build(block)
         else:
-            out.extend(float(nfun(GridFunction(row))) for row in rows)
-    if not sup:
-        return out
-    return best[0] if young else max([0.0, *out])
+            mults = [_abs2(block) if plain_p == 2.0 else block]
+        cols = cols or [(0.0, None) if young else [] for _ in mults]
+        for c, mult in enumerate(mults):
+            if plain_p == 2.0:
+                mult *= f.parseval_weights()
+                cols[c].extend(np.sqrt(mult.reshape(len(mult), -1).sum(axis=-1)).tolist())
+                continue
+            rows = _inverse(f.spectrum() * mult, f.samples.shape)
+            if young:
+                cols[c] = _young_stack_sup(f, rows, spec, w, cols[c])
+            elif plain_p is not None:
+                cols[c].extend(_lp_rows(rows.reshape(len(rows), -1), plain_p).tolist())
+            else:
+                cols[c].extend(float(nfun(GridFunction(row))) for row in rows)
+    cols = cols or [(0.0, None) if young else []]
+    return [best[0] if young else max([0.0, *best]) for best in cols] if sup else cols
 
 
 def _young_stack_sup(f, rows, spec, w, best):
@@ -341,12 +365,18 @@ def _semigroup_multipliers(size, dim, kind, us):
     return np.exp(-us * (_mode_radius2 if kind == "heat" else _mode_radius)(size, dim))
 
 
-def _step_multipliers(size, dim, kind, r, steps, squared=False):
-    """(T(u) - I)^r on the half grid, or its |.|^2, one per u of `steps` (shift steps or times)."""
+def _step_multipliers(size, dim, kind, orders, steps, squared=False):
+    """(T(u) - I)^r on the half grid, or its |.|^2, one stack per order r of `orders` (ascending).
+
+    A stack has one row per u of `steps` (shift steps or times).  T(u) - I,
+    or the shift's real |.|^2 symbol, is built once; the orders are its
+    successive products.
+    """
     if kind != "shift" or not squared:
         mults = _semigroup_multipliers(size, dim, kind, steps)
         mults -= 1.0
-        return _abs2(_int_power(mults, r)) if squared else _int_power(mults, r)
+        powers = _powers(mults, orders)
+        return [_abs2(m) for m in powers] if squared else powers
     m2 = _shift_symbol(size, steps)
     # the Nyquist slots carry the real factor cos(N*h/2) instead of a phase
     if dim == 1:
@@ -355,17 +385,18 @@ def _step_multipliers(size, dim, kind, r, steps, squared=False):
         p0, p1 = _axis_phases(size, steps)
         m2[:, size // 2, :] = _abs2(p0[:, size // 2, None] * p1 - 1.0)
         m2[:, :, -1] = _abs2(p0 * p1[:, -1:] - 1.0)
-    return _int_power(m2, r)
+    return _powers(m2, orders)
 
 
-def _difference_norms(f, kind, r, us, norm, sup=False, direction=None):
-    """Norm of (T(u) - I)^r f for every scale u; with `sup`, the max of them and 0.
+def _difference_norms(f, kind, orders, us, norm, sup=False, direction=None):
+    """{r: norms of (T(u) - I)^r f over the scales u} for each order r; with `sup`, their max and 0.
 
-    u is a k x d stack of shift steps, a vector of shift lengths along
-    `direction` (default (1, 0); signed steps in 1-d), or heat/abel times.
-    Bad arguments and non-finite scales are refused before any row is evaluated.
+    Every order comes from one build of T(u) - I per stack.  u is a k x d
+    stack of shift steps, a vector of shift lengths along `direction`
+    (default (1, 0); signed steps in 1-d), or heat/abel times.  Bad
+    arguments and non-finite scales are refused before any row is evaluated.
     """
-    r = _positive_int("difference order", r)
+    orders = sorted({_positive_int("difference order", r) for r in orders})
     us = np.asarray(us, dtype=float)
     if not np.isfinite(us).all():
         raise ValueError(f"scale must be finite, got {us[~np.isfinite(us)][0]}")
@@ -378,15 +409,79 @@ def _difference_norms(f, kind, r, us, norm, sup=False, direction=None):
             if scale <= 0.0:
                 raise ValueError("shift direction must be a nonzero vector")
             us = np.outer(us, (dx, dy)) / scale
-    build = partial(_step_multipliers, f.size, f.dim, kind, r)
-    if not len(us):
+    build = partial(_step_multipliers, f.size, f.dim, kind, orders)
+    if len(us):
+        cols = _multiplier_norms(f, us, norm, build, sup)
+    else:
         build(us)  # no row to build, so the builder checks the kind here
-    return _multiplier_norms(f, us, norm, build, sup)
+        cols = [0.0 if sup else [] for _ in orders]
+    return dict(zip(orders, cols))
 
 
 def _scales(t, us):
     """The scales `us` of a modulus at t, none at a finite t <= 0 (a non-finite t is refused)."""
     return us[:0] if -math.inf < t <= 0.0 else us
+
+
+def _sup_table(f, kind, orders, ts, count, norm, units=None, direction=None):
+    """{(order, t): max(0, norms of (T(u) - I)^order f over the rows of u = t*(i+1)/count)}.
+
+    The rows of a scale u are u itself, or u times each row of `units` (an
+    m x d array of shift steps per unit scale).  A positive dyadic scaling
+    is exact, so the scales of dyadic t nest, and the distinct scales of all
+    t are evaluated once, every order from one build per stack.  Under a
+    Luxemburg or Orlicz norm each t takes the pruned sup of its own rows
+    instead, whose rows shared across t would have to be held.  Nothing is
+    kept.
+    """
+    ts = list(dict.fromkeys(ts))
+    bad = [t for t in ts if not -math.inf < t < math.inf]
+    if bad:
+        raise ValueError(f"scale must be finite, got {bad[0]}")
+    fracs = np.arange(1, count + 1) / count
+    scales = [_scales(t, t * fracs) for t in ts]
+
+    def rows(us):
+        return us if units is None else (us[:, None, None] * units).reshape(-1, units.shape[1])
+
+    spec = _norm_spec(norm)
+    if spec is not None and spec.variant != "lp":
+        sups = [_difference_norms(f, kind, orders, rows(us), norm, True, direction)
+                for us in scales]
+        return {(r, t): value for t, sup in zip(ts, sups) for r, value in sup.items()}
+    # the distinct scales of all t, numbered where each is first met, and the numbers of each t
+    place = {}
+    picks = [[place.setdefault(u, len(place)) for u in us.tolist()] for us in scales]
+    norms = _difference_norms(f, kind, orders, rows(np.fromiter(place, float)), norm, False,
+                              direction)
+    width, table = 1 if units is None else len(units), {}
+    for r, col in norms.items():
+        # the max of the rows of each scale; like max([0.0, ...]), it passes over a NaN row
+        peak = col if width == 1 else np.fmax.reduce(np.reshape(col, (-1, width)), axis=1).tolist()
+        table.update(((r, t), max([0.0, *map(peak.__getitem__, pick)]))
+                     for t, pick in zip(ts, picks))
+    return table
+
+
+def moduli_table(f, orders, ts, norm=None, directions=64, radii=64):
+    """{(order, t): modulus(f, order, t, norm, directions, radii)} for every order and t.
+
+    One call builds every distinct step of all t once and takes every order
+    from it by successive products (see `_sup_table`); the values are those
+    of the one-cell calls bit for bit.
+    """
+    directions = _positive_int("directions", directions)
+    radii = _positive_int("radii", radii)
+    # the L2 norm of (T(h) - I)^r f is even in h, so one sign of each step is enough
+    even = _plain_p(_norm_spec(norm)) == 2.0
+    if f.dim == 1:
+        units = np.array([[1.0]] if even else [[1.0], [-1.0]])
+    else:
+        # an even count pairs every direction in [0, pi) with its opposite
+        count = directions // 2 if even and directions % 2 == 0 else directions
+        angles = 2.0 * np.pi * np.arange(count) / directions
+        units = np.array([(math.cos(th), math.sin(th)) for th in angles])
+    return _sup_table(f, "shift", orders, ts, radii, norm, units)
 
 
 def modulus(f, r, t, norm=None, directions=64, radii=64):
@@ -395,21 +490,9 @@ def modulus(f, r, t, norm=None, directions=64, radii=64):
     Steps run over radii t*(i+1)/radii (endpoint included, so grids nest
     under doubling of t) and, for d=2, over `directions` equispaced angles;
     for d=1 both signs are tried.  The value is a lower bound of the true
-    sup, nondecreasing under grid refinement.
+    sup, nondecreasing under grid refinement.  One cell of `moduli_table`.
     """
-    directions = _positive_int("directions", directions)
-    radii = _positive_int("radii", radii)
-    rad = _scales(t, t * (np.arange(1, radii + 1) / radii))
-    # the L2 norm of (T(h) - I)^r f is even in h, so one sign of each step is enough
-    even = _plain_p(_norm_spec(norm)) == 2.0
-    if f.dim == 1:
-        steps = rad if even else np.stack([rad, -rad], axis=1).ravel()
-        return _difference_norms(f, "shift", r, steps[:, None], norm, sup=True)
-    # an even count pairs every direction in [0, pi) with its opposite
-    count = directions // 2 if even and directions % 2 == 0 else directions
-    angles = 2.0 * np.pi * np.arange(count) / directions
-    steps = np.array([(rho * math.cos(th), rho * math.sin(th)) for rho in rad for th in angles])
-    return _difference_norms(f, "shift", r, steps, norm, sup=True)
+    return moduli_table(f, [r], [t], norm, directions, radii)[(r, t)]
 
 
 # -- semigroups ----------------------------------------------------------
@@ -432,7 +515,18 @@ def spectral_semigroup(f, t, kind):
 def semigroup_difference(f, t, kind, r=1):
     """(T(t) - I)^r f for the heat or abel semigroup at time t >= 0 (else a ValueError)."""
     r = _positive_int("difference order", r)
-    return _apply_multiplier(f, _step_multipliers(f.size, f.dim, kind, r, [t])[0])
+    return _apply_multiplier(f, _step_multipliers(f.size, f.dim, kind, [r], [t])[0][0])
+
+
+def semigroup_moduli_table(f, orders, ts, semigroup="shift", norm=None, points=64,
+                           direction=None):
+    """{(order, t): semigroup_modulus(f, order, t, ...)} for every order and t.
+
+    Its times u = t*(i+1)/points nest like the steps of `moduli_table`, and
+    one call evaluates each distinct u once for every order.
+    """
+    points = _positive_int("points", points)
+    return _sup_table(f, semigroup, orders, ts, points, norm, direction=direction)
 
 
 def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, direction=None):
@@ -440,11 +534,10 @@ def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, directio
 
     The sup runs over u = t*(i+1)/points (endpoint included).  For the
     shift on a 2-d grid the step moves along `direction` (default (1,0)).
-    `semigroup` is a kind name: "shift", "heat" or "abel".
+    `semigroup` is a kind name: "shift", "heat" or "abel".  One cell of
+    `semigroup_moduli_table`.
     """
-    points = _positive_int("points", points)
-    us = _scales(t, t * (np.arange(1, points + 1) / points))
-    return _difference_norms(f, semigroup, r, us, norm, sup=True, direction=direction)
+    return semigroup_moduli_table(f, [r], [t], semigroup, norm, points, direction)[(r, t)]
 
 
 def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, direction=None):
@@ -456,7 +549,7 @@ def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, dir
     """
     quad_points = _positive_int("quad_points", quad_points)
     mids = _scales(t, t * (np.arange(quad_points) + 0.5) / quad_points)
-    norms = _difference_norms(f, semigroup, r, mids, norm, direction=direction)
+    norms = _difference_norms(f, semigroup, [r], mids, norm, direction=direction)[r]
     return float(np.mean(norms)) if norms else 0.0
 
 
@@ -498,7 +591,7 @@ def _spherical_mean_offset(size, t, ell, quad_points=256):
     """
     ths = (2.0 * math.pi * k / quad_points for k in range(quad_points))
     steps = np.array([(t * math.cos(th), t * math.sin(th)) for th in ths])
-    acc = sum(_int_power(_shift_symbol(size, block), ell).sum(axis=0)
+    acc = sum(_powers(_shift_symbol(size, block), [ell])[0].sum(axis=0)
               for block in _stacks(steps, size, 2))
     acc *= -1.0 / (quad_points * math.comb(2 * ell, ell))
     acc.setflags(write=False)

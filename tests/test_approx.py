@@ -267,7 +267,7 @@ def test_realization_rows_equal_their_stacked_evaluation(dim, size, norm):
     ell, t, degrees = 2, 0.3, (0, 4, 8)
     bands = np.stack([approx_module._band(f, n, "vallee_poussin") for n in degrees])
     rows = np.concatenate([1.0 - bands, bands * (-_mode_radius2(size, dim)) ** ell])
-    stacked = ops_module._multiplier_norms(f, rows, norm)
+    (stacked,) = ops_module._multiplier_norms(f, rows, norm)
     g = GridFunction(f.samples)
     alone = ([_row_norm(g, ("rest", "vallee_poussin", n), norm) for n in degrees]
              + [_row_norm(g, ("smooth", n, ell), norm) for n in degrees])

@@ -261,6 +261,15 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         ({"id": "averaged-7.3", "params": {"t_grid": []}}, "'checks[1].params.t_grid'"),
         ({"id": "averaged-7.3", "params": {"t_grid": [0.5, math.inf]}},
          "'checks[1].params.t_grid': must be a finite number, got inf"),
+        # scales and base steps whose rows can only be 0/0
+        ({"id": "averaged-7.3", "params": {"t_grid": [-1.0, 0.5, 1.0]}},
+         "'checks[1].params.t_grid': every scale t must be > 0, got [-1.0, 0.5, 1.0]"),
+        ({"id": "averaged-7.3", "params": {"t_grid": [-1.0, 0.0]}},
+         "'checks[1].params.t_grid': every scale t must be > 0, got [-1.0, 0.0]"),
+        ({"id": "basic-2.1", "params": {"h": 0.0}},
+         "'checks[1].params.h': the base step must be nonzero, got h=0.0"),
+        ({"id": "basic-2.1", "params": {"h": -0.3, "semigroup": "heat"}},
+         "'checks[1].params.h': the heat semigroup takes a time h > 0, got h=-0.3"),
     )
     out = str(tmp_path / "rep")
     cases += [({"checks": [{"id": "basic-2.1"}, second], "out": out}, needle)

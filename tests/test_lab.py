@@ -10,7 +10,7 @@ from jacksonlab import (NormSpec, describe_check, discretize, dyadic_tail_sum,
                         estimate_convexity_constant, modulus, registry_ids, run_check,
                         space_moduli, standard_family, verify_duality, zygmund)
 from jacksonlab import lab
-from jacksonlab.lab import _finish, check_params
+from jacksonlab.lab import ParamError, _finish, check_params
 
 ALL_IDS = (
     "basic-2.1", "jackson-1.4", "jackson-4.8", "jackson-4.9", "jackson-5.9",
@@ -205,29 +205,44 @@ def test_directions_is_a_resolution_of_2d_moduli_only():
     assert two.resolutions["directions"] == 8
 
 
-def _recording(monkeypatch, name):
-    """Arguments (order, scale) of every call lab makes to the quantity `name`."""
+def _recording(monkeypatch, name, at=1):
+    """Cells (order, scale) of every call lab makes to `name`, one list per call.
+
+    The orders and scales are the arguments `at` and `at + 1` of the call.
+    """
     seen, real = [], getattr(lab, name)
 
-    def record(f, r, t, *args, **kwargs):
-        seen.append((r, t))
-        return real(f, r, t, *args, **kwargs)
+    def record(*args, **kwargs):
+        seen.append([(r, t) for r in args[at] for t in args[at + 1]])
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(lab, name, record)
     return seen
 
 
 def test_dyadic_sums_evaluate_each_term_once(monkeypatch):
-    seen = _recording(monkeypatch, "modulus")
-    rep = run_check("jackson-1.4", {"N": 32, "family": ["cos"], "n_range": [1, 8]})
-    # 8 left sides of order 1 and 8 distinct terms of order 2 at 2^-1 .. 2^-8; the
-    # sums over n = 1..8 read 36 terms
-    assert len(seen) == 16 and len(set(seen)) == 16
-    assert {t for r, t in seen if r == 2} == {2.0 ** -n for n in range(1, 9)}
-    assert len(rep.table) == 8
-    seen = _recording(monkeypatch, "semigroup_modulus")
+    seen = _recording(monkeypatch, "moduli_table")
+    rep = run_check("jackson-1.4", {"N": 32, "family": ["cos", "abs-sin"], "n_range": [1, 8]})
+    # one table per function: 8 left sides of order 1 and 8 distinct terms of order 2
+    # at 2^-1 .. 2^-8, which the sums over n = 1..8 read 36 times
+    assert len(seen) == 2
+    for cells in seen:
+        assert len(set(cells)) == 16
+        assert set(cells) == {(r, 2.0 ** -n) for r in (1, 2) for n in range(1, 9)}
+    assert len(rep.table) == 16
+    # one table of orders 1 and 2 per function where both sides are one quantity
+    seen = _recording(monkeypatch, "moduli_table")
+    run_check("lower-8.12", {"N": 32, "family": ["cos"]})
+    assert [set(cells) for cells in seen] == [{(r, 2.0 ** -n) for r in (1, 2) for n in range(6)}]
+    seen = _recording(monkeypatch, "_difference_norms", at=2)
+    run_check("basic-2.1", {"N": 32, "family": ["cos", "abs-sin"], "h": 0.25, "L": 3})
+    assert seen == [[(r, 0.25 * 2.0 ** j) for r in (1, 2) for j in range(4)]] * 2
+    # a dyadic tail asks for its left sides in one call and for each term once
+    seen = _recording(monkeypatch, "semigroup_moduli_table")
     rep = run_check("semigroup-7.4", {"N": 32, "family": ["cos"]})
-    assert len(seen) == len(set(seen)) > len(rep.table)
+    cells = [cell for call in seen for cell in call]
+    assert seen[0] == [(1, 2.0 ** -n) for n in range(1, 6)]
+    assert len(cells) == len(set(cells)) > len(rep.table)
 
 
 def test_dyadic_tail_sum_geometric_oracle():
@@ -286,6 +301,21 @@ def test_verify_duality_pass_and_reject():
     assert "2.5" in str(err.value)
     with pytest.raises(ValueError):
         verify_duality(2.0, 1)
+
+
+def test_scales_and_base_steps_must_be_positive():
+    base = {"N": 32, "family": ["cos"]}
+    refused = [("averaged-7.3", {"t_grid": [-1.0, 0.5, 1.0]}, "t_grid", "must be > 0"),
+               ("averaged-7.3", {"t_grid": [-1.0, 0.0]}, "t_grid", "must be > 0"),
+               ("basic-2.1", {"h": 0.0}, "h", "must be nonzero"),
+               ("basic-2.1", {"h": -0.3, "semigroup": "heat"}, "h", "takes a time h > 0"),
+               ("basic-2.1", {"h": -0.3, "semigroup": "abel"}, "h", "takes a time h > 0")]
+    for cid, params, name, reason in refused:
+        with pytest.raises(ParamError, match=reason) as err:
+            run_check(cid, {**base, **params})
+        assert err.value.name == name
+    # a negative shift step is a step backwards
+    assert run_check("basic-2.1", {**base, "h": -0.3}).verdict == "pass"
 
 
 def test_kfunc_89_requires_enough_smoothing():

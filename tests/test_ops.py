@@ -9,10 +9,10 @@ from scipy.special import j0
 from jacksonlab import (GridFunction, NormSpec, OperatorSpec, averaged_modulus, best_approx,
                         cesaro, cesaro_weights, coeffs, difference, directional_deriv,
                         discretize, grid_points, k_delta, k_functional,
-                        laplacian_power, lp_norm, luxemburg_norm, modulus, power,
-                        projection, random_smooth, semigroup_difference,
-                        semigroup_modulus, spectral_semigroup, spherical_mean,
-                        synthesize, translate, zygmund)
+                        laplacian_power, lp_norm, luxemburg_norm, moduli_table, modulus,
+                        power, projection, random_smooth, run_check, semigroup_difference,
+                        semigroup_moduli_table, semigroup_modulus, spectral_semigroup,
+                        spherical_mean, synthesize, translate, zygmund)
 from jacksonlab import grid as grid_module
 from jacksonlab import ops as ops_module
 from jacksonlab.ops import _difference_norms
@@ -506,6 +506,63 @@ def test_stacked_moduli_match_per_step_loop(norm):
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+def _modulus_steps(dim, t, radii, directions, even):
+    """The steps of `modulus` at t, rounded as it rounds them; `even`: the L2 halving."""
+    if not t > 0.0:
+        return []
+    rad = t * (np.arange(1, radii + 1) / radii)
+    if dim == 1:
+        return [[s * rho] for rho in rad for s in ((1.0,) if even else (1.0, -1.0))]
+    count = directions // 2 if even and directions % 2 == 0 else directions
+    angles = 2.0 * np.pi * np.arange(count) / directions
+    return [(rho * math.cos(th), rho * math.sin(th)) for rho in rad for th in angles]
+
+
+@pytest.mark.parametrize("dim,size", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("norm", [None, NormSpec(variant="lp", p=3.0),
+                                  NormSpec(variant="lp", p=4.0),
+                                  NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5))],
+                         ids=["l2", "l3", "l4", "luxemburg"])
+def test_moduli_tables_equal_the_per_step_loop(dim, size, norm):
+    # dyadic t share steps, 0.3 and 0.15 share theirs with each other only, and
+    # 0.7 with none; t <= 0 has no step and a modulus of 0
+    f = _with_nyquist(size, dim, seed=110 + dim)
+    ts = [0.5, 0.25, 0.125, 2.0 ** -5, 0.3, 0.15, 0.7, 0.0, -0.5]
+    radii, points = 6, 5
+    even = norm is None
+
+    def sup(kind, r, rows):
+        return max([0.0, *(_difference_norms(f, kind, [r], np.array([u]), norm)[r][0]
+                           for u in rows)])
+
+    for r in (1, 2, 3):
+        cells = {(o, t) for o in (r, r + 1) for t in ts}
+        for directions in ((64,) if dim == 1 else (4, 5)):
+            table = moduli_table(_fresh(f), [r, r + 1], ts, norm, directions, radii)
+            assert set(table) == cells
+            for (o, t), value in table.items():
+                assert value == sup("shift", o, _modulus_steps(dim, t, radii, directions, even))
+                if t <= 0.0:
+                    assert value == 0.0
+        for kind in ("shift", "heat", "abel"):
+            table = semigroup_moduli_table(_fresh(f), [r + 1, r], ts, kind, norm, points)
+            assert set(table) == cells
+            for (o, t), value in table.items():
+                us = t * (np.arange(1, points + 1) / points) if t > 0.0 else []
+                rows = [u if kind != "shift" or dim == 1 else (u, 0.0) for u in us]
+                assert value == sup(kind, o, rows)
+
+
+def test_jackson_14_builds_each_step_once_for_both_orders(monkeypatch):
+    # 8 dyadic t with 64 radii have 288 distinct radii, 576 signed steps under L4:
+    # 18 stacks of 32, and one inverse FFT per stack for each of the orders 1 and 2
+    f = random_smooth(1024, 1, np.random.default_rng(5))
+    calls = _count_ffts(monkeypatch)
+    run_check("jackson-1.4", {"f": f, "norm": {"norm": "lp", "p": 4.0}, "r": 1,
+                              "n_range": [1, 8]})
+    assert calls == ["irfft"] * 36
+
+
 def _young_specs(size, dim):
     """Luxemburg and Orlicz norms of the Zygmund function, unweighted and weighted."""
     weight = 1.0 + 0.5 * np.cos(grid_points(size, dim)[0])
@@ -586,19 +643,20 @@ def test_a_step_norm_does_not_depend_on_its_stack(dim, size):
     for norm in (None, NormSpec(variant="lp", p=4.0),
                  NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5))):
         for kind, steps in (("shift", shifts), ("heat", np.abs(us)), ("abel", np.abs(us))):
-            stacked = _difference_norms(f, kind, 2, steps, norm)
-            alone = [_difference_norms(f, kind, 2, steps[i:i + 1], norm)[0]
+            stacked = _difference_norms(f, kind, [2], steps, norm)[2]
+            alone = [_difference_norms(f, kind, [2], steps[i:i + 1], norm)[2][0]
                      for i in range(len(us))]
             assert stacked == alone
-            assert _difference_norms(f, kind, 2, steps[::-1], norm) == stacked[::-1]
+            assert _difference_norms(f, kind, [2], steps[::-1], norm)[2] == stacked[::-1]
             # the sup walks the stacks from last to first and equals the max of the rows
             for order in (steps, steps[::-1]):
-                assert _difference_norms(f, kind, 2, order, norm, sup=True) == max([0.0, *stacked])
+                sup = _difference_norms(f, kind, [2], order, norm, sup=True)
+                assert sup == {2: max([0.0, *stacked])}
         if dim == 2:
             # shift lengths along a direction are the steps of that unit vector
-            along = _difference_norms(f, "shift", 2, us, norm, direction=(1, 2))
+            along = _difference_norms(f, "shift", [2], us, norm, direction=(1, 2))
             steps = np.outer(us, (1, 2)) / math.hypot(1, 2)
-            assert along == _difference_norms(f, "shift", 2, steps, norm)
+            assert along == _difference_norms(f, "shift", [2], steps, norm)
 
 
 def test_stacked_scan_spans_several_stacks():
