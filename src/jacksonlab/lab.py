@@ -245,9 +245,11 @@ def estimate_convexity_constant(norm=None, s=2.0, rng=None, trials=200,
     """Smallest observed (max(|F+G|,|F-G|)^s - |F|^s)/|G|^s, clamped at 0.
 
     Samples mix fixed witness pairs (a flat function against cos, a
-    near-parallel pair, disjoint-support bumps) with seeded random pairs
-    drawn sequentially, so enlarging `trials` keeps every earlier sample
-    and the estimate can only decrease.
+    near-parallel pair, disjoint-support bumps, zero against cos) with
+    seeded random pairs drawn sequentially, so enlarging `trials` keeps
+    every earlier sample and the estimate can only decrease.  F = 0 gives
+    the ratio 1, which bounds m for every norm, so the estimate never
+    exceeds 1.
     """
     if s < 2.0:
         raise ValueError(f"convexity exponent s must be >= 2, got {s}")
@@ -288,6 +290,7 @@ def estimate_convexity_constant(norm=None, s=2.0, rng=None, trials=200,
     consider("flat-vs-cos", ones, cosf)
     consider("near-parallel", cosf, 0.01 * cosf)
     consider("disjoint-halves", GridFunction(left), GridFunction(right))
+    consider("zero-vs-cos", GridFunction(np.zeros(shape)), cosf)
     for k in range(trials):
         mode = k % 3
         F = random_smooth(size, dim, rng)

@@ -49,9 +49,25 @@ successive products, and reads each cell as the max of its t's rows; the
 cells equal the one-cell `modulus` and `semigroup_modulus` bit for bit.
 Under a Luxemburg or Orlicz norm each t keeps its own pruned sup.
 
-Nothing here is memoized: every call evaluates its rows and keeps nothing.
-`lab` asks for the moduli of one check and function in one table call, and
-the only memo left, `approx._row_norm`, holds rows that several scales share.
+The 2-d L2 modulus takes a shorter path when its directions lie on the
+lattice: under the unweighted L2 norm, a count that divides 8 (1, 2, 4 or
+8, the default of `lab`) samples only (1, 0), (1, 1), (0, 1) and (-1, 1) up
+to sign.  A step h = rho*(a, b)/|(a, b)| then sees nu only through the
+integer m = a*nu0 + b*nu1, and `_projected_norms` sums the Parseval weights
+once per call and direction into W(m) (one `np.bincount`, a finite Radon
+projection), so a step costs O(N) instead of an O(N^2) symbol.  The Nyquist
+row and column keep their real cos(N*h/2) factor and are summed directly.
+It is the evaluator of `_sup_table`'s rows in that case, and it rounds
+differently from the per-step symbol (within 1e-14 relative), which
+stays the path of every other count, of 1-d, of weighted L2 and of every
+other norm.
+
+The moduli keep nothing between calls: every call evaluates its rows and
+returns.  `lab` asks for the moduli of one check and function in one table
+call, and `approx._row_norm` memoizes rows that several scales share.
+Besides the frequency grids, one cache is module-wide: `_spherical_mean_offset`
+is an `lru_cache(maxsize=512)` keyed by (N, t, ell, quad_points), and at
+N=256 it can hold 512 read-only arrays of about 264 KB each (135 MB).
 """
 
 from __future__ import annotations
@@ -388,6 +404,11 @@ def _step_multipliers(size, dim, kind, orders, steps, squared=False):
     return _powers(m2, orders)
 
 
+def _orders(orders):
+    """The distinct difference orders, ascending; each must be an integer >= 1."""
+    return sorted({_positive_int("difference order", r) for r in orders})
+
+
 def _difference_norms(f, kind, orders, us, norm, sup=False, direction=None):
     """{r: norms of (T(u) - I)^r f over the scales u} for each order r; with `sup`, their max and 0.
 
@@ -396,7 +417,7 @@ def _difference_norms(f, kind, orders, us, norm, sup=False, direction=None):
     (default (1, 0); signed steps in 1-d), or heat/abel times.  Bad
     arguments and non-finite scales are refused before any row is evaluated.
     """
-    orders = sorted({_positive_int("difference order", r) for r in orders})
+    orders = _orders(orders)
     us = np.asarray(us, dtype=float)
     if not np.isfinite(us).all():
         raise ValueError(f"scale must be finite, got {us[~np.isfinite(us)][0]}")
@@ -418,12 +439,58 @@ def _difference_norms(f, kind, orders, us, norm, sup=False, direction=None):
     return dict(zip(orders, cols))
 
 
+# The lattice directions of the angles k*pi/4 in [0, pi), counterclockwise from (1, 0).
+_LATTICE = ((1, 0), (1, 1), (0, 1), (-1, 1))
+
+
+def _projected_norms(f, orders, radii, lattice):
+    """{r: L2 norms of (T(h) - I)^r f} for the steps h = rho*(a, b)/|(a, b)| of a 2-d grid.
+
+    rho runs over `radii` and (a, b) over the integer directions `lattice`;
+    a column lists the steps radius-major, as `_sup_table` lays them out.
+    By Parseval the norm is sqrt(sum(w * |M|^2)), and off the Nyquist lines
+    |M|^2 = (4 sin^2(nu.h/2))^r depends on nu only through the integer
+    m = a*nu0 + b*nu1.  So w is summed once per direction into W(m) by
+    `np.bincount` (a finite Radon projection of |f^|^2), and a step costs
+    O(N): the sum over m of W(m) (4 sin^2(rho*m/(2|(a, b)|)))^r, plus the
+    Nyquist row and column, which keep their real cos(N*h/2) factor and are
+    summed as they are.  Every order comes from one build by `_powers`, and
+    every sum is a ufunc reduction, never BLAS, so the bits do not depend on
+    the machine.  The radii go in stacks of `_STACK_SAMPLES` terms.
+    """
+    orders = _orders(orders)
+    size, nyq = f.size, f.size // 2
+    full, half = _axis_freqs(size)
+    w = f.parseval_weights()
+    inner = w[:, :-1].copy()
+    inner[nyq] = 0.0  # the Nyquist row and column are summed apart
+    cols = {r: np.empty((len(radii), len(lattice))) for r in orders}
+    for j, (a, b) in enumerate(lattice):
+        scale = math.hypot(a, b)
+        m = (a * full[:, None] + b * half[None, :-1]).astype(np.intp)
+        low = int(m.min())
+        proj = np.bincount((m - low).ravel(), weights=inner.ravel())
+        angles = (low + np.arange(len(proj))) * (0.5 / scale)
+        weights = np.concatenate([proj, w[nyq, :-1], w[:, -1]])
+        chunk = max(1, _STACK_SAMPLES // len(weights))
+        for k in range(0, len(radii), chunk):
+            block = radii[k:k + chunk]
+            p0, p1 = _axis_phases(size, np.outer(block, (a / scale, b / scale)))
+            sines = 2.0 * np.sin(np.outer(block, angles))
+            m2 = np.concatenate([sines * sines, _abs2(p0[:, nyq, None] * p1[:, :-1] - 1.0),
+                                 _abs2(p0 * p1[:, -1:] - 1.0)], axis=1)
+            for r, power in zip(orders, _powers(m2, orders)):
+                power *= weights
+                cols[r][k:k + chunk, j] = np.sqrt(power.sum(axis=-1))
+    return {r: col.ravel().tolist() for r, col in cols.items()}
+
+
 def _scales(t, us):
     """The scales `us` of a modulus at t, none at a finite t <= 0 (a non-finite t is refused)."""
     return us[:0] if -math.inf < t <= 0.0 else us
 
 
-def _sup_table(f, kind, orders, ts, count, norm, units=None, direction=None):
+def _sup_table(f, kind, orders, ts, count, norm, units=None, direction=None, lattice=None):
     """{(order, t): max(0, norms of (T(u) - I)^order f over the rows of u = t*(i+1)/count)}.
 
     The rows of a scale u are u itself, or u times each row of `units` (an
@@ -432,7 +499,9 @@ def _sup_table(f, kind, orders, ts, count, norm, units=None, direction=None):
     t are evaluated once, every order from one build per stack.  Under a
     Luxemburg or Orlicz norm each t takes the pruned sup of its own rows
     instead, whose rows shared across t would have to be held.  Nothing is
-    kept.
+    kept.  With `lattice` (integer directions, in place of `units`, under
+    the unweighted L2 norm) the rows are u along each direction, evaluated
+    by `_projected_norms`.
     """
     ts = list(dict.fromkeys(ts))
     bad = [t for t in ts if not -math.inf < t < math.inf]
@@ -452,9 +521,13 @@ def _sup_table(f, kind, orders, ts, count, norm, units=None, direction=None):
     # the distinct scales of all t, numbered where each is first met, and the numbers of each t
     place = {}
     picks = [[place.setdefault(u, len(place)) for u in us.tolist()] for us in scales]
-    norms = _difference_norms(f, kind, orders, rows(np.fromiter(place, float)), norm, False,
-                              direction)
-    width, table = 1 if units is None else len(units), {}
+    distinct = np.fromiter(place, float)
+    if lattice is None:
+        norms = _difference_norms(f, kind, orders, rows(distinct), norm, False, direction)
+        width = 1 if units is None else len(units)
+    else:
+        norms, width = _projected_norms(f, orders, distinct, lattice), len(lattice)
+    table = {}
     for r, col in norms.items():
         # the max of the rows of each scale; like max([0.0, ...]), it passes over a NaN row
         peak = col if width == 1 else np.fmax.reduce(np.reshape(col, (-1, width)), axis=1).tolist()
@@ -468,7 +541,9 @@ def moduli_table(f, orders, ts, norm=None, directions=64, radii=64):
 
     One call builds every distinct step of all t once and takes every order
     from it by successive products (see `_sup_table`); the values are those
-    of the one-cell calls bit for bit.
+    of the one-cell calls bit for bit.  Under the unweighted L2 norm on a
+    2-d grid, a count that divides 8 samples lattice directions only, and
+    their steps are evaluated by projection (`_projected_norms`).
     """
     directions = _positive_int("directions", directions)
     radii = _positive_int("radii", radii)
@@ -479,6 +554,10 @@ def moduli_table(f, orders, ts, norm=None, directions=64, radii=64):
     else:
         # an even count pairs every direction in [0, pi) with its opposite
         count = directions // 2 if even and directions % 2 == 0 else directions
+        if even and 8 % directions == 0:
+            # the angles are multiples of pi/4, so the directions are on the lattice
+            lattice = _LATTICE[::8 // directions][:count]
+            return _sup_table(f, "shift", orders, ts, radii, norm, lattice=lattice)
         angles = 2.0 * np.pi * np.arange(count) / directions
         units = np.array([(math.cos(th), math.sin(th)) for th in angles])
     return _sup_table(f, "shift", orders, ts, radii, norm, units)

@@ -267,6 +267,19 @@ def test_convexity_constant_l2_and_l1():
     assert l1.witness is not None and l1.witness_label == "flat-vs-cos"
 
 
+@pytest.mark.parametrize("spec,s", [
+    (NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5)), 2.0),
+    (NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5)), 3.0),
+    (NormSpec(variant="lp", p=2.0), 2.0),
+    (NormSpec(variant="lp", p=3.0), 3.0),
+    (NormSpec(variant="lp", p=4.0), 4.0),
+])
+def test_convexity_constant_never_exceeds_one(spec, s):
+    # F = 0 gives the ratio 1 exactly, so m <= 1 for every norm and s
+    est = estimate_convexity_constant(spec, s=s, rng=0, trials=100, size=64)
+    assert est.m_hat <= 1.0 + 1e-12
+
+
 def test_convexity_constant_gates():
     spec = NormSpec(variant="lp", p=2.0)
     with pytest.raises(ValueError):

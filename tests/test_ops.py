@@ -518,6 +518,16 @@ def _modulus_steps(dim, t, radii, directions, even):
     return [(rho * math.cos(th), rho * math.sin(th)) for rho in rad for th in angles]
 
 
+# dyadic t, non-dyadic t and t <= 0
+_TABLE_TS = [0.5, 0.25, 0.125, 2.0 ** -5, 0.3, 0.15, 0.7, 0.0, -0.5]
+
+
+def _per_step_sup(f, kind, r, rows, norm=None):
+    """max(0, norms of (T(u) - I)^r f), one `_difference_norms` call per row u."""
+    return max([0.0, *(_difference_norms(f, kind, [r], np.array([u]), norm)[r][0]
+                       for u in rows)])
+
+
 @pytest.mark.parametrize("dim,size", [(1, 64), (2, 16)])
 @pytest.mark.parametrize("norm", [None, NormSpec(variant="lp", p=3.0),
                                   NormSpec(variant="lp", p=4.0),
@@ -525,23 +535,21 @@ def _modulus_steps(dim, t, radii, directions, even):
                          ids=["l2", "l3", "l4", "luxemburg"])
 def test_moduli_tables_equal_the_per_step_loop(dim, size, norm):
     # dyadic t share steps, 0.3 and 0.15 share theirs with each other only, and
-    # 0.7 with none; t <= 0 has no step and a modulus of 0
+    # 0.7 with none; t <= 0 has no step and a modulus of 0.  The 2-d L2 modulus
+    # with 4 directions is taken by projection, which rounds differently: see
+    # test_projected_moduli_match_the_per_step_loop
     f = _with_nyquist(size, dim, seed=110 + dim)
-    ts = [0.5, 0.25, 0.125, 2.0 ** -5, 0.3, 0.15, 0.7, 0.0, -0.5]
+    ts = _TABLE_TS
     radii, points = 6, 5
     even = norm is None
-
-    def sup(kind, r, rows):
-        return max([0.0, *(_difference_norms(f, kind, [r], np.array([u]), norm)[r][0]
-                           for u in rows)])
-
     for r in (1, 2, 3):
         cells = {(o, t) for o in (r, r + 1) for t in ts}
-        for directions in ((64,) if dim == 1 else (4, 5)):
+        for directions in ((64,) if dim == 1 else (5,) if even else (4, 5)):
             table = moduli_table(_fresh(f), [r, r + 1], ts, norm, directions, radii)
             assert set(table) == cells
             for (o, t), value in table.items():
-                assert value == sup("shift", o, _modulus_steps(dim, t, radii, directions, even))
+                steps = _modulus_steps(dim, t, radii, directions, even)
+                assert value == _per_step_sup(f, "shift", o, steps, norm)
                 if t <= 0.0:
                     assert value == 0.0
         for kind in ("shift", "heat", "abel"):
@@ -550,7 +558,42 @@ def test_moduli_tables_equal_the_per_step_loop(dim, size, norm):
             for (o, t), value in table.items():
                 us = t * (np.arange(1, points + 1) / points) if t > 0.0 else []
                 rows = [u if kind != "shift" or dim == 1 else (u, 0.0) for u in us]
-                assert value == sup(kind, o, rows)
+                assert value == _per_step_sup(f, kind, o, rows, norm)
+
+
+@pytest.mark.parametrize("size", [16, 64])
+def test_projected_moduli_match_the_per_step_loop(size):
+    # 2-d L2 with a direction count dividing 8 samples lattice directions only,
+    # which the table evaluates by projection; the per-step loop is the oracle
+    f = _with_nyquist(size, 2, seed=120)
+    radii = 6
+    for r in (1, 2, 3):
+        for directions in (1, 2, 4, 8):
+            table = moduli_table(_fresh(f), [r, r + 1], _TABLE_TS, None, directions, radii)
+            assert set(table) == {(o, t) for o in (r, r + 1) for t in _TABLE_TS}
+            for (o, t), value in table.items():
+                want = _per_step_sup(f, "shift", o, _modulus_steps(2, t, radii, directions, True))
+                if t <= 0.0:
+                    assert value == 0.0
+                else:
+                    assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_only_lattice_directions_under_unweighted_l2_take_the_projection(monkeypatch):
+    symbols = []
+    real = ops_module._shift_symbol
+    monkeypatch.setattr(ops_module, "_shift_symbol",
+                        lambda *args: symbols.append(args) or real(*args))
+    calls = _count_ffts(monkeypatch)
+    f = _with_nyquist(32, 2, seed=121)
+    ts = [0.5, 0.25, 0.3]
+    moduli_table(_fresh(f), [1, 2], ts, None, directions=8, radii=4)
+    assert symbols == [] and calls == []
+    moduli_table(_fresh(f), [1, 2], ts, _grid_norm("weighted-l2", f), directions=8, radii=4)
+    assert symbols == [] and calls
+    calls.clear()
+    moduli_table(_fresh(f), [1, 2], ts, None, directions=5, radii=4)
+    assert symbols and calls == []
 
 
 def test_jackson_14_builds_each_step_once_for_both_orders(monkeypatch):
