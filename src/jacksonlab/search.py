@@ -2,7 +2,9 @@
 
 `golden_max` works elementwise on arrays so that batches of independent
 one-dimensional searches run in a handful of vectorized evaluations; the
-level solvers are scalar.
+level solvers are scalar.  The norms rest on `brent_level_log`.  No library
+path calls `golden_max` (the numerical conjugate bisects on the derivative
+inside `young`); it stays as public API and as a test oracle.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ This module provides the builtin families used by the Orlicz-norm machinery::
     exp_growth()      exp(u) - 1 - u
 
 plus three derived constructions: the complementary (convex-conjugate)
-function, computed numerically; the doubling diagnostics `check_delta2` /
+function, computed numerically (a grid argmax from phi's chord slopes, then
+bisection for the point where phi' crosses y, which by Young's equality is
+the maximizer); the doubling diagnostics `check_delta2` /
 `check_nabla2`; and `patch`, which replaces a convex gap of u -> phi(u**(1/s))
 by a constant-slope segment so the composition becomes globally concave.
 """
@@ -18,11 +20,10 @@ by a constant-slope segment so the composition becomes globally concave.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-from .search import golden_max
 
 _LOG_POWER_GATE = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -166,28 +167,17 @@ class YoungFunction:
 
     def _conj_values(self, y, want_argmax=False):
         y = np.asarray(y, dtype=float)
-        vals = np.zeros_like(y)
-        args = np.zeros_like(y)
+        # psi(y) = 0 with maximizer x = 0 for y <= 0; NaN stays NaN
+        vals = np.where(np.isnan(y), np.nan, 0.0)
+        args = vals.copy()
         pos = y > 0.0
         if np.any(pos):
             yy = y[pos]
-            xg = self._xgrid
             # grid argmax of x*y - phi(x): the first grid point whose chord
             # slope to the right reaches y
             idx = np.searchsorted(self._chord, yy, side="left")
-            grid_best = yy * xg[idx] - self._base_grid[idx]
-            lo = xg[np.maximum(idx - 1, 0)]
-            hi = xg[np.minimum(idx + 1, len(xg) - 1)]
-            base = self.base
-
-            def height(logx):
-                x = np.exp(logx)
-                return yy * x - np.asarray(base(x), dtype=float)
-
-            logx, refined = golden_max(height, np.log(lo), np.log(hi), iters=90)
-            better = refined >= grid_best
-            vals[pos] = np.maximum(np.where(better, refined, grid_best), 0.0)
-            args[pos] = np.where(better, np.exp(logx), xg[idx])
+            vals[pos], args[pos] = _conj_refine(self.base, self._xgrid, self._base_grid,
+                                                yy, idx)
         if want_argmax:
             return vals, args
         return vals, None
@@ -213,7 +203,9 @@ class YoungFunction:
                                  c1=data["c1"], c2=data["c2"], base=base)
         if kind.startswith("conjugate:"):
             base = builtin(kind.split(":", 1)[1], *params[:-2])
-            return complementary(base, y_max=params[-2], resolution=int(params[-1]))
+            # params are floats; a fractional resolution is passed on to be refused
+            resolution = int(params[-1]) if params[-1].is_integer() else params[-1]
+            return complementary(base, y_max=params[-2], resolution=resolution)
         return builtin(kind, *params)
 
     def __repr__(self):
@@ -224,6 +216,34 @@ class YoungFunction:
 def _as_array(x):
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
+
+
+def _conj_refine(base, xg, base_grid, y, idx):
+    """Value and maximizer of x*y - base(x) from the grid argmax `idx`.
+
+    For convex phi the maximizer is where phi' crosses y (Young's equality),
+    so each step bisects [x_{idx-1}, x_{idx+1}] on the sign of
+    phi'_+(mid) - y with one `deriv_plus` call; the bracket holds the
+    crossing because chord[idx-1] < y <= chord[idx].  Bisection stops when
+    every midpoint equals one of its ends (at most 64 steps), so `hi` is the
+    first float of the bracket with phi'_+ >= y, or its upper end if there
+    is none; one base evaluation there gives the value, kept only where it
+    beats the grid point.
+    """
+    lo = xg[np.maximum(idx - 1, 0)]
+    hi = xg[np.minimum(idx + 1, len(xg) - 1)]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        up = np.asarray(base.deriv_plus(mid), dtype=float) >= y
+        lo = np.where(up, lo, mid)
+        hi = np.where(up, mid, hi)
+    refined = y * hi - np.asarray(base(hi), dtype=float)
+    grid_best = y * xg[idx] - base_grid[idx]
+    better = refined >= grid_best
+    return (np.maximum(np.where(better, refined, grid_best), 0.0),
+            np.where(better, hi, xg[idx]))
 
 
 # -- builtin constructors ----------------------------------------------
@@ -293,11 +313,19 @@ def _superlinear_slope(phi, x_hi=1e6):
 def complementary(phi, y_max=1e3, resolution=2048):
     """Complementary Young function psi(y) = sup_x (x*y - phi(x)).
 
-    The supremum is taken over a log-spaced working grid with golden-section
-    refinement around the grid argmax, so psi is accurate for arguments up
-    to roughly `y_max`.  Raises ValueError when phi grows too slowly for the
-    supremum to be attained on the working grid.
+    The grid argmax over `resolution` log-spaced points in [1e-6, 1e6] is
+    read off phi's chord slopes; the maximizer is then refined by bisection
+    on the sign of phi'_+(x) - y between the neighbouring grid points, to
+    the last float, so psi is accurate for arguments up to roughly `y_max`.
+    `argmax_support` returns that maximizer.  psi(y) = 0 for y <= 0 and NaN
+    propagates.  Raises ValueError for a `resolution` that is not an
+    integer >= 2, a `y_max` that is not finite and positive, or when phi
+    grows too slowly for the supremum to be attained on the working grid.
     """
+    if not isinstance(resolution, numbers.Integral) or resolution < 2:
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+    if not (math.isfinite(y_max) and y_max > 0.0):
+        raise ValueError(f"y_max must be finite and > 0, got {y_max!r}")
     slope, growth = _superlinear_slope(phi)
     if not (np.isfinite(slope) and slope >= y_max and growth >= 1.5):
         raise ValueError("complement undefined at working precision: "

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from jacksonlab import (YoungFunction, bisect_level_log, builtin, check_delta2, check_nabla2,
-                        complementary, exp_growth, golden_max, log_power,
-                        log_power_tail_threshold, patch, power,
-                        power_concavity_regions, two_power, zygmund)
+                        complementary, exp_growth, log_power, log_power_tail_threshold,
+                        patch, power, power_concavity_regions, two_power, zygmund)
+from jacksonlab.young import _conj_refine
 
 
 def power_conjugate(p, y):
@@ -46,22 +46,11 @@ def test_builtin_convexity_and_derivatives():
 
 
 def conjugate_by_argmax_matrix(psi, y):
-    # the N x M grid argmax of x*y - phi(x), then the same golden refinement
-    xg, base_grid, base = psi._xgrid, psi._base_grid, psi.base
+    # the N x M grid argmax of x*y - phi(x), then the library's refinement
+    xg, base_grid = psi._xgrid, psi._base_grid
     mass = y[:, None] * xg[None, :] - base_grid[None, :]
     idx = np.argmax(mass, axis=1)
-    grid_best = mass[np.arange(len(y)), idx]
-    lo = xg[np.maximum(idx - 1, 0)]
-    hi = xg[np.minimum(idx + 1, len(xg) - 1)]
-
-    def height(logx):
-        x = np.exp(logx)
-        return y * x - np.asarray(base(x), dtype=float)
-
-    logx, refined = golden_max(height, np.log(lo), np.log(hi), iters=90)
-    better = refined >= grid_best
-    return (np.maximum(np.where(better, refined, grid_best), 0.0),
-            np.where(better, np.exp(logx), xg[idx]))
+    return _conj_refine(psi.base, xg, base_grid, y, idx)
 
 
 def test_conjugate_chord_index_matches_argmax_oracle():
@@ -75,6 +64,92 @@ def test_conjugate_chord_index_matches_argmax_oracle():
         assert np.all(np.abs(got - vals) <= 1e-14 * np.abs(vals))
         got_args = np.asarray(psi.argmax_support(y))
         assert np.all(np.abs(got_args - args) <= 1e-14 * np.abs(args))
+
+
+def test_conjugate_of_powers_to_rounding():
+    y = np.geomspace(1e-2, 1e2, 97)
+    for p in (1.5, 2.0, 3.0, 4.0):
+        psi = complementary(power(p))
+        value = (p - 1.0) * (y / p) ** (p / (p - 1.0))
+        argmax = (y / p) ** (1.0 / (p - 1.0))
+        assert np.max(np.abs(np.asarray(psi(y)) - value) / value) <= 1e-13, p
+        got = np.asarray(psi.argmax_support(y))
+        assert np.max(np.abs(got - argmax) / argmax) <= 1e-13, p
+
+
+def test_conjugate_argmax_is_where_the_derivative_crosses():
+    # Young's equality: phi'_-(x*) <= y <= phi'_+(x*) at the maximizer x*
+    bases = (two_power(1.5, 3.0), log_power(3.0), zygmund(2.0, 0.5),
+             patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi)
+    for phi in bases:
+        psi = complementary(phi)
+        # the ends of each kink's subgradient at x = 1, and points inside it
+        kink = np.linspace(float(phi.deriv_minus(1.0)), float(phi.deriv_plus(1.0)), 5)
+        y = np.concatenate([np.geomspace(1e-2, 1e2, 61), kink])
+        x = np.asarray(psi.argmax_support(y))
+        assert np.all(np.asarray(phi.deriv_minus(x * (1.0 - 1e-12))) <= y), phi.kind
+        assert np.all(y <= np.asarray(phi.deriv_plus(x * (1.0 + 1e-12)))), phi.kind
+        if phi.kind == "two_power":
+            inside = (kink > phi.deriv_minus(1.0)) & (kink < phi.deriv_plus(1.0))
+            assert np.all(x[61:][inside] == 1.0)
+
+
+class CountedBase:
+    """A Young function that counts its evaluations and right derivatives."""
+
+    def __init__(self, phi):
+        self.phi, self.kind, self.params = phi, phi.kind, phi.params
+        self.calls = self.derivs = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.phi(x)
+
+    def deriv_plus(self, x):
+        self.derivs += 1
+        return self.phi.deriv_plus(x)
+
+
+def test_conjugate_evaluation_budget():
+    base = CountedBase(power(3.0))
+    psi = complementary(base)
+    base.calls = base.derivs = 0
+    y = np.geomspace(1e-3, 1e3, 128)
+    vals = np.asarray(psi(y))
+    # golden section took 161 base calls; bisection takes derivatives instead
+    assert base.calls == 1
+    assert 0 < base.derivs <= 64
+    assert np.array_equal(vals, np.asarray(complementary(power(3.0))(y)))
+
+
+def test_conjugate_propagates_nan():
+    psi = complementary(power(3.0))
+    assert math.isnan(psi(math.nan))
+    assert math.isnan(psi.argmax_support(math.nan))
+    got = np.asarray(psi(np.array([math.nan, -1.0, 0.0, 2.0])))
+    assert math.isnan(got[0]) and got[1] == 0.0 and got[2] == 0.0
+    assert got[3] == pytest.approx(power_conjugate(3.0, 2.0), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"resolution": 1}, "resolution"), ({"resolution": 0}, "resolution"),
+    ({"resolution": 2.5}, "resolution"), ({"resolution": True}, "resolution"),
+    ({"y_max": -1.0}, "y_max"), ({"y_max": 0.0}, "y_max"),
+    ({"y_max": math.nan}, "y_max"), ({"y_max": math.inf}, "y_max")])
+def test_complementary_refuses_bad_parameters(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        complementary(power(3.0), **kwargs)
+    data = complementary(power(3.0)).to_json()
+    data["params"][-2 if name == "y_max" else -1] = kwargs[name]
+    # from_json goes through the same constructor
+    with pytest.raises(ValueError, match=name):
+        YoungFunction.from_json(data)
+
+
+def test_complementary_at_the_smallest_resolution():
+    # two grid points still bracket the maximizer for y inside the chord range
+    psi = complementary(power(3.0), resolution=2)
+    assert psi(2.0) == pytest.approx(power_conjugate(3.0, 2.0), rel=1e-13, abs=0.0)
 
 
 def test_conjugate_of_square():
@@ -199,7 +274,8 @@ def test_patch_gate():
 
 def test_young_json_round_trip():
     for phi in (power(2.5), two_power(1.5, 3.0), zygmund(2.0, 0.5),
-                log_power(3.0), exp_growth()):
+                log_power(3.0), exp_growth(),
+                complementary(zygmund(2.0, 0.5), y_max=200.0, resolution=64)):
         back = YoungFunction.from_json(phi.to_json())
         u = np.geomspace(0.01, 100.0, 50)
         assert np.allclose(np.asarray(back(u)), np.asarray(phi(u)), rtol=1e-12)
