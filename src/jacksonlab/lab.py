@@ -12,7 +12,6 @@ drifts across the range fails even when each point is individually fine.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -855,21 +854,20 @@ def _dyadic_rows(check, f, p, nfun, stops):
     r, s = p["r"], p["s"]
     scales = check.scales(p)
     ts = [t for _, t in scales]
-    if check.js is None:
-        # a tail stops adaptively, so its terms are asked for one at a time; the
-        # tails at different t read terms at the same points 2^j t: evaluate each once
-        table = check.lhs(f, p, nfun, [r], ts)
-        term = functools.cache(lambda u: check.term(f, p, nfun, [r + 1], [u])[(r + 1, u)])
+    # while the terms do not decrease, term j of a tail is above 2^(-(j-1)rs)(1 - 2^(-rs)) of
+    # the running sum, so a tail reads j = 1..J at least: one call with the left sides
+    J = 1 + math.floor(math.log2((1.0 - 2.0 ** (-r * s)) / _TAIL_REL_TOL) / (r * s))
+    js = check.js or (lambda p, n: range(1, J + 1))
+    us = [(2.0 ** j) * t for n, t in scales for j in js(p, n)]
+    if check.term is check.lhs and check.js:  # a tail reads order r at no term
+        table = check.lhs(f, p, nfun, [r, r + 1], ts + us)
     else:
-        # every scale of the check in one call, both sides in one when they are one quantity
-        us = [(2.0 ** j) * t for n, t in scales for j in check.js(p, n)]
-        if check.term is check.lhs:
-            table = check.lhs(f, p, nfun, [r, r + 1], ts + us)
-        else:
-            table = {**check.lhs(f, p, nfun, [r], ts), **check.term(f, p, nfun, [r + 1], us)}
+        table = {**check.lhs(f, p, nfun, [r], ts), **check.term(f, p, nfun, [r + 1], us)}
 
-        def term(u):
-            return table[(r + 1, u)]
+    def term(u):
+        if (r + 1, u) not in table:  # a tail past J asks for a further term alone, once
+            table.update(check.term(f, p, nfun, [r + 1], [u]))
+        return table[(r + 1, u)]
     rows = []
     for n, t in scales:
         q = table[(r, t)]
@@ -878,7 +876,7 @@ def _dyadic_rows(check, f, p, nfun, stops):
             stops.append(stop)
         else:
             acc = 0.0
-            for j in check.js(p, n):
+            for j in js(p, n):
                 acc += 2.0 ** (-j * r * s) * term((2.0 ** j) * t) ** s
             total = acc ** (1.0 / s)
         rows.append((total, q) if check.direction == "upper" else (q, total))

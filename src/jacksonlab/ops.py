@@ -64,7 +64,8 @@ other norm.
 
 The moduli keep nothing between calls: every call evaluates its rows and
 returns.  `lab` asks for the moduli of one check and function in one table
-call, and `approx._row_norm` memoizes rows that several scales share.
+call per side (and for a term past a dyadic tail's sure range alone), and
+`approx._row_norm` memoizes rows that several scales share.
 Besides the frequency grids, one cache is module-wide: `_spherical_mean_offset`
 is an `lru_cache(maxsize=512)` keyed by (N, t, ell, quad_points), and at
 N=256 it can hold 512 read-only arrays of about 264 KB each (135 MB).

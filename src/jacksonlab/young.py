@@ -185,24 +185,33 @@ class YoungFunction:
     # -- serialization --------------------------------------------------
 
     def to_json(self):
-        return {
+        """The record `from_json` reads; it holds the base's record when that is not a builtin."""
+        data = {
             "kind": self.kind,
             "params": list(self.params),
             "breakpoints": list(self.breakpoints),
             "c1": self.c1,
             "c2": self.c2,
         }
+        if self.base is not None and self.base.kind not in _BUILTIN_ARITY:
+            data["base"] = self.base.to_json()
+        return data
 
     @staticmethod
     def from_json(data):
         kind = data["kind"]
         params = tuple(float(v) for v in data.get("params", ()))
-        if kind.startswith("patched:"):
-            base = builtin(kind.split(":", 1)[1], *params[:-1])
-            return YoungFunction(kind, params, tuple(data["breakpoints"]),
-                                 c1=data["c1"], c2=data["c2"], base=base)
-        if kind.startswith("conjugate:"):
-            base = builtin(kind.split(":", 1)[1], *params[:-2])
+        derived, _, rest = kind.partition(":")
+        if derived in ("patched", "conjugate"):
+            # a patched record ends with s, a conjugate one with y_max and the resolution
+            own = 1 if derived == "patched" else 2
+            base = (YoungFunction.from_json(data["base"]) if "base" in data
+                    else builtin(rest, *params[:-own]))
+            if (base.kind, base.params) != (rest, params[:-own]):
+                raise ValueError(f"base {base!r} does not match Young function kind {kind!r}")
+            if derived == "patched":
+                return YoungFunction(kind, params, tuple(data["breakpoints"]),
+                                     c1=data["c1"], c2=data["c2"], base=base)
             # params are floats; a fractional resolution is passed on to be refused
             resolution = int(params[-1]) if params[-1].is_integer() else params[-1]
             return complementary(base, y_max=params[-2], resolution=resolution)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,12 +238,17 @@ def test_dyadic_sums_evaluate_each_term_once(monkeypatch):
     seen = _recording(monkeypatch, "_difference_norms", at=2)
     run_check("basic-2.1", {"N": 32, "family": ["cos", "abs-sin"], "h": 0.25, "L": 3})
     assert seen == [[(r, 0.25 * 2.0 ** j) for r in (1, 2) for j in range(4)]] * 2
-    # a dyadic tail asks for its left sides in one call and for each term once
+    # a dyadic tail asks for its left sides in one call, its sure terms j = 1..J in a
+    # second, and for each further term alone, once: two calls plus one per term past J
     seen = _recording(monkeypatch, "semigroup_moduli_table")
     rep = run_check("semigroup-7.4", {"N": 32, "family": ["cos"]})
-    cells = [cell for call in seen for cell in call]
+    J = _sure_terms(1, 2.0)
     assert seen[0] == [(1, 2.0 ** -n) for n in range(1, 6)]
-    assert len(cells) == len(set(cells)) > len(rep.table)
+    assert set(seen[1]) == {(2, 2.0 ** (j - n)) for n in range(1, 6) for j in range(1, J + 1)}
+    past = [cell for call in seen[2:] for cell in call]
+    assert all(len(call) == 1 for call in seen[2:])
+    assert len(past) == len(set(past)) and not set(past) & set(seen[1])
+    assert rep.resolutions["max_j"] > J and len(seen) == 2 + len(past) >= 3
 
 
 def test_dyadic_tail_sum_geometric_oracle():
@@ -255,6 +261,74 @@ def test_dyadic_tail_sum_geometric_oracle():
     # decaying values truncate early
     _, stop_fast = dyadic_tail_sum(lambda j: 2.0 ** (-3 * j), r, s)
     assert stop_fast < 20
+
+
+def _sure_terms(r, s):
+    """J: while its terms do not decrease, a dyadic tail cannot stop at j <= J."""
+    return 1 + math.floor(math.log2((1.0 - 2.0 ** (-r * s)) / 1e-14) / (r * s))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("s", [2.0, 2.5, 3.0, 4.0])
+def test_dyadic_tail_of_nondecreasing_terms_runs_past_the_sure_range(r, s):
+    # term j is above 2^(-(j-1)rs)(1 - 2^(-rs)) of the running sum, at least 1e-14 up to J
+    J = _sure_terms(r, s)
+    for values in (lambda j: 0.7, lambda j: 0.1 * j, lambda j: 1.3 ** j, lambda j: 2.0 ** (r * j)):
+        _, stop = dyadic_tail_sum(values, r, s)
+        assert stop > J
+    assert _sure_terms(1, 2.0) == 24
+
+
+_LUX = NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5))
+_TAIL_CASES = [
+    ("jackson-4.8", {}), ("jackson-4.9", {}), ("jackson-5.9", {}),
+    ("semigroup-7.4", {}), ("semigroup-7.4", {"norm": _LUX}),
+    ("shift-7.5", {}), ("shift-7.5", {"norm": _LUX}),
+    ("kfunc-8.9", {"route": "realization", "d": 1}), ("kfunc-8.9", {"route": "heat", "d": 1}),
+    ("kfunc-8.9", {"route": "realization"}), ("kfunc-8.9", {"norm": _LUX, "d": 1}),
+    ("jackson-8.10", {}), ("jackson-8.10", {"norm": _LUX}),
+]
+
+
+def _lazy_tail(check, p):
+    """Rows and last j of a dyadic tail whose every side and term is asked for alone."""
+    nfun, r, s = lab._as_norm(p["norm"]), p["r"], p["s"]
+    rows, stops = [], []
+    rng = np.random.default_rng(p["seed"])
+    for _, f in standard_family(p["N"], p["d"], rng, names=p["family"]):
+        for _, t in check.scales(p):
+            def term(j):
+                u = (2.0 ** j) * t
+                return check.term(f, p, nfun, [r + 1], [u])[(r + 1, u)]
+            total, stop = dyadic_tail_sum(term, r, s)
+            rows.append((check.lhs(f, p, nfun, [r], [t])[(r, t)], total))
+            stops.append(stop)
+    return rows, max(stops)
+
+
+@pytest.mark.parametrize("cid,extra", _TAIL_CASES)
+def test_tail_table_equals_the_lazy_terms(cid, extra):
+    params = {"N": 32, "n_range": [1, 3], "family": ["abs-sin", "random"], **extra}
+    rep = run_check(cid, params)
+    rows, max_j = _lazy_tail(lab._CHECKS[cid], lab.parse_params(cid, params))
+    assert [(l, r) for _, l, r in rep.table] == rows
+    assert rep.resolutions["max_j"] == max_j
+
+
+def test_tail_that_stops_before_the_sure_range_is_unchanged(monkeypatch):
+    # a term that falls like u^-4 stops the tail early; the table's extra terms go unread
+    def falling(f, p, nfun, orders, us):
+        return {(r, u): v * u ** -4.0
+                for (r, u), v in lab._semigroup_modulus(f, p, nfun, orders, us).items()}
+
+    check = replace(lab._CHECKS["shift-7.5"], term=falling)
+    monkeypatch.setitem(lab._CHECKS, "shift-7.5", check)
+    params = {"N": 32, "n_range": [1, 3], "family": ["abs-sin", "random"]}
+    rep = run_check("shift-7.5", params)
+    rows, max_j = _lazy_tail(check, lab.parse_params("shift-7.5", params))
+    assert max_j < _sure_terms(1, 2.0)
+    assert rep.resolutions["max_j"] == max_j
+    assert [(l, r) for _, l, r in rep.table] == rows
 
 
 def test_convexity_constant_l2_and_l1():

@@ -1,5 +1,6 @@
 """Conjugation, growth conditions, concavity regions, and the patch."""
 
+import json
 import math
 
 import numpy as np
@@ -279,6 +280,34 @@ def test_young_json_round_trip():
         back = YoungFunction.from_json(phi.to_json())
         u = np.geomspace(0.01, 100.0, 50)
         assert np.allclose(np.asarray(back(u)), np.asarray(phi(u)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: complementary(complementary(power(3.0)), y_max=20.0),
+    lambda: complementary(patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi),
+    lambda: patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi,
+])
+def test_derived_young_json_round_trip(make):
+    # a nested or patched base travels in the record and is rebuilt recursively
+    phi = make()
+    data = json.loads(json.dumps(phi.to_json()))
+    back = YoungFunction.from_json(data)
+    assert back.to_json() == phi.to_json()
+    u = np.array([0.05, 0.3, 1.0, 2.5, 7.0])
+    assert np.array_equal(np.asarray(back(u)), np.asarray(phi(u)))
+    assert np.array_equal(np.asarray(back.deriv_plus(u)), np.asarray(phi.deriv_plus(u)))
+
+
+def test_builtin_based_records_hold_no_base():
+    # the records of builtin-based functions are the ones written before bases were recorded
+    conj = complementary(power(3.0)).to_json()
+    assert conj == {"kind": "conjugate:power", "params": [3.0, 1000.0, 2048.0],
+                    "breakpoints": [], "c1": 1.0, "c2": 0.0}
+    assert "base" not in patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi.to_json()
+    data = complementary(complementary(power(3.0)), y_max=20.0).to_json()
+    data["base"]["params"][0] = 4.0
+    with pytest.raises(ValueError, match="does not match"):
+        YoungFunction.from_json(data)
 
 
 def test_builtin_factory_dispatch():
