@@ -14,15 +14,16 @@ broken `require` rule (kfunc-8.9 needs 2*ell > r, and d=2 for the sphere
 route; the abel and Cesaro checks run on 1-d grids) exits 2 with a message
 naming `checks[k].params.<field>`, and no report is written; so does a
 top-level `N`, `seed` or `--seed` that the param of the same name refuses.
-A check that fails only while it runs (cesaro-5.1 with a degree n >= N/2)
-is named by its index and id, and the other checks still write their
-reports.
+The output directory is made before any check runs; a path that cannot be
+a directory (an existing file, or a path through one) exits 2 naming
+'out'.  A check that fails only while it runs (cesaro-5.1 with a degree
+n >= N/2) is named by its index and id, and the other checks still write
+their reports.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -110,6 +111,10 @@ def _run_batch(args):
         raise ConfigError(f"option '--jobs': must be an integer >= 1, got {args.jobs}")
     config = _load_config(args.config)
     jobs, out, formats = _validate(config, seed_override=args.seed, out_override=args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"config field 'out': {exc}") from exc
 
     def work(item):
         cid, params = item
@@ -119,6 +124,8 @@ def _run_batch(args):
             return exc
 
     if args.jobs > 1:
+        import concurrent.futures  # pulls in logging; a serial batch never needs it
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(work, jobs))
     else:
@@ -126,7 +133,6 @@ def _run_batch(args):
 
     # a check that fails while it runs is named, and the others still report
     reports, errors = [], []
-    out.mkdir(parents=True, exist_ok=True)
     summary = ["id,verdict,constant,runtime_ms"]
     for k, ((cid, _), report) in enumerate(zip(jobs, results)):
         if isinstance(report, ValueError):

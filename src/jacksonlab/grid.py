@@ -153,24 +153,37 @@ def _weight_array(f, weight):
     return w / np.mean(w)
 
 
+def _abs_power(x, p):
+    """|x|**p as a new array; an integer p by in-place products of |x| (p = 4: two squarings)."""
+    a = np.abs(x)
+    if p != int(p):
+        return a ** p
+    bits = bin(int(p))[3:]
+    base = np.abs(x) if "1" in bits else None
+    for bit in bits:  # binary powering from the top bit: square, then times |x| where a bit is set
+        a *= a
+        if bit == "1":
+            a *= base
+    return a
+
+
 def lp_norm(f, p, weight=None):
     """(mean of w*|f|**p)**(1/p); max|f| for p = inf."""
     if not p >= 1.0:
         raise ValueError(f"exponent must be >= 1, got {p}")
-    a = np.abs(f.samples)
     if np.isinf(p):
-        return float(np.max(a))
+        return float(np.max(np.abs(f.samples)))
     w = _weight_array(f, weight)
-    m = np.mean(a ** p) if w is None else np.mean(w * a ** p)
+    a = _abs_power(f.samples, p)
+    m = np.mean(a) if w is None else np.mean(w * a)
     return float(m ** (1.0 / p))
 
 
 def _lp_rows(rows, p):
     """Unweighted `lp_norm` of every row of a stack of flattened samples, in one reduction."""
-    a = np.abs(rows)
     if np.isinf(p):
-        return np.max(a, axis=-1)
-    return np.mean(a ** p, axis=-1) ** (1.0 / p)
+        return np.max(np.abs(rows), axis=-1)
+    return np.mean(_abs_power(rows, p), axis=-1) ** (1.0 / p)
 
 
 def orlicz_functional(f, phi, weight=None):

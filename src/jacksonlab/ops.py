@@ -14,6 +14,15 @@ cos(N*h/2) in it (the sampled translate of a cos(N*x/2) component is
 cos(N*h/2) * cos(N*x/2)), and the results equal the real part of the
 complex full-grid transform to rounding error.
 
+The shift's phases exp(i*nu*h) come from `_axis_phases` by angle addition:
+nu = c + s with c a multiple of w = 2^(bitlen(N/2)//2) and 0 <= s < w, so
+a step takes cos and sin at N/(2w) + 1 coarse and w fine angles, and one
+complex outer product exp(i*c*h) * exp(i*s*h) gives every phase.  A full
+axis takes its negative half as the exact conjugate of its positive half,
+and the Nyquist slot keeps cos(N*h/2) computed directly.  Each phase is
+within 2*eps*(1 + |nu*h|) of exp(i*nu*h), the accuracy of the direct
+formula, which the rounding of nu*h limits in both.
+
 One builder, `_semigroup_multipliers`, makes T(u) of every semigroup: the
 shift (u a step), heat or Abel (u a time), and refuses a non-finite u;
 `_step_multipliers` makes (T(u) - I)^r from it for a list of orders, each
@@ -33,8 +42,9 @@ at r = ell over C(2*ell, ell); every other multiplier squares itself.
 positive steps in 1-d and, for an even count, only the directions in
 [0, pi) in 2-d.  Every other norm runs one inverse transform per stack of
 multipliers (an unweighted L_p norm is then taken over all rows in one
-reduction).  A stack holds max(1, `_STACK_SAMPLES` // N^d) rows, a constant
-per grid, so outputs never depend on the machine or the thread count.
+reduction, an integer p by in-place products of |row|, never a pow call).
+A stack holds max(1, `_STACK_SAMPLES` // N^d) rows, a constant per grid,
+so outputs never depend on the machine or the thread count.
 
 The moduli keep only the max of their rows (`sup`).  Under a Luxemburg or
 Orlicz norm the evaluator then rules rows out by one vectorized modular per
@@ -118,22 +128,51 @@ def _axis_freqs(size):
     return full, half
 
 
+@lru_cache(maxsize=64)
+def _phase_split(size):
+    """The coarse (multiples of w) and fine (0..w-1) parts of nu = c + s, w = 2^(bitlen(N/2)//2)."""
+    half = size // 2
+    w = 1 << (half.bit_length() // 2)
+    coarse = np.arange(half // w + 1, dtype=float) * w
+    fine = np.arange(w, dtype=float)
+    coarse.setflags(write=False)
+    fine.setflags(write=False)
+    return coarse, fine
+
+
+def _exp_i(angles):
+    """exp(i*angles) from one cos and one sin call."""
+    out = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out
+
+
 def _axis_phases(size, steps):
     """exp(i*nu*h) along each axis for a k x d stack of steps h.
 
-    One k x len(axis) array per axis (the last is the half axis), real cos(N*h/2) at Nyquist.
+    One k x len(axis) array per axis (the last is the half axis), real
+    cos(N*h/2) at Nyquist.  By angle addition: exp(i*c*h) * exp(i*s*h) for
+    nu = c + s (`_phase_split`), so a row takes cos and sin at about
+    sqrt(2N) angles; a full axis takes its negative half as the conjugate
+    of the positive half.  Each element is within 2*eps*(1 + |nu*h|) of
+    exp(i*nu*h).
     """
-    full, half = _axis_freqs(size)
-    dim = steps.shape[1]
+    coarse, fine = _phase_split(size)
+    half, k = size // 2, len(steps)
     phases = []
-    for axis in range(dim):
+    for axis in range(steps.shape[1]):
         h = steps[:, axis]
-        angles = np.outer(h, half if axis == dim - 1 else full)
-        phase = np.empty(angles.shape, dtype=complex)
-        np.cos(angles, out=phase.real)
-        np.sin(angles, out=phase.imag)
-        phase[:, size // 2] = np.cos(0.5 * size * h)
-        phases.append(phase)
+        pos = _exp_i(np.outer(h, coarse))[:, :, None] * _exp_i(np.outer(h, fine))[:, None, :]
+        pos = pos.reshape(k, pos.shape[1] * pos.shape[2])[:, :half + 1]
+        pos[:, half] = np.cos(0.5 * size * h)
+        if axis == steps.shape[1] - 1:
+            phases.append(pos)
+        else:
+            phase = np.empty((k, size), dtype=complex)
+            phase[:, :half + 1] = pos
+            np.conjugate(pos[:, half - 1:0:-1], out=phase[:, half + 1:])
+            phases.append(phase)
     return phases
 
 

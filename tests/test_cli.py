@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from jacksonlab import registry_ids
+from jacksonlab import lab, registry_ids
 from jacksonlab.cli import main
 
 BASE_CONFIG = {
@@ -150,7 +150,7 @@ def test_failing_check_exits_one(tmp_path, capsys):
     assert "fail" in capsys.readouterr().out
 
 
-def test_config_validation_exit_codes(tmp_path, capsys):
+def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
     cases = [
         ({"checks": [{"id": "jackson-99"}]}, "jackson-99"),
         ({"checks": []}, "checks"),
@@ -283,6 +283,19 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     cfg = write_config(tmp_path, {"checks": [{"id": "basic-2.1"}], "N": 32})
     assert main(["run", cfg, "--seed", "-1"]) == 2
     assert "config field 'seed': must be an integer >= 0, got -1" in capsys.readouterr().err
+    # an output path that cannot be a directory is refused before any check runs
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    monkeypatch.setattr(lab, "run_check", lambda *a: pytest.fail("a check ran"))
+    for out, error in ((afile, "FileExistsError"), (afile / "sub", "NotADirectoryError")):
+        cfg = write_config(tmp_path, {"checks": [{"id": "basic-2.1"}], "N": 32, "out": str(out)})
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config field 'out': ")
+        cfg = write_config(tmp_path, {"checks": [{"id": "basic-2.1"}], "N": 32})
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config field 'out': ") and error not in err
+    assert afile.read_text() == ""
 
 
 def test_jobs_below_one_is_refused_before_any_report(tmp_path, capsys):

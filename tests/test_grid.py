@@ -13,6 +13,7 @@ from jacksonlab import (GridFunction, NormSpec, bisect_level_log, complementary,
                         luxemburg_norm, orlicz_functional, orlicz_norm,
                         orlicz_norm_dual_bound, patch, power, random_smooth,
                         two_power, zygmund)
+from jacksonlab.grid import _lp_rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -59,6 +60,24 @@ def test_lp_norm_weighted():
     w = 1.0 + 0.5 * discretize(np.cos, 64, 1).samples
     # mean((1 + cos/2) cos^2) = 1/2 since odd powers of cos average to zero
     assert lp_norm(f, 2.0, weight=w) == pytest.approx(1.0 / SQRT2, abs=1e-14)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 5.0, 2.5, np.inf])
+def test_lp_rows_and_lp_norm_match_a_long_double_mean(p, weighted):
+    # the weighted norm of f is the plain norm of w**(1/p) * f, which the rows take
+    rng = np.random.default_rng(20)
+    samples = rng.standard_normal((6, 512)) * np.exp(rng.uniform(-3.0, 3.0, (6, 1)))
+    w = rng.uniform(0.2, 5.0, 512) if weighted else np.ones(512)
+    w /= np.mean(w)
+    rows = _lp_rows(samples * w ** (1.0 / p), p)
+    norms = [lp_norm(GridFunction(x), p, w if weighted else None) for x in samples]
+    a = np.abs(samples).astype(np.longdouble)
+    ref = (a.max(axis=-1) if np.isinf(p)
+           else np.mean(w.astype(np.longdouble) * a ** p, axis=-1) ** (1 / np.longdouble(p)))
+    assert rows.tolist() == pytest.approx(norms, rel=1e-15, abs=0.0)
+    for got in (rows, np.array(norms)):
+        assert np.abs(got / ref - 1.0).max() <= 1e-15
 
 
 def test_luxemburg_matches_lp_for_power_young():

@@ -341,6 +341,30 @@ def _oracle_phase(size, h):
     return phase
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("size", [8, 16, 128, 1024, 4096])
+def test_axis_phases_match_a_long_double_exponential(dim, size):
+    # angle addition is accurate to the rounding of nu*h, as the direct exp(1j*nu*h) is
+    rng = np.random.default_rng(size + dim)
+    steps = np.concatenate([rng.uniform(-8.0, 8.0, (12, dim)), np.zeros((1, dim)),
+                            np.full((1, dim), 1e-9)])
+    half, eps = size // 2, np.finfo(float).eps
+    phases = ops_module._axis_phases(size, steps)
+    assert len(phases) == dim
+    for axis, phase in enumerate(phases):
+        full = axis < dim - 1
+        nu = _full_freqs(size) if full else np.arange(half + 1.0)
+        angles = steps[:, axis, None].astype(np.longdouble) * nu.astype(np.longdouble)
+        err = np.hypot(phase.real - np.cos(angles), phase.imag - np.sin(angles)).astype(float)
+        err[:, half] = 0.0
+        assert np.all(err <= 2.0 * eps * (1.0 + np.abs(angles.astype(float))))
+        assert np.array_equal(phase[:, half], np.cos(0.5 * size * steps[:, axis]))
+        if full:
+            assert np.array_equal(phase[:, half + 1:], np.conj(phase[:, half - 1:0:-1]))
+    empty = ops_module._axis_phases(size, np.empty((0, dim)))
+    assert [p.shape for p in empty] == [(0, size)] * (dim - 1) + [(0, half + 1)]
+
+
 def _oracle_translate(size, dim, h):
     if dim == 1:
         return _oracle_phase(size, h[0])

@@ -1,6 +1,6 @@
 """One sha256 per report of the perfbench workloads, for byte-identity gates.
 
-    python3 tools/report_digests.py [--seeds 0 1 2 3] [--jobs N]
+    python3 tools/report_digests.py [--seeds 0 1 2 3] [--jobs N] [--keep DIR]
 
 Run from anywhere; the checkout is the one this file sits in.  For every
 workload and seed it builds the run configuration with perfbench/run.py's
@@ -19,6 +19,10 @@ gate is
     python3 old/tools/report_digests.py > old.txt
     python3 new/tools/report_digests.py > new.txt
     diff old.txt new.txt
+
+With --keep DIR the reports of each run stay in DIR/<workload>/<seed>/, so
+that `tools/compare_reports.py` can say how far two checkouts' reports are
+apart, not only that they differ.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -76,6 +81,8 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker threads of every run (default: the workload's own)")
+    parser.add_argument("--keep", type=Path, default=None,
+                        help="keep the reports in KEEP/<workload>/<seed>/")
     args = parser.parse_args(argv)
     for name in bench.WORKLOADS:
         for seed in args.seeds:
@@ -84,6 +91,8 @@ def main(argv=None):
                 out = run_workload(spec, args.jobs or spec["jobs"], Path(scratch))
                 for stem, digest in report_digests(out).items():
                     print(name, seed, stem, digest, flush=True)
+                if args.keep:
+                    shutil.copytree(out, args.keep / name / str(seed), dirs_exist_ok=True)
     return 0
 
 
