@@ -179,11 +179,17 @@ def lp_norm(f, p, weight=None):
     return float(m ** (1.0 / p))
 
 
-def _lp_rows(rows, p):
-    """Unweighted `lp_norm` of every row of a stack of flattened samples, in one reduction."""
+def _lp_rows(rows, p, w=None):
+    """`lp_norm` of every row of a stack of flattened samples, in one reduction.
+
+    `w` is the flattened normalized weight (`_weight_array`) or None.
+    """
     if np.isinf(p):
         return np.max(np.abs(rows), axis=-1)
-    return np.mean(_abs_power(rows, p), axis=-1) ** (1.0 / p)
+    a = _abs_power(rows, p)
+    if w is not None:
+        a *= w
+    return np.mean(a, axis=-1) ** (1.0 / p)
 
 
 def orlicz_functional(f, phi, weight=None):
@@ -449,14 +455,13 @@ def random_smooth(size, dim, rng, band=None, decay=1.0):
     """
     if band is None:
         band = size // 3
+    freqs = np.fft.fftfreq(size) * size
     if dim == 1:
-        freqs = np.fft.fftfreq(size) * size
         mask = np.abs(freqs) <= band
         radius2 = freqs ** 2
     else:
-        freqs = np.fft.fftfreq(size) * size
-        fx, fy = np.meshgrid(freqs, freqs, indexing="ij")
-        radius2 = fx ** 2 + fy ** 2
+        # |nu|^2 by broadcasting the squared axis frequencies
+        radius2 = freqs[:, None] ** 2 + freqs[None, :] ** 2
         mask = np.sqrt(radius2) <= band
     shape = (size,) * dim
     spec = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))

@@ -24,8 +24,8 @@ import numpy as np
 from .approx import best_approx, degree_below, k_delta, k_functional
 from .grid import (GridFunction, NormSpec, discretize, grid_points, luxemburg_norm,
                    orlicz_norm, random_smooth)
-from .ops import (_SEMIGROUP_KINDS, _as_norm, _difference_norms, averaged_modulus, cesaro,
-                  moduli_table, semigroup_moduli_table)
+from .ops import (_SEMIGROUP_KINDS, _as_norm, _difference_norms, _moduli_tables, _sup_table,
+                  averaged_modulus, cesaro)
 from .search import bisect_level
 from .young import YoungFunction, zygmund
 
@@ -586,7 +586,10 @@ class _Check:
     A dyadic check sets quantity `lhs` of order r at each scale (n, t)
     against {sum_j 2^(-jrs) term(2^j t)^s}^(1/s) of order r + 1, over
     `js(params, n)` or, when `js` is None, the dyadic tail; a lower check puts
-    the quantity on the left, an upper check the sum.  Other checks give `rows`.
+    the quantity on the left, an upper check the sum.  The quantities take
+    the check's whole family and return one table per member, so the
+    members share each stack's build of (T(u) - I)^r.  Other checks give
+    `rows`, one function at a time.
     `require` holds (param, predicate, message) rules on the parsed params;
     `bounds(params)` gives the `_finish` thresholds.
     """
@@ -607,34 +610,35 @@ class _Check:
     threshold_note: str = None
 
 
-# named quantities, each q(f, params, norm, orders, scales): {(order, scale): value}
+# named quantities, each q(fs, params, norm, orders, scales): one {(order, scale): value} per
+# member of the family fs; the members share each stack's build of (T(u) - I)^r
 def _difference(kind=None):
     """|(T(u) - I)^order f| for the semigroup `kind` (None: the check's `semigroup` param)."""
-    def table(f, p, nfun, orders, us):
+    def tables(fs, p, nfun, orders, us):
         us = list(dict.fromkeys(us))
-        norms = _difference_norms(f, kind or p["semigroup"], orders, us, nfun)
-        return {(r, u): v for r, col in norms.items() for u, v in zip(us, col)}
-    return table
+        return [{(r, u): v for r, col in norms.items() for u, v in zip(us, col)}
+                for norms in _difference_norms(fs, kind or p["semigroup"], orders, us, nfun)]
+    return tables
 
 
 # basic-2.1 reads it on both sides, so `_dyadic_rows` asks for both orders in one call
 _STEP_DIFFERENCE = _difference()
 
 
-def _modulus(f, p, nfun, orders, us):
-    return moduli_table(f, orders, us, nfun, p["directions"], p["radii"])
+def _modulus(fs, p, nfun, orders, us):
+    return _moduli_tables(fs, orders, us, nfun, p["directions"], p["radii"])
 
 
-def _semigroup_modulus(f, p, nfun, orders, us):
-    return semigroup_moduli_table(f, orders, us, p["semigroup"], nfun, points=p["points"])
+def _semigroup_modulus(fs, p, nfun, orders, us):
+    return _sup_table(fs, p["semigroup"], orders, us, p["points"], nfun)
 
 
 def _per_scale(value):
-    """A quantity that reads no order: value(f, params, norm, scale) once per distinct scale."""
-    def table(f, p, nfun, orders, us):
-        values = {u: value(f, p, nfun, u) for u in dict.fromkeys(us)}
-        return {(r, u): v for r in orders for u, v in values.items()}
-    return table
+    """A quantity that reads no order: value(f, params, norm, scale) per member and scale."""
+    def tables(fs, p, nfun, orders, us):
+        values = [{u: value(f, p, nfun, u) for u in dict.fromkeys(us)} for f in fs]
+        return [{(r, u): v for r in orders for u, v in member.items()} for member in values]
+    return tables
 
 
 _k_ell = _per_scale(lambda f, p, nfun, u: k_functional(f, p["ell"], u, nfun, p["route"]).value)
@@ -660,7 +664,7 @@ def _cesaro_51_rows(f, p, nfun):
 
 def _averaged_73_rows(f, p, nfun):
     r, ts = p["r"], p["t_grid"]
-    sups = _semigroup_modulus(f, p, nfun, [r], ts)
+    sups = _semigroup_modulus([f], p, nfun, [r], ts)[0]
     return [(sups[(r, t)], averaged_modulus(f, r, t, p["semigroup"], nfun, p["quad_points"]))
             for t in ts]
 
@@ -850,7 +854,8 @@ def parse_params(check_id, params):
     return p
 
 
-def _dyadic_rows(check, f, p, nfun, stops):
+def _dyadic_rows(check, fs, p, nfun, stops):
+    """The rows of a dyadic check over the family `fs`, ordered by (function, n)."""
     r, s = p["r"], p["s"]
     scales = check.scales(p)
     ts = [t for _, t in scales]
@@ -860,26 +865,27 @@ def _dyadic_rows(check, f, p, nfun, stops):
     js = check.js or (lambda p, n: range(1, J + 1))
     us = [(2.0 ** j) * t for n, t in scales for j in js(p, n)]
     if check.term is check.lhs and check.js:  # a tail reads order r at no term
-        table = check.lhs(f, p, nfun, [r, r + 1], ts + us)
+        tables = check.lhs(fs, p, nfun, [r, r + 1], ts + us)
     else:
-        table = {**check.lhs(f, p, nfun, [r], ts), **check.term(f, p, nfun, [r + 1], us)}
-
-    def term(u):
-        if (r + 1, u) not in table:  # a tail past J asks for a further term alone, once
-            table.update(check.term(f, p, nfun, [r + 1], [u]))
-        return table[(r + 1, u)]
+        tables = [{**lhs, **term} for lhs, term in zip(check.lhs(fs, p, nfun, [r], ts),
+                                                       check.term(fs, p, nfun, [r + 1], us))]
     rows = []
-    for n, t in scales:
-        q = table[(r, t)]
-        if check.js is None:
-            total, stop = dyadic_tail_sum(lambda j: term((2.0 ** j) * t), r, s)
-            stops.append(stop)
-        else:
-            acc = 0.0
-            for j in js(p, n):
-                acc += 2.0 ** (-j * r * s) * term((2.0 ** j) * t) ** s
-            total = acc ** (1.0 / s)
-        rows.append((total, q) if check.direction == "upper" else (q, total))
+    for f, table in zip(fs, tables):
+        def term(u):
+            if (r + 1, u) not in table:  # a tail past J asks for a further term alone, once
+                table.update(check.term([f], p, nfun, [r + 1], [u])[0])
+            return table[(r + 1, u)]
+        for n, t in scales:
+            q = table[(r, t)]
+            if check.js is None:
+                total, stop = dyadic_tail_sum(lambda j: term((2.0 ** j) * t), r, s)
+                stops.append(stop)
+            else:
+                acc = 0.0
+                for j in js(p, n):
+                    acc += 2.0 ** (-j * r * s) * term((2.0 ** j) * t) ** s
+                total = acc ** (1.0 / s)
+            rows.append((total, q) if check.direction == "upper" else (q, total))
     return rows
 
 
@@ -901,8 +907,11 @@ def run_check(check_id, params=None):
         fam = standard_family(p["N"], p["d"], np.random.default_rng(p["seed"]),
                               names=p["family"])
     rows, stops = [], []
-    for _, f in fam:
-        rows += check.rows(f, p, nfun) if check.rows else _dyadic_rows(check, f, p, nfun, stops)
+    if check.rows:
+        for _, f in fam:
+            rows += check.rows(f, p, nfun)
+    else:
+        rows = _dyadic_rows(check, [f for _, f in fam], p, nfun, stops)
     notes = (check.order + ", ".join(name for name, _ in fam),)
     # a 1-d modulus tries both signs of each radius and reads no directions
     resolutions = {"N": p["N"], **{k: p[k] for k in _COUNTS

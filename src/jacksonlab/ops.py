@@ -41,8 +41,9 @@ at r = ell over C(2*ell, ell); every other multiplier squares itself.
 |M|^2 of a step is even in the step, so the L2 modulus evaluates only
 positive steps in 1-d and, for an even count, only the directions in
 [0, pi) in 2-d.  Every other norm runs one inverse transform per stack of
-multipliers (an unweighted L_p norm is then taken over all rows in one
-reduction, an integer p by in-place products of |row|, never a pow call).
+multipliers (an L_p norm is then taken over all rows in one reduction, a
+weight normalized once per call, an integer p by in-place products of
+|row|, never a pow call).
 A stack holds max(1, `_STACK_SAMPLES` // N^d) rows, a constant per grid,
 so outputs never depend on the machine or the thread count.
 
@@ -73,8 +74,16 @@ stays the path of every other count, of 1-d, of weighted L2 and of every
 other norm.
 
 The moduli keep nothing between calls: every call evaluates its rows and
-returns.  `lab` asks for the moduli of one check and function in one table
-call per side (and for a term past a dyadic tail's sure range alone), and
+returns.  (T(u) - I)^r depends on the grid and u, not on f, so the private
+evaluators (`_multiplier_norms`, `_difference_norms`, `_sup_table`,
+`_projected_norms`) and `_moduli_tables`, the family form of
+`moduli_table`, take a family of members on one grid: each
+stack is built once, and every member reads it (under L2 through its own
+Parseval weights, under another L_p through its own inverse FFT, under a
+Young norm against its own running max).  A member's values do not depend
+on the others, and a one-member family does the one-function work.  `lab`
+asks for the moduli of a check's whole family in one table call per side
+(and for a term past a dyadic tail's sure range alone, per member), and
 `approx._row_norm` memoizes rows that several scales share.
 Besides the frequency grids, one cache is module-wide: `_spherical_mean_offset`
 is an `lru_cache(maxsize=512)` keyed by (N, t, ell, quad_points), and at
@@ -284,45 +293,71 @@ def _stacks(steps, size, dim):
     return (steps[k:k + chunk] for k in range(0, len(steps), chunk))
 
 
-def _multiplier_norms(f, items, norm, build=None, sup=False):
-    """Columns of norms of M f for half-grid multipliers M, one inverse FFT per stack and column.
+def _parseval_sums(m2, weights):
+    """sum(w * m2) over each row of the stack m2, one array of sums per Parseval weight array w.
 
-    `items` are the multipliers, one column.  Or build(stack) turns a stack
-    of `items` into a list of stacks of multipliers, one per column
-    (build(stack, True): new arrays of their |M|^2).  A column is the list
-    of its norms.  Unweighted L2 takes no inverse FFT (Parseval), another
-    unweighted L_p one reduction per stack, any other norm one evaluation
-    per row.  With `sup`, a column is max(0, *norms) bit for bit: the
-    stacks run from last to first (the moduli list their steps outward, so
-    the last mostly holds the max), and a Luxemburg or Orlicz norm solves
-    only the rows `_young_stack_sup` keeps.  An empty `items` is one empty
-    column.
+    The last w weights m2 in place and every other w one scratch copy, so a
+    single w does the in-place work alone.
     """
-    spec = _norm_spec(norm)
-    plain_p, nfun = _plain_p(spec), _as_norm(norm)
+    scratch = np.empty_like(m2) if len(weights) > 1 else None
+    sums = []
+    for k, w in enumerate(weights):
+        out = np.multiply(m2, w, out=m2 if k == len(weights) - 1 else scratch)
+        sums.append(out.reshape(len(out), -1).sum(axis=-1))
+    return sums
+
+
+def _multiplier_norms(fs, items, norm, build=None, sup=False):
+    """Columns of norms of M f for half-grid multipliers M, one list of columns per member f.
+
+    `fs` holds members on one grid; a lone GridFunction is a one-member
+    family and gets its list of columns alone.  `items` are the multipliers,
+    one column.  Or build(stack) turns a stack of `items` into a list of
+    stacks of multipliers, one per column (build(stack, True): new arrays of
+    their |M|^2).  Each stack is built once, and every member reads it.  A
+    column is the list of its norms.  Unweighted L2 takes no inverse FFT
+    (Parseval), another L_p one inverse FFT per member and stack and one
+    reduction (a weight normalized once per call), any other norm one
+    evaluation per row.  With `sup`, a column is max(0, *norms) bit for bit:
+    the stacks run from last to first (the moduli list their steps outward,
+    so the last mostly holds the max), and a Luxemburg or Orlicz norm solves
+    only the rows `_young_stack_sup` keeps, each member against its own
+    running max.  An empty `items` is one empty column.
+    """
+    lone = isinstance(fs, GridFunction)
+    fs = [fs] if lone else fs
+    spec, nfun, shape = _norm_spec(norm), _as_norm(norm), fs[0].samples.shape
+    p = spec.p if spec is not None and spec.variant == "lp" else None
+    parseval = _plain_p(spec) == 2.0
     young = sup and spec is not None and spec.variant != "lp"
-    w = _weight_array(f, spec.weight).ravel() if young and spec.weight is not None else None
-    stacks, cols = list(_stacks(items, f.size, f.dim)), None
+    w = None
+    if (young or p is not None) and spec.weight is not None:
+        w = _weight_array(fs[0], spec.weight).ravel()
+    stacks, cols = list(_stacks(items, fs[0].size, fs[0].dim)), None
     for block in reversed(stacks) if sup else stacks:
         if build:
-            mults = build(block, True) if plain_p == 2.0 else build(block)
+            mults = build(block, True) if parseval else build(block)
         else:
-            mults = [_abs2(block) if plain_p == 2.0 else block]
-        cols = cols or [(0.0, None) if young else [] for _ in mults]
+            mults = [_abs2(block) if parseval else block]
+        cols = cols or [[(0.0, None) if young else [] for _ in mults] for _ in fs]
         for c, mult in enumerate(mults):
-            if plain_p == 2.0:
-                mult *= f.parseval_weights()
-                cols[c].extend(np.sqrt(mult.reshape(len(mult), -1).sum(axis=-1)).tolist())
+            if parseval:
+                sums = _parseval_sums(mult, [f.parseval_weights() for f in fs])
+                for col, total in zip(cols, sums):
+                    col[c].extend(np.sqrt(total).tolist())
                 continue
-            rows = _inverse(f.spectrum() * mult, f.samples.shape)
-            if young:
-                cols[c] = _young_stack_sup(f, rows, spec, w, cols[c])
-            elif plain_p is not None:
-                cols[c].extend(_lp_rows(rows.reshape(len(rows), -1), plain_p).tolist())
-            else:
-                cols[c].extend(float(nfun(GridFunction(row))) for row in rows)
-    cols = cols or [(0.0, None) if young else []]
-    return [best[0] if young else max([0.0, *best]) for best in cols] if sup else cols
+            for f, col in zip(fs, cols):
+                rows = _inverse(f.spectrum() * mult, shape)
+                if young:
+                    col[c] = _young_stack_sup(f, rows, spec, w, col[c])
+                elif p is not None:
+                    col[c].extend(_lp_rows(rows.reshape(len(rows), -1), p, w).tolist())
+                else:
+                    col[c].extend(float(nfun(GridFunction(row))) for row in rows)
+    cols = cols or [[(0.0, None) if young else []] for _ in fs]
+    if sup:
+        cols = [[best[0] if young else max([0.0, *best]) for best in col] for col in cols]
+    return cols[0] if lone else cols
 
 
 def _young_stack_sup(f, rows, spec, w, best):
@@ -449,20 +484,25 @@ def _orders(orders):
     return sorted({_positive_int("difference order", r) for r in orders})
 
 
-def _difference_norms(f, kind, orders, us, norm, sup=False, direction=None):
+def _difference_norms(fs, kind, orders, us, norm, sup=False, direction=None):
     """{r: norms of (T(u) - I)^r f over the scales u} for each order r; with `sup`, their max and 0.
 
-    Every order comes from one build of T(u) - I per stack.  u is a k x d
-    stack of shift steps, a vector of shift lengths along `direction`
-    (default (1, 0); signed steps in 1-d), or heat/abel times.  Bad
-    arguments and non-finite scales are refused before any row is evaluated.
+    One dict per member f of `fs` (members on one grid; a lone GridFunction
+    gets its dict alone).  Every order of every member comes from one build
+    of T(u) - I per stack.  u is a k x d stack of shift steps, a vector of
+    shift lengths along `direction` (default (1, 0); signed steps in 1-d),
+    or heat/abel times.  Bad arguments and non-finite scales are refused
+    before any row is evaluated.
     """
+    lone = isinstance(fs, GridFunction)
+    fs = [fs] if lone else fs
+    size, dim = fs[0].size, fs[0].dim
     orders = _orders(orders)
     us = np.asarray(us, dtype=float)
     if not np.isfinite(us).all():
         raise ValueError(f"scale must be finite, got {us[~np.isfinite(us)][0]}")
     if kind == "shift" and us.ndim == 1:
-        if f.dim == 1:
+        if dim == 1:
             us = us[:, None]
         else:
             dx, dy = (1.0, 0.0) if direction is None else direction
@@ -470,49 +510,56 @@ def _difference_norms(f, kind, orders, us, norm, sup=False, direction=None):
             if scale <= 0.0:
                 raise ValueError("shift direction must be a nonzero vector")
             us = np.outer(us, (dx, dy)) / scale
-    build = partial(_step_multipliers, f.size, f.dim, kind, orders)
+    build = partial(_step_multipliers, size, dim, kind, orders)
     if len(us):
-        cols = _multiplier_norms(f, us, norm, build, sup)
+        cols = _multiplier_norms(fs, us, norm, build, sup)
     else:
         build(us)  # no row to build, so the builder checks the kind here
-        cols = [0.0 if sup else [] for _ in orders]
-    return dict(zip(orders, cols))
+        cols = [[0.0 if sup else [] for _ in orders] for _ in fs]
+    tables = [dict(zip(orders, col)) for col in cols]
+    return tables[0] if lone else tables
 
 
 # The lattice directions of the angles k*pi/4 in [0, pi), counterclockwise from (1, 0).
 _LATTICE = ((1, 0), (1, 1), (0, 1), (-1, 1))
 
 
-def _projected_norms(f, orders, radii, lattice):
-    """{r: L2 norms of (T(h) - I)^r f} for the steps h = rho*(a, b)/|(a, b)| of a 2-d grid.
+def _projected_norms(fs, orders, radii, lattice):
+    """[{r: L2 norms of (T(h) - I)^r f}] for the steps h = rho*(a, b)/|(a, b)|, one per member f.
 
-    rho runs over `radii` and (a, b) over the integer directions `lattice`;
-    a column lists the steps radius-major, as `_sup_table` lays them out.
-    By Parseval the norm is sqrt(sum(w * |M|^2)), and off the Nyquist lines
-    |M|^2 = (4 sin^2(nu.h/2))^r depends on nu only through the integer
-    m = a*nu0 + b*nu1.  So w is summed once per direction into W(m) by
-    `np.bincount` (a finite Radon projection of |f^|^2), and a step costs
-    O(N): the sum over m of W(m) (4 sin^2(rho*m/(2|(a, b)|)))^r, plus the
-    Nyquist row and column, which keep their real cos(N*h/2) factor and are
-    summed as they are.  Every order comes from one build by `_powers`, and
-    every sum is a ufunc reduction, never BLAS, so the bits do not depend on
-    the machine.  The radii go in stacks of `_STACK_SAMPLES` terms.
+    The members `fs` share one 2-d grid.  rho runs over `radii` and (a, b)
+    over the integer directions `lattice`; a column lists the steps
+    radius-major, as `_sup_table` lays them out.  By Parseval the norm is
+    sqrt(sum(w * |M|^2)), and off the Nyquist lines |M|^2 =
+    (4 sin^2(nu.h/2))^r depends on nu only through the integer
+    m = a*nu0 + b*nu1.  So each member's w is summed once per direction into
+    W(m) by `np.bincount` (a finite Radon projection of |f^|^2), and a step
+    costs O(N): the sum over m of W(m) (4 sin^2(rho*m/(2|(a, b)|)))^r, plus
+    the Nyquist row and column, which keep their real cos(N*h/2) factor and
+    are summed as they are.  Every order comes from one build by `_powers`,
+    which every member reads, and every sum is a ufunc reduction, never
+    BLAS, so the bits do not depend on the machine.  The radii go in stacks
+    of `_STACK_SAMPLES` terms.
     """
     orders = _orders(orders)
-    size, nyq = f.size, f.size // 2
+    size, nyq = fs[0].size, fs[0].size // 2
     full, half = _axis_freqs(size)
-    w = f.parseval_weights()
-    inner = w[:, :-1].copy()
-    inner[nyq] = 0.0  # the Nyquist row and column are summed apart
-    cols = {r: np.empty((len(radii), len(lattice))) for r in orders}
+    ws = [f.parseval_weights() for f in fs]
+    inners = []
+    for w in ws:
+        inner = w[:, :-1].copy()
+        inner[nyq] = 0.0  # the Nyquist row and column are summed apart
+        inners.append(inner.ravel())
+    cols = [{r: np.empty((len(radii), len(lattice))) for r in orders} for _ in fs]
     for j, (a, b) in enumerate(lattice):
         scale = math.hypot(a, b)
         m = (a * full[:, None] + b * half[None, :-1]).astype(np.intp)
         low = int(m.min())
-        proj = np.bincount((m - low).ravel(), weights=inner.ravel())
-        angles = (low + np.arange(len(proj))) * (0.5 / scale)
-        weights = np.concatenate([proj, w[nyq, :-1], w[:, -1]])
-        chunk = max(1, _STACK_SAMPLES // len(weights))
+        bins = (m - low).ravel()
+        weights = [np.concatenate([np.bincount(bins, weights=inner), w[nyq, :-1], w[:, -1]])
+                   for inner, w in zip(inners, ws)]
+        angles = np.arange(low, int(m.max()) + 1) * (0.5 / scale)
+        chunk = max(1, _STACK_SAMPLES // len(weights[0]))
         for k in range(0, len(radii), chunk):
             block = radii[k:k + chunk]
             p0, p1 = _axis_phases(size, np.outer(block, (a / scale, b / scale)))
@@ -520,9 +567,9 @@ def _projected_norms(f, orders, radii, lattice):
             m2 = np.concatenate([sines * sines, _abs2(p0[:, nyq, None] * p1[:, :-1] - 1.0),
                                  _abs2(p0 * p1[:, -1:] - 1.0)], axis=1)
             for r, power in zip(orders, _powers(m2, orders)):
-                power *= weights
-                cols[r][k:k + chunk, j] = np.sqrt(power.sum(axis=-1))
-    return {r: col.ravel().tolist() for r, col in cols.items()}
+                for col, total in zip(cols, _parseval_sums(power, weights)):
+                    col[r][k:k + chunk, j] = np.sqrt(total)
+    return [{r: col.ravel().tolist() for r, col in member.items()} for member in cols]
 
 
 def _scales(t, us):
@@ -530,13 +577,15 @@ def _scales(t, us):
     return us[:0] if -math.inf < t <= 0.0 else us
 
 
-def _sup_table(f, kind, orders, ts, count, norm, units=None, direction=None, lattice=None):
-    """{(order, t): max(0, norms of (T(u) - I)^order f over the rows of u = t*(i+1)/count)}.
+def _sup_table(fs, kind, orders, ts, count, norm, units=None, direction=None, lattice=None):
+    """[{(order, t): max(0, norms of (T(u) - I)^order f over the rows of u = t*(i+1)/count)}].
 
-    The rows of a scale u are u itself, or u times each row of `units` (an
-    m x d array of shift steps per unit scale).  A positive dyadic scaling
-    is exact, so the scales of dyadic t nest, and the distinct scales of all
-    t are evaluated once, every order from one build per stack.  Under a
+    One table per member f of `fs`, members on one grid, and every stack of
+    rows is built once for all of them.  The rows of a scale u are u
+    itself, or u times each row of `units` (an m x d array of shift steps
+    per unit scale).  A positive dyadic scaling is exact, so the scales of
+    dyadic t nest, and the distinct scales of all t are evaluated once,
+    every order from one build per stack.  Under a
     Luxemburg or Orlicz norm each t takes the pruned sup of its own rows
     instead, whose rows shared across t would have to be held.  Nothing is
     kept.  With `lattice` (integer directions, in place of `units`, under
@@ -555,25 +604,53 @@ def _sup_table(f, kind, orders, ts, count, norm, units=None, direction=None, lat
 
     spec = _norm_spec(norm)
     if spec is not None and spec.variant != "lp":
-        sups = [_difference_norms(f, kind, orders, rows(us), norm, True, direction)
+        sups = [_difference_norms(fs, kind, orders, rows(us), norm, True, direction)
                 for us in scales]
-        return {(r, t): value for t, sup in zip(ts, sups) for r, value in sup.items()}
+        return [{(r, t): value for t, sup in zip(ts, sups) for r, value in sup[i].items()}
+                for i in range(len(fs))]
     # the distinct scales of all t, numbered where each is first met, and the numbers of each t
     place = {}
     picks = [[place.setdefault(u, len(place)) for u in us.tolist()] for us in scales]
     distinct = np.fromiter(place, float)
     if lattice is None:
-        norms = _difference_norms(f, kind, orders, rows(distinct), norm, False, direction)
+        norms = _difference_norms(fs, kind, orders, rows(distinct), norm, False, direction)
         width = 1 if units is None else len(units)
     else:
-        norms, width = _projected_norms(f, orders, distinct, lattice), len(lattice)
-    table = {}
-    for r, col in norms.items():
-        # the max of the rows of each scale; like max([0.0, ...]), it passes over a NaN row
-        peak = col if width == 1 else np.fmax.reduce(np.reshape(col, (-1, width)), axis=1).tolist()
-        table.update(((r, t), max([0.0, *map(peak.__getitem__, pick)]))
-                     for t, pick in zip(ts, picks))
-    return table
+        norms, width = _projected_norms(fs, orders, distinct, lattice), len(lattice)
+    tables = []
+    for member in norms:
+        table = {}
+        for r, col in member.items():
+            # the max of the rows of each scale; like max([0.0, ...]), it passes over a NaN row
+            peak = col if width == 1 else np.fmax.reduce(np.reshape(col, (-1, width)),
+                                                         axis=1).tolist()
+            table.update(((r, t), max([0.0, *map(peak.__getitem__, pick)]))
+                         for t, pick in zip(ts, picks))
+        tables.append(table)
+    return tables
+
+
+def _moduli_tables(fs, orders, ts, norm=None, directions=64, radii=64):
+    """[moduli_table(f, orders, ts, norm, directions, radii) for f in fs], fs on one grid.
+
+    Every step of every stack is built once, and every member reads it.
+    """
+    directions = _positive_int("directions", directions)
+    radii = _positive_int("radii", radii)
+    # the L2 norm of (T(h) - I)^r f is even in h, so one sign of each step is enough
+    even = _plain_p(_norm_spec(norm)) == 2.0
+    if fs[0].dim == 1:
+        units = np.array([[1.0]] if even else [[1.0], [-1.0]])
+    else:
+        # an even count pairs every direction in [0, pi) with its opposite
+        count = directions // 2 if even and directions % 2 == 0 else directions
+        if even and 8 % directions == 0:
+            # the angles are multiples of pi/4, so the directions are on the lattice
+            lattice = _LATTICE[::8 // directions][:count]
+            return _sup_table(fs, "shift", orders, ts, radii, norm, lattice=lattice)
+        angles = 2.0 * np.pi * np.arange(count) / directions
+        units = np.array([(math.cos(th), math.sin(th)) for th in angles])
+    return _sup_table(fs, "shift", orders, ts, radii, norm, units)
 
 
 def moduli_table(f, orders, ts, norm=None, directions=64, radii=64):
@@ -585,22 +662,7 @@ def moduli_table(f, orders, ts, norm=None, directions=64, radii=64):
     2-d grid, a count that divides 8 samples lattice directions only, and
     their steps are evaluated by projection (`_projected_norms`).
     """
-    directions = _positive_int("directions", directions)
-    radii = _positive_int("radii", radii)
-    # the L2 norm of (T(h) - I)^r f is even in h, so one sign of each step is enough
-    even = _plain_p(_norm_spec(norm)) == 2.0
-    if f.dim == 1:
-        units = np.array([[1.0]] if even else [[1.0], [-1.0]])
-    else:
-        # an even count pairs every direction in [0, pi) with its opposite
-        count = directions // 2 if even and directions % 2 == 0 else directions
-        if even and 8 % directions == 0:
-            # the angles are multiples of pi/4, so the directions are on the lattice
-            lattice = _LATTICE[::8 // directions][:count]
-            return _sup_table(f, "shift", orders, ts, radii, norm, lattice=lattice)
-        angles = 2.0 * np.pi * np.arange(count) / directions
-        units = np.array([(math.cos(th), math.sin(th)) for th in angles])
-    return _sup_table(f, "shift", orders, ts, radii, norm, units)
+    return _moduli_tables([f], orders, ts, norm, directions, radii)[0]
 
 
 def modulus(f, r, t, norm=None, directions=64, radii=64):
@@ -645,7 +707,7 @@ def semigroup_moduli_table(f, orders, ts, semigroup="shift", norm=None, points=6
     one call evaluates each distinct u once for every order.
     """
     points = _positive_int("points", points)
-    return _sup_table(f, semigroup, orders, ts, points, norm, direction=direction)
+    return _sup_table([f], semigroup, orders, ts, points, norm, direction=direction)[0]
 
 
 def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, direction=None):

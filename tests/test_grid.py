@@ -71,12 +71,15 @@ def test_lp_rows_and_lp_norm_match_a_long_double_mean(p, weighted):
     w = rng.uniform(0.2, 5.0, 512) if weighted else np.ones(512)
     w /= np.mean(w)
     rows = _lp_rows(samples * w ** (1.0 / p), p)
+    # the rows' own weight: mean(w * |row|^p) in one reduction
+    weighted_rows = _lp_rows(samples, p, w if weighted else None)
     norms = [lp_norm(GridFunction(x), p, w if weighted else None) for x in samples]
     a = np.abs(samples).astype(np.longdouble)
     ref = (a.max(axis=-1) if np.isinf(p)
            else np.mean(w.astype(np.longdouble) * a ** p, axis=-1) ** (1 / np.longdouble(p)))
     assert rows.tolist() == pytest.approx(norms, rel=1e-15, abs=0.0)
-    for got in (rows, np.array(norms)):
+    assert weighted_rows.tolist() == pytest.approx(norms, rel=1e-15, abs=0.0)
+    for got in (rows, weighted_rows, np.array(norms)):
         assert np.abs(got / ref - 1.0).max() <= 1e-15
 
 
@@ -382,6 +385,39 @@ def test_norm_spec_equality_and_hash():
     assert NormSpec(variant="lp", M=2.0) != NormSpec(variant="lp", M=3.0)
     assert hash(NormSpec()) == hash(NormSpec())
     assert NormSpec() != "lp"
+
+
+def random_smooth_by_meshgrid(size, dim, rng, band=None, decay=1.0):
+    """`random_smooth` with |nu|^2 from full `np.meshgrid` arrays, as it was first written."""
+    if band is None:
+        band = size // 3
+    freqs = np.fft.fftfreq(size) * size
+    if dim == 1:
+        mask = np.abs(freqs) <= band
+        radius2 = freqs ** 2
+    else:
+        fx, fy = np.meshgrid(freqs, freqs, indexing="ij")
+        radius2 = fx ** 2 + fy ** 2
+        mask = np.sqrt(radius2) <= band
+    shape = (size,) * dim
+    spec = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    spec *= mask / (1.0 + radius2) ** decay
+    samples = np.fft.ifftn(spec).real
+    samples *= size ** dim
+    peak = np.max(np.abs(samples))
+    if peak > 0:
+        samples = samples / peak
+    return samples
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("size", [16, 128, 256])
+@pytest.mark.parametrize("band", [None, 5, 7.5])
+@pytest.mark.parametrize("decay", [1.0, 1.5])
+def test_random_smooth_equals_the_meshgrid_formula_bit_for_bit(dim, size, band, decay):
+    got = random_smooth(size, dim, np.random.default_rng(size + dim), band, decay).samples
+    want = random_smooth_by_meshgrid(size, dim, np.random.default_rng(size + dim), band, decay)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_random_smooth_deterministic_and_normalized():

@@ -11,6 +11,7 @@ from jacksonlab import (NormSpec, describe_check, discretize, dyadic_tail_sum,
                         estimate_convexity_constant, modulus, registry_ids, run_check,
                         space_moduli, standard_family, verify_duality, zygmund)
 from jacksonlab import lab
+from jacksonlab import ops as ops_module
 from jacksonlab.lab import ParamError, _finish, check_params
 
 ALL_IDS = (
@@ -207,14 +208,18 @@ def test_directions_is_a_resolution_of_2d_moduli_only():
 
 
 def _recording(monkeypatch, name, at=1):
-    """Cells (order, scale) of every call lab makes to `name`, one list per call.
+    """(members, cells) of every call lab makes to `name`, one pair per call.
 
-    The orders and scales are the arguments `at` and `at + 1` of the call.
+    The members are the names of the N = 32 standard functions the call gets
+    as its family, its first argument; a cell is (order, scale), the orders
+    and scales being the arguments `at` and `at + 1` of the call.
     """
     seen, real = [], getattr(lab, name)
+    names = {g.samples.tobytes(): n for n, g in standard_family(32)}
 
     def record(*args, **kwargs):
-        seen.append([(r, t) for r in args[at] for t in args[at + 1]])
+        members = [names[g.samples.tobytes()] for g in args[0]]
+        seen.append((members, [(r, t) for r in args[at] for t in args[at + 1]]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(lab, name, record)
@@ -222,32 +227,37 @@ def _recording(monkeypatch, name, at=1):
 
 
 def test_dyadic_sums_evaluate_each_term_once(monkeypatch):
-    seen = _recording(monkeypatch, "moduli_table")
+    seen = _recording(monkeypatch, "_moduli_tables")
     rep = run_check("jackson-1.4", {"N": 32, "family": ["cos", "abs-sin"], "n_range": [1, 8]})
-    # one table per function: 8 left sides of order 1 and 8 distinct terms of order 2
-    # at 2^-1 .. 2^-8, which the sums over n = 1..8 read 36 times
-    assert len(seen) == 2
-    for cells in seen:
-        assert len(set(cells)) == 16
-        assert set(cells) == {(r, 2.0 ** -n) for r in (1, 2) for n in range(1, 9)}
+    # one table for the family: for each function, 8 left sides of order 1 and 8 distinct
+    # terms of order 2 at 2^-1 .. 2^-8, which the sums over n = 1..8 read 36 times
+    assert len(seen) == 1
+    members, cells = seen[0]
+    assert members == ["cos", "abs-sin"]
+    assert len(set(cells)) == 16
+    assert set(cells) == {(r, 2.0 ** -n) for r in (1, 2) for n in range(1, 9)}
     assert len(rep.table) == 16
-    # one table of orders 1 and 2 per function where both sides are one quantity
-    seen = _recording(monkeypatch, "moduli_table")
-    run_check("lower-8.12", {"N": 32, "family": ["cos"]})
-    assert [set(cells) for cells in seen] == [{(r, 2.0 ** -n) for r in (1, 2) for n in range(6)}]
+    # one table of orders 1 and 2 for the family where both sides are one quantity
+    seen = _recording(monkeypatch, "_moduli_tables")
+    run_check("lower-8.12", {"N": 32, "family": ["cos", "sawtooth8"]})
+    assert [(m, set(cells)) for m, cells in seen] == [
+        (["cos", "sawtooth8"], {(r, 2.0 ** -n) for r in (1, 2) for n in range(6)})]
     seen = _recording(monkeypatch, "_difference_norms", at=2)
     run_check("basic-2.1", {"N": 32, "family": ["cos", "abs-sin"], "h": 0.25, "L": 3})
-    assert seen == [[(r, 0.25 * 2.0 ** j) for r in (1, 2) for j in range(4)]] * 2
-    # a dyadic tail asks for its left sides in one call, its sure terms j = 1..J in a
-    # second, and for each further term alone, once: two calls plus one per term past J
-    seen = _recording(monkeypatch, "semigroup_moduli_table")
-    rep = run_check("semigroup-7.4", {"N": 32, "family": ["cos"]})
+    assert seen == [(["cos", "abs-sin"], [(r, 0.25 * 2.0 ** j) for r in (1, 2) for j in range(4)])]
+    # a dyadic tail asks for the family's left sides in one call, its sure terms j = 1..J in
+    # a second, and for each further term of each function alone, once: two calls plus one
+    # per function and term past J
+    seen = _recording(monkeypatch, "_sup_table", at=2)
+    rep = run_check("semigroup-7.4", {"N": 32, "family": ["cos", "abs-sin"]})
     J = _sure_terms(1, 2.0)
-    assert seen[0] == [(1, 2.0 ** -n) for n in range(1, 6)]
-    assert set(seen[1]) == {(2, 2.0 ** (j - n)) for n in range(1, 6) for j in range(1, J + 1)}
-    past = [cell for call in seen[2:] for cell in call]
-    assert all(len(call) == 1 for call in seen[2:])
-    assert len(past) == len(set(past)) and not set(past) & set(seen[1])
+    assert seen[0] == (["cos", "abs-sin"], [(1, 2.0 ** -n) for n in range(1, 6)])
+    assert seen[1][0] == ["cos", "abs-sin"]
+    assert set(seen[1][1]) == {(2, 2.0 ** (j - n)) for n in range(1, 6) for j in range(1, J + 1)}
+    past = [(m, cell) for members, cells in seen[2:] for m in members for cell in cells]
+    assert all(len(members) == 1 and len(cells) == 1 for members, cells in seen[2:])
+    assert len(past) == len(set(past)) and not {cell for _, cell in past} & set(seen[1][1])
+    assert {m for m, _ in past} <= {"cos", "abs-sin"}
     assert rep.resolutions["max_j"] > J and len(seen) == 2 + len(past) >= 3
 
 
@@ -299,9 +309,9 @@ def _lazy_tail(check, p):
         for _, t in check.scales(p):
             def term(j):
                 u = (2.0 ** j) * t
-                return check.term(f, p, nfun, [r + 1], [u])[(r + 1, u)]
+                return check.term([f], p, nfun, [r + 1], [u])[0][(r + 1, u)]
             total, stop = dyadic_tail_sum(term, r, s)
-            rows.append((check.lhs(f, p, nfun, [r], [t])[(r, t)], total))
+            rows.append((check.lhs([f], p, nfun, [r], [t])[0][(r, t)], total))
             stops.append(stop)
     return rows, max(stops)
 
@@ -317,9 +327,9 @@ def test_tail_table_equals_the_lazy_terms(cid, extra):
 
 def test_tail_that_stops_before_the_sure_range_is_unchanged(monkeypatch):
     # a term that falls like u^-4 stops the tail early; the table's extra terms go unread
-    def falling(f, p, nfun, orders, us):
-        return {(r, u): v * u ** -4.0
-                for (r, u), v in lab._semigroup_modulus(f, p, nfun, orders, us).items()}
+    def falling(fs, p, nfun, orders, us):
+        return [{(r, u): v * u ** -4.0 for (r, u), v in table.items()}
+                for table in lab._semigroup_modulus(fs, p, nfun, orders, us)]
 
     check = replace(lab._CHECKS["shift-7.5"], term=falling)
     monkeypatch.setitem(lab._CHECKS, "shift-7.5", check)
@@ -329,6 +339,58 @@ def test_tail_that_stops_before_the_sure_range_is_unchanged(monkeypatch):
     assert max_j < _sure_terms(1, 2.0)
     assert rep.resolutions["max_j"] == max_j
     assert [(l, r) for _, l, r in rep.table] == rows
+
+
+_MEMBERS = ["cos", "abs-sin", "sawtooth8", "random"]
+_FAMILY_NORMS = {"l2": None, "l4": NormSpec(variant="lp", p=4.0), "luxemburg": _LUX}
+# every dyadic check at d = 1 and 2 (the abel checks run on 1-d grids only); 2-d L2 moduli
+# take the lattice projection
+_FAMILY_CASES = [(cid, d, norm) for cid in ALL_IDS if lab._CHECKS[cid].rows is None
+                 for d in (1, 2) if d == 1 or cid not in ("jackson-5.9", "jackson-5.10")
+                 for norm in _FAMILY_NORMS]
+
+
+def _family_params(cid, d, norm, family):
+    params = {"N": 32 if d == 1 else 16, "d": d, "family": family}
+    if _FAMILY_NORMS[norm] is not None:
+        params["norm"] = _FAMILY_NORMS[norm].to_json()
+    if "n_range" in check_params(cid):
+        params["n_range"] = [1, 3]
+    return params
+
+
+@pytest.mark.parametrize("cid,d,norm", _FAMILY_CASES)
+def test_a_member_has_the_same_rows_alone_and_in_the_family(cid, d, norm):
+    whole = run_check(cid, _family_params(cid, d, norm, _MEMBERS))
+    rows = [(lhs, rhs) for _, lhs, rhs in whole.table]
+    k = len(rows) // len(_MEMBERS)
+    for i, name in enumerate(_MEMBERS):
+        alone = run_check(cid, _family_params(cid, d, norm, [name]))
+        assert [(lhs, rhs) for _, lhs, rhs in alone.table] == rows[i * k:(i + 1) * k]
+
+
+@pytest.mark.parametrize("cid,d,norm", [
+    ("jackson-1.4", 1, "l2"), ("jackson-1.4", 1, "l4"), ("jackson-1.4", 1, "luxemburg"),
+    ("jackson-1.4", 2, "l2"), ("jackson-1.4", 2, "l4"), ("lower-8.12", 1, "l4"),
+    ("basic-2.1", 1, "l2"), ("basic-2.1", 2, "luxemburg"), ("jackson-5.10", 1, "l4")])
+def test_a_family_builds_each_stack_once(monkeypatch, cid, d, norm):
+    # checks whose sums run over a fixed range of j: a k-member family builds what one
+    # member builds (a dyadic tail past its sure range asks per member)
+    counts = dict.fromkeys(("_step_multipliers", "_shift_symbol", "_axis_phases"), 0)
+    for name in counts:
+        def counted(*args, _real=getattr(ops_module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(ops_module, name, counted)
+
+    def builds(family):
+        counts.update(dict.fromkeys(counts, 0))
+        run_check(cid, _family_params(cid, d, norm, family))
+        return dict(counts)
+
+    one = builds(["random"])
+    assert sum(one.values()) > 0
+    assert builds(_MEMBERS) == one
 
 
 def test_convexity_constant_l2_and_l1():

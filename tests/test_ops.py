@@ -488,17 +488,18 @@ def _fresh(f):
 
 
 def _grid_norm(norm, f):
-    """`norm`, or for "weighted-l2" a weighted L2 norm on f's grid."""
-    if norm != "weighted-l2":
+    """`norm`, or for "weighted-l<p>" a weighted L_p norm on f's grid."""
+    if not isinstance(norm, str):
         return norm
-    return NormSpec(weight=1.0 + 0.5 * np.cos(grid_points(f.size, f.dim)[0]))
+    return NormSpec(p=float(norm.removeprefix("weighted-l")),
+                    weight=1.0 + 0.5 * np.cos(grid_points(f.size, f.dim)[0]))
 
 
 @pytest.mark.parametrize("norm", [None, NormSpec(variant="lp", p=4.0),
                                   NormSpec(variant="lp", p=math.inf),
                                   NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5)),
                                   NormSpec(variant="orlicz", phi=zygmund(2.0, 0.5)),
-                                  "weighted-l2"])
+                                  "weighted-l2", "weighted-l3", "weighted-l4"])
 def test_stacked_moduli_match_per_step_loop(norm):
     # a 2-d stack at N = 128 holds 2 rows: 6 radii x 5 directions is 15 stacks,
     # 7 one-sided points 4 stacks, the last one short
