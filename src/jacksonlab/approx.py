@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridFunction, _amemiya, _weight_array, lp_norm, luxemburg_norm
-from .ops import (_apply_multiplier, _axis_freqs, _difference_norms, _mode_radius, _mode_radius2,
+from .ops import (_apply_multiplier, _difference_norms, _mode_radius, _mode_radius2,
                   _multiplier_norms, _norm_spec, _positive_int, _spherical_mean_offset)
 
 
@@ -140,36 +140,6 @@ def _refine(f, n, start, start_val, spec, iters, step):
         g = g + (gamma0 / math.sqrt(k + 1.0)) * direction / scale
         best = min(best, nfun(GridFunction(f.samples - g)))
     return best
-
-
-def directional_deriv(f, xi=None, r=1):
-    """r-th derivative along direction xi (unit vector for d=2, sign for d=1).
-
-    Odd orders zero out the unpaired Nyquist slots; band-limited inputs
-    are differentiated exactly.  For even orders on a 2-d grid the Nyquist
-    row pairs nu = (N/2, k) with its mirror (N/2, -k) and keeps the even
-    part of the two multipliers, as the real part of the complex transform
-    does.
-    """
-    r = _positive_int("derivative order", r)
-    full, half = _axis_freqs(f.size)
-    nyq = f.size // 2
-    if f.dim == 1:
-        mult = (1j * half * (1.0 if xi is None else float(xi))) ** r
-        if r % 2 == 1:
-            mult[nyq] = 0.0
-        return _apply_multiplier(f, mult)
-    if xi is None:
-        raise ValueError("2-d directional derivative needs a direction")
-    x0, x1 = (float(v) for v in xi)
-    mult = (1j * (full[:, None] * x0 + half[None, :] * x1)) ** r
-    if r % 2 == 1:
-        mult[nyq, :] = 0.0
-        mult[:, nyq] = 0.0
-    else:
-        row = (1j * (full[nyq] * x0 + full * x1)) ** r
-        mult[nyq] = 0.5 * (row + np.conj(row[-np.arange(f.size) % f.size]))[:nyq + 1]
-    return _apply_multiplier(f, mult)
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,6 @@ N=256 it can hold 512 read-only arrays of about 264 KB each (135 MB).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -102,17 +101,6 @@ from .grid import GridFunction, NormSpec, _amemiya, _lp_rows, _weight_array, lux
 
 # Sample budget of one batched inverse transform (rows = budget // N^d, at least 1).
 _STACK_SAMPLES = 1 << 15
-
-
-def coeffs(f):
-    """Fourier coefficients c_nu = (1/N^d) sum f(x_j) exp(-i nu . x_j)."""
-    return np.fft.fftn(f.samples) / f.samples.size
-
-
-def synthesize(spectrum):
-    """Inverse of `coeffs`: build a GridFunction from coefficient array."""
-    spectrum = np.asarray(spectrum, dtype=complex)
-    return GridFunction(np.fft.ifftn(spectrum * spectrum.size).real)
 
 
 def _inverse(spec, shape):
@@ -796,60 +784,3 @@ def spherical_mean(f, t, ell=1, quad_points=256):
         raise ValueError(f"radius must be >= 0 and finite, got {t}")
     ell, quad_points = _positive_int("order", ell), _positive_int("quad_points", quad_points)
     return _apply_multiplier(f, 1.0 + _spherical_mean_offset(f.size, t, ell, quad_points))
-
-
-# -- declarative operator record -----------------------------------------
-
-
-_OPERATOR_KINDS = ("shift", "heat", "abel", "cesaro", "sphmean", "lap")
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Serializable description of one linear operator on grid functions.
-
-    kind "shift" uses step `h` (scalar for d=1, pair for d=2), "heat" and
-    "abel" use time `t`, "cesaro" uses degree `n` and order `ell`,
-    "sphmean" uses radius `t` and order `ell`, "lap" uses power `ell`.
-    """
-
-    kind: str
-    h: object = None
-    t: float = None
-    n: int = None
-    ell: int = 1
-
-    def __post_init__(self):
-        if self.kind not in _OPERATOR_KINDS:
-            raise ValueError(f"operator kind must be one of {_OPERATOR_KINDS}, got {self.kind!r}")
-
-    def apply(self, f):
-        if self.kind == "shift":
-            return translate(f, self.h)
-        if self.kind in ("heat", "abel"):
-            return spectral_semigroup(f, self.t, self.kind)
-        if self.kind == "cesaro":
-            return cesaro(f, self.n, self.ell)
-        if self.kind == "lap":
-            return laplacian_power(f, self.ell)
-        return spherical_mean(f, self.t, self.ell)
-
-    def to_json(self):
-        data = {"op": self.kind}
-        if self.h is not None:
-            data["h"] = list(self.h) if not np.isscalar(self.h) else self.h
-        if self.t is not None:
-            data["t"] = self.t
-        if self.n is not None:
-            data["n"] = self.n
-        if self.kind in ("cesaro", "sphmean", "lap"):
-            data["ell"] = self.ell
-        return data
-
-    @staticmethod
-    def from_json(data):
-        h = data.get("h")
-        if isinstance(h, list):
-            h = tuple(h)
-        return OperatorSpec(kind=data["op"], h=h, t=data.get("t"),
-                            n=data.get("n"), ell=data.get("ell", 1))

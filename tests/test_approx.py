@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from jacksonlab import (GridFunction, NormSpec, best_approx, degree_below,
-                        directional_deriv, discretize, k_delta, k_functional, lp_norm,
-                        projection, random_smooth, semigroup_difference, zygmund)
+from jacksonlab import (GridFunction, NormSpec, best_approx, degree_below, discretize,
+                        k_delta, k_functional, lp_norm, projection, random_smooth,
+                        semigroup_difference, zygmund)
 from jacksonlab import approx as approx_module
 from jacksonlab import ops as ops_module
 from jacksonlab.approx import _row_norm
@@ -112,18 +112,6 @@ def test_best_approx_is_memoized_without_refine(monkeypatch):
     refined = best_approx(f, 6, spec, refine=True, iters=5)
     assert refined is not best_approx(f, 6, spec, refine=True, iters=5)
     assert refined.upper == plain.upper and refined.method == plain.method
-
-
-def test_directional_derivative_oracle():
-    f = discretize(np.cos, 64, 1)
-    d1 = directional_deriv(f, r=1)
-    assert np.allclose(d1.samples, -discretize(np.sin, 64, 1).samples, atol=1e-11)
-    d2 = directional_deriv(f, r=2)
-    assert np.allclose(d2.samples, -f.samples, atol=1e-11)
-    g = discretize(lambda x, y: np.cos(x + 2.0 * y), 32, 2)
-    # derivative along (0, 1) brings down the factor for the second coordinate
-    dg = directional_deriv(g, xi=(0.0, 1.0), r=2)
-    assert np.allclose(dg.samples, -4.0 * g.samples, atol=1e-10)
 
 
 def test_k_functional_heat_route_oracle():

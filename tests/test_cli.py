@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -340,6 +342,69 @@ def test_bad_param_names_the_check_and_keeps_other_reports(tmp_path, capsys):
                          "02-orlicz-sandwich.csv", "02-orlicz-sandwich.json", "summary.csv"]
         summary = (tmp_path / "rep" / "summary.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in summary[1:]] == ["basic-2.1", "orlicz-sandwich"]
+
+
+def test_unexpected_error_propagates_under_every_jobs_count(tmp_path, monkeypatch):
+    # not a ValueError: the earliest failing check's error leaves main, and no report is written
+    run_check = lab.run_check
+
+    def run_or_raise(cid, params):
+        if cid in ("orlicz-sandwich", "jackson-5.10"):
+            raise RuntimeError(cid)
+        return run_check(cid, params)
+
+    monkeypatch.setattr(lab, "run_check", run_or_raise)
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    for jobs in ("1", "2"):
+        out = tmp_path / f"rep{jobs}"
+        with pytest.raises(RuntimeError, match="^orlicz-sandwich$"):
+            main(["run", cfg, "--out", str(out), "--jobs", jobs])
+        assert list(out.iterdir()) == []
+
+
+def test_threads_are_bounded_by_the_checks_and_all_joined(tmp_path, monkeypatch):
+    started, ran_on = [], set()
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    run_check = lab.run_check
+
+    def recording(cid, params):
+        ran_on.add(threading.get_ident())
+        return run_check(cid, params)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    monkeypatch.setattr(lab, "run_check", recording)
+    config = dict(BASE_CONFIG, checks=BASE_CONFIG["checks"][:2])
+    cfg = write_config(tmp_path, config)
+    before = threading.active_count()
+    assert main(["run", cfg, "--out", str(tmp_path / "rep"), "--jobs", "8"]) == 0
+    assert 1 <= len(started) <= 2
+    assert threading.get_ident() not in ran_on and len(ran_on) <= 2
+    assert not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == before
+
+
+def test_a_cold_batch_imports_neither_numpy_ma_nor_a_thread_pool(tmp_path):
+    # a fresh interpreter, since pytest itself imports logging
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    src = os.path.dirname(os.path.dirname(lab.__file__))
+    script = (
+        "import sys\n"
+        "from jacksonlab.cli import main\n"
+        "for jobs in ('1', '2'):\n"
+        f"    assert main(['run', {cfg!r}, '--out', {str(tmp_path / 'rep')!r} + jobs,\n"
+        "                 '--jobs', jobs]) == 0\n"
+        "print(sorted(m for m in ('numpy.ma', 'concurrent.futures', 'logging', 'statistics')\n"
+        "             if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert "3/3 checks passed" in done.stdout
 
 
 def test_no_arguments_prints_help(capsys):

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jacksonlab import (NormSpec, describe_check, discretize, dyadic_tail_sum,
                         estimate_convexity_constant, modulus, registry_ids, run_check,
@@ -508,3 +510,35 @@ def test_finish_upper_unbounded_ratio_fails():
     low = _finish("x", {}, rows, "lower", 10.0, 0, {})
     assert low.verdict == "pass" and low.constant == 1.0
     assert low.notes == ("2 rows excluded (rhs below noise floor)",)
+
+
+def _numpy_median(values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.median(values))
+
+
+# ties, zeros, subnormals, values whose middle pair sums past the largest float, and +inf
+_EDGES = (0.0, -0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1.0, 3.0,
+          1e308, 1.7e308, 1.7976931348623157e308, float("inf"))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(_EDGES) | st.floats(allow_nan=False), min_size=1, max_size=9))
+@example([7.0])
+@example([2.0, 1.0])
+@example([3.0, 1.0, 2.0])
+@example([1.0, 2.0, 2.0, 1.0])
+@example([0.5] * 8)
+@example([float(k) for k in range(9)])
+@example([0.0, 0.0])
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([5e-324, 1e-323])
+@example([5e-324, 5e-324, 1.0])
+@example([1.7e308, 1e308])
+@example([1.7976931348623157e308] * 4)
+@example([1.0, float("inf")])
+@example([float("inf"), 2.0, float("inf")])
+@example([1.0, 2.0, float("inf"), float("inf")])
+def test_median_equals_numpys_bit_for_bit(values):
+    assert lab._median(values).hex() == _numpy_median(values).hex()
