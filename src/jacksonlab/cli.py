@@ -111,9 +111,10 @@ def _map_threads(work, items, jobs):
 
     Plain threads, not `concurrent.futures`, whose import pulls in `logging`
     (about 7.5 ms a cold batch would pay).  A thread that frees up takes the
-    next item, so a long item does not hold up the rest.  Every item runs;
-    after every thread has joined, the exception of the earliest item that
-    raised is raised here, as a thread pool's `map` raises it.
+    next item, so a long item does not hold up the rest.  Once an item has
+    raised, no thread takes another (the items already running finish), so
+    the batch stops at the error as a loop does; after every thread has
+    joined, the exception of the earliest item that raised is raised here.
     """
     import threading  # numpy.random, which `_validate` used, has loaded it already
 
@@ -123,13 +124,14 @@ def _map_threads(work, items, jobs):
     def drain():
         while True:
             with lock:
-                k = next(indices, None)
+                k = None if failures else next(indices, None)
             if k is None:
                 return
             try:
                 results[k] = work(items[k])
             except Exception as exc:  # re-raised in the calling thread below
-                failures[k] = exc
+                with lock:
+                    failures[k] = exc
 
     threads = [threading.Thread(target=drain) for _ in range(min(jobs, len(items)))]
     for thread in threads:

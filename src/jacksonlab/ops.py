@@ -58,7 +58,10 @@ t*(i+1)/count of dyadic t nest exactly, so a table evaluates each distinct
 step once, takes every order from one build of T(u) - I per stack by
 successive products, and reads each cell as the max of its t's rows; the
 cells equal the one-cell `modulus` and `semigroup_modulus` bit for bit.
-Under a Luxemburg or Orlicz norm each t keeps its own pruned sup.
+Under a Luxemburg or Orlicz norm a table goes up the t and keeps only each
+t's max: a t evaluates (by the pruned sup) the steps that no smaller t had,
+and a step a smaller t had is at most that t's max, so it is evaluated
+again only when the new steps stay below that max.
 
 The 2-d L2 modulus takes a shorter path when its directions lie on the
 lattice: under the unweighted L2 norm, a count that divides 8 (1, 2, 4 or
@@ -86,8 +89,11 @@ asks for the moduli of a check's whole family in one table call per side
 (and for a term past a dyadic tail's sure range alone, per member), and
 `approx._row_norm` memoizes rows that several scales share.
 Besides the frequency grids, one cache is module-wide: `_spherical_mean_offset`
-is an `lru_cache(maxsize=512)` keyed by (N, t, ell, quad_points), and at
-N=256 it can hold 512 read-only arrays of about 264 KB each (135 MB).
+is an `lru_cache(maxsize=64)` keyed by (N, t, ell, quad_points), and at
+N=256 it can hold 64 read-only arrays of about 264 KB each (17 MB).  A
+sphere-route K-functional reads each radius once per member, so a check's
+members share a row through it: 28 rows for the 4 members of `kfunc-8.9`
+at N=32, read 112 times.
 """
 
 from __future__ import annotations
@@ -573,12 +579,15 @@ def _sup_table(fs, kind, orders, ts, count, norm, units=None, direction=None, la
     itself, or u times each row of `units` (an m x d array of shift steps
     per unit scale).  A positive dyadic scaling is exact, so the scales of
     dyadic t nest, and the distinct scales of all t are evaluated once,
-    every order from one build per stack.  Under a
-    Luxemburg or Orlicz norm each t takes the pruned sup of its own rows
-    instead, whose rows shared across t would have to be held.  Nothing is
-    kept.  With `lattice` (integer directions, in place of `units`, under
-    the unweighted L2 norm) the rows are u along each direction, evaluated
-    by `_projected_norms`.
+    every order from one build per stack.  Under a Luxemburg or Orlicz norm
+    the t go upward, and each t takes the pruned sup (`sup=True`) of the
+    scales no smaller t had.  A scale first met at a smaller t is at most
+    that t's max, so when the new rows reach the largest such max the old
+    ones are skipped, and otherwise they are evaluated too; only each t's
+    max is kept, and every cell is the exact max of its rows.  With
+    `lattice` (integer directions, in place of `units`, under the
+    unweighted L2 norm) the rows are u along each direction, evaluated by
+    `_projected_norms`.
     """
     ts = list(dict.fromkeys(ts))
     bad = [t for t in ts if not -math.inf < t < math.inf]
@@ -592,8 +601,29 @@ def _sup_table(fs, kind, orders, ts, count, norm, units=None, direction=None, la
 
     spec = _norm_spec(norm)
     if spec is not None and spec.variant != "lp":
-        sups = [_difference_norms(fs, kind, orders, rows(us), norm, True, direction)
-                for us in scales]
+        # the t go upward; first[u] is the place in that walk of the first t with the scale u
+        walk = sorted(range(len(ts)), key=ts.__getitem__)
+        first, sups = {}, [None] * len(ts)
+        for n, k in enumerate(walk):
+            new, old, owners = [], [], set()
+            for u in scales[k].tolist():
+                m = first.setdefault(u, n)
+                if m == n:
+                    new.append(u)
+                else:
+                    old.append(u)
+                    owners.add(m)
+            sup = _difference_norms(fs, kind, orders, rows(np.array(new)), norm, True, direction)
+            # a scale seen before is at most the max of the first t that had it
+            late = [i for i, cells in enumerate(sup)
+                    if any(value < max(sups[walk[m]][i][r] for m in owners)
+                           for r, value in cells.items())] if owners else []
+            if late:
+                olds = _difference_norms([fs[i] for i in late], kind, orders,
+                                         rows(np.array(old)), norm, True, direction)
+                for i, cells in zip(late, olds):
+                    sup[i] = {r: max(value, cells[r]) for r, value in sup[i].items()}
+            sups[k] = sup
         return [{(r, t): value for t, sup in zip(ts, sups) for r, value in sup[i].items()}
                 for i in range(len(fs))]
     # the distinct scales of all t, numbered where each is first met, and the numbers of each t
@@ -751,7 +781,7 @@ def laplacian_power(f, ell=1):
     return _apply_multiplier(f, (-_mode_radius2(f.size, f.dim)) ** ell)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=64)
 def _spherical_mean_offset(size, t, ell, quad_points=256):
     """V_ell(t) - 1 of `spherical_mean` on the half grid (d=2, real, read-only).
 

@@ -362,6 +362,37 @@ def test_unexpected_error_propagates_under_every_jobs_count(tmp_path, monkeypatc
         assert list(out.iterdir()) == []
 
 
+def test_threads_take_no_check_after_an_unexpected_error(tmp_path, monkeypatch):
+    # checks[0] raises once checks[1] may have started; checks[1] returns only after the
+    # thread of checks[0] has recorded the error and gone, so neither thread may take k >= 2
+    config = dict(BASE_CONFIG, checks=BASE_CONFIG["checks"] + [{"id": "cesaro-5.1"}])
+    ids = [entry["id"] for entry in config["checks"]]
+    cfg = write_config(tmp_path, config)
+    run_check = lab.run_check
+    for jobs in ("1", "2"):
+        started, first = [], []
+        raised = threading.Event()
+
+        def ordered(cid, params):
+            started.append(ids.index(cid))
+            if cid == ids[0]:
+                first.append(threading.current_thread())
+                raised.set()
+                raise RuntimeError(cid)
+            if cid == ids[1]:
+                assert raised.wait(timeout=60)
+                first[0].join(timeout=60)
+                assert not first[0].is_alive()
+            return run_check(cid, params)
+
+        monkeypatch.setattr(lab, "run_check", ordered)
+        out = tmp_path / f"rep{jobs}"
+        with pytest.raises(RuntimeError, match=f"^{ids[0]}$"):
+            main(["run", cfg, "--out", str(out), "--jobs", jobs])
+        assert started[0] == 0 and max(started) <= 1
+        assert list(out.iterdir()) == []
+
+
 def test_threads_are_bounded_by_the_checks_and_all_joined(tmp_path, monkeypatch):
     started, ran_on = [], set()
 
@@ -389,8 +420,12 @@ def test_threads_are_bounded_by_the_checks_and_all_joined(tmp_path, monkeypatch)
 
 
 def test_a_cold_batch_imports_neither_numpy_ma_nor_a_thread_pool(tmp_path):
-    # a fresh interpreter, since pytest itself imports logging
-    cfg = write_config(tmp_path, BASE_CONFIG)
+    # a fresh interpreter, since pytest itself imports logging; the Luxemburg
+    # jackson-1.4 takes the Young-norm moduli table
+    luxemburg = {"norm": "luxemburg", "phi": {"kind": "zygmund", "params": [2.0, 0.5]}}
+    config = dict(BASE_CONFIG, checks=BASE_CONFIG["checks"] + [
+        {"id": "jackson-1.4", "params": {"norm": luxemburg, "n_range": [1, 4]}}])
+    cfg = write_config(tmp_path, config)
     src = os.path.dirname(os.path.dirname(lab.__file__))
     script = (
         "import sys\n"
@@ -404,7 +439,7 @@ def test_a_cold_batch_imports_neither_numpy_ma_nor_a_thread_pool(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
-    assert "3/3 checks passed" in done.stdout
+    assert "4/4 checks passed" in done.stdout
 
 
 def test_no_arguments_prints_help(capsys):

@@ -12,6 +12,7 @@ from jacksonlab import (GridFunction, NormSpec, averaged_modulus, best_approx, c
                         power, projection, random_smooth, run_check, semigroup_difference,
                         semigroup_moduli_table, semigroup_modulus, spectral_semigroup,
                         spherical_mean, translate, zygmund)
+from jacksonlab import cli as cli_module
 from jacksonlab import grid as grid_module
 from jacksonlab import ops as ops_module
 from jacksonlab.ops import _difference_norms
@@ -170,6 +171,15 @@ def test_spherical_mean_higher_order_reproduces_smooth_modes_better():
     err1 = np.max(np.abs(spherical_mean(f, t, 1).samples - f.samples))
     err2 = np.max(np.abs(spherical_mean(f, t, 2).samples - f.samples))
     assert err2 < err1
+
+
+def test_sphere_route_keeps_every_cache_hit_in_a_bounded_cache():
+    # the 4 default members of kfunc-8.9 read the same 28 radii, each radius once per member
+    ops_module._spherical_mean_offset.cache_clear()
+    run_check("kfunc-8.9", {"N": 32, "route": "sphere"})
+    info = ops_module._spherical_mean_offset.cache_info()
+    assert (info.misses, info.hits) == (28, 84)
+    assert info.currsize <= info.maxsize == 64
 
 
 def test_modulus_oracle_first_and_second_order():
@@ -696,6 +706,103 @@ def test_pruned_sup_of_a_constant_is_zero():
     for spec in _young_specs(64, 1):
         assert modulus(f, 1, 0.5, spec) == 0.0
         assert semigroup_modulus(f, 2, 0.5, "heat", spec) == 0.0
+
+
+# dyadic t, the t_grid 0.25..3 (1 shares steps with 3 and 2 with 3, not dyadically),
+# a duplicate and t <= 0, in no order
+_YOUNG_TS = [0.5, 3.0, 0.125, 0.25, 2.0, 0.0625, 1.0, 0.25, 0.0, -0.5]
+
+
+@pytest.mark.parametrize("dim,size,directions", [(1, 64, 1), (2, 16, 5), (2, 16, 6)])
+def test_young_tables_equal_the_one_cell_moduli(dim, size, directions):
+    # a one-cell call has no smaller t to take a bound from, so it is the oracle
+    radii, points = 6, 5
+    fs = (_even(size, dim), random_smooth(size, dim, np.random.default_rng(130 + dim)))
+    for f in fs:
+        for spec in _young_specs(size, dim):
+            for r in (1, 2):
+                cells = {(o, t) for o in (r, r + 1) for t in _YOUNG_TS}
+                table = moduli_table(_fresh(f), [r, r + 1], _YOUNG_TS, spec, directions, radii)
+                assert set(table) == cells
+                for (o, t), value in table.items():
+                    assert value == modulus(_fresh(f), o, t, spec, directions, radii)
+                    if t <= 0.0:
+                        assert value == 0.0
+                for kind in ("shift", "heat", "abel"):
+                    table = semigroup_moduli_table(_fresh(f), [r, r + 1], _YOUNG_TS, kind, spec,
+                                                   points)
+                    assert set(table) == cells
+                    for (o, t), value in table.items():
+                        assert value == semigroup_modulus(_fresh(f), o, t, kind, spec, points)
+
+
+def _count_fallbacks(monkeypatch):
+    """The scale lists a Young table evaluates: one per t, plus one per t whose old steps it needs."""
+    calls = []
+    real = ops_module._difference_norms
+
+    def counted(fs, kind, orders, us, *args, **kwargs):
+        calls.append(len(us))
+        return real(fs, kind, orders, us, *args, **kwargs)
+
+    monkeypatch.setattr(ops_module, "_difference_norms", counted)
+    return calls
+
+
+def test_young_table_evaluates_old_steps_where_one_holds_the_max(monkeypatch):
+    # |Delta_h cos(13 x)| peaks at h = pi/13 < 1/4: the max at t = 1/2 is a step
+    # of t = 1/4, and the steps in (1/4, 1/2] stay below it
+    x = grid_points(256, 1)[0]
+    f = GridFunction(np.cos(13.0 * x) + 0.1 * np.sin(3.0 * x))
+    ts = [0.5, 0.25]
+    calls = _count_fallbacks(monkeypatch)
+    for spec in _young_specs(256, 1):
+        calls.clear()
+        table = moduli_table(_fresh(f), [1], ts, spec)
+        # 64 two-sided steps of 1/4, then the 32 new ones of 1/2 and its 32 old ones
+        assert calls == [128, 64, 64]
+        assert table[(1, 0.5)] == table[(1, 0.25)] > 0.0
+        for t in ts:
+            assert table[(1, t)] == modulus(_fresh(f), 1, t, spec)
+        table = semigroup_moduli_table(_fresh(f), [1], ts, "shift", spec)
+        assert table[(1, 0.5)] == semigroup_modulus(_fresh(f), 1, 0.5, "shift", spec)
+    g = random_smooth(256, 1, np.random.default_rng(131))
+    ts = [2.0 ** -j for j in range(1, 9)]
+    for spec in _young_specs(256, 1):
+        for kind in ("shift", "heat", "abel"):
+            calls.clear()
+            semigroup_moduli_table(g, [1, 2], ts, kind, spec)
+            assert len(calls) == len(ts)
+        calls.clear()
+        moduli_table(g, [1, 2], ts, spec)
+        assert len(calls) == len(ts)
+
+
+def test_luxemburg_jackson_14_evaluates_each_step_once(monkeypatch):
+    # orlicz-1d's jackson-1.4 (N = 1024, seed 2024, checks[0]): 8 dyadic t with 64 radii
+    # have 288 distinct radii, 576 two-sided steps, each evaluated once for orders 1 and 2
+    rows, solves = [], []
+    young_sup, solve = ops_module._young_stack_sup, grid_module.luxemburg_norm
+
+    def counted_sup(f, block, *args):
+        rows.append(len(block))
+        return young_sup(f, block, *args)
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ops_module, "_young_stack_sup", counted_sup)
+    monkeypatch.setattr(ops_module, "luxemburg_norm", counted_solve)
+    norm = {"norm": "luxemburg", "phi": {"kind": "zygmund", "params": [2.0, 0.5]}}
+    config = {"checks": [{"id": "jackson-1.4", "params": {"norm": norm, "family": ["random"]}}],
+              "N": 1024, "seed": 2024}
+    (cid, params), = cli_module._validate(config)[0]
+    calls = _count_ffts(monkeypatch)
+    run_check(cid, params)
+    assert sum(rows) == 1152
+    assert calls.count("irfft") == 36
+    assert 0 < len(solves) <= 25
 
 
 @pytest.mark.parametrize("dim,size", [(1, 4096), (2, 64)])
