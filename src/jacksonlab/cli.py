@@ -9,11 +9,15 @@ through `lab.parse_params`, the parse `lab.run_check` uses, with the
 top-level `N` and a spawned seed filled in.  A param the check does not
 read, a value its converter refuses (an integer param given 1.5, true or
 "8", a sample count or order below 1, a negative seed, an odd `N` or one
-below 8, a `d` other than 1 or 2, an unknown `route` or `semigroup`) or a
-broken `require` rule (kfunc-8.9 needs 2*ell > r, and d=2 for the sphere
-route; the abel and Cesaro checks run on 1-d grids) exits 2 with a message
-naming `checks[k].params.<field>`, and no report is written; so does a
-top-level `N`, `seed` or `--seed` that the param of the same name refuses.
+below 8, a `d` other than 1 or 2, an unknown `route` or `semigroup`), a
+record field that nothing reads (a norm record's `q`, `m`, `M`, `label`
+or `variant`, `p` on a Luxemburg or Orlicz norm, `c1` on a builtin Young
+function, any misspelled key), a `family` beside a function `f` (whose
+grid sets `N` and `d`) or a broken `require` rule (kfunc-8.9 needs
+2*ell > r, and d=2 for the sphere route; the abel and Cesaro checks run on
+1-d grids) exits 2 with a message naming `checks[k].params.<field>`, and
+no report is written; so does a top-level `N`, `seed` or `--seed` that the
+param of the same name refuses.
 The output directory is made before any check runs; a path that cannot be
 a directory (an existing file, or a path through one) exits 2 naming
 'out'.  A check that fails only while it runs (cesaro-5.1 with a degree

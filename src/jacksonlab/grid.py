@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,11 +112,19 @@ class GridFunction:
 
     @staticmethod
     def from_json(data):
+        _refuse_unread(data, ("d", "N", "samples"), "the grid function")
         arr = np.asarray(data["samples"], dtype=float)
         f = GridFunction(arr)
         if f.dim != data.get("d", f.dim) or f.size != data.get("N", f.size):
             raise ValueError("sample array does not match the declared d/N")
         return f
+
+
+def _refuse_unread(data, fields, record):
+    """Raise a ValueError naming the first key of the record `data` that is not in `fields`."""
+    for name in data:
+        if name not in fields:
+            raise ValueError(f"unknown field {name!r}; {record} record reads {', '.join(fields)}")
 
 
 def _raw(other):
@@ -319,27 +327,28 @@ def orlicz_norm_dual_bound(f, phi, psi, weight=None, trials=64, rng=None):
 _VARIANTS = ("lp", "luxemburg", "orlicz")
 
 
+def _convexity_exponent(s):
+    """float(s) for a finite number s >= 2, the exponent s of (*) in a norm record or a check."""
+    if isinstance(s, (bool, str)) or not 2.0 <= s <= float(np.finfo(float).max):
+        raise ValueError(f"convexity exponent s must be finite and >= 2, got {s!r}")
+    return float(s)
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """Declarative description of the norm B used by checks and reports.
 
     variant "lp" uses `p`; "luxemburg" and "orlicz" use the Young
-    function `phi`.  `s` and `q` are the optional power parameters
-    attached to the space (convexity exponent s >= 2 and its conjugate
-    q in (1, 2]); `m` and `M` are optional sharp constants.  For L_p
-    with finite p the default s is max(p, 2); each of s, q is filled in
-    from the other when only one is given.
+    function `phi`.  `s` is the convexity exponent of (*) attached to the
+    space, finite and >= 2: for L_p with finite p it defaults to max(p, 2)
+    (Clarkson), and a Young norm has none unless it is given.
     """
 
     variant: str = "lp"
     p: float = 2.0
     phi: object = None
     s: float = None
-    q: float = None
-    m: float = None
-    M: float = None
     weight: object = None
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -347,29 +356,14 @@ class NormSpec:
         if self.variant == "lp":
             if not self.p >= 1.0:
                 raise ValueError(f"exponent must be >= 1, got {self.p}")
-            # an explicit q overrides the Lebesgue default for s
-            if self.s is None and self.q is None and not np.isinf(self.p):
+            if self.phi is not None:
+                raise ValueError("an lp norm reads no Young function phi")
+            if self.s is None and not np.isinf(self.p):
                 object.__setattr__(self, "s", max(float(self.p), 2.0))
         elif self.phi is None:
             raise ValueError(f"variant {self.variant!r} needs a Young function")
-        if self.s is not None and not 2.0 <= self.s < math.inf:
-            raise ValueError(f"convexity exponent s must be finite and >= 2, got {self.s}")
-        if self.q is not None and not (1.0 < self.q <= 2.0):
-            raise ValueError(f"smoothness exponent q must lie in (1, 2], got {self.q}")
-        if self.q is not None and self.s is not None:
-            if abs(1.0 / self.q + 1.0 / self.s - 1.0) > 1e-12:
-                raise ValueError(f"q={self.q} and s={self.s} are not conjugate exponents")
-        elif self.s is not None:
-            object.__setattr__(self, "q", self.s / (self.s - 1.0))
-        elif self.q is not None:
-            object.__setattr__(self, "s", self.q / (self.q - 1.0))
-        if not self.label:
-            object.__setattr__(self, "label", self._default_label())
-
-    def _default_label(self):
-        if self.variant == "lp":
-            return f"L{self.p:g}"
-        return f"{self.variant}:{self.phi.kind}"
+        if self.s is not None:
+            object.__setattr__(self, "s", _convexity_exponent(self.s))
 
     def _weight_record(self):
         """JSON record of the weight (shape and sha256 of its float64 samples), or None."""
@@ -381,32 +375,30 @@ class NormSpec:
         return {"shape": list(w.shape), "sha256": hashlib.sha256(w.tobytes()).hexdigest()}
 
     def key(self):
-        """Hashable identity of the computed norm: variant, p, phi record, weight digest.
+        """Hashable identity of the computed norm: variant, p (lp) or phi record, weight digest.
 
         Computed once per spec (a weight is read as it is at the first call).
         """
         key = self.__dict__.get("_key")
         if key is None:
-            phi = None if self.phi is None else json.dumps(self.phi.to_json(), sort_keys=True)
+            reads = (float(self.p) if self.variant == "lp"
+                     else json.dumps(self.phi.to_json(), sort_keys=True))
             weight = self._weight_record()
             if weight is not None:
                 weight = (tuple(weight["shape"]), weight["sha256"])
-            key = (self.variant, float(self.p), phi, weight)
+            key = (self.variant, reads, weight)
             object.__setattr__(self, "_key", key)
         return key
-
-    def _identity(self):
-        return (self.key(), self.s, self.q, self.m, self.M)
 
     # the weight is an array, so the generated field-wise comparison would
     # ask numpy for the truth value of an array; compare the digest instead
     def __eq__(self, other):
         if not isinstance(other, NormSpec):
             return NotImplemented
-        return self._identity() == other._identity()
+        return (self.key(), self.s) == (other.key(), other.s)
 
     def __hash__(self):
-        return hash(self._identity())
+        return hash((self.key(), self.s))
 
     def norm(self, f):
         if self.variant == "lp":
@@ -423,12 +415,6 @@ class NormSpec:
             data["phi"] = self.phi.to_json()
         if self.s is not None:
             data["s"] = self.s
-        if self.q is not None:
-            data["q"] = self.q
-        if self.m is not None:
-            data["m"] = self.m
-        if self.M is not None:
-            data["M"] = self.M
         if self.weight is not None:
             data["weight"] = self._weight_record()
         return data
@@ -440,11 +426,12 @@ class NormSpec:
         if "weight" in data:
             raise ValueError("a norm record's weight holds only a digest; "
                              "build the NormSpec with the weight samples instead")
+        variant = data.get("norm", "lp")
+        if variant in _VARIANTS:  # the constructor names any other variant
+            _refuse_unread(data, ("norm", "p" if variant == "lp" else "phi", "s"),
+                           f"the {variant} norm")
         phi = YoungFunction.from_json(data["phi"]) if "phi" in data else None
-        variant = data.get("norm", data.get("variant", "lp"))
-        return NormSpec(variant=variant, p=data.get("p", 2.0),
-                        phi=phi, s=data.get("s"), q=data.get("q"),
-                        m=data.get("m"), M=data.get("M"))
+        return NormSpec(variant=variant, p=data.get("p", 2.0), phi=phi, s=data.get("s"))
 
 
 def random_smooth(size, dim, rng, band=None, decay=1.0):

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .approx import best_approx, degree_below, k_delta, k_functional
-from .grid import (GridFunction, NormSpec, discretize, grid_points, luxemburg_norm,
-                   orlicz_norm, random_smooth)
+from .grid import (GridFunction, NormSpec, _convexity_exponent, discretize, grid_points,
+                   luxemburg_norm, orlicz_norm, random_smooth)
 from .ops import (_SEMIGROUP_KINDS, _as_norm, _difference_norms, _moduli_tables, _sup_table,
                   averaged_modulus, cesaro)
 from .search import bisect_level
@@ -537,13 +537,6 @@ def _index_range(value):
     return [int(value[0]), int(value[1])]
 
 
-def _exponent(value):
-    """Param converter: a finite s >= 2, the bound NormSpec puts on its own s."""
-    if isinstance(value, (bool, str)) or not 2.0 <= value <= sys.float_info.max:
-        raise ValueError(f"convexity exponent s must be finite and >= 2, got {value!r}")
-    return float(value)
-
-
 # name: (default, converter, description).  A missing or null param takes the
 # default; a callable default is computed from the params parsed before it, in
 # the order of `check_params`.
@@ -552,11 +545,12 @@ _PARAMS = {
     "d": (1, _number(1, 2), "grid dimension"),
     "seed": (0, _NATURAL, "seed of the random family member"),
     "family": (None, _members, "members of the standard family to use (all)"),
-    "f": (None, _record(GridFunction), "GridFunction record to use as the family"),
+    "f": (None, _record(GridFunction), "GridFunction record to use as the family; sets N and d"),
     "spread_bound": (10.0, _REAL, "largest max/median ratio that passes"),
     "norm": (lambda p: NormSpec(), _record(NormSpec), "NormSpec record (L2)"),
     "r": (1, _COUNT, "order of the left-hand side"),
-    "s": (lambda p: p["norm"].s or 2.0, _exponent, "dyadic-sum exponent >= 2 (the norm's s, or 2)"),
+    "s": (lambda p: p["norm"].s or 2.0, _convexity_exponent,
+          "dyadic-sum exponent >= 2 (the norm's s, or 2)"),
     "n_range": (None, _index_range, "scales t = 2^-n for n from lo to hi"),
     "radii": (lambda p: 64 if p["d"] == 1 else 16, _COUNT, "step radii (64 in 1-d, else 16)"),
     "directions": (8, _COUNT, "step directions of 2-d moduli (1-d tries both signs)"),
@@ -838,8 +832,10 @@ class ParamError(ValueError):
 def parse_params(check_id, params):
     """Resolved value of every param the check reads, its `require` rules checked.
 
-    A name the check does not read, a value its converter refuses or a
-    broken rule raises a ParamError naming the param.
+    A GridFunction record `f` sets N and d, which the params after it
+    read; `family` is refused beside it.  A name the check does not read,
+    a value its converter refuses or a broken rule raises a ParamError
+    naming the param.
     """
     check, names = _lookup(check_id), check_params(check_id)
     for name in params:
@@ -859,6 +855,10 @@ def parse_params(check_id, params):
             # a record's missing field is a KeyError, whose str is the bare key
             reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ParamError(check_id, name, reason) from exc
+        if name == "f" and p["f"] is not None:
+            if p["family"] is not None:
+                raise ParamError(check_id, "family", "a check given a function f reads no family")
+            p["N"], p["d"] = p["f"].size, p["f"].dim
     for name, holds, rule in check.require:
         if not holds(p):
             raise ParamError(check_id, name, rule.format(**p))

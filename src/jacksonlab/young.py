@@ -185,24 +185,29 @@ class YoungFunction:
     # -- serialization --------------------------------------------------
 
     def to_json(self):
-        """The record `from_json` reads; it holds the base's record when that is not a builtin."""
-        data = {
-            "kind": self.kind,
-            "params": list(self.params),
-            "breakpoints": list(self.breakpoints),
-            "c1": self.c1,
-            "c2": self.c2,
-        }
+        """The record `from_json` reads: {kind, params} and what a derived kind adds.
+
+        A patched kind adds its breakpoints, c1 and c2; a patched or conjugate
+        kind adds its base's record when the base is not a builtin.
+        """
+        data = {"kind": self.kind, "params": list(self.params)}
+        if self.kind.startswith("patched:"):
+            data.update(breakpoints=list(self.breakpoints), c1=self.c1, c2=self.c2)
         if self.base is not None and self.base.kind not in _BUILTIN_ARITY:
             data["base"] = self.base.to_json()
         return data
 
     @staticmethod
     def from_json(data):
-        kind = data["kind"]
-        params = tuple(float(v) for v in data.get("params", ()))
+        from .grid import _refuse_unread
+
+        kind = str(data["kind"])
         derived, _, rest = kind.partition(":")
-        if derived in ("patched", "conjugate"):
+        fields = {"patched": ("breakpoints", "c1", "c2", "base"), "conjugate": ("base",)}
+        _refuse_unread(data, ("kind", "params") + fields.get(derived, ()),
+                       f"the {kind} Young function")
+        params = tuple(float(v) for v in data.get("params", ()))
+        if derived in fields:
             # a patched record ends with s, a conjugate one with y_max and the resolution
             own = 1 if derived == "patched" else 2
             base = (YoungFunction.from_json(data["base"]) if "base" in data

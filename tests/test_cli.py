@@ -1,16 +1,20 @@
 """Command-line interface: listing, describing, batch runs, and exit codes."""
 
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from jacksonlab import lab, registry_ids
+from jacksonlab import NormSpec, lab, registry_ids
 from jacksonlab.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_CONFIG = {
     "checks": [
@@ -298,6 +302,46 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("config field 'out': ") and error not in err
     assert afile.read_text() == ""
+
+
+def test_norm_records_with_unread_fields_exit_two_before_any_report(tmp_path, capsys):
+    zygmund = {"kind": "zygmund", "params": [2.0, 0.5]}
+    records = [({"norm": "lp", "p": 4.0, key: 1.5}, key) for key in ("q", "m", "M", "label")]
+    records += [({"variant": "lp", "p": 4.0}, "variant"),
+                ({"norm": "luxemburg", "phi": zygmund, "p": 2.0}, "p"),
+                ({"norm": "orlicz", "phi": zygmund, "sd": 3.0}, "sd"),
+                ({"norm": "lp", "p": 4.0, "phi": zygmund}, "phi")]
+    out = tmp_path / "rep"
+    for norm, key in records:
+        config = {"checks": [{"id": "basic-2.1"}, {"id": "jackson-1.4", "params": {"norm": norm}}],
+                  "N": 32, "out": str(out)}
+        assert main(["run", write_config(tmp_path, config)]) == 2
+        err = capsys.readouterr().err
+        assert f"'checks[1].params.norm': unknown field '{key}'" in err, err
+    assert not out.exists()
+
+
+def test_every_workload_report_records_a_norm_that_parses_back(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    seen = 0
+    for name in bench.WORKLOADS:
+        run = bench.workload_spec(name, 0, True)
+        out = tmp_path / name
+        cfg = write_config(tmp_path, run["config"])
+        assert main(["run", cfg, "--out", str(out), "--jobs", str(run["jobs"])]) in (0, 1)
+        for k, entry in enumerate(run["config"]["checks"]):
+            report = json.loads((out / f"{k:02d}-{entry['id']}.json").read_text())
+            if "norm" not in report["params"]:
+                continue
+            record = report["params"]["norm"]
+            norm = NormSpec.from_json(record)
+            assert norm == NormSpec.from_json(entry.get("params", {}).get("norm", {}))
+            assert norm.to_json() == record
+            seen += 1
+    capsys.readouterr()
+    assert seen >= 20
 
 
 def test_jobs_below_one_is_refused_before_any_report(tmp_path, capsys):

@@ -13,9 +13,9 @@ compare_reports = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_reports)
 
 
-def write_report(root, stem, verdict, constant, table):
+def write_report(root, stem, verdict, constant, table, params=None):
     root.mkdir(parents=True, exist_ok=True)
-    report = {"verdict": verdict, "constant": constant, "table": table}
+    report = {"params": params or {}, "verdict": verdict, "constant": constant, "table": table}
     (root / f"{stem}.json").write_text(json.dumps(report))
     (root / f"{stem}.csv").write_text("\n".join(",".join(map(repr, row)) for row in table))
 
@@ -36,7 +36,7 @@ def test_compare_reports_gates_verdicts_and_constants(tmp_path, capsys, b_consta
     line = capsys.readouterr().out.strip()
     assert line.startswith("w/0/00-c  verdict ")
     assert ("verdict same" in line) == (b_verdict == "pass")
-    assert "rows 4.44e-16" in line and line.endswith("csv changed")
+    assert "rows 4.44e-16" in line and line.endswith("csv changed  params same")
 
 
 def test_compare_reports_names_a_report_on_one_side(tmp_path, capsys):
@@ -45,7 +45,20 @@ def test_compare_reports_names_a_report_on_one_side(tmp_path, capsys):
     write_report(tmp_path / "b", "00-c", "pass", 1.0, [[0, 1.0]])
     assert compare_reports.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out == ["00-c  verdict same  constant 0  rows 0  csv same", "01-d  only in A"]
+    assert out == ["00-c  verdict same  constant 0  rows 0  csv same  params same",
+                   "01-d  only in A"]
+
+
+def test_compare_reports_names_the_params_that_differ(tmp_path, capsys):
+    # a changed record is reported by its top-level name and leaves the exit status alone
+    norm = {"norm": "lp", "p": 2.0, "s": 2.0}
+    write_report(tmp_path / "a", "00-c", "pass", 1.0, [[0, 1.0]],
+                 {"N": 64, "norm": {**norm, "q": 2.0}, "phi": {"kind": "zygmund", "c1": 1.0}})
+    write_report(tmp_path / "b", "00-c", "pass", 1.0, [[0, 1.0]],
+                 {"N": 64, "norm": norm, "phi": {"kind": "zygmund"}, "r": 1})
+    assert compare_reports.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "00-c  verdict same  constant 0  rows 0  csv same  params changed: norm, phi, r"]
 
 
 def test_relative_move():

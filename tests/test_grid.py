@@ -1,5 +1,6 @@
 """Grid functions, Lebesgue and Orlicz-type norms, and norm descriptors."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -294,17 +295,16 @@ def test_zero_function_norms():
 
 
 def test_norm_spec_defaults_and_conjugacy():
+    # a spec holds what the norm or a check reads: no dual exponent, constant or label
+    assert [f.name for f in dataclasses.fields(NormSpec)] == ["variant", "p", "phi", "s", "weight"]
     spec = NormSpec()
     assert spec.variant == "lp" and spec.p == 2.0 and spec.s == 2.0
-    assert spec.q == 2.0
-    spec4 = NormSpec(variant="lp", p=4.0)
-    assert spec4.s == 4.0 and spec4.q == pytest.approx(4.0 / 3.0, rel=1e-6, abs=0.0)
-    spec_s = NormSpec(variant="lp", p=2.0, s=3.0)
-    assert spec_s.q == pytest.approx(1.5, rel=1e-6, abs=0.0)
-    spec_q = NormSpec(variant="lp", p=2.0, q=1.5)
-    assert spec_q.s == pytest.approx(3.0, rel=1e-6, abs=0.0)
-    inf_spec = NormSpec(variant="lp", p=np.inf)
-    assert inf_spec.s is None
+    assert NormSpec(variant="lp", p=4.0).s == 4.0
+    assert NormSpec(variant="lp", p=1.5).s == 2.0
+    spec_s = NormSpec(variant="lp", p=2.0, s=3)
+    assert spec_s.s == 3.0 and isinstance(spec_s.s, float)
+    assert NormSpec(variant="lp", p=np.inf).s is None
+    assert NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5)).s is None
 
 
 def test_norm_spec_validation():
@@ -315,14 +315,12 @@ def test_norm_spec_validation():
     with pytest.raises(ValueError):
         NormSpec(variant="lp", p=2.0, s=1.5)
     with pytest.raises(ValueError):
-        NormSpec(variant="lp", p=2.0, q=2.5)
-    with pytest.raises(ValueError):
-        NormSpec(variant="lp", p=2.0, s=3.0, q=1.9)
-    with pytest.raises(ValueError):
         NormSpec(variant="luxemburg")
-    # a NaN exponent, or an s that is not finite, has no conjugate
+    with pytest.raises(ValueError, match="reads no Young function"):
+        NormSpec(variant="lp", phi=zygmund(2.0, 0.5))
+    # a NaN exponent, or an s that is not a finite number, is refused
     for bad in (dict(p=math.nan), dict(p=math.nan, s=2.0), dict(p=-math.inf), dict(s=math.nan),
-                dict(s=math.inf), dict(q=math.nan)):
+                dict(s=math.inf), dict(s="3"), dict(s=True), dict(s=10 ** 400)):
         with pytest.raises(ValueError):
             NormSpec(variant="lp", **bad)
     f = discretize(np.cos, 16, 1)
@@ -335,16 +333,18 @@ def test_norm_spec_validation():
 def test_norm_spec_json_round_trip_and_dispatch():
     f = discretize(np.cos, 64, 1)
     phi = zygmund(2.0, 0.5)
+    # a Young norm's p is not read, so it is neither recorded nor part of the identity
     for spec in (NormSpec(variant="lp", p=3.0),
                  NormSpec(variant="luxemburg", phi=phi),
+                 NormSpec(variant="luxemburg", phi=phi, p=3.0),
                  NormSpec(variant="orlicz", phi=phi, s=3.0)):
         back = NormSpec.from_json(spec.to_json())
-        assert back.variant == spec.variant
+        assert back == spec and hash(back) == hash(spec)
         assert back.norm(f) == pytest.approx(spec.norm(f), rel=1e-12, abs=0.0)
     assert NormSpec(variant="lp", p=2.0).norm(f) == pytest.approx(1.0 / SQRT2, rel=1e-6, abs=0.0)
-    # legacy key for the variant field still loads
-    legacy = NormSpec.from_json({"variant": "lp", "p": 4.0})
-    assert legacy.variant == "lp" and legacy.p == 4.0
+    # the variant has one spelling, "norm"
+    with pytest.raises(ValueError, match="unknown field 'variant'"):
+        NormSpec.from_json({"variant": "lp", "p": 4.0})
 
 
 def test_norm_spec_records_weight_and_key():
@@ -352,7 +352,7 @@ def test_norm_spec_records_weight_and_key():
     plain = NormSpec(variant="lp", p=2.0)
     weighted = NormSpec(variant="lp", p=2.0, weight=w)
     # unweighted records are unchanged
-    assert json.dumps(plain.to_json()) == '{"norm": "lp", "p": 2.0, "s": 2.0, "q": 2.0}'
+    assert json.dumps(plain.to_json()) == '{"norm": "lp", "p": 2.0, "s": 2.0}'
     record = weighted.to_json()["weight"]
     assert record == {"shape": [64],
                       "sha256": hashlib.sha256(np.asarray(w, dtype=float).tobytes()).hexdigest()}
@@ -364,14 +364,14 @@ def test_norm_spec_records_weight_and_key():
             NormSpec(variant="luxemburg", phi=zygmund(2.0, 1.0)).key()}
     assert len(keys) == 6
     hash(weighted.key())
-    # the key names the norm, not the attached exponents or the label
-    assert NormSpec(variant="lp", p=2.0, s=3.0, label="x").key() == plain.key()
+    # the key names the norm, not the attached exponent
+    assert NormSpec(variant="lp", p=2.0, s=3.0).key() == plain.key()
 
 
 def test_norm_spec_equality_and_hash():
     w = 1.0 + 0.5 * np.cos(grid_points(64, 1)[0])
     a = NormSpec(variant="lp", p=2.0, weight=w)
-    same = NormSpec(variant="lp", p=2.0, weight=w.copy(), label="other label")
+    same = NormSpec(variant="lp", p=2.0, weight=w.copy())
     other = NormSpec(variant="lp", p=2.0, weight=w[::-1])
     assert a == same and hash(a) == hash(same)
     assert a != other and a != NormSpec(variant="lp", p=2.0)
@@ -380,11 +380,52 @@ def test_norm_spec_equality_and_hash():
     assert NormSpec(variant="luxemburg", phi=phi) == NormSpec(variant="luxemburg",
                                                               phi=zygmund(2.0, 0.5))
     assert NormSpec(variant="luxemburg", phi=phi) != NormSpec(variant="orlicz", phi=phi)
-    # the attached exponents and constants take part, unlike in key()
+    # the attached exponent takes part, unlike in key(); a Young norm's unread p does not
     assert NormSpec(variant="lp", p=2.0, s=3.0) != NormSpec(variant="lp", p=2.0)
-    assert NormSpec(variant="lp", M=2.0) != NormSpec(variant="lp", M=3.0)
+    assert NormSpec(variant="luxemburg", phi=phi, p=3.0) == NormSpec(variant="luxemburg", phi=phi)
     assert hash(NormSpec()) == hash(NormSpec())
     assert NormSpec() != "lp"
+
+
+_PATCHED = patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi
+
+
+@pytest.mark.parametrize("make, unread", [
+    (lambda: power(2.5), ("c1", "c2", "breakpoints", "base", "label")),
+    (lambda: two_power(1.5, 3.0), ("c1",)),
+    (lambda: log_power(3.0), ("breakpoints",)),
+    (lambda: zygmund(2.0, 0.5), ("c1", "c2", "breakpoints", "base")),
+    (lambda: exp_growth(), ("c2",)),
+    (lambda: complementary(power(3.0)), ("c1", "c2", "breakpoints", "label")),
+    (lambda: complementary(complementary(power(3.0)), y_max=20.0), ("c1", "breakpoints")),
+    (lambda: _PATCHED, ("label", "s")),
+    (lambda: discretize(np.cos, 16, 1), ("norm", "label", "sample")),
+    (lambda: discretize(lambda x, y: np.cos(x) * np.sin(y), 8, 2), ("weight",)),
+    (lambda: NormSpec(variant="lp", p=4.0), ("q", "m", "M", "label", "variant", "phi", "P")),
+    (lambda: NormSpec(variant="lp", p=math.inf), ("q", "label")),
+    (lambda: NormSpec(variant="luxemburg", phi=_PATCHED), ("p", "q", "m", "M", "label")),
+    (lambda: NormSpec(variant="orlicz", phi=complementary(power(3.0)), s=3.0), ("p", "M")),
+], ids=["power", "two_power", "log_power", "zygmund", "exp", "conjugate", "nested-conjugate",
+        "patched", "grid-1d", "grid-2d", "lp", "linf", "luxemburg-patched", "orlicz-conjugate"])
+def test_records_round_trip_and_refuse_unread_fields(make, unread):
+    x = make()
+    cls = type(x)
+    record = json.loads(json.dumps(x.to_json()))
+    back = cls.from_json(record)
+    assert back.to_json() == record
+    if isinstance(x, NormSpec):
+        assert back == x
+    if isinstance(x, GridFunction):
+        assert np.array_equal(back.samples, x.samples)
+    for name in unread:
+        assert name not in record
+        with pytest.raises(ValueError, match=f"unknown field '{name}'"):
+            cls.from_json({**record, name: record.get("params", 1.0)})
+    # a field nested in a record is refused as well
+    nested = record.get("base") or record.get("phi")
+    if isinstance(nested, dict):
+        with pytest.raises(ValueError, match="unknown field 'c0'"):
+            cls.from_json({**record, "base" if "base" in record else "phi": {**nested, "c0": 1}})
 
 
 def random_smooth_by_meshgrid(size, dim, rng, band=None, decay=1.0):

@@ -105,6 +105,23 @@ def test_check_accepts_explicit_function_and_norm():
     assert any("custom" in n for n in rep.notes)
 
 
+def test_a_function_record_sets_the_grid():
+    # N and d are the record's, so the defaults and rules after them read its grid
+    f = discretize(np.cos, 32, 1)
+    rep = run_check("jackson-1.4", {"f": f.to_json(), "N": 256, "d": 2, "n_range": [1, 2]})
+    assert (rep.params["N"], rep.params["d"]) == (32, 1)
+    assert rep.resolutions == {"N": 32, "radii": 64}
+    g = discretize(lambda x, y: np.cos(x) * np.cos(y), 16, 2)
+    assert lab.parse_params("jackson-1.4", {"f": g.to_json()})["radii"] == 16
+    refused = (("jackson-5.9", {"f": g.to_json()}, "d"),
+               ("kfunc-8.9", {"f": f.to_json(), "route": "sphere"}, "route"),
+               ("jackson-1.4", {"f": f.to_json(), "family": ["cos"]}, "family"))
+    for cid, params, name in refused:
+        with pytest.raises(ParamError) as info:
+            lab.parse_params(cid, params)
+        assert info.value.name == name
+
+
 def test_basic_21_threshold_modes():
     good = run_check("basic-2.1", {"N": 64, "m": 1.0})
     assert good.verdict == "pass" and good.constant >= 0.48

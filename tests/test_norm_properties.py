@@ -29,7 +29,13 @@ YOUNG = {"power": power(2.5), "zygmund": zygmund(2.0, 0.5), "two_power": two_pow
 SPECS = ([NormSpec(variant="lp", p=p) for p in (1.0, 2.0, 3.5, np.inf)]
          + [NormSpec(variant=v, phi=phi) for v in ("luxemburg", "orlicz")
             for phi in YOUNG.values()])
-SPEC_IDS = [spec.label for spec in SPECS]
+
+
+def spec_id(spec):
+    return f"L{spec.p:g}" if spec.variant == "lp" else f"{spec.variant}:{spec.phi.kind}"
+
+
+SPEC_IDS = [spec_id(spec) for spec in SPECS]
 # every norm, the Amemiya infimum by its level solve included, is exact to rounding
 SLACK = {"lp": 1e-12, "luxemburg": 1e-12, "orlicz": 1e-12}
 
@@ -73,7 +79,7 @@ CONTRACTION_SLACK = 1e-10
 
 
 @pytest.mark.parametrize("spec", CONTRACTION_SPECS,
-                         ids=[spec.label for spec in CONTRACTION_SPECS])
+                         ids=[spec_id(spec) for spec in CONTRACTION_SPECS])
 @PROPERTY
 @given(a=samples, heat_t=st.floats(0.25, 4.0), abel_t=st.floats(0.0, 4.0),
        n=st.integers(0, N // 2 - 1), ell=st.integers(1, 3))

@@ -301,8 +301,7 @@ def test_derived_young_json_round_trip(make):
 def test_builtin_based_records_hold_no_base():
     # the records of builtin-based functions are the ones written before bases were recorded
     conj = complementary(power(3.0)).to_json()
-    assert conj == {"kind": "conjugate:power", "params": [3.0, 1000.0, 2048.0],
-                    "breakpoints": [], "c1": 1.0, "c2": 0.0}
+    assert conj == {"kind": "conjugate:power", "params": [3.0, 1000.0, 2048.0]}
     assert "base" not in patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi.to_json()
     data = complementary(complementary(power(3.0)), y_max=20.0).to_json()
     data["base"]["params"][0] = 4.0

@@ -7,12 +7,14 @@ of them, such as ``tools/report_digests.py --keep``); a report is matched
 by its path relative to A and B.  For every report it prints one line:
 
     <report>  verdict <same | A -> B>  constant <rel>  rows <rel>  csv <same | changed>
+        params <same | changed: k1, k2>
 
-where a relative move is |a - b| / max(|a|, |b|), 0 for equal values and
-inf where one side is not finite or a table cell or row is missing.  The
-row move is the largest over all cells of the report's table.  Exit status
-1 when a verdict changes, a report is on one side only, or a constant
-moves by more than 1e-12 relative (the ROADMAP's rule); else 0.
+(on one line), where a relative move is |a - b| / max(|a|, |b|), 0 for
+equal values and inf where one side is not finite or a table cell or row is
+missing.  The row move is the largest over all cells of the report's table,
+and the params column names the top-level params whose JSON differs.  Exit
+status 1 when a verdict changes, a report is on one side only, or a
+constant moves by more than 1e-12 relative (the ROADMAP's rule); else 0.
 """
 
 from __future__ import annotations
@@ -47,6 +49,14 @@ def row_move(rows_a, rows_b):
     return worst
 
 
+def changed_params(params_a, params_b):
+    """"same", or "changed: " and the sorted top-level params whose JSON differs."""
+    changed = sorted(k for k in params_a.keys() | params_b.keys()
+                     if json.dumps(params_a.get(k), sort_keys=True)
+                     != json.dumps(params_b.get(k), sort_keys=True))
+    return "changed: " + ", ".join(changed) if changed else "same"
+
+
 def reports(root):
     """{path relative to root without suffix: report JSON path} for every report under root."""
     return {str(p.relative_to(root).with_suffix("")): p for p in sorted(root.rglob("*.json"))}
@@ -69,7 +79,8 @@ def compare(a_root, b_root):
         verdict = "same" if a["verdict"] == b["verdict"] else f"{a['verdict']} -> {b['verdict']}"
         print(f"{name}  verdict {verdict}  constant {constant:.3g}  "
               f"rows {row_move(a['table'], b['table']):.3g}  "
-              f"csv {'same' if same_csv else 'changed'}")
+              f"csv {'same' if same_csv else 'changed'}  "
+              f"params {changed_params(a.get('params', {}), b.get('params', {}))}")
         if verdict != "same" or constant > CONSTANT_RTOL:
             status = 1
     return status
