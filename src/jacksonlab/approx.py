@@ -1,9 +1,8 @@
 """Best trigonometric approximation and K-functionals.
 
-Upper bounds for the best-approximation error come from two explicit
-candidates inside the admissible degree band (partial sum, and a ramped
-projection at half degree); an optional projected-subgradient pass tightens
-them for non-Hilbert norms.  K-functionals are evaluated through three
+The best-approximation error is bounded above by the smaller error of two
+explicit candidates inside the admissible degree band (partial sum, and a
+ramped projection at half degree).  K-functionals are evaluated through three
 routes: a realization over smoothed candidates, a heat-semigroup
 difference, and a circular-mean difference on the 2-torus.  The band norms
 are row norms |M f| memoized on f (`_row_norm`), keyed by a degree (1 - P_n,
@@ -17,11 +16,10 @@ rounding at any t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, _amemiya, _weight_array, lp_norm, luxemburg_norm
 from .ops import (_apply_multiplier, _difference_norms, _mode_radius, _mode_radius2,
                   _multiplier_norms, _norm_spec, _positive_int, _spherical_mean_offset)
 
@@ -55,91 +53,26 @@ def projection(f, n, kind="partial_sum"):
 
 @dataclass(frozen=True)
 class ApproxResult:
-    """Best-approximation error bounds for one degree."""
+    """Best-approximation error bound for one degree, with the candidate that gave it."""
 
     degree: int
-    upper: float
+    value: float
     method: str
-    optimized: float = None
-
-    @property
-    def value(self):
-        return self.upper if self.optimized is None else min(self.upper, self.optimized)
 
 
-def best_approx(f, n, norm=None, refine=False, iters=500, step=0.5):
-    """Distance from f to trigonometric polynomials of degree at most n.
+def best_approx(f, n, norm=None):
+    """Distance from f to trigonometric polynomials of degree at most n, bounded above.
 
-    Returns an ApproxResult whose `upper` is the smaller of the two
-    explicit candidates (both lie inside the degree band: the ramped
-    candidate is built at degree n//2 so its output degree stays < n);
-    their errors are row norms memoized on f.  With refine=True a
-    projected-subgradient descent polishes the candidate; this needs a
-    declarative norm (a NormSpec, its bound `norm`, or None for L2).
+    Returns an ApproxResult whose `value` is the smaller error of two
+    explicit candidates inside the degree band: the partial sum of degree n
+    and the ramped projection at degree n//2 (whose output degree stays
+    below n).  Their errors are row norms memoized on f.
     """
-    spec = _norm_spec(norm)
-    if refine and spec is None:
-        raise ValueError("refine needs a declarative norm, not a bare callable")
     errors = [_row_norm(f, ("rest", "partial_sum", n), norm)]
     if n >= 2:
         errors.append(_row_norm(f, ("rest", "vallee_poussin", n // 2), norm))
     k = errors.index(min(errors))  # the first minimum, as np.argmin picks it
-    plain = ApproxResult(int(n), errors[k], ("partial_sum", "vallee_poussin")[k])
-    if not refine:
-        return plain
-    start = projection(f, n if k == 0 else n // 2, plain.method)
-    optimized = _refine(f, int(n), start, plain.upper, spec, iters, step)
-    return replace(plain, optimized=float(min(optimized, plain.upper)))
-
-
-def _norm_subgradient(u, spec):
-    """Subgradient of the NormSpec `spec` at sample vector u (zero vector at u = 0)."""
-    size, g, weight = u.size, GridFunction(u), spec.weight
-    w = 1.0 if weight is None else _weight_array(g, weight)
-    if spec.variant == "lp":
-        p = spec.p
-        if np.isinf(p):
-            grad = np.zeros_like(u)
-            j = np.unravel_index(np.argmax(np.abs(u)), u.shape)
-            grad[j] = np.sign(u[j])
-            return grad
-        nval = lp_norm(g, p, weight)
-        if nval == 0.0:
-            return np.zeros_like(u)
-        return (w / size) * np.abs(u) ** (p - 1.0) * np.sign(u) / nval ** (p - 1.0)
-    phi = spec.phi
-    absu = np.abs(u)
-    if spec.variant == "luxemburg":
-        a = luxemburg_norm(g, phi, weight)
-        if a == 0.0:
-            return np.zeros_like(u)
-        dphi = np.asarray(phi.deriv_plus(absu / a), dtype=float)
-        denom = float(np.sum(w * dphi * absu))
-        if denom <= 0.0:
-            return np.zeros_like(u)
-        return a * w * dphi * np.sign(u) / denom
-    # orlicz: envelope derivative at the optimal scaling k*
-    kstar, value = _amemiya(g, phi, weight)
-    if value == 0.0:
-        return np.zeros_like(u)
-    return (w / size) * np.asarray(phi.deriv_plus(kstar * absu), dtype=float) * np.sign(u)
-
-
-def _refine(f, n, start, start_val, spec, iters, step):
-    nfun = spec.norm
-    g = start.samples.copy()
-    best = start_val
-    gamma0 = step * max(start_val, 1e-15)
-    for k in range(iters):
-        u = f.samples - g
-        grad = _norm_subgradient(u, spec)
-        direction = projection(GridFunction(grad), n).samples
-        scale = math.sqrt(float(np.mean(direction ** 2)))
-        if scale < 1e-300:
-            break
-        g = g + (gamma0 / math.sqrt(k + 1.0)) * direction / scale
-        best = min(best, nfun(GridFunction(f.samples - g)))
-    return best
+    return ApproxResult(int(n), errors[k], ("partial_sum", "vallee_poussin")[k])
 
 
 @dataclass(frozen=True)
@@ -183,14 +116,14 @@ def k_functional(f, ell, t, norm=None, route="realization"):
             raise ValueError("sphere route needs a 2-d grid")
         notes = ("radius beyond pi/2, values are extrapolated",) if t > math.pi / 2.0 else ()
         row = _spherical_mean_offset(f.size, float(t), ell)
-        return KFuncResult(float(t), ell, route, _multiplier_norms(f, row[None], norm)[0][0],
+        return KFuncResult(float(t), ell, route, _multiplier_norms([f], row[None], norm)[0][0][0],
                            notes=notes)
     raise ValueError(f"unknown route {route!r}")
 
 
 def k_delta(f, m, heat_time, norm=None):
     """Norm of (H(heat_time) - I)^m f, the heat-difference K-functional proxy."""
-    return _difference_norms(f, "heat", [m], [float(heat_time)], norm)[m][0]
+    return _difference_norms([f], "heat", [m], [float(heat_time)], norm)[0][m][0]
 
 
 def _row_norm(f, key, norm):
@@ -213,7 +146,7 @@ def _row_norm(f, key, norm):
                 row = 1.0 - _band(f, n, kind)
             case ("smooth", n, ell):
                 row = _band(f, n, "vallee_poussin") * (-_mode_radius2(f.size, f.dim)) ** ell
-        value = _multiplier_norms(f, row[None], norm)[0][0]
+        value = _multiplier_norms([f], row[None], norm)[0][0][0]
         if memo_key is not None:
             f._memo[memo_key] = value
     return value

@@ -565,7 +565,9 @@ _PARAMS = {
     "ell": (1, _COUNT, "order of the K-functional or of the Cesaro mean"),
     "route": ("realization", _choice("realization", "heat", "sphere"),
               "K-functional route: realization, heat or sphere"),
-    "lambda_power_max": (6, _NATURAL, "lambda = 2^k for k from 0 to this"),
+    # up to 511, where the heat time lambda^-2 = 2^(-2k) is still a normal float
+    "lambda_power_max": (6, _number(0, (1 - sys.float_info.min_exp) // 2),
+                         "lambda = 2^k for k from 0 to this"),
     "phi": (lambda p: zygmund(2.0, 0.5), _record(YoungFunction), "Young function record (zygmund)"),
     "n": (16, _NATURAL, "degree of the Cesaro mean"),
     "slack": (1e-10, _REAL, "rounding slack of the ratio bounds"),
@@ -833,9 +835,10 @@ def parse_params(check_id, params):
     """Resolved value of every param the check reads, its `require` rules checked.
 
     A GridFunction record `f` sets N and d, which the params after it
-    read; `family` is refused beside it.  A name the check does not read,
-    a value its converter refuses or a broken rule raises a ParamError
-    naming the param.
+    read; `family` is refused beside it, and a rule its N or d breaks names
+    `f`.  A name the check does not read, a value its converter refuses, a
+    broken rule or a power of 2 beyond the normal floats
+    (`_power_beyond_floats`) raises a ParamError naming the param.
     """
     check, names = _lookup(check_id), check_params(check_id)
     for name in params:
@@ -861,8 +864,46 @@ def parse_params(check_id, params):
             p["N"], p["d"] = p["f"].size, p["f"].dim
     for name, holds, rule in check.require:
         if not holds(p):
+            # N and d beside a function record are the record's
+            name = "f" if name in ("N", "d") and p["f"] is not None else name
             raise ParamError(check_id, name, rule.format(**p))
+    unfit = _power_beyond_floats(check, p)
+    if unfit:
+        raise ParamError(check_id, *unfit)
     return p
+
+
+# the `math.frexp` exponents e of the normal floats m * 2^e, 1/2 <= |m| < 1
+_NORMAL = range(sys.float_info.min_exp, sys.float_info.max_exp + 1)
+
+
+def _power_beyond_floats(check, p):
+    """(param, reason) for a power of 2 the check computes that is not a normal float, or None.
+
+    At each scale t (2^-n, or basic-2.1's h) a dyadic check reads 2^j and
+    2^j t for j in js(n) (a tail: j <= 64) and the weights 2^(-jrs) of a
+    sum over js.  The exponents are linear in n and j, and the ends of
+    every js move monotonically with n, so the ends of n_range and of their
+    js bound the rest.
+    """
+    if check.lhs is None:
+        return None
+    r, s, basic = p["r"], p["s"], "n_range" not in p
+    t_name, j_name = ("h", "L") if basic else ("n_range", "n_range")
+    for n, e in [(0, math.frexp(p["h"])[1])] if basic else [(n, 1 - n) for n in p["n_range"]]:
+        t = "h" if basic else f"2^{-n}"
+        powers = [(t_name, f"the scale {t}", e)]
+        js = check.js(p, n) if check.js else range(1, _TAIL_MAX_TERMS + 1)
+        for j in (js[0], js[-1]) if js else ():
+            powers += [(j_name, f"the factor 2^{j}", j + 1),
+                       (t_name, f"the step 2^{j} * {t}", e + j)]
+            if check.js:
+                powers.append((j_name, f"the weight 2^(-{j}*{r}*{s:g})",
+                               math.floor(-j * r * s) + 1))
+        for name, what, exponent in powers:
+            if exponent not in _NORMAL:
+                return name, f"{what} is not a normal float"
+    return None
 
 
 def _dyadic_rows(check, fs, p, nfun, stops):

@@ -304,11 +304,10 @@ def _parseval_sums(m2, weights):
 def _multiplier_norms(fs, items, norm, build=None, sup=False):
     """Columns of norms of M f for half-grid multipliers M, one list of columns per member f.
 
-    `fs` holds members on one grid; a lone GridFunction is a one-member
-    family and gets its list of columns alone.  `items` are the multipliers,
-    one column.  Or build(stack) turns a stack of `items` into a list of
-    stacks of multipliers, one per column (build(stack, True): new arrays of
-    their |M|^2).  Each stack is built once, and every member reads it.  A
+    `fs` holds members on one grid.  `items` are the multipliers, one
+    column.  Or build(stack) turns a stack of `items` into a list of stacks
+    of multipliers, one per column (build(stack, True): new arrays of their
+    |M|^2).  Each stack is built once, and every member reads it.  A
     column is the list of its norms.  Unweighted L2 takes no inverse FFT
     (Parseval), another L_p one inverse FFT per member and stack and one
     reduction (a weight normalized once per call), any other norm one
@@ -318,8 +317,6 @@ def _multiplier_norms(fs, items, norm, build=None, sup=False):
     only the rows `_young_stack_sup` keeps, each member against its own
     running max.  An empty `items` is one empty column.
     """
-    lone = isinstance(fs, GridFunction)
-    fs = [fs] if lone else fs
     spec, nfun, shape = _norm_spec(norm), _as_norm(norm), fs[0].samples.shape
     p = spec.p if spec is not None and spec.variant == "lp" else None
     parseval = _plain_p(spec) == 2.0
@@ -351,7 +348,7 @@ def _multiplier_norms(fs, items, norm, build=None, sup=False):
     cols = cols or [[(0.0, None) if young else []] for _ in fs]
     if sup:
         cols = [[best[0] if young else max([0.0, *best]) for best in col] for col in cols]
-    return cols[0] if lone else cols
+    return cols
 
 
 def _young_stack_sup(f, rows, spec, w, best):
@@ -481,15 +478,12 @@ def _orders(orders):
 def _difference_norms(fs, kind, orders, us, norm, sup=False, direction=None):
     """{r: norms of (T(u) - I)^r f over the scales u} for each order r; with `sup`, their max and 0.
 
-    One dict per member f of `fs` (members on one grid; a lone GridFunction
-    gets its dict alone).  Every order of every member comes from one build
-    of T(u) - I per stack.  u is a k x d stack of shift steps, a vector of
-    shift lengths along `direction` (default (1, 0); signed steps in 1-d),
-    or heat/abel times.  Bad arguments and non-finite scales are refused
-    before any row is evaluated.
+    One dict per member f of `fs` (members on one grid).  Every order of
+    every member comes from one build of T(u) - I per stack.  u is a k x d
+    stack of shift steps, a vector of shift lengths along `direction`
+    (default (1, 0); signed steps in 1-d), or heat/abel times.  Bad
+    arguments and non-finite scales are refused before any row is evaluated.
     """
-    lone = isinstance(fs, GridFunction)
-    fs = [fs] if lone else fs
     size, dim = fs[0].size, fs[0].dim
     orders = _orders(orders)
     us = np.asarray(us, dtype=float)
@@ -510,8 +504,7 @@ def _difference_norms(fs, kind, orders, us, norm, sup=False, direction=None):
     else:
         build(us)  # no row to build, so the builder checks the kind here
         cols = [[0.0 if sup else [] for _ in orders] for _ in fs]
-    tables = [dict(zip(orders, col)) for col in cols]
-    return tables[0] if lone else tables
+    return [dict(zip(orders, col)) for col in cols]
 
 
 # The lattice directions of the angles k*pi/4 in [0, pi), counterclockwise from (1, 0).
@@ -748,7 +741,7 @@ def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, dir
     """
     quad_points = _positive_int("quad_points", quad_points)
     mids = _scales(t, t * (np.arange(quad_points) + 0.5) / quad_points)
-    norms = _difference_norms(f, semigroup, [r], mids, norm, direction=direction)[r]
+    norms = _difference_norms([f], semigroup, [r], mids, norm, direction=direction)[0][r]
     return float(np.mean(norms)) if norms else 0.0
 
 

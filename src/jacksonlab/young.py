@@ -28,6 +28,8 @@ import numpy as np
 _LOG_POWER_GATE = (3.0 + math.sqrt(5.0)) / 2.0
 
 _BUILTIN_ARITY = {"power": 1, "two_power": 2, "log_power": 1, "zygmund": 2, "exp": 0}
+# the fields a derived kind "<derived>:<base kind>" reads besides kind and params
+_DERIVED_FIELDS = {"patched": ("breakpoints", "c1", "c2", "base"), "conjugate": ("base",)}
 
 
 class YoungFunction:
@@ -37,16 +39,21 @@ class YoungFunction:
     Values and derivatives accept scalars or arrays of nonnegative numbers.
     """
 
-    def __init__(self, kind, params=(), breakpoints=(), c1=1.0, c2=0.0, base=None):
+    def __init__(self, kind, params=(), breakpoints=None, c1=None, c2=None, base=None):
         self.kind = str(kind)
         self.params = tuple(float(v) for v in params)
-        self.breakpoints = tuple(float(v) for v in breakpoints)
-        self.c1 = float(c1)
-        self.c2 = float(c2)
         self.base = base
+        given = {"breakpoints": breakpoints, "c1": c1, "c2": c2, "base": base}
+        reads = _DERIVED_FIELDS.get(self.kind.partition(":")[0], ())
+        for name, value in given.items():
+            if value is not None and name not in reads:
+                raise ValueError(f"the {self.kind} Young function reads no {name}")
         if self.kind.startswith("patched:"):
-            if base is None or len(self.breakpoints) != 2:
+            if base is None or breakpoints is None or len(breakpoints) != 2:
                 raise ValueError("patched Young function needs a base and two breakpoints")
+            self.breakpoints = tuple(float(v) for v in breakpoints)
+            self.c1 = 1.0 if c1 is None else float(c1)
+            self.c2 = 0.0 if c2 is None else float(c2)
             a, b = self.breakpoints
             s = self.params[-1]
             # slope of the replacement segment, chosen so the derivative of
@@ -84,13 +91,6 @@ class YoungFunction:
         x, scalar = _as_array(x)
         out = self._deriv(x, side="plus")
         return float(out[()]) if scalar else out
-
-    def argmax_support(self, y):
-        """Maximizer x(y) of x*y - phi(x); only defined for conjugate kinds."""
-        if not self.kind.startswith("conjugate:"):
-            raise ValueError("argmax_support is only available on conjugate functions")
-        # the right derivative of a conjugate is its maximizer
-        return self.deriv_plus(y)
 
     def _value(self, x):
         kind = self.kind
@@ -203,11 +203,10 @@ class YoungFunction:
 
         kind = str(data["kind"])
         derived, _, rest = kind.partition(":")
-        fields = {"patched": ("breakpoints", "c1", "c2", "base"), "conjugate": ("base",)}
-        _refuse_unread(data, ("kind", "params") + fields.get(derived, ()),
+        _refuse_unread(data, ("kind", "params") + _DERIVED_FIELDS.get(derived, ()),
                        f"the {kind} Young function")
         params = tuple(float(v) for v in data.get("params", ()))
-        if derived in fields:
+        if derived in _DERIVED_FIELDS:
             # a patched record ends with s, a conjugate one with y_max and the resolution
             own = 1 if derived == "patched" else 2
             base = (YoungFunction.from_json(data["base"]) if "base" in data
@@ -331,10 +330,11 @@ def complementary(phi, y_max=1e3, resolution=2048):
     read off phi's chord slopes; the maximizer is then refined by bisection
     on the sign of phi'_+(x) - y between the neighbouring grid points, to
     the last float, so psi is accurate for arguments up to roughly `y_max`.
-    `argmax_support` returns that maximizer.  psi(y) = 0 for y <= 0 and NaN
-    propagates.  Raises ValueError for a `resolution` that is not an
-    integer >= 2, a `y_max` that is not finite and positive, or when phi
-    grows too slowly for the supremum to be attained on the working grid.
+    psi's right derivative `deriv_plus(y)` is that maximizer.  psi(y) = 0
+    for y <= 0 and NaN propagates.  Raises ValueError for a `resolution`
+    that is not an integer >= 2, a `y_max` that is not finite and positive,
+    or when phi grows too slowly for the supremum to be attained on the
+    working grid.
     """
     if not isinstance(resolution, numbers.Integral) or resolution < 2:
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")

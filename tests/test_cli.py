@@ -211,7 +211,7 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
         ({"checks": [{"id": "cesaro-5.1", "params": {"n": -1}}]},
          "'checks[0].params.n': must be an integer >= 0, got -1"),
         ({"checks": [{"id": "entire-4.12", "params": {"lambda_power_max": -1}}]},
-         "'checks[0].params.lambda_power_max': must be an integer >= 0, got -1"),
+         "'checks[0].params.lambda_power_max': must be an integer from 0 to 511, got -1"),
     ]
     # a broken `require` rule or choice param of the second check stops the batch
     # before the first check writes its report
@@ -276,6 +276,19 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
          "'checks[1].params.h': the base step must be nonzero, got h=0.0"),
         ({"id": "basic-2.1", "params": {"h": -0.3, "semigroup": "heat"}},
          "'checks[1].params.h': the heat semigroup takes a time h > 0, got h=-0.3"),
+        # scales 2^(+-n), 2^j h and weights 2^(-jrs) that overflow or underflow
+        ({"id": "jackson-1.4", "params": {"n_range": [1, 1100], "family": ["cos"]}},
+         "'checks[1].params.n_range': the scale 2^-1100 is not a normal float"),
+        ({"id": "jackson-1.4", "params": {"n_range": [1000, 1000]}},
+         "'checks[1].params.n_range': the weight 2^(-999*1*2) is not a normal float"),
+        ({"id": "jackson-4.8", "params": {"n_range": [-1100, -1099]}},
+         "'checks[1].params.n_range': the scale 2^1100 is not a normal float"),
+        ({"id": "basic-2.1", "params": {"L": 1100}},
+         "'checks[1].params.L': the factor 2^1100 is not a normal float"),
+        ({"id": "basic-2.1", "params": {"h": 1e308}},
+         "'checks[1].params.h': the step 2^10 * h is not a normal float"),
+        ({"id": "entire-4.12", "params": {"lambda_power_max": 1100}},
+         "'checks[1].params.lambda_power_max': must be an integer from 0 to 511, got 1100"),
     )
     out = str(tmp_path / "rep")
     cases += [({"checks": [{"id": "basic-2.1"}, second], "out": out}, needle)

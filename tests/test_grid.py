@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jacksonlab import (GridFunction, NormSpec, bisect_level_log, complementary,
+from jacksonlab import (GridFunction, NormSpec, YoungFunction, bisect_level_log, complementary,
                         discretize, exp_growth, golden_max, grid_points, log_power, lp_norm,
                         luxemburg_norm, orlicz_functional, orlicz_norm,
                         orlicz_norm_dual_bound, patch, power, random_smooth,
@@ -426,6 +426,13 @@ def test_records_round_trip_and_refuse_unread_fields(make, unread):
     if isinstance(nested, dict):
         with pytest.raises(ValueError, match="unknown field 'c0'"):
             cls.from_json({**record, "base" if "base" in record else "phi": {**nested, "c0": 1}})
+    # the constructor refuses what the record refuses: YoungFunction("zygmund", ..., c1=9.0)
+    if isinstance(x, YoungFunction):
+        given = {"breakpoints": (0.2, 5.0), "c1": 9.0, "c2": 1.0, "base": x}
+        for name in set(unread) & set(given):
+            kwargs = {"base": x.base, name: given[name]}
+            with pytest.raises(ValueError, match=f"reads no {name}"):
+                YoungFunction(x.kind, x.params, **kwargs)
 
 
 def random_smooth_by_meshgrid(size, dim, rng, band=None, decay=1.0):

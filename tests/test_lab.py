@@ -113,10 +113,36 @@ def test_a_function_record_sets_the_grid():
     assert rep.resolutions == {"N": 32, "radii": 64}
     g = discretize(lambda x, y: np.cos(x) * np.cos(y), 16, 2)
     assert lab.parse_params("jackson-1.4", {"f": g.to_json()})["radii"] == 16
-    refused = (("jackson-5.9", {"f": g.to_json()}, "d"),
+    # a rule broken by the record's N or d names the record
+    refused = (("jackson-5.9", {"f": g.to_json()}, "f"),
+               ("cesaro-5.1", {"f": g.to_json()}, "f"),
                ("kfunc-8.9", {"f": f.to_json(), "route": "sphere"}, "route"),
                ("jackson-1.4", {"f": f.to_json(), "family": ["cos"]}, "family"))
     for cid, params, name in refused:
+        with pytest.raises(ParamError) as info:
+            lab.parse_params(cid, params)
+        assert info.value.name == name
+
+
+def test_powers_of_two_stay_normal_floats_by_r_and_s():
+    # jackson-1.4 weighs j = 0..n-1 by 2^(-jrs): n - 1 <= 1022 / (r*s) is accepted
+    for r, s, n in ((1, 2.0, 512), (2, 2.0, 256), (1, 3.0, 341)):
+        lab.parse_params("jackson-1.4", {"r": r, "s": s, "n_range": [n, n]})
+        with pytest.raises(ParamError) as info:
+            lab.parse_params("jackson-1.4", {"r": r, "s": s, "n_range": [n + 1, n + 1]})
+        assert info.value.reason == f"the weight 2^(-{n}*{r}*{s:g}) is not a normal float"
+        assert info.value.name == "n_range"
+    # the largest accepted values run to finite rows
+    for cid, params in (("jackson-1.4", {"n_range": [512, 512]}),
+                        ("entire-4.12", {"lambda_power_max": 511}),
+                        ("basic-2.1", {"L": 511}),
+                        ("jackson-4.8", {"n_range": [-959, -958]})):
+        rep = run_check(cid, {"N": 16, "family": ["cos"], **params})
+        assert all(math.isfinite(x) for row in rep.table for x in row[1:]), cid
+    for cid, params, name in (("jackson-4.8", {"n_range": [-960, -958]}, "n_range"),
+                              ("entire-4.12", {"lambda_power_max": 512}, "lambda_power_max"),
+                              ("basic-2.1", {"L": 512}, "L"),
+                              ("basic-2.1", {"h": 2.0 ** -1023, "L": 0}, "h")):
         with pytest.raises(ParamError) as info:
             lab.parse_params(cid, params)
         assert info.value.name == name

@@ -555,7 +555,7 @@ _TABLE_TS = [0.5, 0.25, 0.125, 2.0 ** -5, 0.3, 0.15, 0.7, 0.0, -0.5]
 
 def _per_step_sup(f, kind, r, rows, norm=None):
     """max(0, norms of (T(u) - I)^r f), one `_difference_norms` call per row u."""
-    return max([0.0, *(_difference_norms(f, kind, [r], np.array([u]), norm)[r][0]
+    return max([0.0, *(_difference_norms([f], kind, [r], np.array([u]), norm)[0][r][0]
                        for u in rows)])
 
 
@@ -814,20 +814,20 @@ def test_a_step_norm_does_not_depend_on_its_stack(dim, size):
     for norm in (None, NormSpec(variant="lp", p=4.0),
                  NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5))):
         for kind, steps in (("shift", shifts), ("heat", np.abs(us)), ("abel", np.abs(us))):
-            stacked = _difference_norms(f, kind, [2], steps, norm)[2]
-            alone = [_difference_norms(f, kind, [2], steps[i:i + 1], norm)[2][0]
+            stacked = _difference_norms([f], kind, [2], steps, norm)[0][2]
+            alone = [_difference_norms([f], kind, [2], steps[i:i + 1], norm)[0][2][0]
                      for i in range(len(us))]
             assert stacked == alone
-            assert _difference_norms(f, kind, [2], steps[::-1], norm)[2] == stacked[::-1]
+            assert _difference_norms([f], kind, [2], steps[::-1], norm)[0][2] == stacked[::-1]
             # the sup walks the stacks from last to first and equals the max of the rows
             for order in (steps, steps[::-1]):
-                sup = _difference_norms(f, kind, [2], order, norm, sup=True)
+                (sup,) = _difference_norms([f], kind, [2], order, norm, sup=True)
                 assert sup == {2: max([0.0, *stacked])}
         if dim == 2:
             # shift lengths along a direction are the steps of that unit vector
-            along = _difference_norms(f, "shift", [2], us, norm, direction=(1, 2))
+            along = _difference_norms([f], "shift", [2], us, norm, direction=(1, 2))
             steps = np.outer(us, (1, 2)) / math.hypot(1, 2)
-            assert along == _difference_norms(f, "shift", [2], steps, norm)
+            assert along == _difference_norms([f], "shift", [2], steps, norm)
 
 
 def test_stacked_scan_spans_several_stacks():

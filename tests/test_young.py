@@ -63,7 +63,7 @@ def test_conjugate_chord_index_matches_argmax_oracle():
         vals, args = conjugate_by_argmax_matrix(psi, y)
         got = np.asarray(psi(y))
         assert np.all(np.abs(got - vals) <= 1e-14 * np.abs(vals))
-        got_args = np.asarray(psi.argmax_support(y))
+        got_args = np.asarray(psi.deriv_plus(y))
         assert np.all(np.abs(got_args - args) <= 1e-14 * np.abs(args))
 
 
@@ -74,7 +74,7 @@ def test_conjugate_of_powers_to_rounding():
         value = (p - 1.0) * (y / p) ** (p / (p - 1.0))
         argmax = (y / p) ** (1.0 / (p - 1.0))
         assert np.max(np.abs(np.asarray(psi(y)) - value) / value) <= 1e-13, p
-        got = np.asarray(psi.argmax_support(y))
+        got = np.asarray(psi.deriv_plus(y))
         assert np.max(np.abs(got - argmax) / argmax) <= 1e-13, p
 
 
@@ -87,7 +87,7 @@ def test_conjugate_argmax_is_where_the_derivative_crosses():
         # the ends of each kink's subgradient at x = 1, and points inside it
         kink = np.linspace(float(phi.deriv_minus(1.0)), float(phi.deriv_plus(1.0)), 5)
         y = np.concatenate([np.geomspace(1e-2, 1e2, 61), kink])
-        x = np.asarray(psi.argmax_support(y))
+        x = np.asarray(psi.deriv_plus(y))
         assert np.all(np.asarray(phi.deriv_minus(x * (1.0 - 1e-12))) <= y), phi.kind
         assert np.all(y <= np.asarray(phi.deriv_plus(x * (1.0 + 1e-12)))), phi.kind
         if phi.kind == "two_power":
@@ -126,7 +126,7 @@ def test_conjugate_evaluation_budget():
 def test_conjugate_propagates_nan():
     psi = complementary(power(3.0))
     assert math.isnan(psi(math.nan))
-    assert math.isnan(psi.argmax_support(math.nan))
+    assert math.isnan(psi.deriv_plus(math.nan))
     got = np.asarray(psi(np.array([math.nan, -1.0, 0.0, 2.0])))
     assert math.isnan(got[0]) and got[1] == 0.0 and got[2] == 0.0
     assert got[3] == pytest.approx(power_conjugate(3.0, 2.0), rel=1e-13, abs=0.0)
