@@ -21,11 +21,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .approx import best_approx, degree_below, k_delta, k_functional
+from .approx import best_approx, degree_below, k_functional
 from .grid import (GridFunction, NormSpec, _convexity_exponent, discretize, grid_points,
                    luxemburg_norm, orlicz_norm, random_smooth)
-from .ops import (_SEMIGROUP_KINDS, _as_norm, _difference_norms, _moduli_tables, _sup_table,
-                  averaged_modulus, cesaro)
+from .ops import (_SEMIGROUP_KINDS, _as_norm, _averaged_moduli, _difference_norms,
+                  _moduli_tables, _sup_table, cesaro)
 from .search import bisect_level
 from .young import YoungFunction, zygmund
 
@@ -596,7 +596,7 @@ class _Check:
     the quantity on the left, an upper check the sum.  The quantities take
     the check's whole family and return one table per member, so the
     members share each stack's build of (T(u) - I)^r.  Other checks give
-    `rows`, one function at a time.
+    `rows(fs, params, norm)`, the rows of the family in (function, ...) order.
     `require` holds (param, predicate, message) rules on the parsed params;
     `bounds(params)` gives the `_finish` thresholds.
     """
@@ -656,28 +656,29 @@ def _approx_error(degree):
     return _per_scale(lambda f, p, nfun, u: best_approx(f, degree(u), nfun).value)
 
 
-# rows of the other checks
-def _entire_412_rows(f, p, nfun):
-    lams = [2.0 ** k for k in range(p["lambda_power_max"] + 1)]
-    return [(best_approx(f, degree_below(lam), nfun).value, k_delta(f, p["r"], lam ** -2.0, nfun))
-            for lam in lams]
+# rows of the other checks, each rows(fs, params, norm) over the family fs, by function
+def _entire_412_rows(fs, p, nfun):
+    r, lams = p["r"], [2.0 ** k for k in range(p["lambda_power_max"] + 1)]
+    errors = _approx_error(degree_below)(fs, p, nfun, [r], lams)
+    ks = _difference("heat")(fs, p, nfun, [r], [lam ** -2.0 for lam in lams])
+    return [(e[(r, lam)], k[(r, lam ** -2.0)]) for e, k in zip(errors, ks) for lam in lams]
 
 
-def _cesaro_51_rows(f, p, nfun):
-    smooth, phi = cesaro(f, p["n"], p["ell"]), p["phi"]
-    return [(luxemburg_norm(smooth, phi), luxemburg_norm(f, phi)),
-            (orlicz_norm(smooth, phi), orlicz_norm(f, phi))]
+def _cesaro_51_rows(fs, p, nfun):
+    phi, smooths = p["phi"], [cesaro(f, p["n"], p["ell"]) for f in fs]
+    return [(norm(smooth, phi), norm(f, phi)) for f, smooth in zip(fs, smooths)
+            for norm in (luxemburg_norm, orlicz_norm)]
 
 
-def _averaged_73_rows(f, p, nfun):
+def _averaged_73_rows(fs, p, nfun):
     r, ts = p["r"], p["t_grid"]
-    sups = _semigroup_modulus([f], p, nfun, [r], ts)[0]
-    return [(sups[(r, t)], averaged_modulus(f, r, t, p["semigroup"], nfun, p["quad_points"]))
-            for t in ts]
+    sups = _semigroup_modulus(fs, p, nfun, [r], ts)
+    means = _averaged_moduli(fs, r, ts, p["semigroup"], nfun, p["quad_points"])
+    return [(sup[(r, t)], mean) for sup, row in zip(sups, means) for t, mean in zip(ts, row)]
 
 
-def _sandwich_rows(f, p, nfun):
-    return [(orlicz_norm(f, p["phi"]), luxemburg_norm(f, p["phi"]))]
+def _sandwich_rows(fs, p, nfun):
+    return [(orlicz_norm(f, p["phi"]), luxemburg_norm(f, p["phi"])) for f in fs]
 
 
 _ABEL_1D = (("d", lambda p: p["d"] == 1, "the abel-semigroup checks run on 1-d grids, got d={d}"),)
@@ -884,22 +885,29 @@ def _power_beyond_floats(check, p):
     2^j t for j in js(n) (a tail: j <= 64) and the weights 2^(-jrs) of a
     sum over js.  The exponents are linear in n and j, and the ends of
     every js move monotonically with n, so the ends of n_range and of their
-    js bound the rest.
+    js bound the rest.  A check whose steps u are shifts (it reads radii,
+    or its semigroup is the shift) also turns phases nu*u for |nu| <= N/2:
+    the largest, N/2 * u, has the exponent of u plus `lift`, and it must not
+    overflow where u does not.
     """
     if check.lhs is None:
         return None
     r, s, basic = p["r"], p["s"], "n_range" not in p
     t_name, j_name = ("h", "L") if basic else ("n_range", "n_range")
+    lift = math.frexp(p["N"] / 2 * math.frexp(p["h"] if basic else 1.0)[0])[1]
+    phase = "radii" in p or p.get("semigroup") == "shift"
     for n, e in [(0, math.frexp(p["h"])[1])] if basic else [(n, 1 - n) for n in p["n_range"]]:
         t = "h" if basic else f"2^{-n}"
-        powers = [(t_name, f"the scale {t}", e)]
+        powers, steps = [(t_name, f"the scale {t}", e)], [(t, e)]
         js = check.js(p, n) if check.js else range(1, _TAIL_MAX_TERMS + 1)
         for j in (js[0], js[-1]) if js else ():
             powers += [(j_name, f"the factor 2^{j}", j + 1),
                        (t_name, f"the step 2^{j} * {t}", e + j)]
+            steps.append((f"2^{j} * {t}", e + j))
             if check.js:
                 powers.append((j_name, f"the weight 2^(-{j}*{r}*{s:g})",
                                math.floor(-j * r * s) + 1))
+        powers += [(t_name, f"the phase N/2 * {u}", k + lift) for u, k in steps if phase]
         for name, what, exponent in powers:
             if exponent not in _NORMAL:
                 return name, f"{what} is not a normal float"
@@ -908,8 +916,7 @@ def _power_beyond_floats(check, p):
 
 def _dyadic_rows(check, fs, p, nfun, stops):
     """The rows of a dyadic check over the family `fs`, ordered by (function, n)."""
-    r, s = p["r"], p["s"]
-    scales = check.scales(p)
+    r, s, scales = p["r"], p["s"], check.scales(p)
     ts = [t for _, t in scales]
     # while the terms do not decrease, term j of a tail is above 2^(-(j-1)rs)(1 - 2^(-rs)) of
     # the running sum, so a tail reads j = 1..J at least: one call with the left sides
@@ -953,17 +960,10 @@ def run_check(check_id, params=None):
     start = time.perf_counter()
     p = parse_params(check_id, params or {})
     nfun = _as_norm(p.get("norm"))
-    if p["f"] is not None:
-        fam = [("custom", p["f"])]
-    else:
-        fam = standard_family(p["N"], p["d"], np.random.default_rng(p["seed"]),
-                              names=p["family"])
-    rows, stops = [], []
-    if check.rows:
-        for _, f in fam:
-            rows += check.rows(f, p, nfun)
-    else:
-        rows = _dyadic_rows(check, [f for _, f in fam], p, nfun, stops)
+    fam = [("custom", p["f"])] if p["f"] is not None else standard_family(
+        p["N"], p["d"], np.random.default_rng(p["seed"]), names=p["family"])
+    fs, stops = [f for _, f in fam], []
+    rows = check.rows(fs, p, nfun) if check.rows else _dyadic_rows(check, fs, p, nfun, stops)
     notes = (check.order + ", ".join(name for name, _ in fam),)
     # a 1-d modulus tries both signs of each radius and reads no directions
     resolutions = {"N": p["N"], **{k: p[k] for k in _COUNTS

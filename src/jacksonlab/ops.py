@@ -79,14 +79,14 @@ other norm.
 The moduli keep nothing between calls: every call evaluates its rows and
 returns.  (T(u) - I)^r depends on the grid and u, not on f, so the private
 evaluators (`_multiplier_norms`, `_difference_norms`, `_sup_table`,
-`_projected_norms`) and `_moduli_tables`, the family form of
-`moduli_table`, take a family of members on one grid: each
-stack is built once, and every member reads it (under L2 through its own
-Parseval weights, under another L_p through its own inverse FFT, under a
-Young norm against its own running max).  A member's values do not depend
-on the others, and a one-member family does the one-function work.  `lab`
-asks for the moduli of a check's whole family in one table call per side
-(and for a term past a dyadic tail's sure range alone, per member), and
+`_projected_norms`), `_moduli_tables` and `_averaged_moduli`, the family
+forms of `moduli_table` and `averaged_modulus`, take a family of members on
+one grid: each stack is built once, and every member reads it (under L2
+through its own Parseval weights, under another L_p through its own inverse
+FFT, under a Young norm against its own running max).  A member's values do
+not depend on the others, and a one-member family does the one-function
+work.  `lab` asks for the moduli of a check's whole family in one call per
+side (and for a term past a dyadic tail's sure range alone, per member), and
 `approx._row_norm` memoizes rows that several scales share.
 Besides the frequency grids, one cache is module-wide: `_spherical_mean_offset`
 is an `lru_cache(maxsize=64)` keyed by (N, t, ell, quad_points), and at
@@ -732,17 +732,28 @@ def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, directio
     return semigroup_moduli_table(f, [r], [t], semigroup, norm, points, direction)[(r, t)]
 
 
+def _averaged_moduli(fs, r, ts, semigroup="shift", norm=None, quad_points=128, direction=None):
+    """[[averaged_modulus(f, r, t, ...) for t in ts] for f in fs], fs on one grid.
+
+    The midpoints of every t go in one `_difference_norms` call, so each
+    stack is built once, and every member reads it.
+    """
+    quad_points = _positive_int("quad_points", quad_points)
+    mids = [_scales(t, t * (np.arange(quad_points) + 0.5) / quad_points) for t in ts]
+    ends = np.cumsum([0] + [len(m) for m in mids]).tolist()
+    cols = _difference_norms(fs, semigroup, [r], np.concatenate(mids), norm, direction=direction)
+    return [[float(np.mean(col[r][a:b])) if b > a else 0.0 for a, b in zip(ends, ends[1:])]
+            for col in cols]
+
+
 def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, direction=None):
     """Integral mean (1/t) * int_0^t of the norm of (T(u) - I)^r f du.
 
     Composite midpoint rule with `quad_points` nodes; same semigroup
     conventions as `semigroup_modulus`.  Always below the one-sided
-    modulus at the same t.
+    modulus at the same t.  One entry of `_averaged_moduli`.
     """
-    quad_points = _positive_int("quad_points", quad_points)
-    mids = _scales(t, t * (np.arange(quad_points) + 0.5) / quad_points)
-    norms = _difference_norms([f], semigroup, [r], mids, norm, direction=direction)[0][r]
-    return float(np.mean(norms)) if norms else 0.0
+    return _averaged_moduli([f], r, [t], semigroup, norm, quad_points, direction)[0][0]
 
 
 def cesaro_weights(n, ell):

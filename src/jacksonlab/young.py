@@ -143,7 +143,7 @@ class YoungFunction:
         if kind.startswith("patched:"):
             return self._patched_deriv(x, side)
         if kind.startswith("conjugate:"):
-            _, xs = self._conj_values(np.ravel(x), want_argmax=True)
+            _, xs = self._conj_values(np.ravel(x))
             return xs.reshape(x.shape)
         raise AssertionError(kind)
 
@@ -165,7 +165,7 @@ class YoungFunction:
             return np.where(x <= a, self.c1 * dm, np.where(x <= b, seg, dm))
         return np.where(x < a, self.c1 * dm, np.where(x < b, seg, dm))
 
-    def _conj_values(self, y, want_argmax=False):
+    def _conj_values(self, y):
         y = np.asarray(y, dtype=float)
         # psi(y) = 0 with maximizer x = 0 for y <= 0; NaN stays NaN
         vals = np.where(np.isnan(y), np.nan, 0.0)
@@ -178,9 +178,7 @@ class YoungFunction:
             idx = np.searchsorted(self._chord, yy, side="left")
             vals[pos], args[pos] = _conj_refine(self.base, self._xgrid, self._base_grid,
                                                 yy, idx)
-        if want_argmax:
-            return vals, args
-        return vals, None
+        return vals, args
 
     # -- serialization --------------------------------------------------
 

@@ -287,6 +287,12 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
          "'checks[1].params.L': the factor 2^1100 is not a normal float"),
         ({"id": "basic-2.1", "params": {"h": 1e308}},
          "'checks[1].params.h': the step 2^10 * h is not a normal float"),
+        # shift phases N/2 * 2^j t that overflow where the steps 2^j t do not
+        ({"id": "basic-2.1", "params": {"N": 16, "family": ["cos"], "h": 2.0 ** 1013}},
+         "'checks[1].params.h': the phase N/2 * 2^10 * h is not a normal float"),
+        ({"id": "jackson-1.4", "params": {"N": 1024, "n_range": [-1015, -1015],
+                                          "family": ["cos"]}},
+         "'checks[1].params.n_range': the phase N/2 * 2^1015 is not a normal float"),
         ({"id": "entire-4.12", "params": {"lambda_power_max": 1100}},
          "'checks[1].params.lambda_power_max': must be an integer from 0 to 511, got 1100"),
     )

@@ -388,19 +388,22 @@ def test_tail_that_stops_before_the_sure_range_is_unchanged(monkeypatch):
 
 _MEMBERS = ["cos", "abs-sin", "sawtooth8", "random"]
 _FAMILY_NORMS = {"l2": None, "l4": NormSpec(variant="lp", p=4.0), "luxemburg": _LUX}
-# every dyadic check at d = 1 and 2 (the abel checks run on 1-d grids only); 2-d L2 moduli
-# take the lattice projection
-_FAMILY_CASES = [(cid, d, norm) for cid in ALL_IDS if lab._CHECKS[cid].rows is None
-                 for d in (1, 2) if d == 1 or cid not in ("jackson-5.9", "jackson-5.10")
-                 for norm in _FAMILY_NORMS]
+# every check at d = 1 and 2 (the abel checks and the Cesaro means run on 1-d grids only),
+# under each norm if it reads one (else under its Young function phi); 2-d L2 moduli take the
+# lattice projection
+_ONE_D = ("jackson-5.9", "jackson-5.10", "cesaro-5.1")
+_FAMILY_CASES = [(cid, d, norm) for cid in ALL_IDS for d in (1, 2) if d == 1 or cid not in _ONE_D
+                 for norm in (_FAMILY_NORMS if "norm" in check_params(cid) else ["phi"])]
 
 
 def _family_params(cid, d, norm, family):
     params = {"N": 32 if d == 1 else 16, "d": d, "family": family}
-    if _FAMILY_NORMS[norm] is not None:
+    if _FAMILY_NORMS.get(norm) is not None:
         params["norm"] = _FAMILY_NORMS[norm].to_json()
     if "n_range" in check_params(cid):
         params["n_range"] = [1, 3]
+    if cid == "cesaro-5.1":
+        params["n"] = 8  # the default degree 16 needs N >= 34
     return params
 
 
@@ -417,10 +420,12 @@ def test_a_member_has_the_same_rows_alone_and_in_the_family(cid, d, norm):
 @pytest.mark.parametrize("cid,d,norm", [
     ("jackson-1.4", 1, "l2"), ("jackson-1.4", 1, "l4"), ("jackson-1.4", 1, "luxemburg"),
     ("jackson-1.4", 2, "l2"), ("jackson-1.4", 2, "l4"), ("lower-8.12", 1, "l4"),
-    ("basic-2.1", 1, "l2"), ("basic-2.1", 2, "luxemburg"), ("jackson-5.10", 1, "l4")])
+    ("basic-2.1", 1, "l2"), ("basic-2.1", 2, "luxemburg"), ("jackson-5.10", 1, "l4"),
+    ("averaged-7.3", 1, "l2"), ("averaged-7.3", 2, "l4"), ("entire-4.12", 1, "l2"),
+    ("entire-4.12", 2, "luxemburg")])
 def test_a_family_builds_each_stack_once(monkeypatch, cid, d, norm):
-    # checks whose sums run over a fixed range of j: a k-member family builds what one
-    # member builds (a dyadic tail past its sure range asks per member)
+    # checks whose sums run over a fixed range of j, and rows checks: a k-member family builds
+    # what one member builds (a dyadic tail past its sure range asks per member)
     counts = dict.fromkeys(("_step_multipliers", "_shift_symbol", "_axis_phases"), 0)
     for name in counts:
         def counted(*args, _real=getattr(ops_module, name), _name=name, **kwargs):
