@@ -710,6 +710,8 @@ _CHECKS = {
          "/ omega^r(f,2^-n)",),
         # at t = 2^-n and i = n - j: {sum_{i<n} 2^(-irs) omega^{r+1}(f,2^i t)^s}^(1/s)
         _MODULUS, lhs=_modulus, term=_modulus, js=lambda p, n: range(n - 1, -1, -1),
+        require=(("n_range", lambda p: p["n_range"][0] >= 1,
+                  "every n must be >= 1, where the sum over j < n is not empty, got {n_range}"),),
         defaults={"n_range": (1, 8)}),
     "jackson-4.8": _Check(
         "K_r(f,t^r) >= C {sum_j 2^(-jrs) K_{r+1}(f,(2^j t)^{r+1})^s}^(1/s) "
@@ -755,7 +757,14 @@ _CHECKS = {
         ("norm", "r", "semigroup", "points", "quad_points", "t_grid", "slack"),
         rows=_averaged_73_rows, order="rows ordered by (function, t); functions: ",
         require=(("t_grid", lambda p: min(p["t_grid"]) > 0.0,
-                  "every scale t must be > 0, got {t_grid}"),),
+                  "every scale t must be > 0, got {t_grid}"),
+                 # the largest midpoint of the mean, as `_averaged_moduli` computes it
+                 ("t_grid", lambda p: all(math.isfinite(t * (p["quad_points"] - 0.5)
+                                                        / p["quad_points"]) for t in p["t_grid"]),
+                  "every midpoint t(i + 1/2)/quad_points must be a finite float, got {t_grid}"),
+                 ("t_grid", lambda p: p["semigroup"] != "shift"
+                  or all(math.isfinite(p["N"] / 2 * t) for t in p["t_grid"]),
+                  "every shift phase N/2 * t must be a finite float, got {t_grid}")),
         bounds=lambda p: {"require_all_at_least": 1.0 - p["slack"]}),
     "semigroup-7.4": _SEMIGROUP_74,
     "shift-7.5": replace(

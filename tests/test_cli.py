@@ -290,9 +290,20 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
         # shift phases N/2 * 2^j t that overflow where the steps 2^j t do not
         ({"id": "basic-2.1", "params": {"N": 16, "family": ["cos"], "h": 2.0 ** 1013}},
          "'checks[1].params.h': the phase N/2 * 2^10 * h is not a normal float"),
-        ({"id": "jackson-1.4", "params": {"N": 1024, "n_range": [-1015, -1015],
-                                          "family": ["cos"]}},
+        ({"id": "lower-8.12", "params": {"N": 1024, "n_range": [-1015, -1015],
+                                         "family": ["cos"]}},
          "'checks[1].params.n_range': the phase N/2 * 2^1015 is not a normal float"),
+        # averaged-7.3's midpoints t(i + 1/2)/quad_points and shift phases N/2 * t
+        ({"id": "averaged-7.3", "params": {"N": 16, "family": ["cos"], "t_grid": [2.0 ** 1020]}},
+         "'checks[1].params.t_grid': every midpoint t(i + 1/2)/quad_points must be a finite "
+         "float, got [1.1235582092889474e+307]"),
+        ({"id": "averaged-7.3", "params": {"N": 32, "family": ["cos"], "t_grid": [2.0 ** 1020],
+                                           "quad_points": 1}},
+         "'checks[1].params.t_grid': every shift phase N/2 * t must be a finite float"),
+        # jackson-1.4's sum over j = 0..n-1 is empty at n <= 0
+        ({"id": "jackson-1.4", "params": {"N": 32, "n_range": [-2, 3], "family": ["cos"]}},
+         "'checks[1].params.n_range': every n must be >= 1, where the sum over j < n is not "
+         "empty, got [-2, 3]"),
         ({"id": "entire-4.12", "params": {"lambda_power_max": 1100}},
          "'checks[1].params.lambda_power_max': must be an integer from 0 to 511, got 1100"),
     )

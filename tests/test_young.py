@@ -117,10 +117,83 @@ def test_conjugate_evaluation_budget():
     base.calls = base.derivs = 0
     y = np.geomspace(1e-3, 1e3, 128)
     vals = np.asarray(psi(y))
-    # golden section took 161 base calls; bisection takes derivatives instead
+    # golden section took 161 base calls and bisection from the grid bracket 48
+    # derivatives; secant steps and a verified bracket take 16
     assert base.calls == 1
-    assert 0 < base.derivs <= 64
+    assert 0 < base.derivs <= 16
     assert np.array_equal(vals, np.asarray(complementary(power(3.0))(y)))
+
+
+def bisection_refine(base, xg, base_grid, y, idx):
+    # the refinement before the secant estimate: bisection from the grid bracket
+    lo = xg[np.maximum(idx - 1, 0)]
+    hi = xg[np.minimum(idx + 1, len(xg) - 1)]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        up = np.asarray(base.deriv_plus(mid), dtype=float) >= y
+        lo = np.where(up, lo, mid)
+        hi = np.where(up, mid, hi)
+    refined = y * hi - np.asarray(base(hi), dtype=float)
+    grid_best = y * xg[idx] - base_grid[idx]
+    better = refined >= grid_best
+    return (np.maximum(np.where(better, refined, grid_best), 0.0),
+            np.where(better, hi, xg[idx]))
+
+
+def bisection_conjugate(psi, y):
+    """psi(y) and psi'_+(y) as `_conj_values` gives them, refined by bisection alone."""
+    vals = np.where(np.isnan(y), np.nan, 0.0)
+    args = vals.copy()
+    pos = y > 0.0
+    idx = np.searchsorted(psi._chord, y[pos], side="left")
+    vals[pos], args[pos] = bisection_refine(psi.base, psi._xgrid, psi._base_grid, y[pos], idx)
+    return vals, args
+
+
+def conjugate_cases(psi):
+    # the chord ends and their neighbours (the grid edges), y past y_max and past
+    # the grid, 0, negatives, NaN, two_power(1.5, 3)'s kink interval and a smooth range
+    ends = [psi._chord[0], psi._chord[-1]]
+    edges = [np.nextafter(e, d) for e in ends for d in (0.0, math.inf)]
+    return np.concatenate([ends, edges, [1e-300, 2e3, 1e5, 1e15, math.inf, 0.0, -0.0, -2.0,
+                                         math.nan], np.linspace(1.5, 3.0, 7),
+                           np.geomspace(1e-4, 1e3, 200)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: power(1.5), lambda: power(2.0), lambda: power(3.0), lambda: power(4.0),
+    lambda: zygmund(2.0, 0.5), lambda: two_power(1.5, 3.0),
+    lambda: patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi],
+    ids=["power-1.5", "power-2", "power-3", "power-4", "zygmund", "two_power", "patched"])
+def test_conjugate_equals_bisection_exactly(make):
+    # where phi'_+ never decreases in floating point the first crossing float is
+    # unique, so the verified bracket ends where the grid bracket's bisection ends
+    psi = complementary(make())
+    y = conjugate_cases(psi)
+    vals, args = bisection_conjugate(psi, y)
+    assert np.array_equal(np.asarray(psi(y)), vals, equal_nan=True)
+    assert np.array_equal(np.asarray(psi.deriv_plus(y)), args, equal_nan=True)
+    # alone each y has its own rows, with no row of the others in its loop
+    for one in y:
+        val, arg = bisection_conjugate(psi, np.array([one]))
+        assert np.array_equal([psi(one)], val, equal_nan=True), one
+        assert np.array_equal([psi.deriv_plus(one)], arg, equal_nan=True), one
+
+
+def test_conjugate_of_log_power_is_bisection_to_rounding():
+    # log_power's phi'_+ is not monotone in its last bits, so a maximizer may
+    # move by ulps; psi does not move beyond rounding
+    psi = complementary(log_power(3.0))
+    y = np.concatenate([conjugate_cases(psi), np.geomspace(1e-3, 1e3, 6000)])
+    vals, args = bisection_conjugate(psi, y)
+    got = np.asarray(psi(y))
+    ok = np.isfinite(vals)
+    assert np.array_equal(got[~ok], vals[~ok], equal_nan=True)
+    assert np.all(np.abs(got[ok] - vals[ok]) <= 1e-15 * np.abs(vals[ok]))
+    moved = np.asarray(psi.deriv_plus(y))[ok] != args[ok]
+    assert np.sum(moved) <= 0.01 * len(y)
 
 
 def test_conjugate_propagates_nan():

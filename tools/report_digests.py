@@ -12,7 +12,10 @@ one line per report:
     <workload> <seed> <report stem> <sha256>
 
 The digest covers the JSON report without `runtime_ms` followed by the CSV
-report.  summary.csv holds run times and is left out.  Two checkouts give
+report.  summary.csv holds run times and is left out.  A workload with a
+dual bound (orlicz-1d) adds the line `<workload> <seed> dual-bound <sha256>`:
+perfbench/worker.py's `_dual_bound` (imported, never changed) runs in a
+fresh process and the digest covers the CSV with its value.  Two checkouts give
 the same reports exactly when their outputs are equal, so a byte-identity
 gate is
 
@@ -75,6 +78,19 @@ def run_workload(spec, jobs, scratch):
     return out
 
 
+def run_dual_bound(params, out):
+    """perfbench worker's `_dual_bound` call with `params`, in a fresh process; its CSV's sha256."""
+    code = ("import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+            "import jacksonlab, worker; "
+            "worker._dual_bound(jacksonlab, json.loads(sys.argv[2]), Path(sys.argv[3]))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench"),
+                           json.dumps(params), str(out)], env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"the dual bound exited {proc.returncode}: {proc.stderr.strip()}")
+    return hashlib.sha256((out / "dual-bound.csv").read_bytes()).hexdigest()
+
+
 def main(argv=None):
     bench = _perfbench()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -91,6 +107,9 @@ def main(argv=None):
                 out = run_workload(spec, args.jobs or spec["jobs"], Path(scratch))
                 for stem, digest in report_digests(out).items():
                     print(name, seed, stem, digest, flush=True)
+                if spec["dual_bound"]:
+                    print(name, seed, "dual-bound", run_dual_bound(spec["dual_bound"], out),
+                          flush=True)
                 if args.keep:
                     shutil.copytree(out, args.keep / name / str(seed), dirs_exist_ok=True)
     return 0
