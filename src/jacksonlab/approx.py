@@ -6,7 +6,8 @@ ramped projection at half degree).  K-functionals are evaluated through three
 routes: a realization over smoothed candidates, a heat-semigroup
 difference, and a circular-mean difference on the 2-torus.  The band norms
 are row norms |M f| memoized on f (`_row_norm`), keyed by a degree (1 - P_n,
-P_n (-|nu|^2)^ell), so scales t with the same degrees share their rows.
+P_n (-|nu|^2)^ell) and the norm's `NormSpec.key()`, so scales t with the
+same degrees share their rows.
 `k_delta` (a heat difference of `ops._difference_norms`) and the sphere
 route keep no memo.  The sphere row V_ell(t) - 1 is minus the circle mean
 of the shift's symbol (4 sin^2(nu.h/2))^ell over C(2*ell, ell): exact to
@@ -100,7 +101,7 @@ def k_functional(f, ell, t, norm=None, route="realization"):
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"scale t must be positive and finite, got {t}")
-    ell = _positive_int("order", ell)
+    ell, norm = _positive_int("order", ell), _norm_spec(norm)
     if route == "realization":
         n0 = max(1, math.ceil(1.0 / t - 1e-9))
         degrees = (0, n0, 2 * n0)
@@ -130,23 +131,16 @@ def _row_norm(f, key, norm):
     """|M f| for the half-grid multiplier M that `key` names, memoized on f.
 
     M is 1 - a degree-n band ("rest") or the ramped band times (-|nu|^2)^ell
-    ("smooth").  The norm is keyed by
-    `NormSpec.key()`, or a bare callable by itself (an unhashable one is not
-    memoized).  A row's norm does not depend on its stack.
+    ("smooth").  The memo key ends with the norm's `NormSpec.key()`.  A
+    row's norm does not depend on its stack.
     """
-    spec = _norm_spec(norm)
-    memo_key = key + ((spec.key(),) if spec is not None else (("callable", norm),))
-    try:
-        value = f._memo.get(memo_key)
-    except TypeError:
-        memo_key = value = None
+    memo_key = key + (_norm_spec(norm).key(),)
+    value = f._memo.get(memo_key)
     if value is None:
         match key:
             case ("rest", kind, n):
                 row = 1.0 - _band(f, n, kind)
             case ("smooth", n, ell):
                 row = _band(f, n, "vallee_poussin") * (-_mode_radius2(f.size, f.dim)) ** ell
-        value = _multiplier_norms([f], row[None], norm)[0][0][0]
-        if memo_key is not None:
-            f._memo[memo_key] = value
+        value = f._memo[memo_key] = _multiplier_norms([f], row[None], norm)[0][0][0]
     return value

@@ -24,8 +24,8 @@ import numpy as np
 from .approx import best_approx, degree_below, k_functional
 from .grid import (GridFunction, NormSpec, _convexity_exponent, discretize, grid_points,
                    luxemburg_norm, orlicz_norm, random_smooth)
-from .ops import (_SEMIGROUP_KINDS, _as_norm, _averaged_moduli, _difference_norms,
-                  _moduli_tables, _sup_table, cesaro)
+from .ops import (_SEMIGROUP_KINDS, _averaged_moduli, _difference_norms, _moduli_tables,
+                  _norm_spec, _sup_table, cesaro)
 from .search import bisect_level
 from .young import YoungFunction, zygmund
 
@@ -266,7 +266,7 @@ def estimate_convexity_constant(norm=None, s=2.0, rng=None, trials=200,
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     rng, _ = _generator(rng)
-    nfun = _as_norm(norm)
+    nfun = _norm_spec(norm).norm
     x = 2.0 * np.pi * np.arange(size) / size
     shape = (size,) * dim
     ones = GridFunction(np.ones(shape))
@@ -339,7 +339,7 @@ def space_moduli(norm=None, size=64, dim=1, rng=None, trials=24):
     a log-log fit over the positive part of each grid.
     """
     rng, _ = _generator(rng)
-    nfun = _as_norm(norm)
+    nfun = _norm_spec(norm).norm
     sigma = np.concatenate([[0.0], np.geomspace(0.02, 0.5, 15)])
     eps = np.concatenate([[0.0], np.geomspace(0.05, 1.0, 15)])
 
@@ -596,9 +596,10 @@ class _Check:
     the quantity on the left, an upper check the sum.  The quantities take
     the check's whole family and return one table per member, so the
     members share each stack's build of (T(u) - I)^r.  Other checks give
-    `rows(fs, params, norm)`, the rows of the family in (function, ...) order.
-    `require` holds (param, predicate, message) rules on the parsed params;
-    `bounds(params)` gives the `_finish` thresholds.
+    `rows(fs, params)`, the family's rows in (function, ...) order.  Both
+    read the norm `params["norm"]`.  `require` holds (param, predicate,
+    message) rules on the parsed params; `bounds(params)` gives the
+    `_finish` thresholds.
     """
 
     formula: str
@@ -617,14 +618,14 @@ class _Check:
     threshold_note: str = None
 
 
-# named quantities, each q(fs, params, norm, orders, scales): one {(order, scale): value} per
-# member of the family fs; the members share each stack's build of (T(u) - I)^r
+# named quantities, each q(fs, params, orders, scales) under the norm params["norm"]: one
+# {(order, scale): value} per member of fs, which share each stack's build of (T(u) - I)^r
 def _difference(kind=None):
     """|(T(u) - I)^order f| for the semigroup `kind` (None: the check's `semigroup` param)."""
-    def tables(fs, p, nfun, orders, us):
+    def tables(fs, p, orders, us):
         us = list(dict.fromkeys(us))
         return [{(r, u): v for r, col in norms.items() for u, v in zip(us, col)}
-                for norms in _difference_norms(fs, kind or p["semigroup"], orders, us, nfun)]
+                for norms in _difference_norms(fs, kind or p["semigroup"], orders, us, p["norm"])]
     return tables
 
 
@@ -632,52 +633,52 @@ def _difference(kind=None):
 _STEP_DIFFERENCE = _difference()
 
 
-def _modulus(fs, p, nfun, orders, us):
-    return _moduli_tables(fs, orders, us, nfun, p["directions"], p["radii"])
+def _modulus(fs, p, orders, us):
+    return _moduli_tables(fs, orders, us, p["norm"], p["directions"], p["radii"])
 
 
-def _semigroup_modulus(fs, p, nfun, orders, us):
-    return _sup_table(fs, p["semigroup"], orders, us, p["points"], nfun)
+def _semigroup_modulus(fs, p, orders, us):
+    return _sup_table(fs, p["semigroup"], orders, us, p["points"], p["norm"])
 
 
 def _per_scale(value):
-    """A quantity that reads no order: value(f, params, norm, scale) per member and scale."""
-    def tables(fs, p, nfun, orders, us):
-        values = [{u: value(f, p, nfun, u) for u in dict.fromkeys(us)} for f in fs]
+    """A quantity that reads no order: value(f, params, scale) per member and scale."""
+    def tables(fs, p, orders, us):
+        values = [{u: value(f, p, u) for u in dict.fromkeys(us)} for f in fs]
         return [{(r, u): v for r in orders for u, v in member.items()} for member in values]
     return tables
 
 
-_k_ell = _per_scale(lambda f, p, nfun, u: k_functional(f, p["ell"], u, nfun, p["route"]).value)
+_k_ell = _per_scale(lambda f, p, u: k_functional(f, p["ell"], u, p["norm"], p["route"]).value)
 
 
 def _approx_error(degree):
     """Best-approximation error at the degree `degree(scale)`."""
-    return _per_scale(lambda f, p, nfun, u: best_approx(f, degree(u), nfun).value)
+    return _per_scale(lambda f, p, u: best_approx(f, degree(u), p["norm"]).value)
 
 
-# rows of the other checks, each rows(fs, params, norm) over the family fs, by function
-def _entire_412_rows(fs, p, nfun):
+# rows of the other checks, each rows(fs, params) over the family fs, by function
+def _entire_412_rows(fs, p):
     r, lams = p["r"], [2.0 ** k for k in range(p["lambda_power_max"] + 1)]
-    errors = _approx_error(degree_below)(fs, p, nfun, [r], lams)
-    ks = _difference("heat")(fs, p, nfun, [r], [lam ** -2.0 for lam in lams])
+    errors = _approx_error(degree_below)(fs, p, [r], lams)
+    ks = _difference("heat")(fs, p, [r], [lam ** -2.0 for lam in lams])
     return [(e[(r, lam)], k[(r, lam ** -2.0)]) for e, k in zip(errors, ks) for lam in lams]
 
 
-def _cesaro_51_rows(fs, p, nfun):
+def _cesaro_51_rows(fs, p):
     phi, smooths = p["phi"], [cesaro(f, p["n"], p["ell"]) for f in fs]
     return [(norm(smooth, phi), norm(f, phi)) for f, smooth in zip(fs, smooths)
             for norm in (luxemburg_norm, orlicz_norm)]
 
 
-def _averaged_73_rows(fs, p, nfun):
+def _averaged_73_rows(fs, p):
     r, ts = p["r"], p["t_grid"]
-    sups = _semigroup_modulus(fs, p, nfun, [r], ts)
-    means = _averaged_moduli(fs, r, ts, p["semigroup"], nfun, p["quad_points"])
+    sups = _semigroup_modulus(fs, p, [r], ts)
+    means = _averaged_moduli(fs, r, ts, p["semigroup"], p["norm"], p["quad_points"])
     return [(sup[(r, t)], mean) for sup, row in zip(sups, means) for t, mean in zip(ts, row)]
 
 
-def _sandwich_rows(fs, p, nfun):
+def _sandwich_rows(fs, p):
     return [(orlicz_norm(f, p["phi"]), luxemburg_norm(f, p["phi"])) for f in fs]
 
 
@@ -710,8 +711,6 @@ _CHECKS = {
          "/ omega^r(f,2^-n)",),
         # at t = 2^-n and i = n - j: {sum_{i<n} 2^(-irs) omega^{r+1}(f,2^i t)^s}^(1/s)
         _MODULUS, lhs=_modulus, term=_modulus, js=lambda p, n: range(n - 1, -1, -1),
-        require=(("n_range", lambda p: p["n_range"][0] >= 1,
-                  "every n must be >= 1, where the sum over j < n is not empty, got {n_range}"),),
         defaults={"n_range": (1, 8)}),
     "jackson-4.8": _Check(
         "K_r(f,t^r) >= C {sum_j 2^(-jrs) K_{r+1}(f,(2^j t)^{r+1})^s}^(1/s) "
@@ -847,7 +846,7 @@ def parse_params(check_id, params):
     A GridFunction record `f` sets N and d, which the params after it
     read; `family` is refused beside it, and a rule its N or d breaks names
     `f`.  A name the check does not read, a value its converter refuses, a
-    broken rule or a power of 2 beyond the normal floats
+    broken rule, an empty sum over j or a power of 2 beyond the normal floats
     (`_power_beyond_floats`) raises a ParamError naming the param.
     """
     check, names = _lookup(check_id), check_params(check_id)
@@ -888,16 +887,17 @@ _NORMAL = range(sys.float_info.min_exp, sys.float_info.max_exp + 1)
 
 
 def _power_beyond_floats(check, p):
-    """(param, reason) for a power of 2 the check computes that is not a normal float, or None.
+    """(param, reason) for an empty sum or a power of 2 that is not a normal float, or None.
 
     At each scale t (2^-n, or basic-2.1's h) a dyadic check reads 2^j and
     2^j t for j in js(n) (a tail: j <= 64) and the weights 2^(-jrs) of a
-    sum over js.  The exponents are linear in n and j, and the ends of
-    every js move monotonically with n, so the ends of n_range and of their
-    js bound the rest.  A check whose steps u are shifts (it reads radii,
-    or its semigroup is the shift) also turns phases nu*u for |nu| <= N/2:
-    the largest, N/2 * u, has the exponent of u plus `lift`, and it must not
-    overflow where u does not.
+    sum over js, which must not be empty (an empty sum is 0 and bounds
+    nothing).  The exponents are linear in n and j, and the ends and the
+    length of every js move monotonically with n, so the ends of n_range
+    and of their js bound the rest.  A check whose steps u are shifts (it
+    reads radii, or its semigroup is the shift) also turns phases nu*u for
+    |nu| <= N/2: the largest, N/2 * u, has the exponent of u plus `lift`,
+    and it must not overflow where u does not.
     """
     if check.lhs is None:
         return None
@@ -909,7 +909,9 @@ def _power_beyond_floats(check, p):
         t = "h" if basic else f"2^{-n}"
         powers, steps = [(t_name, f"the scale {t}", e)], [(t, e)]
         js = check.js(p, n) if check.js else range(1, _TAIL_MAX_TERMS + 1)
-        for j in (js[0], js[-1]) if js else ():
+        if not js:
+            return j_name, f"the sum over j is empty at n={n}"
+        for j in (js[0], js[-1]):
             powers += [(j_name, f"the factor 2^{j}", j + 1),
                        (t_name, f"the step 2^{j} * {t}", e + j)]
             steps.append((f"2^{j} * {t}", e + j))
@@ -923,7 +925,7 @@ def _power_beyond_floats(check, p):
     return None
 
 
-def _dyadic_rows(check, fs, p, nfun, stops):
+def _dyadic_rows(check, fs, p, stops):
     """The rows of a dyadic check over the family `fs`, ordered by (function, n)."""
     r, s, scales = p["r"], p["s"], check.scales(p)
     ts = [t for _, t in scales]
@@ -933,15 +935,15 @@ def _dyadic_rows(check, fs, p, nfun, stops):
     js = check.js or (lambda p, n: range(1, J + 1))
     us = [(2.0 ** j) * t for n, t in scales for j in js(p, n)]
     if check.term is check.lhs and check.js:  # a tail reads order r at no term
-        tables = check.lhs(fs, p, nfun, [r, r + 1], ts + us)
+        tables = check.lhs(fs, p, [r, r + 1], ts + us)
     else:
-        tables = [{**lhs, **term} for lhs, term in zip(check.lhs(fs, p, nfun, [r], ts),
-                                                       check.term(fs, p, nfun, [r + 1], us))]
+        tables = [{**lhs, **term} for lhs, term in zip(check.lhs(fs, p, [r], ts),
+                                                       check.term(fs, p, [r + 1], us))]
     rows = []
     for f, table in zip(fs, tables):
         def term(u):
             if (r + 1, u) not in table:  # a tail past J asks for a further term alone, once
-                table.update(check.term([f], p, nfun, [r + 1], [u])[0])
+                table.update(check.term([f], p, [r + 1], [u])[0])
             return table[(r + 1, u)]
         for n, t in scales:
             q = table[(r, t)]
@@ -968,11 +970,10 @@ def run_check(check_id, params=None):
     check = _lookup(check_id)
     start = time.perf_counter()
     p = parse_params(check_id, params or {})
-    nfun = _as_norm(p.get("norm"))
     fam = [("custom", p["f"])] if p["f"] is not None else standard_family(
         p["N"], p["d"], np.random.default_rng(p["seed"]), names=p["family"])
     fs, stops = [f for _, f in fam], []
-    rows = check.rows(fs, p, nfun) if check.rows else _dyadic_rows(check, fs, p, nfun, stops)
+    rows = check.rows(fs, p) if check.rows else _dyadic_rows(check, fs, p, stops)
     notes = (check.order + ", ".join(name for name, _ in fam),)
     # a 1-d modulus tries both signs of each radius and reads no directions
     resolutions = {"N": p["N"], **{k: p[k] for k in _COUNTS

@@ -32,18 +32,20 @@ norm calls.
 
 `_multiplier_norms` is the one evaluator of norms of multiplier images
 M f: (T(u) - I)^r over many scales u, and the rows 1 - P_n,
-P_n (-|nu|^2)^ell and V_ell(t) - 1 that `approx` gives.  Under the
-unweighted L2 norm it takes no inverse transform at all: by Parseval, the
-norm is sqrt(sum(|M|^2 * w)) with `GridFunction.parseval_weights` w.  The
+P_n (-|nu|^2)^ell and V_ell(t) - 1 that `approx` gives.  A norm is a
+`NormSpec` or None (L2); `_norm_spec` refuses anything else with a
+TypeError before any work.  Under the unweighted L2 norm the evaluator
+takes no inverse transform at all: by Parseval, the norm is
+sqrt(sum(|M|^2 * w)) with `GridFunction.parseval_weights` w.  The
 shift builds |M|^2 from its real symbol (4 sin^2(nu.h/2))^r (cos(N*h/2) - 1
 on the Nyquist lines); V_ell(t) - 1 is minus the circle mean of that symbol
 at r = ell over C(2*ell, ell); every other multiplier squares itself.
 |M|^2 of a step is even in the step, so the L2 modulus evaluates only
 positive steps in 1-d and, for an even count, only the directions in
 [0, pi) in 2-d.  Every other norm runs one inverse transform per stack of
-multipliers (an L_p norm is then taken over all rows in one reduction, a
+multipliers.  An L_p norm is then taken over all rows in one reduction (a
 weight normalized once per call, an integer p by in-place products of
-|row|, never a pow call).
+|row|, never a pow call), and a Luxemburg or Orlicz norm row by row.
 A stack holds max(1, `_STACK_SAMPLES` // N^d) rows, a constant per grid,
 so outputs never depend on the machine or the thread count.
 
@@ -234,28 +236,18 @@ def difference(f, h, r=1):
 _L2 = NormSpec()
 
 
-def _as_norm(norm):
-    if norm is None:
-        return _L2.norm
-    if callable(norm) and not hasattr(norm, "norm"):
-        return norm
-    return norm.norm
-
-
 def _norm_spec(norm):
-    """The NormSpec that `norm` evaluates (None is L2), or None for any other callable."""
+    """The NormSpec `norm` (None is L2); anything else is refused with a TypeError."""
     if norm is None:
         return _L2
-    if isinstance(norm, NormSpec):
-        return norm
-    if getattr(norm, "__func__", None) is NormSpec.norm:
-        return norm.__self__
-    return None
+    if not isinstance(norm, NormSpec):
+        raise TypeError(f"a norm is a NormSpec or None, got {type(norm).__name__}")
+    return norm
 
 
 def _plain_p(spec):
-    """p when `spec` (from `_norm_spec`) is an unweighted L_p norm, else None; 2 is Parseval's."""
-    return spec.p if spec is not None and spec.variant == "lp" and spec.weight is None else None
+    """p when `spec` (a NormSpec) is an unweighted L_p norm, else None; 2 is Parseval's."""
+    return spec.p if spec.variant == "lp" and spec.weight is None else None
 
 
 def _powers(a, orders):
@@ -308,19 +300,20 @@ def _multiplier_norms(fs, items, norm, build=None, sup=False):
     column.  Or build(stack) turns a stack of `items` into a list of stacks
     of multipliers, one per column (build(stack, True): new arrays of their
     |M|^2).  Each stack is built once, and every member reads it.  A
-    column is the list of its norms.  Unweighted L2 takes no inverse FFT
-    (Parseval), another L_p one inverse FFT per member and stack and one
-    reduction (a weight normalized once per call), any other norm one
-    evaluation per row.  With `sup`, a column is max(0, *norms) bit for bit:
-    the stacks run from last to first (the moduli list their steps outward,
-    so the last mostly holds the max), and a Luxemburg or Orlicz norm solves
-    only the rows `_young_stack_sup` keeps, each member against its own
-    running max.  An empty `items` is one empty column.
+    column is the list of its norms.  `norm` is a NormSpec or None (L2).
+    Unweighted L2 takes no inverse FFT (Parseval), another L_p one inverse
+    FFT per member and stack and one reduction (a weight normalized once per
+    call), a Luxemburg or Orlicz norm one `NormSpec.norm` solve per row.
+    With `sup`, a column is max(0, *norms) bit for bit: the stacks run from
+    last to first (the moduli list their steps outward, so the last mostly
+    holds the max), and a Luxemburg or Orlicz norm solves only the rows
+    `_young_stack_sup` keeps, each member against its own running max.  An
+    empty `items` is one empty column.
     """
-    spec, nfun, shape = _norm_spec(norm), _as_norm(norm), fs[0].samples.shape
-    p = spec.p if spec is not None and spec.variant == "lp" else None
+    spec, shape = _norm_spec(norm), fs[0].samples.shape
+    p = spec.p if spec.variant == "lp" else None
     parseval = _plain_p(spec) == 2.0
-    young = sup and spec is not None and spec.variant != "lp"
+    young = sup and spec.variant != "lp"
     w = None
     if (young or p is not None) and spec.weight is not None:
         w = _weight_array(fs[0], spec.weight).ravel()
@@ -344,7 +337,7 @@ def _multiplier_norms(fs, items, norm, build=None, sup=False):
                 elif p is not None:
                     col[c].extend(_lp_rows(rows.reshape(len(rows), -1), p, w).tolist())
                 else:
-                    col[c].extend(float(nfun(GridFunction(row))) for row in rows)
+                    col[c].extend(float(spec.norm(GridFunction(row))) for row in rows)
     cols = cols or [[(0.0, None) if young else []] for _ in fs]
     if sup:
         cols = [[best[0] if young else max([0.0, *best]) for best in col] for col in cols]
@@ -484,7 +477,7 @@ def _difference_norms(fs, kind, orders, us, norm, sup=False, direction=None):
     (default (1, 0); signed steps in 1-d), or heat/abel times.  Bad
     arguments and non-finite scales are refused before any row is evaluated.
     """
-    size, dim = fs[0].size, fs[0].dim
+    size, dim, norm = fs[0].size, fs[0].dim, _norm_spec(norm)
     orders = _orders(orders)
     us = np.asarray(us, dtype=float)
     if not np.isfinite(us).all():
@@ -592,8 +585,7 @@ def _sup_table(fs, kind, orders, ts, count, norm, units=None, direction=None, la
     def rows(us):
         return us if units is None else (us[:, None, None] * units).reshape(-1, units.shape[1])
 
-    spec = _norm_spec(norm)
-    if spec is not None and spec.variant != "lp":
+    if _norm_spec(norm).variant != "lp":
         # the t go upward; first[u] is the place in that walk of the first t with the scale u
         walk = sorted(range(len(ts)), key=ts.__getitem__)
         first, sups = {}, [None] * len(ts)

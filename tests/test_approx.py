@@ -72,9 +72,8 @@ def test_best_approx_is_memoized_without_refine(monkeypatch):
     f = random_smooth(128, 1, np.random.default_rng(8))
     plain = best_approx(f, 6, spec)
     assert len(calls) == 2  # the partial-sum and the ramped candidate
-    # a repeat, also through the bound norm method, reads the memo
+    # a repeat reads the memo
     assert best_approx(f, 6, spec) == plain
-    assert best_approx(f, 6, spec.norm) == plain
     assert len(calls) == 2
     assert best_approx(f, 6) != plain  # another norm is another entry
     fresh = best_approx(GridFunction(f.samples.copy()), 6, spec)

@@ -300,10 +300,11 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
         ({"id": "averaged-7.3", "params": {"N": 32, "family": ["cos"], "t_grid": [2.0 ** 1020],
                                            "quad_points": 1}},
          "'checks[1].params.t_grid': every shift phase N/2 * t must be a finite float"),
-        # jackson-1.4's sum over j = 0..n-1 is empty at n <= 0
+        # the sums over j = 0..n-1 of jackson-1.4 and j = 1..n of jackson-5.10 are empty at n <= 0
         ({"id": "jackson-1.4", "params": {"N": 32, "n_range": [-2, 3], "family": ["cos"]}},
-         "'checks[1].params.n_range': every n must be >= 1, where the sum over j < n is not "
-         "empty, got [-2, 3]"),
+         "'checks[1].params.n_range': the sum over j is empty at n=-2"),
+        ({"id": "jackson-5.10", "params": {"N": 32, "n_range": [-2, 3], "family": ["random"]}},
+         "'checks[1].params.n_range': the sum over j is empty at n=-2"),
         ({"id": "entire-4.12", "params": {"lambda_power_max": 1100}},
          "'checks[1].params.lambda_power_max': must be an integer from 0 to 511, got 1100"),
     )

@@ -148,6 +148,27 @@ def test_powers_of_two_stay_normal_floats_by_r_and_s():
         assert info.value.name == name
 
 
+def test_an_empty_sum_over_j_is_refused_by_every_explicit_sum():
+    # a check with an explicit sum over j refuses an n_range whose low end leaves it empty
+    empty_at = {}
+    for cid in ALL_IDS:
+        check = lab._CHECKS[cid]
+        if check.js is None or "n_range" not in check_params(cid):
+            continue
+        p = lab.parse_params(cid, {"n_range": [1, 3]})
+        assert p["n_range"] == [1, 3]
+        empty_at[cid] = [n for n in range(-4, 4) if not check.js(p, n)]
+        for n in empty_at[cid]:
+            with pytest.raises(ParamError) as info:
+                lab.parse_params(cid, {"n_range": [n, 3]})
+            assert (info.value.name, info.value.reason) == (
+                "n_range", f"the sum over j is empty at n={n}")
+        if not empty_at[cid]:
+            lab.parse_params(cid, {"n_range": [-4, 3]})
+    assert empty_at == {"jackson-1.4": [-4, -3, -2, -1, 0], "jackson-5.10": [-4, -3, -2, -1, 0],
+                        "lower-8.12": []}
+
+
 def test_basic_21_threshold_modes():
     good = run_check("basic-2.1", {"N": 64, "m": 1.0})
     assert good.verdict == "pass" and good.constant >= 0.48
@@ -347,16 +368,16 @@ _TAIL_CASES = [
 
 def _lazy_tail(check, p):
     """Rows and last j of a dyadic tail whose every side and term is asked for alone."""
-    nfun, r, s = lab._as_norm(p["norm"]), p["r"], p["s"]
+    r, s = p["r"], p["s"]
     rows, stops = [], []
     rng = np.random.default_rng(p["seed"])
     for _, f in standard_family(p["N"], p["d"], rng, names=p["family"]):
         for _, t in check.scales(p):
             def term(j):
                 u = (2.0 ** j) * t
-                return check.term([f], p, nfun, [r + 1], [u])[0][(r + 1, u)]
+                return check.term([f], p, [r + 1], [u])[0][(r + 1, u)]
             total, stop = dyadic_tail_sum(term, r, s)
-            rows.append((check.lhs([f], p, nfun, [r], [t])[0][(r, t)], total))
+            rows.append((check.lhs([f], p, [r], [t])[0][(r, t)], total))
             stops.append(stop)
     return rows, max(stops)
 
@@ -372,9 +393,9 @@ def test_tail_table_equals_the_lazy_terms(cid, extra):
 
 def test_tail_that_stops_before_the_sure_range_is_unchanged(monkeypatch):
     # a term that falls like u^-4 stops the tail early; the table's extra terms go unread
-    def falling(fs, p, nfun, orders, us):
+    def falling(fs, p, orders, us):
         return [{(r, u): v * u ** -4.0 for (r, u), v in table.items()}
-                for table in lab._semigroup_modulus(fs, p, nfun, orders, us)]
+                for table in lab._semigroup_modulus(fs, p, orders, us)]
 
     check = replace(lab._CHECKS["shift-7.5"], term=falling)
     monkeypatch.setitem(lab._CHECKS, "shift-7.5", check)

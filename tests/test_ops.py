@@ -7,11 +7,12 @@ import pytest
 from scipy.special import j0
 
 from jacksonlab import (GridFunction, NormSpec, averaged_modulus, best_approx, cesaro,
-                        cesaro_weights, difference, discretize, grid_points, k_delta, k_functional,
-                        laplacian_power, lp_norm, luxemburg_norm, moduli_table, modulus,
-                        power, projection, random_smooth, run_check, semigroup_difference,
-                        semigroup_moduli_table, semigroup_modulus, spectral_semigroup,
-                        spherical_mean, translate, zygmund)
+                        cesaro_weights, difference, discretize, estimate_convexity_constant,
+                        grid_points, k_delta, k_functional, laplacian_power, lp_norm,
+                        luxemburg_norm, moduli_table, modulus, power, projection, random_smooth,
+                        run_check, semigroup_difference, semigroup_moduli_table,
+                        semigroup_modulus, space_moduli, spectral_semigroup, spherical_mean,
+                        translate, zygmund)
 from jacksonlab import cli as cli_module
 from jacksonlab import grid as grid_module
 from jacksonlab import ops as ops_module
@@ -302,6 +303,35 @@ def test_modulus_rejects_bad_order(monkeypatch):
                 lambda: k_functional(f, 1, math.inf)):
         with pytest.raises(ValueError):
             bad()
+
+
+def test_a_norm_is_a_normspec_or_none(monkeypatch):
+    # a bare callable, a bound NormSpec.norm or a name is refused before any row is evaluated,
+    # also at t <= 0, where a modulus evaluates no row at all
+    def no_rows(*args):
+        raise AssertionError("a row was evaluated")
+    monkeypatch.setattr(ops_module, "_multiplier_norms", no_rows)
+    entries = [lambda g, nrm: best_approx(g, 3, nrm),
+               lambda g, nrm: k_delta(g, 1, 0.25, nrm),
+               lambda g, nrm: k_delta(g, 1, 0.0, nrm),
+               lambda g, nrm: estimate_convexity_constant(nrm, size=g.size, dim=g.dim),
+               lambda g, nrm: space_moduli(nrm, size=g.size, dim=g.dim)]
+    entries += [lambda g, nrm, route=route: k_functional(g, 1, 0.5, nrm, route)
+                for route in ("realization", "heat", "sphere")]
+    for t in (0.5, 0.0, -1.0):
+        entries += [lambda g, nrm, t=t: modulus(g, 1, t, nrm),
+                    lambda g, nrm, t=t: moduli_table(g, [1, 2], [t, 2.0 * t], nrm),
+                    lambda g, nrm, t=t: semigroup_modulus(g, 1, t, "heat", nrm),
+                    lambda g, nrm, t=t: semigroup_moduli_table(g, [1], [t], "shift", nrm),
+                    lambda g, nrm, t=t: averaged_modulus(g, 1, t, "abel", nrm)]
+    bad = {"function": lambda g: pytest.fail("the norm was evaluated"),
+           "method": NormSpec().norm, "str": "l2"}
+    for g in (discretize(np.cos, 32, 1), discretize(lambda x, y: np.cos(x + y), 16, 2)):
+        for entry in entries:
+            for kind, nrm in bad.items():
+                with pytest.raises(TypeError, match=f"a norm is a NormSpec or None, got {kind}$"):
+                    entry(g, nrm)
+            assert not g._memo
 
 
 # -- oracle: the complex full-grid multiplier path ------------------------
@@ -862,28 +892,14 @@ def test_memo_keys_keep_quantities_apart():
         fresh = [call(_fresh(f), nrm, r, t) for nrm, r, t in variants]
         assert shared == fresh
         assert len(set(shared)) == len(variants)
-        # a repeat gives the same value, also through the bound norm method
-        assert [call(f, nrm.norm, r, t) for nrm, r, t in variants] == shared
+        # a repeat gives the same value
+        assert [call(f, nrm, r, t) for nrm, r, t in variants] == shared
         assert len(f._memo) - before == added
 
 
 def test_one_dimensional_moduli_share_an_entry_across_directions():
     f = random_smooth(64, 1, np.random.default_rng(11))
     assert modulus(f, 1, 0.5, directions=3) == modulus(f, 1, 0.5, directions=64)
-
-
-def test_memo_keys_bare_callables_by_object():
-    f = random_smooth(64, 1, np.random.default_rng(12))
-    a = modulus(f, 1, 0.5, lambda g: lp_norm(g, 2.0))
-    b = modulus(f, 1, 0.5, lambda g: lp_norm(g, 1.0))
-    assert a != b
-    assert a == pytest.approx(modulus(f, 1, 0.5), rel=1e-13, abs=0.0)
-    # the memoized rows of `approx` key a bare callable by the object itself
-    l1 = lambda g: lp_norm(g, 1.0)  # noqa: E731
-    c = k_functional(f, 1, 0.5, l1).value
-    assert k_functional(f, 1, 0.5, lambda g: lp_norm(g, 2.0)).value != c
-    assert k_functional(f, 1, 0.5, l1).value == c
-    assert len(f._memo) == 12
 
 
 def test_spectrum_is_cached_and_read_only():
@@ -957,7 +973,7 @@ def test_only_the_unweighted_l2_norm_skips_the_inverse_fft(dim, size, monkeypatc
         lambda g, nrm: averaged_modulus(g, 2, 0.5, "abel", nrm, quad_points=4),
     ]
     for quantity in quantities:
-        for nrm in (None, NormSpec(), NormSpec().norm):
+        for nrm in (None, NormSpec()):
             g = _fresh(f)
             quantity(g, nrm)
             assert calls == [] and g._parseval is not None
@@ -1009,13 +1025,12 @@ def _chain_sphere(f, ell, t, nfun):
 @pytest.mark.parametrize("dim,size", [(1, 32), (2, 16)])
 @pytest.mark.parametrize("norm", [None, NormSpec(variant="lp", p=4.0), "weighted-l2",
                                   NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5)),
-                                  NormSpec(variant="orlicz", phi=zygmund(2.0, 0.5)),
-                                  lambda g: lp_norm(g, 3.0)],
-                         ids=["l2", "l4", "weighted-l2", "luxemburg", "orlicz", "callable"])
+                                  NormSpec(variant="orlicz", phi=zygmund(2.0, 0.5))],
+                         ids=["l2", "l4", "weighted-l2", "luxemburg", "orlicz"])
 def test_approx_rows_match_the_projection_chain(dim, size, norm):
     f = _with_nyquist(size, dim, seed=90 + dim)
     spec = _grid_norm(norm, f)
-    nfun = (lambda g: lp_norm(g, 2.0)) if spec is None else getattr(spec, "norm", spec)
+    nfun = (lambda g: lp_norm(g, 2.0)) if spec is None else spec.norm
     pairs = [(best_approx(_fresh(f), n, spec).value, _chain_best_approx(f, n, nfun))
              for n in (0, 1, 3, 6, size // 2)]
     # at small t the chain's own subtraction noise is above 1e-12 of the value;
@@ -1042,7 +1057,7 @@ def test_approx_rows_take_no_fft_beyond_the_spectrum(dim, size, monkeypatch):
     if dim == 2:
         quantities.append(lambda g, nrm: k_functional(g, 2, 0.3, nrm, route="sphere"))
     for quantity in quantities:
-        for nrm in (None, NormSpec(), NormSpec().norm):
+        for nrm in (None, NormSpec()):
             g = _fresh(f)
             quantity(g, nrm)
             # the spectrum of f is the one transform
