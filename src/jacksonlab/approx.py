@@ -17,10 +17,10 @@ rounding at any t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import _Record
 from .ops import (_apply_multiplier, _difference_norms, _mode_radius, _mode_radius2,
                   _multiplier_norms, _norm_spec, _positive_int, _spherical_mean_offset)
 
@@ -52,13 +52,13 @@ def projection(f, n, kind="partial_sum"):
     return _apply_multiplier(f, _band(f, n, kind))
 
 
-@dataclass(frozen=True)
-class ApproxResult:
+class ApproxResult(_Record):
     """Best-approximation error bound for one degree, with the candidate that gave it."""
 
-    degree: int
-    value: float
-    method: str
+    __slots__ = ("degree", "value", "method")
+
+    def __init__(self, degree, value, method):
+        self._set(degree, value, method)
 
 
 def best_approx(f, n, norm=None):
@@ -76,16 +76,13 @@ def best_approx(f, n, norm=None):
     return ApproxResult(int(n), errors[k], ("partial_sum", "vallee_poussin")[k])
 
 
-@dataclass(frozen=True)
-class KFuncResult:
+class KFuncResult(_Record):
     """K-functional value with the route that produced it."""
 
-    t: float
-    ell: int
-    route: str
-    value: float
-    degree: int = None
-    notes: tuple = ()
+    __slots__ = ("t", "ell", "route", "value", "degree", "notes")
+
+    def __init__(self, t, ell, route, value, degree=None, notes=()):
+        self._set(t, ell, route, value, degree, notes)
 
 
 def k_functional(f, ell, t, norm=None, route="realization"):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,12 +175,12 @@ def _abs_power(x, p):
 
 
 def lp_norm(f, p, weight=None):
-    """(mean of w*|f|**p)**(1/p); max|f| for p = inf."""
+    """(mean of w*|f|**p)**(1/p); max|f| for p = inf, where the weight is checked but not read."""
     if not p >= 1.0:
         raise ValueError(f"exponent must be >= 1, got {p}")
+    w = _weight_array(f, weight)
     if np.isinf(p):
         return float(np.max(np.abs(f.samples)))
-    w = _weight_array(f, weight)
     a = _abs_power(f.samples, p)
     m = np.mean(a) if w is None else np.mean(w * a)
     return float(m ** (1.0 / p))
@@ -334,8 +333,38 @@ def _convexity_exponent(s):
     return float(s)
 
 
-@dataclass(frozen=True)
-class NormSpec:
+class _Record:
+    """Base of the plain records: the fields are the `__slots__`, set once by `_set`.
+
+    Records of one class are equal when their fields are.  A record is
+    frozen: assignment and deletion raise AttributeError, and it hashes by
+    its fields.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class NormSpec(_Record):
     """Declarative description of the norm B used by checks and reports.
 
     variant "lp" uses `p`; "luxemburg" and "orlicz" use the Young
@@ -344,26 +373,23 @@ class NormSpec:
     (Clarkson), and a Young norm has none unless it is given.
     """
 
-    variant: str = "lp"
-    p: float = 2.0
-    phi: object = None
-    s: float = None
-    weight: object = None
+    __slots__ = ("variant", "p", "phi", "s", "weight", "_key")
 
-    def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"norm variant must be one of {_VARIANTS}, got {self.variant!r}")
-        if self.variant == "lp":
-            if not self.p >= 1.0:
-                raise ValueError(f"exponent must be >= 1, got {self.p}")
-            if self.phi is not None:
+    def __init__(self, variant="lp", p=2.0, phi=None, s=None, weight=None):
+        if variant not in _VARIANTS:
+            raise ValueError(f"norm variant must be one of {_VARIANTS}, got {variant!r}")
+        if variant == "lp":
+            if not p >= 1.0:
+                raise ValueError(f"exponent must be >= 1, got {p}")
+            if phi is not None:
                 raise ValueError("an lp norm reads no Young function phi")
-            if self.s is None and not np.isinf(self.p):
-                object.__setattr__(self, "s", max(float(self.p), 2.0))
-        elif self.phi is None:
-            raise ValueError(f"variant {self.variant!r} needs a Young function")
-        if self.s is not None:
-            object.__setattr__(self, "s", _convexity_exponent(self.s))
+            if s is None and not np.isinf(p):
+                s = max(float(p), 2.0)
+        elif phi is None:
+            raise ValueError(f"variant {variant!r} needs a Young function")
+        if s is not None:
+            s = _convexity_exponent(s)
+        self._set(variant, p, phi, s, weight, None)
 
     def _weight_record(self):
         """JSON record of the weight (shape and sha256 of its float64 samples), or None."""
@@ -379,7 +405,7 @@ class NormSpec:
 
         Computed once per spec (a weight is read as it is at the first call).
         """
-        key = self.__dict__.get("_key")
+        key = self._key
         if key is None:
             reads = (float(self.p) if self.variant == "lp"
                      else json.dumps(self.phi.to_json(), sort_keys=True))
@@ -390,8 +416,8 @@ class NormSpec:
             object.__setattr__(self, "_key", key)
         return key
 
-    # the weight is an array, so the generated field-wise comparison would
-    # ask numpy for the truth value of an array; compare the digest instead
+    # the weight is an array, so `_Record`'s field-wise comparison would ask
+    # numpy for the truth value of an array; compare the digest instead
     def __eq__(self, other):
         if not isinstance(other, NormSpec):
             return NotImplemented

@@ -17,13 +17,12 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .approx import best_approx, degree_below, k_functional
-from .grid import (GridFunction, NormSpec, _convexity_exponent, discretize, grid_points,
-                   luxemburg_norm, orlicz_norm, random_smooth)
+from .grid import (GridFunction, NormSpec, _convexity_exponent, _Record, discretize,
+                   grid_points, luxemburg_norm, orlicz_norm, random_smooth)
 from .ops import (_SEMIGROUP_KINDS, _averaged_moduli, _difference_norms, _moduli_tables,
                   _norm_spec, _sup_table, cesaro)
 from .search import bisect_level
@@ -32,27 +31,26 @@ from .young import YoungFunction, zygmund
 _RHS_FLOOR = 1e-13
 
 
-@dataclass
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of one inequality check.
 
     `table` rows are (index, lhs, rhs); `ratios` aligns with the table and
     holds lhs/rhs, inf where an upper check's ratio is unbounded, or NaN
     where the row was excluded from the constant and the spread (RHS below
-    the noise floor, or a non-finite side).
+    the noise floor, or a non-finite side).  `runtime_ms` is set after the
+    check ran, so a report takes assignment and has no hash.
     """
 
-    check_id: str
-    params: dict
-    table: tuple
-    ratios: tuple
-    constant: float
-    spread: float
-    verdict: str
-    runtime_ms: float = 0.0
-    seed: int = 0
-    resolutions: dict = field(default_factory=dict)
-    notes: tuple = ()
+    __slots__ = ("check_id", "params", "table", "ratios", "constant", "spread", "verdict",
+                 "runtime_ms", "seed", "resolutions", "notes")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, check_id, params, table, ratios, constant, spread, verdict,
+                 runtime_ms=0.0, seed=0, resolutions=None, notes=()):
+        self._set(check_id, params, table, ratios, constant, spread, verdict, runtime_ms, seed,
+                  {} if resolutions is None else resolutions, notes)
 
     @property
     def passed(self):
@@ -240,14 +238,13 @@ def _generator(rng):
     return rng, -1
 
 
-@dataclass(frozen=True)
-class ConvexityEstimate:
+class ConvexityEstimate(_Record):
     """Empirical sharp constant of the s-convexity inequality."""
 
-    m_hat: float
-    witness: tuple
-    witness_label: str
-    trials: int
+    __slots__ = ("m_hat", "witness", "witness_label", "trials")
+
+    def __init__(self, m_hat, witness, witness_label, trials):
+        self._set(m_hat, witness, witness_label, trials)
 
 
 def estimate_convexity_constant(norm=None, s=2.0, rng=None, trials=200,
@@ -317,16 +314,13 @@ def estimate_convexity_constant(norm=None, s=2.0, rng=None, trials=200,
     return ConvexityEstimate(float(best), best_pair, best_label, trials)
 
 
-@dataclass(frozen=True)
-class SpaceGeometry:
+class SpaceGeometry(_Record):
     """Empirical smoothness and convexity moduli of the unit ball."""
 
-    sigma: tuple
-    eta: tuple
-    eps: tuple
-    delta: tuple
-    eta_exponent: float
-    delta_exponent: float
+    __slots__ = ("sigma", "eta", "eps", "delta", "eta_exponent", "delta_exponent")
+
+    def __init__(self, sigma, eta, eps, delta, eta_exponent, delta_exponent):
+        self._set(sigma, eta, eps, delta, eta_exponent, delta_exponent)
 
 
 def space_moduli(norm=None, size=64, dim=1, rng=None, trials=24):
@@ -586,8 +580,7 @@ def _dyadic_scales(p):
     return [(n, 2.0 ** (-n)) for n in range(lo, hi + 1)]
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(_Record):
     """One registered check, run by `run_check`.
 
     A dyadic check sets quantity `lhs` of order r at each scale (n, t)
@@ -602,20 +595,19 @@ class _Check:
     `_finish` thresholds.
     """
 
-    formula: str
-    direction: str
-    notes: tuple
-    params: tuple
-    order: str = "rows ordered by (function, n); functions: "
-    lhs: object = None
-    term: object = None
-    js: object = None
-    scales: object = _dyadic_scales
-    rows: object = None
-    defaults: dict = field(default_factory=dict)
-    require: tuple = ()
-    bounds: object = None
-    threshold_note: str = None
+    __slots__ = ("formula", "direction", "notes", "params", "order", "lhs", "term", "js",
+                 "scales", "rows", "defaults", "require", "bounds", "threshold_note")
+
+    def __init__(self, formula, direction, notes, params,
+                 order="rows ordered by (function, n); functions: ", lhs=None, term=None,
+                 js=None, scales=_dyadic_scales, rows=None, defaults=None, require=(),
+                 bounds=None, threshold_note=None):
+        self._set(formula, direction, notes, params, order, lhs, term, js, scales, rows,
+                  {} if defaults is None else defaults, require, bounds, threshold_note)
+
+    def replace(self, **changes):
+        """This check with the fields in `changes` replaced."""
+        return _Check(**dict(zip(self.__slots__, self._values()), **changes))
 
 
 # named quantities, each q(fs, params, orders, scales) under the norm params["norm"]: one
@@ -766,8 +758,8 @@ _CHECKS = {
                   "every shift phase N/2 * t must be a finite float, got {t_grid}")),
         bounds=lambda p: {"require_all_at_least": 1.0 - p["slack"]}),
     "semigroup-7.4": _SEMIGROUP_74,
-    "shift-7.5": replace(
-        _SEMIGROUP_74, formula=_SEMIGROUP_LAW + "for the shift semigroup on the circle",
+    "shift-7.5": _SEMIGROUP_74.replace(
+        formula=_SEMIGROUP_LAW + "for the shift semigroup on the circle",
         defaults={"n_range": (1, 5), "points": 32}),
     "kfunc-8.9": _Check(
         "omega^r(f,t) >= C {sum_j 2^(-jrs) K_ell(f,(2^j t)^(2 ell))^s}^(1/s), 2 ell > r",

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
+
+from .grid import _Record
 
 _LOG_POWER_GATE = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -237,10 +238,11 @@ def _conj_refine(base, xg, base_grid, y, idx):
     secant steps on phi'_+(x) - y from those ends, clamped into them and held
     where x or phi'_+ stops moving, estimate the crossing x; [a, b] =
     x(1 -+ 2^-46) replaces the grid bracket where phi'_+(a) < y <= phi'_+(b).
-    Bisection on the sign of phi'_+(mid) - y stops when every midpoint equals
-    one of its ends, so `hi` is the first float of the bracket with
-    phi'_+ >= y, or its upper end if there is none.  `deriv_plus` is called
-    7 + 1 times, then once a step: about 16 calls on smooth phi; where a row
+    Bisection on the sign of phi'_+(mid) - y drops a row once its midpoint
+    equals one of its ends, so `hi` is the first float above the bracket's
+    lower end with phi'_+ >= y, or its upper end if there is none, whichever
+    rows share the call.  `deriv_plus` is called 7 + 1 times, then once a
+    step on the rows still open: about 16 calls on smooth phi; where a row
     keeps its grid bracket (y past the grid, a kink) bisection takes that
     bracket's 48 steps at the default resolution.  One base evaluation at
     `hi` gives the value, kept only where it beats the grid point.
@@ -258,13 +260,16 @@ def _conj_refine(base, xg, base_grid, y, idx):
     ab = np.clip(x1 * (1.0 + np.array([[-2.0 ** -46], [2.0 ** -46]])), lo, hi)
     da, db = np.asarray(base.deriv_plus(ab), dtype=float)
     lo, hi = np.where((da < y) & (y <= db), ab, (lo, hi))
+    rows = np.arange(len(y))
     for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
+        mid = 0.5 * (lo[rows] + hi[rows])
+        still = (mid != lo[rows]) & (mid != hi[rows])
+        rows, mid = rows[still], mid[still]
+        if not rows.size:
             break
-        up = np.asarray(base.deriv_plus(mid), dtype=float) >= y
-        lo = np.where(up, lo, mid)
-        hi = np.where(up, mid, hi)
+        up = np.asarray(base.deriv_plus(mid), dtype=float) >= y[rows]
+        lo[rows[~up]] = mid[~up]
+        hi[rows[up]] = mid[up]
     refined = y * hi - np.asarray(base(hi), dtype=float)
     grid_best = y * xg[idx] - base_grid[idx]
     better = refined >= grid_best
@@ -365,17 +370,18 @@ def complementary(phi, y_max=1e3, resolution=2048):
 # -- growth diagnostics -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Delta2Result:
-    holds: bool
-    K: float
-    slope: float
+class Delta2Result(_Record):
+    __slots__ = ("holds", "K", "slope")
+
+    def __init__(self, holds, K, slope):
+        self._set(holds, K, slope)
 
 
-@dataclass(frozen=True)
-class Nabla2Result:
-    holds: bool
-    a: float
+class Nabla2Result(_Record):
+    __slots__ = ("holds", "a")
+
+    def __init__(self, holds, a):
+        self._set(holds, a)
 
 
 def check_delta2(phi, u_lo=1e-4, u_hi=1e4, points=257, slope_tol=0.01):
@@ -416,12 +422,11 @@ def check_nabla2(psi, u_lo=1e-2, u_hi=1e2, a_points=96, x_points=121):
 # -- concavity of phi(u**(1/s)) ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ConcavityRegions:
-    s: float
-    u_lo: float
-    u_hi: float
-    intervals: tuple
+class ConcavityRegions(_Record):
+    __slots__ = ("s", "u_lo", "u_hi", "intervals")
+
+    def __init__(self, s, u_lo, u_hi, intervals):
+        self._set(s, u_lo, u_hi, intervals)
 
     def covers(self, lo, hi, rtol=1e-3):
         """True when one detected interval contains [lo, hi]."""
@@ -482,12 +487,11 @@ def log_power_tail_threshold(r, s):
 # -- patching -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PatchResult:
-    phi: YoungFunction
-    c1: float
-    c2: float
-    A: float
+class PatchResult(_Record):
+    __slots__ = ("phi", "c1", "c2", "A")
+
+    def __init__(self, phi, c1, c2, A):
+        self._set(phi, c1, c2, A)
 
 
 def patch(phi, s, a, b, u_lo=1e-6, u_hi=1e6, resolution=4096):

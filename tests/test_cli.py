@@ -496,7 +496,8 @@ def test_threads_are_bounded_by_the_checks_and_all_joined(tmp_path, monkeypatch)
 
 def test_a_cold_batch_imports_neither_numpy_ma_nor_a_thread_pool(tmp_path):
     # a fresh interpreter, since pytest itself imports logging; the Luxemburg
-    # jackson-1.4 takes the Young-norm moduli table
+    # jackson-1.4 takes the Young-norm moduli table.  The records are plain
+    # classes, and numpy, json, argparse and pathlib load no dataclasses
     luxemburg = {"norm": "luxemburg", "phi": {"kind": "zygmund", "params": [2.0, 0.5]}}
     config = dict(BASE_CONFIG, checks=BASE_CONFIG["checks"] + [
         {"id": "jackson-1.4", "params": {"norm": luxemburg, "n_range": [1, 4]}}])
@@ -508,8 +509,8 @@ def test_a_cold_batch_imports_neither_numpy_ma_nor_a_thread_pool(tmp_path):
         "for jobs in ('1', '2'):\n"
         f"    assert main(['run', {cfg!r}, '--out', {str(tmp_path / 'rep')!r} + jobs,\n"
         "                 '--jobs', jobs]) == 0\n"
-        "print(sorted(m for m in ('numpy.ma', 'concurrent.futures', 'logging', 'statistics')\n"
-        "             if m in sys.modules))\n")
+        "print(sorted(m for m in ('numpy.ma', 'concurrent.futures', 'logging', 'statistics',\n"
+        "                         'dataclasses') if m in sys.modules))\n")
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -1,7 +1,7 @@
 """Grid functions, Lebesgue and Orlicz-type norms, and norm descriptors."""
 
-import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import warnings
@@ -61,6 +61,17 @@ def test_lp_norm_weighted():
     w = 1.0 + 0.5 * discretize(np.cos, 64, 1).samples
     # mean((1 + cos/2) cos^2) = 1/2 since odd powers of cos average to zero
     assert lp_norm(f, 2.0, weight=w) == pytest.approx(1.0 / SQRT2, abs=1e-14)
+
+
+@pytest.mark.parametrize("p", [4.0, math.inf])
+def test_lp_norm_checks_its_weight_at_every_p(p):
+    f = discretize(np.cos, 16, 1)
+    with pytest.raises(ValueError, match="weight shape"):
+        lp_norm(f, p, weight=np.ones(5))
+    with pytest.raises(ValueError, match="strictly positive"):
+        lp_norm(f, p, weight=-np.ones(16))
+    if math.isinf(p):  # a valid weight leaves the sup norm max|f|
+        assert lp_norm(f, p, weight=np.linspace(0.5, 2.0, 16)) == lp_norm(f, p) == 1.0
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -296,7 +307,7 @@ def test_zero_function_norms():
 
 def test_norm_spec_defaults_and_conjugacy():
     # a spec holds what the norm or a check reads: no dual exponent, constant or label
-    assert [f.name for f in dataclasses.fields(NormSpec)] == ["variant", "p", "phi", "s", "weight"]
+    assert list(inspect.signature(NormSpec).parameters) == ["variant", "p", "phi", "s", "weight"]
     spec = NormSpec()
     assert spec.variant == "lp" and spec.p == 2.0 and spec.s == 2.0
     assert NormSpec(variant="lp", p=4.0).s == 4.0

@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -397,7 +396,7 @@ def test_tail_that_stops_before_the_sure_range_is_unchanged(monkeypatch):
         return [{(r, u): v * u ** -4.0 for (r, u), v in table.items()}
                 for table in lab._semigroup_modulus(fs, p, orders, us)]
 
-    check = replace(lab._CHECKS["shift-7.5"], term=falling)
+    check = lab._CHECKS["shift-7.5"].replace(term=falling)
     monkeypatch.setitem(lab._CHECKS, "shift-7.5", check)
     params = {"N": 32, "n_range": [1, 3], "family": ["abs-sin", "random"]}
     rep = run_check("shift-7.5", params)
