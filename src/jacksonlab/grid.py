@@ -2,6 +2,16 @@
 
 Samples live at x_j = 2*pi*j/N per axis and integrals are normalized so the
 measure of the whole torus is 1; every norm below is an average, not a sum.
+
+Each norm is computed in one place, `NormSpec.rows`, over a stack of
+flattened samples and the flattened normalized weight (`_weight_array`):
+L_p in one reduction (`_lp_rows`), a Luxemburg or Orlicz norm by one level
+solve per row (`_luxemburg`, `_amemiya`, on the array |row|), with one
+modular mean (`_modular`) beside them.  `NormSpec.norm`, `lp_norm`,
+`luxemburg_norm` and `orlicz_norm` are one-row views of it, so a
+one-function norm equals its row in the moduli's stacks bit for bit.  The
+pruned max of the sup moduli under a Young norm, `_young_stack_sup`, lives
+here beside the solvers it calls; `ops` only hands it the stacks.
 """
 
 from __future__ import annotations
@@ -149,15 +159,21 @@ def discretize(func, size, dim=1):
 
 
 def _weight_array(f, weight):
-    """Normalized weight samples (mean exactly 1), or None."""
+    """Flattened normalized weight samples (mean exactly 1), or None.
+
+    A weight is refused, before any norm is evaluated, unless it has the
+    shape of f's samples and every sample is finite and positive.
+    """
     if weight is None:
         return None
     w = _raw(weight)
     if w.shape != f.samples.shape:
         raise ValueError(f"weight shape {w.shape} does not match samples {f.samples.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weight samples must be finite")
     if np.any(w <= 0.0):
         raise ValueError("weight must be strictly positive")
-    return w / np.mean(w)
+    return (w / np.mean(w)).ravel()
 
 
 def _abs_power(x, p):
@@ -176,18 +192,11 @@ def _abs_power(x, p):
 
 def lp_norm(f, p, weight=None):
     """(mean of w*|f|**p)**(1/p); max|f| for p = inf, where the weight is checked but not read."""
-    if not p >= 1.0:
-        raise ValueError(f"exponent must be >= 1, got {p}")
-    w = _weight_array(f, weight)
-    if np.isinf(p):
-        return float(np.max(np.abs(f.samples)))
-    a = _abs_power(f.samples, p)
-    m = np.mean(a) if w is None else np.mean(w * a)
-    return float(m ** (1.0 / p))
+    return NormSpec(p=p, weight=weight).norm(f)
 
 
 def _lp_rows(rows, p, w=None):
-    """`lp_norm` of every row of a stack of flattened samples, in one reduction.
+    """The L_p norm of every row of a stack of flattened samples, in one reduction.
 
     `w` is the flattened normalized weight (`_weight_array`) or None.
     """
@@ -199,77 +208,81 @@ def _lp_rows(rows, p, w=None):
     return np.mean(a, axis=-1) ** (1.0 / p)
 
 
+def _modular(a, phi, w):
+    """Mean of w*phi(a) over the samples a >= 0 (w = 1 when None)."""
+    vals = np.asarray(phi(a), dtype=float)
+    return float(np.mean(vals) if w is None else np.mean(w * vals))
+
+
 def orlicz_functional(f, phi, weight=None):
     """Modular mean of phi(|f|) with optional weight."""
-    w = _weight_array(f, weight)
-    vals = np.asarray(phi(np.abs(f.samples)), dtype=float)
-    return float(np.mean(vals) if w is None else np.mean(w * vals))
+    return _modular(np.abs(f.samples).ravel(), phi, _weight_array(f, weight))
 
 
 def _log(value):
     """log of a modular value (-inf at 0).
 
-    The level solvers work on log modulars: these are linear in log a for
-    power functions and close to it for the other Young functions.
+    The level solvers work on log modulars: these are linear in the log of
+    the scale for power functions and close to it for the other Young
+    functions.
     """
     return math.log(value) if value > 0.0 else -math.inf
 
 
-def _scale_level(absf, w, g, start, rtol):
-    """Scale a > 0 at which the mean of w*g(|f|/a) crosses 1, g nondecreasing.
+def _scale_level(a, w, g, start, rtol):
+    """Scale s > 0 at which the mean of w*g(a/s) crosses 1, g nondecreasing.
 
-    The mean is nonincreasing in a.  The crossing is bracketed by decades
+    The mean is nonincreasing in s.  The crossing is bracketed by decades
     from `start` (at most 64), keeping both end values for Brent's method
-    in log a.  Without a crossing the last bracket end is returned.  A mean
+    in log s.  Without a crossing the last bracket end is returned.  A mean
     that overflows to inf - inf counts as above 1.
     """
-    def log_mean(a):
+    def log_mean(s):
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(g(absf / a), dtype=float)
-            mean = float(np.mean(vals) if w is None else np.mean(w * vals))
+            mean = _modular(a / s, g, w)
         return math.inf if math.isnan(mean) else _log(mean)
 
-    a, val_a = start, log_mean(start)
-    step = 10.0 if val_a > 0.0 else 0.1
+    lo, val_lo = start, log_mean(start)
+    step = 10.0 if val_lo > 0.0 else 0.1
     for _ in range(64):
-        b, val_b = a * step, log_mean(a * step)
-        if (val_b > 0.0) != (val_a > 0.0):
+        hi, val_hi = lo * step, log_mean(lo * step)
+        if (val_hi > 0.0) != (val_lo > 0.0):
             break
-        a, val_a = b, val_b
-    if step > 1.0:
-        lo, hi, val_lo, val_hi = a, b, val_a, val_b
-    else:
-        lo, hi, val_lo, val_hi = b, a, val_b, val_a
+        lo, val_lo = hi, val_hi
+    if step < 1.0:
+        lo, hi, val_lo, val_hi = hi, lo, val_hi, val_lo
     return brent_level_log(log_mean, lo, hi, rtol=rtol, f_lo=val_lo, f_hi=val_hi)
 
 
-def luxemburg_norm(f, phi, weight=None, rtol=1e-13):
-    """Smallest a > 0 with mean phi(|f|/a) <= 1, by Brent's method in log a.
+def _luxemburg(a, phi, w):
+    """Luxemburg norm of the samples a = |f|: the smallest s > 0 with mean w*phi(a/s) <= 1.
 
-    Returns 0 for the zero function.  The modular is nonincreasing in a,
-    so the level-1 crossing is found to relative tolerance `rtol`.
+    Brent's method in log s from the peak of a, to a relative 1e-13;
+    0 for the zero function.  `w` is the normalized weight or None.
     """
-    peak = float(np.max(np.abs(f.samples)))
-    if peak == 0.0:
-        return 0.0
-    return _scale_level(np.abs(f.samples), _weight_array(f, weight), phi, peak, rtol)
+    peak = float(np.max(a))
+    return 0.0 if peak == 0.0 else _scale_level(a, w, phi, peak, 1e-13)
 
 
-def _amemiya(f, phi, weight):
-    """Minimizer k* of (1 + mean w*phi(k|f|))/k over k > 0, and that minimum.
+def _amemiya(a, phi, w):
+    """Minimizer k* of (1 + mean w*phi(k*a))/k over k > 0, and that minimum, for a = |f|.
 
-    k* solves mean w*(x phi'(x) - phi(x)) = 1 at x = k|f|: the gap equals
+    k* solves mean w*(x phi'(x) - phi(x)) = 1 at x = k*a: the gap equals
     psi(phi'(x)) (Young's equality), nondecreasing in k.  It is solved in
-    a = 1/k from the Luxemburg norm.  With no crossing in 64 decades (phi =
+    s = 1/k from the Luxemburg norm.  With no crossing in 64 decades (phi =
     power(1), gap 0) the infimum is the limit k -> oo, taken at the last
     decade.  The zero function gives (inf, 0.0).
     """
-    lux = luxemburg_norm(f, phi, weight)
+    lux = _luxemburg(a, phi, w)
     if lux == 0.0:
         return math.inf, 0.0
-    k = 1.0 / _scale_level(np.abs(f.samples), _weight_array(f, weight),
-                           lambda x: x * phi.deriv_plus(x) - phi(x), lux, 0.0)
-    return k, (1.0 + orlicz_functional(k * f, phi, weight)) / k
+    k = 1.0 / _scale_level(a, w, lambda x: x * phi.deriv_plus(x) - phi(x), lux, 0.0)
+    return k, (1.0 + _modular(k * a, phi, w)) / k
+
+
+def luxemburg_norm(f, phi, weight=None):
+    """Smallest a > 0 with mean phi(|f|/a) <= 1 (`_luxemburg`); 0 for the zero function."""
+    return NormSpec("luxemburg", phi=phi, weight=weight).norm(f)
 
 
 def orlicz_norm(f, phi, weight=None):
@@ -280,7 +293,56 @@ def orlicz_norm(f, phi, weight=None):
     Equivalent to the dual-pairing norm for the complementary function;
     always between the Luxemburg norm and twice the Luxemburg norm.
     """
-    return _amemiya(f, phi, weight)[1]
+    return NormSpec("orlicz", phi=phi, weight=weight).norm(f)
+
+
+def _young_stack_sup(stack, spec, w, best):
+    """The running (max norm, its Amemiya k*) `best`, raised by the rows of one stack.
+
+    `stack` holds flattened samples and is overwritten by its absolute
+    values (a Young norm reads |row| only); `spec` is a Luxemburg or
+    Orlicz NormSpec and `w` the flattened normalized weight or None.  One
+    vectorized modular mean w*phi(k|row|) over the live rows rules rows
+    out.  Luxemburg: the modular is nonincreasing in a = 1/k, so at a a
+    hair below the max a row with modular <= 1 has a smaller norm.
+    Orlicz: (1 + modular)/k bounds the Amemiya norm from above for every
+    k, so at the max's own k* a row whose bound is a hair below the max has
+    a smaller norm.  The hair (a relative 1e-9) is far above the level
+    solvers' tolerance, so a row left out never carries the max and the
+    result is the per-row max bit for bit.  The rows kept are solved
+    largest modular first, and each new max filters again; before a
+    nonzero max they are ranked by peak.
+    """
+    live = np.abs(stack, out=stack)
+    phi, lux = spec.phi, spec.variant == "luxemburg"
+    while len(live):
+        top, kstar = best
+        if top == 0.0:
+            # zero rows have norm 0 and are left out
+            mod, level = live.max(axis=-1), 0.0
+        else:
+            floor = top * (1.0 - 1e-9)
+            k, level = (1.0 / floor, 1.0) if lux else (kstar, kstar * floor - 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.asarray(phi(k * live), dtype=float)
+                if w is not None:
+                    vals *= w
+                mod = vals.mean(axis=-1)
+        keep = ~(mod <= level)  # a NaN modular stays in
+        live, mod = live[keep], mod[keep]
+        order = np.argsort(-mod, kind="stable")
+        for n, j in enumerate(order):
+            if lux:
+                value, kj = _luxemburg(live[j], phi, w), None
+            else:
+                kj, value = _amemiya(live[j], phi, w)
+            if value > best[0]:
+                best = (value, kj)
+                live = np.delete(live, order[:n + 1], axis=0)
+                break
+        else:
+            break
+    return best
 
 
 def orlicz_norm_dual_bound(f, phi, psi, weight=None, trials=64, rng=None):
@@ -290,28 +352,25 @@ def orlicz_norm_dual_bound(f, phi, psi, weight=None, trials=64, rng=None):
     dual_bound <= orlicz_norm.  Candidates are built from the derivative
     of phi at the optimal Luxemburg scaling plus random perturbations.
     """
-    lux = luxemburg_norm(f, phi, weight)
+    absf, w = np.abs(f.samples).ravel(), _weight_array(f, weight)
+    lux = _luxemburg(absf, phi, w)
     if lux == 0.0:
         return 0.0
     if rng is None:
         rng = np.random.default_rng(0)
-    w = _weight_array(f, weight)
-    wa = np.ones_like(f.samples) if w is None else w
-    absf = np.abs(f.samples)
+    wa = np.ones_like(absf) if w is None else w
 
     def pair(g):
         g = np.maximum(g, 0.0)
-        mod = float(np.mean(wa * np.asarray(psi(g), dtype=float)))
+        mod = _modular(g, psi, wa)
         if mod <= 0.0:
             return 0.0
         # scale g down to modular exactly 1; psi convex with psi(0) = 0 gives
         # psi(g/c) <= psi(g)/c, so the crossing lies in [1, mod] (when rounding
         # leaves the modular at c = mod a hair above 1, the solver returns mod)
         if mod > 1.0:
-            def modular(c):
-                return float(np.mean(wa * np.asarray(psi(g / c), dtype=float)))
-
-            g = g / brent_level_log(lambda c: _log(modular(c)), 1.0, mod, f_lo=_log(mod))
+            g = g / brent_level_log(lambda c: _log(_modular(g / c, psi, wa)), 1.0, mod,
+                                    f_lo=_log(mod))
         return float(np.mean(wa * absf * g))
 
     best = pair(np.asarray(phi.deriv_plus(absf / lux), dtype=float))
@@ -426,12 +485,22 @@ class NormSpec(_Record):
     def __hash__(self):
         return hash((self.key(), self.s))
 
-    def norm(self, f):
+    def rows(self, stack, w):
+        """The norms of the rows of a stack of flattened samples, as an array.
+
+        `w` is the flattened normalized weight (`_weight_array`) or None.
+        L_p takes one reduction over the stack (`_lp_rows`); a Luxemburg or
+        Orlicz norm one level solve per row (`_luxemburg`, `_amemiya`).
+        """
         if self.variant == "lp":
-            return lp_norm(f, self.p, self.weight)
+            return _lp_rows(stack, self.p, w)
         if self.variant == "luxemburg":
-            return luxemburg_norm(f, self.phi, self.weight)
-        return orlicz_norm(f, self.phi, self.weight)
+            return np.array([_luxemburg(a, self.phi, w) for a in np.abs(stack)])
+        return np.array([_amemiya(a, self.phi, w)[1] for a in np.abs(stack)])
+
+    def norm(self, f):
+        """The norm of f: its samples as the one row of `rows`."""
+        return float(self.rows(f.samples.reshape(1, -1), _weight_array(f, self.weight))[0])
 
     def to_json(self):
         data = {"norm": self.variant}

@@ -406,13 +406,13 @@ def space_moduli(norm=None, size=64, dim=1, rng=None, trials=24):
                          fit(sigma, eta), fit(eps, delta))
 
 
-def verify_duality(q, dim, rng=None, trials=400, tol=0.01):
+def verify_duality(q, dim, rng=None, trials=400):
     """Two-sided duality check on the finite-dimensional sequence space l_q.
 
     Estimates the smallest M making (|x+y| + |x-y|)/2 <= (|x|^q + M|y|^q)^(1/q)
     over sampled pairs, predicts the conjugate-space constant
     m = M^(-1/(q-1)) with s = q/(q-1), and verifies on l_s that
-    max(|u+v|, |u-v|)^s >= |u|^s + m|v|^s up to 3*tol sampling slack.
+    max(|u+v|, |u-v|)^s >= |u|^s + m|v|^s up to 3*tol sampling slack, tol = 0.01.
     """
     if not (1.0 < q <= 2.0):
         raise ValueError(
@@ -422,7 +422,7 @@ def verify_duality(q, dim, rng=None, trials=400, tol=0.01):
         raise ValueError(f"need dimension >= 2, got {dim}")
     rng, seed = _generator(rng)
     start = time.perf_counter()
-    s = q / (q - 1.0)
+    s, tol = q / (q - 1.0), 0.01
 
     def norm_of(v, expo):
         return float(np.sum(np.abs(v) ** expo) ** (1.0 / expo))

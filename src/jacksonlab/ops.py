@@ -43,16 +43,18 @@ at r = ell over C(2*ell, ell); every other multiplier squares itself.
 |M|^2 of a step is even in the step, so the L2 modulus evaluates only
 positive steps in 1-d and, for an even count, only the directions in
 [0, pi) in 2-d.  Every other norm runs one inverse transform per stack of
-multipliers.  An L_p norm is then taken over all rows in one reduction (a
-weight normalized once per call, an integer p by in-place products of
-|row|, never a pow call), and a Luxemburg or Orlicz norm row by row.
-A stack holds max(1, `_STACK_SAMPLES` // N^d) rows, a constant per grid,
-so outputs never depend on the machine or the thread count.
+multipliers and hands the rows, flattened, to `NormSpec.rows` in `grid`
+with the weight normalized once per call: one reduction over all rows for
+L_p, one level solve per row for a Luxemburg or Orlicz norm.  This module
+computes no norm itself; the one-function norms of `grid` are the same
+rows, one at a time.  A stack holds max(1, `_STACK_SAMPLES` // N^d) rows,
+a constant per grid, so outputs never depend on the machine or the thread
+count.
 
 The moduli keep only the max of their rows (`sup`).  Under a Luxemburg or
-Orlicz norm the evaluator then rules rows out by one vectorized modular per
-stack and solves only the rows that may beat the running max; the result is
-the per-row max bit for bit.
+Orlicz norm the evaluator then hands each stack to `grid._young_stack_sup`,
+which rules rows out by one vectorized modular and solves only the rows
+that may beat the running max; the result is the per-row max bit for bit.
 
 `moduli_table` and `semigroup_moduli_table` give a modulus for every
 (order, t) of a list of orders and scales in one call.  The steps
@@ -105,7 +107,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .grid import GridFunction, NormSpec, _amemiya, _lp_rows, _weight_array, luxemburg_norm
+from .grid import GridFunction, NormSpec, _weight_array, _young_stack_sup
 
 # Sample budget of one batched inverse transform (rows = budget // N^d, at least 1).
 _STACK_SAMPLES = 1 << 15
@@ -301,22 +303,19 @@ def _multiplier_norms(fs, items, norm, build=None, sup=False):
     of multipliers, one per column (build(stack, True): new arrays of their
     |M|^2).  Each stack is built once, and every member reads it.  A
     column is the list of its norms.  `norm` is a NormSpec or None (L2).
-    Unweighted L2 takes no inverse FFT (Parseval), another L_p one inverse
-    FFT per member and stack and one reduction (a weight normalized once per
-    call), a Luxemburg or Orlicz norm one `NormSpec.norm` solve per row.
-    With `sup`, a column is max(0, *norms) bit for bit: the stacks run from
-    last to first (the moduli list their steps outward, so the last mostly
-    holds the max), and a Luxemburg or Orlicz norm solves only the rows
-    `_young_stack_sup` keeps, each member against its own running max.  An
-    empty `items` is one empty column.
+    Unweighted L2 takes no inverse FFT (Parseval); every other norm one
+    inverse FFT per member and stack, whose rows go to `NormSpec.rows`
+    with the weight normalized once per call.  With `sup`, a column is
+    max(0, *norms) bit for bit: the stacks run from last to first (the
+    moduli list their steps outward, so the last mostly holds the max), and
+    a Luxemburg or Orlicz norm solves only the rows `grid._young_stack_sup`
+    keeps, each member against its own running max.  An empty `items` is
+    one empty column.
     """
     spec, shape = _norm_spec(norm), fs[0].samples.shape
-    p = spec.p if spec.variant == "lp" else None
     parseval = _plain_p(spec) == 2.0
     young = sup and spec.variant != "lp"
-    w = None
-    if (young or p is not None) and spec.weight is not None:
-        w = _weight_array(fs[0], spec.weight).ravel()
+    w = None if parseval else _weight_array(fs[0], spec.weight)
     stacks, cols = list(_stacks(items, fs[0].size, fs[0].dim)), None
     for block in reversed(stacks) if sup else stacks:
         if build:
@@ -331,65 +330,15 @@ def _multiplier_norms(fs, items, norm, build=None, sup=False):
                     col[c].extend(np.sqrt(total).tolist())
                 continue
             for f, col in zip(fs, cols):
-                rows = _inverse(f.spectrum() * mult, shape)
+                rows = _inverse(f.spectrum() * mult, shape).reshape(len(mult), -1)
                 if young:
-                    col[c] = _young_stack_sup(f, rows, spec, w, col[c])
-                elif p is not None:
-                    col[c].extend(_lp_rows(rows.reshape(len(rows), -1), p, w).tolist())
+                    col[c] = _young_stack_sup(rows, spec, w, col[c])
                 else:
-                    col[c].extend(float(spec.norm(GridFunction(row))) for row in rows)
+                    col[c].extend(spec.rows(rows, w).tolist())
     cols = cols or [[(0.0, None) if young else []] for _ in fs]
     if sup:
         cols = [[best[0] if young else max([0.0, *best]) for best in col] for col in cols]
     return cols
-
-
-def _young_stack_sup(f, rows, spec, w, best):
-    """The running (max norm, its Amemiya k*) `best`, raised by the rows of one stack.
-
-    One vectorized modular mean w*phi(k|row|) over the live rows rules rows
-    out.  Luxemburg: the modular is nonincreasing in a = 1/k, so at a a hair
-    below the max a row with modular <= 1 has a smaller norm.  Orlicz:
-    (1 + modular)/k bounds the Amemiya norm from above for every k, so at
-    the max's own k* a row whose bound is a hair below the max has a smaller
-    norm.  The hair (a relative 1e-9) is far above the level solvers'
-    tolerance, so a row left out never carries the max and the result is
-    the per-row max bit for bit.  The rows kept are solved largest modular
-    first, and each new max filters again; before a nonzero max they are
-    ranked by peak.  `rows` is overwritten by its absolute values: a Young
-    norm reads |row| only; `w` is the flattened normalized weight or None.
-    """
-    live = np.abs(rows, out=rows).reshape(len(rows), -1)
-    phi, lux = spec.phi, spec.variant == "luxemburg"
-    while len(live):
-        top, kstar = best
-        if top == 0.0:
-            # zero rows have norm 0 and are left out
-            mod, level = live.max(axis=-1), 0.0
-        else:
-            floor = top * (1.0 - 1e-9)
-            k, level = (1.0 / floor, 1.0) if lux else (kstar, kstar * floor - 1.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = np.asarray(phi(k * live), dtype=float)
-                if w is not None:
-                    vals *= w
-                mod = vals.mean(axis=-1)
-        keep = ~(mod <= level)  # a NaN modular stays in
-        live, mod = live[keep], mod[keep]
-        order = np.argsort(-mod, kind="stable")
-        for n, j in enumerate(order):
-            row = GridFunction(live[j].reshape(f.samples.shape))
-            if lux:
-                value, kj = luxemburg_norm(row, phi, spec.weight), None
-            else:
-                kj, value = _amemiya(row, phi, spec.weight)
-            if value > best[0]:
-                best = (value, kj)
-                live = np.delete(live, order[:n + 1], axis=0)
-                break
-        else:
-            break
-    return best
 
 
 def _shift_symbol(size, steps):

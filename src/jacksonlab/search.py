@@ -82,18 +82,18 @@ def bisect_level(f, lo, hi, level=0.0, increasing=True, iters=100, tol=0.0):
     return 0.5 * (lo + hi)
 
 
-def bisect_level_log(f, lo, hi, level=0.0, increasing=True, iters=200, rtol=0.0):
+def bisect_level_log(f, lo, hi, level=0.0, increasing=True, rtol=0.0):
     """Like `bisect_level` but bisecting in u = log(x); requires 0 < lo < hi.
 
     `rtol` is an absolute width in log x, not a relative width: bisection
     stops once the bracket [u_lo, u_hi] is at most
     max(rtol, 1e-15*(|u_lo| + |u_hi|)) wide, so the ratio of its ends in x
-    is at most exp(rtol), about 1 + rtol.
+    is at most exp(rtol), about 1 + rtol, or after 200 steps.
     """
     llo = np.log(float(lo))
     lhi = np.log(float(hi))
     x = bisect_level(lambda u: f(np.exp(u)), llo, lhi, level=level,
-                     increasing=increasing, iters=iters, tol=rtol)
+                     increasing=increasing, iters=200, tol=rtol)
     return float(np.exp(x))
 
 

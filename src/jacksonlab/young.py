@@ -328,8 +328,9 @@ def builtin(kind, *params):
 # -- conjugation --------------------------------------------------------
 
 
-def _superlinear_slope(phi, x_hi=1e6):
-    """Top-of-grid secant slope and per-two-decade growth of phi(x)/x."""
+def _superlinear_slope(phi):
+    """Top-of-grid secant slope and per-two-decade growth of phi(x)/x, the grid top x_hi = 1e6."""
+    x_hi = 1e6
     with np.errstate(over="ignore", invalid="ignore"):
         top = float(phi(x_hi))
         mid = float(phi(x_hi / 2.0))
@@ -384,14 +385,15 @@ class Nabla2Result(_Record):
         self._set(holds, a)
 
 
-def check_delta2(phi, u_lo=1e-4, u_hi=1e4, points=257, slope_tol=0.01):
-    """Empirical doubling check: phi(2x) <= K * phi(x) on [u_lo, u_hi].
+def check_delta2(phi):
+    """Empirical doubling check: phi(2x) <= K * phi(x) on [1e-4, 1e4] (257 log-spaced x).
 
     `K` is the largest observed ratio.  `holds` requires the ratio to be
-    finite and its log-growth over the top decade to stay below
-    `slope_tol`, so ratios that keep climbing fail even when finite.
+    finite and its log-growth over the top decade to stay below 0.01, so
+    ratios that keep climbing fail even when finite.
     """
-    x = np.geomspace(u_lo, u_hi, points)
+    u_hi = 1e4
+    x = np.geomspace(1e-4, u_hi, 257)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ratio = np.asarray(phi(2.0 * x), dtype=float) / np.asarray(phi(x), dtype=float)
         r_top = float(phi(2.0 * u_hi)) / float(phi(u_hi))
@@ -400,17 +402,17 @@ def check_delta2(phi, u_lo=1e-4, u_hi=1e4, points=257, slope_tol=0.01):
         return Delta2Result(False, np.inf, np.inf)
     slope = float(np.log(r_top) - np.log(r_dec))
     constant = float(np.max(ratio))
-    return Delta2Result(bool(slope < slope_tol), constant, slope)
+    return Delta2Result(bool(slope < 0.01), constant, slope)
 
 
-def check_nabla2(psi, u_lo=1e-2, u_hi=1e2, a_points=96, x_points=121):
-    """Search for a > 1 with psi(x) <= psi(a*x) / (2*a) on [u_lo, u_hi].
+def check_nabla2(psi):
+    """Search for a > 1 with psi(x) <= psi(a*x) / (2*a) on [1e-2, 1e2] (121 log-spaced x).
 
-    Scans a log grid of candidate factors in (1, 64] and returns the
+    Scans the 96 candidate factors 2^(k/16) in (1, 64] and returns the
     smallest feasible one in the `a` field.
     """
-    a_grid = 2.0 ** (np.arange(1, a_points + 1) / 16.0)
-    x = np.geomspace(u_lo, u_hi, x_points)
+    a_grid = 2.0 ** (np.arange(1, 97) / 16.0)
+    x = np.geomspace(1e-2, 1e2, 121)
     px = np.asarray(psi(x), dtype=float)
     for a in a_grid:
         bound = np.asarray(psi(a * x), dtype=float) / (2.0 * a)
@@ -428,19 +430,19 @@ class ConcavityRegions(_Record):
     def __init__(self, s, u_lo, u_hi, intervals):
         self._set(s, u_lo, u_hi, intervals)
 
-    def covers(self, lo, hi, rtol=1e-3):
-        """True when one detected interval contains [lo, hi]."""
+    def covers(self, lo, hi):
+        """True when one detected interval contains [lo, hi], up to a relative 1e-3 at each end."""
         for left, right in self.intervals:
-            if left <= lo * (1.0 + rtol) and right >= hi * (1.0 - rtol):
+            if left <= lo * (1.0 + 1e-3) and right >= hi * (1.0 - 1e-3):
                 return True
         return False
 
 
-def power_concavity_regions(phi, s, u_lo=1e-6, u_hi=1e6, resolution=4096, tol=1e-11):
+def power_concavity_regions(phi, s, u_lo=1e-6, u_hi=1e6, resolution=4096):
     """Maximal intervals where u -> phi(u**(1/s)) is concave.
 
     Concavity is read off the sign of chord defects on a log-spaced grid;
-    defects up to `tol` times the local scale count as concave so exactly
+    defects up to 1e-11 times the local scale count as concave so exactly
     linear stretches are not split by rounding noise.
     """
     if s < 2.0:
@@ -450,7 +452,7 @@ def power_concavity_regions(phi, s, u_lo=1e-6, u_hi=1e6, resolution=4096, tol=1e
     lam = (u[2:] - u[1:-1]) / (u[2:] - u[:-2])
     chord = lam * g[:-2] + (1.0 - lam) * g[2:]
     scale = np.maximum.reduce([np.abs(g[:-2]), np.abs(g[1:-1]), np.abs(g[2:])]) + 1e-300
-    ok_mid = (chord - g[1:-1]) <= tol * scale
+    ok_mid = (chord - g[1:-1]) <= 1e-11 * scale
     ok = np.concatenate([[ok_mid[0]], ok_mid, [ok_mid[-1]]])
     intervals = []
     start = None
@@ -494,21 +496,24 @@ class PatchResult(_Record):
         self._set(phi, c1, c2, A)
 
 
-def patch(phi, s, a, b, u_lo=1e-6, u_hi=1e6, resolution=4096):
+def patch(phi, s, a, b):
     """Bridge the convex gap of u -> phi(u**(1/s)) between a and b.
 
     Requires the composition to be concave on [u_lo, max(a, a**s)] and on
-    [min(b, b**s), u_hi].  The result phi~ equals c1*phi below a, equals
-    c2 + phi above b, and has a constant-exponent segment in between whose
-    slope makes the composed derivative continuous and nonincreasing, so
-    phi~(u**(1/s)) is globally concave.  `A` reports the equivalence
-    constant sup max(phi~/phi, phi/phi~) over the working grid.
+    [min(b, b**s), u_hi], the working grid [u_lo, u_hi] = [1e-6, 1e6] of
+    `power_concavity_regions` at its defaults.  The result phi~ equals
+    c1*phi below a, equals c2 + phi above b, and has a constant-exponent
+    segment in between whose slope makes the composed derivative continuous
+    and nonincreasing, so phi~(u**(1/s)) is globally concave.  `A` reports
+    the equivalence constant sup max(phi~/phi, phi/phi~) over the working
+    grid.
     """
     if not (0.0 < a < b):
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
     if s < 2.0:
         raise ValueError(f"power parameter s must be >= 2, got {s}")
-    regions = power_concavity_regions(phi, s, u_lo, u_hi, resolution)
+    regions = power_concavity_regions(phi, s)
+    u_lo, u_hi = regions.u_lo, regions.u_hi
     low_hi = max(a, a ** s)
     high_lo = min(b, b ** s)
     if not regions.covers(u_lo, low_hi):
@@ -526,7 +531,7 @@ def patch(phi, s, a, b, u_lo=1e-6, u_hi=1e6, resolution=4096):
     c2 = mid_at_b - float(phi(b))
     tilde = YoungFunction("patched:" + phi.kind, phi.params + (float(s),),
                           breakpoints=(float(a), float(b)), c1=c1, c2=c2, base=phi)
-    u = np.geomspace(u_lo, u_hi, resolution)
+    u = np.geomspace(u_lo, u_hi, 4096)
     old = np.asarray(phi(u), dtype=float)
     new = np.asarray(tilde(u), dtype=float)
     good = (old > 0.0) & (new > 0.0)

@@ -1,6 +1,7 @@
 """Best trigonometric approximation, projections, and K-functionals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,3 +231,13 @@ def test_realization_rows_equal_their_stacked_evaluation(dim, size, norm):
     res = k_functional(g, ell, t, norm)
     assert res.value == float(vals.min())
     assert res.degree == degrees[int(np.argmin(vals))]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f: projection(f, -1), "degree must be a nonnegative integer, got -1"),
+    (lambda f: projection(f, 1.5), "degree must be a nonnegative integer, got 1.5"),
+    (lambda f: k_functional(f, 1, 0.5, route="bogus"), "unknown route 'bogus'"),
+])
+def test_approximation_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(discretize(np.cos, 16, 1))

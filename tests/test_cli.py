@@ -521,3 +521,23 @@ def test_a_cold_batch_imports_neither_numpy_ma_nor_a_thread_pool(tmp_path):
 def test_no_arguments_prints_help(capsys):
     assert main([]) == 0
     assert "jacksonlab" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"checks": [{"id": "basic-2.1", "params": [1.0]}], "N": 32},
+     "config field 'checks[0].params': must be an object"),
+    ({"checks": [{"id": "basic-2.1"}], "N": 32, "out": ""},
+     "config field 'out': must be a non-empty path, got ''"),
+    # a bare id is an entry without params, and runs
+    ({"checks": ["basic-2.1"], "N": 32}, None),
+])
+def test_config_entries_and_out_are_checked(tmp_path, capsys, config, message):
+    out = tmp_path / "rep"
+    status = main(["run", write_config(tmp_path, config)] + (["--out", str(out)] * (not message)))
+    err = capsys.readouterr().err
+    if message is None:
+        assert status == 0 and err == ""
+        assert json.loads((out / "00-basic-2.1.json").read_text())["id"] == "basic-2.1"
+    else:
+        assert status == 2 and message in err
+        assert not out.exists()

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,10 +12,11 @@ import pytest
 
 from jacksonlab import (GridFunction, NormSpec, YoungFunction, bisect_level_log, complementary,
                         discretize, exp_growth, golden_max, grid_points, log_power, lp_norm,
-                        luxemburg_norm, orlicz_functional, orlicz_norm,
+                        luxemburg_norm, modulus, orlicz_functional, orlicz_norm,
                         orlicz_norm_dual_bound, patch, power, random_smooth,
                         two_power, zygmund)
-from jacksonlab.grid import _lp_rows
+from jacksonlab import ops as ops_module
+from jacksonlab.grid import _lp_rows, _weight_array
 
 SQRT2 = math.sqrt(2.0)
 
@@ -93,6 +95,59 @@ def test_lp_rows_and_lp_norm_match_a_long_double_mean(p, weighted):
     assert weighted_rows.tolist() == pytest.approx(norms, rel=1e-15, abs=0.0)
     for got in (rows, weighted_rows, np.array(norms)):
         assert np.abs(got / ref - 1.0).max() <= 1e-15
+
+
+_ROW_SPECS = ([("lp", p) for p in (1.0, 1.5, 2.0, 3.0, 4.0, 7.0, math.inf)]
+              + [("luxemburg", None), ("orlicz", None)])
+
+
+@pytest.mark.parametrize("dim,sizes", [(1, (16, 64, 128, 1024)), (2, (16, 32))])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("variant,p", _ROW_SPECS)
+def test_a_one_function_norm_is_its_own_row_in_a_stack(dim, sizes, weighted, variant, p):
+    # lp_norm, luxemburg_norm, orlicz_norm and NormSpec.norm are one row of
+    # NormSpec.rows, the evaluator of the moduli's stacks, bit for bit
+    rng = np.random.default_rng(300 + dim)
+    phi = None if variant == "lp" else zygmund(2.0, 0.5)
+    count = 2 if variant != "lp" else 12
+    for size in sizes:
+        fs = [random_smooth(size, dim, rng) for _ in range(count)]
+        weight = rng.uniform(0.2, 5.0, fs[0].samples.shape) if weighted else None
+        spec = NormSpec(variant=variant, p=2.0 if p is None else p, phi=phi, weight=weight)
+        stack = np.stack([f.samples.ravel() for f in fs])
+        rows = spec.rows(stack, _weight_array(fs[0], weight)).tolist()
+        ones = {"lp": lambda f: lp_norm(f, p, weight),
+                "luxemburg": lambda f: luxemburg_norm(f, phi, weight),
+                "orlicz": lambda f: orlicz_norm(f, phi, weight)}[variant]
+        assert [ones(f) for f in fs] == rows
+        assert [spec.norm(f) for f in fs] == rows
+        if variant == "lp":
+            assert _lp_rows(stack, p, _weight_array(fs[0], weight)).tolist() == rows
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_weight_is_refused_before_any_row(monkeypatch, bad):
+    rows, ffts = [], []
+    evaluate, inverse = NormSpec.rows, ops_module._inverse
+    monkeypatch.setattr(NormSpec, "rows",
+                        lambda *args: rows.append(1) or evaluate(*args))
+    monkeypatch.setattr(ops_module, "_inverse",
+                        lambda *args: ffts.append(1) or inverse(*args))
+    f = discretize(np.cos, 16, 1)
+    w = np.ones(16)
+    w[3] = bad
+    cases = [lambda: lp_norm(f, 4.0, w), lambda: lp_norm(f, math.inf, w),
+             lambda: luxemburg_norm(f, zygmund(2.0, 0.5), w),
+             lambda: orlicz_norm(f, zygmund(2.0, 0.5), w),
+             lambda: orlicz_functional(f, zygmund(2.0, 0.5), w)]
+    for p in (4.0, math.inf):
+        cases.append(lambda p=p: modulus(f, 1, 0.5, NormSpec(p=p, weight=w)))
+    cases.append(lambda: modulus(f, 1, 0.5, NormSpec("luxemburg", phi=zygmund(2.0, 0.5),
+                                                     weight=w)))
+    for case in cases:
+        with pytest.raises(ValueError, match="weight samples must be finite"):
+            case()
+    assert rows == [] and ffts == []
 
 
 def test_luxemburg_matches_lp_for_power_young():
@@ -486,3 +541,18 @@ def test_random_smooth_deterministic_and_normalized():
     assert np.max(np.abs(a.samples)) == pytest.approx(1.0, abs=1e-12)
     c = random_smooth(64, 2, np.random.default_rng(5))
     assert c.samples.shape == (64, 64)
+
+
+@pytest.mark.parametrize("error, call, message", [
+    (ValueError, lambda: GridFunction(np.zeros((8, 8, 8))), "grid dimension must be 1 or 2, got 3"),
+    (ValueError, lambda: GridFunction(np.zeros(4)), "grid size must be even and >= 8, got 4"),
+    (ValueError, lambda: GridFunction(np.zeros(9)), "grid size must be even and >= 8, got 9"),
+    (ValueError, lambda: GridFunction(np.zeros((8, 16))), "2-d grids must be square, got (8, 16)"),
+    (ValueError, lambda: GridFunction(np.r_[np.zeros(15), np.inf]), "samples must be finite"),
+    (AttributeError, lambda: setattr(GridFunction(np.zeros(8)), "samples", np.ones(8)),
+     "GridFunction is immutable"),
+    (ValueError, lambda: grid_points(16, 3), "grid dimension must be 1 or 2, got 3"),
+])
+def test_grid_refusals_name_what_is_wrong(error, call, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -1,6 +1,7 @@
 """Fourier multipliers, smoothing semigroups, and moduli of smoothness."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -715,14 +716,13 @@ def test_pruned_young_moduli_equal_the_per_row_max(dim, size, radii, directions,
 def test_pruned_luxemburg_moduli_solve_few_rows(monkeypatch):
     # 16 moduli of 128 two-sided steps each: a solve per row would be 2,048
     calls = []
-    solve = grid_module.luxemburg_norm
+    solve = grid_module._luxemburg
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(grid_module, "luxemburg_norm", counted)
-    monkeypatch.setattr(ops_module, "luxemburg_norm", counted, raising=False)
+    monkeypatch.setattr(grid_module, "_luxemburg", counted)
     f = random_smooth(1024, 1, np.random.default_rng(2024))
     spec = NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5))
     for r in (1, 2):
@@ -812,18 +812,18 @@ def test_luxemburg_jackson_14_evaluates_each_step_once(monkeypatch):
     # orlicz-1d's jackson-1.4 (N = 1024, seed 2024, checks[0]): 8 dyadic t with 64 radii
     # have 288 distinct radii, 576 two-sided steps, each evaluated once for orders 1 and 2
     rows, solves = [], []
-    young_sup, solve = ops_module._young_stack_sup, grid_module.luxemburg_norm
+    young_sup, solve = ops_module._young_stack_sup, grid_module._luxemburg
 
-    def counted_sup(f, block, *args):
+    def counted_sup(block, *args):
         rows.append(len(block))
-        return young_sup(f, block, *args)
+        return young_sup(block, *args)
 
     def counted_solve(*args, **kwargs):
         solves.append(1)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(ops_module, "_young_stack_sup", counted_sup)
-    monkeypatch.setattr(ops_module, "luxemburg_norm", counted_solve)
+    monkeypatch.setattr(grid_module, "_luxemburg", counted_solve)
     norm = {"norm": "luxemburg", "phi": {"kind": "zygmund", "params": [2.0, 0.5]}}
     config = {"checks": [{"id": "jackson-1.4", "params": {"norm": norm, "family": ["random"]}}],
               "N": 1024, "seed": 2024}
@@ -1080,3 +1080,21 @@ def test_moduli_reject_empty_sample_counts():
                  lambda: averaged_modulus(f, 1, 0.5, "heat", quad_points=-3)):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             call()
+
+
+_COS_2D = discretize(lambda a, b: np.cos(a), 16, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: translate(_COS_2D, 0.5), "scalar step only valid on 1-d grids"),
+    (lambda: translate(_COS_2D, (0.5, 0.1, 0.2)), "step has 3 components for a 2-d grid"),
+    (lambda: translate(discretize(np.cos, 16, 1), (0.5, 0.1)),
+     "step has 2 components for a 1-d grid"),
+    (lambda: cesaro_weights(-1, 1), "need degree n >= 0 and order ell >= 1, got (-1, 1)"),
+    (lambda: cesaro(_COS_2D, 2), "cesaro means are only defined on 1-d grids"),
+    (lambda: spherical_mean(discretize(np.cos, 16, 1), 0.5),
+     "spherical means are only defined on 2-d grids"),
+])
+def test_operator_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -402,3 +403,29 @@ def test_builtin_factory_dispatch():
     assert builtin("power", 2.0)(3.0) == pytest.approx(9.0, rel=1e-6, abs=0.0)
     with pytest.raises(ValueError):
         builtin("unknown-kind")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: power(0.5), "power exponent must be >= 1, got 0.5"),
+    (lambda: two_power(2.0, 1.5), "two_power needs 1 < alpha < beta, got (2.0, 1.5)"),
+    (lambda: zygmund(0.5, 1.0), "zygmund needs p >= 1 and alpha*p >= 1, got (0.5, 1.0)"),
+    (lambda: builtin("power", 1.0, 2.0), "power takes 1 parameters, got 2"),
+    (lambda: builtin("exp", 1.0), "exp takes 0 parameters, got 1"),
+    (lambda: YoungFunction("cubic"), "unknown Young function kind 'cubic'"),
+    (lambda: builtin("cubic"), "unknown Young function kind 'cubic'"),
+    (lambda: YoungFunction("patched:power", (2.0, 3.0), breakpoints=(0.5, 2.0)),
+     "patched Young function needs a base and two breakpoints"),
+    (lambda: YoungFunction("conjugate:power", (2.0, 1e3, 2048.0)),
+     "conjugate Young function needs a base"),
+    (lambda: log_power_tail_threshold(3.0, 2.5), "tail threshold needs s > r, got r=3.0, s=2.5"),
+    (lambda: log_power_tail_threshold(2.0, 5.0), "log_power exponent must be >= 2.618034, got 2.0"),
+    (lambda: patch(zygmund(2.0, 0.5), 3.0, 2.0, 1.0), "need 0 < a < b, got a=2.0, b=1.0"),
+    # u -> (u**(1/3))**4 is convex everywhere
+    (lambda: patch(power(4.0), 3.0, 0.5, 2.0), "concavity precondition fails on [1e-06, 0.5]"),
+    # phi'(a) = 3*a**2 underflows to 0 at a = 1e-300
+    (lambda: patch(power(3.0), 3.0, 1e-300, 2.0),
+     "patch requires positive one-sided derivatives at a and b"),
+])
+def test_young_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
