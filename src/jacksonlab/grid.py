@@ -159,10 +159,11 @@ def discretize(func, size, dim=1):
 
 
 def _weight_array(f, weight):
-    """Flattened normalized weight samples (mean exactly 1), or None.
+    """Flattened normalized weight samples (mean 1), or None.
 
     A weight is refused, before any norm is evaluated, unless it has the
-    shape of f's samples and every sample is finite and positive.
+    shape of f's samples and every sample is finite and positive.  A weight
+    whose mean overflows is divided by its max before it is normalized.
     """
     if weight is None:
         return None
@@ -173,14 +174,22 @@ def _weight_array(f, weight):
         raise ValueError("weight samples must be finite")
     if np.any(w <= 0.0):
         raise ValueError("weight must be strictly positive")
-    return (w / np.mean(w)).ravel()
+    with np.errstate(over="ignore"):
+        mean = np.mean(w)
+    if not math.isfinite(mean):  # the sum passes the float range: scale by the max first
+        w = w / np.max(w)
+        mean = np.mean(w)
+    return (w / mean).ravel()
 
 
-def _abs_power(x, p):
-    """|x|**p as a new array; an integer p by in-place products of |x| (p = 4: two squarings)."""
-    a = np.abs(x)
+def _abs_power(x, p, out=None):
+    """|x|**p, a new array or `out` (which may be x); an integer p by products of |x| in place.
+
+    p = 4 takes two squarings.
+    """
+    a = np.abs(x, out=out)
     if p != int(p):
-        return a ** p
+        return np.power(a, p, out=a)
     bits = bin(int(p))[3:]
     base = np.abs(x) if "1" in bits else None
     for bit in bits:  # binary powering from the top bit: square, then times |x| where a bit is set
@@ -296,35 +305,69 @@ def orlicz_norm(f, phi, weight=None):
     return NormSpec("orlicz", phi=phi, weight=weight).norm(f)
 
 
+def _power_index(phi):
+    """An exponent q >= 1 with phi(u)/u**q nondecreasing on u > 0, read from phi's kind.
+
+    q = p for power(p) and zygmund(p, a), where phi/u**p is 1 or a power of
+    log(2 + u); min(a, b) for two_power(a, b); and 1 for every other Young
+    function, since convexity and phi(0) = 0 make phi(u)/u nondecreasing.
+    """
+    if phi.kind in ("power", "zygmund"):
+        return phi.params[0]
+    if phi.kind == "two_power":
+        return min(phi.params)
+    return 1.0
+
+
 def _young_stack_sup(stack, spec, w, best):
     """The running (max norm, its Amemiya k*) `best`, raised by the rows of one stack.
 
     `stack` holds flattened samples and is overwritten by its absolute
     values (a Young norm reads |row| only); `spec` is a Luxemburg or
-    Orlicz NormSpec and `w` the flattened normalized weight or None.  One
-    vectorized modular mean w*phi(k|row|) over the live rows rules rows
-    out.  Luxemburg: the modular is nonincreasing in a = 1/k, so at a a
-    hair below the max a row with modular <= 1 has a smaller norm.
-    Orlicz: (1 + modular)/k bounds the Amemiya norm from above for every
-    k, so at the max's own k* a row whose bound is a hair below the max has
-    a smaller norm.  The hair (a relative 1e-9) is far above the level
+    Orlicz NormSpec and `w` the flattened normalized weight or None.  Rows
+    are ruled out by the modular mean w*phi(k|row|) against a level.
+    Luxemburg: the modular is nonincreasing in a = 1/k, so at a a hair
+    below the max a row with modular <= 1 has a smaller norm.  Orlicz:
+    (1 + modular)/k bounds the Amemiya norm from above for every k, so at
+    the max's own k* a row whose bound is a hair below the max has a
+    smaller norm.  The hair (a relative 1e-9) is far above the level
     solvers' tolerance, so a row left out never carries the max and the
-    result is the per-row max bit for bit.  The rows kept are solved
-    largest modular first, and each new max filters again; before a
-    nonzero max they are ranked by peak.
+    result is the per-row max bit for bit.
+
+    Two stages test the live rows against that level.  The first takes one
+    phi value a row: with q from `_power_index`, phi(u)/u**q is
+    nondecreasing, so phi(k|g|) <= phi(kM) (|g|/M)**q for the row's peak M
+    and the modular is at most phi(kM) * mean w*(|g|/M)**q.  M and that
+    mean do not depend on k, so they are taken once per stack.  A row whose
+    bound is at most the level is out, and a NaN or inf bound keeps it.
+    The second evaluates the modular itself on the rows left.  The rows
+    kept are solved largest modular first, and each new max filters again;
+    before a nonzero max they are ranked by peak.
     """
-    live = np.abs(stack, out=stack)
+    rows = np.abs(stack, out=stack)
     phi, lux = spec.phi, spec.variant == "luxemburg"
+    peak = rows.max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        share = rows * (1.0 / peak)[:, None]
+        _abs_power(share, _power_index(phi), out=share)
+        if w is not None:
+            share *= w
+        share = share.mean(axis=-1)
+    live = np.arange(len(rows))  # the rows still in, by index
     while len(live):
         top, kstar = best
         if top == 0.0:
             # zero rows have norm 0 and are left out
-            mod, level = live.max(axis=-1), 0.0
+            mod, level = peak[live], 0.0
         else:
             floor = top * (1.0 - 1e-9)
             k, level = (1.0 / floor, 1.0) if lux else (kstar, kstar * floor - 1.0)
             with np.errstate(over="ignore", invalid="ignore"):
-                vals = np.asarray(phi(k * live), dtype=float)
+                bound = np.asarray(phi(k * peak[live]), dtype=float) * share[live]
+                live = live[~(bound <= level)]  # a NaN bound stays in
+                if not len(live):
+                    break
+                vals = np.asarray(phi(k * rows[live]), dtype=float)
                 if w is not None:
                     vals *= w
                 mod = vals.mean(axis=-1)
@@ -333,12 +376,12 @@ def _young_stack_sup(stack, spec, w, best):
         order = np.argsort(-mod, kind="stable")
         for n, j in enumerate(order):
             if lux:
-                value, kj = _luxemburg(live[j], phi, w), None
+                value, kj = _luxemburg(rows[live[j]], phi, w), None
             else:
-                kj, value = _amemiya(live[j], phi, w)
+                kj, value = _amemiya(rows[live[j]], phi, w)
             if value > best[0]:
                 best = (value, kj)
-                live = np.delete(live, order[:n + 1], axis=0)
+                live = np.delete(live, order[:n + 1])
                 break
         else:
             break

@@ -424,7 +424,8 @@ def _difference_norms(fs, kind, orders, us, norm, sup=False, direction=None):
     every member comes from one build of T(u) - I per stack.  u is a k x d
     stack of shift steps, a vector of shift lengths along `direction`
     (default (1, 0); signed steps in 1-d), or heat/abel times.  Bad
-    arguments and non-finite scales are refused before any row is evaluated.
+    arguments, the norm's weight among them, and non-finite scales are
+    refused before any row is evaluated, also when there is no row.
     """
     size, dim, norm = fs[0].size, fs[0].dim, _norm_spec(norm)
     orders = _orders(orders)
@@ -444,7 +445,9 @@ def _difference_norms(fs, kind, orders, us, norm, sup=False, direction=None):
     if len(us):
         cols = _multiplier_norms(fs, us, norm, build, sup)
     else:
-        build(us)  # no row to build, so the builder checks the kind here
+        # no row to evaluate, so the kind and the weight are checked here
+        build(us)
+        _weight_array(fs[0], norm.weight)
         cols = [[0.0 if sup else [] for _ in orders] for _ in fs]
     return [dict(zip(orders, col)) for col in cols]
 

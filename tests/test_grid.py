@@ -150,6 +150,24 @@ def test_a_non_finite_weight_is_refused_before_any_row(monkeypatch, bad):
     assert rows == [] and ffts == []
 
 
+@pytest.mark.parametrize("dim,size", [(1, 16), (2, 8)])
+def test_a_weight_whose_mean_overflows_is_normalized(dim, size):
+    # the mean of 1e308 over the samples passes the float range; a RuntimeWarning is an
+    # error under this suite's settings
+    f = random_smooth(size, dim, np.random.default_rng(40 + dim))
+    shape = f.samples.shape
+    assert np.array_equal(_weight_array(f, np.full(shape, 1e308)), np.ones(size ** dim))
+    assert lp_norm(f, 4.0, np.full(shape, 1e308)) == lp_norm(f, 4.0)
+    assert luxemburg_norm(f, zygmund(2.0, 0.5), np.full(shape, 1e308)) == luxemburg_norm(
+        f, zygmund(2.0, 0.5))
+    # a weight that is not constant keeps its shape: w and w * 1e308 normalize alike
+    w = 1.0 + 0.5 * np.cos(grid_points(size, dim)[0])
+    big = _weight_array(f, w * (1e308 / 1.5))
+    assert np.all(np.isfinite(big))
+    assert np.allclose(big, _weight_array(f, w), rtol=1e-14, atol=0.0)
+    assert lp_norm(f, 4.0, w * (1e308 / 1.5)) == pytest.approx(lp_norm(f, 4.0, w), rel=1e-14)
+
+
 def test_luxemburg_matches_lp_for_power_young():
     rng = np.random.default_rng(11)
     for p in (1.5, 2.0, 3.0, 4.0):

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from jacksonlab import (GridFunction, NormSpec, averaged_modulus, best_approx, cesaro,
-                        cesaro_weights, difference, discretize, estimate_convexity_constant,
-                        grid_points, k_delta, k_functional, laplacian_power, lp_norm,
-                        luxemburg_norm, moduli_table, modulus, power, projection, random_smooth,
-                        run_check, semigroup_difference, semigroup_moduli_table,
-                        semigroup_modulus, space_moduli, spectral_semigroup, spherical_mean,
-                        translate, zygmund)
+from jacksonlab import (GridFunction, NormSpec, YoungFunction, averaged_modulus, best_approx,
+                        cesaro, cesaro_weights, complementary, difference, discretize,
+                        estimate_convexity_constant, grid_points, k_delta, k_functional,
+                        laplacian_power, lp_norm, luxemburg_norm, moduli_table, modulus, patch,
+                        power, projection, random_smooth, run_check, semigroup_difference,
+                        semigroup_moduli_table, semigroup_modulus, space_moduli,
+                        spectral_semigroup, spherical_mean, translate, two_power, zygmund)
 from jacksonlab import cli as cli_module
 from jacksonlab import grid as grid_module
 from jacksonlab import ops as ops_module
@@ -668,10 +668,10 @@ def test_jackson_14_builds_each_step_once_for_both_orders(monkeypatch):
     assert calls == ["irfft"] * 36
 
 
-def _young_specs(size, dim):
-    """Luxemburg and Orlicz norms of the Zygmund function, unweighted and weighted."""
+def _young_specs(size, dim, phi=None):
+    """Luxemburg and Orlicz norms of phi (default the Zygmund function), unweighted and weighted."""
     weight = 1.0 + 0.5 * np.cos(grid_points(size, dim)[0])
-    phi = zygmund(2.0, 0.5)
+    phi = zygmund(2.0, 0.5) if phi is None else phi
     return [NormSpec(variant=v, phi=phi, weight=w)
             for v in ("luxemburg", "orlicz") for w in (None, weight)]
 
@@ -683,11 +683,31 @@ def _even(size, dim):
     return GridFunction(np.cos(x) + 0.4 * np.cos(3.0 * x) + 0.3 * np.abs(np.sin(x)))
 
 
-# 1-d at N = 1024: 32 rows per stack, 96 two-sided steps (3 stacks), 80 times
-# (3 stacks, the last short); 2-d at N = 64: 8 rows per stack, 48 steps, 20 times
-@pytest.mark.parametrize("dim,size,radii,directions,points",
-                         [(1, 1024, 48, 1, 80), (2, 64, 6, 8, 20)])
-def test_pruned_young_moduli_equal_the_per_row_max(dim, size, radii, directions, points):
+# Young functions of every power index the pruning reads (`grid._power_index`):
+# q = 2 (zygmund), 3, 1.5 (two_power), and 1 for a patched and a conjugate phi
+_PRUNED_PHIS = {"zygmund": lambda: zygmund(2.0, 0.5), "power": lambda: power(3.0),
+                "two_power": lambda: two_power(1.5, 3.0),
+                "patched": lambda: patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi,
+                "conjugate": lambda: complementary(power(3.0))}
+
+
+# Zygmund: 1-d at N = 1024: 32 rows per stack, 96 two-sided steps (3 stacks), 80 times
+# (3 stacks, the last short); 2-d at N = 64: 8 rows per stack, 48 steps, 20 times.
+# The others on small grids: 1-d at N = 64, 24 steps and 12 times in one stack each;
+# 2-d at N = 16, 30 steps and 8 times; a conjugate phi costs a root search a call, so
+# 12 steps and 6 times at N = 32 and 12 steps and 4 times at N = 8
+_SMALL = {1: (1, 64, 12, 1, 12), 2: (2, 16, 5, 6, 8)}
+_SMALLER = {1: (1, 32, 6, 1, 6), 2: (2, 8, 3, 4, 4)}
+
+
+@pytest.mark.parametrize("phi,dim,size,radii,directions,points",
+                         # the zygmund cases keep their ids from before the other phi
+                         [pytest.param("zygmund", 1, 1024, 48, 1, 80, id="1-1024-48-1-80"),
+                          pytest.param("zygmund", 2, 64, 6, 8, 20, id="2-64-6-8-20")]
+                         + [(name, *_SMALL[dim]) for name in ("power", "two_power", "patched")
+                            for dim in (1, 2)]
+                         + [("conjugate", *_SMALLER[dim]) for dim in (1, 2)])
+def test_pruned_young_moduli_equal_the_per_row_max(phi, dim, size, radii, directions, points):
     # the radii and times exactly as the moduli build them
     t = 0.7
     rad = t * (np.arange(1, radii + 1) / radii)
@@ -697,8 +717,9 @@ def test_pruned_young_moduli_equal_the_per_row_max(dim, size, radii, directions,
         angles = 2.0 * np.pi * np.arange(directions) / directions
         steps = [(rho * math.cos(th), rho * math.sin(th)) for rho in rad for th in angles]
     us = t * (np.arange(1, points + 1) / points)
+    specs = _young_specs(size, dim, _PRUNED_PHIS[phi]())
     for f in (_even(size, dim), random_smooth(size, dim, np.random.default_rng(90 + dim))):
-        for spec in _young_specs(size, dim):
+        for spec in specs:
             for r in (1, 2):
                 want = max([0.0, *(spec.norm(difference(f, h, r)) for h in steps)])
                 got = modulus(_fresh(f), r, t, spec, directions=directions, radii=radii)
@@ -729,6 +750,27 @@ def test_pruned_luxemburg_moduli_solve_few_rows(monkeypatch):
         for j in range(1, 9):
             modulus(f, r, 2.0 ** -j, spec)
     assert 0 < len(calls) <= 128
+
+
+@pytest.mark.parametrize("dim,size", [(1, 16), (2, 8)])
+def test_a_modulus_at_t_zero_checks_its_weight(dim, size):
+    # t = 0 leaves no step to evaluate; the weight is checked against the grid all the same
+    f = random_smooth(size, dim, np.random.default_rng(60 + dim))
+    nan = np.ones(f.samples.shape)
+    nan.flat[3] = np.nan
+    for weight, message in ((np.ones(5), "weight shape"), (nan, "weight samples must be finite"),
+                            (-np.ones(f.samples.shape), "weight must be strictly positive")):
+        for spec in (NormSpec(p=4.0, weight=weight), NormSpec(p=2.0, weight=weight),
+                     NormSpec("luxemburg", phi=zygmund(2.0, 0.5), weight=weight)):
+            calls = [lambda: modulus(f, 1, 0.0, spec, directions=4, radii=4)]
+            calls += [lambda kind=kind: semigroup_modulus(f, 2, 0.0, kind, spec, points=4)
+                      for kind in ("shift", "heat", "abel")]
+            for call in calls:
+                with pytest.raises(ValueError, match=message):
+                    call()
+    spec = NormSpec(p=4.0, weight=np.full(f.samples.shape, 2.0))
+    assert modulus(f, 1, 0.0, spec, directions=4, radii=4) == 0.0
+    assert semigroup_modulus(f, 2, 0.0, "heat", spec, points=4) == 0.0
 
 
 def test_pruned_sup_of_a_constant_is_zero():
@@ -833,6 +875,47 @@ def test_luxemburg_jackson_14_evaluates_each_step_once(monkeypatch):
     assert sum(rows) == 1152
     assert calls.count("irfft") == 36
     assert 0 < len(solves) <= 25
+
+
+def test_luxemburg_jackson_14_filters_with_one_phi_value_a_row(monkeypatch):
+    # orlicz-1d's jackson-1.4 (N = 1024, seed 2024, checks[0]): the exact modular filter
+    # alone evaluated phi at 1,163,264 points inside _young_stack_sup, for 25 solves; the
+    # power-index bound leaves it about 151,000 and the same 25 solves
+    inside, points, solves = [False], [], []
+    young_sup, solve = ops_module._young_stack_sup, grid_module._luxemburg
+    call = YoungFunction.__call__
+
+    def counted_sup(*args):
+        inside[0] = True
+        try:
+            return young_sup(*args)
+        finally:
+            inside[0] = False
+
+    def counted_solve(*args):
+        # a level solve is not the filter: its phi points are not counted
+        solves.append(1)
+        was, inside[0] = inside[0], False
+        try:
+            return solve(*args)
+        finally:
+            inside[0] = was
+
+    def counted_call(self, x):
+        if inside[0]:
+            points.append(np.size(x))
+        return call(self, x)
+
+    monkeypatch.setattr(ops_module, "_young_stack_sup", counted_sup)
+    monkeypatch.setattr(grid_module, "_luxemburg", counted_solve)
+    monkeypatch.setattr(YoungFunction, "__call__", counted_call)
+    norm = {"norm": "luxemburg", "phi": {"kind": "zygmund", "params": [2.0, 0.5]}}
+    config = {"checks": [{"id": "jackson-1.4", "params": {"norm": norm, "family": ["random"]}}],
+              "N": 1024, "seed": 2024}
+    (cid, params), = cli_module._validate(config)[0]
+    run_check(cid, params)
+    assert 0 < sum(points) <= 1_163_264 // 4
+    assert len(solves) == 25
 
 
 @pytest.mark.parametrize("dim,size", [(1, 4096), (2, 64)])

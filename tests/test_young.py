@@ -10,6 +10,7 @@ import pytest
 from jacksonlab import (YoungFunction, bisect_level_log, builtin, check_delta2, check_nabla2,
                         complementary, exp_growth, log_power, log_power_tail_threshold,
                         patch, power, power_concavity_regions, two_power, zygmund)
+from jacksonlab.grid import _power_index
 from jacksonlab.young import _conj_refine
 
 
@@ -53,6 +54,30 @@ def conjugate_by_argmax_matrix(psi, y):
     mass = y[:, None] * xg[None, :] - base_grid[None, :]
     idx = np.argmax(mass, axis=1)
     return _conj_refine(psi.base, xg, base_grid, y, idx)
+
+
+@pytest.mark.parametrize("make, least", [
+    (lambda: power(1.0), 1.0), (lambda: power(2.5), 2.5), (lambda: power(3.0), 3.0),
+    (lambda: zygmund(1.0, 1.0), 1.0), (lambda: zygmund(2.0, 0.5), 2.0),
+    (lambda: two_power(1.5, 3.0), 1.5), (lambda: log_power(3.0), 1.0),
+    (lambda: exp_growth(), 1.0), (lambda: patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi, 1.0),
+    (lambda: complementary(power(3.0)), 1.0), (lambda: complementary(zygmund(2.0, 0.5)), 1.0),
+], ids=["power-1", "power-2.5", "power-3", "zygmund-1-1", "zygmund-2-0.5", "two_power",
+        "log_power", "exp", "patched", "conjugate-power", "conjugate-zygmund"])
+def test_power_index_bounds_the_growth_of_each_kind(make, least):
+    # the moduli's pruning reads q with phi(u)/u**q nondecreasing (grid._power_index):
+    # u phi'(u)/phi(u) >= q, and the ratio does not fall, on a dense grid
+    phi = make()
+    q = _power_index(phi)
+    assert q >= least
+    u = np.geomspace(1e-6, 1e6, 24001)
+    with np.errstate(over="ignore"):  # exp passes the float range near u = 700
+        vals, grows = np.asarray(phi(u)), u * np.asarray(phi.deriv_minus(u))
+    on = (vals > 0.0) & np.isfinite(grows)
+    assert on.sum() >= len(u) // 2
+    assert np.all(grows[on] >= q * vals[on] * (1.0 - 1e-12))
+    ratio = vals[on] / u[on] ** q
+    assert np.all(np.diff(ratio) >= -1e-12 * ratio[1:])
 
 
 def test_conjugate_chord_index_matches_argmax_oracle():
