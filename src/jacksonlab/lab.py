@@ -8,6 +8,12 @@ Lower-bound checks require the smallest LHS/RHS ratio to stay positive;
 upper-bound checks the largest to stay finite; all checks also require the
 ratio spread (max over median) to stay under a bound, so a constant that
 drifts across the range fails even when each point is individually fine.
+
+The space-geometry estimators sample the hypothesis (*),
+max(|F+G|, |F-G|)^s >= |F|^s + m|G|^s, and the moduli of the unit ball
+behind it.  They draw their pairs first, in a fixed order, and then take
+the norms of every pair through `NormSpec.rows`, one stacked call per
+stage (`_norms`), so each norm has the one implementation in `grid`.
 """
 
 from __future__ import annotations
@@ -21,10 +27,10 @@ import time
 import numpy as np
 
 from .approx import best_approx, degree_below, k_functional
-from .grid import (GridFunction, NormSpec, _convexity_exponent, _Record, discretize,
-                   grid_points, luxemburg_norm, orlicz_norm, random_smooth)
-from .ops import (_SEMIGROUP_KINDS, _averaged_moduli, _difference_norms, _moduli_tables,
-                  _norm_spec, _sup_table, cesaro)
+from .grid import (GridFunction, NormSpec, _convexity_exponent, _Record, _weight_array,
+                   discretize, grid_points, luxemburg_norm, orlicz_norm, random_smooth)
+from .ops import (_SEMIGROUP_KINDS, _STACK_SAMPLES, _averaged_moduli, _difference_norms,
+                  _moduli_tables, _norm_spec, _sup_table, cesaro)
 from .search import bisect_level
 from .young import YoungFunction, zygmund
 
@@ -238,6 +244,30 @@ def _generator(rng):
     return rng, -1
 
 
+def _trials(trials, low=0):
+    """`trials` as a sample count: an integer >= low, else a ValueError naming trials."""
+    try:
+        return _number(low)(trials)
+    except ValueError as exc:
+        raise ValueError(f"trials {exc}") from None
+
+
+def _norms(spec, w, *stacks):
+    """The norms of the rows of equally tall stacks of flattened samples, stacked into one call.
+
+    Row k of the result holds the norms of stack k; `w` is the flattened
+    normalized weight (`grid._weight_array`) or None.  One `NormSpec.rows`
+    call takes the rows of every stack, in slices of `ops._STACK_SAMPLES`
+    samples a stack (one slice at the estimators' default sizes), so that
+    a 2-d grid does not multiply the samples held.  A row's norm is its
+    one-function norm bit for bit, whatever it is stacked with.
+    """
+    step = max(1, _STACK_SAMPLES // stacks[0].shape[1])
+    return np.concatenate([spec.rows(np.concatenate([a[k:k + step] for a in stacks]), w)
+                           .reshape(len(stacks), -1) for k in range(0, len(stacks[0]), step)],
+                          axis=1)
+
+
 class ConvexityEstimate(_Record):
     """Empirical sharp constant of the s-convexity inequality."""
 
@@ -256,48 +286,22 @@ def estimate_convexity_constant(norm=None, s=2.0, rng=None, trials=200,
     seeded random pairs drawn sequentially, so enlarging `trials` keeps
     every earlier sample and the estimate can only decrease.  F = 0 gives
     the ratio 1, which bounds m for every norm, so the estimate never
-    exceeds 1.
+    exceeds 1.  `s` is a finite number >= 2 and `trials` an integer >= 100.
+    The norms of every pair are taken in one stacked call.
     """
-    if s < 2.0:
-        raise ValueError(f"convexity exponent s must be >= 2, got {s}")
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
+    s = _convexity_exponent(s)
+    trials = _trials(trials, 100)
     rng, _ = _generator(rng)
-    nfun = _norm_spec(norm).norm
-    x = 2.0 * np.pi * np.arange(size) / size
+    spec = _norm_spec(norm)
     shape = (size,) * dim
     ones = GridFunction(np.ones(shape))
-    cosf = discretize(np.cos, size, 1) if dim == 1 else \
-        discretize(lambda a, b: np.cos(a), size, 2)
-    left = np.zeros(shape)
-    right = np.zeros(shape)
-    half = (x < np.pi)
-    if dim == 1:
-        left[half] = 1.0
-        right[~half] = 1.0
-    else:
-        left[half, :] = 1.0
-        right[~half, :] = 1.0
-
-    best = float("inf")
-    best_pair = None
-    best_label = None
-
-    def consider(label, F, G):
-        nonlocal best, best_pair, best_label
-        ng = nfun(G)
-        if ng < 1e-12:
-            return
-        nf = nfun(F)
-        top = max(nfun(F + G), nfun(F - G))
-        val = max((top ** s - nf ** s) / ng ** s, 0.0)
-        if val < best:
-            best, best_pair, best_label = val, (F, G), label
-
-    consider("flat-vs-cos", ones, cosf)
-    consider("near-parallel", cosf, 0.01 * cosf)
-    consider("disjoint-halves", GridFunction(left), GridFunction(right))
-    consider("zero-vs-cos", GridFunction(np.zeros(shape)), cosf)
+    cosf = discretize(lambda *x: np.cos(x[0]), size, dim)
+    left = np.zeros(shape)  # 1 where the first coordinate is below pi, and right = 1 - left
+    left[2.0 * np.pi * np.arange(size) / size < np.pi] = 1.0
+    right = 1.0 - left
+    pairs = [("flat-vs-cos", ones, cosf), ("near-parallel", cosf, 0.01 * cosf),
+             ("disjoint-halves", GridFunction(left), GridFunction(right)),
+             ("zero-vs-cos", GridFunction(np.zeros(shape)), cosf)]
     for k in range(trials):
         mode = k % 3
         F = random_smooth(size, dim, rng)
@@ -310,8 +314,18 @@ def estimate_convexity_constant(norm=None, s=2.0, rng=None, trials=200,
             mask = left if rng.uniform() < 0.5 else right
             F = GridFunction(F.samples * mask)
             G = GridFunction(random_smooth(size, dim, rng).samples * (1.0 - mask))
-        consider(f"random-{k}", F, G)
-    return ConvexityEstimate(float(best), best_pair, best_label, trials)
+        pairs.append((f"random-{k}", F, G))
+    Fs, Gs = (np.array([pair[k].samples.ravel() for pair in pairs]) for k in (1, 2))
+    norms = _norms(spec, _weight_array(ones, spec.weight), Fs, Gs, Fs + Gs, Fs - Gs)
+    best, label, witness = float("inf"), None, None
+    # the ratios in Python floats, pair by pair, as exact as with one norm per call
+    for (name, F, G), (nf, ng, plus, minus) in zip(pairs, zip(*norms.tolist())):
+        if ng < 1e-12:
+            continue
+        val = max((max(plus, minus) ** s - nf ** s) / ng ** s, 0.0)
+        if val < best:
+            best, label, witness = val, name, (F, G)
+    return ConvexityEstimate(best, witness, label, trials)
 
 
 class SpaceGeometry(_Record):
@@ -330,69 +344,66 @@ def space_moduli(norm=None, size=64, dim=1, rng=None, trials=24):
     |F| = 1, |G| = sigma; delta(eps) the smallest observed 1 - |phi+psi|/2
     over unit pairs with |phi-psi| = eps.  Both curves are clamped at 0,
     pinned to 0 at the origin, and made nondecreasing; exponents come from
-    a log-log fit over the positive part of each grid.
+    a log-log fit over the positive part of each grid.  `trials` (an
+    integer >= 0) random pairs join two fixed ones.
+
+    Every stage takes the norms of all pairs in one stacked call: eta one
+    per sigma; delta bisects every pair of an eps in lockstep
+    (`bisect_level` on arrays) on the angle theta of
+    psi = unit(cos(theta) phi + sin(theta) b), two calls per step (the
+    norms that make psi a unit, then |phi - psi|).
     """
+    spec = _norm_spec(norm)
+    trials = _trials(trials)
     rng, _ = _generator(rng)
-    nfun = _norm_spec(norm).norm
     sigma = np.concatenate([[0.0], np.geomspace(0.02, 0.5, 15)])
     eps = np.concatenate([[0.0], np.geomspace(0.05, 1.0, 15)])
 
-    def unit(g):
-        n = nfun(g)
-        if n < 1e-14:
-            return None
-        return (1.0 / n) * g
-
-    base = []
-    if dim == 1:
-        base.append((discretize(np.cos, size, 1), discretize(np.sin, size, 1)))
-        base.append((discretize(lambda x: np.cos(2 * x), size, 1),
-                     discretize(np.cos, size, 1)))
-    else:
-        base.append((discretize(lambda x, y: np.cos(x), size, 2),
-                     discretize(lambda x, y: np.sin(x), size, 2)))
-        base.append((discretize(lambda x, y: np.cos(x) * np.cos(y), size, 2),
-                     discretize(lambda x, y: np.sin(x) * np.sin(y), size, 2)))
-    pairs = list(base)
-    for _ in range(trials):
-        pairs.append((random_smooth(size, dim, rng), random_smooth(size, dim, rng)))
-    pairs = [(unit(a), unit(b)) for a, b in pairs]
-    pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
+    # (cos x, sin x), then (cos 2x, cos x) in 1-d and (cos x cos y, sin x sin y) in 2-d
+    fixed = [(lambda *x: np.cos(x[0]), lambda *x: np.sin(x[0])),
+             (lambda x: np.cos(2 * x), np.cos) if dim == 1 else
+             (lambda x, y: np.cos(x) * np.cos(y), lambda x, y: np.sin(x) * np.sin(y))]
+    pairs = [(discretize(a, size, dim), discretize(b, size, dim)) for a, b in fixed] + [
+        (random_smooth(size, dim, rng), random_smooth(size, dim, rng)) for _ in range(trials)]
+    w = _weight_array(pairs[0][0], spec.weight)
+    As, Bs = (np.array([pair[k].samples.ravel() for pair in pairs]) for k in (0, 1))
+    na, nb = _norms(spec, w, As, Bs)
+    keep = (na >= 1e-14) & (nb >= 1e-14)  # a pair with a zero side has no unit vector
+    phi, b = (1.0 / na[keep])[:, None] * As[keep], (1.0 / nb[keep])[:, None] * Bs[keep]
 
     eta = np.zeros_like(sigma)
-    for i, sg in enumerate(sigma):
-        if sg == 0.0:
-            continue
-        best = 0.0
-        for F, B in pairs:
-            G = sg * B
-            best = max(best, 0.5 * nfun(F + G) + 0.5 * nfun(F - G) - 1.0)
-        eta[i] = max(best, 0.0)
+    for i in range(1, len(sigma)):
+        G = sigma[i] * b
+        plus, minus = _norms(spec, w, phi + G, phi - G)
+        eta[i] = max([0.0] + (0.5 * plus + 0.5 * minus - 1.0).tolist())
     eta = np.maximum.accumulate(eta)
 
+    def mix(theta, P, Q):
+        # unit(cos(theta) P + sin(theta) Q) by rows, with the scalar math.cos and math.sin
+        t = theta.tolist()
+        v = (np.array([math.cos(a) for a in t])[:, None] * P
+             + np.array([math.sin(a) for a in t])[:, None] * Q)
+        return (1.0 / _norms(spec, w, v)[0])[:, None] * v
+
+    def distance(theta, P, Q):
+        return _norms(spec, w, P - mix(theta, P, Q))[0]
+
+    gap = _norms(spec, w, phi - b)[0]
+    at_half, at_pi = (distance(np.full(len(phi), t), phi, b) for t in (math.pi / 2.0, math.pi))
     delta = np.zeros_like(eps)
-    for i, ev in enumerate(eps):
-        if ev == 0.0:
+    for i in range(1, len(eps)):
+        ev = eps[i]
+        # the bracket [0, pi/2], or [0, pi] when pi/2 falls short; a pair that pi too
+        # leaves short of eps, or whose gap is below it, has no psi
+        hi = np.where(at_half < ev, math.pi, math.pi / 2.0)
+        live = (gap >= ev - 1e-12) & ~((at_half < ev) & (at_pi < ev - 1e-9))
+        if not live.any():
             continue
-        best = None
-        for phi, b in pairs:
-            gap = nfun(phi - b)
-            if gap < ev - 1e-12:
-                continue
-
-            def mix(theta):
-                return unit(math.cos(theta) * phi + math.sin(theta) * b)
-
-            lo, hi = 0.0, math.pi / 2.0
-            if nfun(phi - mix(hi)) < ev:
-                hi = math.pi
-                if nfun(phi - mix(hi)) < ev - 1e-9:
-                    continue
-            psi = mix(bisect_level(lambda th: nfun(phi - mix(th)), lo, hi, level=ev, iters=60))
-            val = max(1.0 - 0.5 * nfun(phi + psi), 0.0)
-            if best is None or val < best:
-                best = val
-        delta[i] = 0.0 if best is None else best
+        P, Q = phi[live], b[live]
+        theta = bisect_level(lambda th: distance(th, P, Q), np.zeros(len(P)), hi[live],
+                             level=ev, iters=60)
+        plus = _norms(spec, w, P + mix(theta, P, Q))[0]
+        delta[i] = min(max(1.0 - 0.5 * n, 0.0) for n in plus.tolist())
     delta = np.maximum.accumulate(delta)
 
     def fit(xs, ys):
@@ -413,6 +424,9 @@ def verify_duality(q, dim, rng=None, trials=400):
     over sampled pairs, predicts the conjugate-space constant
     m = M^(-1/(q-1)) with s = q/(q-1), and verifies on l_s that
     max(|u+v|, |u-v|)^s >= |u|^s + m|v|^s up to 3*tol sampling slack, tol = 0.01.
+    Each side samples four fixed pairs and `trials` (an integer >= 0) seeded
+    ones.  The l_p norm on dim points is dim^(1/p) times the mean L_p norm
+    of `NormSpec(p=p)`, which takes the norms of all pairs in one call.
     """
     if not (1.0 < q <= 2.0):
         raise ValueError(
@@ -420,49 +434,25 @@ def verify_duality(q, dim, rng=None, trials=400):
             "norm satisfies the power-type smoothness inequality beyond q = 2")
     if dim < 2:
         raise ValueError(f"need dimension >= 2, got {dim}")
+    trials = _trials(trials)
     rng, seed = _generator(rng)
     start = time.perf_counter()
     s, tol = q / (q - 1.0), 0.01
+    fixed = np.zeros((4, 2, dim))
+    fixed[:, 0, 0] = 1.0
+    fixed[:, 1, 1] = (0.1, 0.5, 1.0, 2.0)
 
-    def norm_of(v, expo):
-        return float(np.sum(np.abs(v) ** expo) ** (1.0 / expo))
+    def sampled(p):
+        # |x|, |y|, |x+y|, |x-y| in l_p of the fixed pairs, then of `trials` drawn ones,
+        # for every pair with |y| >= 1e-12
+        x, y = np.concatenate([fixed, rng.standard_normal((trials, 2, dim))]).transpose(1, 0, 2)
+        norms = dim ** (1.0 / p) * _norms(NormSpec(p=p), None, x, y, x + y, x - y)
+        return [row for row in zip(*norms.tolist()) if row[1] >= 1e-12]
 
-    det_pairs = []
-    e0 = np.zeros(dim)
-    e1 = np.zeros(dim)
-    e0[0] = 1.0
-    e1[1] = 1.0
-    for scale in (0.1, 0.5, 1.0, 2.0):
-        det_pairs.append((e0, scale * e1))
-
-    m_need = 0.0
-    for k in range(trials + len(det_pairs)):
-        if k < len(det_pairs):
-            x, y = det_pairs[k]
-        else:
-            x = rng.standard_normal(dim)
-            y = rng.standard_normal(dim)
-        ny = norm_of(y, q)
-        if ny < 1e-12:
-            continue
-        lhs = 0.5 * (norm_of(x + y, q) + norm_of(x - y, q))
-        need = (lhs ** q - norm_of(x, q) ** q) / ny ** q
-        m_need = max(m_need, need)
-    M_hat = max(m_need, 1e-12)
+    M_hat = max([0.0] + [((0.5 * (plus + minus)) ** q - nx ** q) / ny ** q
+                         for nx, ny, plus, minus in sampled(q)] + [1e-12])
     m_pred = M_hat ** (-1.0 / (q - 1.0))
-
-    rows = []
-    for k in range(trials + len(det_pairs)):
-        if k < len(det_pairs):
-            u, v = det_pairs[k]
-        else:
-            u = rng.standard_normal(dim)
-            v = rng.standard_normal(dim)
-        nv = norm_of(v, s)
-        if nv < 1e-12:
-            continue
-        top = max(norm_of(u + v, s), norm_of(u - v, s))
-        rows.append((top ** s - norm_of(u, s) ** s, nv ** s))
+    rows = [(max(plus, minus) ** s - nu ** s, nv ** s) for nu, nv, plus, minus in sampled(s)]
 
     report = _finish(
         "duality", {"q": q, "dim": dim, "trials": trials, "tol": tol}, rows, "lower",

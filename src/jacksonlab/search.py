@@ -1,10 +1,12 @@
 """Golden-section, bisection and Brent searches for unimodal and monotone functionals.
 
-`golden_max` works elementwise on arrays so that batches of independent
-one-dimensional searches run in a handful of vectorized evaluations; the
-level solvers are scalar.  The norms rest on `brent_level_log`.  No library
-path calls `golden_max` (the numerical conjugate bisects on the derivative
-inside `young`); it stays as public API and as a test oracle.
+`golden_max` and `bisect_level` work elementwise on arrays, so that batches
+of independent one-dimensional searches run in lockstep, one vectorized
+evaluation per step; each element ends where its scalar search would.
+`brent_level_log` and `bisect_level_log` are scalar.  The norms rest on
+`brent_level_log`, and `lab.space_moduli` bisects all its pairs at once.
+No library path calls `golden_max` (the numerical conjugate bisects on the
+derivative inside `young`); it stays as public API and as a test oracle.
 """
 
 from __future__ import annotations
@@ -60,26 +62,30 @@ def golden_max(f, lo, hi, iters=80):
 
 
 def bisect_level(f, lo, hi, level=0.0, increasing=True, iters=100, tol=0.0):
-    """Solve f(x) = level for monotone scalar f on a bracketing interval.
+    """Solve f(x) = level for monotone f on a bracketing interval.
 
     The bracket must satisfy f(lo) <= level <= f(hi) when `increasing`,
     and the reverse otherwise.  Plain bisection; returns the midpoint of
     the final bracket.  `tol` is an absolute bracket-width stop on top of
-    the iteration cap.
+    the iteration cap.  Array brackets run one search per element, as in
+    `golden_max`: f takes the array of midpoints, and an element whose
+    bracket met its stop keeps it, so every element ends bit for bit where
+    its scalar search would.  Scalar ends give f a float and return one.
     """
-    lo = float(lo)
-    hi = float(hi)
+    scalar = np.isscalar(lo) and np.isscalar(hi)
+    lo, hi = (a.astype(float) for a in np.broadcast_arrays(lo, hi))
+    live = np.ones(lo.shape, dtype=bool)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        val = float(f(mid))
+        val = np.asarray(f(float(mid) if scalar else mid), dtype=float)
         high_side = (val > level) if increasing else (val < level)
-        if high_side:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= max(tol, 1e-15 * (abs(lo) + abs(hi))):
+        hi = np.where(live & high_side, mid, hi)
+        lo = np.where(live & ~high_side, mid, lo)
+        live &= ~(hi - lo <= np.maximum(tol, 1e-15 * (np.abs(lo) + np.abs(hi))))
+        if not live.any():
             break
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    return float(mid) if scalar else mid
 
 
 def bisect_level_log(f, lo, hi, level=0.0, increasing=True, rtol=0.0):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jacksonlab import (NormSpec, describe_check, discretize, dyadic_tail_sum,
-                        estimate_convexity_constant, modulus, registry_ids, run_check,
-                        space_moduli, standard_family, verify_duality, zygmund)
+from jacksonlab import (GridFunction, NormSpec, bisect_level, describe_check, discretize,
+                        dyadic_tail_sum, estimate_convexity_constant, modulus, random_smooth,
+                        registry_ids, run_check, space_moduli, standard_family,
+                        verify_duality, zygmund)
 from jacksonlab import lab
 from jacksonlab import ops as ops_module
 from jacksonlab.lab import ParamError, _finish, check_params
@@ -492,6 +493,10 @@ def test_convexity_constant_gates():
         estimate_convexity_constant(spec, s=1.5, rng=0, trials=100)
     with pytest.raises(ValueError):
         estimate_convexity_constant(spec, s=2.0, rng=0, trials=10)
+    # NaN would give m_hat = inf with no witness, and inf a ZeroDivisionError
+    for s in (float("nan"), float("inf"), "2", True):
+        with pytest.raises(ValueError, match="convexity exponent s must be finite and >= 2"):
+            estimate_convexity_constant(spec, s=s, rng=0, trials=100)
 
 
 def test_convexity_constant_antitone_in_trials():
@@ -520,6 +525,248 @@ def test_verify_duality_pass_and_reject():
     assert "2.5" in str(err.value)
     with pytest.raises(ValueError):
         verify_duality(2.0, 1)
+
+
+@pytest.mark.parametrize("trials", [-5, -1, 2.5, 30.0, "8", True])
+def test_trials_must_be_a_count(trials):
+    with pytest.raises(ValueError, match="^trials must be an integer >= 0"):
+        space_moduli(size=16, rng=0, trials=trials)
+    with pytest.raises(ValueError, match="^trials must be an integer >= 0"):
+        verify_duality(2.0, 4, rng=0, trials=trials)
+    with pytest.raises(ValueError, match="^trials must be an integer >= 100"):
+        estimate_convexity_constant(trials=trials)
+
+
+# -- oracle: the estimators' scalar per-pair loops ------------------------
+#
+# Each norm is a one-row `NormSpec.norm` call and each (eps, pair) of delta a
+# scalar bisection; the stacked estimators must give the same bits.
+
+
+def convexity_loop(norm=None, s=2.0, rng=None, trials=200, size=64, dim=1):
+    if s < 2.0:
+        raise ValueError(f"convexity exponent s must be >= 2, got {s}")
+    if trials < 100:
+        raise ValueError(f"need at least 100 trials, got {trials}")
+    rng, _ = lab._generator(rng)
+    nfun = ops_module._norm_spec(norm).norm
+    x = 2.0 * np.pi * np.arange(size) / size
+    shape = (size,) * dim
+    ones = GridFunction(np.ones(shape))
+    cosf = discretize(np.cos, size, 1) if dim == 1 else \
+        discretize(lambda a, b: np.cos(a), size, 2)
+    left = np.zeros(shape)
+    right = np.zeros(shape)
+    half = (x < np.pi)
+    if dim == 1:
+        left[half] = 1.0
+        right[~half] = 1.0
+    else:
+        left[half, :] = 1.0
+        right[~half, :] = 1.0
+
+    best = float("inf")
+    best_pair = None
+    best_label = None
+
+    def consider(label, F, G):
+        nonlocal best, best_pair, best_label
+        ng = nfun(G)
+        if ng < 1e-12:
+            return
+        nf = nfun(F)
+        top = max(nfun(F + G), nfun(F - G))
+        val = max((top ** s - nf ** s) / ng ** s, 0.0)
+        if val < best:
+            best, best_pair, best_label = val, (F, G), label
+
+    consider("flat-vs-cos", ones, cosf)
+    consider("near-parallel", cosf, 0.01 * cosf)
+    consider("disjoint-halves", GridFunction(left), GridFunction(right))
+    consider("zero-vs-cos", GridFunction(np.zeros(shape)), cosf)
+    for k in range(trials):
+        mode = k % 3
+        F = random_smooth(size, dim, rng)
+        if mode == 0:
+            G = random_smooth(size, dim, rng)
+        elif mode == 1:
+            eps = rng.uniform(0.005, 0.1)
+            G = eps * F + rng.uniform(0.0, 0.2) * eps * random_smooth(size, dim, rng)
+        else:
+            mask = left if rng.uniform() < 0.5 else right
+            F = GridFunction(F.samples * mask)
+            G = GridFunction(random_smooth(size, dim, rng).samples * (1.0 - mask))
+        consider(f"random-{k}", F, G)
+    return lab.ConvexityEstimate(float(best), best_pair, best_label, trials)
+
+
+def space_moduli_loop(norm=None, size=64, dim=1, rng=None, trials=24):
+    rng, _ = lab._generator(rng)
+    nfun = ops_module._norm_spec(norm).norm
+    sigma = np.concatenate([[0.0], np.geomspace(0.02, 0.5, 15)])
+    eps = np.concatenate([[0.0], np.geomspace(0.05, 1.0, 15)])
+
+    def unit(g):
+        n = nfun(g)
+        if n < 1e-14:
+            return None
+        return (1.0 / n) * g
+
+    base = []
+    if dim == 1:
+        base.append((discretize(np.cos, size, 1), discretize(np.sin, size, 1)))
+        base.append((discretize(lambda x: np.cos(2 * x), size, 1),
+                     discretize(np.cos, size, 1)))
+    else:
+        base.append((discretize(lambda x, y: np.cos(x), size, 2),
+                     discretize(lambda x, y: np.sin(x), size, 2)))
+        base.append((discretize(lambda x, y: np.cos(x) * np.cos(y), size, 2),
+                     discretize(lambda x, y: np.sin(x) * np.sin(y), size, 2)))
+    pairs = list(base)
+    for _ in range(trials):
+        pairs.append((random_smooth(size, dim, rng), random_smooth(size, dim, rng)))
+    pairs = [(unit(a), unit(b)) for a, b in pairs]
+    pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
+
+    eta = np.zeros_like(sigma)
+    for i, sg in enumerate(sigma):
+        if sg == 0.0:
+            continue
+        best = 0.0
+        for F, B in pairs:
+            G = sg * B
+            best = max(best, 0.5 * nfun(F + G) + 0.5 * nfun(F - G) - 1.0)
+        eta[i] = max(best, 0.0)
+    eta = np.maximum.accumulate(eta)
+
+    delta = np.zeros_like(eps)
+    for i, ev in enumerate(eps):
+        if ev == 0.0:
+            continue
+        best = None
+        for phi, b in pairs:
+            gap = nfun(phi - b)
+            if gap < ev - 1e-12:
+                continue
+
+            def mix(theta):
+                return unit(math.cos(theta) * phi + math.sin(theta) * b)
+
+            lo, hi = 0.0, math.pi / 2.0
+            if nfun(phi - mix(hi)) < ev:
+                hi = math.pi
+                if nfun(phi - mix(hi)) < ev - 1e-9:
+                    continue
+            psi = mix(bisect_level(lambda th: nfun(phi - mix(th)), lo, hi, level=ev, iters=60))
+            val = max(1.0 - 0.5 * nfun(phi + psi), 0.0)
+            if best is None or val < best:
+                best = val
+        delta[i] = 0.0 if best is None else best
+    delta = np.maximum.accumulate(delta)
+
+    def fit(xs, ys):
+        good = (xs > 0.0) & (ys > 0.0)
+        if np.count_nonzero(good) < 2:
+            return float("nan")
+        return float(np.polyfit(np.log(xs[good]), np.log(ys[good]), 1)[0])
+
+    return lab.SpaceGeometry(tuple(float(v) for v in sigma), tuple(float(v) for v in eta),
+                             tuple(float(v) for v in eps), tuple(float(v) for v in delta),
+                             fit(sigma, eta), fit(eps, delta))
+
+
+def duality_loop(q, dim, rng=None, trials=400):
+    # explicit l_q and l_s sums over the dim points
+    rng, seed = lab._generator(rng)
+    s, tol = q / (q - 1.0), 0.01
+
+    def norm_of(v, expo):
+        return float(np.sum(np.abs(v) ** expo) ** (1.0 / expo))
+
+    det_pairs = []
+    e0 = np.zeros(dim)
+    e1 = np.zeros(dim)
+    e0[0] = 1.0
+    e1[1] = 1.0
+    for scale in (0.1, 0.5, 1.0, 2.0):
+        det_pairs.append((e0, scale * e1))
+
+    m_need = 0.0
+    for k in range(trials + len(det_pairs)):
+        if k < len(det_pairs):
+            x, y = det_pairs[k]
+        else:
+            x = rng.standard_normal(dim)
+            y = rng.standard_normal(dim)
+        ny = norm_of(y, q)
+        if ny < 1e-12:
+            continue
+        lhs = 0.5 * (norm_of(x + y, q) + norm_of(x - y, q))
+        need = (lhs ** q - norm_of(x, q) ** q) / ny ** q
+        m_need = max(m_need, need)
+    M_hat = max(m_need, 1e-12)
+    m_pred = M_hat ** (-1.0 / (q - 1.0))
+
+    rows = []
+    for k in range(trials + len(det_pairs)):
+        if k < len(det_pairs):
+            u, v = det_pairs[k]
+        else:
+            u = rng.standard_normal(dim)
+            v = rng.standard_normal(dim)
+        nv = norm_of(v, s)
+        if nv < 1e-12:
+            continue
+        top = max(norm_of(u + v, s), norm_of(u - v, s))
+        rows.append((top ** s - norm_of(u, s) ** s, nv ** s))
+
+    return _finish(
+        "duality", {"q": q, "dim": dim, "trials": trials, "tol": tol}, rows, "lower",
+        float("inf"), seed, {"trials": trials},
+        notes=(f"M_hat={M_hat:.12g}", f"s={s:.12g}", f"m_pred={m_pred:.12g}",
+               "constant = min (max(|u+v|,|u-v|)^s - |u|^s)/|v|^s on l_s"),
+        lower_threshold=m_pred - 3.0 * tol)
+
+
+def _estimator_norm(name, size, dim):
+    # the norms the estimators are compared under; the weight is positive and not flat
+    x = (np.arange(size) + 0.5) / size
+    weight = 1.0 + 0.5 * np.cos(2.0 * np.pi * np.add.outer(x, x) if dim == 2 else 2.0 * np.pi * x)
+    return {"l2": NormSpec(), "l1.5": NormSpec(p=1.5), "l4": NormSpec(p=4.0),
+            "weighted-l4": NormSpec(p=4.0, weight=weight),
+            "luxemburg": NormSpec("luxemburg", phi=zygmund(2.0, 0.5)),
+            "orlicz": NormSpec("orlicz", phi=zygmund(2.0, 0.5))}[name]
+
+
+@pytest.mark.parametrize("dim,size,young_size", [(1, 64, 16), (2, 32, 8)])
+@pytest.mark.parametrize("name", ["l2", "l1.5", "l4", "weighted-l4", "luxemburg", "orlicz"])
+def test_stacked_estimators_equal_the_per_pair_loops(name, dim, size, young_size):
+    # at d = 2, N = 32 the 104 convexity pairs take four slices of `_STACK_SAMPLES`
+    young = name in ("luxemburg", "orlicz")
+    size = young_size if young else size
+    norm = _estimator_norm(name, size, dim)
+    got, want = (est(norm, s=2.5, rng=3, trials=100, size=size, dim=dim)
+                 for est in (estimate_convexity_constant, convexity_loop))
+    assert (got.m_hat, got.witness_label, got.trials) == (want.m_hat, want.witness_label, 100)
+    assert all(a.samples.tobytes() == b.samples.tobytes()
+               for a, b in zip(got.witness, want.witness))
+    trials = 0 if young else 3
+    got, want = (est(norm, size=size, dim=dim, rng=5, trials=trials)
+                 for est in (space_moduli, space_moduli_loop))
+    assert got == want
+    assert any(v > 0.0 for v in got.delta) and math.isfinite(got.delta_exponent)
+
+
+@pytest.mark.parametrize("q,dim,trials", [(2.0, 4, 400), (1.5, 8, 400), (1.2, 6, 200),
+                                          (1.8, 3, 200), (2.0, 2, 50), (1.5, 4, 0)])
+def test_verify_duality_equals_explicit_sums(q, dim, trials):
+    got, want = verify_duality(q, dim, rng=1, trials=trials), duality_loop(q, dim, 1, trials)
+    assert (got.verdict, got.notes, got.params, got.seed) == \
+        (want.verdict, want.notes, want.params, want.seed)
+    assert got.constant == pytest.approx(want.constant, rel=1e-12, abs=0.0)
+    assert len(got.table) == len(want.table)
+    for a, b in zip(got.table, want.table):
+        assert a[1:] == pytest.approx(b[1:], rel=1e-12, abs=1e-15)
 
 
 def test_scales_and_base_steps_must_be_positive():

@@ -1,11 +1,11 @@
-"""Search layer: Brent's level solver against bisection, golden-section exit."""
+"""Search layer: Brent's level solver against bisection, golden-section exit, elementwise bisection."""
 
 import math
 
 import numpy as np
 import pytest
 
-from jacksonlab import bisect_level_log, brent_level_log, golden_max
+from jacksonlab import bisect_level, bisect_level_log, brent_level_log, golden_max
 from jacksonlab.search import _INV_PHI
 
 
@@ -124,3 +124,72 @@ def test_golden_scalar_wrapper():
     assert isinstance(x, float) and x == pytest.approx(0.3, abs=1e-7)
     x_ref, _ = golden_max_full(lambda t: -(t - 0.3) ** 2, -1.0, 2.0, 200)
     assert x == float(x_ref[0])
+
+
+def bisect_level_scalar(f, lo, hi, level=0.0, increasing=True, iters=100, tol=0.0):
+    # the scalar bisection loop: the oracle of every element of `bisect_level`
+    lo = float(lo)
+    hi = float(hi)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        val = float(f(mid))
+        high_side = (val > level) if increasing else (val < level)
+        if high_side:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= max(tol, 1e-15 * (abs(lo) + abs(hi))):
+            break
+    return 0.5 * (lo + hi)
+
+
+def cubic(x, root, sign):
+    # monotone, at the level 0.25 * sign at the root, with only correctly rounded arithmetic,
+    # so an array and a float give equal bits
+    d = x - root
+    return sign * (d + d * d * d) + 0.25 * sign
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+def test_bisect_level_elementwise_equals_scalar_calls(sign, tol):
+    rng = np.random.default_rng(7)
+    roots = np.concatenate([[0.0, 1e-9, -2.5], rng.uniform(-3.0, 3.0, 21)])
+    # brackets of many widths, one with the root at an end (it never meets the relative stop)
+    lo = np.concatenate([[0.0], roots[1:] - 10.0 ** rng.uniform(-4.0, 2.0, 23)])
+    hi = roots + 10.0 ** rng.uniform(-4.0, 2.0, 24)
+    level = 0.25 * sign
+    for iters in (60, 200):
+        got = bisect_level(lambda x: cubic(x, roots, sign), lo, hi, level=level,
+                           increasing=sign > 0, iters=iters, tol=tol)
+        want, stops = [], []
+        for r, a, b in zip(roots, lo, hi):
+            f = Counted(lambda x, r=r: cubic(x, r, sign))
+            want.append(bisect_level_scalar(f, a, b, level=level, increasing=sign > 0,
+                                            iters=iters, tol=tol))
+            stops.append(f.calls)
+        assert got.shape == lo.shape and got.tobytes() == np.array(want).tobytes()
+        # the elements stop at different steps; without tol, the root at an end runs to a cap of 60
+        assert len(set(stops)) > 3 and (stops[0] == 60) == (tol == 0.0 and iters == 60)
+        scalar = [bisect_level(lambda x, r=r: cubic(x, r, sign), a, b, level=level,
+                               increasing=sign > 0, iters=iters, tol=tol)
+                  for r, a, b in zip(roots, lo.tolist(), hi.tolist())]
+        assert scalar == want
+
+
+def test_bisect_level_scalar_in_gives_float_out():
+    seen = []
+
+    def f(x):
+        seen.append(type(x))
+        return x * x - 2.0
+
+    for lo, hi in ((0.0, 2.0), (np.float64(0.0), 2), (0, np.float64(2.0))):
+        seen.clear()
+        got = bisect_level(f, lo, hi)
+        assert type(got) is float and got == bisect_level_scalar(f, lo, hi)
+        assert set(seen) == {float}
+    # a broadcast bracket is elementwise: one search per element of hi
+    ends = np.array([2.0, 3.0])
+    got = bisect_level(lambda x: x * x - 2.0, 0.0, ends)
+    assert got.tolist() == [bisect_level_scalar(lambda x: x * x - 2.0, 0.0, e) for e in ends]
