@@ -20,9 +20,9 @@ import math
 
 import numpy as np
 
-from .grid import _Record
+from .grid import _COUNT, _NATURAL, _Record
 from .ops import (_apply_multiplier, _difference_norms, _mode_radius, _mode_radius2,
-                  _multiplier_norms, _norm_spec, _positive_int, _spherical_mean_offset)
+                  _multiplier_norms, _norm_spec, _spherical_mean_offset)
 
 
 def degree_below(lam):
@@ -32,8 +32,7 @@ def degree_below(lam):
 
 def _band(f, n, kind):
     """Half-grid multiplier of the degree-n band projection (see `projection`)."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"degree must be a nonnegative integer, got {n}")
+    n = _NATURAL(n, "degree")
     if kind not in ("partial_sum", "vallee_poussin"):
         raise ValueError(f"unknown projection kind {kind!r}")
     rad = _mode_radius(f.size, f.dim)
@@ -67,13 +66,15 @@ def best_approx(f, n, norm=None):
     Returns an ApproxResult whose `value` is the smaller error of two
     explicit candidates inside the degree band: the partial sum of degree n
     and the ramped projection at degree n//2 (whose output degree stays
-    below n).  Their errors are row norms memoized on f.
+    below n).  Their errors are row norms memoized on f.  `n` is an
+    integer >= 0, checked before the memo is read.
     """
+    n = _NATURAL(n, "degree")
     errors = [_row_norm(f, ("rest", "partial_sum", n), norm)]
     if n >= 2:
         errors.append(_row_norm(f, ("rest", "vallee_poussin", n // 2), norm))
     k = errors.index(min(errors))  # the first minimum, as np.argmin picks it
-    return ApproxResult(int(n), errors[k], ("partial_sum", "vallee_poussin")[k])
+    return ApproxResult(n, errors[k], ("partial_sum", "vallee_poussin")[k])
 
 
 class KFuncResult(_Record):
@@ -98,7 +99,7 @@ def k_functional(f, ell, t, norm=None, route="realization"):
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"scale t must be positive and finite, got {t}")
-    ell, norm = _positive_int("order", ell), _norm_spec(norm)
+    ell, norm = _COUNT(ell, "order"), _norm_spec(norm)
     if route == "realization":
         n0 = max(1, math.ceil(1.0 / t - 1e-9))
         degrees = (0, n0, 2 * n0)

@@ -12,7 +12,10 @@ read, a value its converter refuses (an integer param given 1.5, true or
 below 8, a `d` other than 1 or 2, an unknown `route` or `semigroup`), a
 record field that nothing reads (a norm record's `q`, `m`, `M`, `label`
 or `variant`, `p` on a Luxemburg or Orlicz norm, `c1` on a builtin Young
-function, any misspelled key), a `family` beside a function `f` (whose
+function, any misspelled key), a Young record in `phi` or a norm that the
+`YoungFunction` constructor refuses (a `NaN` or `Infinity` param, a
+patched s below 2, a conjugate resolution that is not an integer >= 2),
+a `family` beside a function `f` (whose
 grid sets `N` and `d`, so a rule they break names `f`), a broken
 `require` rule (kfunc-8.9 needs 2*ell > r, and d=2 for the sphere route;
 the abel and Cesaro checks run on 1-d grids), an `n_range` at whose ends
@@ -39,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lab
+from .grid import _COUNT
 
 
 class ConfigError(Exception):
@@ -151,8 +155,10 @@ def _map_threads(work, items, jobs):
 
 
 def _run_batch(args):
-    if args.jobs < 1:
-        raise ConfigError(f"option '--jobs': must be an integer >= 1, got {args.jobs}")
+    try:
+        _COUNT(args.jobs)
+    except ValueError as exc:
+        raise ConfigError(f"option '--jobs': {exc}") from None
     config = _load_config(args.config)
     jobs, out, formats = _validate(config, seed_override=args.seed, out_override=args.out)
     try:

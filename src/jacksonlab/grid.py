@@ -11,13 +11,21 @@ modular mean (`_modular`) beside them.  `NormSpec.norm`, `lp_norm`,
 `luxemburg_norm` and `orlicz_norm` are one-row views of it, so a
 one-function norm equals its row in the moduli's stacks bit for bit.  The
 pruned max of the sup moduli under a Young norm, `_young_stack_sup`, lives
-here beside the solvers it calls; `ops` only hands it the stacks.
+here beside the solvers it calls; `ops` only hands it the stacks.  It
+reads the power index q of a Young function from the record
+(`YoungFunction.power_index`, set where the record is checked), so this
+module never decodes a Young kind.
+
+`_number` is the one integer rule: `ops`, `approx`, `young`, `lab` and
+`cli` check every count, degree and order through it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -188,7 +196,7 @@ def _abs_power(x, p, out=None):
     p = 4 takes two squarings.
     """
     a = np.abs(x, out=out)
-    if p != int(p):
+    if not float(p).is_integer():
         return np.power(a, p, out=a)
     bits = bin(int(p))[3:]
     base = np.abs(x) if "1" in bits else None
@@ -305,20 +313,6 @@ def orlicz_norm(f, phi, weight=None):
     return NormSpec("orlicz", phi=phi, weight=weight).norm(f)
 
 
-def _power_index(phi):
-    """An exponent q >= 1 with phi(u)/u**q nondecreasing on u > 0, read from phi's kind.
-
-    q = p for power(p) and zygmund(p, a), where phi/u**p is 1 or a power of
-    log(2 + u); min(a, b) for two_power(a, b); and 1 for every other Young
-    function, since convexity and phi(0) = 0 make phi(u)/u nondecreasing.
-    """
-    if phi.kind in ("power", "zygmund"):
-        return phi.params[0]
-    if phi.kind == "two_power":
-        return min(phi.params)
-    return 1.0
-
-
 def _young_stack_sup(stack, spec, w, best):
     """The running (max norm, its Amemiya k*) `best`, raised by the rows of one stack.
 
@@ -335,7 +329,7 @@ def _young_stack_sup(stack, spec, w, best):
     result is the per-row max bit for bit.
 
     Two stages test the live rows against that level.  The first takes one
-    phi value a row: with q from `_power_index`, phi(u)/u**q is
+    phi value a row: with q the record's `power_index`, phi(u)/u**q is
     nondecreasing, so phi(k|g|) <= phi(kM) (|g|/M)**q for the row's peak M
     and the modular is at most phi(kM) * mean w*(|g|/M)**q.  M and that
     mean do not depend on k, so they are taken once per stack.  A row whose
@@ -349,7 +343,7 @@ def _young_stack_sup(stack, spec, w, best):
     peak = rows.max(axis=-1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         share = rows * (1.0 / peak)[:, None]
-        _abs_power(share, _power_index(phi), out=share)
+        _abs_power(share, phi.power_index, out=share)
         if w is not None:
             share *= w
         share = share.mean(axis=-1)
@@ -394,7 +388,9 @@ def orlicz_norm_dual_bound(f, phi, psi, weight=None, trials=64, rng=None):
     Complements the Amemiya value from above and below:
     dual_bound <= orlicz_norm.  Candidates are built from the derivative
     of phi at the optimal Luxemburg scaling plus random perturbations.
+    `trials` is an integer >= 0, checked before any norm.
     """
+    trials = _NATURAL(trials, "trials")
     absf, w = np.abs(f.samples).ravel(), _weight_array(f, weight)
     lux = _luxemburg(absf, phi, w)
     if lux == 0.0:
@@ -426,6 +422,31 @@ def orlicz_norm_dual_bound(f, phi, psi, weight=None, trials=64, rng=None):
 
 
 _VARIANTS = ("lp", "luxemburg", "orlicz")
+
+
+def _number(low=-math.inf, high=math.inf, even=False, real=False):
+    """Converter for a finite float (`real`) or an integer (even if asked) in [low, high].
+
+    The one integer rule: every count, degree and order goes through it,
+    and so do the finite real params of a check and of a Young record.
+    convert(value, name=None) returns the float or int, or raises a
+    ValueError "<name> must be <rule>, got <value>".  Bools, strings,
+    floats where an integer is asked for, and numbers beyond the float
+    range are refused.
+    """
+    kind, step = (numbers.Real, None) if real else (numbers.Integral, 2 if even else 1)
+    rule = ("a finite number" if real else "an even integer" if even else "an integer") + (
+        f" from {low} to {high}" if high < math.inf else f" >= {low}" if low > -math.inf else "")
+
+    def convert(value, name=None):
+        if (isinstance(value, bool) or not isinstance(value, kind) or (step and value % step)
+                or not (low <= value <= high and abs(value) <= sys.float_info.max)):
+            raise ValueError(f"{name + ' ' if name else ''}must be {rule}, got {value!r}")
+        return float(value) if real else int(value)
+    return convert
+
+
+_COUNT, _NATURAL, _REAL = _number(1), _number(0), _number(real=True)
 
 
 def _convexity_exponent(s):

@@ -11,24 +11,27 @@ drifts across the range fails even when each point is individually fine.
 
 The space-geometry estimators sample the hypothesis (*),
 max(|F+G|, |F-G|)^s >= |F|^s + m|G|^s, and the moduli of the unit ball
-behind it.  They draw their pairs first, in a fixed order, and then take
-the norms of every pair through `NormSpec.rows`, one stacked call per
-stage (`_norms`), so each norm has the one implementation in `grid`.
+behind it.  They draw their pairs in a fixed order and take their norms
+through `NormSpec.rows`, one stacked call per stage (`_norms`), so each
+norm has the one implementation in `grid`; `estimate_convexity_constant`
+draws and reduces one stack of pairs at a time, so its memory does not
+grow with `trials`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 
 from .approx import best_approx, degree_below, k_functional
-from .grid import (GridFunction, NormSpec, _convexity_exponent, _Record, _weight_array,
-                   discretize, grid_points, luxemburg_norm, orlicz_norm, random_smooth)
+from .grid import (_COUNT, _NATURAL, _REAL, GridFunction, NormSpec, _convexity_exponent, _number,
+                   _Record, _weight_array, discretize, grid_points, luxemburg_norm, orlicz_norm,
+                   random_smooth)
 from .ops import (_SEMIGROUP_KINDS, _STACK_SAMPLES, _averaged_moduli, _difference_norms,
                   _moduli_tables, _norm_spec, _sup_table, cesaro)
 from .search import bisect_level
@@ -244,14 +247,6 @@ def _generator(rng):
     return rng, -1
 
 
-def _trials(trials, low=0):
-    """`trials` as a sample count: an integer >= low, else a ValueError naming trials."""
-    try:
-        return _number(low)(trials)
-    except ValueError as exc:
-        raise ValueError(f"trials {exc}") from None
-
-
 def _norms(spec, w, *stacks):
     """The norms of the rows of equally tall stacks of flattened samples, stacked into one call.
 
@@ -287,10 +282,12 @@ def estimate_convexity_constant(norm=None, s=2.0, rng=None, trials=200,
     every earlier sample and the estimate can only decrease.  F = 0 gives
     the ratio 1, which bounds m for every norm, so the estimate never
     exceeds 1.  `s` is a finite number >= 2 and `trials` an integer >= 100.
-    The norms of every pair are taken in one stacked call.
+    The pairs are drawn and reduced one stack at a time: each stack of
+    `ops._STACK_SAMPLES` samples (every pair at the default size) takes one
+    stacked norm call, and only the best pair so far is kept.
     """
     s = _convexity_exponent(s)
-    trials = _trials(trials, 100)
+    trials = _number(100)(trials, "trials")
     rng, _ = _generator(rng)
     spec = _norm_spec(norm)
     shape = (size,) * dim
@@ -299,32 +296,38 @@ def estimate_convexity_constant(norm=None, s=2.0, rng=None, trials=200,
     left = np.zeros(shape)  # 1 where the first coordinate is below pi, and right = 1 - left
     left[2.0 * np.pi * np.arange(size) / size < np.pi] = 1.0
     right = 1.0 - left
-    pairs = [("flat-vs-cos", ones, cosf), ("near-parallel", cosf, 0.01 * cosf),
-             ("disjoint-halves", GridFunction(left), GridFunction(right)),
-             ("zero-vs-cos", GridFunction(np.zeros(shape)), cosf)]
-    for k in range(trials):
-        mode = k % 3
-        F = random_smooth(size, dim, rng)
-        if mode == 0:
-            G = random_smooth(size, dim, rng)
-        elif mode == 1:
-            eps = rng.uniform(0.005, 0.1)
-            G = eps * F + rng.uniform(0.0, 0.2) * eps * random_smooth(size, dim, rng)
-        else:
-            mask = left if rng.uniform() < 0.5 else right
-            F = GridFunction(F.samples * mask)
-            G = GridFunction(random_smooth(size, dim, rng).samples * (1.0 - mask))
-        pairs.append((f"random-{k}", F, G))
-    Fs, Gs = (np.array([pair[k].samples.ravel() for pair in pairs]) for k in (1, 2))
-    norms = _norms(spec, _weight_array(ones, spec.weight), Fs, Gs, Fs + Gs, Fs - Gs)
+
+    def draw():
+        yield from [("flat-vs-cos", ones, cosf), ("near-parallel", cosf, 0.01 * cosf),
+                    ("disjoint-halves", GridFunction(left), GridFunction(right)),
+                    ("zero-vs-cos", GridFunction(np.zeros(shape)), cosf)]
+        for k in range(trials):
+            mode = k % 3
+            F = random_smooth(size, dim, rng)
+            if mode == 0:
+                G = random_smooth(size, dim, rng)
+            elif mode == 1:
+                eps = rng.uniform(0.005, 0.1)
+                G = eps * F + rng.uniform(0.0, 0.2) * eps * random_smooth(size, dim, rng)
+            else:
+                mask = left if rng.uniform() < 0.5 else right
+                F = GridFunction(F.samples * mask)
+                G = GridFunction(random_smooth(size, dim, rng).samples * (1.0 - mask))
+            yield f"random-{k}", F, G
+
+    w, pairs = _weight_array(ones, spec.weight), draw()
     best, label, witness = float("inf"), None, None
-    # the ratios in Python floats, pair by pair, as exact as with one norm per call
-    for (name, F, G), (nf, ng, plus, minus) in zip(pairs, zip(*norms.tolist())):
-        if ng < 1e-12:
-            continue
-        val = max((max(plus, minus) ** s - nf ** s) / ng ** s, 0.0)
-        if val < best:
-            best, label, witness = val, name, (F, G)
+    # a stack is one slice of `_norms`, so its norms are those of one call over every pair
+    while stack := list(islice(pairs, max(1, _STACK_SAMPLES // ones.samples.size))):
+        Fs, Gs = (np.array([pair[k].samples.ravel() for pair in stack]) for k in (1, 2))
+        norms = _norms(spec, w, Fs, Gs, Fs + Gs, Fs - Gs)
+        # the ratios in Python floats, pair by pair, as exact as with one norm per call
+        for (name, F, G), (nf, ng, plus, minus) in zip(stack, zip(*norms.tolist())):
+            if ng < 1e-12:
+                continue
+            val = max((max(plus, minus) ** s - nf ** s) / ng ** s, 0.0)
+            if val < best:
+                best, label, witness = val, name, (F, G)
     return ConvexityEstimate(best, witness, label, trials)
 
 
@@ -354,7 +357,7 @@ def space_moduli(norm=None, size=64, dim=1, rng=None, trials=24):
     norms that make psi a unit, then |phi - psi|).
     """
     spec = _norm_spec(norm)
-    trials = _trials(trials)
+    trials = _NATURAL(trials, "trials")
     rng, _ = _generator(rng)
     sigma = np.concatenate([[0.0], np.geomspace(0.02, 0.5, 15)])
     eps = np.concatenate([[0.0], np.geomspace(0.05, 1.0, 15)])
@@ -434,7 +437,7 @@ def verify_duality(q, dim, rng=None, trials=400):
             "norm satisfies the power-type smoothness inequality beyond q = 2")
     if dim < 2:
         raise ValueError(f"need dimension >= 2, got {dim}")
-    trials = _trials(trials)
+    trials = _NATURAL(trials, "trials")
     rng, seed = _generator(rng)
     start = time.perf_counter()
     s, tol = q / (q - 1.0), 0.01
@@ -477,24 +480,6 @@ def _record(cls):
     return convert
 
 
-def _number(low=-math.inf, high=math.inf, even=False, real=False):
-    """Param converter: a finite float (`real`) or an integer (even if asked) in [low, high].
-
-    Bools, strings, floats where an integer is asked for, and numbers beyond
-    the float range are refused.
-    """
-    kind, step = (numbers.Real, None) if real else (numbers.Integral, 2 if even else 1)
-    rule = ("a finite number" if real else "an even integer" if even else "an integer") + (
-        f" from {low} to {high}" if high < math.inf else f" >= {low}" if low > -math.inf else "")
-
-    def convert(value):
-        if (isinstance(value, bool) or not isinstance(value, kind) or (step and value % step)
-                or not (low <= value <= high and abs(value) <= sys.float_info.max)):
-            raise ValueError(f"must be {rule}, got {value!r}")
-        return float(value) if real else int(value)
-    return convert
-
-
 def _choice(*options):
     """Param converter: one of the strings `options`."""
     def convert(value):
@@ -504,7 +489,7 @@ def _choice(*options):
     return convert
 
 
-_INT, _COUNT, _NATURAL, _REAL = _number(), _number(1), _number(0), _number(real=True)
+_INT = _number()
 
 
 def _reals(value):

@@ -107,7 +107,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .grid import GridFunction, NormSpec, _weight_array, _young_stack_sup
+from .grid import _COUNT, GridFunction, NormSpec, _weight_array, _young_stack_sup
 
 # Sample budget of one batched inverse transform (rows = budget // N^d, at least 1).
 _STACK_SAMPLES = 1 << 15
@@ -212,12 +212,6 @@ def _as_step(f, h):
     return h
 
 
-def _positive_int(name, value):
-    if value < 1 or value != int(value):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def translate(f, h):
     """f(. + h); h is a scalar (d=1) or a pair (d=2).
 
@@ -230,7 +224,7 @@ def translate(f, h):
 
 def difference(f, h, r=1):
     """r-th forward difference sum_k (-1)^(r-k) C(r,k) f(. + k*h)."""
-    r = _positive_int("difference order", r)
+    r = _COUNT(r, "difference order")
     mult = _step_multipliers(f.size, f.dim, "shift", [r], _as_step(f, h))[0][0]
     return _apply_multiplier(f, mult)
 
@@ -414,7 +408,7 @@ def _step_multipliers(size, dim, kind, orders, steps, squared=False):
 
 def _orders(orders):
     """The distinct difference orders, ascending; each must be an integer >= 1."""
-    return sorted({_positive_int("difference order", r) for r in orders})
+    return sorted({_COUNT(r, "difference order") for r in orders})
 
 
 def _difference_norms(fs, kind, orders, us, norm, sup=False, direction=None):
@@ -590,8 +584,8 @@ def _moduli_tables(fs, orders, ts, norm=None, directions=64, radii=64):
 
     Every step of every stack is built once, and every member reads it.
     """
-    directions = _positive_int("directions", directions)
-    radii = _positive_int("radii", radii)
+    directions = _COUNT(directions, "directions")
+    radii = _COUNT(radii, "radii")
     # the L2 norm of (T(h) - I)^r f is even in h, so one sign of each step is enough
     even = _plain_p(_norm_spec(norm)) == 2.0
     if fs[0].dim == 1:
@@ -650,7 +644,7 @@ def spectral_semigroup(f, t, kind):
 
 def semigroup_difference(f, t, kind, r=1):
     """(T(t) - I)^r f for the heat or abel semigroup at time t >= 0 (else a ValueError)."""
-    r = _positive_int("difference order", r)
+    r = _COUNT(r, "difference order")
     return _apply_multiplier(f, _step_multipliers(f.size, f.dim, kind, [r], [t])[0][0])
 
 
@@ -661,7 +655,7 @@ def semigroup_moduli_table(f, orders, ts, semigroup="shift", norm=None, points=6
     Its times u = t*(i+1)/points nest like the steps of `moduli_table`, and
     one call evaluates each distinct u once for every order.
     """
-    points = _positive_int("points", points)
+    points = _COUNT(points, "points")
     return _sup_table([f], semigroup, orders, ts, points, norm, direction=direction)[0]
 
 
@@ -682,7 +676,7 @@ def _averaged_moduli(fs, r, ts, semigroup="shift", norm=None, quad_points=128, d
     The midpoints of every t go in one `_difference_norms` call, so each
     stack is built once, and every member reads it.
     """
-    quad_points = _positive_int("quad_points", quad_points)
+    quad_points = _COUNT(quad_points, "quad_points")
     mids = [_scales(t, t * (np.arange(quad_points) + 0.5) / quad_points) for t in ts]
     ends = np.cumsum([0] + [len(m) for m in mids]).tolist()
     cols = _difference_norms(fs, semigroup, [r], np.concatenate(mids), norm, direction=direction)
@@ -725,7 +719,7 @@ def laplacian_power(f, ell=1):
 
     ell=1 gives the plain Laplacian of f.
     """
-    ell = _positive_int("power", ell)
+    ell = _COUNT(ell, "power")
     return _apply_multiplier(f, (-_mode_radius2(f.size, f.dim)) ** ell)
 
 
@@ -760,5 +754,5 @@ def spherical_mean(f, t, ell=1, quad_points=256):
         raise ValueError("spherical means are only defined on 2-d grids")
     if not 0.0 <= t < math.inf:
         raise ValueError(f"radius must be >= 0 and finite, got {t}")
-    ell, quad_points = _positive_int("order", ell), _positive_int("quad_points", quad_points)
+    ell, quad_points = _COUNT(ell, "order"), _COUNT(quad_points, "quad_points")
     return _apply_multiplier(f, 1.0 + _spherical_mean_offset(f.size, t, ell, quad_points))

@@ -15,64 +15,115 @@ secant steps, a verified bracket and bisection for where phi' crosses y,
 by Young's equality the maximizer); the doubling diagnostics `check_delta2` /
 `check_nabla2`; and `patch`, which replaces a convex gap of u -> phi(u**(1/s))
 by a constant-slope segment so the composition becomes globally concave.
+
+Every Young function is checked in one place, the `YoungFunction`
+constructor, whichever way it is built: the builtin constructors,
+`builtin`, `complementary`, `patch` and `from_json` only pass their
+arguments on.  The record carries its power index (`power_index`), which
+the pruned Young-norm moduli of `grid` read, so no other module decodes a
+Young kind.  The exponent s of `power_concavity_regions`, `patch`,
+`log_power_tail_threshold` and a patched record is checked by
+`grid._convexity_exponent`.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .grid import _Record
+from .grid import _REAL, _convexity_exponent, _number, _Record, _refuse_unread
 
 _LOG_POWER_GATE = (3.0 + math.sqrt(5.0)) / 2.0
 
-_BUILTIN_ARITY = {"power": 1, "two_power": 2, "log_power": 1, "zygmund": 2, "exp": 0}
-# the fields a derived kind "<derived>:<base kind>" reads besides kind and params
-_DERIVED_FIELDS = {"patched": ("breakpoints", "c1", "c2", "base"), "conjugate": ("base",)}
+# kind: (arity, the range rule on its float params, the rule's message, the power index q
+# with phi(u)/u**q nondecreasing on u > 0): phi/u**p is 1 or a power of log(2 + u) for
+# power and zygmund, and convexity with phi(0) = 0 makes phi(u)/u nondecreasing
+_BUILTINS = {
+    "power": (1, lambda p: p >= 1.0, "power exponent must be >= 1, got {}", lambda p: p),
+    "two_power": (2, lambda a, b: 1.0 < a < b, "two_power needs 1 < alpha < beta, got ({}, {})",
+                  lambda a, b: a),
+    "log_power": (1, lambda r: r >= _LOG_POWER_GATE,
+                  f"log_power exponent must be >= {_LOG_POWER_GATE:.6f}, got {{}}", lambda r: 1.0),
+    "zygmund": (2, lambda p, a: p >= 1.0 and a * p >= 1.0,
+                "zygmund needs p >= 1 and alpha*p >= 1, got ({}, {})", lambda p, a: p),
+    "exp": (0, lambda: True, "", lambda: 1.0),
+}
+# derived kind "<derived>:<base kind>": (the params it adds to its base's, the fields it reads
+# besides kind and params)
+_DERIVED = {"patched": (1, ("breakpoints", "c1", "c2", "base")), "conjugate": (2, ("base",))}
 
 
 class YoungFunction:
     """Evaluable Young function with one-sided derivatives.
+
+    The constructor is the one place a Young function is checked, however
+    it is built (a builtin constructor, `complementary`, `patch` or
+    `from_json`), before any value is computed.  A builtin kind takes its
+    arity of finite params within its range rule (`_BUILTINS`); a patched
+    kind its base's params and a finite s >= 2, finite breakpoints
+    0 < a < b and finite c1 and c2; a conjugate kind its base's params,
+    a finite y_max > 0 and an integer resolution >= 2, and a base that
+    grows fast enough to be conjugated on the working grid.
+    `power_index` is an exponent q >= 1 with phi(u)/u**q nondecreasing on
+    u > 0: p for power(p) and zygmund(p, a), a for two_power(a, b), and
+    1 for every other kind.
 
     Instances are immutable once built and safe to share across threads.
     Values and derivatives accept scalars or arrays of nonnegative numbers.
     """
 
     def __init__(self, kind, params=(), breakpoints=None, c1=None, c2=None, base=None):
-        self.kind = str(kind)
-        self.params = tuple(float(v) for v in params)
-        self.base = base
-        given = {"breakpoints": breakpoints, "c1": c1, "c2": c2, "base": base}
-        reads = _DERIVED_FIELDS.get(self.kind.partition(":")[0], ())
-        for name, value in given.items():
+        self.kind, self.base, params = str(kind), base, tuple(params)
+        derived, _, rest = self.kind.partition(":")
+        own, reads = _DERIVED.get(derived, (0, ()))
+        for name, value in {"breakpoints": breakpoints, "c1": c1, "c2": c2, "base": base}.items():
             if value is not None and name not in reads:
                 raise ValueError(f"the {self.kind} Young function reads no {name}")
-        if self.kind.startswith("patched:"):
-            if base is None or breakpoints is None or len(breakpoints) != 2:
-                raise ValueError("patched Young function needs a base and two breakpoints")
-            self.breakpoints = tuple(float(v) for v in breakpoints)
-            self.c1 = 1.0 if c1 is None else float(c1)
-            self.c2 = 0.0 if c2 is None else float(c2)
-            a, b = self.breakpoints
-            s = self.params[-1]
+        if self.kind in _BUILTINS:
+            arity, holds, rule, index = _BUILTINS[self.kind]
+            if len(params) != arity:
+                raise ValueError(f"{self.kind} takes {arity} parameters, got {len(params)}")
+            self.params = tuple(_REAL(v, f"{self.kind} parameter") for v in params)
+            if not holds(*self.params):
+                raise ValueError(rule.format(*self.params))
+            self.power_index = float(index(*self.params))
+            return
+        if not reads:
+            raise ValueError(f"unknown Young function kind {self.kind!r}")
+        if derived == "patched" and (base is None or breakpoints is None
+                                     or len(breakpoints) != 2):
+            raise ValueError("patched Young function needs a base and two breakpoints")
+        if base is None:
+            raise ValueError("conjugate Young function needs a base")
+        if len(params) < own or (base.kind, base.params) != (rest, params[:-own]):
+            raise ValueError(f"base {base!r} does not match Young function kind {self.kind!r}")
+        self.power_index = 1.0
+        if derived == "patched":
+            s = _convexity_exponent(params[-1])
+            self.params = base.params + (s,)
+            self.breakpoints = a, b = _breakpoints(*breakpoints)
+            self.c1 = 1.0 if c1 is None else _REAL(c1, "c1")
+            self.c2 = 0.0 if c2 is None else _REAL(c2, "c2")
             # slope of the replacement segment, chosen so the derivative of
             # phi~(u**(1/s)) is continuous at the b-side junction
             self._seg_slope = base.deriv_plus(b) * b ** (1.0 / s - 1.0)
             self._gamma = 2.0 - 1.0 / s
             self._mid_base = self.c1 * float(base(a))
-        elif self.kind.startswith("conjugate:"):
-            if base is None:
-                raise ValueError("conjugate Young function needs a base")
-            y_max, resolution = self.params[-2], int(self.params[-1])
-            self._xgrid = np.geomspace(1e-6, 1e6, resolution)
-            self._base_grid = np.asarray(base(self._xgrid), dtype=float)
-            # chord slopes of the base between grid points; nondecreasing for a
-            # convex base, so x_j*y - phi(x_j) rises exactly while chord[j] < y
-            self._chord = np.diff(self._base_grid) / np.diff(self._xgrid)
-        elif self.kind not in _BUILTIN_ARITY:
-            raise ValueError(f"unknown Young function kind {self.kind!r}")
+            return
+        y_max, resolution = params[-2], _number(2)(params[-1], "resolution")
+        if not (math.isfinite(y_max) and y_max > 0.0):
+            raise ValueError(f"y_max must be finite and > 0, got {y_max!r}")
+        slope, growth = _superlinear_slope(base)
+        if not (np.isfinite(slope) and slope >= y_max and growth >= 1.5):
+            raise ValueError("complement undefined at working precision: "
+                             f"phi(x)/x reaches only {slope:.3g} (need {y_max:.3g})")
+        self.params = base.params + (float(y_max), float(resolution))
+        self._xgrid = np.geomspace(1e-6, 1e6, resolution)
+        self._base_grid = np.asarray(base(self._xgrid), dtype=float)
+        # chord slopes of the base between grid points; nondecreasing for a
+        # convex base, so x_j*y - phi(x_j) rises exactly while chord[j] < y
+        self._chord = np.diff(self._base_grid) / np.diff(self._xgrid)
 
     # -- evaluation -----------------------------------------------------
 
@@ -192,33 +243,27 @@ class YoungFunction:
         data = {"kind": self.kind, "params": list(self.params)}
         if self.kind.startswith("patched:"):
             data.update(breakpoints=list(self.breakpoints), c1=self.c1, c2=self.c2)
-        if self.base is not None and self.base.kind not in _BUILTIN_ARITY:
+        if self.base is not None and self.base.kind not in _BUILTINS:
             data["base"] = self.base.to_json()
         return data
 
     @staticmethod
     def from_json(data):
-        from .grid import _refuse_unread
-
+        """The Young function of a `to_json` record; the constructor checks it."""
         kind = str(data["kind"])
         derived, _, rest = kind.partition(":")
-        _refuse_unread(data, ("kind", "params") + _DERIVED_FIELDS.get(derived, ()),
-                       f"the {kind} Young function")
-        params = tuple(float(v) for v in data.get("params", ()))
-        if derived in _DERIVED_FIELDS:
-            # a patched record ends with s, a conjugate one with y_max and the resolution
-            own = 1 if derived == "patched" else 2
-            base = (YoungFunction.from_json(data["base"]) if "base" in data
-                    else builtin(rest, *params[:-own]))
-            if (base.kind, base.params) != (rest, params[:-own]):
-                raise ValueError(f"base {base!r} does not match Young function kind {kind!r}")
-            if derived == "patched":
-                return YoungFunction(kind, params, tuple(data["breakpoints"]),
-                                     c1=data["c1"], c2=data["c2"], base=base)
-            # params are floats; a fractional resolution is passed on to be refused
-            resolution = int(params[-1]) if params[-1].is_integer() else params[-1]
-            return complementary(base, y_max=params[-2], resolution=resolution)
-        return builtin(kind, *params)
+        own, reads = _DERIVED.get(derived, (0, ()))
+        _refuse_unread(data, ("kind", "params") + reads, f"the {kind} Young function")
+        params = list(data.get("params", ()))
+        if not reads:
+            return YoungFunction(kind, params)
+        base = (YoungFunction.from_json(data["base"]) if "base" in data
+                else YoungFunction(rest, params[:-own]))
+        if derived == "patched":
+            return YoungFunction(kind, params, data["breakpoints"], data["c1"], data["c2"], base)
+        if params and isinstance(params[-1], float) and params[-1].is_integer():
+            params[-1] = int(params[-1])  # a record holds the resolution as a float
+        return YoungFunction(kind, params, base=base)
 
     def __repr__(self):
         bits = ", ".join(f"{v:g}" for v in self.params)
@@ -282,30 +327,21 @@ def _conj_refine(base, xg, base_grid, y, idx):
 
 def power(p):
     """u**p for p >= 1."""
-    if p < 1.0:
-        raise ValueError(f"power exponent must be >= 1, got {p}")
     return YoungFunction("power", (p,))
 
 
 def two_power(alpha, beta):
     """max(u**alpha, u**beta) for 1 < alpha < beta."""
-    if not (1.0 < alpha < beta):
-        raise ValueError(f"two_power needs 1 < alpha < beta, got ({alpha}, {beta})")
     return YoungFunction("two_power", (alpha, beta))
 
 
 def log_power(r):
     """u**r * (1 + |log u|); convex only for r >= (3 + sqrt 5)/2."""
-    if r < _LOG_POWER_GATE:
-        raise ValueError(
-            f"log_power exponent must be >= (3 + sqrt 5)/2 ~= {_LOG_POWER_GATE:.6f}, got {r}")
     return YoungFunction("log_power", (r,))
 
 
 def zygmund(p, alpha):
     """u**p * log(2 + u)**(alpha*p) for p >= 1 and alpha*p >= 1."""
-    if p < 1.0 or alpha * p < 1.0:
-        raise ValueError(f"zygmund needs p >= 1 and alpha*p >= 1, got ({p}, {alpha})")
     return YoungFunction("zygmund", (p, alpha))
 
 
@@ -316,13 +352,7 @@ def exp_growth():
 
 def builtin(kind, *params):
     """Construct a builtin Young function by kind name."""
-    table = {"power": power, "two_power": two_power, "log_power": log_power,
-             "zygmund": zygmund, "exp": exp_growth}
-    if kind not in table:
-        raise ValueError(f"unknown Young function kind {kind!r}")
-    if len(params) != _BUILTIN_ARITY[kind]:
-        raise ValueError(f"{kind} takes {_BUILTIN_ARITY[kind]} parameters, got {len(params)}")
-    return table[kind](*params)
+    return YoungFunction(kind, params)
 
 
 # -- conjugation --------------------------------------------------------
@@ -350,22 +380,12 @@ def complementary(phi, y_max=1e3, resolution=2048):
     refine it to the last float (about 16 `deriv_plus` calls on smooth phi,
     56 past the grid or at a kink), so psi is accurate up to roughly `y_max`.
     psi's right derivative `deriv_plus(y)` is that maximizer.  psi(y) = 0
-    for y <= 0 and NaN propagates.  Raises ValueError for a `resolution`
-    that is not an integer >= 2, a `y_max` that is not finite and positive,
-    or when phi grows too slowly for the supremum to be attained on the
-    working grid.
+    for y <= 0 and NaN propagates.  The constructor raises ValueError for
+    a `resolution` that is not an integer >= 2, a `y_max` that is not
+    finite and positive, or when phi grows too slowly for the supremum to
+    be attained on the working grid.
     """
-    if not isinstance(resolution, numbers.Integral) or resolution < 2:
-        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
-    if not (math.isfinite(y_max) and y_max > 0.0):
-        raise ValueError(f"y_max must be finite and > 0, got {y_max!r}")
-    slope, growth = _superlinear_slope(phi)
-    if not (np.isfinite(slope) and slope >= y_max and growth >= 1.5):
-        raise ValueError("complement undefined at working precision: "
-                         f"phi(x)/x reaches only {slope:.3g} (need {y_max:.3g})")
-    kind = "conjugate:" + phi.kind
-    params = phi.params + (float(y_max), float(resolution))
-    return YoungFunction(kind, params, base=phi)
+    return YoungFunction("conjugate:" + phi.kind, phi.params + (y_max, resolution), base=phi)
 
 
 # -- growth diagnostics -------------------------------------------------
@@ -443,10 +463,10 @@ def power_concavity_regions(phi, s, u_lo=1e-6, u_hi=1e6, resolution=4096):
 
     Concavity is read off the sign of chord defects on a log-spaced grid;
     defects up to 1e-11 times the local scale count as concave so exactly
-    linear stretches are not split by rounding noise.
+    linear stretches are not split by rounding noise.  `s` is a finite
+    number >= 2 (`grid._convexity_exponent`).
     """
-    if s < 2.0:
-        raise ValueError(f"power parameter s must be >= 2, got {s}")
+    s = _convexity_exponent(s)
     u = np.geomspace(u_lo, u_hi, resolution)
     g = np.asarray(phi(u ** (1.0 / s)), dtype=float)
     lam = (u[2:] - u[1:-1]) / (u[2:] - u[:-2])
@@ -465,7 +485,7 @@ def power_concavity_regions(phi, s, u_lo=1e-6, u_hi=1e6, resolution=4096):
             start = None
     if start is not None and len(ok) - start >= 2:
         intervals.append((float(u[start]), float(u[-1])))
-    return ConcavityRegions(float(s), float(u_lo), float(u_hi), tuple(intervals))
+    return ConcavityRegions(s, float(u_lo), float(u_hi), tuple(intervals))
 
 
 def log_power_tail_threshold(r, s):
@@ -474,12 +494,12 @@ def log_power_tail_threshold(r, s):
     The root of (r/s)*(r/s - 1)*log(u0) = -1 in closed form,
     u0 = exp(-1/((r/s)*(r/s - 1))), or inf past the float range (s close to
     r); beyond u0 the logarithmic term alone forces concavity of
-    u -> phi(u**(1/s)).
+    u -> phi(u**(1/s)).  r is checked as log_power(r) checks it, and s as
+    a finite number >= 2 (`grid._convexity_exponent`).
     """
+    (r,), s = log_power(r).params, _convexity_exponent(s)
     if s <= r:
         raise ValueError(f"tail threshold needs s > r, got r={r}, s={s}")
-    if r < _LOG_POWER_GATE:
-        raise ValueError(f"log_power exponent must be >= {_LOG_POWER_GATE:.6f}, got {r}")
     try:
         return math.exp(-1.0 / ((r / s) * (r / s - 1.0)))
     except OverflowError:
@@ -487,6 +507,14 @@ def log_power_tail_threshold(r, s):
 
 
 # -- patching -----------------------------------------------------------
+
+
+def _breakpoints(a, b):
+    """(a, b) as floats, finite with 0 < a < b: the breakpoints of a patched Young function."""
+    a, b = _REAL(a, "breakpoint a"), _REAL(b, "breakpoint b")
+    if not 0.0 < a < b:
+        raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
+    return a, b
 
 
 class PatchResult(_Record):
@@ -506,12 +534,9 @@ def patch(phi, s, a, b):
     segment in between whose slope makes the composed derivative continuous
     and nonincreasing, so phi~(u**(1/s)) is globally concave.  `A` reports
     the equivalence constant sup max(phi~/phi, phi/phi~) over the working
-    grid.
+    grid.  a, b and s are checked as the patched record checks them.
     """
-    if not (0.0 < a < b):
-        raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
-    if s < 2.0:
-        raise ValueError(f"power parameter s must be >= 2, got {s}")
+    (a, b), s = _breakpoints(a, b), _convexity_exponent(s)
     regions = power_concavity_regions(phi, s)
     u_lo, u_hi = regions.u_lo, regions.u_hi
     low_hi = max(a, a ** s)
@@ -529,8 +554,8 @@ def patch(phi, s, a, b):
     gamma = 2.0 - 1.0 / s
     mid_at_b = c1 * float(phi(a)) + seg_slope * (b ** gamma - a ** gamma) / gamma
     c2 = mid_at_b - float(phi(b))
-    tilde = YoungFunction("patched:" + phi.kind, phi.params + (float(s),),
-                          breakpoints=(float(a), float(b)), c1=c1, c2=c2, base=phi)
+    tilde = YoungFunction("patched:" + phi.kind, phi.params + (s,),
+                          breakpoints=(a, b), c1=c1, c2=c2, base=phi)
     u = np.geomspace(u_lo, u_hi, 4096)
     old = np.asarray(phi(u), dtype=float)
     new = np.asarray(tilde(u), dtype=float)

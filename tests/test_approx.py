@@ -234,8 +234,15 @@ def test_realization_rows_equal_their_stacked_evaluation(dim, size, norm):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda f: projection(f, -1), "degree must be a nonnegative integer, got -1"),
-    (lambda f: projection(f, 1.5), "degree must be a nonnegative integer, got 1.5"),
+    (lambda f: projection(f, -1), "degree must be an integer >= 0, got -1"),
+    (lambda f: projection(f, 1.5), "degree must be an integer >= 0, got 1.5"),
+    # a count is an integer, never a bool or a float, before the memo is read
+    (lambda f: projection(f, 2.0), "degree must be an integer >= 0, got 2.0"),
+    (lambda f: projection(f, True), "degree must be an integer >= 0, got True"),
+    (lambda f: best_approx(f, 4.0), "degree must be an integer >= 0, got 4.0"),
+    (lambda f: best_approx(f, False), "degree must be an integer >= 0, got False"),
+    (lambda f: k_functional(f, True, 0.5), "order must be an integer >= 1, got True"),
+    (lambda f: k_functional(f, 2.0, 0.5, route="heat"), "order must be an integer >= 1, got 2.0"),
     (lambda f: k_functional(f, 1, 0.5, route="bogus"), "unknown route 'bogus'"),
 ])
 def test_approximation_refusals_name_what_is_wrong(call, message):

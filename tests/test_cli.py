@@ -307,6 +307,26 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
          "'checks[1].params.n_range': the sum over j is empty at n=-2"),
         ({"id": "entire-4.12", "params": {"lambda_power_max": 1100}},
          "'checks[1].params.lambda_power_max': must be an integer from 0 to 511, got 1100"),
+        # a Young record holding NaN or Infinity (json.loads reads both) is refused where
+        # the Young function is built
+        ({"id": "orlicz-sandwich", "params": {"phi": {"kind": "zygmund",
+                                                      "params": [2.0, math.nan]}}},
+         "'checks[1].params.phi': zygmund parameter must be a finite number, got nan"),
+        ({"id": "cesaro-5.1", "params": {"phi": {"kind": "power", "params": [math.inf]}}},
+         "'checks[1].params.phi': power parameter must be a finite number, got inf"),
+        ({"id": "orlicz-sandwich", "params": {"phi": {
+            "kind": "patched:zygmund", "params": [2.0, 0.5, math.nan],
+            "breakpoints": [0.2, 5.0], "c1": 1.0, "c2": 0.0}}},
+         "'checks[1].params.phi': convexity exponent s must be finite and >= 2, got nan"),
+        ({"id": "orlicz-sandwich", "params": {"phi": {"kind": "conjugate:power",
+                                                      "params": [3.0, 1000.0, math.inf]}}},
+         "'checks[1].params.phi': resolution must be an integer >= 2, got inf"),
+        ({"id": "jackson-1.4", "params": {"norm": {"norm": "luxemburg", "phi": {
+            "kind": "zygmund", "params": [2.0, math.inf]}}}},
+         "'checks[1].params.norm': zygmund parameter must be a finite number, got inf"),
+        ({"id": "jackson-4.8", "params": {"norm": {"norm": "orlicz", "phi": {
+            "kind": "two_power", "params": [math.nan, 3.0]}}}},
+         "'checks[1].params.norm': two_power parameter must be a finite number, got nan"),
     )
     out = str(tmp_path / "rep")
     cases += [({"checks": [{"id": "basic-2.1"}, second], "out": out}, needle)

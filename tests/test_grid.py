@@ -570,6 +570,13 @@ def test_random_smooth_deterministic_and_normalized():
     (AttributeError, lambda: setattr(GridFunction(np.zeros(8)), "samples", np.ones(8)),
      "GridFunction is immutable"),
     (ValueError, lambda: grid_points(16, 3), "grid dimension must be 1 or 2, got 3"),
+    # the dual bound's trials are a count, checked before any norm
+    *[(ValueError, lambda trials=trials: orlicz_norm_dual_bound(
+        discretize(np.cos, 16, 1), power(3.0), complementary(power(3.0)), trials=trials),
+       f"trials must be an integer >= 0, got {trials!r}") for trials in (-5, True, 2.5)],
+    # a NaN param is refused where the Young function is built, before the norm reads it
+    (ValueError, lambda: luxemburg_norm(discretize(np.cos, 16, 1), power(math.nan)),
+     "power parameter must be a finite number, got nan"),
 ])
 def test_grid_refusals_name_what_is_wrong(error, call, message):
     with pytest.raises(error, match=re.escape(message)):

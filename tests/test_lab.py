@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -755,6 +756,17 @@ def test_stacked_estimators_equal_the_per_pair_loops(name, dim, size, young_size
                  for est in (space_moduli, space_moduli_loop))
     assert got == want
     assert any(v > 0.0 for v in got.delta) and math.isfinite(got.delta_exponent)
+
+
+def test_convexity_estimate_holds_one_stack_of_pairs():
+    # every pair at once held 155 MB at d = 2, N = 128; a stack there is two pairs
+    tracemalloc.start()
+    try:
+        estimate_convexity_constant(NormSpec(p=4.0), rng=0, trials=200, size=128, dim=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("q,dim,trials", [(2.0, 4, 400), (1.5, 8, 400), (1.2, 6, 200),

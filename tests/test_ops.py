@@ -683,7 +683,7 @@ def _even(size, dim):
     return GridFunction(np.cos(x) + 0.4 * np.cos(3.0 * x) + 0.3 * np.abs(np.sin(x)))
 
 
-# Young functions of every power index the pruning reads (`grid._power_index`):
+# Young functions of every power index the pruning reads (`YoungFunction.power_index`):
 # q = 2 (zygmund), 3, 1.5 (two_power), and 1 for a patched and a conjugate phi
 _PRUNED_PHIS = {"zygmund": lambda: zygmund(2.0, 0.5), "power": lambda: power(3.0),
                 "two_power": lambda: two_power(1.5, 3.0),
@@ -1177,6 +1177,26 @@ _COS_2D = discretize(lambda a, b: np.cos(a), 16, 2)
     (lambda: cesaro(_COS_2D, 2), "cesaro means are only defined on 1-d grids"),
     (lambda: spherical_mean(discretize(np.cos, 16, 1), 0.5),
      "spherical means are only defined on 2-d grids"),
+    # a count or an order is an integer, never a bool or a float
+    (lambda: modulus(discretize(np.cos, 16, 1), True, 0.5),
+     "difference order must be an integer >= 1, got True"),
+    (lambda: difference(discretize(np.cos, 16, 1), 0.3, r=2.0),
+     "difference order must be an integer >= 1, got 2.0"),
+    (lambda: modulus(discretize(np.cos, 16, 1), 1, 0.5, radii=8.0),
+     "radii must be an integer >= 1, got 8.0"),
+    (lambda: moduli_table(_COS_2D, [1], [0.5], directions=True),
+     "directions must be an integer >= 1, got True"),
+    (lambda: semigroup_modulus(discretize(np.cos, 16, 1), 1, 0.5, "heat", points=True),
+     "points must be an integer >= 1, got True"),
+    (lambda: averaged_modulus(discretize(np.cos, 16, 1), 1, 0.5, "heat", quad_points=8.0),
+     "quad_points must be an integer >= 1, got 8.0"),
+    (lambda: semigroup_difference(discretize(np.cos, 16, 1), 0.5, "heat", r=1.0),
+     "difference order must be an integer >= 1, got 1.0"),
+    (lambda: laplacian_power(discretize(np.cos, 16, 1), ell=True),
+     "power must be an integer >= 1, got True"),
+    (lambda: spherical_mean(_COS_2D, 0.5, ell=2.0), "order must be an integer >= 1, got 2.0"),
+    (lambda: spherical_mean(_COS_2D, 0.5, quad_points=True),
+     "quad_points must be an integer >= 1, got True"),
 ])
 def test_operator_refusals_name_what_is_wrong(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from jacksonlab import (YoungFunction, bisect_level_log, builtin, check_delta2, check_nabla2,
                         complementary, exp_growth, log_power, log_power_tail_threshold,
                         patch, power, power_concavity_regions, two_power, zygmund)
-from jacksonlab.grid import _power_index
 from jacksonlab.young import _conj_refine
 
 
@@ -65,10 +65,11 @@ def conjugate_by_argmax_matrix(psi, y):
 ], ids=["power-1", "power-2.5", "power-3", "zygmund-1-1", "zygmund-2-0.5", "two_power",
         "log_power", "exp", "patched", "conjugate-power", "conjugate-zygmund"])
 def test_power_index_bounds_the_growth_of_each_kind(make, least):
-    # the moduli's pruning reads q with phi(u)/u**q nondecreasing (grid._power_index):
-    # u phi'(u)/phi(u) >= q, and the ratio does not fall, on a dense grid
+    # the moduli's pruning reads q with phi(u)/u**q nondecreasing from the record
+    # (YoungFunction.power_index): u phi'(u)/phi(u) >= q, and the ratio does not fall,
+    # on a dense grid
     phi = make()
-    q = _power_index(phi)
+    q = phi.power_index
     assert q >= least
     u = np.geomspace(1e-6, 1e6, 24001)
     with np.errstate(over="ignore"):  # exp passes the float range near u = 700
@@ -339,7 +340,7 @@ def test_log_power_tail_threshold():
 
 
 def test_concavity_regions_gate_and_coverage():
-    with pytest.raises(ValueError, match="must be >= 2"):
+    with pytest.raises(ValueError, match="must be finite and >= 2"):
         power_concavity_regions(power(2.0), 1.5)
     # u**3 composed with u**(1/3) is linear, concave everywhere
     regions = power_concavity_regions(power(3.0), 3.0)
@@ -384,7 +385,7 @@ def test_patch_constant_and_concavity():
 
 
 def test_patch_gate():
-    with pytest.raises(ValueError, match="must be >= 2"):
+    with pytest.raises(ValueError, match="must be finite and >= 2"):
         patch(two_power(1.5, 3.0), 1.5, 0.5, 2.0)
 
 
@@ -430,6 +431,9 @@ def test_builtin_factory_dispatch():
         builtin("unknown-kind")
 
 
+_PATCHED_RECORD = patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi.to_json()
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: power(0.5), "power exponent must be >= 1, got 0.5"),
     (lambda: two_power(2.0, 1.5), "two_power needs 1 < alpha < beta, got (2.0, 1.5)"),
@@ -450,6 +454,42 @@ def test_builtin_factory_dispatch():
     # phi'(a) = 3*a**2 underflows to 0 at a = 1e-300
     (lambda: patch(power(3.0), 3.0, 1e-300, 2.0),
      "patch requires positive one-sided derivatives at a and b"),
+    # every builtin kind refuses a NaN or infinite param, which its range rule lets through
+    *[(partial(make, bad), f"{kind} parameter must be a finite number, got {bad}")
+      for kind, make in (("power", power), ("two_power", lambda v: two_power(v, 3.0)),
+                         ("two_power", lambda v: two_power(1.5, v)), ("log_power", log_power),
+                         ("zygmund", lambda v: zygmund(v, 0.5)),
+                         ("zygmund", lambda v: zygmund(2.0, v)))
+      for bad in (math.nan, math.inf)],
+    (lambda: builtin("zygmund", 2.0, math.inf), "zygmund parameter must be a finite number"),
+    (lambda: log_power_tail_threshold(math.nan, 5.0),
+     "log_power parameter must be a finite number, got nan"),
+    # the constructor checks what a builtin constructor checks
+    (lambda: YoungFunction("power", (0.5,)), "exponent must be >= 1, got 0.5"),
+    (lambda: YoungFunction("power", ()), "power takes 1 parameters, got 0"),
+    (lambda: YoungFunction("zygmund", ("2", 0.5)),
+     "zygmund parameter must be a finite number, got '2'"),
+    (lambda: YoungFunction("patched:power", (2.0, 3.0), (0.5, 2.0), base=power(3.0)),
+     "does not match Young function kind 'patched:power'"),
+    # a patched record is checked as `patch` checks its arguments
+    (lambda: YoungFunction.from_json({**_PATCHED_RECORD, "breakpoints": [5.0, 0.2]}),
+     "need 0 < a < b, got a=5.0, b=0.2"),
+    (lambda: YoungFunction.from_json({**_PATCHED_RECORD, "breakpoints": [0.2, math.inf]}),
+     "breakpoint b must be a finite number, got inf"),
+    (lambda: YoungFunction.from_json({**_PATCHED_RECORD, "params": [2.0, 0.5, math.nan]}),
+     "convexity exponent s must be finite and >= 2, got nan"),
+    (lambda: YoungFunction.from_json({**_PATCHED_RECORD, "params": [2.0, 0.5, 1.5]}),
+     "convexity exponent s must be finite and >= 2, got 1.5"),
+    (lambda: YoungFunction.from_json({**_PATCHED_RECORD, "c1": math.nan}),
+     "c1 must be a finite number, got nan"),
+    (lambda: YoungFunction.from_json({**_PATCHED_RECORD, "c2": -math.inf}),
+     "c2 must be a finite number, got -inf"),
+    # the exponent s is one rule wherever it is read: NaN and inf are refused
+    *[(partial(call, bad), f"convexity exponent s must be finite and >= 2, got {bad}")
+      for bad in (math.nan, math.inf)
+      for call in (lambda s: power_concavity_regions(power(3.0), s),
+                   lambda s: patch(zygmund(2.0, 0.5), s, 0.2, 5.0),
+                   lambda s: log_power_tail_threshold(3.0, s))],
 ])
 def test_young_refusals_name_what_is_wrong(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
