@@ -502,8 +502,8 @@ class NormSpec(_Record):
         if variant not in _VARIANTS:
             raise ValueError(f"norm variant must be one of {_VARIANTS}, got {variant!r}")
         if variant == "lp":
-            if not p >= 1.0:
-                raise ValueError(f"exponent must be >= 1, got {p}")
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not p >= 1.0:
+                raise ValueError(f"exponent must be >= 1, got {p!r}")
             if phi is not None:
                 raise ValueError("an lp norm reads no Young function phi")
             if s is None and not np.isinf(p):
@@ -597,10 +597,10 @@ def random_smooth(size, dim, rng, band=None, decay=1.0):
     """Random real trigonometric polynomial with polynomially decaying modes.
 
     Modes are supported on |nu| <= band (default N/3, safely inside the
-    alias-free range) with coefficient scale (1 + |nu|**2)**(-decay).
+    alias-free range) with coefficient scale (1 + |nu|**2)**(-decay).  A
+    given band is a finite number >= 0, checked before anything is drawn.
     """
-    if band is None:
-        band = size // 3
+    band = size // 3 if band is None else _number(0, real=True)(band, "band")
     freqs = np.fft.fftfreq(size) * size
     if dim == 1:
         mask = np.abs(freqs) <= band

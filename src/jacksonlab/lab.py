@@ -197,8 +197,7 @@ def standard_family(size, dim=1, rng=None, names=None):
     their 1-d factors.  `names` picks members; only those are built, in
     this order.
     """
-    if dim not in (1, 2):
-        raise ValueError(f"grid dimension must be 1 or 2, got {dim}")
+    dim = _DIM(dim, "dim")
     wanted = _MEMBERS if names is None else _members(names)
     # name: (axis samples, how two of them combine in 2-d); random is drawn whole
     axes = {"cos": (np.cos, np.multiply), "abs-sin": (lambda x: np.abs(np.sin(x)), np.multiply),
@@ -281,13 +280,15 @@ def estimate_convexity_constant(norm=None, s=2.0, rng=None, trials=200,
     seeded random pairs drawn sequentially, so enlarging `trials` keeps
     every earlier sample and the estimate can only decrease.  F = 0 gives
     the ratio 1, which bounds m for every norm, so the estimate never
-    exceeds 1.  `s` is a finite number >= 2 and `trials` an integer >= 100.
+    exceeds 1.  `s` is a finite number >= 2, `trials` an integer >= 100,
+    `size` an even integer >= 8 and `dim` 1 or 2.
     The pairs are drawn and reduced one stack at a time: each stack of
     `ops._STACK_SAMPLES` samples (every pair at the default size) takes one
     stacked norm call, and only the best pair so far is kept.
     """
     s = _convexity_exponent(s)
     trials = _number(100)(trials, "trials")
+    size, dim = _SIZE(size, "size"), _DIM(dim, "dim")
     rng, _ = _generator(rng)
     spec = _norm_spec(norm)
     shape = (size,) * dim
@@ -348,7 +349,8 @@ def space_moduli(norm=None, size=64, dim=1, rng=None, trials=24):
     over unit pairs with |phi-psi| = eps.  Both curves are clamped at 0,
     pinned to 0 at the origin, and made nondecreasing; exponents come from
     a log-log fit over the positive part of each grid.  `trials` (an
-    integer >= 0) random pairs join two fixed ones.
+    integer >= 0) random pairs join two fixed ones; `size` is an even
+    integer >= 8 and `dim` 1 or 2.
 
     Every stage takes the norms of all pairs in one stacked call: eta one
     per sigma; delta bisects every pair of an eps in lockstep
@@ -358,6 +360,7 @@ def space_moduli(norm=None, size=64, dim=1, rng=None, trials=24):
     """
     spec = _norm_spec(norm)
     trials = _NATURAL(trials, "trials")
+    size, dim = _SIZE(size, "size"), _DIM(dim, "dim")
     rng, _ = _generator(rng)
     sigma = np.concatenate([[0.0], np.geomspace(0.02, 0.5, 15)])
     eps = np.concatenate([[0.0], np.geomspace(0.05, 1.0, 15)])
@@ -428,15 +431,15 @@ def verify_duality(q, dim, rng=None, trials=400):
     m = M^(-1/(q-1)) with s = q/(q-1), and verifies on l_s that
     max(|u+v|, |u-v|)^s >= |u|^s + m|v|^s up to 3*tol sampling slack, tol = 0.01.
     Each side samples four fixed pairs and `trials` (an integer >= 0) seeded
-    ones.  The l_p norm on dim points is dim^(1/p) times the mean L_p norm
-    of `NormSpec(p=p)`, which takes the norms of all pairs in one call.
+    ones; q is a finite number and dim an integer >= 2.  The l_p norm on
+    dim points is dim^(1/p) times the mean L_p norm of `NormSpec(p=p)`,
+    which takes the norms of all pairs in one call.
     """
+    q, dim = _REAL(q, "smoothness exponent q"), _number(2)(dim, "dim")
     if not (1.0 < q <= 2.0):
         raise ValueError(
             f"smoothness exponent q must lie in (1, 2], got {q}: no nontrivial "
             "norm satisfies the power-type smoothness inequality beyond q = 2")
-    if dim < 2:
-        raise ValueError(f"need dimension >= 2, got {dim}")
     trials = _NATURAL(trials, "trials")
     rng, seed = _generator(rng)
     start = time.perf_counter()
@@ -489,7 +492,7 @@ def _choice(*options):
     return convert
 
 
-_INT = _number()
+_INT, _SIZE, _DIM = _number(), _number(8, even=True), _number(1, 2)
 
 
 def _reals(value):
@@ -510,8 +513,8 @@ def _index_range(value):
 # default; a callable default is computed from the params parsed before it, in
 # the order of `check_params`.
 _PARAMS = {
-    "N": (256, _number(8, even=True), "grid size"),
-    "d": (1, _number(1, 2), "grid dimension"),
+    "N": (256, _SIZE, "grid size"),
+    "d": (1, _DIM, "grid dimension"),
     "seed": (0, _NATURAL, "seed of the random family member"),
     "family": (None, _members, "members of the standard family to use (all)"),
     "f": (None, _record(GridFunction), "GridFunction record to use as the family; sets N and d"),

@@ -107,7 +107,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .grid import _COUNT, GridFunction, NormSpec, _weight_array, _young_stack_sup
+from .grid import _COUNT, _NATURAL, GridFunction, NormSpec, _weight_array, _young_stack_sup
 
 # Sample budget of one batched inverse transform (rows = budget // N^d, at least 1).
 _STACK_SAMPLES = 1 << 15
@@ -696,8 +696,7 @@ def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, dir
 
 def cesaro_weights(n, ell):
     """Weights A(n-k, ell)/A(n, ell), k = 0..n, with A(m, ell) = C(m+ell, ell)."""
-    if n < 0 or ell < 1:
-        raise ValueError(f"need degree n >= 0 and order ell >= 1, got ({n}, {ell})")
+    n, ell = _NATURAL(n, "degree"), _COUNT(ell, "order")
     a = np.array([math.comb(m + ell, ell) for m in range(n + 1)], dtype=float)
     return a[::-1] / a[-1]
 
@@ -706,6 +705,7 @@ def cesaro(f, n, ell=1):
     """Cesaro mean of order ell of the degree-n partial sum (1-d grids)."""
     if f.dim != 1:
         raise ValueError("cesaro means are only defined on 1-d grids")
+    n, ell = _NATURAL(n, "degree"), _COUNT(ell, "order")
     if n >= f.size // 2:
         raise ValueError(f"degree {n} too large for grid size {f.size}")
     w = cesaro_weights(n, ell)

@@ -19,9 +19,13 @@ by a constant-slope segment so the composition becomes globally concave.
 Every Young function is checked in one place, the `YoungFunction`
 constructor, whichever way it is built: the builtin constructors,
 `builtin`, `complementary`, `patch` and `from_json` only pass their
-arguments on.  The record carries its power index (`power_index`), which
-the pruned Young-norm moduli of `grid` read, so no other module decodes a
-Young kind.  The exponent s of `power_concavity_regions`, `patch`,
+arguments on.  A builtin kind is one row of `_BUILTINS`: arity, range
+rule, power index, phi and its left and right derivatives phi'_-+, which
+differ only at the kink x = 1 of two_power and log_power; values and
+derivatives read that row, so no method branches on a builtin kind.  The
+record carries its power index (`power_index`), which the pruned
+Young-norm moduli of `grid` read, so no other module decodes a Young kind.
+The exponent s of `power_concavity_regions`, `patch`,
 `log_power_tail_threshold` and a patched record is checked by
 `grid._convexity_exponent`.
 """
@@ -36,18 +40,50 @@ from .grid import _REAL, _convexity_exponent, _number, _Record, _refuse_unread
 
 _LOG_POWER_GATE = (3.0 + math.sqrt(5.0)) / 2.0
 
+
+# -- builtin kinds: a row per kind, and the phi and phi' too long for it
+
+
+def _kink(x, minus, low, high):
+    """low left of the kink at x = 1 and high right of it; at 1 the side `minus` picks."""
+    return np.where((x <= 1.0) if minus else (x < 1.0), low, high)
+
+
+def _log_power(x, r):
+    safe = np.where(x > 0.0, x, 1.0)
+    return np.where(x > 0.0, safe ** r * (1.0 + np.abs(np.log(safe))), 0.0)
+
+
+def _log_power_deriv(x, minus, r):
+    safe = np.where(x > 0.0, x, 1.0)
+    low = safe ** (r - 1.0) * (r - 1.0 - r * np.log(safe))
+    high = safe ** (r - 1.0) * (r + 1.0 + r * np.log(safe))
+    return np.where(x > 0.0, _kink(x, minus, low, high), 0.0)
+
+
+def _zygmund_deriv(x, minus, p, alpha):
+    ell = np.log(2.0 + x)
+    return x ** (p - 1.0) * ell ** (alpha * p - 1.0) * (p * ell + alpha * p * x / (2.0 + x))
+
+
 # kind: (arity, the range rule on its float params, the rule's message, the power index q
-# with phi(u)/u**q nondecreasing on u > 0): phi/u**p is 1 or a power of log(2 + u) for
-# power and zygmund, and convexity with phi(0) = 0 makes phi(u)/u nondecreasing
+# with phi(u)/u**q nondecreasing on u > 0, phi(x, *params), phi'(x, minus, *params): the left
+# derivative where minus is true, else the right one): phi/u**p is 1 or a power of
+# log(2 + u) for power and zygmund, and convexity with phi(0) = 0 makes phi(u)/u nondecreasing
 _BUILTINS = {
-    "power": (1, lambda p: p >= 1.0, "power exponent must be >= 1, got {}", lambda p: p),
+    "power": (1, lambda p: p >= 1.0, "power exponent must be >= 1, got {}", lambda p: p,
+              lambda x, p: x ** p, lambda x, minus, p: p * x ** (p - 1.0)),
     "two_power": (2, lambda a, b: 1.0 < a < b, "two_power needs 1 < alpha < beta, got ({}, {})",
-                  lambda a, b: a),
+                  lambda a, b: a, lambda x, a, b: np.where(x <= 1.0, x ** a, x ** b),
+                  lambda x, minus, a, b: _kink(x, minus, a * x ** (a - 1.0), b * x ** (b - 1.0))),
     "log_power": (1, lambda r: r >= _LOG_POWER_GATE,
-                  f"log_power exponent must be >= {_LOG_POWER_GATE:.6f}, got {{}}", lambda r: 1.0),
+                  f"log_power exponent must be >= {_LOG_POWER_GATE:.6f}, got {{}}", lambda r: 1.0,
+                  _log_power, _log_power_deriv),
     "zygmund": (2, lambda p, a: p >= 1.0 and a * p >= 1.0,
-                "zygmund needs p >= 1 and alpha*p >= 1, got ({}, {})", lambda p, a: p),
-    "exp": (0, lambda: True, "", lambda: 1.0),
+                "zygmund needs p >= 1 and alpha*p >= 1, got ({}, {})", lambda p, a: p,
+                lambda x, p, a: x ** p * np.log(2.0 + x) ** (a * p), _zygmund_deriv),
+    "exp": (0, lambda: True, "", lambda: 1.0, lambda x: np.expm1(x) - x,
+            lambda x, minus: np.expm1(x)),
 }
 # derived kind "<derived>:<base kind>": (the params it adds to its base's, the fields it reads
 # besides kind and params)
@@ -81,7 +117,7 @@ class YoungFunction:
             if value is not None and name not in reads:
                 raise ValueError(f"the {self.kind} Young function reads no {name}")
         if self.kind in _BUILTINS:
-            arity, holds, rule, index = _BUILTINS[self.kind]
+            arity, holds, rule, index = _BUILTINS[self.kind][:4]
             if len(params) != arity:
                 raise ValueError(f"{self.kind} takes {arity} parameters, got {len(params)}")
             self.params = tuple(_REAL(v, f"{self.kind} parameter") for v in params)
@@ -135,69 +171,32 @@ class YoungFunction:
     def deriv_minus(self, x):
         """Left derivative; at 0 the right derivative is returned."""
         x, scalar = _as_array(x)
-        out = self._deriv(x, side="minus")
+        out = self._deriv(x, True)
         return float(out[()]) if scalar else out
 
     def deriv_plus(self, x):
         """Right derivative."""
         x, scalar = _as_array(x)
-        out = self._deriv(x, side="plus")
+        out = self._deriv(x, False)
         return float(out[()]) if scalar else out
 
     def _value(self, x):
-        kind = self.kind
-        if kind == "power":
-            return x ** self.params[0]
-        if kind == "two_power":
-            a, b = self.params
-            return np.where(x <= 1.0, x ** a, x ** b)
-        if kind == "log_power":
-            r = self.params[0]
-            safe = np.where(x > 0.0, x, 1.0)
-            return np.where(x > 0.0, safe ** r * (1.0 + np.abs(np.log(safe))), 0.0)
-        if kind == "zygmund":
-            p, alpha = self.params
-            return x ** p * np.log(2.0 + x) ** (alpha * p)
-        if kind == "exp":
-            return np.expm1(x) - x
-        if kind.startswith("patched:"):
+        row = _BUILTINS.get(self.kind)
+        if row is not None:
+            return row[4](x, *self.params)
+        if self.kind.startswith("patched:"):
             return self._patched_value(x)
-        if kind.startswith("conjugate:"):
-            vals, _ = self._conj_values(np.ravel(x))
-            return vals.reshape(x.shape)
-        raise AssertionError(kind)
+        vals, _ = self._conj_values(np.ravel(x))
+        return vals.reshape(x.shape)
 
-    def _deriv(self, x, side):
-        kind = self.kind
-        if kind == "power":
-            p = self.params[0]
-            return p * x ** (p - 1.0)
-        if kind == "two_power":
-            a, b = self.params
-            low = a * x ** (a - 1.0)
-            high = b * x ** (b - 1.0)
-            cut = (x <= 1.0) if side == "minus" else (x < 1.0)
-            return np.where(cut, low, high)
-        if kind == "log_power":
-            r = self.params[0]
-            safe = np.where(x > 0.0, x, 1.0)
-            low = safe ** (r - 1.0) * (r - 1.0 - r * np.log(safe))
-            high = safe ** (r - 1.0) * (r + 1.0 + r * np.log(safe))
-            cut = (x <= 1.0) if side == "minus" else (x < 1.0)
-            out = np.where(cut, low, high)
-            return np.where(x > 0.0, out, 0.0)
-        if kind == "zygmund":
-            p, alpha = self.params
-            ell = np.log(2.0 + x)
-            return x ** (p - 1.0) * ell ** (alpha * p - 1.0) * (p * ell + alpha * p * x / (2.0 + x))
-        if kind == "exp":
-            return np.expm1(x)
-        if kind.startswith("patched:"):
-            return self._patched_deriv(x, side)
-        if kind.startswith("conjugate:"):
-            _, xs = self._conj_values(np.ravel(x))
-            return xs.reshape(x.shape)
-        raise AssertionError(kind)
+    def _deriv(self, x, minus):
+        row = _BUILTINS.get(self.kind)
+        if row is not None:
+            return row[5](x, minus, *self.params)
+        if self.kind.startswith("patched:"):
+            return self._patched_deriv(x, minus)
+        _, xs = self._conj_values(np.ravel(x))
+        return xs.reshape(x.shape)
 
     def _patched_value(self, x):
         a, b = self.breakpoints
@@ -207,13 +206,13 @@ class YoungFunction:
         return np.where(x <= a, self.c1 * base(x),
                         np.where(x >= b, self.c2 + base(x), mid))
 
-    def _patched_deriv(self, x, side):
+    def _patched_deriv(self, x, minus):
         a, b = self.breakpoints
         base = self.base
         s = self.params[-1]
         seg = self._seg_slope * np.where(x > 0.0, np.where(x > 0.0, x, 1.0) ** (1.0 - 1.0 / s), 0.0)
-        dm = base.deriv_minus(x) if side == "minus" else base.deriv_plus(x)
-        if side == "minus":
+        dm = base.deriv_minus(x) if minus else base.deriv_plus(x)
+        if minus:
             return np.where(x <= a, self.c1 * dm, np.where(x <= b, seg, dm))
         return np.where(x < a, self.c1 * dm, np.where(x < b, seg, dm))
 

@@ -251,6 +251,8 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
          "'checks[1].params.family': must be one of cos, abs-sin, sawtooth8, random, got 'sine'"),
         ({"id": "jackson-1.4", "params": {"norm": {"norm": "lp", "p": math.nan, "s": 2}}},
          "'checks[1].params.norm': exponent must be >= 1, got nan"),
+        ({"id": "jackson-1.4", "params": {"norm": {"norm": "lp", "p": True}}},
+         "'checks[1].params.norm': exponent must be >= 1, got True"),
         # float params are finite real numbers, never bools or strings
         ({"id": "basic-2.1", "params": {"m": -1}},
          "'checks[1].params.m': must be a finite number >= 0, got -1"),

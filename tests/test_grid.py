@@ -577,6 +577,14 @@ def test_random_smooth_deterministic_and_normalized():
     # a NaN param is refused where the Young function is built, before the norm reads it
     (ValueError, lambda: luxemburg_norm(discretize(np.cos, 16, 1), power(math.nan)),
      "power parameter must be a finite number, got nan"),
+    # an L_p exponent is a number, never a bool (True ran as L1) or a string
+    (ValueError, lambda: NormSpec(p=True), "exponent must be >= 1, got True"),
+    (ValueError, lambda: lp_norm(discretize(np.cos, 16, 1), True),
+     "exponent must be >= 1, got True"),
+    (ValueError, lambda: NormSpec(p="4"), "exponent must be >= 1, got '4'"),
+    # a band that is not a finite number >= 0 gave the zero function
+    *[(ValueError, lambda band=band: random_smooth(16, 1, np.random.default_rng(0), band),
+       f"band must be a finite number >= 0, got {band!r}") for band in (math.nan, -1, True)],
 ])
 def test_grid_refusals_name_what_is_wrong(error, call, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -526,6 +527,24 @@ def test_verify_duality_pass_and_reject():
     assert "2.5" in str(err.value)
     with pytest.raises(ValueError):
         verify_duality(2.0, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    # sizes, dimensions and exponents go through the one integer rule and the one real rule
+    (lambda: verify_duality(2.0, 3.0), "dim must be an integer >= 2, got 3.0"),
+    (lambda: verify_duality(2.0, True), "dim must be an integer >= 2, got True"),
+    (lambda: verify_duality("1.5", 4), "smoothness exponent q must be a finite number, got '1.5'"),
+    (lambda: estimate_convexity_constant(size=64.0), "size must be an even integer >= 8, got 64.0"),
+    (lambda: estimate_convexity_constant(size=True), "size must be an even integer >= 8, got True"),
+    (lambda: estimate_convexity_constant(dim=2.0), "dim must be an integer from 1 to 2, got 2.0"),
+    (lambda: space_moduli(size=16.0), "size must be an even integer >= 8, got 16.0"),
+    (lambda: space_moduli(size=16, dim=True), "dim must be an integer from 1 to 2, got True"),
+    (lambda: standard_family(16, True), "dim must be an integer from 1 to 2, got True"),
+    (lambda: standard_family(16, 3), "dim must be an integer from 1 to 2, got 3"),
+])
+def test_lab_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("trials", [-5, -1, 2.5, 30.0, "8", True])

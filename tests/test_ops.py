@@ -1173,7 +1173,12 @@ _COS_2D = discretize(lambda a, b: np.cos(a), 16, 2)
     (lambda: translate(_COS_2D, (0.5, 0.1, 0.2)), "step has 3 components for a 2-d grid"),
     (lambda: translate(discretize(np.cos, 16, 1), (0.5, 0.1)),
      "step has 2 components for a 1-d grid"),
-    (lambda: cesaro_weights(-1, 1), "need degree n >= 0 and order ell >= 1, got (-1, 1)"),
+    (lambda: cesaro_weights(-1, 1), "degree must be an integer >= 0, got -1"),
+    (lambda: cesaro_weights(2.5, 1), "degree must be an integer >= 0, got 2.5"),
+    (lambda: cesaro_weights(2, True), "order must be an integer >= 1, got True"),
+    (lambda: cesaro(discretize(np.cos, 16, 1), 2.5), "degree must be an integer >= 0, got 2.5"),
+    (lambda: cesaro(discretize(np.cos, 16, 1), True), "degree must be an integer >= 0, got True"),
+    (lambda: cesaro(discretize(np.cos, 16, 1), 2, 1.0), "order must be an integer >= 1, got 1.0"),
     (lambda: cesaro(_COS_2D, 2), "cesaro means are only defined on 1-d grids"),
     (lambda: spherical_mean(discretize(np.cos, 16, 1), 0.5),
      "spherical means are only defined on 2-d grids"),

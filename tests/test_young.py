@@ -48,6 +48,86 @@ def test_builtin_convexity_and_derivatives():
         assert np.all(dp >= dm - 1e-12 * np.abs(dp))
 
 
+# -- oracle: phi and phi'_-+ of each builtin kind, one branch per kind ----
+
+
+def builtin_value(kind, params, x):
+    if kind == "power":
+        return x ** params[0]
+    if kind == "two_power":
+        a, b = params
+        return np.where(x <= 1.0, x ** a, x ** b)
+    if kind == "log_power":
+        r = params[0]
+        safe = np.where(x > 0.0, x, 1.0)
+        return np.where(x > 0.0, safe ** r * (1.0 + np.abs(np.log(safe))), 0.0)
+    if kind == "zygmund":
+        p, alpha = params
+        return x ** p * np.log(2.0 + x) ** (alpha * p)
+    if kind == "exp":
+        return np.expm1(x) - x
+    raise AssertionError(kind)
+
+
+def builtin_deriv(kind, params, x, side):
+    if kind == "power":
+        p = params[0]
+        return p * x ** (p - 1.0)
+    if kind == "two_power":
+        a, b = params
+        low = a * x ** (a - 1.0)
+        high = b * x ** (b - 1.0)
+        cut = (x <= 1.0) if side == "minus" else (x < 1.0)
+        return np.where(cut, low, high)
+    if kind == "log_power":
+        r = params[0]
+        safe = np.where(x > 0.0, x, 1.0)
+        low = safe ** (r - 1.0) * (r - 1.0 - r * np.log(safe))
+        high = safe ** (r - 1.0) * (r + 1.0 + r * np.log(safe))
+        cut = (x <= 1.0) if side == "minus" else (x < 1.0)
+        out = np.where(cut, low, high)
+        return np.where(x > 0.0, out, 0.0)
+    if kind == "zygmund":
+        p, alpha = params
+        ell = np.log(2.0 + x)
+        return x ** (p - 1.0) * ell ** (alpha * p - 1.0) * (p * ell + alpha * p * x / (2.0 + x))
+    if kind == "exp":
+        return np.expm1(x)
+    raise AssertionError(kind)
+
+
+_ORACLE_X = np.array([0.0, 1e-300, 1e-6, 0.5, np.nextafter(1.0, 0.0), 1.0,
+                      np.nextafter(1.0, 2.0), 1.0 + 1e-9, 2.0, 37.5, 1e6])
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("power", (1.0,)), ("power", (2.5,)), ("two_power", (1.5, 3.0)), ("two_power", (1.1, 7.0)),
+    ("log_power", (3.0,)), ("log_power", (4.5,)), ("zygmund", (2.0, 0.5)), ("zygmund", (1.0, 1.0)),
+    ("exp", ()),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_builtin_values_and_derivatives_equal_the_per_kind_branches(kind, params):
+    # every builtin kind's row gives the branch's bits, at the kink x = 1 and either side
+    # of it too; exp takes no params, so it has one case, and overflows at 1e6 as its branch does
+    phi = builtin(kind, *params)
+    for x in (_ORACLE_X, _ORACLE_X[:, None] * np.ones(2), _ORACLE_X[::-1]):
+        with np.errstate(over="ignore"):
+            got = (phi(x), phi.deriv_minus(x), phi.deriv_plus(x))
+            want = (builtin_value(kind, params, x), builtin_deriv(kind, params, x, "minus"),
+                    builtin_deriv(kind, params, x, "plus"))
+        for g, w in zip(got, want):
+            assert g.shape == x.shape
+            assert g.tobytes() == np.asarray(w, dtype=float).tobytes()
+    for v in _ORACLE_X.tolist():
+        with np.errstate(over="ignore"):
+            got = (phi(v), phi.deriv_minus(v), phi.deriv_plus(v))
+            want = (builtin_value(kind, params, np.asarray(v)),
+                    builtin_deriv(kind, params, np.asarray(v), "minus"),
+                    builtin_deriv(kind, params, np.asarray(v), "plus"))
+        for g, w in zip(got, want):
+            assert type(g) is float
+            assert np.float64(g).tobytes() == np.float64(w).tobytes()
+
+
 def conjugate_by_argmax_matrix(psi, y):
     # the N x M grid argmax of x*y - phi(x), then the library's refinement
     xg, base_grid = psi._xgrid, psi._base_grid
