@@ -17,7 +17,9 @@ reads the power index q of a Young function from the record
 module never decodes a Young kind.
 
 `_number` is the one integer rule: `ops`, `approx`, `young`, `lab` and
-`cli` check every count, degree and order through it.
+`cli` check every count, degree and order through it.  Two of its
+converters, `_SIZE` and `_DIM`, are the only rules for a grid's size and
+dimension, and `_generator` is the only reader of an `rng` argument.
 """
 
 from __future__ import annotations
@@ -36,21 +38,19 @@ class GridFunction:
     """Real samples on an equispaced periodic grid, d in {1, 2}.
 
     The sample array is copied and frozen at construction; arithmetic
-    returns new instances.  2-d grids are square (N x N).  The real
-    spectrum and its Parseval weights are computed on first use and kept;
-    the band and sphere row norms of `approx` are memoized in a
-    per-instance dict, so all of them live exactly as long as the function.
+    returns new instances.  2-d grids are square (N x N), N an even
+    integer >= 8 (`_SIZE`) and d checked by `_DIM`.  The real spectrum and
+    its Parseval weights are computed on first use and kept; the band row
+    norms of `approx` are memoized in a per-instance dict, so all of them
+    live exactly as long as the function.
     """
 
     __slots__ = ("samples", "_spectrum", "_parseval", "_memo")
 
     def __init__(self, samples):
         arr = np.array(samples, dtype=float, copy=True)
-        if arr.ndim not in (1, 2):
-            raise ValueError(f"grid dimension must be 1 or 2, got {arr.ndim}")
-        n = arr.shape[0]
-        if n < 8 or n % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 8, got {n}")
+        _DIM(arr.ndim, "grid dimension")
+        n = _SIZE(arr.shape[0], "grid size")
         if arr.ndim == 2 and arr.shape[1] != n:
             raise ValueError(f"2-d grids must be square, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -151,17 +151,17 @@ def _raw(other):
 
 
 def grid_points(size, dim):
-    """Coordinate arrays x_j = 2*pi*j/N; one array per axis (meshgrid for d=2)."""
+    """Coordinate arrays x_j = 2*pi*j/N; one array per axis (meshgrid for d=2).
+
+    `size` is an integer >= 1 and `dim` is checked by `_DIM`.
+    """
+    size, dim = _COUNT(size, "grid size"), _DIM(dim, "grid dimension")
     x = 2.0 * np.pi * np.arange(size) / size
-    if dim == 1:
-        return (x,)
-    if dim == 2:
-        return tuple(np.meshgrid(x, x, indexing="ij"))
-    raise ValueError(f"grid dimension must be 1 or 2, got {dim}")
+    return (x,) if dim == 1 else tuple(np.meshgrid(x, x, indexing="ij"))
 
 
 def discretize(func, size, dim=1):
-    """Sample a callable of d periodic coordinates onto the grid."""
+    """Sample a callable of d periodic coordinates onto the grid (size and dim as `grid_points`)."""
     pts = grid_points(size, dim)
     return GridFunction(np.asarray(func(*pts), dtype=float))
 
@@ -388,15 +388,14 @@ def orlicz_norm_dual_bound(f, phi, psi, weight=None, trials=64, rng=None):
     Complements the Amemiya value from above and below:
     dual_bound <= orlicz_norm.  Candidates are built from the derivative
     of phi at the optimal Luxemburg scaling plus random perturbations.
-    `trials` is an integer >= 0, checked before any norm.
+    `trials` is an integer >= 0 and `rng` goes through `_generator`, both
+    checked before any norm.
     """
-    trials = _NATURAL(trials, "trials")
+    trials, (rng, _) = _NATURAL(trials, "trials"), _generator(rng)
     absf, w = np.abs(f.samples).ravel(), _weight_array(f, weight)
     lux = _luxemburg(absf, phi, w)
     if lux == 0.0:
         return 0.0
-    if rng is None:
-        rng = np.random.default_rng(0)
     wa = np.ones_like(absf) if w is None else w
 
     def pair(g):
@@ -447,6 +446,20 @@ def _number(low=-math.inf, high=math.inf, even=False, real=False):
 
 
 _COUNT, _NATURAL, _REAL = _number(1), _number(0), _number(real=True)
+# the shape rules of every grid: N x ... x N with N even and >= 8, and d = 1 or 2
+_SIZE, _DIM = _number(8, even=True), _number(1, 2)
+
+
+def _generator(rng):
+    """(generator, seed) of an rng argument, the one reader of an `rng` argument.
+
+    None is seed 0, an integer >= 0 a seed, and a numpy Generator is used as
+    it is (seed -1).  Anything else is a ValueError naming `rng`.
+    """
+    if isinstance(rng, np.random.Generator):
+        return rng, -1
+    seed = 0 if rng is None else _NATURAL(rng, "rng")
+    return np.random.default_rng(seed), seed
 
 
 def _convexity_exponent(s):
@@ -593,14 +606,17 @@ class NormSpec(_Record):
         return NormSpec(variant=variant, p=data.get("p", 2.0), phi=phi, s=data.get("s"))
 
 
-def random_smooth(size, dim, rng, band=None, decay=1.0):
-    """Random real trigonometric polynomial with polynomially decaying modes.
+def random_smooth(size, dim, rng):
+    """Random real trigonometric polynomial with quadratically decaying modes.
 
-    Modes are supported on |nu| <= band (default N/3, safely inside the
-    alias-free range) with coefficient scale (1 + |nu|**2)**(-decay).  A
-    given band is a finite number >= 0, checked before anything is drawn.
+    Modes are supported on |nu| <= N/3, safely inside the alias-free range,
+    with coefficient scale 1/(1 + |nu|**2).  `size` and `dim` go through the
+    grid's shape rules and `rng` through `_generator`, before anything is
+    drawn.
     """
-    band = size // 3 if band is None else _number(0, real=True)(band, "band")
+    size, dim = _SIZE(size, "size"), _DIM(dim, "dim")
+    rng, _ = _generator(rng)
+    band = size // 3
     freqs = np.fft.fftfreq(size) * size
     if dim == 1:
         mask = np.abs(freqs) <= band
@@ -611,7 +627,7 @@ def random_smooth(size, dim, rng, band=None, decay=1.0):
         mask = np.sqrt(radius2) <= band
     shape = (size,) * dim
     spec = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    spec *= mask / (1.0 + radius2) ** decay
+    spec *= mask / (1.0 + radius2)
     samples = np.fft.ifftn(spec).real
     samples *= size ** dim
     peak = np.max(np.abs(samples))

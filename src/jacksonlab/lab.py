@@ -29,9 +29,9 @@ from itertools import islice
 import numpy as np
 
 from .approx import best_approx, degree_below, k_functional
-from .grid import (_COUNT, _NATURAL, _REAL, GridFunction, NormSpec, _convexity_exponent, _number,
-                   _Record, _weight_array, discretize, grid_points, luxemburg_norm, orlicz_norm,
-                   random_smooth)
+from .grid import (_COUNT, _DIM, _NATURAL, _REAL, _SIZE, GridFunction, NormSpec,
+                   _convexity_exponent, _generator, _number, _Record, _weight_array, discretize,
+                   grid_points, luxemburg_norm, orlicz_norm, random_smooth)
 from .ops import (_SEMIGROUP_KINDS, _STACK_SAMPLES, _averaged_moduli, _difference_norms,
                   _moduli_tables, _norm_spec, _sup_table, cesaro)
 from .search import bisect_level
@@ -46,15 +46,13 @@ class CheckReport(_Record):
     `table` rows are (index, lhs, rhs); `ratios` aligns with the table and
     holds lhs/rhs, inf where an upper check's ratio is unbounded, or NaN
     where the row was excluded from the constant and the spread (RHS below
-    the noise floor, or a non-finite side).  `runtime_ms` is set after the
-    check ran, so a report takes assignment and has no hash.
+    the noise floor, or a non-finite side).  `_finish` builds it when the
+    check is done, `runtime_ms` included.  Its `params` and `resolutions`
+    are dicts, so a report has no hash.
     """
 
     __slots__ = ("check_id", "params", "table", "ratios", "constant", "spread", "verdict",
                  "runtime_ms", "seed", "resolutions", "notes")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, check_id, params, table, ratios, constant, spread, verdict,
                  runtime_ms=0.0, seed=0, resolutions=None, notes=()):
@@ -136,10 +134,9 @@ def _ratio_stats(rows, direction="lower"):
     return ratios, kept, spread, counts
 
 
-def _finish(check_id, params_used, rows, direction, spread_bound, seed,
-            resolutions, notes=(), lower_threshold=0.0, upper_cap=None,
-            require_all_at_least=None):
-    """Assemble a CheckReport from raw (lhs, rhs) rows.
+def _finish(check_id, params_used, rows, direction, spread_bound, seed, resolutions, start,
+            notes=(), lower_threshold=0.0, upper_cap=None, require_all_at_least=None):
+    """Assemble a CheckReport from raw (lhs, rhs) rows; `start` is the check's perf_counter start.
 
     direction "lower": constant is the minimum kept ratio and must exceed
     `lower_threshold`.  direction "upper": constant is the maximum kept
@@ -163,9 +160,8 @@ def _finish(check_id, params_used, rows, direction, spread_bound, seed,
             ok = ok and float(np.min(kept)) >= require_all_at_least
     verdict = "pass" if ok and not counts[_NONFINITE] else "fail"
     table = tuple((i, float(l), float(r)) for i, (l, r) in enumerate(rows))
-    return CheckReport(check_id, params_used, table, tuple(ratios), constant,
-                       spread, verdict, seed=seed, resolutions=resolutions,
-                       notes=notes)
+    return CheckReport(check_id, params_used, table, tuple(ratios), constant, spread, verdict,
+                       1000.0 * (time.perf_counter() - start), seed, resolutions, notes)
 
 
 # -- test family ---------------------------------------------------------
@@ -195,9 +191,10 @@ def standard_family(size, dim=1, rng=None, names=None):
     sum; a seeded random band-limited function with quadratic mode decay.
     d=2 uses tensor analogues of the same four, the first three built from
     their 1-d factors.  `names` picks members; only those are built, in
-    this order.
+    this order.  `size`, `dim` and `rng` are checked as `random_smooth`
+    checks them, before any member is built.
     """
-    dim = _DIM(dim, "dim")
+    size, dim, (rng, _) = _SIZE(size, "size"), _DIM(dim, "dim"), _generator(rng)
     wanted = _MEMBERS if names is None else _members(names)
     # name: (axis samples, how two of them combine in 2-d); random is drawn whole
     axes = {"cos": (np.cos, np.multiply), "abs-sin": (lambda x: np.abs(np.sin(x)), np.multiply),
@@ -206,7 +203,7 @@ def standard_family(size, dim=1, rng=None, names=None):
 
     def member(n):
         if axes[n] is None:
-            return random_smooth(size, dim, np.random.default_rng(0) if rng is None else rng)
+            return random_smooth(size, dim, rng)
         a = axes[n][0](x)
         return GridFunction(a if dim == 1 else axes[n][1].outer(a, a))
 
@@ -236,14 +233,6 @@ def dyadic_tail_sum(values_fn, r, s):
 
 
 # -- space geometry ------------------------------------------------------
-
-
-def _generator(rng):
-    """(generator, seed) of an rng argument: None (seed 0), an integer seed, or a Generator (-1)."""
-    if rng is None or isinstance(rng, (int, np.integer)):
-        seed = 0 if rng is None else int(rng)
-        return np.random.default_rng(seed), seed
-    return rng, -1
 
 
 def _norms(spec, w, *stacks):
@@ -460,14 +449,12 @@ def verify_duality(q, dim, rng=None, trials=400):
     m_pred = M_hat ** (-1.0 / (q - 1.0))
     rows = [(max(plus, minus) ** s - nu ** s, nv ** s) for nu, nv, plus, minus in sampled(s)]
 
-    report = _finish(
+    return _finish(
         "duality", {"q": q, "dim": dim, "trials": trials, "tol": tol}, rows, "lower",
-        float("inf"), seed, {"trials": trials},
+        float("inf"), seed, {"trials": trials}, start,
         notes=(f"M_hat={M_hat:.12g}", f"s={s:.12g}", f"m_pred={m_pred:.12g}",
                "constant = min (max(|u+v|,|u-v|)^s - |u|^s)/|v|^s on l_s"),
         lower_threshold=m_pred - 3.0 * tol)
-    report.runtime_ms = 1000.0 * (time.perf_counter() - start)
-    return report
 
 
 # -- check registry ------------------------------------------------------
@@ -492,7 +479,7 @@ def _choice(*options):
     return convert
 
 
-_INT, _SIZE, _DIM = _number(), _number(8, even=True), _number(1, 2)
+_INT = _number()
 
 
 def _reals(value):
@@ -956,7 +943,5 @@ def run_check(check_id, params=None):
     if "lower_threshold" in bounds:
         notes += (check.threshold_note % bounds["lower_threshold"],)
     used = {k: v.to_json() if hasattr(v, "to_json") else v for k, v in p.items()}
-    report = _finish(check_id, used, rows, check.direction, p["spread_bound"], p["seed"],
-                     resolutions, notes, **bounds)
-    report.runtime_ms = 1000.0 * (time.perf_counter() - start)
-    return report
+    return _finish(check_id, used, rows, check.direction, p["spread_bound"], p["seed"],
+                   resolutions, start, notes, **bounds)

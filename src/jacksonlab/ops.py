@@ -93,7 +93,7 @@ work.  `lab` asks for the moduli of a check's whole family in one call per
 side (and for a term past a dyadic tail's sure range alone, per member), and
 `approx._row_norm` memoizes rows that several scales share.
 Besides the frequency grids, one cache is module-wide: `_spherical_mean_offset`
-is an `lru_cache(maxsize=64)` keyed by (N, t, ell, quad_points), and at
+is an `lru_cache(maxsize=64)` keyed by (N, t, ell), and at
 N=256 it can hold 64 read-only arrays of about 264 KB each (17 MB).  A
 sphere-route K-functional reads each radius once per member, so a check's
 members share a row through it: 28 rows for the 4 members of `kfunc-8.9`
@@ -411,13 +411,13 @@ def _orders(orders):
     return sorted({_COUNT(r, "difference order") for r in orders})
 
 
-def _difference_norms(fs, kind, orders, us, norm, sup=False, direction=None):
+def _difference_norms(fs, kind, orders, us, norm, sup=False):
     """{r: norms of (T(u) - I)^r f over the scales u} for each order r; with `sup`, their max and 0.
 
     One dict per member f of `fs` (members on one grid).  Every order of
     every member comes from one build of T(u) - I per stack.  u is a k x d
-    stack of shift steps, a vector of shift lengths along `direction`
-    (default (1, 0); signed steps in 1-d), or heat/abel times.  Bad
+    stack of shift steps, a vector of shift lengths (signed steps in 1-d,
+    the steps (u, 0) in 2-d), or heat/abel times.  Bad
     arguments, the norm's weight among them, and non-finite scales are
     refused before any row is evaluated, also when there is no row.
     """
@@ -427,14 +427,7 @@ def _difference_norms(fs, kind, orders, us, norm, sup=False, direction=None):
     if not np.isfinite(us).all():
         raise ValueError(f"scale must be finite, got {us[~np.isfinite(us)][0]}")
     if kind == "shift" and us.ndim == 1:
-        if dim == 1:
-            us = us[:, None]
-        else:
-            dx, dy = (1.0, 0.0) if direction is None else direction
-            scale = math.hypot(dx, dy)
-            if scale <= 0.0:
-                raise ValueError("shift direction must be a nonzero vector")
-            us = np.outer(us, (dx, dy)) / scale
+        us = us[:, None] if dim == 1 else np.outer(us, (1.0, 0.0))
     build = partial(_step_multipliers, size, dim, kind, orders)
     if len(us):
         cols = _multiplier_norms(fs, us, norm, build, sup)
@@ -503,7 +496,7 @@ def _scales(t, us):
     return us[:0] if -math.inf < t <= 0.0 else us
 
 
-def _sup_table(fs, kind, orders, ts, count, norm, units=None, direction=None, lattice=None):
+def _sup_table(fs, kind, orders, ts, count, norm, units=None, lattice=None):
     """[{(order, t): max(0, norms of (T(u) - I)^order f over the rows of u = t*(i+1)/count)}].
 
     One table per member f of `fs`, members on one grid, and every stack of
@@ -544,14 +537,14 @@ def _sup_table(fs, kind, orders, ts, count, norm, units=None, direction=None, la
                 else:
                     old.append(u)
                     owners.add(m)
-            sup = _difference_norms(fs, kind, orders, rows(np.array(new)), norm, True, direction)
+            sup = _difference_norms(fs, kind, orders, rows(np.array(new)), norm, True)
             # a scale seen before is at most the max of the first t that had it
             late = [i for i, cells in enumerate(sup)
                     if any(value < max(sups[walk[m]][i][r] for m in owners)
                            for r, value in cells.items())] if owners else []
             if late:
                 olds = _difference_norms([fs[i] for i in late], kind, orders,
-                                         rows(np.array(old)), norm, True, direction)
+                                         rows(np.array(old)), norm, True)
                 for i, cells in zip(late, olds):
                     sup[i] = {r: max(value, cells[r]) for r, value in sup[i].items()}
             sups[k] = sup
@@ -562,7 +555,7 @@ def _sup_table(fs, kind, orders, ts, count, norm, units=None, direction=None, la
     picks = [[place.setdefault(u, len(place)) for u in us.tolist()] for us in scales]
     distinct = np.fromiter(place, float)
     if lattice is None:
-        norms = _difference_norms(fs, kind, orders, rows(distinct), norm, False, direction)
+        norms = _difference_norms(fs, kind, orders, rows(distinct), norm)
         width = 1 if units is None else len(units)
     else:
         norms, width = _projected_norms(fs, orders, distinct, lattice), len(lattice)
@@ -648,29 +641,28 @@ def semigroup_difference(f, t, kind, r=1):
     return _apply_multiplier(f, _step_multipliers(f.size, f.dim, kind, [r], [t])[0][0])
 
 
-def semigroup_moduli_table(f, orders, ts, semigroup="shift", norm=None, points=64,
-                           direction=None):
+def semigroup_moduli_table(f, orders, ts, semigroup="shift", norm=None, points=64):
     """{(order, t): semigroup_modulus(f, order, t, ...)} for every order and t.
 
     Its times u = t*(i+1)/points nest like the steps of `moduli_table`, and
     one call evaluates each distinct u once for every order.
     """
     points = _COUNT(points, "points")
-    return _sup_table([f], semigroup, orders, ts, points, norm, direction=direction)[0]
+    return _sup_table([f], semigroup, orders, ts, points, norm)[0]
 
 
-def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64, direction=None):
+def semigroup_modulus(f, r, t, semigroup="shift", norm=None, points=64):
     """One-sided modulus: sup over u in [0, t] of the norm of (T(u) - I)^r f.
 
     The sup runs over u = t*(i+1)/points (endpoint included).  For the
-    shift on a 2-d grid the step moves along `direction` (default (1,0)).
+    shift on a 2-d grid the step is (u, 0).
     `semigroup` is a kind name: "shift", "heat" or "abel".  One cell of
     `semigroup_moduli_table`.
     """
-    return semigroup_moduli_table(f, [r], [t], semigroup, norm, points, direction)[(r, t)]
+    return semigroup_moduli_table(f, [r], [t], semigroup, norm, points)[(r, t)]
 
 
-def _averaged_moduli(fs, r, ts, semigroup="shift", norm=None, quad_points=128, direction=None):
+def _averaged_moduli(fs, r, ts, semigroup="shift", norm=None, quad_points=128):
     """[[averaged_modulus(f, r, t, ...) for t in ts] for f in fs], fs on one grid.
 
     The midpoints of every t go in one `_difference_norms` call, so each
@@ -679,19 +671,19 @@ def _averaged_moduli(fs, r, ts, semigroup="shift", norm=None, quad_points=128, d
     quad_points = _COUNT(quad_points, "quad_points")
     mids = [_scales(t, t * (np.arange(quad_points) + 0.5) / quad_points) for t in ts]
     ends = np.cumsum([0] + [len(m) for m in mids]).tolist()
-    cols = _difference_norms(fs, semigroup, [r], np.concatenate(mids), norm, direction=direction)
+    cols = _difference_norms(fs, semigroup, [r], np.concatenate(mids), norm)
     return [[float(np.mean(col[r][a:b])) if b > a else 0.0 for a, b in zip(ends, ends[1:])]
             for col in cols]
 
 
-def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128, direction=None):
+def averaged_modulus(f, r, t, semigroup="shift", norm=None, quad_points=128):
     """Integral mean (1/t) * int_0^t of the norm of (T(u) - I)^r f du.
 
     Composite midpoint rule with `quad_points` nodes; same semigroup
     conventions as `semigroup_modulus`.  Always below the one-sided
     modulus at the same t.  One entry of `_averaged_moduli`.
     """
-    return _averaged_moduli([f], r, [t], semigroup, norm, quad_points, direction)[0][0]
+    return _averaged_moduli([f], r, [t], semigroup, norm, quad_points)[0][0]
 
 
 def cesaro_weights(n, ell):
@@ -723,36 +715,38 @@ def laplacian_power(f, ell=1):
     return _apply_multiplier(f, (-_mode_radius2(f.size, f.dim)) ** ell)
 
 
+# Equispaced nodes of the circle mean of `spherical_mean`.
+_SPHERE_NODES = 256
+
+
 @lru_cache(maxsize=64)
-def _spherical_mean_offset(size, t, ell, quad_points=256):
+def _spherical_mean_offset(size, t, ell):
     """V_ell(t) - 1 of `spherical_mean` on the half grid (d=2, real, read-only).
 
     sum_{j=-ell..ell} (-1)^j C(2*ell, ell-j) exp(i*j*theta) = (4 sin^2(theta/2))^ell,
     so the row is a mean of the shift's nonnegative symbol: no 1 cancels at small t.
     """
-    ths = (2.0 * math.pi * k / quad_points for k in range(quad_points))
+    ths = (2.0 * math.pi * k / _SPHERE_NODES for k in range(_SPHERE_NODES))
     steps = np.array([(t * math.cos(th), t * math.sin(th)) for th in ths])
     acc = sum(_powers(_shift_symbol(size, block), [ell])[0].sum(axis=0)
               for block in _stacks(steps, size, 2))
-    acc *= -1.0 / (quad_points * math.comb(2 * ell, ell))
+    acc *= -1.0 / (_SPHERE_NODES * math.comb(2 * ell, ell))
     acc.setflags(write=False)
     return acc
 
 
-def spherical_mean(f, t, ell=1, quad_points=256):
+def spherical_mean(f, t, ell=1):
     """Circular-mean smoother on the 2-torus.
 
     ell=1 is the plain mean of f over the circle of radius t centred at
     each point.  Higher ell combines means at radii j*t with binomial
     weights that cancel low-order error terms: V_ell = (-2/C(2*ell, ell))
     * sum_{j=1..ell} (-1)^j C(2*ell, ell-j) V(j*t) = 1 - mean over |h| = t
-    of (4 sin^2(nu.h/2))^ell / C(2*ell, ell), on `quad_points` equispaced
-    nodes.  An odd count gives the rule symmetrized under h -> -h: the real
-    part of the binomial sum of complex circle means.
+    of (4 sin^2(nu.h/2))^ell / C(2*ell, ell), on 256 equispaced nodes.
     """
     if f.dim != 2:
         raise ValueError("spherical means are only defined on 2-d grids")
     if not 0.0 <= t < math.inf:
         raise ValueError(f"radius must be >= 0 and finite, got {t}")
-    ell, quad_points = _COUNT(ell, "order"), _COUNT(quad_points, "quad_points")
-    return _apply_multiplier(f, 1.0 + _spherical_mean_offset(f.size, t, ell, quad_points))
+    ell = _COUNT(ell, "order")
+    return _apply_multiplier(f, 1.0 + _spherical_mean_offset(f.size, t, ell))

@@ -358,14 +358,16 @@ def builtin(kind, *params):
 
 
 def _superlinear_slope(phi):
-    """Top-of-grid secant slope and per-two-decade growth of phi(x)/x, the grid top x_hi = 1e6."""
+    """Top-of-grid secant slope and per-two-decade growth of phi(x)/x, the grid top x_hi = 1e6.
+
+    A phi that is not finite there has no complement on the working grid: a ValueError.
+    """
     x_hi = 1e6
     with np.errstate(over="ignore", invalid="ignore"):
-        top = float(phi(x_hi))
-        mid = float(phi(x_hi / 2.0))
-        low = float(phi(x_hi / 100.0))
-    if not (np.isfinite(top) and np.isfinite(mid) and np.isfinite(low)):
-        return np.inf, np.inf
+        top, mid, low = (float(phi(x)) for x in (x_hi, x_hi / 2.0, x_hi / 100.0))
+    if not all(map(math.isfinite, (top, mid, low))):
+        raise ValueError("complement undefined at working precision: "
+                         f"phi overflows on the working grid [1e-06, {x_hi:g}]")
     slope = (top - mid) / (x_hi / 2.0)
     growth = (top / x_hi) / (low / (x_hi / 100.0))
     return slope, growth

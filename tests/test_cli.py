@@ -174,6 +174,9 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
          "'checks[0].params.points'"),
         ({"checks": [{"id": "averaged-7.3", "params": {"quad_points": True}}]},
          "'checks[0].params.quad_points'"),
+        # a record param that is neither a record nor the record's class
+        ({"checks": [{"id": "jackson-1.4", "params": {"norm": 3}}]},
+         "'checks[0].params.norm': needs a NormSpec record, got int"),
         # a param the check does not read is rejected by name before any check runs
         ({"checks": [{"id": "jackson-1.4", "params": {"n_ragne": [1, 4]}}]},
          "'checks[0].params.n_ragne': jackson-1.4 reads no such param"),

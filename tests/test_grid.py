@@ -38,6 +38,11 @@ def test_grid_function_arithmetic_and_json():
     g = discretize(np.sin, 32, 1)
     h = 2.0 * f - g + f
     assert np.allclose(h.samples, 3.0 * f.samples - g.samples)
+    # a number on the left, negation and the repr
+    assert np.array_equal((1 + f).samples, 1.0 + f.samples)
+    assert np.array_equal((1 - f).samples, 1.0 - f.samples)
+    assert np.array_equal((-f).samples, -f.samples)
+    assert repr(f) == "GridFunction(N=32, d=1)"
     back = GridFunction.from_json(f.to_json())
     assert back.dim == 1 and back.size == 32
     assert np.array_equal(back.samples, f.samples)
@@ -376,6 +381,7 @@ def test_zero_function_norms():
     assert lp_norm(z, 2.0) == 0.0
     assert luxemburg_norm(z, power(2.0)) == 0.0
     assert orlicz_norm(z, power(2.0)) == 0.0
+    assert orlicz_norm_dual_bound(z, power(3.0), complementary(power(3.0))) == 0.0
 
 
 def test_norm_spec_defaults_and_conjugacy():
@@ -519,10 +525,9 @@ def test_records_round_trip_and_refuse_unread_fields(make, unread):
                 YoungFunction(x.kind, x.params, **kwargs)
 
 
-def random_smooth_by_meshgrid(size, dim, rng, band=None, decay=1.0):
+def random_smooth_by_meshgrid(size, dim, rng):
     """`random_smooth` with |nu|^2 from full `np.meshgrid` arrays, as it was first written."""
-    if band is None:
-        band = size // 3
+    band, decay = size // 3, 1.0
     freqs = np.fft.fftfreq(size) * size
     if dim == 1:
         mask = np.abs(freqs) <= band
@@ -544,12 +549,53 @@ def random_smooth_by_meshgrid(size, dim, rng, band=None, decay=1.0):
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("size", [16, 128, 256])
-@pytest.mark.parametrize("band", [None, 5, 7.5])
-@pytest.mark.parametrize("decay", [1.0, 1.5])
-def test_random_smooth_equals_the_meshgrid_formula_bit_for_bit(dim, size, band, decay):
-    got = random_smooth(size, dim, np.random.default_rng(size + dim), band, decay).samples
-    want = random_smooth_by_meshgrid(size, dim, np.random.default_rng(size + dim), band, decay)
+def test_random_smooth_equals_the_meshgrid_formula_bit_for_bit(dim, size):
+    got = random_smooth(size, dim, np.random.default_rng(size + dim)).samples
+    want = random_smooth_by_meshgrid(size, dim, np.random.default_rng(size + dim))
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rng, seed", [(None, 0), (3, 3), (np.int64(5), 5)])
+def test_an_rng_argument_is_a_seed_or_a_generator(rng, seed):
+    # None is seed 0 and an integer seed is np.random.default_rng(seed)
+    f = discretize(np.cos, 16, 1)
+    got, want = (random_smooth(16, 1, r) for r in (rng, np.random.default_rng(seed)))
+    assert got.samples.tobytes() == want.samples.tobytes()
+    dual = [orlicz_norm_dual_bound(f, power(3.0), complementary(power(3.0)), trials=4, rng=r)
+            for r in (rng, np.random.default_rng(seed))]
+    assert dual[0] == dual[1]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("size", [16, 128, 256])
+def test_random_smooth_spectrum_has_band_a_third_and_decay_one(dim, size):
+    # the spectrum is the real part of the drawn normals times mask / (1 + |nu|^2),
+    # with the mask |nu| <= N // 3, up to the one factor that scales the peak to 1
+    got = np.fft.fftn(random_smooth(size, dim, np.random.default_rng(7)).samples)
+    rng = np.random.default_rng(7)
+    shape = (size,) * dim
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    nus = np.meshgrid(*[np.fft.fftfreq(size) * size] * dim, indexing="ij")
+    radius2 = sum(nu ** 2 for nu in nus)
+    spec = np.where(np.sqrt(radius2) <= size // 3, z / (1.0 + radius2), 0.0)
+    want = 0.5 * (spec + np.conj(spec[np.ix_(*[(-np.arange(size)) % size] * dim)]))
+    scale = np.vdot(want, got).real / np.vdot(want, want).real
+    assert scale > 0.0
+    assert np.max(np.abs(got - scale * want)) <= 1e-12 * np.max(np.abs(got))
+    # the band's edge mode N // 3 is drawn, so the band is no narrower
+    assert abs(got[(size // 3,) + (0,) * (dim - 1)]) > 1e-6 * np.max(np.abs(got))
+
+
+def _untouched(rng, call):
+    """call() raises its ValueError, and `rng` has drawn nothing when it does."""
+    state = rng.bit_generator.state
+    try:
+        call()
+    finally:
+        assert rng.bit_generator.state == state
+
+
+_RNG = np.random.default_rng(0)
 
 
 def test_random_smooth_deterministic_and_normalized():
@@ -562,14 +608,32 @@ def test_random_smooth_deterministic_and_normalized():
 
 
 @pytest.mark.parametrize("error, call, message", [
-    (ValueError, lambda: GridFunction(np.zeros((8, 8, 8))), "grid dimension must be 1 or 2, got 3"),
-    (ValueError, lambda: GridFunction(np.zeros(4)), "grid size must be even and >= 8, got 4"),
-    (ValueError, lambda: GridFunction(np.zeros(9)), "grid size must be even and >= 8, got 9"),
+    # the shape rules `grid._SIZE` and `grid._DIM` are the only ones, for every grid
+    (ValueError, lambda: GridFunction(np.zeros((8, 8, 8))),
+     "grid dimension must be an integer from 1 to 2, got 3"),
+    *[(ValueError, lambda n=n: GridFunction(np.zeros(n)),
+       f"grid size must be an even integer >= 8, got {n}") for n in (4, 9)],
     (ValueError, lambda: GridFunction(np.zeros((8, 16))), "2-d grids must be square, got (8, 16)"),
     (ValueError, lambda: GridFunction(np.r_[np.zeros(15), np.inf]), "samples must be finite"),
     (AttributeError, lambda: setattr(GridFunction(np.zeros(8)), "samples", np.ones(8)),
      "GridFunction is immutable"),
-    (ValueError, lambda: grid_points(16, 3), "grid dimension must be 1 or 2, got 3"),
+    (ValueError, lambda: grid_points(16, 3),
+     "grid dimension must be an integer from 1 to 2, got 3"),
+    (ValueError, lambda: grid_points(16.0, 1), "grid size must be an integer >= 1, got 16.0"),
+    (ValueError, lambda: discretize(np.cos, 16.0, 1),
+     "grid size must be an integer >= 1, got 16.0"),
+    (ValueError, lambda: discretize(np.cos, 16, True),
+     "grid dimension must be an integer from 1 to 2, got True"),
+    # random_smooth checks its shape and its rng before it draws
+    (ValueError, lambda: _untouched(_RNG, lambda: random_smooth(16.0, 1, _RNG)),
+     "size must be an even integer >= 8, got 16.0"),
+    (ValueError, lambda: _untouched(_RNG, lambda: random_smooth(16, 3, _RNG)),
+     "dim must be an integer from 1 to 2, got 3"),
+    *[(ValueError, lambda rng=rng: random_smooth(16, 1, rng),
+       f"rng must be an integer >= 0, got {rng!r}") for rng in ("x", True, -1)],
+    *[(ValueError, lambda rng=rng: orlicz_norm_dual_bound(
+        discretize(np.cos, 16, 1), power(3.0), complementary(power(3.0)), rng=rng),
+       f"rng must be an integer >= 0, got {rng!r}") for rng in ("x", True, -1)],
     # the dual bound's trials are a count, checked before any norm
     *[(ValueError, lambda trials=trials: orlicz_norm_dual_bound(
         discretize(np.cos, 16, 1), power(3.0), complementary(power(3.0)), trials=trials),
@@ -582,9 +646,6 @@ def test_random_smooth_deterministic_and_normalized():
     (ValueError, lambda: lp_norm(discretize(np.cos, 16, 1), True),
      "exponent must be >= 1, got True"),
     (ValueError, lambda: NormSpec(p="4"), "exponent must be >= 1, got '4'"),
-    # a band that is not a finite number >= 0 gave the zero function
-    *[(ValueError, lambda band=band: random_smooth(16, 1, np.random.default_rng(0), band),
-       f"band must be a finite number >= 0, got {band!r}") for band in (math.nan, -1, True)],
 ])
 def test_grid_refusals_name_what_is_wrong(error, call, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -522,6 +523,8 @@ def test_verify_duality_pass_and_reject():
         rep = verify_duality(q, dim, rng=0, trials=200)
         assert rep.verdict == "pass"
         assert rep.constant >= 1.0 - 1e-9
+    # a Generator has no seed to report
+    assert verify_duality(1.5, 3, rng=np.random.default_rng(1)).seed == -1
     with pytest.raises(ValueError) as err:
         verify_duality(2.5, 4)
     assert "2.5" in str(err.value)
@@ -541,6 +544,14 @@ def test_verify_duality_pass_and_reject():
     (lambda: space_moduli(size=16, dim=True), "dim must be an integer from 1 to 2, got True"),
     (lambda: standard_family(16, True), "dim must be an integer from 1 to 2, got True"),
     (lambda: standard_family(16, 3), "dim must be an integer from 1 to 2, got 3"),
+    # the grid's shape rules and rng rule, before any member is built
+    (lambda: standard_family(32.0), "size must be an even integer >= 8, got 32.0"),
+    *[(lambda rng=rng: standard_family(16, rng=rng), f"rng must be an integer >= 0, got {rng!r}")
+      for rng in ("x", True, -1)],
+    *[(lambda rng=rng: estimator(size=16, rng=rng), f"rng must be an integer >= 0, got {rng!r}")
+      for rng in ("x", True, -1)
+      for estimator in (estimate_convexity_constant, space_moduli)],
+    (lambda: verify_duality(1.5, 3, rng="x"), "rng must be an integer >= 0, got 'x'"),
 ])
 def test_lab_refusals_name_what_is_wrong(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -742,7 +753,7 @@ def duality_loop(q, dim, rng=None, trials=400):
 
     return _finish(
         "duality", {"q": q, "dim": dim, "trials": trials, "tol": tol}, rows, "lower",
-        float("inf"), seed, {"trials": trials},
+        float("inf"), seed, {"trials": trials}, time.perf_counter(),
         notes=(f"M_hat={M_hat:.12g}", f"s={s:.12g}", f"m_pred={m_pred:.12g}",
                "constant = min (max(|u+v|,|u-v|)^s - |u|^s)/|v|^s on l_s"),
         lower_threshold=m_pred - 3.0 * tol)
@@ -828,7 +839,8 @@ def test_spread_bound_is_enforced():
 
 
 def test_finish_lower_zero_lhs_is_a_zero_constant():
-    rep = _finish("x", {}, [(1.0, 1.0), (0.0, 2.0), (1.5, 1.0)], "lower", 10.0, 0, {})
+    rep = _finish("x", {}, [(1.0, 1.0), (0.0, 2.0), (1.5, 1.0)], "lower", 10.0, 0, {},
+                  time.perf_counter())
     assert rep.constant == 0.0 and rep.ratios[1] == 0.0
     assert rep.verdict == "fail" and rep.notes == ()
 
@@ -836,24 +848,25 @@ def test_finish_lower_zero_lhs_is_a_zero_constant():
 def test_finish_non_finite_side_fails_and_floor_ignores_it():
     for direction in ("lower", "upper"):
         rows = [(1.0, 1.0), (float("inf"), 1.0), (1.2, float("nan")), (1e-3, 1e-3)]
-        rep = _finish("x", {}, rows, direction, 10.0, 0, {})
+        rep = _finish("x", {}, rows, direction, 10.0, 0, {}, time.perf_counter())
         assert rep.verdict == "fail"
         # the floor comes from the finite sides, so the small row is kept
         assert rep.ratios[3] == 1.0 and rep.constant == 1.0
         assert rep.notes == ("2 rows excluded (non-finite value)",)
-    clean = _finish("x", {}, [(1.0, 1.0), (1e-3, 1e-3)], "upper", 10.0, 0, {})
+    clean = _finish("x", {}, [(1.0, 1.0), (1e-3, 1e-3)], "upper", 10.0, 0, {},
+                    time.perf_counter())
     assert clean.verdict == "pass"
 
 
 def test_finish_upper_unbounded_ratio_fails():
     rows = [(1.0, 1.0), (1.0, 0.0), (1e-20, 0.0)]
-    rep = _finish("x", {}, rows, "upper", 10.0, 0, {})
+    rep = _finish("x", {}, rows, "upper", 10.0, 0, {}, time.perf_counter())
     assert rep.verdict == "fail" and rep.constant == float("inf")
     assert rep.ratios[1] == float("inf") and math.isnan(rep.ratios[2])
     assert rep.notes == ("1 rows excluded (rhs below noise floor)",
                          "1 rows unbounded (rhs at or below the noise floor, lhs above it)")
     # the same rows bound a lower check from below: only noise is excluded
-    low = _finish("x", {}, rows, "lower", 10.0, 0, {})
+    low = _finish("x", {}, rows, "lower", 10.0, 0, {}, time.perf_counter())
     assert low.verdict == "pass" and low.constant == 1.0
     assert low.notes == ("2 rows excluded (rhs below noise floor)",)
 

@@ -382,6 +382,14 @@ def test_conjugate_rejects_linear_growth():
         complementary(power(1.0))
 
 
+def test_conjugate_names_an_overflowing_phi():
+    # exp(1e6) overflows: the cause is the working grid's range, not slow growth
+    with pytest.raises(ValueError, match=re.escape(
+            "complement undefined at working precision: "
+            "phi overflows on the working grid [1e-06, 1e+06]")):
+        complementary(exp_growth())
+
+
 def test_delta2_and_nabla2():
     res = check_delta2(power(2.0))
     assert res.holds and res.K == pytest.approx(4.0, rel=1e-3, abs=0.0)
@@ -570,6 +578,8 @@ _PATCHED_RECORD = patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi.to_json()
       for call in (lambda s: power_concavity_regions(power(3.0), s),
                    lambda s: patch(zygmund(2.0, 0.5), s, 0.2, 5.0),
                    lambda s: log_power_tail_threshold(3.0, s))],
+    # u -> log_power(3)(u**(1/3.5)) is not concave on [0.99, 10.4], inside the upper side
+    (lambda: patch(log_power(3.0), 3.5, 0.5, 2.0), "concavity precondition fails on [2, 1e+06]"),
 ])
 def test_young_refusals_name_what_is_wrong(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
