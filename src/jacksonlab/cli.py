@@ -18,7 +18,8 @@ patched s below 2, a conjugate resolution that is not an integer >= 2),
 a `family` beside a function `f` (whose
 grid sets `N` and `d`, so a rule they break names `f`), a broken
 `require` rule (kfunc-8.9 needs 2*ell > r, and d=2 for the sphere route;
-the abel and Cesaro checks run on 1-d grids), an `n_range` at whose ends
+the abel and Cesaro checks run on 1-d grids, and cesaro-5.1 needs a
+degree n < N/2), an `n_range` at whose ends
 an explicit sum over j is empty (jackson-1.4 and jackson-5.10 at n <= 0)
 or an `n_range`, `L` or `h` whose scales 2^(+-n), 2^j h or weights
 2^(-jrs) leave the normal floats exits 2 with a message naming
@@ -26,9 +27,8 @@ or an `n_range`, `L` or `h` whose scales 2^(+-n), 2^j h or weights
 top-level `N`, `seed` or `--seed` that the param of the same name refuses.
 The output directory is made before any check runs; a path that cannot be
 a directory (an existing file, or a path through one) exits 2 naming
-'out'.  A check that fails only while it runs (cesaro-5.1 with a degree
-n >= N/2) is named by its index and id, and the other checks still write
-their reports.
+'out'.  A check that fails only while it runs is named by its index and
+id, and the other checks still write their reports.
 """
 
 from __future__ import annotations

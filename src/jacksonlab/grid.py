@@ -4,15 +4,14 @@ Samples live at x_j = 2*pi*j/N per axis and integrals are normalized so the
 measure of the whole torus is 1; every norm below is an average, not a sum.
 
 Each norm is computed in one place, `NormSpec.rows`, over a stack of
-flattened samples and the flattened normalized weight (`_weight_array`):
-L_p in one reduction (`_lp_rows`), a Luxemburg or Orlicz norm by one level
-solve per row (`_luxemburg`, `_amemiya`, on the array |row|), with one
-modular mean (`_modular`) beside them.  `NormSpec.norm`, `lp_norm`,
-`luxemburg_norm` and `orlicz_norm` are one-row views of it, so a
+flattened samples: L_p in one reduction (`_lp_rows`), a Luxemburg or Orlicz
+norm by one level solve per row (`_luxemburg`, `_amemiya`, on the array
+|row|), with one modular mean (`_modular`) beside them.  `NormSpec.norm`,
+`lp_norm`, `luxemburg_norm` and `orlicz_norm` are one-row views of it, so a
 one-function norm equals its row in the moduli's stacks bit for bit.  The
 pruned max of the sup moduli under a Young norm, `_young_stack_sup`, lives
-here beside the solvers it calls; `ops` only hands it the stacks.  It
-reads the power index q of a Young function from the record
+here beside the solvers it calls; `ops` only hands it the stacks.  It reads
+the power index q of a Young function from the record
 (`YoungFunction.power_index`, set where the record is checked), so this
 module never decodes a Young kind.
 
@@ -166,30 +165,6 @@ def discretize(func, size, dim=1):
     return GridFunction(np.asarray(func(*pts), dtype=float))
 
 
-def _weight_array(f, weight):
-    """Flattened normalized weight samples (mean 1), or None.
-
-    A weight is refused, before any norm is evaluated, unless it has the
-    shape of f's samples and every sample is finite and positive.  A weight
-    whose mean overflows is divided by its max before it is normalized.
-    """
-    if weight is None:
-        return None
-    w = _raw(weight)
-    if w.shape != f.samples.shape:
-        raise ValueError(f"weight shape {w.shape} does not match samples {f.samples.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weight samples must be finite")
-    if np.any(w <= 0.0):
-        raise ValueError("weight must be strictly positive")
-    with np.errstate(over="ignore"):
-        mean = np.mean(w)
-    if not math.isfinite(mean):  # the sum passes the float range: scale by the max first
-        w = w / np.max(w)
-        mean = np.mean(w)
-    return (w / mean).ravel()
-
-
 def _abs_power(x, p, out=None):
     """|x|**p, a new array or `out` (which may be x); an integer p by products of |x| in place.
 
@@ -207,33 +182,21 @@ def _abs_power(x, p, out=None):
     return a
 
 
-def lp_norm(f, p, weight=None):
-    """(mean of w*|f|**p)**(1/p); max|f| for p = inf, where the weight is checked but not read."""
-    return NormSpec(p=p, weight=weight).norm(f)
+def lp_norm(f, p):
+    """(mean of |f|**p)**(1/p); max|f| for p = inf."""
+    return NormSpec(p=p).norm(f)
 
 
-def _lp_rows(rows, p, w=None):
-    """The L_p norm of every row of a stack of flattened samples, in one reduction.
-
-    `w` is the flattened normalized weight (`_weight_array`) or None.
-    """
+def _lp_rows(rows, p):
+    """The L_p norm of every row of a stack of flattened samples, in one reduction."""
     if np.isinf(p):
         return np.max(np.abs(rows), axis=-1)
-    a = _abs_power(rows, p)
-    if w is not None:
-        a *= w
-    return np.mean(a, axis=-1) ** (1.0 / p)
+    return np.mean(_abs_power(rows, p), axis=-1) ** (1.0 / p)
 
 
-def _modular(a, phi, w):
-    """Mean of w*phi(a) over the samples a >= 0 (w = 1 when None)."""
-    vals = np.asarray(phi(a), dtype=float)
-    return float(np.mean(vals) if w is None else np.mean(w * vals))
-
-
-def orlicz_functional(f, phi, weight=None):
-    """Modular mean of phi(|f|) with optional weight."""
-    return _modular(np.abs(f.samples).ravel(), phi, _weight_array(f, weight))
+def _modular(a, phi):
+    """Mean of phi(a) over the samples a >= 0."""
+    return float(np.mean(np.asarray(phi(a), dtype=float)))
 
 
 def _log(value):
@@ -246,8 +209,8 @@ def _log(value):
     return math.log(value) if value > 0.0 else -math.inf
 
 
-def _scale_level(a, w, g, start, rtol):
-    """Scale s > 0 at which the mean of w*g(a/s) crosses 1, g nondecreasing.
+def _scale_level(a, g, start, rtol):
+    """Scale s > 0 at which the mean of g(a/s) crosses 1, g nondecreasing.
 
     The mean is nonincreasing in s.  The crossing is bracketed by decades
     from `start` (at most 64), keeping both end values for Brent's method
@@ -256,7 +219,7 @@ def _scale_level(a, w, g, start, rtol):
     """
     def log_mean(s):
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = _modular(a / s, g, w)
+            mean = _modular(a / s, g)
         return math.inf if math.isnan(mean) else _log(mean)
 
     lo, val_lo = start, log_mean(start)
@@ -271,55 +234,55 @@ def _scale_level(a, w, g, start, rtol):
     return brent_level_log(log_mean, lo, hi, rtol=rtol, f_lo=val_lo, f_hi=val_hi)
 
 
-def _luxemburg(a, phi, w):
-    """Luxemburg norm of the samples a = |f|: the smallest s > 0 with mean w*phi(a/s) <= 1.
+def _luxemburg(a, phi):
+    """Luxemburg norm of the samples a = |f|: the smallest s > 0 with mean phi(a/s) <= 1.
 
     Brent's method in log s from the peak of a, to a relative 1e-13;
-    0 for the zero function.  `w` is the normalized weight or None.
+    0 for the zero function.
     """
     peak = float(np.max(a))
-    return 0.0 if peak == 0.0 else _scale_level(a, w, phi, peak, 1e-13)
+    return 0.0 if peak == 0.0 else _scale_level(a, phi, peak, 1e-13)
 
 
-def _amemiya(a, phi, w):
-    """Minimizer k* of (1 + mean w*phi(k*a))/k over k > 0, and that minimum, for a = |f|.
+def _amemiya(a, phi):
+    """Minimizer k* of (1 + mean phi(k*a))/k over k > 0, and that minimum, for a = |f|.
 
-    k* solves mean w*(x phi'(x) - phi(x)) = 1 at x = k*a: the gap equals
+    k* solves mean (x phi'(x) - phi(x)) = 1 at x = k*a: the gap equals
     psi(phi'(x)) (Young's equality), nondecreasing in k.  It is solved in
     s = 1/k from the Luxemburg norm.  With no crossing in 64 decades (phi =
     power(1), gap 0) the infimum is the limit k -> oo, taken at the last
     decade.  The zero function gives (inf, 0.0).
     """
-    lux = _luxemburg(a, phi, w)
+    lux = _luxemburg(a, phi)
     if lux == 0.0:
         return math.inf, 0.0
-    k = 1.0 / _scale_level(a, w, lambda x: x * phi.deriv_plus(x) - phi(x), lux, 0.0)
-    return k, (1.0 + _modular(k * a, phi, w)) / k
+    k = 1.0 / _scale_level(a, lambda x: x * phi.deriv_plus(x) - phi(x), lux, 0.0)
+    return k, (1.0 + _modular(k * a, phi)) / k
 
 
-def luxemburg_norm(f, phi, weight=None):
+def luxemburg_norm(f, phi):
     """Smallest a > 0 with mean phi(|f|/a) <= 1 (`_luxemburg`); 0 for the zero function."""
-    return NormSpec("luxemburg", phi=phi, weight=weight).norm(f)
+    return NormSpec("luxemburg", phi=phi).norm(f)
 
 
-def orlicz_norm(f, phi, weight=None):
-    """Orlicz (Amemiya) norm: inf over k > 0 of (1 + mean w*phi(k*|f|)) / k.
+def orlicz_norm(f, phi):
+    """Orlicz (Amemiya) norm: inf over k > 0 of (1 + mean phi(k*|f|)) / k.
 
-    The infimum is taken where mean w*(x phi'(x) - phi(x)) = 1 at x = k|f|,
+    The infimum is taken where mean (x phi'(x) - phi(x)) = 1 at x = k|f|,
     a level solved by Brent's method as the Luxemburg one is (`_amemiya`).
     Equivalent to the dual-pairing norm for the complementary function;
     always between the Luxemburg norm and twice the Luxemburg norm.
     """
-    return NormSpec("orlicz", phi=phi, weight=weight).norm(f)
+    return NormSpec("orlicz", phi=phi).norm(f)
 
 
-def _young_stack_sup(stack, spec, w, best):
+def _young_stack_sup(stack, spec, best):
     """The running (max norm, its Amemiya k*) `best`, raised by the rows of one stack.
 
     `stack` holds flattened samples and is overwritten by its absolute
     values (a Young norm reads |row| only); `spec` is a Luxemburg or
-    Orlicz NormSpec and `w` the flattened normalized weight or None.  Rows
-    are ruled out by the modular mean w*phi(k|row|) against a level.
+    Orlicz NormSpec.  Rows are ruled out by the modular mean phi(k|row|)
+    against a level.
     Luxemburg: the modular is nonincreasing in a = 1/k, so at a a hair
     below the max a row with modular <= 1 has a smaller norm.  Orlicz:
     (1 + modular)/k bounds the Amemiya norm from above for every k, so at
@@ -331,7 +294,7 @@ def _young_stack_sup(stack, spec, w, best):
     Two stages test the live rows against that level.  The first takes one
     phi value a row: with q the record's `power_index`, phi(u)/u**q is
     nondecreasing, so phi(k|g|) <= phi(kM) (|g|/M)**q for the row's peak M
-    and the modular is at most phi(kM) * mean w*(|g|/M)**q.  M and that
+    and the modular is at most phi(kM) * mean (|g|/M)**q.  M and that
     mean do not depend on k, so they are taken once per stack.  A row whose
     bound is at most the level is out, and a NaN or inf bound keeps it.
     The second evaluates the modular itself on the rows left.  The rows
@@ -343,10 +306,7 @@ def _young_stack_sup(stack, spec, w, best):
     peak = rows.max(axis=-1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         share = rows * (1.0 / peak)[:, None]
-        _abs_power(share, phi.power_index, out=share)
-        if w is not None:
-            share *= w
-        share = share.mean(axis=-1)
+        share = _abs_power(share, phi.power_index, out=share).mean(axis=-1)
     live = np.arange(len(rows))  # the rows still in, by index
     while len(live):
         top, kstar = best
@@ -361,18 +321,15 @@ def _young_stack_sup(stack, spec, w, best):
                 live = live[~(bound <= level)]  # a NaN bound stays in
                 if not len(live):
                     break
-                vals = np.asarray(phi(k * rows[live]), dtype=float)
-                if w is not None:
-                    vals *= w
-                mod = vals.mean(axis=-1)
+                mod = np.asarray(phi(k * rows[live]), dtype=float).mean(axis=-1)
         keep = ~(mod <= level)  # a NaN modular stays in
         live, mod = live[keep], mod[keep]
         order = np.argsort(-mod, kind="stable")
         for n, j in enumerate(order):
             if lux:
-                value, kj = _luxemburg(rows[live[j]], phi, w), None
+                value, kj = _luxemburg(rows[live[j]], phi), None
             else:
-                kj, value = _amemiya(rows[live[j]], phi, w)
+                kj, value = _amemiya(rows[live[j]], phi)
             if value > best[0]:
                 best = (value, kj)
                 live = np.delete(live, order[:n + 1])
@@ -382,7 +339,7 @@ def _young_stack_sup(stack, spec, w, best):
     return best
 
 
-def orlicz_norm_dual_bound(f, phi, psi, weight=None, trials=64, rng=None):
+def orlicz_norm_dual_bound(f, phi, psi, trials=64, rng=None):
     """Lower bound sup <|f|, g> over random g with modular of psi at most 1.
 
     Complements the Amemiya value from above and below:
@@ -392,24 +349,23 @@ def orlicz_norm_dual_bound(f, phi, psi, weight=None, trials=64, rng=None):
     checked before any norm.
     """
     trials, (rng, _) = _NATURAL(trials, "trials"), _generator(rng)
-    absf, w = np.abs(f.samples).ravel(), _weight_array(f, weight)
-    lux = _luxemburg(absf, phi, w)
+    absf = np.abs(f.samples).ravel()
+    lux = _luxemburg(absf, phi)
     if lux == 0.0:
         return 0.0
-    wa = np.ones_like(absf) if w is None else w
 
     def pair(g):
         g = np.maximum(g, 0.0)
-        mod = _modular(g, psi, wa)
+        mod = _modular(g, psi)
         if mod <= 0.0:
             return 0.0
         # scale g down to modular exactly 1; psi convex with psi(0) = 0 gives
         # psi(g/c) <= psi(g)/c, so the crossing lies in [1, mod] (when rounding
         # leaves the modular at c = mod a hair above 1, the solver returns mod)
         if mod > 1.0:
-            g = g / brent_level_log(lambda c: _log(_modular(g / c, psi, wa)), 1.0, mod,
+            g = g / brent_level_log(lambda c: _log(_modular(g / c, psi)), 1.0, mod,
                                     f_lo=_log(mod))
-        return float(np.mean(wa * absf * g))
+        return float(np.mean(absf * g))
 
     best = pair(np.asarray(phi.deriv_plus(absf / lux), dtype=float))
     for _ in range(trials):
@@ -509,9 +465,9 @@ class NormSpec(_Record):
     (Clarkson), and a Young norm has none unless it is given.
     """
 
-    __slots__ = ("variant", "p", "phi", "s", "weight", "_key")
+    __slots__ = ("variant", "p", "phi", "s", "_key")
 
-    def __init__(self, variant="lp", p=2.0, phi=None, s=None, weight=None):
+    def __init__(self, variant="lp", p=2.0, phi=None, s=None):
         if variant not in _VARIANTS:
             raise ValueError(f"norm variant must be one of {_VARIANTS}, got {variant!r}")
         if variant == "lp":
@@ -525,35 +481,23 @@ class NormSpec(_Record):
             raise ValueError(f"variant {variant!r} needs a Young function")
         if s is not None:
             s = _convexity_exponent(s)
-        self._set(variant, p, phi, s, weight, None)
-
-    def _weight_record(self):
-        """JSON record of the weight (shape and sha256 of its float64 samples), or None."""
-        if self.weight is None:
-            return None
-        import hashlib  # loads OpenSSL; only weighted specs pay for it
-
-        w = np.ascontiguousarray(_raw(self.weight), dtype=float)
-        return {"shape": list(w.shape), "sha256": hashlib.sha256(w.tobytes()).hexdigest()}
+        self._set(variant, p, phi, s, None)
 
     def key(self):
-        """Hashable identity of the computed norm: variant, p (lp) or phi record, weight digest.
+        """Hashable identity of the computed norm: variant, and p (lp) or the phi record.
 
-        Computed once per spec (a weight is read as it is at the first call).
+        Computed once per spec.
         """
         key = self._key
         if key is None:
             reads = (float(self.p) if self.variant == "lp"
                      else json.dumps(self.phi.to_json(), sort_keys=True))
-            weight = self._weight_record()
-            if weight is not None:
-                weight = (tuple(weight["shape"]), weight["sha256"])
-            key = (self.variant, reads, weight)
+            key = (self.variant, reads)
             object.__setattr__(self, "_key", key)
         return key
 
-    # the weight is an array, so `_Record`'s field-wise comparison would ask
-    # numpy for the truth value of an array; compare the digest instead
+    # `_Record`'s field-wise comparison would read the lazily filled `_key` and
+    # compare Young functions by identity; two specs of one norm compare equal
     def __eq__(self, other):
         if not isinstance(other, NormSpec):
             return NotImplemented
@@ -562,22 +506,21 @@ class NormSpec(_Record):
     def __hash__(self):
         return hash((self.key(), self.s))
 
-    def rows(self, stack, w):
+    def rows(self, stack):
         """The norms of the rows of a stack of flattened samples, as an array.
 
-        `w` is the flattened normalized weight (`_weight_array`) or None.
         L_p takes one reduction over the stack (`_lp_rows`); a Luxemburg or
         Orlicz norm one level solve per row (`_luxemburg`, `_amemiya`).
         """
         if self.variant == "lp":
-            return _lp_rows(stack, self.p, w)
+            return _lp_rows(stack, self.p)
         if self.variant == "luxemburg":
-            return np.array([_luxemburg(a, self.phi, w) for a in np.abs(stack)])
-        return np.array([_amemiya(a, self.phi, w)[1] for a in np.abs(stack)])
+            return np.array([_luxemburg(a, self.phi) for a in np.abs(stack)])
+        return np.array([_amemiya(a, self.phi)[1] for a in np.abs(stack)])
 
     def norm(self, f):
         """The norm of f: its samples as the one row of `rows`."""
-        return float(self.rows(f.samples.reshape(1, -1), _weight_array(f, self.weight))[0])
+        return float(self.rows(f.samples.reshape(1, -1))[0])
 
     def to_json(self):
         data = {"norm": self.variant}
@@ -587,17 +530,12 @@ class NormSpec(_Record):
             data["phi"] = self.phi.to_json()
         if self.s is not None:
             data["s"] = self.s
-        if self.weight is not None:
-            data["weight"] = self._weight_record()
         return data
 
     @staticmethod
     def from_json(data):
         from .young import YoungFunction
 
-        if "weight" in data:
-            raise ValueError("a norm record's weight holds only a digest; "
-                             "build the NormSpec with the weight samples instead")
         variant = data.get("norm", "lp")
         if variant in _VARIANTS:  # the constructor names any other variant
             _refuse_unread(data, ("norm", "p" if variant == "lp" else "phi", "s"),

@@ -30,8 +30,8 @@ import numpy as np
 
 from .approx import best_approx, degree_below, k_functional
 from .grid import (_COUNT, _DIM, _NATURAL, _REAL, _SIZE, GridFunction, NormSpec,
-                   _convexity_exponent, _generator, _number, _Record, _weight_array, discretize,
-                   grid_points, luxemburg_norm, orlicz_norm, random_smooth)
+                   _convexity_exponent, _generator, _number, _Record, discretize, grid_points,
+                   luxemburg_norm, orlicz_norm, random_smooth)
 from .ops import (_SEMIGROUP_KINDS, _STACK_SAMPLES, _averaged_moduli, _difference_norms,
                   _moduli_tables, _norm_spec, _sup_table, cesaro)
 from .search import bisect_level
@@ -235,18 +235,17 @@ def dyadic_tail_sum(values_fn, r, s):
 # -- space geometry ------------------------------------------------------
 
 
-def _norms(spec, w, *stacks):
+def _norms(spec, *stacks):
     """The norms of the rows of equally tall stacks of flattened samples, stacked into one call.
 
-    Row k of the result holds the norms of stack k; `w` is the flattened
-    normalized weight (`grid._weight_array`) or None.  One `NormSpec.rows`
+    Row k of the result holds the norms of stack k.  One `NormSpec.rows`
     call takes the rows of every stack, in slices of `ops._STACK_SAMPLES`
     samples a stack (one slice at the estimators' default sizes), so that
     a 2-d grid does not multiply the samples held.  A row's norm is its
     one-function norm bit for bit, whatever it is stacked with.
     """
     step = max(1, _STACK_SAMPLES // stacks[0].shape[1])
-    return np.concatenate([spec.rows(np.concatenate([a[k:k + step] for a in stacks]), w)
+    return np.concatenate([spec.rows(np.concatenate([a[k:k + step] for a in stacks]))
                            .reshape(len(stacks), -1) for k in range(0, len(stacks[0]), step)],
                           axis=1)
 
@@ -305,12 +304,12 @@ def estimate_convexity_constant(norm=None, s=2.0, rng=None, trials=200,
                 G = GridFunction(random_smooth(size, dim, rng).samples * (1.0 - mask))
             yield f"random-{k}", F, G
 
-    w, pairs = _weight_array(ones, spec.weight), draw()
+    pairs = draw()
     best, label, witness = float("inf"), None, None
     # a stack is one slice of `_norms`, so its norms are those of one call over every pair
     while stack := list(islice(pairs, max(1, _STACK_SAMPLES // ones.samples.size))):
         Fs, Gs = (np.array([pair[k].samples.ravel() for pair in stack]) for k in (1, 2))
-        norms = _norms(spec, w, Fs, Gs, Fs + Gs, Fs - Gs)
+        norms = _norms(spec, Fs, Gs, Fs + Gs, Fs - Gs)
         # the ratios in Python floats, pair by pair, as exact as with one norm per call
         for (name, F, G), (nf, ng, plus, minus) in zip(stack, zip(*norms.tolist())):
             if ng < 1e-12:
@@ -360,16 +359,15 @@ def space_moduli(norm=None, size=64, dim=1, rng=None, trials=24):
              (lambda x, y: np.cos(x) * np.cos(y), lambda x, y: np.sin(x) * np.sin(y))]
     pairs = [(discretize(a, size, dim), discretize(b, size, dim)) for a, b in fixed] + [
         (random_smooth(size, dim, rng), random_smooth(size, dim, rng)) for _ in range(trials)]
-    w = _weight_array(pairs[0][0], spec.weight)
     As, Bs = (np.array([pair[k].samples.ravel() for pair in pairs]) for k in (0, 1))
-    na, nb = _norms(spec, w, As, Bs)
+    na, nb = _norms(spec, As, Bs)
     keep = (na >= 1e-14) & (nb >= 1e-14)  # a pair with a zero side has no unit vector
     phi, b = (1.0 / na[keep])[:, None] * As[keep], (1.0 / nb[keep])[:, None] * Bs[keep]
 
     eta = np.zeros_like(sigma)
     for i in range(1, len(sigma)):
         G = sigma[i] * b
-        plus, minus = _norms(spec, w, phi + G, phi - G)
+        plus, minus = _norms(spec, phi + G, phi - G)
         eta[i] = max([0.0] + (0.5 * plus + 0.5 * minus - 1.0).tolist())
     eta = np.maximum.accumulate(eta)
 
@@ -378,12 +376,12 @@ def space_moduli(norm=None, size=64, dim=1, rng=None, trials=24):
         t = theta.tolist()
         v = (np.array([math.cos(a) for a in t])[:, None] * P
              + np.array([math.sin(a) for a in t])[:, None] * Q)
-        return (1.0 / _norms(spec, w, v)[0])[:, None] * v
+        return (1.0 / _norms(spec, v)[0])[:, None] * v
 
     def distance(theta, P, Q):
-        return _norms(spec, w, P - mix(theta, P, Q))[0]
+        return _norms(spec, P - mix(theta, P, Q))[0]
 
-    gap = _norms(spec, w, phi - b)[0]
+    gap = _norms(spec, phi - b)[0]
     at_half, at_pi = (distance(np.full(len(phi), t), phi, b) for t in (math.pi / 2.0, math.pi))
     delta = np.zeros_like(eps)
     for i in range(1, len(eps)):
@@ -397,7 +395,7 @@ def space_moduli(norm=None, size=64, dim=1, rng=None, trials=24):
         P, Q = phi[live], b[live]
         theta = bisect_level(lambda th: distance(th, P, Q), np.zeros(len(P)), hi[live],
                              level=ev, iters=60)
-        plus = _norms(spec, w, P + mix(theta, P, Q))[0]
+        plus = _norms(spec, P + mix(theta, P, Q))[0]
         delta[i] = min(max(1.0 - 0.5 * n, 0.0) for n in plus.tolist())
     delta = np.maximum.accumulate(delta)
 
@@ -441,7 +439,7 @@ def verify_duality(q, dim, rng=None, trials=400):
         # |x|, |y|, |x+y|, |x-y| in l_p of the fixed pairs, then of `trials` drawn ones,
         # for every pair with |y| >= 1e-12
         x, y = np.concatenate([fixed, rng.standard_normal((trials, 2, dim))]).transpose(1, 0, 2)
-        norms = dim ** (1.0 / p) * _norms(NormSpec(p=p), None, x, y, x + y, x - y)
+        norms = dim ** (1.0 / p) * _norms(NormSpec(p=p), x, y, x + y, x - y)
         return [row for row in zip(*norms.tolist()) if row[1] >= 1e-12]
 
     M_hat = max([0.0] + [((0.5 * (plus + minus)) ** q - nx ** q) / ny ** q
@@ -703,7 +701,9 @@ _CHECKS = {
         ("contraction check: constant = max |C_n^ell f| / |f| must stay <= 1 + slack",),
         ("phi", "ell", "n", "slack"), rows=_cesaro_51_rows,
         order="row pairs per function (luxemburg then orlicz); functions: ",
-        require=(("d", lambda p: p["d"] == 1, "cesaro means run on 1-d grids, got d={d}"),),
+        require=(("d", lambda p: p["d"] == 1, "cesaro means run on 1-d grids, got d={d}"),
+                 ("n", lambda p: p["n"] < p["N"] // 2, "the degree n must be below N/2, "
+                  "got n={n} at N={N}")),
         bounds=lambda p: {"upper_cap": 1.0 + p["slack"]}),
     "averaged-7.3": _Check(
         "w_T^r(f,t) <= omega_T^r(f,t) <= C(r) w_T^r(f,t) for the "

@@ -30,26 +30,24 @@ next order the last one times T(u) - I, and `_difference_norms` is the one
 entry for the norms of (T(u) - I)^r f, which every modulus and difference
 norm calls.
 
-`_multiplier_norms` is the one evaluator of norms of multiplier images
-M f: (T(u) - I)^r over many scales u, and the rows 1 - P_n,
-P_n (-|nu|^2)^ell and V_ell(t) - 1 that `approx` gives.  A norm is a
-`NormSpec` or None (L2); `_norm_spec` refuses anything else with a
-TypeError before any work.  Under the unweighted L2 norm the evaluator
-takes no inverse transform at all: by Parseval, the norm is
-sqrt(sum(|M|^2 * w)) with `GridFunction.parseval_weights` w.  The
+`_multiplier_norms` is the one evaluator of norms of multiplier images M f:
+(T(u) - I)^r over many scales u, and the rows 1 - P_n, P_n (-|nu|^2)^ell and
+V_ell(t) - 1 that `approx` gives.  A norm is a `NormSpec` or None (L2);
+`_norm_spec` refuses anything else with a TypeError before any work.  Under
+the L2 norm the evaluator takes no inverse transform at all: by Parseval,
+the norm is sqrt(sum(|M|^2 * w)) with `GridFunction.parseval_weights` w.  The
 shift builds |M|^2 from its real symbol (4 sin^2(nu.h/2))^r (cos(N*h/2) - 1
 on the Nyquist lines); V_ell(t) - 1 is minus the circle mean of that symbol
-at r = ell over C(2*ell, ell); every other multiplier squares itself.
-|M|^2 of a step is even in the step, so the L2 modulus evaluates only
-positive steps in 1-d and, for an even count, only the directions in
-[0, pi) in 2-d.  Every other norm runs one inverse transform per stack of
-multipliers and hands the rows, flattened, to `NormSpec.rows` in `grid`
-with the weight normalized once per call: one reduction over all rows for
-L_p, one level solve per row for a Luxemburg or Orlicz norm.  This module
-computes no norm itself; the one-function norms of `grid` are the same
-rows, one at a time.  A stack holds max(1, `_STACK_SAMPLES` // N^d) rows,
-a constant per grid, so outputs never depend on the machine or the thread
-count.
+at r = ell over C(2*ell, ell); every other multiplier squares itself.  |M|^2
+of a step is even in the step, so the L2 modulus evaluates only positive
+steps in 1-d and, for an even count, only the directions in [0, pi) in 2-d.
+Every other norm runs one inverse transform per stack of multipliers and
+hands the rows, flattened, to `NormSpec.rows` in `grid`: one reduction over
+all rows for L_p, one level solve per row for a Luxemburg or Orlicz norm.
+This module computes no norm itself; the one-function norms of `grid` are
+the same rows, one at a time.  A stack holds max(1, `_STACK_SAMPLES` // N^d)
+rows, a constant per grid, so outputs never depend on the machine or the
+thread count.
 
 The moduli keep only the max of their rows (`sup`).  Under a Luxemburg or
 Orlicz norm the evaluator then hands each stack to `grid._young_stack_sup`,
@@ -68,17 +66,16 @@ and a step a smaller t had is at most that t's max, so it is evaluated
 again only when the new steps stay below that max.
 
 The 2-d L2 modulus takes a shorter path when its directions lie on the
-lattice: under the unweighted L2 norm, a count that divides 8 (1, 2, 4 or
-8, the default of `lab`) samples only (1, 0), (1, 1), (0, 1) and (-1, 1) up
-to sign.  A step h = rho*(a, b)/|(a, b)| then sees nu only through the
-integer m = a*nu0 + b*nu1, and `_projected_norms` sums the Parseval weights
-once per call and direction into W(m) (one `np.bincount`, a finite Radon
-projection), so a step costs O(N) instead of an O(N^2) symbol.  The Nyquist
-row and column keep their real cos(N*h/2) factor and are summed directly.
-It is the evaluator of `_sup_table`'s rows in that case, and it rounds
-differently from the per-step symbol (within 1e-14 relative), which
-stays the path of every other count, of 1-d, of weighted L2 and of every
-other norm.
+lattice: under the L2 norm, a count that divides 8 (1, 2, 4 or 8, the
+default of `lab`) samples only (1, 0), (1, 1), (0, 1) and (-1, 1) up to
+sign.  A step h = rho*(a, b)/|(a, b)| then sees nu only through the integer
+m = a*nu0 + b*nu1, and `_projected_norms` sums the Parseval weights once per
+call and direction into W(m) (one `np.bincount`, a finite Radon projection),
+so a step costs O(N) instead of an O(N^2) symbol.  The Nyquist row and
+column keep their real cos(N*h/2) factor and are summed directly.  It is the
+evaluator of `_sup_table`'s rows in that case, and it rounds differently
+from the per-step symbol (within 1e-14 relative), which stays the path of
+every other count, of 1-d and of every other norm.
 
 The moduli keep nothing between calls: every call evaluates its rows and
 returns.  (T(u) - I)^r depends on the grid and u, not on f, so the private
@@ -107,7 +104,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .grid import _COUNT, _NATURAL, GridFunction, NormSpec, _weight_array, _young_stack_sup
+from .grid import _COUNT, _NATURAL, GridFunction, NormSpec, _young_stack_sup
 
 # Sample budget of one batched inverse transform (rows = budget // N^d, at least 1).
 _STACK_SAMPLES = 1 << 15
@@ -241,11 +238,6 @@ def _norm_spec(norm):
     return norm
 
 
-def _plain_p(spec):
-    """p when `spec` (a NormSpec) is an unweighted L_p norm, else None; 2 is Parseval's."""
-    return spec.p if spec.variant == "lp" and spec.weight is None else None
-
-
 def _powers(a, orders):
     """[a**r for r in `orders`] (ascending integers >= 1) by successive products, overwriting a.
 
@@ -297,9 +289,8 @@ def _multiplier_norms(fs, items, norm, build=None, sup=False):
     of multipliers, one per column (build(stack, True): new arrays of their
     |M|^2).  Each stack is built once, and every member reads it.  A
     column is the list of its norms.  `norm` is a NormSpec or None (L2).
-    Unweighted L2 takes no inverse FFT (Parseval); every other norm one
-    inverse FFT per member and stack, whose rows go to `NormSpec.rows`
-    with the weight normalized once per call.  With `sup`, a column is
+    L2 takes no inverse FFT (Parseval); every other norm one inverse FFT
+    per member and stack, whose rows go to `NormSpec.rows`.  With `sup`, a column is
     max(0, *norms) bit for bit: the stacks run from last to first (the
     moduli list their steps outward, so the last mostly holds the max), and
     a Luxemburg or Orlicz norm solves only the rows `grid._young_stack_sup`
@@ -307,9 +298,8 @@ def _multiplier_norms(fs, items, norm, build=None, sup=False):
     one empty column.
     """
     spec, shape = _norm_spec(norm), fs[0].samples.shape
-    parseval = _plain_p(spec) == 2.0
+    parseval = spec.variant == "lp" and spec.p == 2.0
     young = sup and spec.variant != "lp"
-    w = None if parseval else _weight_array(fs[0], spec.weight)
     stacks, cols = list(_stacks(items, fs[0].size, fs[0].dim)), None
     for block in reversed(stacks) if sup else stacks:
         if build:
@@ -326,9 +316,9 @@ def _multiplier_norms(fs, items, norm, build=None, sup=False):
             for f, col in zip(fs, cols):
                 rows = _inverse(f.spectrum() * mult, shape).reshape(len(mult), -1)
                 if young:
-                    col[c] = _young_stack_sup(rows, spec, w, col[c])
+                    col[c] = _young_stack_sup(rows, spec, col[c])
                 else:
-                    col[c].extend(spec.rows(rows, w).tolist())
+                    col[c].extend(spec.rows(rows).tolist())
     cols = cols or [[(0.0, None) if young else []] for _ in fs]
     if sup:
         cols = [[best[0] if young else max([0.0, *best]) for best in col] for col in cols]
@@ -417,9 +407,9 @@ def _difference_norms(fs, kind, orders, us, norm, sup=False):
     One dict per member f of `fs` (members on one grid).  Every order of
     every member comes from one build of T(u) - I per stack.  u is a k x d
     stack of shift steps, a vector of shift lengths (signed steps in 1-d,
-    the steps (u, 0) in 2-d), or heat/abel times.  Bad
-    arguments, the norm's weight among them, and non-finite scales are
-    refused before any row is evaluated, also when there is no row.
+    the steps (u, 0) in 2-d), or heat/abel times.  Bad arguments and
+    non-finite scales are refused before any row is evaluated, also when
+    there is no row.
     """
     size, dim, norm = fs[0].size, fs[0].dim, _norm_spec(norm)
     orders = _orders(orders)
@@ -432,9 +422,8 @@ def _difference_norms(fs, kind, orders, us, norm, sup=False):
     if len(us):
         cols = _multiplier_norms(fs, us, norm, build, sup)
     else:
-        # no row to evaluate, so the kind and the weight are checked here
+        # no row to evaluate, so the kind is checked here
         build(us)
-        _weight_array(fs[0], norm.weight)
         cols = [[0.0 if sup else [] for _ in orders] for _ in fs]
     return [dict(zip(orders, col)) for col in cols]
 
@@ -510,8 +499,8 @@ def _sup_table(fs, kind, orders, ts, count, norm, units=None, lattice=None):
     that t's max, so when the new rows reach the largest such max the old
     ones are skipped, and otherwise they are evaluated too; only each t's
     max is kept, and every cell is the exact max of its rows.  With
-    `lattice` (integer directions, in place of `units`, under the
-    unweighted L2 norm) the rows are u along each direction, evaluated by
+    `lattice` (integer directions, in place of `units`, under the L2
+    norm) the rows are u along each direction, evaluated by
     `_projected_norms`.
     """
     ts = list(dict.fromkeys(ts))
@@ -580,7 +569,8 @@ def _moduli_tables(fs, orders, ts, norm=None, directions=64, radii=64):
     directions = _COUNT(directions, "directions")
     radii = _COUNT(radii, "radii")
     # the L2 norm of (T(h) - I)^r f is even in h, so one sign of each step is enough
-    even = _plain_p(_norm_spec(norm)) == 2.0
+    spec = _norm_spec(norm)
+    even = spec.variant == "lp" and spec.p == 2.0
     if fs[0].dim == 1:
         units = np.array([[1.0]] if even else [[1.0], [-1.0]])
     else:
@@ -600,9 +590,9 @@ def moduli_table(f, orders, ts, norm=None, directions=64, radii=64):
 
     One call builds every distinct step of all t once and takes every order
     from it by successive products (see `_sup_table`); the values are those
-    of the one-cell calls bit for bit.  Under the unweighted L2 norm on a
-    2-d grid, a count that divides 8 samples lattice directions only, and
-    their steps are evaluated by projection (`_projected_norms`).
+    of the one-cell calls bit for bit.  Under the L2 norm on a 2-d grid, a
+    count that divides 8 samples lattice directions only, and their steps
+    are evaluated by projection (`_projected_norms`).
     """
     return _moduli_tables([f], orders, ts, norm, directions, radii)[0]
 
@@ -704,15 +694,6 @@ def cesaro(f, n, ell=1):
     freqs = np.arange(f.size // 2 + 1)
     mult = np.where(freqs <= n, w[np.minimum(freqs, n)], 0.0)
     return _apply_multiplier(f, mult)
-
-
-def laplacian_power(f, ell=1):
-    """Power of the Laplacian through the Fourier multiplier (-|nu|^2)^ell.
-
-    ell=1 gives the plain Laplacian of f.
-    """
-    ell = _COUNT(ell, "power")
-    return _apply_multiplier(f, (-_mode_radius2(f.size, f.dim)) ** ell)
 
 
 # Equispaced nodes of the circle mean of `spherical_mean`.

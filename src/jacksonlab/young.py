@@ -7,7 +7,7 @@ This module provides the builtin families used by the Orlicz-norm machinery::
     two_power(a, b)   max(u**a, u**b)               1 < a < b
     log_power(r)      u**r * (1 + |log u|)          r >= (3 + sqrt 5)/2
     zygmund(p, a)     u**p * log(2 + u)**(a*p)      p >= 1, a*p >= 1
-    exp_growth()      exp(u) - 1 - u
+    kind "exp"        exp(u) - 1 - u                YoungFunction("exp", ())
 
 plus three derived constructions: the complementary (convex-conjugate)
 function, computed numerically (a grid argmax from phi's chord slopes, then
@@ -18,16 +18,15 @@ by a constant-slope segment so the composition becomes globally concave.
 
 Every Young function is checked in one place, the `YoungFunction`
 constructor, whichever way it is built: the builtin constructors,
-`builtin`, `complementary`, `patch` and `from_json` only pass their
-arguments on.  A builtin kind is one row of `_BUILTINS`: arity, range
-rule, power index, phi and its left and right derivatives phi'_-+, which
-differ only at the kink x = 1 of two_power and log_power; values and
-derivatives read that row, so no method branches on a builtin kind.  The
-record carries its power index (`power_index`), which the pruned
-Young-norm moduli of `grid` read, so no other module decodes a Young kind.
-The exponent s of `power_concavity_regions`, `patch`,
-`log_power_tail_threshold` and a patched record is checked by
-`grid._convexity_exponent`.
+`complementary`, `patch` and `from_json` only pass their arguments on.  A
+builtin kind is one row of `_BUILTINS`: arity, range rule, power index,
+phi and its left and right derivatives phi'_-+, which differ only at the
+kink x = 1 of two_power and log_power; values and derivatives read that
+row, so no method branches on a builtin kind.  The record carries its power
+index (`power_index`), which the pruned Young-norm moduli of `grid` read,
+so no other module decodes a Young kind.  The exponent s of
+`power_concavity_regions`, `patch`, `log_power_tail_threshold` and a
+patched record is checked by `grid._convexity_exponent`.
 """
 
 from __future__ import annotations
@@ -342,16 +341,6 @@ def log_power(r):
 def zygmund(p, alpha):
     """u**p * log(2 + u)**(alpha*p) for p >= 1 and alpha*p >= 1."""
     return YoungFunction("zygmund", (p, alpha))
-
-
-def exp_growth():
-    """exp(u) - 1 - u; grows too fast for the doubling condition."""
-    return YoungFunction("exp", ())
-
-
-def builtin(kind, *params):
-    """Construct a builtin Young function by kind name."""
-    return YoungFunction(kind, params)
 
 
 # -- conjugation --------------------------------------------------------

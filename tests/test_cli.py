@@ -213,6 +213,13 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
          "'checks[0].params.ell': must be an integer >= 1, got 0"),
         ({"checks": [{"id": "cesaro-5.1", "params": {"n": -1}}]},
          "'checks[0].params.n': must be an integer >= 0, got -1"),
+        # the Cesaro degree stays below N/2, and its default 16 is too large at N = 32
+        ({"checks": [{"id": "cesaro-5.1"}], "N": 32},
+         "'checks[0].params.n': the degree n must be below N/2, got n=16 at N=32"),
+        # a norm carries no weight, so a record's weight is an unknown field
+        ({"checks": [{"id": "jackson-1.4", "params": {"norm": {
+            "norm": "lp", "p": 4.0, "weight": {"shape": [256], "sha256": "0" * 64}}}}]},
+         "'checks[0].params.norm': unknown field 'weight'"),
         ({"checks": [{"id": "entire-4.12", "params": {"lambda_power_max": -1}}]},
          "'checks[0].params.lambda_power_max': must be an integer from 0 to 511, got -1"),
     ]
@@ -225,6 +232,8 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
         ({"id": "jackson-5.10", "params": {"d": 2}}, "'checks[1].params.d': the abel"),
         ({"id": "cesaro-5.1", "params": {"d": 2}},
          "'checks[1].params.d': cesaro means run on 1-d grids, got d=2"),
+        ({"id": "cesaro-5.1", "params": {"N": 32, "n": 20}},
+         "'checks[1].params.n': the degree n must be below N/2, got n=20 at N=32"),
         ({"id": "kfunc-8.9", "params": {"route": "spehre"}},
          "'checks[1].params.route': must be one of realization, heat, sphere, got 'spehre'"),
         ({"id": "semigroup-7.4", "params": {"semigroup": "poisson"}},
@@ -425,10 +434,18 @@ def test_bad_param_value_is_a_config_error(tmp_path, capsys):
     assert "ell" in capsys.readouterr().err
 
 
-def test_bad_param_names_the_check_and_keeps_other_reports(tmp_path, capsys):
-    # only the run sees that cesaro-5.1's default degree n=16 is too large for N=32
+def test_bad_param_names_the_check_and_keeps_other_reports(tmp_path, capsys, monkeypatch):
+    # a ValueError that only the run raises names the check, and the others still report
+    run_check = lab.run_check
+
+    def run_or_refuse(cid, params):
+        if cid == "cesaro-5.1":
+            raise ValueError("a value only the run refuses")
+        return run_check(cid, params)
+
+    monkeypatch.setattr(lab, "run_check", run_or_refuse)
     config = {"checks": [{"id": "basic-2.1", "params": {"m": 1.0}},
-                         {"id": "cesaro-5.1"},
+                         {"id": "cesaro-5.1", "params": {"n": 8}},
                          {"id": "orlicz-sandwich"}],
               "N": 32, "out": str(tmp_path / "rep")}
     cfg = write_config(tmp_path, config)
@@ -436,7 +453,7 @@ def test_bad_param_names_the_check_and_keeps_other_reports(tmp_path, capsys):
         assert main(["run", cfg, "--jobs", jobs]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config field 'checks': checks[1] (cesaro-5.1): ")
-        assert "degree 16 too large for grid size 32" in err
+        assert "a value only the run refuses" in err
         names = sorted(p.name for p in (tmp_path / "rep").iterdir())
         assert names == ["00-basic-2.1.csv", "00-basic-2.1.json",
                          "02-orlicz-sandwich.csv", "02-orlicz-sandwich.json", "summary.csv"]

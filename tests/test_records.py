@@ -14,8 +14,8 @@ _PHI = power(2.0)
 # (record, required values, optional values, their defaults, one changed field, hashes):
 # a frozen record hashes unless a field holds a dict, as `_Check.defaults` does
 RECORDS = {
-    "NormSpec": (NormSpec, (), ("lp", 4.0, None, 5.0, None),
-                 {"variant": "lp", "p": 2.0, "phi": None, "s": 2.0, "weight": None},
+    "NormSpec": (NormSpec, (), ("lp", 4.0, None, 5.0),
+                 {"variant": "lp", "p": 2.0, "phi": None, "s": 2.0},
                  ("p", 3.0), True),
     "Delta2Result": (Delta2Result, (True, 2.0, 1e-3), (), {}, ("K", 3.0), True),
     "Nabla2Result": (Nabla2Result, (True, 1.5), (), {}, ("a", 2.0), True),

@@ -8,10 +8,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from jacksonlab import (YoungFunction, bisect_level_log, builtin, check_delta2, check_nabla2,
-                        complementary, exp_growth, log_power, log_power_tail_threshold,
-                        patch, power, power_concavity_regions, two_power, zygmund)
+from jacksonlab import (YoungFunction, bisect_level_log, check_delta2, check_nabla2,
+                        complementary, log_power, log_power_tail_threshold, patch, power,
+                        power_concavity_regions, two_power, zygmund)
 from jacksonlab.young import _conj_refine
+
+# exp(u) - 1 - u: grows too fast for the doubling condition
+EXP = YoungFunction("exp", ())
 
 
 def power_conjugate(p, y):
@@ -28,13 +31,13 @@ def test_builtin_values():
     assert phi(2.0) == pytest.approx(8.0, rel=1e-6, abs=0.0)
     assert zygmund(2.0, 0.5)(1.0) == pytest.approx(math.log(3.0), rel=1e-6, abs=0.0)
     assert log_power(3.0)(math.e) == pytest.approx(math.e ** 3 * 2.0, rel=1e-6, abs=0.0)
-    assert exp_growth()(1.0) == pytest.approx(math.e - 2.0, rel=1e-6, abs=0.0)
+    assert EXP(1.0) == pytest.approx(math.e - 2.0, rel=1e-6, abs=0.0)
     assert power(2.0)(0.0) == 0.0
 
 
 def test_builtin_convexity_and_derivatives():
     for phi in (power(1.5), two_power(1.5, 3.0), zygmund(2.0, 0.5),
-                log_power(3.0), exp_growth()):
+                log_power(3.0), EXP):
         # exp growth overflows past ~700, keep its grid modest
         hi = 30.0 if phi.kind == "exp" else 1e3
         grid = np.geomspace(1e-3, hi, 400)
@@ -108,7 +111,7 @@ _ORACLE_X = np.array([0.0, 1e-300, 1e-6, 0.5, np.nextafter(1.0, 0.0), 1.0,
 def test_builtin_values_and_derivatives_equal_the_per_kind_branches(kind, params):
     # every builtin kind's row gives the branch's bits, at the kink x = 1 and either side
     # of it too; exp takes no params, so it has one case, and overflows at 1e6 as its branch does
-    phi = builtin(kind, *params)
+    phi = YoungFunction(kind, params)
     for x in (_ORACLE_X, _ORACLE_X[:, None] * np.ones(2), _ORACLE_X[::-1]):
         with np.errstate(over="ignore"):
             got = (phi(x), phi.deriv_minus(x), phi.deriv_plus(x))
@@ -140,7 +143,7 @@ def conjugate_by_argmax_matrix(psi, y):
     (lambda: power(1.0), 1.0), (lambda: power(2.5), 2.5), (lambda: power(3.0), 3.0),
     (lambda: zygmund(1.0, 1.0), 1.0), (lambda: zygmund(2.0, 0.5), 2.0),
     (lambda: two_power(1.5, 3.0), 1.5), (lambda: log_power(3.0), 1.0),
-    (lambda: exp_growth(), 1.0), (lambda: patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi, 1.0),
+    (lambda: EXP, 1.0), (lambda: patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi, 1.0),
     (lambda: complementary(power(3.0)), 1.0), (lambda: complementary(zygmund(2.0, 0.5)), 1.0),
 ], ids=["power-1", "power-2.5", "power-3", "zygmund-1-1", "zygmund-2-0.5", "two_power",
         "log_power", "exp", "patched", "conjugate-power", "conjugate-zygmund"])
@@ -387,7 +390,7 @@ def test_conjugate_names_an_overflowing_phi():
     with pytest.raises(ValueError, match=re.escape(
             "complement undefined at working precision: "
             "phi overflows on the working grid [1e-06, 1e+06]")):
-        complementary(exp_growth())
+        complementary(EXP)
 
 
 def test_delta2_and_nabla2():
@@ -395,7 +398,7 @@ def test_delta2_and_nabla2():
     assert res.holds and res.K == pytest.approx(4.0, rel=1e-3, abs=0.0)
     # the doubling ratio of a pure power is flat, so its drift is ~0
     assert abs(res.slope) < 1e-2
-    assert not check_delta2(exp_growth()).holds
+    assert not check_delta2(EXP).holds
     assert check_nabla2(power(3.0)).holds
     assert not check_nabla2(power(1.0)).holds
 
@@ -479,7 +482,7 @@ def test_patch_gate():
 
 def test_young_json_round_trip():
     for phi in (power(2.5), two_power(1.5, 3.0), zygmund(2.0, 0.5),
-                log_power(3.0), exp_growth(),
+                log_power(3.0), EXP,
                 complementary(zygmund(2.0, 0.5), y_max=200.0, resolution=64)):
         back = YoungFunction.from_json(phi.to_json())
         u = np.geomspace(0.01, 100.0, 50)
@@ -514,9 +517,9 @@ def test_builtin_based_records_hold_no_base():
 
 
 def test_builtin_factory_dispatch():
-    assert builtin("power", 2.0)(3.0) == pytest.approx(9.0, rel=1e-6, abs=0.0)
+    assert YoungFunction("power", (2.0,))(3.0) == pytest.approx(9.0, rel=1e-6, abs=0.0)
     with pytest.raises(ValueError):
-        builtin("unknown-kind")
+        YoungFunction("unknown-kind")
 
 
 _PATCHED_RECORD = patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi.to_json()
@@ -526,10 +529,11 @@ _PATCHED_RECORD = patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi.to_json()
     (lambda: power(0.5), "power exponent must be >= 1, got 0.5"),
     (lambda: two_power(2.0, 1.5), "two_power needs 1 < alpha < beta, got (2.0, 1.5)"),
     (lambda: zygmund(0.5, 1.0), "zygmund needs p >= 1 and alpha*p >= 1, got (0.5, 1.0)"),
-    (lambda: builtin("power", 1.0, 2.0), "power takes 1 parameters, got 2"),
-    (lambda: builtin("exp", 1.0), "exp takes 0 parameters, got 1"),
+    (lambda: YoungFunction("power", (1.0, 2.0)), "power takes 1 parameters, got 2"),
+    (lambda: YoungFunction("exp", (1.0,)), "exp takes 0 parameters, got 1"),
     (lambda: YoungFunction("cubic"), "unknown Young function kind 'cubic'"),
-    (lambda: builtin("cubic"), "unknown Young function kind 'cubic'"),
+    (lambda: YoungFunction.from_json({"kind": "cubic", "params": []}),
+     "unknown Young function kind 'cubic'"),
     (lambda: YoungFunction("patched:power", (2.0, 3.0), breakpoints=(0.5, 2.0)),
      "patched Young function needs a base and two breakpoints"),
     (lambda: YoungFunction("conjugate:power", (2.0, 1e3, 2048.0)),
@@ -549,7 +553,8 @@ _PATCHED_RECORD = patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi.to_json()
                          ("zygmund", lambda v: zygmund(v, 0.5)),
                          ("zygmund", lambda v: zygmund(2.0, v)))
       for bad in (math.nan, math.inf)],
-    (lambda: builtin("zygmund", 2.0, math.inf), "zygmund parameter must be a finite number"),
+    (lambda: YoungFunction("zygmund", (2.0, math.inf)),
+     "zygmund parameter must be a finite number"),
     (lambda: log_power_tail_threshold(math.nan, 5.0),
      "log_power parameter must be a finite number, got nan"),
     # the constructor checks what a builtin constructor checks
