@@ -10,12 +10,12 @@ top-level `N` and a spawned seed filled in.  A param the check does not
 read, a value its converter refuses (an integer param given 1.5, true or
 "8", a sample count or order below 1, a negative seed, an odd `N` or one
 below 8, a `d` other than 1 or 2, an unknown `route` or `semigroup`), a
-record field that nothing reads (a norm record's `q`, `m`, `M`, `label`
-or `variant`, `p` on a Luxemburg or Orlicz norm, `c1` on a builtin Young
-function, any misspelled key), a Young record in `phi` or a norm that the
-`YoungFunction` constructor refuses (a `NaN` or `Infinity` param, a
-patched s below 2, a conjugate resolution that is not an integer >= 2),
-a `family` beside a function `f` (whose
+record field that nothing reads (a norm record's `s`, `q`, `m`, `M`,
+`label` or `variant`, `p` on a Luxemburg or Orlicz norm, `c1` or `c2` on
+any Young function, any misspelled key), a Young record in `phi` or a
+norm that the `YoungFunction` constructor refuses (a `NaN` or `Infinity`
+param, a patched s below 2, a conjugate resolution that is not an
+integer >= 2), a `family` beside a function `f` (whose
 grid sets `N` and `d`, so a rule they break names `f`), a broken
 `require` rule (kfunc-8.9 needs 2*ell > r, and d=2 for the sphere route;
 the abel and Cesaro checks run on 1-d grids, and cesaro-5.1 needs a

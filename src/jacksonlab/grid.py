@@ -13,7 +13,9 @@ pruned max of the sup moduli under a Young norm, `_young_stack_sup`, lives
 here beside the solvers it calls; `ops` only hands it the stacks.  It reads
 the power index q of a Young function from the record
 (`YoungFunction.power_index`, set where the record is checked), so this
-module never decodes a Young kind.
+module never decodes a Young kind.  A `NormSpec` holds only what its norm
+reads (the variant, and p or phi); its convexity exponent `s` is derived
+from p, so no record can set one that differs from the norm computed.
 
 `_number` is the one integer rule: `ops`, `approx`, `young`, `lab` and
 `cli` check every count, degree and order through it.  Two of its
@@ -419,7 +421,7 @@ def _generator(rng):
 
 
 def _convexity_exponent(s):
-    """float(s) for a finite number s >= 2, the exponent s of (*) in a norm record or a check."""
+    """float(s) for a finite number s >= 2, the exponent s of (*) in a check or a patched phi."""
     if isinstance(s, (bool, str)) or not 2.0 <= s <= float(np.finfo(float).max):
         raise ValueError(f"convexity exponent s must be finite and >= 2, got {s!r}")
     return float(s)
@@ -459,29 +461,33 @@ class _Record:
 class NormSpec(_Record):
     """Declarative description of the norm B used by checks and reports.
 
-    variant "lp" uses `p`; "luxemburg" and "orlicz" use the Young
-    function `phi`.  `s` is the convexity exponent of (*) attached to the
-    space, finite and >= 2: for L_p with finite p it defaults to max(p, 2)
-    (Clarkson), and a Young norm has none unless it is given.
+    variant "lp" uses `p` (2.0 when not given); "luxemburg" and "orlicz"
+    use the Young function `phi` and hold no p.  `s`, the convexity
+    exponent of (*) the space carries, is read off the record: max(p, 2)
+    for L_p with finite p (Clarkson), and None otherwise.
     """
 
-    __slots__ = ("variant", "p", "phi", "s", "_key")
+    __slots__ = ("variant", "p", "phi", "_key")
 
-    def __init__(self, variant="lp", p=2.0, phi=None, s=None):
+    def __init__(self, variant="lp", p=None, phi=None):
         if variant not in _VARIANTS:
             raise ValueError(f"norm variant must be one of {_VARIANTS}, got {variant!r}")
         if variant == "lp":
+            p = 2.0 if p is None else p
             if isinstance(p, bool) or not isinstance(p, numbers.Real) or not p >= 1.0:
                 raise ValueError(f"exponent must be >= 1, got {p!r}")
             if phi is not None:
                 raise ValueError("an lp norm reads no Young function phi")
-            if s is None and not np.isinf(p):
-                s = max(float(p), 2.0)
         elif phi is None:
             raise ValueError(f"variant {variant!r} needs a Young function")
-        if s is not None:
-            s = _convexity_exponent(s)
-        self._set(variant, p, phi, s, None)
+        elif p is not None:
+            raise ValueError(f"a {variant} norm reads no exponent p")
+        self._set(variant, p, phi, None)
+
+    @property
+    def s(self):
+        """max(p, 2) for an L_p norm with finite p; None for L-infinity and a Young norm."""
+        return max(float(self.p), 2.0) if self.variant == "lp" and self.p < math.inf else None
 
     def key(self):
         """Hashable identity of the computed norm: variant, and p (lp) or the phi record.
@@ -501,10 +507,10 @@ class NormSpec(_Record):
     def __eq__(self, other):
         if not isinstance(other, NormSpec):
             return NotImplemented
-        return (self.key(), self.s) == (other.key(), other.s)
+        return self.key() == other.key()
 
     def __hash__(self):
-        return hash((self.key(), self.s))
+        return hash(self.key())
 
     def rows(self, stack):
         """The norms of the rows of a stack of flattened samples, as an array.
@@ -528,8 +534,6 @@ class NormSpec(_Record):
             data["p"] = self.p
         else:
             data["phi"] = self.phi.to_json()
-        if self.s is not None:
-            data["s"] = self.s
         return data
 
     @staticmethod
@@ -538,10 +542,9 @@ class NormSpec(_Record):
 
         variant = data.get("norm", "lp")
         if variant in _VARIANTS:  # the constructor names any other variant
-            _refuse_unread(data, ("norm", "p" if variant == "lp" else "phi", "s"),
-                           f"the {variant} norm")
+            _refuse_unread(data, ("norm", "p" if variant == "lp" else "phi"), f"the {variant} norm")
         phi = YoungFunction.from_json(data["phi"]) if "phi" in data else None
-        return NormSpec(variant=variant, p=data.get("p", 2.0), phi=phi, s=data.get("s"))
+        return NormSpec(variant=variant, p=data.get("p"), phi=phi)
 
 
 def random_smooth(size, dim, rng):

@@ -507,7 +507,7 @@ _PARAMS = {
     "norm": (lambda p: NormSpec(), _record(NormSpec), "NormSpec record (L2)"),
     "r": (1, _COUNT, "order of the left-hand side"),
     "s": (lambda p: p["norm"].s or 2.0, _convexity_exponent,
-          "dyadic-sum exponent >= 2 (the norm's s, or 2)"),
+          "dyadic-sum exponent >= 2 (max(p, 2) under a finite L_p norm, else 2)"),
     "n_range": (None, _index_range, "scales t = 2^-n for n from lo to hi"),
     "radii": (lambda p: 64 if p["d"] == 1 else 16, _COUNT, "step radii (64 in 1-d, else 16)"),
     "directions": (8, _COUNT, "step directions of 2-d moduli (1-d tries both signs)"),

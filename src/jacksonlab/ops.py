@@ -290,23 +290,22 @@ def _multiplier_norms(fs, items, norm, build=None, sup=False):
     |M|^2).  Each stack is built once, and every member reads it.  A
     column is the list of its norms.  `norm` is a NormSpec or None (L2).
     L2 takes no inverse FFT (Parseval); every other norm one inverse FFT
-    per member and stack, whose rows go to `NormSpec.rows`.  With `sup`, a column is
-    max(0, *norms) bit for bit: the stacks run from last to first (the
-    moduli list their steps outward, so the last mostly holds the max), and
-    a Luxemburg or Orlicz norm solves only the rows `grid._young_stack_sup`
-    keeps, each member against its own running max.  An empty `items` is
-    one empty column.
+    per member and stack, whose rows go to `NormSpec.rows`.  With `sup`
+    (a Luxemburg or Orlicz norm only), a column is max(0, *norms) bit for
+    bit: the stacks run from last to first (the moduli list their steps
+    outward, so the last mostly holds the max), and only the rows
+    `grid._young_stack_sup` keeps are solved, each member against its own
+    running max.  An empty `items` is one empty column.
     """
     spec, shape = _norm_spec(norm), fs[0].samples.shape
     parseval = spec.variant == "lp" and spec.p == 2.0
-    young = sup and spec.variant != "lp"
     stacks, cols = list(_stacks(items, fs[0].size, fs[0].dim)), None
     for block in reversed(stacks) if sup else stacks:
         if build:
             mults = build(block, True) if parseval else build(block)
         else:
             mults = [_abs2(block) if parseval else block]
-        cols = cols or [[(0.0, None) if young else [] for _ in mults] for _ in fs]
+        cols = cols or [[(0.0, None) if sup else [] for _ in mults] for _ in fs]
         for c, mult in enumerate(mults):
             if parseval:
                 sums = _parseval_sums(mult, [f.parseval_weights() for f in fs])
@@ -315,13 +314,13 @@ def _multiplier_norms(fs, items, norm, build=None, sup=False):
                 continue
             for f, col in zip(fs, cols):
                 rows = _inverse(f.spectrum() * mult, shape).reshape(len(mult), -1)
-                if young:
+                if sup:
                     col[c] = _young_stack_sup(rows, spec, col[c])
                 else:
                     col[c].extend(spec.rows(rows).tolist())
-    cols = cols or [[(0.0, None) if young else []] for _ in fs]
+    cols = cols or [[(0.0, None) if sup else []] for _ in fs]
     if sup:
-        cols = [[best[0] if young else max([0.0, *best]) for best in col] for col in cols]
+        cols = [[best[0] for best in col] for col in cols]
     return cols
 
 
@@ -403,6 +402,8 @@ def _orders(orders):
 
 def _difference_norms(fs, kind, orders, us, norm, sup=False):
     """{r: norms of (T(u) - I)^r f over the scales u} for each order r; with `sup`, their max and 0.
+
+    `sup` takes a Luxemburg or Orlicz norm only (`_multiplier_norms`).
 
     One dict per member f of `fs` (members on one grid).  Every order of
     every member comes from one build of T(u) - I per stack.  u is a k x d

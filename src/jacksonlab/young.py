@@ -14,7 +14,9 @@ function, computed numerically (a grid argmax from phi's chord slopes, then
 secant steps, a verified bracket and bisection for where phi' crosses y,
 by Young's equality the maximizer); the doubling diagnostics `check_delta2` /
 `check_nabla2`; and `patch`, which replaces a convex gap of u -> phi(u**(1/s))
-by a constant-slope segment so the composition becomes globally concave.
+by a constant-slope segment so the composition becomes globally concave.  A
+patched record holds only its base, s and breakpoints: its constants c1
+and c2 follow from continuity, and its constructor computes them.
 
 Every Young function is checked in one place, the `YoungFunction`
 constructor, whichever way it is built: the builtin constructors,
@@ -86,7 +88,7 @@ _BUILTINS = {
 }
 # derived kind "<derived>:<base kind>": (the params it adds to its base's, the fields it reads
 # besides kind and params)
-_DERIVED = {"patched": (1, ("breakpoints", "c1", "c2", "base")), "conjugate": (2, ("base",))}
+_DERIVED = {"patched": (1, ("breakpoints", "base")), "conjugate": (2, ("base",))}
 
 
 class YoungFunction:
@@ -96,8 +98,9 @@ class YoungFunction:
     it is built (a builtin constructor, `complementary`, `patch` or
     `from_json`), before any value is computed.  A builtin kind takes its
     arity of finite params within its range rule (`_BUILTINS`); a patched
-    kind its base's params and a finite s >= 2, finite breakpoints
-    0 < a < b and finite c1 and c2; a conjugate kind its base's params,
+    kind its base's params, a finite s >= 2 and finite breakpoints
+    0 < a < b where the base has positive one-sided derivatives, from which
+    it computes its constants c1 and c2; a conjugate kind its base's params,
     a finite y_max > 0 and an integer resolution >= 2, and a base that
     grows fast enough to be conjugated on the working grid.
     `power_index` is an exponent q >= 1 with phi(u)/u**q nondecreasing on
@@ -108,11 +111,11 @@ class YoungFunction:
     Values and derivatives accept scalars or arrays of nonnegative numbers.
     """
 
-    def __init__(self, kind, params=(), breakpoints=None, c1=None, c2=None, base=None):
+    def __init__(self, kind, params=(), breakpoints=None, base=None):
         self.kind, self.base, params = str(kind), base, tuple(params)
         derived, _, rest = self.kind.partition(":")
         own, reads = _DERIVED.get(derived, (0, ()))
-        for name, value in {"breakpoints": breakpoints, "c1": c1, "c2": c2, "base": base}.items():
+        for name, value in {"breakpoints": breakpoints, "base": base}.items():
             if value is not None and name not in reads:
                 raise ValueError(f"the {self.kind} Young function reads no {name}")
         if self.kind in _BUILTINS:
@@ -138,13 +141,22 @@ class YoungFunction:
             s = _convexity_exponent(params[-1])
             self.params = base.params + (s,)
             self.breakpoints = a, b = _breakpoints(*breakpoints)
-            self.c1 = 1.0 if c1 is None else _REAL(c1, "c1")
-            self.c2 = 0.0 if c2 is None else _REAL(c2, "c2")
+            dm_a, dp_b = base.deriv_minus(a), base.deriv_plus(b)
+            if not (dm_a > 0.0 and dp_b > 0.0):
+                raise ValueError("patch requires positive one-sided derivatives at a and b")
             # slope of the replacement segment, chosen so the derivative of
-            # phi~(u**(1/s)) is continuous at the b-side junction
-            self._seg_slope = base.deriv_plus(b) * b ** (1.0 / s - 1.0)
-            self._gamma = 2.0 - 1.0 / s
-            self._mid_base = self.c1 * float(base(a))
+            # phi~(u**(1/s)) is continuous at the b-side junction; c1 makes it
+            # continuous at a, and c2 makes phi~ itself continuous at b
+            try:
+                self._seg_slope = dp_b * b ** (1.0 / s - 1.0)
+                self.c1 = _REAL(self._seg_slope / (dm_a * a ** (1.0 / s - 1.0)), "c1")
+                self._gamma = 2.0 - 1.0 / s
+                self._mid_base = self.c1 * float(base(a))
+                self.c2 = _REAL(self._mid_base + self._seg_slope * (
+                    b ** self._gamma - a ** self._gamma) / self._gamma - float(base(b)), "c2")
+            except OverflowError:
+                raise ValueError(f"breakpoints ({a}, {b}) put c1 or c2 beyond the float range"
+                                 ) from None
             return
         y_max, resolution = params[-2], _number(2)(params[-1], "resolution")
         if not (math.isfinite(y_max) and y_max > 0.0):
@@ -235,12 +247,12 @@ class YoungFunction:
     def to_json(self):
         """The record `from_json` reads: {kind, params} and what a derived kind adds.
 
-        A patched kind adds its breakpoints, c1 and c2; a patched or conjugate
-        kind adds its base's record when the base is not a builtin.
+        A patched kind adds its breakpoints; a patched or conjugate kind adds
+        its base's record when the base is not a builtin.
         """
         data = {"kind": self.kind, "params": list(self.params)}
         if self.kind.startswith("patched:"):
-            data.update(breakpoints=list(self.breakpoints), c1=self.c1, c2=self.c2)
+            data["breakpoints"] = list(self.breakpoints)
         if self.base is not None and self.base.kind not in _BUILTINS:
             data["base"] = self.base.to_json()
         return data
@@ -258,7 +270,7 @@ class YoungFunction:
         base = (YoungFunction.from_json(data["base"]) if "base" in data
                 else YoungFunction(rest, params[:-own]))
         if derived == "patched":
-            return YoungFunction(kind, params, data["breakpoints"], data["c1"], data["c2"], base)
+            return YoungFunction(kind, params, data["breakpoints"], base)
         if params and isinstance(params[-1], float) and params[-1].is_integer():
             params[-1] = int(params[-1])  # a record holds the resolution as a float
         return YoungFunction(kind, params, base=base)
@@ -434,11 +446,15 @@ def check_nabla2(psi):
 # -- concavity of phi(u**(1/s)) ----------------------------------------
 
 
-class ConcavityRegions(_Record):
-    __slots__ = ("s", "u_lo", "u_hi", "intervals")
+# the window of the concavity scan and of patch's constant A: 4096 log-spaced points
+_U_LO, _U_HI, _U_POINTS = 1e-6, 1e6, 4096
 
-    def __init__(self, s, u_lo, u_hi, intervals):
-        self._set(s, u_lo, u_hi, intervals)
+
+class ConcavityRegions(_Record):
+    __slots__ = ("s", "intervals")
+
+    def __init__(self, s, intervals):
+        self._set(s, intervals)
 
     def covers(self, lo, hi):
         """True when one detected interval contains [lo, hi], up to a relative 1e-3 at each end."""
@@ -448,16 +464,16 @@ class ConcavityRegions(_Record):
         return False
 
 
-def power_concavity_regions(phi, s, u_lo=1e-6, u_hi=1e6, resolution=4096):
-    """Maximal intervals where u -> phi(u**(1/s)) is concave.
+def power_concavity_regions(phi, s):
+    """Maximal intervals of [1e-6, 1e6] where u -> phi(u**(1/s)) is concave.
 
-    Concavity is read off the sign of chord defects on a log-spaced grid;
+    Concavity is read off the sign of chord defects on 4096 log-spaced points;
     defects up to 1e-11 times the local scale count as concave so exactly
     linear stretches are not split by rounding noise.  `s` is a finite
     number >= 2 (`grid._convexity_exponent`).
     """
     s = _convexity_exponent(s)
-    u = np.geomspace(u_lo, u_hi, resolution)
+    u = np.geomspace(_U_LO, _U_HI, _U_POINTS)
     g = np.asarray(phi(u ** (1.0 / s)), dtype=float)
     lam = (u[2:] - u[1:-1]) / (u[2:] - u[:-2])
     chord = lam * g[:-2] + (1.0 - lam) * g[2:]
@@ -475,7 +491,7 @@ def power_concavity_regions(phi, s, u_lo=1e-6, u_hi=1e6, resolution=4096):
             start = None
     if start is not None and len(ok) - start >= 2:
         intervals.append((float(u[start]), float(u[-1])))
-    return ConcavityRegions(s, float(u_lo), float(u_hi), tuple(intervals))
+    return ConcavityRegions(s, tuple(intervals))
 
 
 def log_power_tail_threshold(r, s):
@@ -508,47 +524,37 @@ def _breakpoints(a, b):
 
 
 class PatchResult(_Record):
-    __slots__ = ("phi", "c1", "c2", "A")
+    __slots__ = ("phi", "A")
 
-    def __init__(self, phi, c1, c2, A):
-        self._set(phi, c1, c2, A)
+    def __init__(self, phi, A):
+        self._set(phi, A)
 
 
 def patch(phi, s, a, b):
     """Bridge the convex gap of u -> phi(u**(1/s)) between a and b.
 
-    Requires the composition to be concave on [u_lo, max(a, a**s)] and on
-    [min(b, b**s), u_hi], the working grid [u_lo, u_hi] = [1e-6, 1e6] of
-    `power_concavity_regions` at its defaults.  The result phi~ equals
-    c1*phi below a, equals c2 + phi above b, and has a constant-exponent
-    segment in between whose slope makes the composed derivative continuous
-    and nonincreasing, so phi~(u**(1/s)) is globally concave.  `A` reports
-    the equivalence constant sup max(phi~/phi, phi/phi~) over the working
-    grid.  a, b and s are checked as the patched record checks them.
+    Requires the composition to be concave on [1e-6, max(a, a**s)] and on
+    [min(b, b**s), 1e6], inside the window of `power_concavity_regions`.
+    The result phi~ equals c1*phi below a, equals c2 + phi above b, and has
+    a constant-exponent segment in between whose slope makes the composed
+    derivative continuous and nonincreasing, so phi~(u**(1/s)) is globally
+    concave; its constructor computes c1 and c2 (`phi.c1`, `phi.c2`) from
+    (phi, s, a, b).  `A` reports the equivalence constant
+    sup max(phi~/phi, phi/phi~) over the window.  a, b and s are checked as
+    the patched record checks them.
     """
     (a, b), s = _breakpoints(a, b), _convexity_exponent(s)
     regions = power_concavity_regions(phi, s)
-    u_lo, u_hi = regions.u_lo, regions.u_hi
     low_hi = max(a, a ** s)
     high_lo = min(b, b ** s)
-    if not regions.covers(u_lo, low_hi):
-        raise ValueError(f"concavity precondition fails on [{u_lo:g}, {low_hi:g}]")
-    if not regions.covers(high_lo, u_hi):
-        raise ValueError(f"concavity precondition fails on [{high_lo:g}, {u_hi:g}]")
-    dm_a = float(phi.deriv_minus(a))
-    dp_b = float(phi.deriv_plus(b))
-    if dm_a <= 0.0 or dp_b <= 0.0:
-        raise ValueError("patch requires positive one-sided derivatives at a and b")
-    seg_slope = dp_b * b ** (1.0 / s - 1.0)
-    c1 = seg_slope / (dm_a * a ** (1.0 / s - 1.0))
-    gamma = 2.0 - 1.0 / s
-    mid_at_b = c1 * float(phi(a)) + seg_slope * (b ** gamma - a ** gamma) / gamma
-    c2 = mid_at_b - float(phi(b))
-    tilde = YoungFunction("patched:" + phi.kind, phi.params + (s,),
-                          breakpoints=(a, b), c1=c1, c2=c2, base=phi)
-    u = np.geomspace(u_lo, u_hi, 4096)
+    if not regions.covers(_U_LO, low_hi):
+        raise ValueError(f"concavity precondition fails on [{_U_LO:g}, {low_hi:g}]")
+    if not regions.covers(high_lo, _U_HI):
+        raise ValueError(f"concavity precondition fails on [{high_lo:g}, {_U_HI:g}]")
+    tilde = YoungFunction("patched:" + phi.kind, phi.params + (s,), breakpoints=(a, b), base=phi)
+    u = np.geomspace(_U_LO, _U_HI, _U_POINTS)
     old = np.asarray(phi(u), dtype=float)
     new = np.asarray(tilde(u), dtype=float)
     good = (old > 0.0) & (new > 0.0)
     ratios = np.maximum(new[good] / old[good], old[good] / new[good])
-    return PatchResult(tilde, c1, c2, float(np.max(ratios)))
+    return PatchResult(tilde, float(np.max(ratios)))

@@ -198,7 +198,7 @@ def test_c7_convexity_geometry(capsys):
         l2 = estimate_convexity_constant(NormSpec(variant="lp", p=2.0), s=2.0,
                                          rng=0, trials=200, size=256)
         assert l2.m_hat >= 0.98
-        l1 = estimate_convexity_constant(NormSpec(variant="lp", p=1.0, s=2.0),
+        l1 = estimate_convexity_constant(NormSpec(variant="lp", p=1.0),
                                          s=2.0, rng=0, trials=200, size=256)
         assert abs(l1.m_hat) <= 1e-12
         assert verify_duality(2.0, 4, rng=0).verdict == "pass"

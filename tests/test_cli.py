@@ -220,6 +220,9 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
         ({"checks": [{"id": "jackson-1.4", "params": {"norm": {
             "norm": "lp", "p": 4.0, "weight": {"shape": [256], "sha256": "0" * 64}}}}]},
          "'checks[0].params.norm': unknown field 'weight'"),
+        # s follows from the norm (max(p, 2) for L_p), so a norm record's s is unknown
+        ({"checks": [{"id": "jackson-1.4", "params": {"norm": {"norm": "lp", "p": 4, "s": 3}}}]},
+         "'checks[0].params.norm': unknown field 's'"),
         ({"checks": [{"id": "entire-4.12", "params": {"lambda_power_max": -1}}]},
          "'checks[0].params.lambda_power_max': must be an integer from 0 to 511, got -1"),
     ]
@@ -261,7 +264,7 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
          "'checks[1].params.family': must be a nonempty list of member names, got 'random'"),
         ({"id": "jackson-1.4", "params": {"family": ["cos", "sine"]}},
          "'checks[1].params.family': must be one of cos, abs-sin, sawtooth8, random, got 'sine'"),
-        ({"id": "jackson-1.4", "params": {"norm": {"norm": "lp", "p": math.nan, "s": 2}}},
+        ({"id": "jackson-1.4", "params": {"norm": {"norm": "lp", "p": math.nan}}},
          "'checks[1].params.norm': exponent must be >= 1, got nan"),
         ({"id": "jackson-1.4", "params": {"norm": {"norm": "lp", "p": True}}},
          "'checks[1].params.norm': exponent must be >= 1, got True"),
@@ -330,7 +333,7 @@ def test_config_validation_exit_codes(tmp_path, capsys, monkeypatch):
          "'checks[1].params.phi': power parameter must be a finite number, got inf"),
         ({"id": "orlicz-sandwich", "params": {"phi": {
             "kind": "patched:zygmund", "params": [2.0, 0.5, math.nan],
-            "breakpoints": [0.2, 5.0], "c1": 1.0, "c2": 0.0}}},
+            "breakpoints": [0.2, 5.0]}}},
          "'checks[1].params.phi': convexity exponent s must be finite and >= 2, got nan"),
         ({"id": "orlicz-sandwich", "params": {"phi": {"kind": "conjugate:power",
                                                       "params": [3.0, 1000.0, math.inf]}}},

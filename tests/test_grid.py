@@ -88,7 +88,7 @@ def test_a_one_function_norm_is_its_own_row_in_a_stack(dim, sizes, variant, p):
     count = 2 if variant != "lp" else 12
     for size in sizes:
         fs = [random_smooth(size, dim, rng) for _ in range(count)]
-        spec = NormSpec(variant=variant, p=2.0 if p is None else p, phi=phi)
+        spec = NormSpec(variant=variant, p=p, phi=phi)
         stack = np.stack([f.samples.ravel() for f in fs])
         rows = spec.rows(stack).tolist()
         ones = {"lp": lambda f: lp_norm(f, p),
@@ -107,7 +107,7 @@ def test_every_norm_is_invariant_under_the_grid_translations(dim, variant, p):
     # h = 2*pi*k/N, and f(-.), have the norm of f (the level solvers stop at rtol 1e-13)
     rng = np.random.default_rng(320 + dim)
     phi = None if variant == "lp" else zygmund(2.0, 0.5)
-    spec = NormSpec(variant=variant, p=2.0 if p is None else p, phi=phi)
+    spec = NormSpec(variant=variant, p=p, phi=phi)
     size = 64 if dim == 1 else 16
     f = random_smooth(size, dim, rng) * float(10.0 ** rng.uniform(-2.0, 2.0))
     axes = tuple(range(dim))
@@ -118,7 +118,7 @@ def test_every_norm_is_invariant_under_the_grid_translations(dim, variant, p):
     got = [spec.norm(GridFunction(x)) for x in moved]
     assert got == pytest.approx([want] * len(moved), rel=1e-13, abs=0.0)
     assert spec.rows(np.stack([x.ravel() for x in moved])).tolist() == got
-    if np.isinf(spec.p) and variant == "lp":
+    if variant == "lp" and np.isinf(spec.p):
         assert got == [want] * len(moved)
 
 
@@ -320,15 +320,19 @@ def test_zero_function_norms():
 
 def test_norm_spec_defaults_and_conjugacy():
     # a spec holds what the norm or a check reads: no dual exponent, constant or label
-    assert list(inspect.signature(NormSpec).parameters) == ["variant", "p", "phi", "s"]
+    assert list(inspect.signature(NormSpec).parameters) == ["variant", "p", "phi"]
+    assert NormSpec.__slots__ == ("variant", "p", "phi", "_key")
     spec = NormSpec()
     assert spec.variant == "lp" and spec.p == 2.0 and spec.s == 2.0
     assert NormSpec(variant="lp", p=4.0).s == 4.0
     assert NormSpec(variant="lp", p=1.5).s == 2.0
-    spec_s = NormSpec(variant="lp", p=2.0, s=3)
-    assert spec_s.s == 3.0 and isinstance(spec_s.s, float)
+    assert NormSpec(variant="lp", p=3).s == 3.0 and isinstance(NormSpec(p=3).s, float)
     assert NormSpec(variant="lp", p=np.inf).s is None
-    assert NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5)).s is None
+    # a Young norm holds no exponent p, and s is derived, never set
+    lux = NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5))
+    assert lux.s is None and lux.p is None
+    with pytest.raises(AttributeError):
+        spec.s = 3.0
 
 
 def test_norm_spec_validation():
@@ -336,17 +340,20 @@ def test_norm_spec_validation():
         NormSpec(variant="nonsense")
     with pytest.raises(ValueError):
         NormSpec(variant="lp", p=0.5)
-    with pytest.raises(ValueError):
-        NormSpec(variant="lp", p=2.0, s=1.5)
+    with pytest.raises(TypeError, match="unexpected keyword argument 's'"):
+        NormSpec(variant="lp", p=2.0, s=3.0)
     with pytest.raises(ValueError):
         NormSpec(variant="luxemburg")
     with pytest.raises(ValueError, match="reads no Young function"):
         NormSpec(variant="lp", phi=zygmund(2.0, 0.5))
-    # a NaN exponent, or an s that is not a finite number, is refused
-    for bad in (dict(p=math.nan), dict(p=math.nan, s=2.0), dict(p=-math.inf), dict(s=math.nan),
-                dict(s=math.inf), dict(s="3"), dict(s=True), dict(s=10 ** 400)):
-        with pytest.raises(ValueError):
-            NormSpec(variant="lp", **bad)
+    # a Young norm reads no exponent p, so a given one is refused, not stored
+    for variant in ("luxemburg", "orlicz"):
+        with pytest.raises(ValueError, match=f"a {variant} norm reads no exponent p"):
+            NormSpec(variant=variant, phi=zygmund(2.0, 0.5), p=3.0)
+    # a NaN, infinite negative, string or bool exponent is refused
+    for bad in (math.nan, -math.inf, "3", True):
+        with pytest.raises(ValueError, match="exponent must be >= 1"):
+            NormSpec(variant="lp", p=bad)
     f = discretize(np.cos, 16, 1)
     for p in (math.nan, -math.inf, 0.5):
         with pytest.raises(ValueError, match="exponent must be >= 1"):
@@ -357,11 +364,9 @@ def test_norm_spec_validation():
 def test_norm_spec_json_round_trip_and_dispatch():
     f = discretize(np.cos, 64, 1)
     phi = zygmund(2.0, 0.5)
-    # a Young norm's p is not read, so it is neither recorded nor part of the identity
     for spec in (NormSpec(variant="lp", p=3.0),
                  NormSpec(variant="luxemburg", phi=phi),
-                 NormSpec(variant="luxemburg", phi=phi, p=3.0),
-                 NormSpec(variant="orlicz", phi=phi, s=3.0)):
+                 NormSpec(variant="orlicz", phi=phi)):
         back = NormSpec.from_json(spec.to_json())
         assert back == spec and hash(back) == hash(spec)
         assert back.norm(f) == pytest.approx(spec.norm(f), rel=1e-12, abs=0.0)
@@ -373,14 +378,12 @@ def test_norm_spec_json_round_trip_and_dispatch():
 
 def test_norm_spec_record_and_key():
     plain = NormSpec(variant="lp", p=2.0)
-    assert json.dumps(plain.to_json()) == '{"norm": "lp", "p": 2.0, "s": 2.0}'
+    assert json.dumps(plain.to_json()) == '{"norm": "lp", "p": 2.0}'
     keys = {plain.key(), NormSpec(variant="lp", p=4.0).key(),
             NormSpec(variant="luxemburg", phi=zygmund(2.0, 0.5)).key(),
             NormSpec(variant="luxemburg", phi=zygmund(2.0, 1.0)).key()}
     assert len(keys) == 4
     hash(plain.key())
-    # the key names the norm, not the attached exponent
-    assert NormSpec(variant="lp", p=2.0, s=3.0).key() == plain.key()
 
 
 def test_norm_spec_equality_and_hash():
@@ -393,9 +396,6 @@ def test_norm_spec_equality_and_hash():
     assert NormSpec(variant="luxemburg", phi=phi) == NormSpec(variant="luxemburg",
                                                               phi=zygmund(2.0, 0.5))
     assert NormSpec(variant="luxemburg", phi=phi) != NormSpec(variant="orlicz", phi=phi)
-    # the attached exponent takes part, unlike in key(); a Young norm's unread p does not
-    assert NormSpec(variant="lp", p=2.0, s=3.0) != NormSpec(variant="lp", p=2.0)
-    assert NormSpec(variant="luxemburg", phi=phi, p=3.0) == NormSpec(variant="luxemburg", phi=phi)
     assert hash(NormSpec()) == hash(NormSpec())
     assert NormSpec() != "lp"
 
@@ -411,13 +411,13 @@ _PATCHED = patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi
     (lambda: EXP, ("c2",)),
     (lambda: complementary(power(3.0)), ("c1", "c2", "breakpoints", "label")),
     (lambda: complementary(complementary(power(3.0)), y_max=20.0), ("c1", "breakpoints")),
-    (lambda: _PATCHED, ("label", "s")),
+    (lambda: _PATCHED, ("label", "s", "c1", "c2")),
     (lambda: discretize(np.cos, 16, 1), ("norm", "label", "sample")),
     (lambda: discretize(lambda x, y: np.cos(x) * np.sin(y), 8, 2), ("weight",)),
-    (lambda: NormSpec(variant="lp", p=4.0), ("q", "m", "M", "label", "variant", "phi", "P")),
-    (lambda: NormSpec(variant="lp", p=math.inf), ("q", "label")),
-    (lambda: NormSpec(variant="luxemburg", phi=_PATCHED), ("p", "q", "m", "M", "label")),
-    (lambda: NormSpec(variant="orlicz", phi=complementary(power(3.0)), s=3.0), ("p", "M")),
+    (lambda: NormSpec(variant="lp", p=4.0), ("s", "q", "m", "M", "label", "variant", "phi", "P")),
+    (lambda: NormSpec(variant="lp", p=math.inf), ("s", "q", "label")),
+    (lambda: NormSpec(variant="luxemburg", phi=_PATCHED), ("p", "s", "q", "m", "M", "label")),
+    (lambda: NormSpec(variant="orlicz", phi=complementary(power(3.0))), ("p", "s", "M")),
 ], ids=["power", "two_power", "log_power", "zygmund", "exp", "conjugate", "nested-conjugate",
         "patched", "grid-1d", "grid-2d", "lp", "linf", "luxemburg-patched", "orlicz-conjugate"])
 def test_records_round_trip_and_refuse_unread_fields(make, unread):
@@ -442,9 +442,9 @@ def test_records_round_trip_and_refuse_unread_fields(make, unread):
     if isinstance(nested, dict):
         with pytest.raises(ValueError, match="unknown field 'c0'"):
             cls.from_json({**record, "base" if "base" in record else "phi": {**nested, "c0": 1}})
-    # the constructor refuses what the record refuses: YoungFunction("zygmund", ..., c1=9.0)
+    # the constructor refuses what the record refuses: YoungFunction("zygmund", ..., base=x)
     if isinstance(x, YoungFunction):
-        given = {"breakpoints": (0.2, 5.0), "c1": 9.0, "c2": 1.0, "base": x}
+        given = {"breakpoints": (0.2, 5.0), "base": x}
         for name in set(unread) & set(given):
             kwargs = {"base": x.base, name: given[name]}
             with pytest.raises(ValueError, match=f"reads no {name}"):

@@ -489,7 +489,7 @@ def test_convexity_constant_l2_and_l1():
     l2 = estimate_convexity_constant(NormSpec(variant="lp", p=2.0), s=2.0,
                                      rng=0, trials=100, size=64)
     assert l2.m_hat >= 0.98
-    l1 = estimate_convexity_constant(NormSpec(variant="lp", p=1.0, s=2.0),
+    l1 = estimate_convexity_constant(NormSpec(variant="lp", p=1.0),
                                      s=2.0, rng=0, trials=100, size=64)
     assert abs(l1.m_hat) <= 1e-12
     assert l1.witness is not None and l1.witness_label == "flat-vs-cos"

@@ -14,14 +14,12 @@ _PHI = power(2.0)
 # (record, required values, optional values, their defaults, one changed field, hashes):
 # a frozen record hashes unless a field holds a dict, as `_Check.defaults` does
 RECORDS = {
-    "NormSpec": (NormSpec, (), ("lp", 4.0, None, 5.0),
-                 {"variant": "lp", "p": 2.0, "phi": None, "s": 2.0},
+    "NormSpec": (NormSpec, (), ("lp", 4.0, None), {"variant": "lp", "p": 2.0, "phi": None},
                  ("p", 3.0), True),
     "Delta2Result": (Delta2Result, (True, 2.0, 1e-3), (), {}, ("K", 3.0), True),
     "Nabla2Result": (Nabla2Result, (True, 1.5), (), {}, ("a", 2.0), True),
-    "ConcavityRegions": (ConcavityRegions, (2.0, 1e-6, 1e6, ((1e-6, 1.0),)), (), {},
-                         ("intervals", ()), True),
-    "PatchResult": (PatchResult, (_PHI, 1.0, 0.5, 1.2), (), {}, ("A", 1.3), True),
+    "ConcavityRegions": (ConcavityRegions, (2.0, ((1e-6, 1.0),)), (), {}, ("intervals", ()), True),
+    "PatchResult": (PatchResult, (_PHI, 1.2), (), {}, ("A", 1.3), True),
     "ApproxResult": (ApproxResult, (3, 0.25, "partial_sum"), (), {},
                      ("method", "vallee_poussin"), True),
     "KFuncResult": (KFuncResult, (0.5, 2, "heat", 0.1), (4, ("note",)),

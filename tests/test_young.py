@@ -457,7 +457,7 @@ def test_conjugate_zygmund_power_composition_convex():
 def test_patch_constant_and_concavity():
     phi = two_power(1.5, 3.0)
     result = patch(phi, 3.0, 0.5, 2.0)
-    assert abs(result.c1 - 4.4895) < 1e-3
+    assert abs(result.phi.c1 - 4.4895) < 1e-3
     assert np.isfinite(result.A) and result.A >= 1.0
     patched = result.phi
     # patched function composed with u**(1/s) is concave: on the log grid
@@ -478,6 +478,30 @@ def test_patch_constant_and_concavity():
 def test_patch_gate():
     with pytest.raises(ValueError, match="must be finite and >= 2"):
         patch(two_power(1.5, 3.0), 1.5, 0.5, 2.0)
+
+
+# (base, s, a, b) of a patch whose concavity preconditions hold, one per base kind
+_PATCHES = {"two_power": (two_power(1.5, 3.0), 3.0, 0.5, 2.0),
+            "zygmund": (zygmund(2.0, 0.5), 3.0, 0.2, 5.0),
+            "log_power": (log_power(3.0), 4.0, 0.2, 5.0)}
+
+
+@pytest.mark.parametrize("base, s, a, b", list(_PATCHES.values()), ids=list(_PATCHES))
+def test_a_patched_function_is_rebuilt_continuous_and_nonnegative(base, s, a, b):
+    # c1 and c2 follow from (base, s, a, b): the record leaves them out and its
+    # constructor computes them again bit for bit
+    phi = patch(base, s, a, b).phi
+    record = json.loads(json.dumps(phi.to_json()))
+    assert set(record) == {"kind", "params", "breakpoints"}
+    back = YoungFunction.from_json(record)
+    assert (back.to_json(), back.c1, back.c2) == (phi.to_json(), phi.c1, phi.c2)
+    u = np.geomspace(1e-6, 1e6, 4096)
+    for name in ("__call__", "deriv_minus", "deriv_plus"):
+        assert np.array_equal(getattr(back, name)(u), getattr(phi, name)(u))
+    # the segment meets c1*base at a and c2 + base at b
+    for x, inward in ((a, b), (b, a)):
+        assert phi(np.nextafter(x, inward)) == pytest.approx(phi(x), rel=1e-12, abs=0.0)
+    assert np.all(phi(u) >= 0.0)
 
 
 def test_young_json_round_trip():
@@ -573,10 +597,12 @@ _PATCHED_RECORD = patch(zygmund(2.0, 0.5), 3.0, 0.2, 5.0).phi.to_json()
      "convexity exponent s must be finite and >= 2, got nan"),
     (lambda: YoungFunction.from_json({**_PATCHED_RECORD, "params": [2.0, 0.5, 1.5]}),
      "convexity exponent s must be finite and >= 2, got 1.5"),
-    (lambda: YoungFunction.from_json({**_PATCHED_RECORD, "c1": math.nan}),
-     "c1 must be a finite number, got nan"),
-    (lambda: YoungFunction.from_json({**_PATCHED_RECORD, "c2": -math.inf}),
-     "c2 must be a finite number, got -inf"),
+    # c1 and c2 follow from the record, so a record that holds them is refused
+    (lambda: YoungFunction.from_json({**_PATCHED_RECORD, "c1": math.nan}), "unknown field 'c1'"),
+    (lambda: YoungFunction.from_json({**_PATCHED_RECORD, "c2": -math.inf}), "unknown field 'c2'"),
+    # ... and one whose c2 would leave the floats (b**(2 - 1/s) overflows) is refused
+    (lambda: YoungFunction.from_json({**_PATCHED_RECORD, "breakpoints": [0.2, 1e200]}),
+     "breakpoints (0.2, 1e+200) put c1 or c2 beyond the float range"),
     # the exponent s is one rule wherever it is read: NaN and inf are refused
     *[(partial(call, bad), f"convexity exponent s must be finite and >= 2, got {bad}")
       for bad in (math.nan, math.inf)
